@@ -74,20 +74,13 @@ class SpikedInstance:
         m[j, i] = self.y
         return m
 
-    def noise_full(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        i, j = _triu(self.n)
-        m[i, j] = self.noise
-        m[j, i] = self.noise
-        return m
-
 
 def instance_from_parts(spike, noise, lam: float, seed: int = 0) -> SpikedInstance:
     """Assemble Y = sqrt(lambda/N) spike spike^T + W on the upper triangle.
 
-    Single construction path: everything that rebuilds an instance (JSON
-    round trips, interpolation at effective SNR t*lambda) goes through here,
-    so equal inputs give bit-identical Y.
+    Single construction path: sample_instance and everything that rebuilds an
+    instance from its parts go through here, so equal inputs give
+    bit-identical Y.
     """
     spike = np.asarray(spike, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
@@ -201,19 +194,39 @@ def enumeration_table(p: Prior, n: int, budget: int = DEFAULT_BUDGET) -> EnumTab
     return _enum_table(p.atoms, n)
 
 
-def _matrix_energies(inst: SpikedInstance, x: np.ndarray, pairsq: np.ndarray) -> np.ndarray:
-    """-H per configuration row of x, chunked; shared by every exact path."""
-    n = inst.n
-    yf = inst.y_full()
-    coef = math.sqrt(inst.lam / n)
-    out = np.empty(x.shape[0])
+def _energy_parts(x: np.ndarray, spike: np.ndarray, noise: np.ndarray):
+    """The energy kernel: (Q_W, S) per configuration row of x.
+
+    -H(x) = sqrt(lam/N) Q_W(x) + (lam/N) S(x) - (lam/2N) pairsq(x), with the
+    noise form Q_W = sum_{i<j} W_ij x_i x_j (chunked matrix products) and the
+    planted term S = sum_{i<j} x_i x*_i x_j x*_j = ((x.x*)^2 - sum_i x_i^2
+    x*_i^2) / 2 (two mat-vecs).  Neither depends on lambda; _neg_energy
+    combines them at any SNR.  Every exact consumer computes -H this way.
+    """
+    n = spike.size
+    w = np.zeros((n, n))
+    i, j = _triu(n)
+    w[i, j] = noise
+    w[j, i] = noise
+    q_w = np.empty(x.shape[0])
     chunk = max(1, int(8_000_000 / max(1, n)))
-    for i in range(0, x.shape[0], chunk):
-        xb = x[i : i + chunk]
-        out[i : i + chunk] = 0.5 * np.einsum("ck,ck->c", xb @ yf, xb)
-    out *= coef
-    out -= inst.lam / (2.0 * n) * pairsq
-    return out
+    for c in range(0, x.shape[0], chunk):
+        xb = x[c : c + chunk]
+        q_w[c : c + chunk] = 0.5 * np.einsum("ck,ck->c", xb @ w, xb)
+    xs = x @ spike
+    return q_w, 0.5 * (xs * xs - np.einsum("ck,ck,k->c", x, x, spike * spike))
+
+
+def _neg_energy(parts, pairsq: np.ndarray, lam: float, n: int) -> np.ndarray:
+    """-H at SNR lam from the kernel's (Q_W, S) and the table's pairsq."""
+    q_w, s = parts
+    return math.sqrt(lam / n) * q_w + (lam / n) * s - lam / (2.0 * n) * pairsq
+
+
+def _log_weights(table: EnumTable, inst: SpikedInstance) -> np.ndarray:
+    """log prior mass - H of every configuration of the table for one instance."""
+    parts = _energy_parts(table.X, inst.spike, inst.noise)
+    return table.logw + _neg_energy(parts, table.pairsq, inst.lam, inst.n)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -221,6 +234,17 @@ def _logsumexp(a: np.ndarray) -> float:
     if not np.isfinite(m):
         return float(m)
     return float(m + np.log(np.exp(a - m).sum()))
+
+
+def _overlap_window(x: np.ndarray, spike: np.ndarray, m: float, eps: float) -> np.ndarray:
+    """Mask of the rows of x with R_{1,*} in the half-open window [m, m + eps)."""
+    overlap = x @ spike / spike.size
+    return (overlap >= m) & (overlap < m + eps)
+
+
+def _fixed_spike_noise(n: int, seed: int) -> np.ndarray:
+    """The upper-triangular noise of a fixed-spike disorder draw."""
+    return np.random.default_rng(int(seed) & _MASK64).standard_normal(n * (n - 1) // 2)
 
 
 def _check_spike_in_support(p: Prior, spike: np.ndarray):
@@ -232,12 +256,11 @@ def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BU
     """log Z by stable log-sum-exp over all configurations, with the overlap law."""
     _check_spike_in_support(p, inst.spike)
     table = enumeration_table(p, inst.n, budget)
-    a = table.logw + _matrix_energies(inst, table.X, table.pairsq)
+    a = _log_weights(table, inst)
     log_z = _logsumexp(a)
-    post = np.exp(a - log_z)
     overlap = np.round(table.X @ inst.spike / inst.n, 9)
     vals, inv = np.unique(overlap, return_inverse=True)
-    mass = np.bincount(inv, weights=post)
+    mass = np.bincount(inv, weights=np.exp(a - log_z))
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]
     return EnumerationResult(log_z=log_z, overlap_law=law, config_count=table.X.shape[0])
 
@@ -276,9 +299,7 @@ def free_entropy_mc(
     table = enumeration_table(p, n, budget)
     vals = np.empty(n_disorder)
     for k in range(n_disorder):
-        inst = sample_instance(p, n, lam, derive_seed(seed, k))
-        a = table.logw + _matrix_energies(inst, table.X, table.pairsq)
-        vals[k] = _logsumexp(a) / n
+        vals[k] = _logsumexp(_log_weights(table, sample_instance(p, n, lam, derive_seed(seed, k)))) / n
     return _mc_estimate(vals, seed)
 
 
@@ -286,9 +307,9 @@ def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAUL
     """(log dP_lambda/dP_0 (Y), log Z) -- equal by the likelihood-ratio identity.
 
     The first component integrates the Gaussian density ratio of Y given x
-    over the prior (squares kept unexpanded), the second reuses the
-    Hamiltonian enumeration; agreement to 1e-10 is a consistency check on
-    both code paths.
+    over the prior (squares kept unexpanded), the second comes from the
+    energy kernel; agreement to 1e-10 is a consistency check on both code
+    paths.
     """
     _check_spike_in_support(p, inst.spike)
     table = enumeration_table(p, inst.n, budget)
@@ -301,9 +322,21 @@ def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAUL
         xb = table.X[c : c + chunk]
         pp = xb[:, i] * xb[:, j]
         exponents[c : c + chunk] = (0.5 * inst.y**2 - 0.5 * (inst.y - coef * pp) ** 2).sum(axis=1)
-    llr = _logsumexp(table.logw + exponents)
-    log_z = log_partition_exact(inst, p, budget).log_z
-    return llr, log_z
+    return _logsumexp(table.logw + exponents), _logsumexp(_log_weights(table, inst))
+
+
+def _fixed_spike_log_weights(
+    table: EnumTable, rows, spike: np.ndarray, lam: float, n_disorder: int, seed: int
+):
+    """Yield log prior mass - H over table[rows] at a fixed spike, per draw k.
+
+    Draw k's noise is _fixed_spike_noise(n, derive_seed(seed, k)), as on the
+    fixed-spike interpolation path."""
+    n = spike.size
+    x, logw, pairsq = table.X[rows], table.logw[rows], table.pairsq[rows]
+    for k in range(n_disorder):
+        parts = _energy_parts(x, spike, _fixed_spike_noise(n, derive_seed(seed, k)))
+        yield logw + _neg_energy(parts, pairsq, lam, n)
 
 
 def fp_potential(
@@ -330,22 +363,11 @@ def fp_potential(
         raise InvalidArgumentError(f"spike must have length {n}")
     _check_spike_in_support(p, spike)
     table = enumeration_table(p, n, budget)
-    overlap = table.X @ spike / n
-    mask = (overlap >= m) & (overlap < m + eps)
+    mask = _overlap_window(table.X, spike, m, eps)
     if not mask.any():
         return McEstimate(float("-inf"), 0.0, n_disorder, int(seed), empty_window=True)
-    x_sub = table.X[mask]
-    logw_sub = table.logw[mask]
-    pairsq_sub = table.pairsq[mask]
-    n_pairs = n * (n - 1) // 2
-    vals = np.empty(n_disorder)
-    for k in range(n_disorder):
-        rng = np.random.default_rng(derive_seed(seed, k) & _MASK64)
-        noise = rng.standard_normal(n_pairs)
-        inst = instance_from_parts(spike, noise, lam, seed=derive_seed(seed, k))
-        a = logw_sub + _matrix_energies(inst, x_sub, pairsq_sub)
-        vals[k] = _logsumexp(a) / n
-    return _mc_estimate(vals, seed)
+    draws = _fixed_spike_log_weights(table, mask, spike, lam, n_disorder, seed)
+    return _mc_estimate(np.array([_logsumexp(a) / n for a in draws]), seed)
 
 
 def fp_profile(
@@ -373,18 +395,12 @@ def fp_profile(
     overlap = table.X @ spike / n
     bins = np.floor(overlap / eps).astype(np.int64)
     order = np.argsort(bins, kind="stable")
-    sorted_bins = bins[order]
-    uniq, starts = np.unique(sorted_bins, return_index=True)
-    n_pairs = n * (n - 1) // 2
+    uniq, starts = np.unique(bins[order], return_index=True)
+    sizes = np.diff(np.append(starts, order.size))
     per_draw = np.empty((n_disorder, uniq.size))
-    for k in range(n_disorder):
-        rng = np.random.default_rng(derive_seed(seed, k) & _MASK64)
-        noise = rng.standard_normal(n_pairs)
-        inst = instance_from_parts(spike, noise, lam, seed=derive_seed(seed, k))
-        a = (table.logw + _matrix_energies(inst, table.X, table.pairsq))[order]
+    for k, a in enumerate(_fixed_spike_log_weights(table, order, spike, lam, n_disorder, seed)):
         seg_max = np.maximum.reduceat(a, starts)
-        expa = np.exp(a - np.repeat(seg_max, np.diff(np.append(starts, a.size))))
-        per_draw[k] = seg_max + np.log(np.add.reduceat(expa, starts))
+        per_draw[k] = seg_max + np.log(np.add.reduceat(np.exp(a - np.repeat(seg_max, sizes)), starts))
     per_draw /= n
     return [
         (int(l), _mc_estimate(per_draw[:, c], seed))
@@ -397,21 +413,20 @@ def nishimori_check(
 ) -> VerificationReport:
     """E<R_{1,2}> = E<R_{1,*}>: replica-replica vs replica-spike overlap.
 
-    Per instance, <R_{1,*}> comes from the enumerated overlap law and
-    <R_{1,2}> from per-site posterior means ((1/n) sum_i <x_i>^2); the check
-    is on the disorder means with a paired standard error.
+    Per instance, one kernel pass gives the posterior: <R_{1,*}> from the
+    overlaps rounded to 9 digits as in log_partition_exact's overlap law,
+    <R_{1,2}> from per-site means ((1/n) sum_i <x_i>^2); the check is on the
+    disorder means with a paired standard error.
     """
     table = enumeration_table(p, n, budget)
     r12 = np.empty(n_disorder)
     r1s = np.empty(n_disorder)
     for k in range(n_disorder):
         inst = sample_instance(p, n, lam, derive_seed(seed, k))
-        res = log_partition_exact(inst, p, budget)
-        a = table.logw + _matrix_energies(inst, table.X, table.pairsq)
-        post = np.exp(a - res.log_z)
-        site_means = post @ table.X
-        r12[k] = float((site_means**2).mean())
-        r1s[k] = math.fsum(v * w for v, w in res.overlap_law)
+        a = _log_weights(table, inst)
+        post = np.exp(a - _logsumexp(a))
+        r12[k] = float(((post @ table.X) ** 2).mean())
+        r1s[k] = float(post @ np.round(table.X @ inst.spike / n, 9))
     diff = r12 - r1s
     delta = abs(float(diff.mean()))
     se = float(diff.std(ddof=1) / math.sqrt(n_disorder)) if n_disorder > 1 else 0.0

@@ -17,10 +17,11 @@ entropy.  Both are verified here by finite differences of the exactly
 enumerated path free entropy phi(t), with disorder shared across the t grid
 so slope estimates are paired.
 
-The matrix part of -H_t is algebraically the original Hamiltonian at
-effective SNR t*lambda, and is computed through exactly that code path; at
-t = 1 the side coefficients are exact zeros, so phi(1) reproduces the plain
-free-entropy estimator bit for bit on shared seeds.
+The matrix part of -H_t is the original Hamiltonian at effective SNR
+t*lambda: the finite-size energy kernel's parts, computed once per draw and
+recombined at each t.  At t = 1 the side coefficients are exact zeros, so
+phi(1) reproduces the plain free-entropy estimator bit for bit on shared
+seeds.  h_t evaluates the definition directly, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -34,23 +35,25 @@ from .channel import ChannelEvaluator
 from .errors import DomainError, InvalidArgumentError
 from .finite import (
     DEFAULT_BUDGET,
+    _MASK64,
     SpikedInstance,
+    _energy_parts,
+    _fixed_spike_noise,
     _logsumexp,
-    _matrix_energies,
     _mc_estimate,
+    _neg_energy,
+    _overlap_window,
     _sample_atoms,
     _triu,
     McEstimate,
     derive_seed,
     enumeration_table,
-    instance_from_parts,
+    fp_potential,
     sample_instance,
 )
 from .priors import Prior, support_bound
 from .report import VerificationReport
 from .rs import f_hat, golden_section_min
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,54 +143,38 @@ def _phi_t_draws(
     r = lam * q
     s = lam * m
     table = enumeration_table(p, n, budget)
-    n_pairs = n * (n - 1) // 2
 
-    fixed_mask = None
+    def rows(spike_k):
+        mask = slice(None) if restricted is None else _overlap_window(table.X, spike_k, *restricted)
+        return table.X[mask], table.logw[mask], table.pairsq[mask], table.sumsq[mask]
+
     if spike is not None:
         spike = np.asarray(spike, dtype=np.float64)
-        if restricted is not None:
-            m_win, eps_win = restricted
-            overlap = table.X @ spike / n
-            fixed_mask = (overlap >= m_win) & (overlap < m_win + eps_win)
+        fixed_rows = rows(spike)
 
     out = np.empty((n_disorder, len(t_values)))
     for k in range(n_disorder):
         if spike is None:
-            inst0 = sample_instance(p, n, lam, derive_seed(seed, k))
-            spike_k, noise_k = inst0.spike, inst0.noise
+            inst = sample_instance(p, n, lam, derive_seed(seed, k))
+            spike_k, noise_k = inst.spike, inst.noise
+            x_cfg, logw, pairsq, sumsq = rows(spike_k)
         else:
-            spike_k = spike
-            rng = np.random.default_rng(derive_seed(seed, k) & _MASK64)
-            noise_k = rng.standard_normal(n_pairs)
-        z = np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
-
-        if fixed_mask is not None:
-            mask = fixed_mask
-        elif restricted is not None:
-            m_win, eps_win = restricted
-            overlap = table.X @ spike_k / n
-            mask = (overlap >= m_win) & (overlap < m_win + eps_win)
-        else:
-            mask = None
-
-        x_cfg = table.X if mask is None else table.X[mask]
-        logw = table.logw if mask is None else table.logw[mask]
-        pairsq = table.pairsq if mask is None else table.pairsq[mask]
-        sumsq = table.sumsq if mask is None else table.sumsq[mask]
+            spike_k, noise_k = spike, _fixed_spike_noise(n, derive_seed(seed, k))
+            x_cfg, logw, pairsq, sumsq = fixed_rows
         if x_cfg.shape[0] == 0:
             out[k, :] = -np.inf
             continue
+        z = np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
+        parts = _energy_parts(x_cfg, spike_k, noise_k)
         xz = x_cfg @ z
         xsp = x_cfg @ spike_k
         for c, t in enumerate(t_values):
-            inst_t = instance_from_parts(spike_k, noise_k, t * lam, seed=derive_seed(seed, k))
-            e = logw + _matrix_energies(inst_t, x_cfg, pairsq)
             side = (
                 math.sqrt((1.0 - t) * r) * xz
                 + (1.0 - t) * s * xsp
                 - (1.0 - t) * r / 2.0 * sumsq
             )
-            out[k, c] = _logsumexp(e + side) / n
+            out[k, c] = _logsumexp(logw + _neg_energy(parts, pairsq, t * lam, n) + side) / n
     return out
 
 
@@ -296,8 +283,6 @@ def fp_upper_check(
     plus the calibration allowance C/N + 3 stderr (C = lam K^4 by default).
     An unreachable window produces a skipped (vacuously passing) report.
     """
-    from .finite import fp_potential  # local import to keep module load acyclic
-
     if q_grid is None:
         q_grid = np.linspace(0.0, support_bound(p) ** 2 + 1.0, 41)
     q_grid = np.asarray(sorted(float(q) for q in q_grid))

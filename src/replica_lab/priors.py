@@ -8,7 +8,6 @@ so all downstream expectations reduce to finite weighted sums.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -193,7 +192,3 @@ def prior_to_json(p: Prior) -> dict:
 
 def prior_from_json(d: dict) -> Prior:
     return make_prior([(v, w) for v, w in d["atoms"]], name=d.get("name", ""))
-
-
-def prior_json_str(p: Prior) -> str:
-    return json.dumps(prior_to_json(p), separators=(",", ":"))

@@ -114,15 +114,17 @@ class TestLogPartitionExact:
         assert log_partition_exact(inst, p).log_z == pytest.approx(math.log(sum(terms)), abs=1e-12)
 
     def test_against_brute_force_oracle(self, priors):
-        p = priors["rademacher"]
-        inst = sample_instance(p, 12, 1.0, 42)
-        exps = [
-            12 * math.log(0.5) + hamiltonian(inst, np.array(c, dtype=float))
-            for c in itertools.product([1, -1], repeat=12)
-        ]
-        m = max(exps)
-        oracle = m + math.log(sum(math.exp(e - m) for e in exps))
-        assert log_partition_exact(inst, p).log_z == pytest.approx(oracle, abs=1e-10)
+        # sparse:0.25 puts the planted term with atoms 0, +-2 under the oracle
+        for name, n, lam, seed in (("rademacher", 12, 1.0, 42), ("sparse:0.25", 8, 1.5, 43)):
+            p = priors[name]
+            inst = sample_instance(p, n, lam, seed)
+            exps = [
+                sum(math.log(w) for _, w in c) + hamiltonian(inst, np.array([v for v, _ in c]))
+                for c in itertools.product(p.atoms, repeat=n)
+            ]
+            m = max(exps)
+            oracle = m + math.log(sum(math.exp(e - m) for e in exps))
+            assert log_partition_exact(inst, p).log_z == pytest.approx(oracle, abs=1e-10)
 
     def test_overlap_law_normalized(self, priors):
         p = priors["sparse:0.25"]

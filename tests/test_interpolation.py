@@ -1,5 +1,6 @@
 """Interpolating Hamiltonian, path free entropy, and the two bound checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from replica_lab import (
     DomainError,
     InvalidArgumentError,
     augment,
+    derive_seed,
     fp_upper_check,
     free_entropy_mc,
     guerra_slope_check,
@@ -20,6 +22,7 @@ from replica_lab import (
     sample_spike,
 )
 from replica_lab.channel import psi_hat_array
+from replica_lab.finite import instance_from_parts
 
 
 class TestAugmentedInstance:
@@ -139,6 +142,33 @@ class TestPhiOfT:
             p, 8, 1.0, 0.5, 0.5, 0.5, 5, 1, restricted=(-3.0, 0.1), spike=np.ones(8)
         )
         assert est.empty_window
+
+    @pytest.mark.parametrize("fixed_spike", [False, True])
+    def test_interior_t_matches_definition(self, priors, fixed_spike):
+        # phi(t) = (1/n) E log sum_x prior(x) exp(-H_t(x)), brute-forced through
+        # h_t on the disorder streams the path draws: the instance from
+        # derive_seed(seed, k) and the side noise z from derive_seed(seed, k, 1)
+        p = priors["sparse:0.25"]
+        n, lam, q, m, t, draws, seed = 6, 2.0, 0.5, 0.3, 0.4, 2, 28
+        spike = sample_spike(p, n, 4) if fixed_spike else None
+        window = (0.0, 1.5) if fixed_spike else None
+        est = phi_of_t(p, n, lam, q, m, t, draws, seed, restricted=window, spike=spike)
+        vals = []
+        for k in range(draws):
+            if fixed_spike:
+                noise = np.random.default_rng(derive_seed(seed, k)).standard_normal(n * (n - 1) // 2)
+                inst = instance_from_parts(spike, noise, lam)
+            else:
+                inst = sample_instance(p, n, lam, derive_seed(seed, k))
+            aug = augment(inst, t, lam * q, lam * m, derive_seed(seed, k, 1))
+            exps = []
+            for c in itertools.product(p.atoms, repeat=n):
+                x = np.array([v for v, _ in c])
+                if window is None or window[0] <= x @ inst.spike / n < window[0] + window[1]:
+                    exps.append(sum(math.log(w) for _, w in c) + h_t(aug, x))
+            top = max(exps)
+            vals.append((top + math.log(sum(math.exp(e - top) for e in exps))) / n)
+        assert est.mean == pytest.approx(float(np.mean(vals)), abs=1e-12)
 
 
 class TestGuerraSlope:

@@ -70,30 +70,84 @@ def _resolve(ev: ChannelEvaluator | None) -> ChannelEvaluator:
     return ev if ev is not None else default_evaluator()
 
 
+# Exponent values held per block of psi_hat_array: 2**16 doubles (512 KB),
+# about 512 points of a two-atom prior at 61 nodes.
+_BLOCK_VALUES = 2**16
+
+
+def _atom_sum(e: np.ndarray) -> np.ndarray:
+    """e.sum(axis=0) in the order numpy's add.reduce sums a contiguous axis.
+
+    numpy adds fewer than 8 terms one after another, up to 128 terms in 8
+    interleaved partial sums combined pairwise, and more by halving at a
+    multiple of 8.  Following that order over the leading (atom) axis keeps
+    the result bit-identical to reducing a trailing atom axis.
+    """
+    n = e.shape[0]
+    if n < 8:
+        acc = e[0].copy()
+        for x in e[1:]:
+            acc += x
+        return acc
+    if n <= 128:
+        lanes = e[:8].copy()
+        for i in range(8, n - n % 8, 8):
+            lanes += e[i : i + 8]
+        acc = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+        )
+        for x in e[n - n % 8 :]:
+            acc += x
+        return acc
+    half = n // 2
+    half -= half % 8
+    return _atom_sum(e[:half]) + _atom_sum(e[half:])
+
+
 def psi_hat_array(ev: ChannelEvaluator, p: Prior, r, s) -> np.ndarray:
     """Vectorized psi_hat over broadcastable nonnegative r and real s.
 
-    Memory scales as broadcast_size * node_count * atom_count; callers with
-    large grids should chunk.  The inner log-sum over atoms subtracts the
-    per-z maximum exponent before exponentiating, so large r and s are safe.
+    The broadcast points are walked in blocks of about 2**16 / (atoms * nodes)
+    points.  Each block holds one (points, nodes) exponent plane per atom, so
+    the working set stays near 512 KB whatever the input size; only the
+    (points, nodes) log-sum table that the final contraction with the weights
+    reads grows with the input, and that is all a caller needs to chunk for.
+    The log-sum over atoms subtracts the per-z maximum exponent before
+    exponentiating, so large r and s are safe.  The arithmetic, including the
+    order of the atom sum, is that of a direct broadcast over
+    (points, nodes, atoms), so results do not depend on the block size.
     """
     ev = _resolve(ev)
     r = np.asarray(r, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     r_b, s_b = np.broadcast_arrays(r, s)
+    shape = r_b.shape
+    r_col = r_b.reshape(-1, 1)
+    s_col = s_b.reshape(-1, 1)
     z = ev.nodes  # (G,)
-    v = p.values  # (A,)
-    lw = p.log_weights
-    # exponent[..., G, A]
-    a = (
-        np.sqrt(r_b)[..., None, None] * z[:, None] * v[None, :]
-        + s_b[..., None, None] * v[None, :]
-        - 0.5 * r_b[..., None, None] * v[None, :] ** 2
-        + lw[None, :]
-    )
-    m = a.max(axis=-1)
-    inner = m + np.log(np.exp(a - m[..., None]).sum(axis=-1))  # (..., G)
-    return inner @ ev.weights
+    v = p.values[:, None, None]  # (A, 1, 1)
+    v_sq = v**2
+    lw = p.log_weights[:, None, None]
+    n_atoms, n_nodes, n_points = v.shape[0], z.size, r_col.shape[0]
+    rows = max(1, _BLOCK_VALUES // (n_atoms * n_nodes))
+    inner = np.empty((n_points, n_nodes))
+    buf = np.empty(n_atoms * min(rows, n_points) * n_nodes)
+    for i in range(0, n_points, rows):
+        rr = r_col[i : i + rows]
+        ss = s_col[i : i + rows]
+        # exponent[atom, point, node]: a contiguous prefix of buf even for a
+        # short last block, so every block runs numpy's contiguous loops
+        e = buf[: n_atoms * rr.shape[0] * n_nodes].reshape(n_atoms, rr.shape[0], n_nodes)
+        np.multiply(np.sqrt(rr) * z, v, out=e)
+        e += ss * v
+        e -= (0.5 * rr) * v_sq
+        e += lw
+        m = np.maximum.reduce(e, axis=0)
+        e -= m
+        np.exp(e, out=e)
+        block = np.log(_atom_sum(e), out=inner[i : i + rows])
+        block += m
+    return inner.reshape(shape + (n_nodes,)) @ ev.weights
 
 
 def _check_r(r) -> None:

@@ -284,6 +284,12 @@ class McEstimate:
     empty_window: bool = False
 
 
+def _check_disorder(n_disorder: int, name: str = "n_disorder") -> None:
+    """Every Monte Carlo estimate averages over at least one disorder draw."""
+    if n_disorder < 1:
+        raise InvalidArgumentError(f"{name} must be >= 1, got {n_disorder}")
+
+
 def _mc_estimate(values: np.ndarray, seed: int, empty: bool = False) -> McEstimate:
     values = np.asarray(values, dtype=np.float64)
     k = values.size
@@ -296,6 +302,7 @@ def free_entropy_mc(
     p: Prior, n: int, lam: float, n_disorder: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> McEstimate:
     """F_N estimate: average of (1/N) log Z over independent instances."""
+    _check_disorder(n_disorder)
     table = enumeration_table(p, n, budget)
     vals = np.empty(n_disorder)
     for k in range(n_disorder):
@@ -339,6 +346,18 @@ def _fixed_spike_log_weights(
         yield logw + _neg_energy(parts, pairsq, lam, n)
 
 
+def _fixed_spike_setup(p: Prior, n: int, eps: float, spike, n_disorder: int, budget: int):
+    """Validated (spike, table) for the fixed-spike potentials."""
+    if eps <= 0:
+        raise InvalidArgumentError(f"eps must be > 0, got {eps}")
+    _check_disorder(n_disorder)
+    spike = np.asarray(spike, dtype=np.float64)
+    if spike.shape != (n,):
+        raise InvalidArgumentError(f"spike must have length {n}")
+    _check_spike_in_support(p, spike)
+    return spike, enumeration_table(p, n, budget)
+
+
 def fp_potential(
     p: Prior,
     n: int,
@@ -356,13 +375,7 @@ def fp_potential(
     The window is half-open and the disorder average is over W only.  An
     unreachable window returns the -inf sentinel with empty_window set.
     """
-    if eps <= 0:
-        raise InvalidArgumentError(f"eps must be > 0, got {eps}")
-    spike = np.asarray(spike, dtype=np.float64)
-    if spike.size != n:
-        raise InvalidArgumentError(f"spike must have length {n}")
-    _check_spike_in_support(p, spike)
-    table = enumeration_table(p, n, budget)
+    spike, table = _fixed_spike_setup(p, n, eps, spike, n_disorder, budget)
     mask = _overlap_window(table.X, spike, m, eps)
     if not mask.any():
         return McEstimate(float("-inf"), 0.0, n_disorder, int(seed), empty_window=True)
@@ -387,11 +400,7 @@ def fp_profile(
     covers all windows, which is what makes the discretization bound of the
     free entropy affordable to test.
     """
-    if eps <= 0:
-        raise InvalidArgumentError(f"eps must be > 0, got {eps}")
-    spike = np.asarray(spike, dtype=np.float64)
-    _check_spike_in_support(p, spike)
-    table = enumeration_table(p, n, budget)
+    spike, table = _fixed_spike_setup(p, n, eps, spike, n_disorder, budget)
     overlap = table.X @ spike / n
     bins = np.floor(overlap / eps).astype(np.int64)
     order = np.argsort(bins, kind="stable")
@@ -418,6 +427,7 @@ def nishimori_check(
     <R_{1,2}> from per-site means ((1/n) sum_i <x_i>^2); the check is on the
     disorder means with a paired standard error.
     """
+    _check_disorder(n_disorder)
     table = enumeration_table(p, n, budget)
     r12 = np.empty(n_disorder)
     r1s = np.empty(n_disorder)

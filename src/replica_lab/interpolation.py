@@ -37,6 +37,7 @@ from .finite import (
     DEFAULT_BUDGET,
     _MASK64,
     SpikedInstance,
+    _check_disorder,
     _energy_parts,
     _fixed_spike_noise,
     _logsumexp,
@@ -137,6 +138,7 @@ def _phi_t_draws(
     """
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
+    _check_disorder(n_disorder)
     t_values = [float(t) for t in t_values]
     for t in t_values:
         _check_t(t)

@@ -13,6 +13,7 @@ from .channel import ChannelEvaluator, asymmetry_gap
 from .errors import EnumerationBudgetError
 from .finite import (
     DEFAULT_BUDGET,
+    _check_disorder,
     derive_seed,
     kl_log_likelihood_ratio,
     nishimori_check,
@@ -75,6 +76,7 @@ def kl_identity_check(
     budget: int = DEFAULT_BUDGET,
 ) -> VerificationReport:
     """Per-instance agreement of the log likelihood ratio with log Z."""
+    _check_disorder(n_instances, "n_instances")
     worst = 0.0
     for k in range(n_instances):
         inst = sample_instance(p, n, lam, derive_seed(seed, k))
@@ -119,6 +121,7 @@ def run_suite(
     ev: ChannelEvaluator | None = None,
 ) -> list:
     """The full battery at one (prior, n, n_disorder, seed) setting."""
+    _check_disorder(n_disorder)
     m2 = second_moment(p)
     reports = [
         tilt_asymmetry_check(p, ev=ev),

@@ -14,8 +14,13 @@ from replica_lab import (
     psi_hat,
     psi_prime,
 )
-from replica_lab.channel import make_evaluator, psi_bar_array
-from replica_lab.priors import point_mass_prior, rademacher_prior, asymmetric_binary_prior
+from replica_lab.channel import make_evaluator, psi_bar_array, psi_hat_array
+from replica_lab.priors import (
+    asymmetric_binary_prior,
+    parse_prior_spec,
+    point_mass_prior,
+    rademacher_prior,
+)
 
 from conftest import mc_log_cosh, mc_psi_bar
 
@@ -71,6 +76,63 @@ class TestPsiHat:
     def test_domain_error(self, ev, priors):
         with pytest.raises(DomainError):
             psi_hat(ev, priors["rademacher"], -0.1, 0.0)
+
+
+def _broadcast_psi_hat(ev, p, r, s):
+    """Reference kernel: one (..., G, A) broadcast with the atom axis last."""
+    r = np.asarray(r, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    r_b, s_b = np.broadcast_arrays(r, s)
+    z = ev.nodes
+    v = p.values
+    lw = p.log_weights
+    a = (
+        np.sqrt(r_b)[..., None, None] * z[:, None] * v[None, :]
+        + s_b[..., None, None] * v[None, :]
+        - 0.5 * r_b[..., None, None] * v[None, :] ** 2
+        + lw[None, :]
+    )
+    m = a.max(axis=-1)
+    inner = m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
+    return inner @ ev.weights
+
+
+class TestBlockedKernel:
+    """psi_hat_array is bit-identical to the broadcast reference.
+
+    Atom counts cover numpy's three summation regimes (under 8 terms, 8 to
+    128, above 128); the call shapes are those of psi_hat, psi and psi_bar,
+    a saddle-table chunk spanning many blocks, and a general broadcast.
+    """
+
+    @pytest.mark.parametrize("nodes", [61, 121])
+    @pytest.mark.parametrize(
+        "spec",
+        ["point:0.7", "rademacher", "sparse:0.25", "uniform:8", "uniform:9", "uniform:21", "uniform:200"],
+    )
+    def test_matches_broadcast_reference(self, nodes, spec):
+        e = make_evaluator(nodes)
+        p = parse_prior_spec(spec)
+        rng = np.random.default_rng(nodes)
+        a = p.values.size
+        # the reference holds points * nodes * atoms doubles: keep that under ~40 MB
+        q = rng.uniform(0.0, 50.0, (max(1, min(65, 20_000 // a**2)), 1))
+        q[1:2] = 0.0
+        ns = max(3, 4000 // a)
+        cases = {
+            "scalar": (1.3, -0.4),
+            "psi": (q, q * p.values),
+            "table_chunk": (
+                np.linspace(0.0, 50.0, 5)[:, None],
+                np.linspace(-50.0, 50.0, ns)[None, :],
+            ),
+            "broadcast_5x7": (rng.uniform(0.0, 20.0, (5, 7)), rng.normal(0.0, 5.0, 7)),
+        }
+        for name, (r, s) in cases.items():
+            want = _broadcast_psi_hat(e, p, r, s)
+            got = psi_hat_array(e, p, r, s)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want), name
+            assert np.array_equal(got, want), (name, float(np.max(np.abs(got - want))))
 
 
 class TestPsi:

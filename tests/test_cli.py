@@ -179,6 +179,14 @@ class TestErrorPaths:
         code, _, err = run_cli(["rs-curve", "--lambda", "0", "--plot"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["finite-n", "fp", "verify"])
+    @pytest.mark.parametrize("disorder", ["0", "-1"])
+    def test_disorder_below_one(self, capsys, command, disorder):
+        code, out, err = run_cli([command, "--n", "8", "--disorder", disorder], capsys)
+        assert code == 2
+        assert "error: n_disorder must be >= 1" in err
+        assert out == ""
+
     def test_budget_exceeded(self, capsys):
         code, _, err = run_cli(
             ["finite-n", "--n", "30", "--lambda", "1", "--disorder", "2"], capsys

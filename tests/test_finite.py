@@ -26,6 +26,7 @@ from replica_lab import (
     sample_spike,
 )
 from replica_lab.finite import instance_from_parts
+from replica_lab.verify import kl_identity_check
 from replica_lab.priors import asymmetric_binary_prior, point_mass_prior
 
 
@@ -169,6 +170,21 @@ class TestFreeEntropyMc:
             assert floor >= rs_potential(p, 2.0, q, ev)
 
 
+@pytest.mark.parametrize("n_disorder", [0, -1])
+def test_disorder_count_validated(priors, n_disorder):
+    p = priors["rademacher"]
+    calls = (
+        lambda: free_entropy_mc(p, 6, 2.0, n_disorder, 1),
+        lambda: nishimori_check(p, 6, 2.0, n_disorder, 1),
+        lambda: fp_potential(p, 6, 2.0, 0.0, 0.25, np.ones(6), n_disorder, 1),
+        lambda: fp_profile(p, 6, 2.0, 0.25, np.ones(6), n_disorder, 1),
+        lambda: kl_identity_check(p, 6, 2.0, n_disorder, 1),
+    )
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match="must be >= 1"):
+            call()
+
+
 class TestKlIdentity:
     def test_zero_snr(self, priors):
         inst = sample_instance(priors["rademacher"], 8, 0.0, 3)
@@ -220,6 +236,15 @@ class TestFpPotential:
             inst = instance_from_parts(spike, noise, 1.0, seed=derive_seed(55, k))
             vals.append((hamiltonian(inst, spike) + 12 * math.log(0.5)) / 12)
         assert est.mean == pytest.approx(float(np.mean(vals)), abs=1e-12)
+
+    def test_validation(self, priors):
+        p = priors["rademacher"]
+        with pytest.raises(InvalidArgumentError, match="length 10"):
+            fp_potential(p, 10, 2.0, 0.0, 0.25, np.ones(8), 5, 1)
+        with pytest.raises(InvalidArgumentError, match="length 10"):
+            fp_profile(p, 10, 2.0, 0.25, np.ones(8), 5, 1)
+        with pytest.raises(InvalidArgumentError, match="eps"):
+            fp_profile(p, 10, 2.0, 0.0, np.ones(10), 5, 1)
 
     def test_empty_window_sentinel(self, priors):
         est = fp_potential(priors["rademacher"], 8, 1.0, -2.0, 0.1, np.ones(8), 5, 1)

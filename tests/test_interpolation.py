@@ -194,6 +194,8 @@ class TestGuerraSlope:
             guerra_slope_check(
                 priors["rademacher"], 8, 1.0, 0.5, t_grid=(0.8, 0.2), n_disorder=5, seed=0
             )
+        with pytest.raises(InvalidArgumentError, match="n_disorder"):
+            guerra_slope_check(priors["rademacher"], 8, 1.0, 0.5, n_disorder=0, seed=0)
 
 
 class TestFpUpper:

@@ -38,6 +38,7 @@ from .finite import (
     instance_from_json,
     instance_to_json,
     kl_log_likelihood_ratio,
+    kl_log_likelihood_ratios,
     log_partition_exact,
     metropolis_sampler,
     nishimori_check,

@@ -13,9 +13,12 @@ x* and the side noise) are plain Monte Carlo over instances with
 counter-derived seeds.  A single-site Metropolis sampler covers sizes beyond
 the enumeration budget.
 
-Seed discipline: every disorder replica k uses derive_seed(master, k, ...)
-so runs are reproducible bit-for-bit and replicas could be evaluated in any
-order or in parallel; reductions here are sequential in k.
+Seed discipline: every disorder replica k uses derive_seed(master, k, ...),
+so replica k's instance does not depend on the other replicas.  The energy
+kernel stacks consecutive replicas into blocks sized from the enumerated rows
+alone and reduces each replica on its own contiguous row, so runs are
+reproducible bit-for-bit, and estimators over the same rows and replicas make
+the same kernel calls.
 """
 
 from __future__ import annotations
@@ -26,15 +29,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EnumerationBudgetError,
-    InvalidArgumentError,
-)
+from .errors import EnumerationBudgetError, InvalidArgumentError
 from .priors import Prior, prior_from_json, prior_to_json
 from .report import VerificationReport
+from .rs import _check_lambda
 
 DEFAULT_BUDGET = 2**20
+
+# Values held per block of the enumeration kernel: 2**20 doubles (8 MB).  A
+# block of draws spans at most this many energies.  A block of configuration
+# rows holds a sixteenth of it in pair features (512 KB), so that they stay in
+# cache while the GEMM reads them: one draw over sparse:0.25 at n = 12 took
+# 3.6x as long with 8 MB of features per block.
+_BLOCK_VALUES = 2**20
 
 _MASK64 = (1 << 64) - 1
 
@@ -104,8 +111,7 @@ def sample_instance(p: Prior, n: int, lam: float, seed: int) -> SpikedInstance:
     """Draw spike entries i.i.d. from the prior, then standard normal noise."""
     if n < 2:
         raise InvalidArgumentError(f"need n >= 2, got {n}")
-    if lam < 0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
+    _check_lambda(lam)
     rng = np.random.default_rng(int(seed) & _MASK64)
     spike = _sample_atoms(p, n, rng)
     noise = rng.standard_normal(n * (n - 1) // 2)
@@ -194,27 +200,50 @@ def enumeration_table(p: Prior, n: int, budget: int = DEFAULT_BUDGET) -> EnumTab
     return _enum_table(p.atoms, n)
 
 
-def _energy_parts(x: np.ndarray, spike: np.ndarray, noise: np.ndarray):
-    """The energy kernel: (Q_W, S) per configuration row of x.
+def _energy_parts(x: np.ndarray, spikes: np.ndarray, noises: np.ndarray):
+    """The energy kernel: (Q_W, S) for a stack of D draws over the rows of x.
 
+    spikes is (D, n) and noises (D, P), P = n(n-1)/2 over i < j row-major.
     -H(x) = sqrt(lam/N) Q_W(x) + (lam/N) S(x) - (lam/2N) pairsq(x), with the
-    noise form Q_W = sum_{i<j} W_ij x_i x_j (chunked matrix products) and the
-    planted term S = sum_{i<j} x_i x*_i x_j x*_j = ((x.x*)^2 - sum_i x_i^2
-    x*_i^2) / 2 (two mat-vecs).  Neither depends on lambda; _neg_energy
+    noise form Q_W = sum_{i<j} W_ij x_i x_j and the planted term
+    S = sum_{i<j} x*_i x*_j x_i x_j.  Neither depends on lambda; _neg_energy
     combines them at any SNR.  Every exact consumer computes -H this way.
+
+    Both are linear in the pair features x_i x_j, so one GEMM of the stacked
+    coefficients [noises; spike pair products] against the features of a
+    block of rows gives both.  The results are (D, rows), draw-major, so each
+    draw's energies form one contiguous row.  Rows are walked in blocks of
+    _BLOCK_VALUES // (16 max(n, P, 2D)) configurations, so no temporary
+    exceeds _BLOCK_VALUES / 16 values beyond the results, each of which
+    _draw_parts bounds by _BLOCK_VALUES.
     """
-    n = spike.size
-    w = np.zeros((n, n))
+    d, n = spikes.shape
     i, j = _triu(n)
-    w[i, j] = noise
-    w[j, i] = noise
-    q_w = np.empty(x.shape[0])
-    chunk = max(1, int(8_000_000 / max(1, n)))
-    for c in range(0, x.shape[0], chunk):
-        xb = x[c : c + chunk]
-        q_w[c : c + chunk] = 0.5 * np.einsum("ck,ck->c", xb @ w, xb)
-    xs = x @ spike
-    return q_w, 0.5 * (xs * xs - np.einsum("ck,ck,k->c", x, x, spike * spike))
+    pair_coef = np.concatenate([noises, spikes[:, i] * spikes[:, j]])
+    parts = np.empty((2 * d, x.shape[0]))
+    step = max(1, _BLOCK_VALUES // (16 * max(n, i.size, 2 * d)))
+    for c in range(0, x.shape[0], step):
+        xt = np.ascontiguousarray(x[c : c + step].T)
+        parts[:, c : c + step] = pair_coef @ (xt[i] * xt[j])
+    return parts[:d], parts[d:]
+
+
+def _draw_parts(x: np.ndarray, n_draws: int, draw):
+    """Yield (k0, spikes, parts): the kernel over consecutive blocks of draws.
+
+    draw(k) returns draw k's (spike, noise).  A block holds the draws
+    k0, k0+1, ... and at most _BLOCK_VALUES // max(rows, n, P) of them (at
+    least one), so neither its stacked noises nor its (D, rows) parts exceed
+    _BLOCK_VALUES values unless one draw's row alone does.  The blocks depend
+    only on the rows and n_draws, so consumers that share both also share
+    every kernel call.
+    """
+    rows, n = x.shape
+    step = max(1, _BLOCK_VALUES // max(rows, n, n * (n - 1) // 2))
+    for k0 in range(0, n_draws, step):
+        block = [draw(k) for k in range(k0, min(k0 + step, n_draws))]
+        spikes = np.stack([spike for spike, _ in block])
+        yield k0, spikes, _energy_parts(x, spikes, np.stack([noise for _, noise in block]))
 
 
 def _neg_energy(parts, pairsq: np.ndarray, lam: float, n: int) -> np.ndarray:
@@ -223,10 +252,27 @@ def _neg_energy(parts, pairsq: np.ndarray, lam: float, n: int) -> np.ndarray:
     return math.sqrt(lam / n) * q_w + (lam / n) * s - lam / (2.0 * n) * pairsq
 
 
-def _log_weights(table: EnumTable, inst: SpikedInstance) -> np.ndarray:
-    """log prior mass - H of every configuration of the table for one instance."""
-    parts = _energy_parts(table.X, inst.spike, inst.noise)
-    return table.logw + _neg_energy(parts, table.pairsq, inst.lam, inst.n)
+def _log_weights(table: EnumTable, rows, lam: float, n_draws: int, draw):
+    """Yield (spike, log prior mass - H over table[rows]) per draw, in order.
+
+    The energies come from _draw_parts; the combination runs one draw's
+    contiguous row at a time.
+    """
+    x, logw, pairsq = table.X[rows], table.logw[rows], table.pairsq[rows]
+    n = x.shape[1]
+    for _, spikes, (q_w, s) in _draw_parts(x, n_draws, draw):
+        for spike, q_w_k, s_k in zip(spikes, q_w, s):
+            yield spike, logw + _neg_energy((q_w_k, s_k), pairsq, lam, n)
+
+
+def _sampled_draws(p: Prior, n: int, lam: float, seed: int):
+    """draw(k) of the instance sample_instance(p, n, lam, derive_seed(seed, k))."""
+
+    def draw(k):
+        inst = sample_instance(p, n, lam, derive_seed(seed, k))
+        return inst.spike, inst.noise
+
+    return draw
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -256,7 +302,7 @@ def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BU
     """log Z by stable log-sum-exp over all configurations, with the overlap law."""
     _check_spike_in_support(p, inst.spike)
     table = enumeration_table(p, inst.n, budget)
-    a = _log_weights(table, inst)
+    _, a = next(_log_weights(table, slice(None), inst.lam, 1, lambda k: (inst.spike, inst.noise)))
     log_z = _logsumexp(a)
     overlap = np.round(table.X @ inst.spike / inst.n, 9)
     vals, inv = np.unique(overlap, return_inverse=True)
@@ -304,52 +350,75 @@ def free_entropy_mc(
     """F_N estimate: average of (1/N) log Z over independent instances."""
     _check_disorder(n_disorder)
     table = enumeration_table(p, n, budget)
-    vals = np.empty(n_disorder)
-    for k in range(n_disorder):
-        vals[k] = _logsumexp(_log_weights(table, sample_instance(p, n, lam, derive_seed(seed, k)))) / n
-    return _mc_estimate(vals, seed)
+    draws = _log_weights(table, slice(None), lam, n_disorder, _sampled_draws(p, n, lam, seed))
+    return _mc_estimate(np.array([_logsumexp(a) / n for _, a in draws]), seed)
+
+
+def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
+    """(log dP_lambda/dP_0 (Y), log Z) per instance, as two arrays.
+
+    The instances share n and lambda.  The two are equal by the
+    likelihood-ratio identity, and agreement to 1e-10 is a consistency check
+    on two independent code paths.  log Z comes from the energy kernel.  The
+    likelihood ratio integrates the Gaussian density ratio of Y given x over
+    the prior without the kernel and without expanding a square: per pair
+    i < j and per distinct atom product v it tabulates
+    g = y^2/2 - (y - sqrt(lam/N) v)^2/2, and a configuration's exponent is
+    the sum, pair by pair, of the entries at its products x_i x_j.  A block
+    of draws holds at most _BLOCK_VALUES table entries and exponents, and a
+    block of rows gathers at most _BLOCK_VALUES entries.
+    """
+    instances = list(instances)
+    _check_disorder(len(instances), "instance count")
+    n, lam = instances[0].n, instances[0].lam
+    if any(inst.n != n or inst.lam != lam for inst in instances):
+        raise InvalidArgumentError("instances must share n and lambda")
+    for inst in instances:
+        _check_spike_in_support(p, inst.spike)
+    table = enumeration_table(p, n, budget)
+    count, rows = len(instances), table.X.shape[0]
+    i, j = _triu(n)
+    products = np.unique(np.multiply.outer(p.values, p.values))
+    offsets = products.size * np.arange(i.size)[:, None]
+    coef = math.sqrt(lam / n)
+    llr = np.empty(count)
+    step_d = max(1, _BLOCK_VALUES // max(rows, i.size * products.size))
+    for k0 in range(0, count, step_d):
+        # g[p * V + v, d] for pair p, product v and draw d of the block.
+        y = np.stack([inst.y for inst in instances[k0 : k0 + step_d]]).T[:, None, :]
+        g = (0.5 * y**2 - 0.5 * (y - coef * products[:, None]) ** 2).reshape(-1, y.shape[2])
+        exponents = np.empty((y.shape[2], rows))
+        step_r = max(1, _BLOCK_VALUES // max(1, i.size * y.shape[2]))
+        for c in range(0, rows, step_r):
+            xt = np.ascontiguousarray(table.X[c : c + step_r].T)
+            codes = np.searchsorted(products, xt[i] * xt[j]) + offsets
+            acc = g[codes[0]]
+            for code in codes[1:]:
+                acc += g[code]
+            exponents[:, c : c + step_r] = acc.T
+        llr[k0 : k0 + y.shape[2]] = [_logsumexp(table.logw + e) for e in exponents]
+    draws = _log_weights(table, slice(None), lam, count, lambda k: (instances[k].spike, instances[k].noise))
+    return llr, np.array([_logsumexp(a) for _, a in draws])
 
 
 def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET):
-    """(log dP_lambda/dP_0 (Y), log Z) -- equal by the likelihood-ratio identity.
-
-    The first component integrates the Gaussian density ratio of Y given x
-    over the prior (squares kept unexpanded), the second comes from the
-    energy kernel; agreement to 1e-10 is a consistency check on both code
-    paths.
-    """
-    _check_spike_in_support(p, inst.spike)
-    table = enumeration_table(p, inst.n, budget)
-    n = inst.n
-    i, j = _triu(n)
-    coef = math.sqrt(inst.lam / n)
-    exponents = np.empty(table.X.shape[0])
-    chunk = max(1, int(4_000_000 / max(1, i.size)))
-    for c in range(0, table.X.shape[0], chunk):
-        xb = table.X[c : c + chunk]
-        pp = xb[:, i] * xb[:, j]
-        exponents[c : c + chunk] = (0.5 * inst.y**2 - 0.5 * (inst.y - coef * pp) ** 2).sum(axis=1)
-    return _logsumexp(table.logw + exponents), _logsumexp(_log_weights(table, inst))
+    """(log dP_lambda/dP_0 (Y), log Z) for one instance: kl_log_likelihood_ratios on [inst]."""
+    llr, log_z = kl_log_likelihood_ratios([inst], p, budget)
+    return float(llr[0]), float(log_z[0])
 
 
-def _fixed_spike_log_weights(
-    table: EnumTable, rows, spike: np.ndarray, lam: float, n_disorder: int, seed: int
-):
-    """Yield log prior mass - H over table[rows] at a fixed spike, per draw k.
-
-    Draw k's noise is _fixed_spike_noise(n, derive_seed(seed, k)), as on the
-    fixed-spike interpolation path."""
-    n = spike.size
-    x, logw, pairsq = table.X[rows], table.logw[rows], table.pairsq[rows]
-    for k in range(n_disorder):
-        parts = _energy_parts(x, spike, _fixed_spike_noise(n, derive_seed(seed, k)))
-        yield logw + _neg_energy(parts, pairsq, lam, n)
+def _fixed_spike_draws(spike: np.ndarray, seed: int):
+    """draw(k) at a fixed spike, noise _fixed_spike_noise(n, derive_seed(seed, k))."""
+    return lambda k: (spike, _fixed_spike_noise(spike.size, derive_seed(seed, k)))
 
 
-def _fixed_spike_setup(p: Prior, n: int, eps: float, spike, n_disorder: int, budget: int):
+def _fixed_spike_setup(p: Prior, n: int, lam: float, eps: float, spike, n_disorder: int, budget: int):
     """Validated (spike, table) for the fixed-spike potentials."""
-    if eps <= 0:
-        raise InvalidArgumentError(f"eps must be > 0, got {eps}")
+    if n < 2:
+        raise InvalidArgumentError(f"need n >= 2, got {n}")
+    _check_lambda(lam)
+    if not (math.isfinite(eps) and eps > 0):
+        raise InvalidArgumentError(f"eps must be finite and > 0, got {eps}")
     _check_disorder(n_disorder)
     spike = np.asarray(spike, dtype=np.float64)
     if spike.shape != (n,):
@@ -375,12 +444,14 @@ def fp_potential(
     The window is half-open and the disorder average is over W only.  An
     unreachable window returns the -inf sentinel with empty_window set.
     """
-    spike, table = _fixed_spike_setup(p, n, eps, spike, n_disorder, budget)
+    if not math.isfinite(m):
+        raise InvalidArgumentError(f"m must be finite, got {m}")
+    spike, table = _fixed_spike_setup(p, n, lam, eps, spike, n_disorder, budget)
     mask = _overlap_window(table.X, spike, m, eps)
     if not mask.any():
         return McEstimate(float("-inf"), 0.0, n_disorder, int(seed), empty_window=True)
-    draws = _fixed_spike_log_weights(table, mask, spike, lam, n_disorder, seed)
-    return _mc_estimate(np.array([_logsumexp(a) / n for a in draws]), seed)
+    draws = _log_weights(table, mask, lam, n_disorder, _fixed_spike_draws(spike, seed))
+    return _mc_estimate(np.array([_logsumexp(a) / n for _, a in draws]), seed)
 
 
 def fp_profile(
@@ -400,14 +471,15 @@ def fp_profile(
     covers all windows, which is what makes the discretization bound of the
     free entropy affordable to test.
     """
-    spike, table = _fixed_spike_setup(p, n, eps, spike, n_disorder, budget)
+    spike, table = _fixed_spike_setup(p, n, lam, eps, spike, n_disorder, budget)
     overlap = table.X @ spike / n
     bins = np.floor(overlap / eps).astype(np.int64)
     order = np.argsort(bins, kind="stable")
     uniq, starts = np.unique(bins[order], return_index=True)
     sizes = np.diff(np.append(starts, order.size))
     per_draw = np.empty((n_disorder, uniq.size))
-    for k, a in enumerate(_fixed_spike_log_weights(table, order, spike, lam, n_disorder, seed)):
+    draws = _log_weights(table, order, lam, n_disorder, _fixed_spike_draws(spike, seed))
+    for k, (_, a) in enumerate(draws):
         seg_max = np.maximum.reduceat(a, starts)
         per_draw[k] = seg_max + np.log(np.add.reduceat(np.exp(a - np.repeat(seg_max, sizes)), starts))
     per_draw /= n
@@ -431,12 +503,11 @@ def nishimori_check(
     table = enumeration_table(p, n, budget)
     r12 = np.empty(n_disorder)
     r1s = np.empty(n_disorder)
-    for k in range(n_disorder):
-        inst = sample_instance(p, n, lam, derive_seed(seed, k))
-        a = _log_weights(table, inst)
+    draws = _log_weights(table, slice(None), lam, n_disorder, _sampled_draws(p, n, lam, seed))
+    for k, (spike, a) in enumerate(draws):
         post = np.exp(a - _logsumexp(a))
         r12[k] = float(((post @ table.X) ** 2).mean())
-        r1s[k] = float(post @ np.round(table.X @ inst.spike / n, 9))
+        r1s[k] = float(post @ np.round(table.X @ spike / n, 9))
     diff = r12 - r1s
     delta = abs(float(diff.mean()))
     se = float(diff.std(ddof=1) / math.sqrt(n_disorder)) if n_disorder > 1 else 0.0

@@ -18,9 +18,11 @@ enumerated path free entropy phi(t), with disorder shared across the t grid
 so slope estimates are paired.
 
 The matrix part of -H_t is the original Hamiltonian at effective SNR
-t*lambda: the finite-size energy kernel's parts, computed once per draw and
-recombined at each t.  At t = 1 the side coefficients are exact zeros, so
-phi(1) reproduces the plain free-entropy estimator bit for bit on shared
+t*lambda: the finite-size energy kernel's parts, computed for a block of
+draws at once (one draw at a time when a restricted window follows a
+resampled spike, since every draw then has its own rows) and recombined at
+each t one draw at a time.  At t = 1 the side coefficients are exact zeros,
+so phi(1) reproduces the plain free-entropy estimator bit for bit on shared
 seeds.  h_t evaluates the definition directly, as the tests' reference.
 """
 
@@ -38,13 +40,15 @@ from .finite import (
     _MASK64,
     SpikedInstance,
     _check_disorder,
+    _draw_parts,
     _energy_parts,
-    _fixed_spike_noise,
+    _fixed_spike_draws,
     _logsumexp,
     _mc_estimate,
     _neg_energy,
     _overlap_window,
     _sample_atoms,
+    _sampled_draws,
     _triu,
     McEstimate,
     derive_seed,
@@ -145,38 +149,48 @@ def _phi_t_draws(
     r = lam * q
     s = lam * m
     table = enumeration_table(p, n, budget)
-
-    def rows(spike_k):
-        mask = slice(None) if restricted is None else _overlap_window(table.X, spike_k, *restricted)
-        return table.X[mask], table.logw[mask], table.pairsq[mask], table.sumsq[mask]
-
     if spike is not None:
         spike = np.asarray(spike, dtype=np.float64)
-        fixed_rows = rows(spike)
+
+    def selected(rows):
+        return table.X[rows], table.logw[rows], table.pairsq[rows], table.sumsq[rows]
+
+    def blocks():
+        """(k0, spikes, kernel parts, selected rows) per block of draws."""
+        if spike is None and restricted is not None:
+            # The window follows each draw's spike: one draw per kernel call.
+            for k in range(n_disorder):
+                inst = sample_instance(p, n, lam, derive_seed(seed, k))
+                rows = selected(_overlap_window(table.X, inst.spike, *restricted))
+                spikes = inst.spike[None, :]
+                yield k, spikes, _energy_parts(rows[0], spikes, inst.noise[None, :]), rows
+            return
+        if spike is None:
+            rows, draw = selected(slice(None)), _sampled_draws(p, n, lam, seed)
+        else:
+            window = slice(None) if restricted is None else _overlap_window(table.X, spike, *restricted)
+            rows, draw = selected(window), _fixed_spike_draws(spike, seed)
+        for k0, spikes, parts in _draw_parts(rows[0], n_disorder, draw):
+            yield k0, spikes, parts, rows
 
     out = np.empty((n_disorder, len(t_values)))
-    for k in range(n_disorder):
-        if spike is None:
-            inst = sample_instance(p, n, lam, derive_seed(seed, k))
-            spike_k, noise_k = inst.spike, inst.noise
-            x_cfg, logw, pairsq, sumsq = rows(spike_k)
-        else:
-            spike_k, noise_k = spike, _fixed_spike_noise(n, derive_seed(seed, k))
-            x_cfg, logw, pairsq, sumsq = fixed_rows
-        if x_cfg.shape[0] == 0:
-            out[k, :] = -np.inf
-            continue
-        z = np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
-        parts = _energy_parts(x_cfg, spike_k, noise_k)
-        xz = x_cfg @ z
-        xsp = x_cfg @ spike_k
-        for c, t in enumerate(t_values):
-            side = (
-                math.sqrt((1.0 - t) * r) * xz
-                + (1.0 - t) * s * xsp
-                - (1.0 - t) * r / 2.0 * sumsq
-            )
-            out[k, c] = _logsumexp(logw + _neg_energy(parts, pairsq, t * lam, n) + side) / n
+    for k0, spikes, (q_w, s_parts), (x, logw, pairsq, sumsq) in blocks():
+        for d, spike_k in enumerate(spikes):
+            k = k0 + d
+            if x.shape[0] == 0:
+                out[k, :] = -np.inf
+                continue
+            z = np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
+            parts = (q_w[d], s_parts[d])
+            xz = x @ z
+            xsp = x @ spike_k
+            for c, t in enumerate(t_values):
+                side = (
+                    math.sqrt((1.0 - t) * r) * xz
+                    + (1.0 - t) * s * xsp
+                    - (1.0 - t) * r / 2.0 * sumsq
+                )
+                out[k, c] = _logsumexp(logw + _neg_energy(parts, pairsq, t * lam, n) + side) / n
     return out
 
 

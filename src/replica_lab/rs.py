@@ -122,8 +122,8 @@ def _local_max_indices(vals: np.ndarray) -> list:
 
 
 def _check_lambda(lam: float):
-    if lam < 0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise DomainError(f"lambda must be finite and >= 0, got {lam}")
 
 
 # ----------------------------------------------------------------------

@@ -187,6 +187,24 @@ class TestErrorPaths:
         assert "error: n_disorder must be >= 1" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["rs-curve", "--lambda", "nan"], "lambda must be finite"),
+            (["rs-curve", "--lambda", "inf"], "lambda must be finite"),
+            (["finite-n", "--n", "6", "--lambda", "nan", "--disorder", "3"], "lambda must be finite"),
+            (["fp", "--n", "6", "--lambda", "inf"], "lambda must be finite"),
+            (["fp", "--n", "6", "--eps", "nan"], "eps must be finite"),
+            (["fp", "--n", "6", "--m", "nan"], "m must be finite"),
+            (["fp", "--n", "1"], "need n >= 2"),
+        ],
+    )
+    def test_non_finite_and_small_n_rejected(self, capsys, args, message):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert f"error: {message}" in err
+        assert out == ""
+
     def test_budget_exceeded(self, capsys):
         code, _, err = run_cli(
             ["finite-n", "--n", "30", "--lambda", "1", "--disorder", "2"], capsys

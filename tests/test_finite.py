@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,13 +22,45 @@ from replica_lab import (
     log_partition_exact,
     metropolis_sampler,
     nishimori_check,
+    phi_of_t,
     phi_rs,
     sample_instance,
     sample_spike,
 )
-from replica_lab.finite import instance_from_parts
+from replica_lab import finite, kl_log_likelihood_ratios, parse_prior_spec
+from replica_lab.finite import enumeration_table, instance_from_parts
 from replica_lab.verify import kl_identity_check
 from replica_lab.priors import asymmetric_binary_prior, point_mass_prior
+
+
+def _logsumexp(a):
+    m = a.max()
+    return float(m + np.log(np.exp(a - m).sum()))
+
+
+def _reference_neg_energy(inst, table):
+    """-H of every configuration for one instance, one draw at a time: the
+    symmetric noise matrix product x @ W contracted row by row."""
+    n = inst.n
+    i, j = np.triu_indices(n, k=1)
+    w = np.zeros((n, n))
+    w[i, j] = inst.noise
+    w[j, i] = inst.noise
+    x = table.X
+    q_w = 0.5 * np.einsum("ck,ck->c", x @ w, x)
+    xs = x @ inst.spike
+    s = 0.5 * (xs * xs - np.einsum("ck,ck,k->c", x, x, inst.spike**2))
+    return math.sqrt(inst.lam / n) * q_w + inst.lam / n * s - inst.lam / (2.0 * n) * table.pairsq
+
+
+def _reference_llr(inst, table):
+    """log dP_lambda/dP_0 (Y) for one instance: the Gaussian density ratio
+    over every pair product, squares unexpanded."""
+    i, j = np.triu_indices(inst.n, k=1)
+    coef = math.sqrt(inst.lam / inst.n)
+    pp = table.X[:, i] * table.X[:, j]
+    exponents = (0.5 * inst.y**2 - 0.5 * (inst.y - coef * pp) ** 2).sum(axis=1)
+    return _logsumexp(table.logw + exponents)
 
 
 class TestSampling:
@@ -185,6 +218,88 @@ def test_disorder_count_validated(priors, n_disorder):
             call()
 
 
+class TestBatchedKernel:
+    # (draws, block constant): one draw at the default blocking, and five
+    # draws with the constant shrunk to 2M + 1 values, so that blocks hold two
+    # draws and the rows of each block are split into several row blocks.
+    BLOCKINGS = [(1, None), (5, "small")]
+
+    @pytest.mark.parametrize("spec, n", [
+        ("point:0.7", 6), ("rademacher", 8), ("sparse:0.25", 6), ("asym:0.7", 8), ("uniform:21", 3),
+    ])
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    @pytest.mark.parametrize("draws, blocks", BLOCKINGS)
+    def test_energies_and_kl_match_per_draw_references(self, monkeypatch, spec, n, lam, draws, blocks):
+        p = parse_prior_spec(spec)
+        table = enumeration_table(p, n)
+        if blocks == "small":
+            monkeypatch.setattr(finite, "_BLOCK_VALUES", 2 * table.X.shape[0] + 1)
+        insts = [sample_instance(p, n, lam, derive_seed(61, k)) for k in range(draws)]
+
+        def draw(k):
+            return insts[k].spike, insts[k].noise
+
+        weights = [a for _, a in finite._log_weights(table, slice(None), lam, draws, draw)]
+        llr, log_z = kl_log_likelihood_ratios(insts, p)
+        assert len(weights) == llr.size == log_z.size == draws
+        for inst, a, llr_k, log_z_k in zip(insts, weights, llr, log_z):
+            ref = table.logw + _reference_neg_energy(inst, table)
+            assert np.abs(a - ref).max() <= 1e-12
+            assert abs(log_z_k - _logsumexp(ref)) <= 1e-12
+            assert abs(llr_k - _reference_llr(inst, table)) <= 1e-12
+
+    @pytest.mark.parametrize("draws, blocks", BLOCKINGS)
+    def test_disorder_means_match_per_draw_reference(self, monkeypatch, priors, draws, blocks):
+        # asym:0.7 keeps both Nishimori sides away from zero, so that a
+        # relative tolerance means something
+        p, n, lam, seed = priors["asym:0.7"], 8, 2.0, 19
+        table = enumeration_table(p, n)
+        if blocks == "small":
+            monkeypatch.setattr(finite, "_BLOCK_VALUES", 2 * table.X.shape[0] + 1)
+        est = free_entropy_mc(p, n, lam, draws, seed)
+        rep = nishimori_check(p, n, lam, draws, seed)
+        f_n, r12, r1s = [], [], []
+        for k in range(draws):
+            inst = sample_instance(p, n, lam, derive_seed(seed, k))
+            a = table.logw + _reference_neg_energy(inst, table)
+            post = np.exp(a - _logsumexp(a))
+            f_n.append(_logsumexp(a) / n)
+            r12.append(((post @ table.X) ** 2).mean())
+            r1s.append(post @ np.round(table.X @ inst.spike / n, 9))
+        assert est.mean == pytest.approx(np.mean(f_n), rel=1e-13)
+        assert rep.params["mean_r12"] == pytest.approx(np.mean(r12), rel=1e-13)
+        assert rep.params["mean_r1s"] == pytest.approx(np.mean(r1s), rel=1e-13)
+
+    def test_block_constant_bounds_temporaries(self, monkeypatch, priors):
+        # 400 draws x 256 rows in one block hold 0.8 MB per energy array (a
+        # 4.5 MB peak); at 2**12 values per block each array is 32 KB
+        p, n, lam, draws = priors["rademacher"], 8, 2.0, 400
+        enumeration_table(p, n)
+        insts = [sample_instance(p, n, lam, derive_seed(5, k)) for k in range(draws)]
+        monkeypatch.setattr(finite, "_BLOCK_VALUES", 2**12)
+        calls = (
+            lambda: free_entropy_mc(p, n, lam, draws, 3),
+            lambda: nishimori_check(p, n, lam, draws, 3),
+            lambda: kl_log_likelihood_ratios(insts, p),
+            lambda: phi_of_t(p, n, lam, 0.5, 0.5, 0.5, draws, 3),
+        )
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
+    def test_instances_must_share_n_and_lambda(self, priors):
+        p = priors["rademacher"]
+        with pytest.raises(InvalidArgumentError, match="share n and lambda"):
+            kl_log_likelihood_ratios([sample_instance(p, 6, 2.0, 1), sample_instance(p, 6, 1.0, 2)], p)
+        with pytest.raises(InvalidArgumentError, match="must be >= 1"):
+            kl_log_likelihood_ratios([], p)
+
+
 class TestKlIdentity:
     def test_zero_snr(self, priors):
         inst = sample_instance(priors["rademacher"], 8, 0.0, 3)
@@ -245,6 +360,8 @@ class TestFpPotential:
             fp_profile(p, 10, 2.0, 0.25, np.ones(8), 5, 1)
         with pytest.raises(InvalidArgumentError, match="eps"):
             fp_profile(p, 10, 2.0, 0.0, np.ones(10), 5, 1)
+        with pytest.raises(InvalidArgumentError, match="n >= 2"):
+            fp_profile(p, 1, 2.0, 0.25, np.ones(1), 5, 1)
 
     def test_empty_window_sentinel(self, priors):
         est = fp_potential(priors["rademacher"], 8, 1.0, -2.0, 0.1, np.ones(8), 5, 1)

@@ -104,20 +104,20 @@ def _atom_sum(e: np.ndarray) -> np.ndarray:
     return _atom_sum(e[:half]) + _atom_sum(e[half:])
 
 
-def psi_hat_array(ev: ChannelEvaluator, p: Prior, r, s) -> np.ndarray:
-    """Vectorized psi_hat over broadcastable nonnegative r and real s.
+def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
+    """(shape, log-sums, moments): the blocked kernel behind psi_hat.
 
-    The broadcast points are walked in blocks of about 2**16 / (atoms * nodes)
-    points.  Each block holds one (points, nodes) exponent plane per atom, so
-    the working set stays near 512 KB whatever the input size; only the
-    (points, nodes) log-sum table that the final contraction with the weights
-    reads grows with the input, and that is all a caller needs to chunk for.
-    The log-sum over atoms subtracts the per-z maximum exponent before
-    exponentiating, so large r and s are safe.  The arithmetic, including the
-    order of the atom sum, is that of a direct broadcast over
-    (points, nodes, atoms), so results do not depend on the block size.
+    For the broadcast points of r and s, the (points, nodes) table of
+    log sum_x w(x) exp(sqrt(r) z x + s x - (r/2) x^2) and, with moments, the
+    (2, points, nodes) posterior moments <x> and <x^2> at each node.  The
+    points are walked in blocks of about 2**16 / (atoms * nodes), each holding
+    one (points, nodes) exponent plane per atom, so the working set stays near
+    512 KB; only the output tables grow with the input.  The log-sum over
+    atoms subtracts the per-z maximum exponent before exponentiating, so large
+    r and s are safe.  The arithmetic, including the order of the atom sum, is
+    that of a direct broadcast over (points, nodes, atoms), so results do not
+    depend on the block size.
     """
-    ev = _resolve(ev)
     r = np.asarray(r, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     r_b, s_b = np.broadcast_arrays(r, s)
@@ -131,6 +131,7 @@ def psi_hat_array(ev: ChannelEvaluator, p: Prior, r, s) -> np.ndarray:
     n_atoms, n_nodes, n_points = v.shape[0], z.size, r_col.shape[0]
     rows = max(1, _BLOCK_VALUES // (n_atoms * n_nodes))
     inner = np.empty((n_points, n_nodes))
+    tables = np.empty((2, n_points, n_nodes)) if moments else None
     buf = np.empty(n_atoms * min(rows, n_points) * n_nodes)
     for i in range(0, n_points, rows):
         rr = r_col[i : i + rows]
@@ -145,9 +146,42 @@ def psi_hat_array(ev: ChannelEvaluator, p: Prior, r, s) -> np.ndarray:
         m = np.maximum.reduce(e, axis=0)
         e -= m
         np.exp(e, out=e)
-        block = np.log(_atom_sum(e), out=inner[i : i + rows])
+        total = _atom_sum(e)
+        if moments:
+            np.divide(np.tensordot([p.values, p.values**2], e, 1), total, out=tables[:, i : i + rows])
+        block = np.log(total, out=inner[i : i + rows])
         block += m
-    return inner.reshape(shape + (n_nodes,)) @ ev.weights
+    return shape, inner, tables
+
+
+def psi_hat_array(ev: ChannelEvaluator, p: Prior, r, s) -> np.ndarray:
+    """Vectorized psi_hat over broadcastable nonnegative r and real s (see _node_tables)."""
+    ev = _resolve(ev)
+    shape, inner, _ = _node_tables(ev, p, r, s)
+    return inner.reshape(shape + (ev.nodes.size,)) @ ev.weights
+
+
+def psi_hat_grad(ev: ChannelEvaluator | None, p: Prior, r, s):
+    """(psi_hat, d/dr, d/ds) over broadcastable r >= 0 and s, the value bit for bit psi_hat_array's.
+
+    The derivatives are the quadrature rule's own, by the chain rule through
+    each node's log-sum, with <.>_g the posterior moments at node z_g:
+
+        d_s = sum_g w_g <x>_g,    d_r = sum_g w_g (z_g <x>_g / (2 sqrt(r)) - <x^2>_g / 2).
+
+    At r = 0 every node has the same posterior and sum_g w_g z_g^2 = 1, so d_r
+    takes its limit Var(x)/2 - <x^2>/2 = -<x>^2/2.  The Stein forms hold for
+    the Gaussian integral, not for the rule, whose derivative they miss.
+    """
+    ev = _resolve(ev)
+    shape, inner, (mean, sq) = _node_tables(ev, p, r, s, moments=True)
+    full = shape + (ev.nodes.size,)
+    d_s = mean.reshape(full) @ ev.weights
+    root = np.sqrt(np.broadcast_to(np.asarray(r, dtype=np.float64), shape))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_r = (mean * ev.nodes).reshape(full) @ ev.weights / (2.0 * root)
+    d_r = np.where(root > 0, d_r - 0.5 * (sq.reshape(full) @ ev.weights), -0.5 * d_s**2)
+    return inner.reshape(full) @ ev.weights, d_r, d_s
 
 
 def _check_r(r) -> None:

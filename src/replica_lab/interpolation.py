@@ -58,7 +58,7 @@ from .finite import (
 )
 from .priors import Prior, support_bound
 from .report import VerificationReport
-from .rs import f_hat, golden_section_min
+from .rs import _check_lambda, f_hat, golden_section_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +140,11 @@ def _phi_t_draws(
     otherwise (the fixed-spike potential of the upper-bound argument).
     Disorder (W, z) is drawn once per replica and shared across every t.
     """
-    if q < 0:
-        raise DomainError(f"q must be >= 0, got {q}")
+    _check_lambda(lam)
+    if not (math.isfinite(q) and q >= 0):
+        raise DomainError(f"q must be finite and >= 0, got {q}")
+    if not math.isfinite(m):
+        raise DomainError(f"m must be finite, got {m}")
     _check_disorder(n_disorder)
     t_values = [float(t) for t in t_values]
     for t in t_values:

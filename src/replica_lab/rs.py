@@ -11,13 +11,19 @@ evolution), the limiting mutual information lambda/4 E[X^2]^2 - phi_rs, the
 per-entry matrix MMSE E[X^2]^2 - q*^2, and the location of the smallest SNR
 with a nontrivial optimizer.
 
-Optimizers are located by a coarse grid scan (the safeguard against
-multimodality, which genuinely occurs for sparse priors) followed by
-golden-section refinement inside the winning bracket.  The saddle search
-additionally runs against a cubic-spline surrogate of psi_hat so that the
-dense m-grid stays cheap for many-atom priors; every reported optimizer and
-value is re-evaluated and re-refined with exact quadrature afterwards, so the
-surrogate only ever influences bracket selection.
+phi_rs locates its optimizer by a grid scan of exact values (the safeguard
+against multimodality, which genuinely occurs for sparse priors) followed by
+golden-section refinement inside each local maximum's bracket.
+
+The saddle works on derivatives instead.  psi_hat_grad gives F_bar with its
+exact partial derivatives in m and q (those of the quadrature rule itself).
+The inner inf over q takes every sign change of d_q F_bar on a coarse q row,
+polishes it as a root, and keeps the least exact value.  By the envelope
+theorem the outer profile inf_q F_bar has slope d_m F_bar at the inner
+minimizer, so the outer sup takes the sign changes of that slope on a coarse
+m grid and polishes them the same way; every candidate is priced exactly.  A
+simple root pins m* to near machine precision, and nothing is cached between
+calls, so a result depends only on its arguments.
 """
 
 from __future__ import annotations
@@ -26,22 +32,31 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .channel import (
     ChannelEvaluator,
     _resolve,
     psi_array,
-    psi_bar_array,
     psi_hat_array,
+    psi_hat_grad,
     psi_prime,
 )
 from .errors import DomainError, InvalidArgumentError, NumericalError
-from .priors import Prior, second_moment, support_bound
+from .priors import Prior, second_moment
 
 GRID_RESOLUTION = 1e-3
 REFINE_XTOL = 1e-8
 TIE_TOL = 1e-10
+
+# The saddle's coarse grids; the offset of their probe points next to a
+# symmetry point, relative to the grid's extent; the root polish's tolerances
+# (_ROOT_FTOL per unit of lambda, the scale of both derivatives).
+_M_POINTS = 17
+_Q_POINTS = 9
+_PROBE = 1e-4
+_ROOT_XTOL = 1e-13
+_ROOT_FTOL = 1e-14
+_ROOT_MAX_ITER = 100
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -53,8 +68,9 @@ class PotentialResult:
 
     For phi_rs, local_optima holds (q, value) for every local maximum of the
     grid scan after refinement and optimizer_m is None.  For the saddle,
-    local_optima holds (m, value) for the outer maximization and optimizer_q
-    is the inner minimizer at the reported m.
+    local_optima holds (m, value) for every candidate of the outer
+    maximization, optimizer_q is the inner minimizer at the reported m, and
+    grid_resolution is the step of the coarse m grid.
     """
 
     value: float
@@ -149,16 +165,10 @@ def _rs_values(p: Prior, lam: float, q_grid: np.ndarray, ev) -> np.ndarray:
     return out
 
 
-def phi_rs(
-    p: Prior,
-    lam: float,
-    ev: ChannelEvaluator | None = None,
-    grid_res: float = GRID_RESOLUTION,
-    refine_xtol: float = REFINE_XTOL,
-) -> PotentialResult:
+def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> PotentialResult:
     """phi_RS(lambda) = sup_{q in [0, E[X^2]]} F(lambda, q).
 
-    Grid scan at grid_res, golden refinement of every local maximum's
+    Grid scan at GRID_RESOLUTION, golden refinement of every local maximum's
     bracket, all local optima recorded.  Value ties within 1e-10 resolve
     toward larger q (the informative branch at a first-order transition).
     """
@@ -166,31 +176,16 @@ def phi_rs(
     m2 = second_moment(p)
     if lam == 0.0 or m2 == 0.0:
         v0 = rs_potential(p, lam, 0.0, ev)
-        return PotentialResult(v0, 0.0, None, [(0.0, v0)], grid_res)
-    npts = max(2, int(round(m2 / grid_res)) + 1)
+        return PotentialResult(v0, 0.0, None, [(0.0, v0)])
+    npts = max(2, int(round(m2 / GRID_RESOLUTION)) + 1)
     q_grid = np.linspace(0.0, m2, npts)
-
-    # Many-atom priors scan against the spline surrogate (bracket selection
-    # only; refinement below is exact quadrature either way).
-    evr = _resolve(ev)
-    if p.values.size**2 * evr.node_count > 8000:
-        sur = _surrogate_for(evr, p, lam * m2, lam * m2 * support_bound(p) + 1e-9)
-        r = lam * q_grid
-        vals = (
-            sur.psi_hat(
-                np.repeat(r, p.values.size), np.outer(r, p.values).ravel()
-            ).reshape(npts, p.values.size)
-            @ p.weights
-            - lam * q_grid**2 / 4.0
-        )
-    else:
-        vals = _rs_values(p, lam, q_grid, ev)
+    vals = _rs_values(p, lam, q_grid, ev)
 
     spread = vals.max() - vals.min()
     if spread <= 1e-13 * max(1.0, abs(vals.max())):
         # Flat potential: every q is optimal, report q = 0.
         v0 = rs_potential(p, lam, 0.0, ev)
-        return PotentialResult(v0, 0.0, None, [(0.0, v0)], grid_res)
+        return PotentialResult(v0, 0.0, None, [(0.0, v0)])
 
     def f(q):
         return rs_potential(p, lam, q, ev)
@@ -199,7 +194,7 @@ def phi_rs(
     for i in _local_max_indices(vals):
         a = q_grid[max(i - 1, 0)]
         b = q_grid[min(i + 1, npts - 1)]
-        q_c, v_c = golden_section_max(f, a, b, refine_xtol)
+        q_c, v_c = golden_section_max(f, a, b)
         # The bracket interior can undershoot the grid point itself.
         v_grid = f(float(q_grid[i]))
         if v_grid > v_c:
@@ -209,7 +204,7 @@ def phi_rs(
     best_val = max(v for _, v in optima)
     candidates = [(q, v) for q, v in optima if v >= best_val - TIE_TOL]
     q_star, value = max(candidates, key=lambda t: t[0])
-    return PotentialResult(value, q_star, None, sorted(optima), grid_res)
+    return PotentialResult(value, q_star, None, sorted(optima))
 
 
 # ----------------------------------------------------------------------
@@ -221,11 +216,7 @@ def f_bar(p: Prior, lam: float, m: float, q: float, ev: ChannelEvaluator | None 
     _check_lambda(lam)
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
-    return (
-        float(psi_bar_array(ev, p, lam * q, lam * m))
-        - lam * m * m / 2.0
-        + lam * q * q / 4.0
-    )
+    return float(_f_bar_grad(p, lam, m, q, ev)[0])
 
 
 def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator | None = None) -> float:
@@ -242,182 +233,139 @@ def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator 
     return site_avg - lam * m * m / 2.0 + lam * q * q / 4.0
 
 
-class _PsiHatSurrogate:
-    """Cubic-spline table of psi_hat over [0, r_max] x [-s_max, s_max].
+def _f_bar_grad(p: Prior, lam: float, m, q, ev):
+    """F_bar with its exact partial derivatives, (value, d_m, d_q), over broadcast m and q."""
+    m, q = np.broadcast_arrays(np.asarray(m, dtype=np.float64), np.asarray(q, dtype=np.float64))
+    val, d_r, d_s = psi_hat_grad(ev, p, lam * q[..., None], (lam * m)[..., None] * p.values)
+    value = val @ p.weights - lam * m * m / 2.0 + lam * q * q / 4.0
+    d_m = lam * (d_s @ (p.weights * p.values)) - lam * m
+    d_q = lam * (d_r @ p.weights) + lam * q / 2.0
+    return value, d_m, d_q
 
-    Used only to steer the saddle search; reported numbers are recomputed
-    with exact quadrature.  The 0.05 grid step keeps the interpolation error
-    a couple of orders below the 1e-4 equivalence tolerance it must protect.
+
+def _bracketed_roots(f, a, b, fa, fb, ftol: float) -> np.ndarray:
+    """Roots of f in the brackets [a_k, b_k], all brackets at once.
+
+    f(k, x) evaluates the function of brackets k at points x; fa and fb are
+    its values at the ends, of opposite signs.  Regula falsi with the
+    Anderson-Bjorck scaling of the value kept at a stale end; a secant point
+    that lands on an end is replaced by the midpoint.  A bracket stops once
+    it is narrower than _ROOT_XTOL or its newest point has |f| <= ftol, where
+    the sign of f is rounding noise.
     """
-
-    STEP = 0.05
-
-    def __init__(self, ev: ChannelEvaluator, p: Prior, r_max: float, s_max: float):
-        self.r_max = r_max
-        self.s_max = s_max
-        nr = max(int(math.ceil(r_max / self.STEP)) + 1, 8)
-        ns = 2 * max(int(math.ceil(s_max / self.STEP)), 4) + 1
-        r_grid = np.linspace(0.0, r_max, nr)
-        s_grid = np.linspace(-s_max, s_max, ns)
-        vals = np.empty((nr, ns))
-        cost = max(1, p.values.size * ev.node_count * ns)
-        chunk = max(1, int(6_000_000 / cost))
-        for i in range(0, nr, chunk):
-            rr = r_grid[i : i + chunk]
-            vals[i : i + chunk] = psi_hat_array(ev, p, rr[:, None], s_grid[None, :])
-        self._spline = RectBivariateSpline(r_grid, s_grid, vals, kx=3, ky=3, s=0)
-
-    def psi_hat(self, r, s):
-        return self._spline.ev(r, s)
-
-    def f_bar(self, p: Prior, lam: float, m, q):
-        m = np.asarray(m, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
-        m_b, q_b = np.broadcast_arrays(m, q)
-        r = (lam * q_b)[..., None] * np.ones_like(p.values)
-        s = (lam * m_b)[..., None] * p.values
-        vals = self._spline.ev(r.ravel(), s.ravel()).reshape(r.shape)
-        return vals @ p.weights - lam * m_b**2 / 2.0 + lam * q_b**2 / 4.0
-
-    def f_bar_table(self, p: Prior, lam: float, m_vec: np.ndarray, q_vec: np.ndarray):
-        """F_bar on the full m x q product grid, shape (len(m_vec), len(q_vec)).
-
-        The query set is a product, so the spline's fast grid evaluation
-        applies after deduplicating the lam * m * atom tilt values.
-        """
-        r = lam * q_vec
-        s_flat = lam * np.outer(m_vec, p.values).ravel()
-        s_uniq, inv = np.unique(s_flat, return_inverse=True)
-        table = self._spline(r, s_uniq, grid=True)  # (Q, S)
-        vals = table[:, inv].reshape(q_vec.size, m_vec.size, p.values.size) @ p.weights
-        return vals.T - (lam * m_vec**2 / 2.0)[:, None] + (lam * q_vec**2 / 4.0)[None, :]
+    a, b, fa, fb = (np.array(x, dtype=np.float64) for x in (a, b, fa, fb))
+    for _ in range(_ROOT_MAX_ITER):
+        live = np.flatnonzero((np.abs(b - a) > _ROOT_XTOL) & (np.abs(fb) > ftol))
+        if live.size == 0:
+            break
+        al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
+        c = bl - fbl * (bl - al) / (fbl - fal)
+        c = np.where((c == al) | (c == bl) | ~np.isfinite(c), 0.5 * (al + bl), c)
+        fc = f(live, c)
+        stale = fc * fbl > 0.0  # the root stays between a and c
+        shrink = 1.0 - fc / fbl
+        a[live] = np.where(stale, al, bl)
+        fa[live] = np.where(stale, np.where(shrink > 0.0, shrink, 0.5) * fal, fbl)
+        b[live], fb[live] = c, fc
+    return b
 
 
-_SURROGATES: dict = {}
+def _local_maxima(grid: np.ndarray, slope: np.ndarray, f, ftol: float):
+    """Local maximizers of functions sampled on a grid, from their derivative.
+
+    slope holds the derivative of each row's function on the grid; f(k, x)
+    evaluates the derivative of the rows of brackets k at points x.  The
+    candidates are the grid points where |slope| <= ftol (stationary, as a
+    symmetry point is), the first point where the function falls from it and
+    the last where it rises to it, and the plus-to-minus sign changes between
+    grid points, polished by _bracketed_roots.  Stationary points closer
+    together than one grid step can hide each other.  Returns (rows, points).
+    """
+    sign = np.where(np.abs(slope) <= ftol, 0.0, np.sign(slope))
+    rows, cols = np.nonzero((sign[:, :-1] > 0) & (sign[:, 1:] < 0))
+    roots = _bracketed_roots(
+        lambda k, x: f(rows[k], x),
+        grid[cols], grid[cols + 1], slope[rows, cols], slope[rows, cols + 1], ftol,
+    )
+    flat = sign == 0
+    flat[:, 0] |= sign[:, 0] < 0
+    flat[:, -1] |= sign[:, -1] > 0
+    rows_flat, cols_flat = np.nonzero(flat)
+    return np.concatenate([rows, rows_flat]), np.concatenate([roots, grid[cols_flat]])
 
 
-def _surrogate_for(ev: ChannelEvaluator, p: Prior, r_max: float, s_max: float) -> _PsiHatSurrogate:
-    key = (p.atoms, ev.node_count)
-    cur = _SURROGATES.get(key)
-    if cur is None or cur.r_max < r_max or cur.s_max < s_max:
-        r_build = max(r_max, 13.0)
-        s_build = max(s_max, 13.0)
-        if cur is not None:
-            r_build = max(r_build, 1.3 * r_max)
-            s_build = max(s_build, 1.3 * s_max)
-        cur = _PsiHatSurrogate(ev, p, r_build, s_build)
-        _SURROGATES[key] = cur
-    return cur
+def _inner_min(p: Prior, lam: float, m: np.ndarray, q_max: float, ev):
+    """Global minimum of q -> F_bar(lambda, m, q) on [0, q_max] for each m.
+
+    Returns (q_bar, value, d_m F_bar at q_bar), each of m's shape.  The local
+    minima found by _local_maxima on a coarse q row are priced exactly and
+    each m keeps the least.  The row has a point just off q = 0, where d_q
+    F_bar vanishes at m = 0 by symmetry, so that the sign beside it decides.
+    """
+    q_row = np.union1d(np.linspace(0.0, q_max, _Q_POINTS), [_PROBE * q_max])
+    _, _, d_q = _f_bar_grad(p, lam, m[:, None], q_row, ev)
+    owner, q_cand = _local_maxima(
+        q_row, -d_q, lambda k, q: -_f_bar_grad(p, lam, m[k], q, ev)[2], _ROOT_FTOL * lam
+    )
+    value, d_m, _ = _f_bar_grad(p, lam, m[owner], q_cand, ev)
+    order = np.lexsort((value, owner))
+    best = order[np.searchsorted(owner[order], np.arange(m.size))]
+    return q_cand[best], value[best], d_m[best]
 
 
 def f_bar_inner_min(
-    p: Prior,
-    lam: float,
-    m: float,
-    ev: ChannelEvaluator | None = None,
-    q_max: float | None = None,
-    coarse: int = 65,
-    refine_xtol: float = REFINE_XTOL,
+    p: Prior, lam: float, m: float, ev: ChannelEvaluator | None = None, q_max: float | None = None
 ):
     """Exact inner minimization q -> F_bar(lambda, m, q) on [0, q_max].
 
-    Returns (q_bar, value).  Grid scan plus golden refinement in the winning
-    bracket; the minimizer is uniformly bounded in m (differentiate in q),
-    which motivates the default
-    search ceiling q_max = E[X^2] + 1.
+    Returns (q_bar, value).  Every local minimum found on a coarse q row is
+    polished as a root of d_q F_bar and priced exactly; the least value wins.
+    The minimizer is uniformly bounded in m (differentiate in q), which
+    motivates the default search ceiling q_max = E[X^2] + 1.
     """
     _check_lambda(lam)
+    if not math.isfinite(m):
+        raise DomainError(f"m must be finite, got {m}")
     if q_max is None:
         q_max = second_moment(p) + 1.0
-    q_grid = np.linspace(0.0, q_max, coarse)
-    vals = (
-        psi_bar_array(ev, p, lam * q_grid, np.full_like(q_grid, lam * m))
-        - lam * m * m / 2.0
-        + lam * q_grid**2 / 4.0
-    )
-    i = int(np.argmin(vals))
-    a = q_grid[max(i - 1, 0)]
-    b = q_grid[min(i + 1, coarse - 1)]
-    q_c, v_c = golden_section_min(lambda q: f_bar(p, lam, m, q, ev), float(a), float(b), refine_xtol)
-    if vals[i] < v_c:
-        q_c, v_c = float(q_grid[i]), float(vals[i])
-    return q_c, v_c
+    q_bar, value, _ = _inner_min(p, lam, np.array([float(m)]), q_max, ev)
+    return float(q_bar[0]), float(value[0])
 
 
-def saddle(
-    p: Prior,
-    lam: float,
-    ev: ChannelEvaluator | None = None,
-    grid_res: float = GRID_RESOLUTION,
-    refine_xtol: float = REFINE_XTOL,
-) -> PotentialResult:
+def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> PotentialResult:
     """sup_{m in [-E[X^2], E[X^2]]} inf_{q in [0, E[X^2]+1]} F_bar(lambda, m, q).
 
-    Outer grid at grid_res with golden refinement; inner grid plus golden
-    refinement.  The dense outer scan runs on the spline surrogate; every
-    candidate maximum is then re-minimized and re-refined with exact
-    quadrature.  For sign-symmetric priors the +-m* tie resolves to the
-    nonnegative maximizer.
+    By the envelope theorem the outer profile g(m) = inf_q F_bar has slope
+    g'(m) = d_m F_bar(m, q_bar(m)), with q_bar from an exact inner
+    minimization.  The local maxima of g come from _local_maxima on a coarse
+    m grid, which has points just off m = 0, where g' vanishes for
+    sign-symmetric priors; each is priced exactly and recorded, and value
+    ties within 1e-9 (the +-m* of a sign-symmetric prior) resolve to the
+    largest m.  grid_resolution reports the coarse grid's step.
     """
     _check_lambda(lam)
-    evr = _resolve(ev)
     m2 = second_moment(p)
+    step = 2.0 * m2 / (_M_POINTS - 1)
     if lam == 0.0 or m2 == 0.0:
-        return PotentialResult(0.0, 0.0, 0.0, [(0.0, 0.0)], grid_res)
+        return PotentialResult(0.0, 0.0, 0.0, [(0.0, 0.0)], step)
     q_max = m2 + 1.0
-    K = support_bound(p)
+    m_grid = m2 * np.union1d(np.linspace(-1.0, 1.0, _M_POINTS), [-_PROBE, _PROBE])
 
-    sur = _surrogate_for(evr, p, lam * q_max, lam * m2 * K + 1e-9)
-    n_m = 2 * max(1, int(round(m2 / grid_res))) + 1
-    m_grid = np.linspace(-m2, m2, n_m)
+    inner = {}  # m -> (q_bar, value): every candidate is a point already solved
 
-    # Coarse inner scan on the surrogate product grid.  The raw per-m grid
-    # minimum carries an O(h^2) bias that oscillates with m as the inner
-    # minimizer crosses grid cells -- enough to drown a flat outer maximum --
-    # so a three-point parabolic vertex removes it before outer bracketing.
-    n_qc = 129
-    q_coarse = np.linspace(0.0, q_max, n_qc)
-    fb = sur.f_bar_table(p, lam, m_grid, q_coarse)
-    jmin = np.argmin(fb, axis=1)
-    rows = np.arange(n_m)
-    f1 = fb[rows, jmin]
-    f0 = fb[rows, np.maximum(jmin - 1, 0)]
-    f2 = fb[rows, np.minimum(jmin + 1, n_qc - 1)]
-    denom = f0 + f2 - 2.0 * f1
-    interior = (jmin > 0) & (jmin < n_qc - 1) & (denom > 0)
-    g_vals = f1 - np.where(interior, (f2 - f0) ** 2 / np.where(denom > 0, 8.0 * denom, 1.0), 0.0)
+    def slope_at(m):
+        q_bar, value, d_m = _inner_min(p, lam, m, q_max, ev)
+        inner.update(zip(m.tolist(), zip(q_bar.tolist(), value.tolist())))
+        return d_m
 
-    def inner_min_on_spline(m: float, j: int) -> float:
-        lo = float(q_coarse[max(j - 3, 0)])
-        hi = float(q_coarse[min(j + 3, n_qc - 1)])
-        qx, _ = golden_section_min(
-            lambda q: float(sur.f_bar(p, lam, m, q)), lo, hi, xtol=1e-6
-        )
-        return qx
+    slope = slope_at(m_grid)
+    _, m_cand = _local_maxima(m_grid, slope[None, :], lambda k, m: slope_at(m), _ROOT_FTOL * lam)
+    q_cand, v_cand = np.array([inner[m] for m in m_cand.tolist()]).T
+    optima = [(float(m), float(v)) for m, v in zip(m_cand, v_cand)]
 
-    # Outer candidates: local maxima of the debiased profile.  Each is
-    # polished by golden search against the surrogate (inner minimizer
-    # re-located per m), then its value is recomputed with exact quadrature;
-    # the surrogate therefore only picks points, never prices them.
-    cand_idx = _local_max_indices(g_vals)
-    optima = []
-    for i in cand_idx:
-        a = m_grid[max(i - 2, 0)]
-        b = m_grid[min(i + 2, n_m - 1)]
-        j = int(jmin[i])
-
-        def g_sur(m):
-            return float(sur.f_bar(p, lam, m, inner_min_on_spline(m, j)))
-
-        m_c, _ = golden_section_max(g_sur, float(a), float(b), xtol=1e-7)
-        _, v_c = f_bar_inner_min(p, lam, m_c, ev, q_max, refine_xtol=refine_xtol)
-        optima.append((float(m_c), float(v_c)))
-
-    best_val = max(v for _, v in optima)
-    candidates = [(m, v) for m, v in optima if v >= best_val - max(TIE_TOL, 1e-9)]
-    m_star, value = max(candidates, key=lambda t: t[0])
-    q_bar, value = f_bar_inner_min(p, lam, m_star, ev, q_max, refine_xtol=refine_xtol)
-    return PotentialResult(float(value), float(q_bar), float(m_star), sorted(optima), grid_res)
+    tied = np.flatnonzero(v_cand >= v_cand.max() - max(TIE_TOL, 1e-9))
+    k = tied[np.argmax(m_cand[tied])]
+    return PotentialResult(float(v_cand[k]), float(q_cand[k]), float(m_cand[k]), sorted(optima), step)
 
 
 # ----------------------------------------------------------------------

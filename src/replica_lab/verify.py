@@ -129,7 +129,9 @@ def run_suite(
     ]
     try:
         reports.append(
-            kl_identity_check(p, n, 2.0, min(100, max(2, n_disorder)), derive_seed(seed, 101))
+            kl_identity_check(
+                p, n, 2.0, min(100, max(2, n_disorder)), derive_seed(seed, 101), budget=budget
+            )
         )
         for lam in (0.5, 1.0, 2.0):
             reports.append(nishimori_check(p, n, lam, n_disorder, derive_seed(seed, 102), budget))

@@ -14,7 +14,7 @@ from replica_lab import (
     psi_hat,
     psi_prime,
 )
-from replica_lab.channel import make_evaluator, psi_bar_array, psi_hat_array
+from replica_lab.channel import make_evaluator, psi_bar_array, psi_hat_array, psi_hat_grad
 from replica_lab.priors import (
     asymmetric_binary_prior,
     parse_prior_spec,
@@ -133,6 +133,41 @@ class TestBlockedKernel:
             got = psi_hat_array(e, p, r, s)
             assert type(got) is type(want) and np.shape(got) == np.shape(want), name
             assert np.array_equal(got, want), (name, float(np.max(np.abs(got - want))))
+
+
+class TestPsiHatGrad:
+    """psi_hat_grad: psi_hat_array's value and the 61-node rule's own derivatives."""
+
+    R_VALUES = (0.0, 1e-3, 0.5, 3.0, 12.0)
+    S_VALUES = (-2.0, 0.0, 1.3, 7.0)
+
+    def test_value_bit_identical(self, ev, priors):
+        r = np.array(self.R_VALUES)[:, None]
+        s = np.array(self.S_VALUES)
+        for p in priors.values():
+            value, d_r, d_s = psi_hat_grad(ev, p, r, s)
+            assert np.array_equal(value, psi_hat_array(ev, p, r, s)), p.name
+            assert d_r.shape == d_s.shape == value.shape == (r.size, s.size)
+            assert psi_hat_grad(ev, p, 1.3, -0.4)[0] == psi_hat_array(ev, p, 1.3, -0.4)
+
+    def test_matches_finite_differences(self, ev, priors):
+        # central differences, one-sided (second order) at r = 0
+        h = 1e-5
+        for p in priors.values():
+
+            def f(r, s):
+                return float(psi_hat_array(ev, p, r, s))
+
+            for r in self.R_VALUES:
+                for s in self.S_VALUES:
+                    _, d_r, d_s = psi_hat_grad(ev, p, r, s)
+                    if r >= h:
+                        fd_r = (f(r + h, s) - f(r - h, s)) / (2.0 * h)
+                    else:
+                        fd_r = (-3.0 * f(r, s) + 4.0 * f(r + h, s) - f(r + 2.0 * h, s)) / (2.0 * h)
+                    fd_s = (f(r, s + h) - f(r, s - h)) / (2.0 * h)
+                    assert abs(d_r - fd_r) <= 1e-8, (p.name, r, s, float(d_r), fd_r)
+                    assert abs(d_s - fd_s) <= 1e-8, (p.name, r, s, float(d_s), fd_s)
 
 
 class TestPsi:

@@ -1,6 +1,10 @@
 """CLI harness: formats, envelopes, seeds, error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +130,22 @@ class TestCommands:
         env = json.loads(out_path.read_text())
         failed = [r for r in env["results"] if not r["pass"]]
         assert any(r["check"] == "enumeration_budget" for r in failed)
+
+    def test_saddle_row_independent_of_earlier_lambdas(self):
+        # each command in a fresh process, as a user runs them
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def rows(lams):
+            out = subprocess.run(
+                [sys.executable, "-m", "replica_lab.cli", "saddle", "--prior", "rademacher",
+                 "--lambda", lams],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            return [l for l in out.splitlines() if not l.startswith("#")]
+
+        alone, after = rows("2.6"), rows("40,2.6")
+        assert alone[1].startswith("2.6,")
+        assert after[2] == alone[1]
 
     def test_plot_writes_svg(self, capsys, tmp_path):
         out_path = tmp_path / "c.csv"

@@ -196,6 +196,17 @@ class TestGuerraSlope:
             )
         with pytest.raises(InvalidArgumentError, match="n_disorder"):
             guerra_slope_check(priors["rademacher"], 8, 1.0, 0.5, n_disorder=0, seed=0)
+        p = priors["rademacher"]
+        for lam, q, m in ((math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5), (2.0, math.nan, 0.5),
+                          (2.0, math.inf, 0.5), (2.0, 0.5, math.nan), (2.0, 0.5, -math.inf)):
+            with pytest.raises(DomainError, match="must be finite"):
+                phi_of_t(p, 6, lam, q, m, 0.5, 3, 1, spike=np.ones(6))
+        with pytest.raises(DomainError, match="q must be finite"):
+            phi_of_t(p, 6, 2.0, math.nan, 0.5, 0.5, 3, 1)
+        with pytest.raises(DomainError, match="q must be finite"):
+            guerra_slope_check(p, 8, 1.0, math.nan, n_disorder=5, seed=0)
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            fp_upper_check(p, 8, math.nan, 0.0, 0.25, n_disorder=5, seed=0)
 
 
 class TestFpUpper:

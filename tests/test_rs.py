@@ -20,7 +20,7 @@ from replica_lab import (
     second_moment,
     state_evolution,
 )
-from replica_lab.channel import make_evaluator
+from replica_lab.channel import make_evaluator, psi_hat_grad
 from replica_lab.priors import (
     point_mass_prior,
     rademacher_prior,
@@ -54,6 +54,8 @@ class TestRsPotential:
             rs_potential(p, -1.0, 0.5, ev)
         with pytest.raises(DomainError):
             rs_potential(p, 1.0, -0.5, ev)
+        with pytest.raises(DomainError, match="m must be finite"):
+            f_bar_inner_min(p, 2.0, float("nan"), ev)
 
 
 def _tanh_fixed_point(lam, q0=0.9, tol=1e-12):
@@ -168,6 +170,46 @@ class TestSaddle:
             res = saddle(p, 3.0, ev)
             assert abs(res.optimizer_m) <= m2 + 1e-9
             assert -1e-9 <= res.optimizer_q <= m2 + 1e-9
+
+    def test_independent_of_earlier_calls(self, ev, priors):
+        # no state outlives a call: a large-lambda saddle changes no later result
+        lams = (0.5, 1.3, 2.6, 4.0, 6.0)
+        for p in priors.values():
+            before = [saddle(p, lam, ev) for lam in lams]
+            saddle(p, 40.0, ev)
+            assert [saddle(p, lam, ev) for lam in lams] == before, p.name
+
+    def test_stationary_at_saddle(self, ev, priors):
+        # both partial derivatives of F_bar vanish at an interior (m*, q_bar)
+        for p in priors.values():
+            m2 = second_moment(p)
+            for lam in (0.5, 1.3, 2.6, 4.0, 6.0, 10.0, 20.0, 40.0):
+                res = saddle(p, lam, ev)
+                m, q = res.optimizer_m, res.optimizer_q
+                assert abs(m) < m2, (p.name, lam, m)
+                _, d_r, d_s = psi_hat_grad(ev, p, lam * q, lam * m * p.values)
+                d_m = lam * float((p.weights * p.values) @ d_s) - lam * m
+                d_q = lam * float(p.weights @ d_r) + lam * q / 2.0
+                assert abs(d_m) <= 1e-9, (p.name, lam, d_m)
+                assert abs(d_q) <= 1e-9, (p.name, lam, d_q)
+
+    def test_small_m_star_just_above_transition(self, ev, priors):
+        # m* well inside one coarse m step of the symmetric stationary point m = 0
+        p = priors["rademacher"]
+        for lam in (1.02, 1.05, 1.1):
+            res, rs = saddle(p, lam, ev), phi_rs(p, lam, ev)
+            assert 0.0 < rs.optimizer_q < 0.1
+            assert res.optimizer_m == pytest.approx(rs.optimizer_q, abs=1e-6), lam
+            assert abs(res.value - rs.value) <= 1e-12, lam
+            # at m = 0, q = 0 is a stationary maximum of F_bar and the minimum lies just past it
+            q0, v0 = f_bar_inner_min(p, lam, 0.0, ev)
+            assert 0.0 < q0 < 0.2 and v0 < 0.0, (lam, q0, v0)
+
+    def test_equivalence_large_lambda(self, ev, priors):
+        for p in priors.values():
+            for lam in (10.0, 20.0, 40.0):
+                gap = abs(saddle(p, lam, ev).value - phi_rs(p, lam, ev).value)
+                assert gap <= 1e-9, (p.name, lam, gap)
 
 
 class TestFHat:

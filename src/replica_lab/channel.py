@@ -14,8 +14,12 @@ Gauss-Hermite nodes for the standard normal weight.  Three variants appear:
     psi(r)        = psi_bar(r, r)   (the Bayes-matched channel).
 
 All integrands are bounded and analytic for bounded priors, so the
-quadrature converges spectrally; 61 nodes leave errors well below 1e-10
-over the parameter ranges used anywhere in this package.
+quadrature converges spectrally, but not uniformly in (r, s).  The tested
+envelope (tests/test_channel.py, TestDoublingStability) is the change from
+61 to 121 nodes in psi_bar: at most 3e-9 for r <= 1.5 and |s| <= 1.5, and at
+most 2e-6 on the planted diagonal (s = r, -r, 2r) up to r = 50.  Off the
+diagonal at large r, two-point priors break even a 1e-9 bound, as the
+strict xfail test_doubling_on_full_box records.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ from .finite import (
 )
 from .priors import Prior, support_bound
 from .report import VerificationReport
-from .rs import _check_lambda, f_hat, golden_section_min
+from .rs import _check_lambda, _inner_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,20 +237,18 @@ def guerra_slope_check(
     n_disorder: int = 400,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    c_allowance: float | None = None,
 ) -> VerificationReport:
     """Finite-difference check of the lower-bound slope phi'(t) >= -lam q^2/4 - C/N.
 
     Runs the matched interpolation (s = r = lam q) with the spike resampled
     per draw, computes paired slope estimates on adjacent t-grid points, and
     passes if every slope clears the bound within C/N plus 3 standard errors,
-    C defaulting to the calibration allowance lam K^4.
+    C being the calibration allowance lam K^4.
     """
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 2 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise InvalidArgumentError("t_grid must be strictly increasing with >= 2 points")
-    K = support_bound(p)
-    c_val = lam * K**4 if c_allowance is None else c_allowance
+    c_val = lam * support_bound(p) ** 4
     phis = _phi_t_draws(p, n, lam, q, q, t_grid, n_disorder, seed, budget=budget)
     dt = np.diff(np.asarray(t_grid))
     slopes = np.diff(phis, axis=1) / dt
@@ -288,23 +286,20 @@ def fp_upper_check(
     lam: float,
     m: float,
     eps: float,
-    q_grid=None,
     n_disorder: int = 400,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
     ev: ChannelEvaluator | None = None,
-    c_allowance: float | None = None,
 ) -> VerificationReport:
     """Interpolation upper bound on the Franz-Parisi potential.
 
     Draws one spike from the prior, estimates Phi_eps(m, x*) over the matrix
     disorder, and checks it against inf_q F_hat(lam, m, q, x*) + lam eps^2/2
-    plus the calibration allowance C/N + 3 stderr (C = lam K^4 by default).
-    An unreachable window produces a skipped (vacuously passing) report.
+    plus the calibration allowance C/N + 3 stderr (C = lam K^4).  The inf
+    over q in [0, K^2 + 1] is the saddle's exact inner minimization, averaged
+    over the spike's empirical law.  An unreachable window produces a skipped
+    (vacuously passing) report.
     """
-    if q_grid is None:
-        q_grid = np.linspace(0.0, support_bound(p) ** 2 + 1.0, 41)
-    q_grid = np.asarray(sorted(float(q) for q in q_grid))
     spike = _sample_atoms(
         p, n, np.random.default_rng(derive_seed(seed, 0, 2) & _MASK64)
     )
@@ -325,20 +320,11 @@ def fp_upper_check(
             stderr=0.0, allowance=0.0, passed=True,
         )
 
-    def rhs(q):
-        return f_hat(p, lam, m, float(q), spike, ev)
-
-    vals = np.array([rhs(q) for q in q_grid])
-    i = int(np.argmin(vals))
-    a = q_grid[max(i - 1, 0)]
-    b = q_grid[min(i + 1, q_grid.size - 1)]
-    q_min, rhs_min = golden_section_min(rhs, float(a), float(b))
-    if vals[i] < rhs_min:
-        q_min, rhs_min = float(q_grid[i]), float(vals[i])
-
     K = support_bound(p)
-    c_val = lam * K**4 if c_allowance is None else c_allowance
-    allowance = lam * eps * eps / 2.0 + c_val / n + 3.0 * lhs.stderr
+    values, counts = np.unique(spike, return_counts=True)
+    q_min, rhs_min, _ = _inner_min(p, lam, np.array([float(m)]), K**2 + 1.0, ev, (values, counts / n))
+    q_min, rhs_min = float(q_min[0]), float(rhs_min[0])
+    allowance = lam * eps * eps / 2.0 + lam * K**4 / n + 3.0 * lhs.stderr
     slack = rhs_min + allowance - lhs.mean
     params.update({"q_min": q_min, "rhs_min": rhs_min, "lhs_mean": lhs.mean})
     return VerificationReport(

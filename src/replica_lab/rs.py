@@ -23,7 +23,9 @@ theorem the outer profile inf_q F_bar has slope d_m F_bar at the inner
 minimizer, so the outer sup takes the sign changes of that slope on a coarse
 m grid and polishes them the same way; every candidate is priced exactly.  A
 simple root pins m* to near machine precision, and nothing is cached between
-calls, so a result depends only on its arguments.
+calls, so a result depends only on its arguments.  The same inner
+minimization, averaged over a spike's empirical law instead of the prior,
+gives inf_q F_hat for the fixed-spike bound in interpolation.fp_upper_check.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .priors import Prior, second_moment
 GRID_RESOLUTION = 1e-3
 REFINE_XTOL = 1e-8
 TIE_TOL = 1e-10
+_LAM_CAP = 64.0  # critical_lambda's search ceiling
 
 # The saddle's coarse grids; the offset of their probe points next to a
 # symmetry point, relative to the grid's extent; the root polish's tolerances
@@ -89,23 +92,23 @@ class SETrace:
     fixed_point: float
 
 
-def golden_section_min(f, a: float, b: float, xtol: float = REFINE_XTOL):
-    """Golden-section minimizer on [a, b]; returns (x, f(x)).
+def _golden_max(f, a: float, b: float):
+    """Golden-section maximizer on [a, b] to REFINE_XTOL; returns (x, f(x)).
 
-    Assumes unimodality inside the bracket; callers provide brackets from a
+    Assumes unimodality inside the bracket; phi_rs provides brackets from a
     grid scan so a wrong assumption costs accuracy only, never a crash.
     """
     h = b - a
-    if h <= xtol:
+    if h <= REFINE_XTOL:
         x = 0.5 * (a + b)
         return x, f(x)
-    n = max(1, int(math.ceil(math.log(xtol / h) / math.log(_INVPHI))))
+    n = max(1, int(math.ceil(math.log(REFINE_XTOL / h) / math.log(_INVPHI))))
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     yc = f(c)
     yd = f(d)
     for _ in range(n):
-        if yc < yd:
+        if yc > yd:
             b, d, yd = d, c, yc
             h *= _INVPHI
             c = a + _INVPHI2 * h
@@ -115,12 +118,7 @@ def golden_section_min(f, a: float, b: float, xtol: float = REFINE_XTOL):
             h *= _INVPHI
             d = a + _INVPHI * h
             yd = f(d)
-    return (c, yc) if yc < yd else (d, yd)
-
-
-def golden_section_max(f, a: float, b: float, xtol: float = REFINE_XTOL):
-    x, y = golden_section_min(lambda t: -f(t), a, b, xtol)
-    return x, -y
+    return (c, yc) if yc > yd else (d, yd)
 
 
 def _local_max_indices(vals: np.ndarray) -> list:
@@ -154,13 +152,13 @@ def rs_potential(p: Prior, lam: float, q: float, ev: ChannelEvaluator | None = N
     return float(psi_array(ev, p, lam * q)) - lam * q * q / 4.0
 
 
-def _rs_values(p: Prior, lam: float, q_grid: np.ndarray, ev) -> np.ndarray:
+def _rs_values(p: Prior, lam: float, q_scan: np.ndarray, ev) -> np.ndarray:
     """F(lambda, q) on a grid, chunked to bound quadrature memory."""
-    out = np.empty_like(q_grid)
+    out = np.empty_like(q_scan)
     cost = max(1, p.values.size**2 * _resolve(ev).node_count)
     chunk = max(16, int(4_000_000 / cost))
-    for i in range(0, len(q_grid), chunk):
-        qs = q_grid[i : i + chunk]
+    for i in range(0, len(q_scan), chunk):
+        qs = q_scan[i : i + chunk]
         out[i : i + chunk] = psi_array(ev, p, lam * qs) - lam * qs * qs / 4.0
     return out
 
@@ -178,8 +176,8 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
         v0 = rs_potential(p, lam, 0.0, ev)
         return PotentialResult(v0, 0.0, None, [(0.0, v0)])
     npts = max(2, int(round(m2 / GRID_RESOLUTION)) + 1)
-    q_grid = np.linspace(0.0, m2, npts)
-    vals = _rs_values(p, lam, q_grid, ev)
+    q_scan = np.linspace(0.0, m2, npts)
+    vals = _rs_values(p, lam, q_scan, ev)
 
     spread = vals.max() - vals.min()
     if spread <= 1e-13 * max(1.0, abs(vals.max())):
@@ -192,13 +190,13 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
 
     optima = []
     for i in _local_max_indices(vals):
-        a = q_grid[max(i - 1, 0)]
-        b = q_grid[min(i + 1, npts - 1)]
-        q_c, v_c = golden_section_max(f, a, b)
+        a = q_scan[max(i - 1, 0)]
+        b = q_scan[min(i + 1, npts - 1)]
+        q_c, v_c = _golden_max(f, a, b)
         # The bracket interior can undershoot the grid point itself.
-        v_grid = f(float(q_grid[i]))
+        v_grid = f(float(q_scan[i]))
         if v_grid > v_c:
-            q_c, v_c = float(q_grid[i]), v_grid
+            q_c, v_c = float(q_scan[i]), v_grid
         optima.append((float(q_c), float(v_c)))
 
     best_val = max(v for _, v in optima)
@@ -233,13 +231,18 @@ def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator 
     return site_avg - lam * m * m / 2.0 + lam * q * q / 4.0
 
 
-def _f_bar_grad(p: Prior, lam: float, m, q, ev):
-    """F_bar with its exact partial derivatives, (value, d_m, d_q), over broadcast m and q."""
+def _f_bar_grad(p: Prior, lam: float, m, q, ev, law=None):
+    """F_bar with its exact partial derivatives, (value, d_m, d_q), over broadcast m and q.
+
+    law is the planted law (values, weights) that x* is averaged over, the
+    prior's by default; a spike's empirical law gives F_hat instead.
+    """
+    values, weights = (p.values, p.weights) if law is None else law
     m, q = np.broadcast_arrays(np.asarray(m, dtype=np.float64), np.asarray(q, dtype=np.float64))
-    val, d_r, d_s = psi_hat_grad(ev, p, lam * q[..., None], (lam * m)[..., None] * p.values)
-    value = val @ p.weights - lam * m * m / 2.0 + lam * q * q / 4.0
-    d_m = lam * (d_s @ (p.weights * p.values)) - lam * m
-    d_q = lam * (d_r @ p.weights) + lam * q / 2.0
+    val, d_r, d_s = psi_hat_grad(ev, p, lam * q[..., None], (lam * m)[..., None] * values)
+    value = val @ weights - lam * m * m / 2.0 + lam * q * q / 4.0
+    d_m = lam * (d_s @ (weights * values)) - lam * m
+    d_q = lam * (d_r @ weights) + lam * q / 2.0
     return value, d_m, d_q
 
 
@@ -294,20 +297,21 @@ def _local_maxima(grid: np.ndarray, slope: np.ndarray, f, ftol: float):
     return np.concatenate([rows, rows_flat]), np.concatenate([roots, grid[cols_flat]])
 
 
-def _inner_min(p: Prior, lam: float, m: np.ndarray, q_max: float, ev):
+def _inner_min(p: Prior, lam: float, m: np.ndarray, q_max: float, ev, law=None):
     """Global minimum of q -> F_bar(lambda, m, q) on [0, q_max] for each m.
 
-    Returns (q_bar, value, d_m F_bar at q_bar), each of m's shape.  The local
-    minima found by _local_maxima on a coarse q row are priced exactly and
-    each m keeps the least.  The row has a point just off q = 0, where d_q
-    F_bar vanishes at m = 0 by symmetry, so that the sign beside it decides.
+    Returns (q_bar, value, d_m F_bar at q_bar), each of m's shape; law is
+    _f_bar_grad's planted law.  The local minima found by _local_maxima on a
+    coarse q row are priced exactly and each m keeps the least.  The row has
+    a point just off q = 0, where d_q F_bar vanishes at m = 0 by symmetry, so
+    that the sign beside it decides.
     """
     q_row = np.union1d(np.linspace(0.0, q_max, _Q_POINTS), [_PROBE * q_max])
-    _, _, d_q = _f_bar_grad(p, lam, m[:, None], q_row, ev)
+    _, _, d_q = _f_bar_grad(p, lam, m[:, None], q_row, ev, law)
     owner, q_cand = _local_maxima(
-        q_row, -d_q, lambda k, q: -_f_bar_grad(p, lam, m[k], q, ev)[2], _ROOT_FTOL * lam
+        q_row, -d_q, lambda k, q: -_f_bar_grad(p, lam, m[k], q, ev, law)[2], _ROOT_FTOL * lam
     )
-    value, d_m, _ = _f_bar_grad(p, lam, m[owner], q_cand, ev)
+    value, d_m, _ = _f_bar_grad(p, lam, m[owner], q_cand, ev, law)
     order = np.lexsort((value, owner))
     best = order[np.searchsorted(owner[order], np.arange(m.size))]
     return q_cand[best], value[best], d_m[best]
@@ -429,9 +433,8 @@ def critical_lambda(
     delta: float = 1e-3,
     tol: float = 0.01,
     ev: ChannelEvaluator | None = None,
-    lam_cap: float = 64.0,
 ) -> float:
-    """Smallest lambda with q*(lambda) > delta, by doubling plus bisection."""
+    """Smallest lambda with q*(lambda) > delta, by doubling plus bisection up to _LAM_CAP."""
     if not 0.0 < delta <= 0.1:
         raise InvalidArgumentError(f"delta must lie in (0, 0.1], got {delta}")
     if tol <= 0:
@@ -444,9 +447,9 @@ def critical_lambda(
     while q_star(hi) <= delta:
         lo = hi
         hi *= 2.0
-        if hi > lam_cap:
+        if hi > _LAM_CAP:
             raise NumericalError(
-                f"no transition: q* stayed <= {delta} up to lambda = {lam_cap}"
+                f"no transition: q* stayed <= {delta} up to lambda = {_LAM_CAP}"
             )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

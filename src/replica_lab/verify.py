@@ -25,12 +25,9 @@ from .report import VerificationReport
 from .rs import phi_rs, saddle, state_evolution
 
 
-def tilt_asymmetry_check(
-    p: Prior, r_grid=None, tol: float = 1e-10, ev: ChannelEvaluator | None = None
-) -> VerificationReport:
-    """psi_bar(r, r) >= psi_bar(r, -r) on a grid of r values."""
-    if r_grid is None:
-        r_grid = np.arange(0.0, 10.0 + 1e-12, 0.25)
+def tilt_asymmetry_check(p: Prior, ev: ChannelEvaluator | None = None) -> VerificationReport:
+    """psi_bar(r, r) >= psi_bar(r, -r) - 1e-10 for r in 0:10:0.25."""
+    r_grid, tol = np.arange(0.0, 10.0 + 1e-12, 0.25), 1e-10
     gaps = [asymmetry_gap(ev, p, float(r)) for r in r_grid]
     worst = min(gaps)
     return VerificationReport(
@@ -43,14 +40,11 @@ def tilt_asymmetry_check(
     )
 
 
-def saddle_equivalence_check(
-    p: Prior, lam_grid=None, tol: float = 1e-4, ev: ChannelEvaluator | None = None
-) -> VerificationReport:
-    """|sup_m inf_q F_bar - sup_q F| <= tol along a lambda grid."""
-    if lam_grid is None:
-        lam_grid = (0.5, 1.0, 2.0, 4.0)
+def saddle_equivalence_check(p: Prior, ev: ChannelEvaluator | None = None) -> VerificationReport:
+    """|sup_m inf_q F_bar - sup_q F| <= 1e-4 at lambda = 0.5, 1, 2, 4."""
+    lam_grid, tol = (0.5, 1.0, 2.0, 4.0), 1e-4
     worst = 0.0
-    worst_lam = float(lam_grid[0]) if len(lam_grid) else 0.0
+    worst_lam = float(lam_grid[0])
     for lam in lam_grid:
         gap = abs(saddle(p, float(lam), ev).value - phi_rs(p, float(lam), ev).value)
         if gap > worst:
@@ -72,10 +66,10 @@ def kl_identity_check(
     lam: float,
     n_instances: int,
     seed: int,
-    tol: float = 1e-10,
     budget: int = DEFAULT_BUDGET,
 ) -> VerificationReport:
-    """Per-instance agreement of the log likelihood ratio with log Z."""
+    """Per-instance agreement of the log likelihood ratio with log Z, within 1e-10."""
+    tol = 1e-10
     _check_disorder(n_instances, "n_instances")
     instances = [sample_instance(p, n, lam, derive_seed(seed, k)) for k in range(n_instances)]
     llr, log_z = kl_log_likelihood_ratios(instances, p, budget)
@@ -91,10 +85,9 @@ def kl_identity_check(
     )
 
 
-def se_fixed_point_check(
-    p: Prior, lam: float, tol: float = 1e-5, ev: ChannelEvaluator | None = None
-) -> VerificationReport:
-    """State-evolution fixed point from the informative side matches q*."""
+def se_fixed_point_check(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> VerificationReport:
+    """State-evolution fixed point from the informative side matches q* within 1e-5."""
+    tol = 1e-5
     m2 = second_moment(p)
     trace = state_evolution(p, lam, q0=0.9 * m2, tol=1e-10, max_iter=2000, ev=ev)
     q_star = phi_rs(p, lam, ev).optimizer_q

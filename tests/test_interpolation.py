@@ -20,8 +20,11 @@ from replica_lab import (
     psi,
     sample_instance,
     sample_spike,
+    second_moment,
+    support_bound,
 )
 from replica_lab.channel import psi_hat_array
+from replica_lab.rs import _f_bar_grad, f_hat
 from replica_lab.finite import instance_from_parts
 
 
@@ -232,3 +235,26 @@ class TestFpUpper:
         rep = fp_upper_check(priors["rademacher"], 8, 1.0, -3.0, 0.05, n_disorder=5, seed=6)
         assert rep.passed
         assert rep.params.get("skipped")
+
+    def test_q_min_is_stationary(self, priors):
+        # the spike fp_upper_check draws at seed 11; F_hat is F_bar at its empirical law
+        n, lam, seed = 8, 2.0, 11
+        checked = 0
+        for name in ("rademacher", "sparse:0.25", "asym:0.7"):
+            p = priors[name]
+            spike = sample_spike(p, n, derive_seed(seed, 0, 2))
+            values, counts = np.unique(spike, return_counts=True)
+            q_max = support_bound(p) ** 2 + 1.0
+            q_dense = np.linspace(0.0, q_max, 401)
+            for m in (-0.5 * second_moment(p), 0.0, 0.5 * second_moment(p)):
+                rep = fp_upper_check(p, n, lam, m, 0.25, n_disorder=3, seed=seed)
+                if rep.params.get("skipped"):
+                    continue
+                q_min, rhs_min = rep.params["q_min"], rep.params["rhs_min"]
+                if 0.0 < q_min < q_max:
+                    _, _, d_q = _f_bar_grad(p, lam, m, q_min, None, (values, counts / n))
+                    assert abs(float(d_q)) <= 1e-12, (name, m, q_min, float(d_q))
+                    checked += 1
+                dense_min = min(f_hat(p, lam, m, float(q), spike) for q in q_dense)
+                assert rhs_min <= dense_min + 1e-12, (name, m, rhs_min, dense_min)
+        assert checked >= 1

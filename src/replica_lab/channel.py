@@ -20,6 +20,17 @@ envelope (tests/test_channel.py, TestDoublingStability) is the change from
 most 2e-6 on the planted diagonal (s = r, -r, 2r) up to r = 50.  Off the
 diagonal at large r, two-point priors break even a 1e-9 bound, as the
 strict xfail test_doubling_on_full_box records.
+
+The rule is built in numpy by Golub-Welsch: the nodes are the eigenvalues of
+the symmetric tridiagonal Jacobi matrix of He_n (off-diagonal sqrt(k)).  Up to
+150 nodes it follows scipy.special.roots_hermitenorm step for step (one Newton
+step on He_n, the weight formula 1 / (He_{n-1} He_n'), symmetrization), so its
+nodes and normalized weights are scipy's bit for bit.  Above 150 nodes, where
+scipy switches to an asymptotic method and the He_n recurrence overflows from
+225 nodes, the weights are the squared first components of the eigenvectors;
+tests/test_channel.py checks them against scipy at sample counts up to
+MAX_NODE_COUNT (nodes within 1e-13, weights within 1e-14).  make_evaluator
+accepts 2 to MAX_NODE_COUNT nodes, which bounds the dense Jacobi matrix.
 """
 
 from __future__ import annotations
@@ -29,12 +40,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from .errors import DomainError, InvalidArgumentError
 from .priors import Prior
 
 DEFAULT_NODE_COUNT = 61
+MAX_NODE_COUNT = 2000
+
+# Largest count whose weights come from He_n (scipy's split point).
+_NEWTON_MAX_NODES = 150
 
 # One-shot convergence bookkeeping: prior keys already checked against the
 # doubled-node evaluator in this process.
@@ -54,13 +68,46 @@ class ChannelEvaluator:
         return f"ChannelEvaluator(node_count={self.node_count})"
 
 
+def _hermite_e(n: int, x: np.ndarray) -> np.ndarray:
+    """He_n(x) by the recurrence in scipy.special.eval_hermitenorm's order (k = n down to 2)."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in range(n, 1, -1):
+        prev, cur = cur, x * cur - k * prev
+    return x * cur - prev
+
+
+def _gauss_hermite(n: int):
+    """Nodes and weights (summing to one) of the n-point rule for z ~ N(0,1)."""
+    jacobi = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    if n > _NEWTON_MAX_NODES:
+        x, vectors = np.linalg.eigh(jacobi, UPLO="U")
+        w = vectors[0] ** 2
+    else:
+        x = np.linalg.eigvalsh(jacobi, UPLO="U")
+        dy = n * _hermite_e(n - 1, x)
+        x -= _hermite_e(n, x) / dy
+        # He_{n-1} and He_n' span many decades: scale each by the geometric
+        # middle of its range before taking the product
+        fm = _hermite_e(n - 1, x)
+        log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+        fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+        dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+        w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    # scipy's normalization to sqrt(2 pi) first, so that the result is its bits
+    w *= np.sqrt(2.0 * np.pi) / w.sum()
+    return x, w / w.sum()
+
+
 @lru_cache(maxsize=16)
 def make_evaluator(node_count: int = DEFAULT_NODE_COUNT) -> ChannelEvaluator:
     """Quadrature rule exact for polynomials in z up to degree 2*node_count - 1."""
-    if node_count < 2:
-        raise InvalidArgumentError(f"node_count must be >= 2, got {node_count}")
-    nodes, weights = roots_hermitenorm(int(node_count))
-    weights = weights / weights.sum()
+    if not isinstance(node_count, (int, np.integer)) or not 2 <= node_count <= MAX_NODE_COUNT:
+        raise InvalidArgumentError(
+            f"node_count must be an integer in [2, {MAX_NODE_COUNT}], got {node_count!r}"
+        )
+    nodes, weights = _gauss_hermite(int(node_count))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return ChannelEvaluator(nodes=nodes, weights=weights, node_count=int(node_count))

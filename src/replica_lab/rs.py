@@ -39,7 +39,7 @@ from .channel import (
     ChannelEvaluator,
     _resolve,
     psi_array,
-    psi_hat_array,
+    psi_hat_array,  # noqa: F401  (tracing code reads it as rs.psi_hat_array)
     psi_hat_grad,
     psi_prime,
 )
@@ -218,17 +218,16 @@ def f_bar(p: Prior, lam: float, m: float, q: float, ev: ChannelEvaluator | None 
 
 
 def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator | None = None) -> float:
-    """Fixed-spike potential (1/n) sum_i psi_hat(lambda q, lambda m x*_i) - lambda m^2/2 + lambda q^2/4."""
+    """Fixed-spike potential (1/n) sum_i psi_hat(lambda q, lambda m x*_i) - lambda m^2/2 + lambda q^2/4.
+
+    This is F_bar with x* drawn from the spike's empirical law.
+    """
     _check_lambda(lam)
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
     spike = np.asarray(spike, dtype=np.float64)
-    vals, counts = np.unique(spike, return_counts=True)
-    site_avg = float(
-        psi_hat_array(_resolve(ev), p, np.full_like(vals, lam * q), lam * m * vals)
-        @ (counts / spike.size)
-    )
-    return site_avg - lam * m * m / 2.0 + lam * q * q / 4.0
+    values, counts = np.unique(spike, return_counts=True)
+    return float(_f_bar_grad(p, lam, m, q, ev, (values, counts / spike.size))[0])
 
 
 def _f_bar_grad(p: Prior, lam: float, m, q, ev, law=None):

@@ -14,7 +14,13 @@ from replica_lab import (
     psi_hat,
     psi_prime,
 )
-from replica_lab.channel import make_evaluator, psi_bar_array, psi_hat_array, psi_hat_grad
+from replica_lab.channel import (
+    MAX_NODE_COUNT,
+    make_evaluator,
+    psi_bar_array,
+    psi_hat_array,
+    psi_hat_grad,
+)
 from replica_lab.priors import (
     asymmetric_binary_prior,
     parse_prior_spec,
@@ -45,8 +51,44 @@ class TestEvaluator:
             assert abs(e.weights @ e.nodes**k - exact) <= 1e-10 * max(1.0, exact)
 
     def test_node_count_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            make_evaluator(1)
+        # rejected before any allocation: the over-limit counts never build a rule
+        for count in (1, 0, -3, 2.0, 2.5, "61", MAX_NODE_COUNT + 1, 10**12):
+            with pytest.raises(InvalidArgumentError, match="node_count must be an integer"):
+                make_evaluator(count)
+
+    def test_numpy_integer_count(self):
+        e, ref = make_evaluator(np.int64(61)), make_evaluator(61)
+        assert e.node_count == 61 and type(e.node_count) is int
+        assert np.array_equal(e.nodes, ref.nodes) and np.array_equal(e.weights, ref.weights)
+
+    def test_bit_identical_to_scipy_up_to_150(self):
+        special = pytest.importorskip("scipy.special")
+        for n in range(2, 151):
+            nodes, weights = special.roots_hermitenorm(n)
+            e = make_evaluator(n)
+            assert np.array_equal(e.nodes, nodes), n
+            assert np.array_equal(e.weights, weights / weights.sum()), n
+
+    @pytest.mark.parametrize("n", [151, 201, 225, 241, 1000, MAX_NODE_COUNT])
+    def test_eigenvector_weights_match_scipy(self, n):
+        special = pytest.importorskip("scipy.special")
+        nodes, weights = special.roots_hermitenorm(n)
+        weights = weights / weights.sum()
+        e = make_evaluator(n)
+        assert np.abs(e.nodes - nodes).max() <= 1e-13
+        assert np.abs(e.weights - weights).max() <= 1e-14
+        log_cosh = lambda x, w: w @ np.log(np.cosh(3.0 * x))
+        assert abs(log_cosh(e.nodes, e.weights) - log_cosh(nodes, weights)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 61, 121, 150, 151, 224, 225, 241, 1000])
+    def test_rule_finite_and_symmetric(self, n):
+        e = make_evaluator(n)
+        assert np.all(np.isfinite(e.nodes)) and np.all(np.isfinite(e.weights))
+        # eigenvector weights of the outermost nodes may underflow to 0
+        assert np.all(e.weights >= 0) and np.all(np.diff(e.nodes) > 0)
+        assert np.array_equal(e.nodes, -e.nodes[::-1])
+        assert np.array_equal(e.weights, e.weights[::-1])
+        assert abs(e.weights.sum() - 1.0) <= 1e-14
 
 
 class TestPsiHat:

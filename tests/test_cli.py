@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from replica_lab.channel import MAX_NODE_COUNT
 from replica_lab.cli import main, parse_lambda_spec
 from replica_lab.cli import UsageError
 
@@ -147,6 +148,31 @@ class TestCommands:
         assert alone[1].startswith("2.6,")
         assert after[2] == alone[1]
 
+    def test_runs_without_scipy(self):
+        # the package needs only numpy: with scipy blocked, a fresh process
+        # prints the same bytes, and an unblocked one never imports scipy
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        script = (
+            "import sys\n"
+            "if sys.argv[1] == 'block':\n"
+            "    sys.modules['scipy'] = None\n"
+            "import replica_lab\n"
+            "from replica_lab import cli\n"
+            "replica_lab.channel.make_evaluator(61)\n"
+            "code = cli.main(['rs-curve', '--prior', 'sparse:0.25', '--lambda', '0:3:0.5'])\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m]]\n"
+            "sys.exit(code)\n"
+        )
+
+        def stdout(mode):
+            return subprocess.run(
+                [sys.executable, "-c", script, mode], env=env, capture_output=True, check=True
+            ).stdout
+
+        blocked, free = stdout("block"), stdout("free")
+        assert blocked == free
+        assert blocked.count(b"\n") == 10  # 2 comment lines, the CSV header, 7 rows
+
     def test_plot_writes_svg(self, capsys, tmp_path):
         out_path = tmp_path / "c.csv"
         code, _, _ = run_cli(
@@ -223,6 +249,14 @@ class TestErrorPaths:
         code, out, err = run_cli(args, capsys)
         assert code == 2
         assert f"error: {message}" in err
+        assert out == ""
+
+    def test_node_count_above_limit(self, capsys):
+        code, out, err = run_cli(
+            ["rs-curve", "--lambda", "1", "--nodes", str(MAX_NODE_COUNT + 1)], capsys
+        )
+        assert code == 2
+        assert f"error: node_count must be an integer in [2, {MAX_NODE_COUNT}]" in err
         assert out == ""
 
     def test_budget_exceeded(self, capsys):

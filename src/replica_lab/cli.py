@@ -88,6 +88,8 @@ def parse_lambda_spec(spec: str) -> list:
             if len(parts) != 3:
                 raise ValueError("range must be start:stop:step")
             a, b, s = (float(t) for t in parts)
+            if not all(map(math.isfinite, (a, b, s))):
+                raise ValueError("start, stop and step must be finite")
             if s <= 0 or b < a:
                 raise ValueError("need step > 0 and stop >= start")
             vals, k = [], 0

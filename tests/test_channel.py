@@ -296,7 +296,12 @@ class TestPsiPrime:
 
     def test_rademacher_asymptote(self, ev):
         # psi(r) ~ r/2 for two-point priors at large r
-        assert 0.49 <= psi_prime(ev, rademacher_prior(), 50.0) <= 0.5
+        p = rademacher_prior()
+        assert 0.49 <= psi_prime(ev, p, 50.0) <= 0.5
+        # the finite difference sits within 2e-11 of the bound; the chain rule
+        # through psi_hat at (r, r x*) is the rule's own derivative
+        _, d_r, d_s = psi_hat_grad(ev, p, 50.0, 50.0 * p.values)
+        assert 0.49 <= float(p.weights @ (d_r + p.values * d_s)) <= 0.5
 
     def test_point_mass_constant(self, ev):
         p = point_mass_prior(0.8)

@@ -215,6 +215,24 @@ class TestErrorPaths:
         code, _, err = run_cli(["rs-curve", "--lambda", "2:1:0.5"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rs-curve", "--lambda", "nan:1:0.5"],
+            ["finite-n", "--n", "6", "--lambda", "nan:1:0.5", "--disorder", "3"],
+            ["se", "--lambda", "0:1:nan"],
+            ["rs-curve", "--lambda", "0:inf:1"],
+            ["rs-curve", "--lambda=-inf:0:1"],
+            ["rs-curve", "--lambda", "0:1:inf"],
+        ],
+    )
+    def test_non_finite_lambda_range(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert "error: bad lambda spec" in err
+        assert "start, stop and step must be finite" in err
+        assert out == ""
+
     def test_unwritable_output(self, capsys):
         code, _, err = run_cli(
             ["rs-curve", "--lambda", "0", "--out", "/nonexistent-dir/x.csv"], capsys

@@ -12,6 +12,7 @@ from replica_lab import (
     f_hat,
     mmse_curve,
     mutual_information,
+    parse_prior_spec,
     phi_rs,
     psi,
     psi_prime,
@@ -111,6 +112,73 @@ class TestPhiRs:
                 res = phi_rs(p, lam, ev)
                 assert res.value >= -1e-12
                 assert -1e-9 <= res.optimizer_q <= m2 + 1e-9
+
+
+
+def _full_scan_phi_rs(p, lam, ev):
+    """phi_rs as it was before the strided pass: every grid point priced."""
+    from replica_lab.rs import (
+        GRID_RESOLUTION,
+        TIE_TOL,
+        PotentialResult,
+        _golden_max,
+        _rs_values,
+    )
+
+    m2 = second_moment(p)
+    if lam == 0.0 or m2 == 0.0:
+        v0 = rs_potential(p, lam, 0.0, ev)
+        return PotentialResult(v0, 0.0, None, [(0.0, v0)])
+    npts = max(2, int(round(m2 / GRID_RESOLUTION)) + 1)
+    q_scan = np.linspace(0.0, m2, npts)
+    vals = _rs_values(p, lam, q_scan, ev)
+    if vals.max() - vals.min() <= 1e-13 * max(1.0, abs(vals.max())):
+        v0 = rs_potential(p, lam, 0.0, ev)
+        return PotentialResult(v0, 0.0, None, [(0.0, v0)])
+    peaks = []
+    for i in range(npts):
+        left_ok = i == 0 or vals[i] >= vals[i - 1]
+        right_ok = i == npts - 1 or vals[i] >= vals[i + 1]
+        if left_ok and right_ok:
+            if peaks and peaks[-1] == i - 1 and vals[i] == vals[i - 1]:
+                continue
+            peaks.append(i)
+    optima = []
+    for i in peaks:
+        a, b = q_scan[max(i - 1, 0)], q_scan[min(i + 1, npts - 1)]
+        q_c, v_c = _golden_max(lambda q: rs_potential(p, lam, q, ev), a, b)
+        v_grid = rs_potential(p, lam, float(q_scan[i]), ev)
+        if v_grid > v_c:
+            q_c, v_c = float(q_scan[i]), v_grid
+        optima.append((float(q_c), float(v_c)))
+    best_val = max(v for _, v in optima)
+    q_star, value = max(((q, v) for q, v in optima if v >= best_val - TIE_TOL), key=lambda t: t[0])
+    return PotentialResult(value, q_star, None, sorted(optima))
+
+
+class TestPhiRsMatchesFullScan:
+    """phi_rs's strided pass and fine windows give the full grid scan's result bit for bit."""
+
+    LAMBDAS = (0.3, 0.7, 0.99, 1.0, 1.02, 1.3, 2.0, 3.5, 7.0, 20.0, 64.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21", "sparse:0.02", "sparse:0.05", "point:0.7", "uniform:8"],
+    )
+    def test_lambda_grid(self, ev, spec):
+        p = parse_prior_spec(spec)
+        for lam in self.LAMBDAS:
+            assert phi_rs(p, lam, ev) == _full_scan_phi_rs(p, lam, ev), (spec, lam)
+
+    def test_two_local_optima(self, ev):
+        # a local maximum next to q = 0 behind a dip narrower than the coarse
+        # stride, and the two branches at a first-order transition
+        p_02 = sparse_rademacher_prior(0.02)
+        p_05 = sparse_rademacher_prior(0.05)
+        for p, lam in ((p_02, 1.0), (p_05, critical_lambda(p_05, 1e-3, 0.01, ev))):
+            want = _full_scan_phi_rs(p, lam, ev)
+            assert len(want.local_optima) == 2, (p.name, lam)
+            assert phi_rs(p, lam, ev) == want, (p.name, lam)
 
 
 class TestFBar:

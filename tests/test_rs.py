@@ -115,6 +115,20 @@ class TestPhiRs:
 
 
 
+def _local_max_loop(vals):
+    """Grid local maxima, flat runs collapsed to their left end, one point at a time."""
+    n = len(vals)
+    idx = []
+    for i in range(n):
+        left_ok = i == 0 or vals[i] >= vals[i - 1]
+        right_ok = i == n - 1 or vals[i] >= vals[i + 1]
+        if left_ok and right_ok:
+            if idx and idx[-1] == i - 1 and vals[i] == vals[i - 1]:
+                continue
+            idx.append(i)
+    return idx
+
+
 def _full_scan_phi_rs(p, lam, ev):
     """phi_rs as it was before the strided pass: every grid point priced."""
     from replica_lab.rs import (
@@ -135,16 +149,8 @@ def _full_scan_phi_rs(p, lam, ev):
     if vals.max() - vals.min() <= 1e-13 * max(1.0, abs(vals.max())):
         v0 = rs_potential(p, lam, 0.0, ev)
         return PotentialResult(v0, 0.0, None, [(0.0, v0)])
-    peaks = []
-    for i in range(npts):
-        left_ok = i == 0 or vals[i] >= vals[i - 1]
-        right_ok = i == npts - 1 or vals[i] >= vals[i + 1]
-        if left_ok and right_ok:
-            if peaks and peaks[-1] == i - 1 and vals[i] == vals[i - 1]:
-                continue
-            peaks.append(i)
     optima = []
-    for i in peaks:
+    for i in _local_max_loop(vals):
         a, b = q_scan[max(i - 1, 0)], q_scan[min(i + 1, npts - 1)]
         q_c, v_c = _golden_max(lambda q: rs_potential(p, lam, q, ev), a, b)
         v_grid = rs_potential(p, lam, float(q_scan[i]), ev)
@@ -169,6 +175,16 @@ class TestPhiRsMatchesFullScan:
         p = parse_prior_spec(spec)
         for lam in self.LAMBDAS:
             assert phi_rs(p, lam, ev) == _full_scan_phi_rs(p, lam, ev), (spec, lam)
+
+    def test_local_max_indices_matches_loop(self):
+        # plateaus, NaN (not evaluated) points and lengths down to one
+        from replica_lab.rs import _local_max_indices
+
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            vals = rng.integers(0, 4, rng.integers(1, 30)).astype(float)
+            vals[rng.random(vals.size) < 0.2] = np.nan
+            assert _local_max_indices(vals) == _local_max_loop(vals), vals
 
     def test_two_local_optima(self, ev):
         # a local maximum next to q = 0 behind a dip narrower than the coarse

@@ -132,13 +132,15 @@ def uniform_prior(n_atoms: int = 21, unit_second_moment: bool = True) -> Prior:
     factor that restores E[X^2] = 1, which keeps the law centered, symmetric
     and bounded while removing the O(h^2) bias from every moment-sensitive
     downstream formula.
+
+    The k-th midpoint is built as (k - (n-1)/2) h, whose half-integer factor
+    is exact, so the atoms are exact mirror images (values == -values[::-1])
+    and the center atom of an odd count is exactly 0.
     """
     if n_atoms < 2:
         raise InvalidPriorError(f"need at least 2 atoms, got {n_atoms}")
-    half = math.sqrt(3.0)
-    h = 2.0 * half / n_atoms
-    mids = -half + (np.arange(n_atoms) + 0.5) * h
-    mids = mids - mids.mean()  # kill rounding drift so E[X] = 0 exactly
+    h = 2.0 * math.sqrt(3.0) / n_atoms
+    mids = (np.arange(n_atoms) - (n_atoms - 1) / 2.0) * h
     if unit_second_moment:
         m2 = float(np.mean(mids**2))
         mids = mids / math.sqrt(m2)

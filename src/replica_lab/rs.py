@@ -33,6 +33,14 @@ simple root pins m* to near machine precision, and nothing is cached between
 calls, so a result depends only on its arguments.  The same inner
 minimization, averaged over a spike's empirical law instead of the prior,
 gives inf_q F_hat for the fixed-spike bound in interpolation.fp_upper_check.
+
+When the prior is sign-symmetric (its (v, w) atoms are those of (-v, w)),
+psi_hat(r, s) is even in s, so F_bar is even in m and its planted average
+needs only |x*|.  _planted_law then folds the law of x* (the prior's or a
+spike's) to |x*|, and saddle solves only m >= 0 and mirrors each candidate.
+phi_rs, psi, psi_prime and state evolution do not fold, although the same
+symmetry would halve their tilts: the benchmark's guerra_slope|2 item pins
+phi_rs(p, 2).optimizer_q to the last bit, and a fold moves its last bits.
 """
 
 from __future__ import annotations
@@ -246,7 +254,7 @@ def f_bar(p: Prior, lam: float, m: float, q: float, ev: ChannelEvaluator | None 
     _check_lambda(lam)
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
-    return float(_f_bar_grad(p, lam, m, q, ev)[0])
+    return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p))[0])
 
 
 def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator | None = None) -> float:
@@ -259,16 +267,38 @@ def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator 
         raise DomainError(f"q must be >= 0, got {q}")
     spike = np.asarray(spike, dtype=np.float64)
     values, counts = np.unique(spike, return_counts=True)
-    return float(_f_bar_grad(p, lam, m, q, ev, (values, counts / spike.size))[0])
+    return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p, (values, counts / spike.size)))[0])
 
 
-def _f_bar_grad(p: Prior, lam: float, m, q, ev, law=None):
-    """F_bar with its exact partial derivatives, (value, d_m, d_q), over broadcast m and q.
+def _sign_symmetric(p: Prior) -> bool:
+    """Whether the multiset of p's (v, w) atoms equals the multiset of (-v, w)."""
+    return sorted(p.atoms) == sorted((-v, w) for v, w in p.atoms)
 
-    law is the planted law (values, weights) that x* is averaged over, the
-    prior's by default; a spike's empirical law gives F_hat instead.
+
+def _planted_law(p: Prior, law=None):
+    """The law (values, weights) of x* that F_bar averages over, folded to |x*| when p is sign-symmetric.
+
+    law is the prior's by default; a spike's empirical law gives F_hat
+    instead.  For a sign-symmetric p, psi_hat(r, s) and its d_r are even in s
+    and d_s is odd, so the value, d_q and the x* d_s(r, lambda m x*) term of
+    d_m depend on x* only through |x*|: merging the weights of x* and -x* is
+    exact, and the kernel prices about half as many tilts.
     """
     values, weights = (p.values, p.weights) if law is None else law
+    if not _sign_symmetric(p):
+        return values, weights
+    folded, inverse = np.unique(np.abs(values), return_inverse=True)
+    return folded, np.bincount(inverse, weights)
+
+
+def _f_bar_grad(p: Prior, lam: float, m, q, ev, law):
+    """F_bar with its exact partial derivatives, (value, d_m, d_q), over broadcast m and q.
+
+    law is the planted law (values, weights) from _planted_law, folded to
+    |x*| for a sign-symmetric prior; the result does not depend on the fold
+    beyond rounding.
+    """
+    values, weights = law
     m, q = np.broadcast_arrays(np.asarray(m, dtype=np.float64), np.asarray(q, dtype=np.float64))
     val, d_r, d_s = psi_hat_grad(ev, p, lam * q[..., None], (lam * m)[..., None] * values)
     value = val @ weights - lam * m * m / 2.0 + lam * q * q / 4.0
@@ -332,11 +362,13 @@ def _inner_min(p: Prior, lam: float, m: np.ndarray, q_max: float, ev, law=None):
     """Global minimum of q -> F_bar(lambda, m, q) on [0, q_max] for each m.
 
     Returns (q_bar, value, d_m F_bar at q_bar), each of m's shape; law is
-    _f_bar_grad's planted law.  The local minima found by _local_maxima on a
-    coarse q row are priced exactly and each m keeps the least.  The row has
-    a point just off q = 0, where d_q F_bar vanishes at m = 0 by symmetry, so
-    that the sign beside it decides.
+    the planted law as _planted_law takes it (the prior's by default), folded
+    here once per call.  The local minima found by _local_maxima on a coarse
+    q row are priced exactly and each m keeps the least.  The row has a point
+    just off q = 0, where d_q F_bar vanishes at m = 0 by symmetry, so that
+    the sign beside it decides.
     """
+    law = _planted_law(p, law)
     q_row = np.union1d(np.linspace(0.0, q_max, _Q_POINTS), [_PROBE * q_max])
     _, _, d_q = _f_bar_grad(p, lam, m[:, None], q_row, ev, law)
     owner, q_cand = _local_maxima(
@@ -377,6 +409,11 @@ def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     sign-symmetric priors; each is priced exactly and recorded, and value
     ties within 1e-9 (the +-m* of a sign-symmetric prior) resolve to the
     largest m.  grid_resolution reports the coarse grid's step.
+
+    For a sign-symmetric prior g is even in m (see _planted_law), so only the
+    half grid m >= 0, with the same step and the probe at +_PROBE E[X^2], is
+    solved, and every candidate m > 0 is mirrored to -m with the same inner
+    minimizer and value; local_optima and the tie rule see both signs.
     """
     _check_lambda(lam)
     m2 = second_moment(p)
@@ -384,7 +421,11 @@ def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     if lam == 0.0 or m2 == 0.0:
         return PotentialResult(0.0, 0.0, 0.0, [(0.0, 0.0)], step)
     q_max = m2 + 1.0
-    m_grid = m2 * np.union1d(np.linspace(-1.0, 1.0, _M_POINTS), [-_PROBE, _PROBE])
+    symmetric = _sign_symmetric(p)
+    if symmetric:
+        m_grid = m2 * np.union1d(np.linspace(0.0, 1.0, _M_POINTS // 2 + 1), [_PROBE])
+    else:
+        m_grid = m2 * np.union1d(np.linspace(-1.0, 1.0, _M_POINTS), [-_PROBE, _PROBE])
 
     inner = {}  # m -> (q_bar, value): every candidate is a point already solved
 
@@ -396,6 +437,10 @@ def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     slope = slope_at(m_grid)
     _, m_cand = _local_maxima(m_grid, slope[None, :], lambda k, m: slope_at(m), _ROOT_FTOL * lam)
     q_cand, v_cand = np.array([inner[m] for m in m_cand.tolist()]).T
+    if symmetric:
+        mirror = m_cand > 0.0
+        m_cand = np.r_[m_cand, -m_cand[mirror]]
+        q_cand, v_cand = np.r_[q_cand, q_cand[mirror]], np.r_[v_cand, v_cand[mirror]]
     optima = [(float(m), float(v)) for m, v in zip(m_cand, v_cand)]
 
     tied = np.flatnonzero(v_cand >= v_cand.max() - max(TIE_TOL, 1e-9))
@@ -415,13 +460,15 @@ def state_evolution(
     max_iter: int = 1000,
     ev: ChannelEvaluator | None = None,
 ) -> SETrace:
-    """Iterate q <- 2 psi'(lambda q) from q0 until |delta q| <= tol."""
+    """Iterate q <- 2 psi'(lambda q) from q0 until |delta q| <= tol, at most max_iter times."""
     _check_lambda(lam)
     m2 = second_moment(p)
     if not 0.0 <= q0 <= m2:
         raise InvalidArgumentError(f"q0 must lie in [0, {m2}], got {q0}")
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
+    if not max_iter >= 1:
+        raise InvalidArgumentError(f"max_iter must be >= 1, got {max_iter}")
     iterates = [float(q0)]
     q = float(q0)
     converged = False

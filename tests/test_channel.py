@@ -211,6 +211,16 @@ class TestPsiHatGrad:
                     assert abs(d_r - fd_r) <= 1e-8, (p.name, r, s, float(d_r), fd_r)
                     assert abs(d_s - fd_s) <= 1e-8, (p.name, r, s, float(d_s), fd_s)
 
+    def test_d_r_continuous_at_zero(self, ev, priors):
+        # the z <x> / (2 sqrt r) sum cancels as r -> 0+; d_r stays within O(r) of its limit
+        cases = list(priors.values()) + [parse_prior_spec("sparse:0.05")]
+        for p in cases:
+            for s in (-2.0, 0.0, 0.5, 7.0):
+                d_r0 = float(psi_hat_grad(ev, p, 0.0, s)[1])
+                for r in (1e-24, 1e-20, 1e-16, 1e-13, 1e-11, 1e-10):
+                    d_r = float(psi_hat_grad(ev, p, r, s)[1])
+                    assert abs(d_r - d_r0) <= 1e-10 + 3.0 * r, (p.name, s, r, d_r - d_r0)
+
 
 class TestPsi:
     def test_zero(self, ev, priors):

@@ -261,6 +261,11 @@ class TestErrorPaths:
             (["fp", "--n", "6", "--eps", "nan"], "eps must be finite"),
             (["fp", "--n", "6", "--m", "nan"], "m must be finite"),
             (["fp", "--n", "1"], "need n >= 2"),
+            (["se", "--lambda", "2", "--tol", "nan"], "tol must be finite and > 0"),
+            (["se", "--lambda", "2", "--tol", "inf"], "tol must be finite and > 0"),
+            (["se", "--lambda", "2", "--tol", "0"], "tol must be finite and > 0"),
+            (["se", "--lambda", "2", "--max-iter", "0"], "max_iter must be >= 1"),
+            (["se", "--lambda", "2", "--max-iter", "-3"], "max_iter must be >= 1"),
         ],
     )
     def test_non_finite_and_small_n_rejected(self, capsys, args, message):

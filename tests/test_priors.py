@@ -118,6 +118,17 @@ def test_uniform_prior_shape():
     assert second_moment(raw) == pytest.approx(1.0 - h * h / 12.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("unit", [True, False])
+def test_uniform_prior_exact_mirror_images(unit):
+    for n in range(2, 201):
+        p = uniform_prior(n, unit_second_moment=unit)
+        assert np.array_equal(p.values, -p.values[::-1]), n
+        if n % 2:
+            assert p.values[n // 2] == 0.0, n
+        if unit:
+            assert abs(second_moment(p) - 1.0) <= 1e-12, n
+
+
 def test_parse_prior_spec():
     assert parse_prior_spec("rademacher").atoms == rademacher_prior().atoms
     assert parse_prior_spec("sparse:0.25").atoms == sparse_rademacher_prior(0.25).atoms

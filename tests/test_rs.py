@@ -14,6 +14,7 @@ from replica_lab import (
     mutual_information,
     parse_prior_spec,
     phi_rs,
+    prior_from_json,
     psi,
     psi_prime,
     rs_potential,
@@ -21,8 +22,11 @@ from replica_lab import (
     second_moment,
     state_evolution,
 )
+from replica_lab import rs
 from replica_lab.channel import make_evaluator, psi_hat_grad
+from replica_lab.interpolation import fp_upper_check
 from replica_lab.priors import (
+    make_prior,
     point_mass_prior,
     rademacher_prior,
     sparse_rademacher_prior,
@@ -296,6 +300,66 @@ class TestSaddle:
                 assert gap <= 1e-9, (p.name, lam, gap)
 
 
+class TestSignFold:
+    """A sign-symmetric prior's saddle on |x*| and the half m grid agrees with the unfolded one."""
+
+    SPECS = ("rademacher", "sparse:0.25", "sparse:0.05", "uniform:21", "uniform:8")
+    LAMBDAS = (0.5, 1.02, 1.3, 2.6, 4.0, 6.0, 10.0, 20.0, 40.0)
+
+    @staticmethod
+    def _agree(got, want, label):
+        assert abs(got.value - want.value) <= 1e-13, label
+        assert abs(abs(got.optimizer_m) - abs(want.optimizer_m)) <= 1e-12, label
+        assert got.grid_resolution == want.grid_resolution, label
+        m_got = [m for m, _ in got.local_optima]
+        m_want = [m for m, _ in want.local_optima]
+        assert len(m_got) == len(m_want), (label, m_got, m_want)
+        assert np.allclose(m_got, m_want, rtol=0.0, atol=1e-12), (label, m_got, m_want)
+
+    def test_matches_unfolded_saddle(self, ev, monkeypatch):
+        priors = [parse_prior_spec(spec) for spec in self.SPECS]
+        assert all(rs._sign_symmetric(p) for p in priors)
+        folded = {(p.name, lam): saddle(p, lam, ev) for p in priors for lam in self.LAMBDAS}
+        monkeypatch.setattr(rs, "_sign_symmetric", lambda p: False)
+        for (name, lam), got in folded.items():
+            self._agree(got, saddle(parse_prior_spec(name), lam, ev), (name, lam))
+
+    def test_permuted_atoms_take_the_fold(self, ev):
+        p = parse_prior_spec("uniform:8")
+        atoms = [p.atoms[i] for i in np.random.default_rng(3).permutation(len(p.atoms))]
+        shuffled = prior_from_json({"name": "shuffled", "atoms": [list(a) for a in atoms]})
+        assert shuffled.atoms != p.atoms and rs._sign_symmetric(shuffled)
+        for lam in (1.3, 6.0):
+            self._agree(saddle(shuffled, lam, ev), saddle(p, lam, ev), lam)
+
+    def test_fp_upper_matches_unfolded(self, ev, monkeypatch):
+        # the spike's empirical law is not symmetric, the fold holds by psi_hat's symmetry in s
+        p = parse_prior_spec("uniform:8")
+
+        def run():
+            return [
+                fp_upper_check(p, 4, 2.0, m, 0.25, n_disorder=3, seed=seed, ev=ev).params
+                for m in (-0.5, 0.0, 0.3)
+                for seed in (1, 2)
+            ]
+
+        folded = run()
+        monkeypatch.setattr(rs, "_sign_symmetric", lambda p: False)
+        for got, want in zip(folded, run()):
+            assert "q_min" in got, got
+            assert abs(got["q_min"] - want["q_min"]) <= 1e-13, (got, want)
+            assert abs(got["rhs_min"] - want["rhs_min"]) <= 1e-13, (got, want)
+
+    def test_asymmetric_priors_keep_the_unfolded_path(self):
+        assert rs._sign_symmetric(make_prior([(1.0, 0.3), (0.0, 0.4), (-1.0, 0.3)]))
+        for p in (
+            parse_prior_spec("asym:0.7"),
+            point_mass_prior(0.7),
+            make_prior([(1.0, 0.2), (0.0, 0.4), (-1.0, 0.4)]),  # symmetric values, not weights
+        ):
+            assert not rs._sign_symmetric(p), p
+
+
 class TestFHat:
     def test_matches_f_bar_for_point_spike_distribution(self, ev):
         # a spike listing each atom proportionally to its weight makes
@@ -343,6 +407,13 @@ class TestStateEvolution:
             state_evolution(priors["rademacher"], 1.0, 5.0, 1e-8, 10, ev)
         with pytest.raises(InvalidArgumentError):
             state_evolution(priors["rademacher"], 1.0, 0.5, -1.0, 10, ev)
+        for tol in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(InvalidArgumentError, match="tol must be finite and > 0"):
+                state_evolution(priors["rademacher"], 1.0, 0.5, tol, 10, ev)
+        for max_iter in (0, -3):
+            with pytest.raises(InvalidArgumentError, match="max_iter must be >= 1"):
+                state_evolution(priors["rademacher"], 1.0, 0.5, 1e-8, max_iter, ev)
+        assert len(state_evolution(priors["rademacher"], 1.0, 0.5, 1e-8, 1, ev).iterates) == 2
 
 
 class TestInformationCurves:

@@ -294,9 +294,9 @@ def _planted_law(p: Prior, law=None):
 def _f_bar_grad(p: Prior, lam: float, m, q, ev, law):
     """F_bar with its exact partial derivatives, (value, d_m, d_q), over broadcast m and q.
 
-    law is the planted law (values, weights) from _planted_law, folded to
-    |x*| for a sign-symmetric prior; the result does not depend on the fold
-    beyond rounding.
+    law is the planted law (values, weights).  Callers pass it through
+    _planted_law, which folds it to |x*| for a sign-symmetric prior; folded
+    or not, the result is the same up to rounding.
     """
     values, weights = law
     m, q = np.broadcast_arrays(np.asarray(m, dtype=np.float64), np.asarray(q, dtype=np.float64))

@@ -333,7 +333,7 @@ class TestSignFold:
             self._agree(saddle(shuffled, lam, ev), saddle(p, lam, ev), lam)
 
     def test_fp_upper_matches_unfolded(self, ev, monkeypatch):
-        # the spike's empirical law is not symmetric, the fold holds by psi_hat's symmetry in s
+        # a spike's empirical law need not be symmetric: the fold rests on psi_hat's symmetry in s
         p = parse_prior_spec("uniform:8")
 
         def run():

@@ -1,18 +1,22 @@
 """Command-line harness: curves, finite-N experiments, verification suite.
 
-Commands
-    rs-curve   lambda, q*, phi_RS, saddle, MI, MMSE along a lambda grid
-    saddle     saddle value, outer maximizer m*, inner minimizer, gap to phi_RS
-    se         state-evolution traces q_t per lambda
-    finite-n   free-entropy estimates across system sizes
-    fp         Franz-Parisi potential profile over the overlap windows
-    verify     the named inequality/identity suite; exit 1 on any failure
+Every command takes --prior, --seed, --out and --format, and these others:
+    rs-curve   --lambda --nodes --plot
+    saddle     --lambda --nodes --plot
+    se         --lambda --q --tol --max-iter --nodes --plot
+    finite-n   --lambda* --n --budget --disorder --plot
+    fp         --lambda* --n* --eps --m --budget --disorder --plot
+    verify     --n* --nodes --budget --disorder     (exit 1 on any failed check)
+A starred flag takes one value and refuses a list or range.  Otherwise
+--lambda takes a value, a comma list or start:stop:step (endpoint included
+when it lies within half a step), and finite-n --n a comma list.  --nodes sets
+the quadrature rule, --budget and --disorder the enumeration, and --plot
+writes an SVG chart next to --out.
 
-Every run resolves its full configuration (flags, seed, version) into the
-artifact header/envelope, and the master seed defaults to a fixed constant
-(overridable by REPLICA_LAB_SEED or --seed), so identical invocations yield
-byte-identical artifacts.  Lambda ranges are start:stop:step, endpoint
-included when it lies within half a step.
+The artifact header/envelope records the version and each flag the command
+declares except --out, with the lambda grid, n, q0 and seed resolved.  The
+master seed defaults to a fixed constant (overridable by REPLICA_LAB_SEED or
+--seed), so identical invocations yield byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -104,6 +108,14 @@ def parse_lambda_spec(spec: str) -> list:
         raise UsageError(f"bad lambda spec {spec!r}: {e}") from e
 
 
+def _one_lambda(spec: str) -> float:
+    """The lambda of a command that takes one: a list or range is refused, not cut to its first entry."""
+    lams = parse_lambda_spec(spec)
+    if ":" in spec or "," in spec:
+        raise UsageError(f"--lambda takes one value here, got {spec!r}")
+    return lams[0]
+
+
 def parse_int_list(spec: str) -> list:
     try:
         return [int(t) for t in spec.split(",")]
@@ -170,16 +182,19 @@ def _emit(args, config, fields, rows, results_json=None):
         _write(args.out, _json_text(config, results_json if results_json is not None else rows))
 
 
-def _add_common(sp, with_disorder=False):
+def _add_flags(sp, nodes=False, enumeration=False, plot=False):
+    """The four flags of every command, plus those of the groups the command reads."""
     sp.add_argument("--prior", default="rademacher", help="prior spec, e.g. rademacher, sparse:0.25, asym:0.7, uniform:21")
     sp.add_argument("--seed", type=int, default=None, help="master seed (default: REPLICA_LAB_SEED env or a fixed constant)")
-    sp.add_argument("--nodes", type=int, default=61, help="quadrature node count")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget in configurations")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--plot", action="store_true", help="also write an SVG line chart next to --out")
-    if with_disorder:
+    if nodes:
+        sp.add_argument("--nodes", type=int, default=61, help="quadrature node count")
+    if enumeration:
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget in configurations")
         sp.add_argument("--disorder", type=int, default=400, help="number of disorder replicas")
+    if plot:
+        sp.add_argument("--plot", action="store_true", help="also write an SVG line chart next to --out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,36 +203,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("rs-curve", help="RS formula curve over a lambda grid")
-    _add_common(sp)
+    _add_flags(sp, nodes=True, plot=True)
     sp.add_argument("--lambda", dest="lam", default="0:6:0.25", help="lambda value, list, or start:stop:step")
 
     sp = sub.add_parser("saddle", help="saddle formula and its gap to phi_RS")
-    _add_common(sp)
+    _add_flags(sp, nodes=True, plot=True)
     sp.add_argument("--lambda", dest="lam", default="0:6:0.25")
 
     sp = sub.add_parser("se", help="state evolution traces")
-    _add_common(sp)
+    _add_flags(sp, nodes=True, plot=True)
     sp.add_argument("--lambda", dest="lam", default="0.5,1,2,4")
-    sp.add_argument("--q", type=float, default=None, help="initial overlap (default: E[X^2])")
+    sp.add_argument("--q", dest="q0", type=float, default=None, help="initial overlap (default: E[X^2])")
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--max-iter", type=int, default=1000)
 
     sp = sub.add_parser("finite-n", help="free entropy estimates across sizes")
-    _add_common(sp, with_disorder=True)
-    sp.add_argument("--lambda", dest="lam", default="2")
+    _add_flags(sp, enumeration=True, plot=True)
+    sp.add_argument("--lambda", dest="lam", default="2", help="one lambda value")
     sp.add_argument("--n", default="8,10,12", help="comma list of system sizes")
 
     sp = sub.add_parser("fp", help="Franz-Parisi potential profile over overlap windows")
-    _add_common(sp, with_disorder=True)
-    sp.add_argument("--lambda", dest="lam", default="2")
-    sp.add_argument("--n", default="10")
+    _add_flags(sp, enumeration=True, plot=True)
+    sp.add_argument("--lambda", dest="lam", default="2", help="one lambda value")
+    sp.add_argument("--n", type=int, default=10, help="one system size")
     sp.add_argument("--eps", type=float, default=0.25, help="overlap window width")
     sp.add_argument("--m", type=float, default=None,
                     help="single window [m, m+eps) instead of the full profile")
 
     sp = sub.add_parser("verify", help="run the inequality/identity suite")
-    _add_common(sp, with_disorder=True)
-    sp.add_argument("--n", default="10")
+    _add_flags(sp, nodes=True, enumeration=True)
+    sp.add_argument("--n", type=int, default=10, help="one system size")
     sp.set_defaults(format="json")
     return ap
 
@@ -225,15 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     prior = parse_prior_spec(args.prior)
     seed = _resolve_seed(args)
-    ev = make_evaluator(args.nodes)
-    m2 = second_moment(prior)
+    ev = make_evaluator(args.nodes) if "nodes" in args else None
+    # The artifact header; each command adds the lambda, n and q0 it resolves.
+    header = {k: v for k, v in vars(args).items() if k not in ("out", "lam")}
+    header.update(prior=prior_to_json(prior), seed=seed)
 
     if args.command == "rs-curve":
-        lams = parse_lambda_spec(args.lam)
-        config = {"command": args.command, "prior": prior_to_json(prior), "lambda": lams,
-                  "nodes": args.nodes, "seed": seed, "format": args.format, "plot": args.plot}
+        header["lambda"] = lams = parse_lambda_spec(args.lam)
         rows = compute_curve(prior, lams, ev)
-        _emit(args, config, CURVE_FIELDS, rows)
+        _emit(args, header, CURVE_FIELDS, rows)
         _maybe_plot(args, lams,
                     [[r["q_star"] for r in rows], [r["phi_rs"] for r in rows],
                      [r["mi"] for r in rows], [r["mmse"] for r in rows]],
@@ -242,34 +257,29 @@ def _run(args) -> int:
         return 0
 
     if args.command == "saddle":
-        lams = parse_lambda_spec(args.lam)
-        config = {"command": args.command, "prior": prior_to_json(prior), "lambda": lams,
-                  "nodes": args.nodes, "seed": seed, "format": args.format, "plot": args.plot}
+        header["lambda"] = lams = parse_lambda_spec(args.lam)
         rows = []
         for lam in lams:
             sad = saddle(prior, lam, ev)
             rs = phi_rs(prior, lam, ev)
             rows.append({"lambda": lam, "saddle": sad.value, "m_star": sad.optimizer_m,
                          "q_bar": sad.optimizer_q, "gap": abs(sad.value - rs.value)})
-        _emit(args, config, ("lambda", "saddle", "m_star", "q_bar", "gap"), rows)
+        _emit(args, header, ("lambda", "saddle", "m_star", "q_bar", "gap"), rows)
         _maybe_plot(args, lams,
                     [[r["saddle"] for r in rows], [r["m_star"] for r in rows]],
                     ["saddle", "m*"], f"Saddle formula ({prior.name})", "lambda", "value")
         return 0
 
     if args.command == "se":
-        lams = parse_lambda_spec(args.lam)
-        q0 = m2 if args.q is None else args.q
-        config = {"command": args.command, "prior": prior_to_json(prior), "lambda": lams,
-                  "q0": q0, "tol": args.tol, "max_iter": args.max_iter,
-                  "nodes": args.nodes, "seed": seed, "format": args.format, "plot": args.plot}
+        header["lambda"] = lams = parse_lambda_spec(args.lam)
+        header["q0"] = q0 = second_moment(prior) if args.q0 is None else args.q0
         rows, traces = [], []
         for lam in lams:
             trace = state_evolution(prior, lam, q0, args.tol, args.max_iter, ev)
             traces.append(trace)
             for it, qv in enumerate(trace.iterates):
                 rows.append({"lambda": lam, "iteration": it, "q": qv})
-        _emit(args, config, ("lambda", "iteration", "q"), rows,
+        _emit(args, header, ("lambda", "iteration", "q"), rows,
               results_json=[{"lambda": lam, "converged": t.converged,
                              "fixed_point": t.fixed_point, "iterates": t.iterates}
                             for lam, t in zip(lams, traces)])
@@ -281,59 +291,41 @@ def _run(args) -> int:
         return 0
 
     if args.command == "finite-n":
-        lam = parse_lambda_spec(args.lam)[0]
-        sizes = parse_int_list(args.n)
-        config = {"command": args.command, "prior": prior_to_json(prior), "lambda": lam,
-                  "n": sizes, "disorder": args.disorder, "budget": args.budget,
-                  "nodes": args.nodes, "seed": seed, "format": args.format, "plot": args.plot}
+        header["lambda"] = lam = _one_lambda(args.lam)
+        header["n"] = sizes = parse_int_list(args.n)
         rows = []
         for n in sizes:
             est = free_entropy_mc(prior, n, lam, args.disorder, derive_seed(seed, n), args.budget)
             rows.append(mc_csv_record(n, lam, "free_entropy", est))
-        _emit(args, config, MC_CSV_FIELDS, rows)
+        _emit(args, header, MC_CSV_FIELDS, rows)
         _maybe_plot(args, sizes, [[r["mean"] for r in rows]], ["F_N"],
                     f"Finite-size free entropy ({prior.name})", "n", "F_N")
         return 0
 
     if args.command == "fp":
-        lam = parse_lambda_spec(args.lam)[0]
-        n = parse_int_list(args.n)[0]
-        config = {"command": args.command, "prior": prior_to_json(prior), "lambda": lam,
-                  "n": n, "eps": args.eps, "m": args.m, "disorder": args.disorder,
-                  "budget": args.budget, "nodes": args.nodes, "seed": seed,
-                  "format": args.format, "plot": args.plot}
-        spike = sample_spike(prior, n, derive_seed(seed, 0, 2))
+        header["lambda"] = lam = _one_lambda(args.lam)
+        spike = sample_spike(prior, args.n, derive_seed(seed, 0, 2))
         if args.m is not None:
-            est = fp_potential(prior, n, lam, args.m, args.eps, spike, args.disorder,
+            est = fp_potential(prior, args.n, lam, args.m, args.eps, spike, args.disorder,
                                derive_seed(seed, 1), args.budget)
             profile = [(args.m / args.eps, est)]
         else:
-            profile = fp_profile(prior, n, lam, args.eps, spike, args.disorder,
+            profile = fp_profile(prior, args.n, lam, args.eps, spike, args.disorder,
                                  derive_seed(seed, 1), args.budget)
         rows = [
-            mc_csv_record(n, lam, f"fp[m={_fmt(l * args.eps)};eps={_fmt(args.eps)}]", est)
+            mc_csv_record(args.n, lam, f"fp[m={_fmt(l * args.eps)};eps={_fmt(args.eps)}]", est)
             for l, est in profile
         ]
-        _emit(args, config, MC_CSV_FIELDS, rows)
+        _emit(args, header, MC_CSV_FIELDS, rows)
         _maybe_plot(args, [l * args.eps for l, _ in profile],
                     [[est.mean for _, est in profile]], ["Phi_eps"],
                     f"Franz-Parisi profile ({prior.name})", "m", "Phi_eps")
         return 0
 
     if args.command == "verify":
-        n = parse_int_list(args.n)[0]
-        config = {"command": args.command, "prior": prior_to_json(prior), "n": n,
-                  "disorder": args.disorder, "budget": args.budget,
-                  "nodes": args.nodes, "seed": seed, "format": args.format, "plot": args.plot}
-        reports = run_suite(prior, n, args.disorder, seed, args.budget, ev)
-        dicts = [r.to_dict() for r in reports]
-        if args.format == "csv":
-            fields = ("check", "slack", "stderr", "allowance", "pass")
-            rows = [{"check": d["check"], "slack": d["slack"], "stderr": d["stderr"],
-                     "allowance": d["allowance"], "pass": d["pass"]} for d in dicts]
-            _write(args.out, _csv_text(config, fields, rows))
-        else:
-            _write(args.out, _json_text(config, dicts))
+        reports = run_suite(prior, args.n, args.disorder, seed, args.budget, ev)
+        _emit(args, header, ("check", "slack", "stderr", "allowance", "pass"),
+              [r.to_dict() for r in reports])
         return 0 if all(r.passed for r in reports) else 1
 
     raise UsageError(f"unknown command {args.command!r}")

@@ -554,24 +554,18 @@ def metropolis_sampler(
         raise InvalidArgumentError(f"need n_sweeps > burn_in >= 0, got {n_sweeps}, {burn_in}")
     n = inst.n
     rng = np.random.default_rng(int(seed) & _MASK64)
-    x = _sample_atoms(p, n, rng).copy()
-    total = n_sweeps * n
-    cum = np.cumsum(p.weights)
-    cum[-1] = 1.0
-    prop_idx = np.minimum(
-        np.searchsorted(cum, rng.random(total), side="right"), p.values.size - 1
-    )
-    log_u = np.log(rng.random(total))
+    x = _sample_atoms(p, n, rng)
+    proposals = _sample_atoms(p, n_sweeps * n, rng)
+    log_u = np.log(rng.random(n_sweeps * n))
     ys = math.sqrt(inst.lam / n) * inst.y_full()
     c1 = inst.lam / (2.0 * n)
-    atoms = p.values
     s2 = float(x @ x)
     spike = inst.spike
     out = np.empty(n_sweeps - burn_in)
     k = 0
     for sweep in range(n_sweeps):
         for i in range(n):
-            b = atoms[prop_idx[k]]
+            b = proposals[k]
             a = x[i]
             if b != a:
                 de = (b - a) * float(ys[i] @ x) - c1 * (b * b - a * a) * (s2 - a * a)

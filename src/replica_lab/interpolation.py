@@ -47,7 +47,6 @@ from .finite import (
     _mc_estimate,
     _neg_energy,
     _overlap_window,
-    _sample_atoms,
     _sampled_draws,
     _triu,
     McEstimate,
@@ -55,6 +54,7 @@ from .finite import (
     enumeration_table,
     fp_potential,
     sample_instance,
+    sample_spike,
 )
 from .priors import Prior, support_bound
 from .report import VerificationReport
@@ -300,9 +300,7 @@ def fp_upper_check(
     over the spike's empirical law.  An unreachable window produces a skipped
     (vacuously passing) report.
     """
-    spike = _sample_atoms(
-        p, n, np.random.default_rng(derive_seed(seed, 0, 2) & _MASK64)
-    )
+    spike = sample_spike(p, n, derive_seed(seed, 0, 2))
     lhs = fp_potential(p, n, lam, m, eps, spike, n_disorder, derive_seed(seed, 1), budget)
     params = {
         "prior": p.name,

@@ -183,6 +183,59 @@ class TestCommands:
         assert svg.startswith("<svg") and "polyline" in svg
 
 
+class TestDeclaredFlags:
+    # each command takes only the flags it reads (see the cli module docstring)
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["rs-curve", "--lambda", "1"], ["--budget", "5"]),
+            (["saddle", "--lambda", "1"], ["--budget", "5"]),
+            (["se", "--lambda", "1"], ["--budget", "5"]),
+            (["finite-n", "--n", "4", "--disorder", "3"], ["--nodes", "41"]),
+            (["fp", "--n", "6", "--disorder", "3"], ["--nodes", "41"]),
+            (["verify", "--n", "8", "--disorder", "3"], ["--plot"]),
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, capsys, args, flag):
+        code, out, err = run_cli(args + flag, capsys)
+        assert code == 2
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("spec", ["1,2", "0:2:1"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["finite-n", "--n", "4", "--disorder", "3", "--lambda"],
+            ["fp", "--n", "6", "--disorder", "3", "--lambda"],
+            ["fp", "--lambda", "1", "--disorder", "3", "--n"],
+            ["verify", "--disorder", "3", "--n"],
+        ],
+    )
+    def test_single_value_flag_refuses_list_and_range(self, capsys, tmp_path, args, spec):
+        out_path = tmp_path / "artifact"
+        code, out, err = run_cli(args + [spec, "--out", str(out_path)], capsys)
+        assert code == 2
+        assert "error:" in err and repr(spec) in err
+        assert out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "args, keys",
+        [
+            (["finite-n", "--n", "4", "--disorder", "3"],
+             {"command", "prior", "seed", "format", "lambda", "n", "budget", "disorder", "plot"}),
+            (["verify", "--n", "4", "--disorder", "3"],
+             {"command", "prior", "seed", "format", "n", "nodes", "budget", "disorder"}),
+        ],
+    )
+    def test_header_holds_the_declared_flags(self, capsys, args, keys):
+        code, out, _ = run_cli(args + ["--format", "json"], capsys)
+        assert code in (0, 1)
+        assert set(json.loads(out)["config"]) == keys
+
+
 class TestSeedResolution:
     def test_env_var_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("REPLICA_LAB_SEED", "4242")

@@ -459,5 +459,6 @@ class TestCriticalLambda:
     def test_validation(self, ev, priors):
         with pytest.raises(InvalidArgumentError):
             critical_lambda(priors["rademacher"], 0.5, 0.01, ev)
-        with pytest.raises(InvalidArgumentError):
-            critical_lambda(priors["rademacher"], 1e-3, -1.0, ev)
+        for tol in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError, match="tol must be finite and > 0"):
+                critical_lambda(priors["rademacher"], 1e-3, tol, ev)

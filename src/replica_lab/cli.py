@@ -9,9 +9,10 @@ Every command takes --prior, --seed, --out and --format, and these others:
     verify     --n* --nodes --budget --disorder     (exit 1 on any failed check)
 A starred flag takes one value and refuses a list or range.  Otherwise
 --lambda takes a value, a comma list or start:stop:step (endpoint included
-when it lies within half a step), and finite-n --n a comma list.  --nodes sets
-the quadrature rule, --budget and --disorder the enumeration, and --plot
-writes an SVG chart next to --out.
+when it lies within half a step), and finite-n --n a comma list of distinct
+sizes.  --nodes sets the quadrature rule, --budget and --disorder the
+enumeration, and --plot writes an SVG chart next to --out.  A flag the
+command does not declare is refused under the command's own usage line.
 
 The artifact header/envelope records the version and each flag the command
 declares except --out, with the lambda grid, n, q0 and seed resolved.  The
@@ -182,6 +183,16 @@ def _emit(args, config, fields, rows, results_json=None):
         _write(args.out, _json_text(config, results_json if results_json is not None else rows))
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which refuses the flags it does not declare under its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _add_flags(sp, nodes=False, enumeration=False, plot=False):
     """The four flags of every command, plus those of the groups the command reads."""
     sp.add_argument("--prior", default="rademacher", help="prior spec, e.g. rademacher, sparse:0.25, asym:0.7, uniform:21")
@@ -200,7 +211,7 @@ def _add_flags(sp, nodes=False, enumeration=False, plot=False):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="replica-lab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     sp = sub.add_parser("rs-curve", help="RS formula curve over a lambda grid")
     _add_flags(sp, nodes=True, plot=True)
@@ -293,6 +304,8 @@ def _run(args) -> int:
     if args.command == "finite-n":
         header["lambda"] = lam = _one_lambda(args.lam)
         header["n"] = sizes = parse_int_list(args.n)
+        if len(set(sizes)) < len(sizes):
+            raise UsageError(f"--n repeats a size: {args.n!r}")
         rows = []
         for n in sizes:
             est = free_entropy_mc(prior, n, lam, args.disorder, derive_seed(seed, n), args.budget)

@@ -207,7 +207,8 @@ def _energy_parts(x: np.ndarray, spikes: np.ndarray, noises: np.ndarray):
     -H(x) = sqrt(lam/N) Q_W(x) + (lam/N) S(x) - (lam/2N) pairsq(x), with the
     noise form Q_W = sum_{i<j} W_ij x_i x_j and the planted term
     S = sum_{i<j} x*_i x*_j x_i x_j.  Neither depends on lambda; _neg_energy
-    combines them at any SNR.  Every exact consumer computes -H this way.
+    combines them at any SNR.  Every exact consumer computes -H this way,
+    through _draw_parts, its one caller.
 
     Both are linear in the pair features x_i x_j, so one GEMM of the stacked
     coefficients [noises; spike pair products] against the features of a
@@ -229,21 +230,21 @@ def _energy_parts(x: np.ndarray, spikes: np.ndarray, noises: np.ndarray):
 
 
 def _draw_parts(x: np.ndarray, n_draws: int, draw):
-    """Yield (k0, spikes, parts): the kernel over consecutive blocks of draws.
+    """Yield (spike, (Q_W, S)) per draw, in order: the kernel over blocks of draws.
 
-    draw(k) returns draw k's (spike, noise).  A block holds the draws
-    k0, k0+1, ... and at most _BLOCK_VALUES // max(rows, n, P) of them (at
-    least one), so neither its stacked noises nor its (D, rows) parts exceed
-    _BLOCK_VALUES values unless one draw's row alone does.  The blocks depend
-    only on the rows and n_draws, so consumers that share both also share
-    every kernel call.
+    draw(k) returns draw k's (spike, noise).  A block holds consecutive draws,
+    at most _BLOCK_VALUES // max(rows, n, P) of them (at least one), so neither
+    its stacked noises nor its (D, rows) parts exceed _BLOCK_VALUES values
+    unless one draw's row alone does.  The blocks depend only on the rows and
+    n_draws, so consumers that share both also share every kernel call.
     """
     rows, n = x.shape
     step = max(1, _BLOCK_VALUES // max(rows, n, n * (n - 1) // 2))
     for k0 in range(0, n_draws, step):
         block = [draw(k) for k in range(k0, min(k0 + step, n_draws))]
         spikes = np.stack([spike for spike, _ in block])
-        yield k0, spikes, _energy_parts(x, spikes, np.stack([noise for _, noise in block]))
+        q_w, s = _energy_parts(x, spikes, np.stack([noise for _, noise in block]))
+        yield from zip(spikes, zip(q_w, s))
 
 
 def _neg_energy(parts, pairsq: np.ndarray, lam: float, n: int) -> np.ndarray:
@@ -253,16 +254,10 @@ def _neg_energy(parts, pairsq: np.ndarray, lam: float, n: int) -> np.ndarray:
 
 
 def _log_weights(table: EnumTable, rows, lam: float, n_draws: int, draw):
-    """Yield (spike, log prior mass - H over table[rows]) per draw, in order.
-
-    The energies come from _draw_parts; the combination runs one draw's
-    contiguous row at a time.
-    """
-    x, logw, pairsq = table.X[rows], table.logw[rows], table.pairsq[rows]
-    n = x.shape[1]
-    for _, spikes, (q_w, s) in _draw_parts(x, n_draws, draw):
-        for spike, q_w_k, s_k in zip(spikes, q_w, s):
-            yield spike, logw + _neg_energy((q_w_k, s_k), pairsq, lam, n)
+    """Yield (spike, log prior mass - H over table[rows]) per draw of _draw_parts."""
+    logw, pairsq = table.logw[rows], table.pairsq[rows]
+    for spike, parts in _draw_parts(table.X[rows], n_draws, draw):
+        yield spike, logw + _neg_energy(parts, pairsq, lam, table.X.shape[1])
 
 
 def _sampled_draws(p: Prior, n: int, lam: float, seed: int):
@@ -276,7 +271,8 @@ def _sampled_draws(p: Prior, n: int, lam: float, seed: int):
 
 
 def _logsumexp(a: np.ndarray) -> float:
-    m = a.max()
+    """log sum exp(a), stably; -inf over no rows."""
+    m = a.max(initial=-np.inf)
     if not np.isfinite(m):
         return float(m)
     return float(m + np.log(np.exp(a - m).sum()))
@@ -412,18 +408,28 @@ def _fixed_spike_draws(spike: np.ndarray, seed: int):
     return lambda k: (spike, _fixed_spike_noise(spike.size, derive_seed(seed, k)))
 
 
-def _fixed_spike_setup(p: Prior, n: int, lam: float, eps: float, spike, n_disorder: int, budget: int):
-    """Validated (spike, table) for the fixed-spike potentials."""
+def _potential_setup(p: Prior, n: int, lam: float, window, spike, n_disorder: int, budget: int):
+    """Validated (spike, table) for the overlap-restricted potentials.
+
+    A window (m, eps) has a finite start m and a finite width eps > 0; a
+    fixed spike has length n and entries among the prior's atoms, and None
+    (a resampled spike) stays None.
+    """
     if n < 2:
         raise InvalidArgumentError(f"need n >= 2, got {n}")
     _check_lambda(lam)
-    if not (math.isfinite(eps) and eps > 0):
-        raise InvalidArgumentError(f"eps must be finite and > 0, got {eps}")
+    if window is not None:
+        m, eps = window
+        if not math.isfinite(m):
+            raise InvalidArgumentError(f"m must be finite, got {m}")
+        if not (math.isfinite(eps) and eps > 0):
+            raise InvalidArgumentError(f"eps must be finite and > 0, got {eps}")
     _check_disorder(n_disorder)
-    spike = np.asarray(spike, dtype=np.float64)
-    if spike.shape != (n,):
-        raise InvalidArgumentError(f"spike must have length {n}")
-    _check_spike_in_support(p, spike)
+    if spike is not None:
+        spike = np.asarray(spike, dtype=np.float64)
+        if spike.shape != (n,):
+            raise InvalidArgumentError(f"spike must have length {n}")
+        _check_spike_in_support(p, spike)
     return spike, enumeration_table(p, n, budget)
 
 
@@ -444,9 +450,7 @@ def fp_potential(
     The window is half-open and the disorder average is over W only.  An
     unreachable window returns the -inf sentinel with empty_window set.
     """
-    if not math.isfinite(m):
-        raise InvalidArgumentError(f"m must be finite, got {m}")
-    spike, table = _fixed_spike_setup(p, n, lam, eps, spike, n_disorder, budget)
+    spike, table = _potential_setup(p, n, lam, (m, eps), spike, n_disorder, budget)
     mask = _overlap_window(table.X, spike, m, eps)
     if not mask.any():
         return McEstimate(float("-inf"), 0.0, n_disorder, int(seed), empty_window=True)
@@ -471,7 +475,7 @@ def fp_profile(
     covers all windows, which is what makes the discretization bound of the
     free entropy affordable to test.
     """
-    spike, table = _fixed_spike_setup(p, n, lam, eps, spike, n_disorder, budget)
+    spike, table = _potential_setup(p, n, lam, (0.0, eps), spike, n_disorder, budget)
     overlap = table.X @ spike / n
     bins = np.floor(overlap / eps).astype(np.int64)
     order = np.argsort(bins, kind="stable")

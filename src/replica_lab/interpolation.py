@@ -19,11 +19,12 @@ so slope estimates are paired.
 
 The matrix part of -H_t is the original Hamiltonian at effective SNR
 t*lambda: the finite-size energy kernel's parts, computed for a block of
-draws at once (one draw at a time when a restricted window follows a
-resampled spike, since every draw then has its own rows) and recombined at
-each t one draw at a time.  At t = 1 the side coefficients are exact zeros,
-so phi(1) reproduces the plain free-entropy estimator bit for bit on shared
-seeds.  h_t evaluates the definition directly, as the tests' reference.
+draws at once over rows chosen once (a fixed spike's window, or every row)
+and recombined at each t one draw at a time; a window that follows a
+resampled spike masks each draw's own rows before the log-sum-exp.  At t = 1
+the side coefficients are exact zeros, so phi(1) reproduces the plain
+free-entropy estimator bit for bit on shared seeds.  h_t evaluates the
+definition directly, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -39,26 +40,23 @@ from .finite import (
     DEFAULT_BUDGET,
     _MASK64,
     SpikedInstance,
-    _check_disorder,
     _draw_parts,
-    _energy_parts,
     _fixed_spike_draws,
     _logsumexp,
     _mc_estimate,
     _neg_energy,
     _overlap_window,
+    _potential_setup,
     _sampled_draws,
     _triu,
     McEstimate,
     derive_seed,
-    enumeration_table,
     fp_potential,
-    sample_instance,
     sample_spike,
 )
 from .priors import Prior, support_bound
 from .report import VerificationReport
-from .rs import _check_lambda, _inner_min
+from .rs import _inner_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,61 +137,42 @@ def _phi_t_draws(
     (the expectation over x* of the lower-bound argument), held fixed
     otherwise (the fixed-spike potential of the upper-bound argument).
     Disorder (W, z) is drawn once per replica and shared across every t.
+    One loop walks the draws of finite._draw_parts over the rows chosen once:
+    a fixed spike's window rows, or every row for a resampled spike, whose
+    window then keeps each draw's own rows.  A draw with no row in its window
+    gets -inf.
     """
-    _check_lambda(lam)
     if not (math.isfinite(q) and q >= 0):
         raise DomainError(f"q must be finite and >= 0, got {q}")
     if not math.isfinite(m):
         raise DomainError(f"m must be finite, got {m}")
-    _check_disorder(n_disorder)
     t_values = [float(t) for t in t_values]
     for t in t_values:
         _check_t(t)
+    spike, table = _potential_setup(p, n, lam, restricted, spike, n_disorder, budget)
     r = lam * q
     s = lam * m
-    table = enumeration_table(p, n, budget)
-    if spike is not None:
-        spike = np.asarray(spike, dtype=np.float64)
-
-    def selected(rows):
-        return table.X[rows], table.logw[rows], table.pairsq[rows], table.sumsq[rows]
-
-    def blocks():
-        """(k0, spikes, kernel parts, selected rows) per block of draws."""
-        if spike is None and restricted is not None:
-            # The window follows each draw's spike: one draw per kernel call.
-            for k in range(n_disorder):
-                inst = sample_instance(p, n, lam, derive_seed(seed, k))
-                rows = selected(_overlap_window(table.X, inst.spike, *restricted))
-                spikes = inst.spike[None, :]
-                yield k, spikes, _energy_parts(rows[0], spikes, inst.noise[None, :]), rows
-            return
-        if spike is None:
-            rows, draw = selected(slice(None)), _sampled_draws(p, n, lam, seed)
-        else:
-            window = slice(None) if restricted is None else _overlap_window(table.X, spike, *restricted)
-            rows, draw = selected(window), _fixed_spike_draws(spike, seed)
-        for k0, spikes, parts in _draw_parts(rows[0], n_disorder, draw):
-            yield k0, spikes, parts, rows
-
+    if spike is None:
+        rows, draw = slice(None), _sampled_draws(p, n, lam, seed)
+    else:
+        rows = slice(None) if restricted is None else _overlap_window(table.X, spike, *restricted)
+        draw = _fixed_spike_draws(spike, seed)
+    x, logw, pairsq, sumsq = table.X[rows], table.logw[rows], table.pairsq[rows], table.sumsq[rows]
+    per_draw_window = spike is None and restricted is not None
     out = np.empty((n_disorder, len(t_values)))
-    for k0, spikes, (q_w, s_parts), (x, logw, pairsq, sumsq) in blocks():
-        for d, spike_k in enumerate(spikes):
-            k = k0 + d
-            if x.shape[0] == 0:
-                out[k, :] = -np.inf
-                continue
-            z = np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
-            parts = (q_w[d], s_parts[d])
-            xz = x @ z
-            xsp = x @ spike_k
-            for c, t in enumerate(t_values):
-                side = (
-                    math.sqrt((1.0 - t) * r) * xz
-                    + (1.0 - t) * s * xsp
-                    - (1.0 - t) * r / 2.0 * sumsq
-                )
-                out[k, c] = _logsumexp(logw + _neg_energy(parts, pairsq, t * lam, n) + side) / n
+    for k, (spike_k, parts) in enumerate(_draw_parts(x, n_disorder, draw)):
+        keep = _overlap_window(x, spike_k, *restricted) if per_draw_window else slice(None)
+        z = np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
+        xz = x @ z
+        xsp = x @ spike_k
+        for c, t in enumerate(t_values):
+            side = (
+                math.sqrt((1.0 - t) * r) * xz
+                + (1.0 - t) * s * xsp
+                - (1.0 - t) * r / 2.0 * sumsq
+            )
+            a = logw + _neg_energy(parts, pairsq, t * lam, n) + side
+            out[k, c] = _logsumexp(a[keep]) / n
     return out
 
 
@@ -214,8 +193,9 @@ def phi_of_t(
 
     restricted is an optional (m_window, eps) pair selecting configurations
     with R_{1,*} in [m_window, m_window + eps); spike fixes the planted
-    vector instead of resampling it per disorder draw.  An unreachable
-    window yields the -inf sentinel.
+    vector instead of resampling it per disorder draw.  Both are checked as
+    in fp_potential: finite m_window, finite eps > 0, and a spike of n atoms
+    of the prior.  An unreachable window yields the -inf sentinel.
     """
     vals = _phi_t_draws(
         p, n, lam, q, m, [t], n_disorder, seed, restricted=restricted, spike=spike, budget=budget

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -27,16 +26,12 @@ class VerificationReport:
     passed: bool = False
 
     def to_dict(self) -> dict:
-        def clean(x):
-            if isinstance(x, float) and not math.isfinite(x):
-                return str(x)
-            return x
-
+        """Plain record; writers spell non-finite floats (cli._json_clean, cli._fmt)."""
         return {
             "check": self.check,
-            "params": {k: clean(v) for k, v in sorted(self.params.items())},
-            "slack": clean(self.slack),
-            "stderr": clean(self.stderr),
-            "allowance": clean(self.allowance),
+            "params": dict(sorted(self.params.items())),
+            "slack": self.slack,
+            "stderr": self.stderr,
+            "allowance": self.allowance,
             "pass": bool(self.passed),
         }

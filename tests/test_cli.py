@@ -201,6 +201,7 @@ class TestDeclaredFlags:
         code, out, err = run_cli(args + flag, capsys)
         assert code == 2
         assert f"error: unrecognized arguments: {' '.join(flag)}" in err
+        assert f"usage: replica-lab {args[0]} " in err
         assert out == ""
 
     @pytest.mark.parametrize("spec", ["1,2", "0:2:1"])
@@ -326,6 +327,17 @@ class TestErrorPaths:
         assert code == 2
         assert f"error: {message}" in err
         assert out == ""
+
+    @pytest.mark.parametrize("sizes", ["4,4", "6,4,6"])
+    def test_finite_n_repeated_size(self, capsys, tmp_path, sizes):
+        out_path = tmp_path / "artifact.csv"
+        code, out, err = run_cli(
+            ["finite-n", "--n", sizes, "--disorder", "3", "--out", str(out_path)], capsys
+        )
+        assert code == 2
+        assert f"error: --n repeats a size: {sizes!r}" in err
+        assert out == ""
+        assert not out_path.exists()
 
     def test_node_count_above_limit(self, capsys):
         code, out, err = run_cli(

@@ -11,6 +11,7 @@ from replica_lab import (
     InvalidArgumentError,
     augment,
     derive_seed,
+    fp_potential,
     fp_upper_check,
     free_entropy_mc,
     guerra_slope_check,
@@ -146,15 +147,39 @@ class TestPhiOfT:
         )
         assert est.empty_window
 
-    @pytest.mark.parametrize("fixed_spike", [False, True])
-    def test_interior_t_matches_definition(self, priors, fixed_spike):
+    @pytest.mark.parametrize("spike", [None, np.ones(6)])
+    @pytest.mark.parametrize("window", [(math.nan, 0.25), (0.0, math.nan), (0.0, -0.5), (-math.inf, 1.0)])
+    def test_window_checked_like_fp_potential(self, priors, spike, window):
+        p = priors["rademacher"]
+        message = "m must be finite" if not math.isfinite(window[0]) else "eps must be finite and > 0"
+        with pytest.raises(InvalidArgumentError, match=message):
+            phi_of_t(p, 6, 2.0, 0.5, 0.5, 0.5, 3, 1, restricted=window, spike=spike)
+        if spike is not None:
+            with pytest.raises(InvalidArgumentError, match=message):
+                fp_potential(p, 6, 2.0, window[0], window[1], spike, 3, 1)
+
+    @pytest.mark.parametrize("spike", [np.full(6, 0.5), np.ones(8)])
+    def test_fixed_spike_checked_like_fp_potential(self, priors, spike):
+        # off the prior's support, or of the wrong length
+        p = priors["rademacher"]
+        with pytest.raises(InvalidArgumentError, match="spike"):
+            phi_of_t(p, 6, 2.0, 0.5, 0.5, 0.5, 3, 1, spike=spike)
+        with pytest.raises(InvalidArgumentError, match="spike"):
+            fp_potential(p, 6, 2.0, 0.0, 0.5, spike, 3, 1)
+
+    @pytest.mark.parametrize(
+        "fixed_spike, window",
+        [(False, None), (True, (0.0, 1.5)), (False, (0.0, 1.5))],
+        ids=["False", "True", "resampled-window"],
+    )
+    def test_interior_t_matches_definition(self, priors, fixed_spike, window):
         # phi(t) = (1/n) E log sum_x prior(x) exp(-H_t(x)), brute-forced through
         # h_t on the disorder streams the path draws: the instance from
-        # derive_seed(seed, k) and the side noise z from derive_seed(seed, k, 1)
+        # derive_seed(seed, k) and the side noise z from derive_seed(seed, k, 1);
+        # a window follows each draw's own spike
         p = priors["sparse:0.25"]
         n, lam, q, m, t, draws, seed = 6, 2.0, 0.5, 0.3, 0.4, 2, 28
         spike = sample_spike(p, n, 4) if fixed_spike else None
-        window = (0.0, 1.5) if fixed_spike else None
         est = phi_of_t(p, n, lam, q, m, t, draws, seed, restricted=window, spike=spike)
         vals = []
         for k in range(draws):

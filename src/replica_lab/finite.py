@@ -16,9 +16,11 @@ the enumeration budget.
 Seed discipline: every disorder replica k uses derive_seed(master, k, ...),
 so replica k's instance does not depend on the other replicas.  The energy
 kernel stacks consecutive replicas into blocks sized from the enumerated rows
-alone and reduces each replica on its own contiguous row, so runs are
-reproducible bit-for-bit, and estimators over the same rows and replicas make
-the same kernel calls.
+and n_disorder, so runs are reproducible bit-for-bit, and estimators over the
+same rows and replicas make the same kernel calls.  The bits of a replica's
+energies, though, can move with n_disorder: sparse:0.25 at N = 8 (seed 5)
+gives replicas 0-2 with 2, 3 and 5 energies that differ between 3 and 40
+replicas, by at most 1.5e-14.
 """
 
 from __future__ import annotations
@@ -278,10 +280,15 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(m + np.log(np.exp(a - m).sum()))
 
 
+def _window_index(overlap: np.ndarray, m: float, eps: float) -> np.ndarray:
+    """floor((R - m) / eps) rounded to 9 digits first, so that an R on a window edge starts it."""
+    with np.errstate(over="ignore"):
+        return np.floor(np.round((overlap - m) / eps, 9))
+
+
 def _overlap_window(x: np.ndarray, spike: np.ndarray, m: float, eps: float) -> np.ndarray:
     """Mask of the rows of x with R_{1,*} in the half-open window [m, m + eps)."""
-    overlap = x @ spike / spike.size
-    return (overlap >= m) & (overlap < m + eps)
+    return _window_index(x @ spike / spike.size, m, eps) == 0
 
 
 def _fixed_spike_noise(n: int, seed: int) -> np.ndarray:
@@ -476,8 +483,7 @@ def fp_profile(
     free entropy affordable to test.
     """
     spike, table = _potential_setup(p, n, lam, (0.0, eps), spike, n_disorder, budget)
-    overlap = table.X @ spike / n
-    bins = np.floor(overlap / eps).astype(np.int64)
+    bins = _window_index(table.X @ spike / n, 0.0, eps).astype(np.int64)
     order = np.argsort(bins, kind="stable")
     uniq, starts = np.unique(bins[order], return_index=True)
     sizes = np.diff(np.append(starts, order.size))

@@ -1,6 +1,10 @@
 """Scalar-channel free entropies: quadrature accuracy, identities, derivatives."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from replica_lab import (
 from replica_lab.channel import (
     MAX_NODE_COUNT,
     make_evaluator,
+    psi_array,
     psi_bar_array,
     psi_hat_array,
     psi_hat_grad,
@@ -388,3 +393,40 @@ class TestDoublingStability:
                     d = abs(float(psi_hat_array(e61, p, r, s)) - float(psi_hat_array(e121, p, r, s)))
                     worst = max(worst, d)
         assert worst <= 1e-9
+
+
+class TestScalarEntries:
+    """psi_hat, psi_bar and psi are a domain check plus one array-kernel call."""
+
+    def test_first_call_emits_no_warning(self):
+        # a run-time doubling check once warned here, on the first call per
+        # process and prior only, so the outcome depended on call order
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        script = (
+            "from replica_lab import parse_prior_spec, psi\n"
+            "print(psi(None, parse_prior_spec('rademacher'), 20.0))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+
+    def test_reject_negative_r(self, priors):
+        p = priors["asym:0.7"]
+        for call in (
+            lambda: psi_hat(None, p, -1e-12, 0.5),
+            lambda: psi_bar(None, p, -0.5, 0.5),
+            lambda: psi(None, p, -2.0),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+    @pytest.mark.parametrize("node_count", [None, 61, 121])
+    def test_equal_array_kernels(self, priors, node_count):
+        ev = None if node_count is None else make_evaluator(node_count)
+        for p in priors.values():
+            for r, s in ((0.0, 0.0), (0.7, -1.3), (5.0, 5.0), (20.0, 20.0), (50.0, -3.0)):
+                assert psi_hat(ev, p, r, s) == float(psi_hat_array(ev, p, r, s))
+                assert psi_bar(ev, p, r, s) == float(psi_bar_array(ev, p, r, s))
+                assert psi(ev, p, r) == float(psi_array(ev, p, r))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -377,6 +378,32 @@ class TestFpPotential:
             if l in prof:
                 single = fp_potential(p, 10, 2.0, l * eps, eps, spike, 20, 31)
                 assert prof[l].mean == pytest.approx(single.mean, abs=1e-10)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.2, 0.25, 0.3])
+    def test_profile_and_potential_share_windows(self, priors, eps):
+        # R = 0.6 starts window 6 at eps = 0.1 although 0.6 / 0.1 = 5.999999999999999
+        p = priors["rademacher"]
+        n = 10
+        table = enumeration_table(p, n)
+        for spike in (np.ones(n), sample_spike(p, n, 4)):
+            prof = dict(fp_profile(p, n, 2.0, eps, spike, 3, 31))
+            bins = finite._window_index(table.X @ spike / n, 0.0, eps)
+            reach = math.ceil(1.0 / eps) + 1
+            for l in range(-reach, reach + 1):
+                rows = finite._overlap_window(table.X, spike, l * eps, eps)
+                assert np.array_equal(rows, bins == l), (eps, l)
+                single = fp_potential(p, n, 2.0, l * eps, eps, spike, 3, 31)
+                assert single.empty_window == (l not in prof), (eps, l)
+                if l in prof:
+                    # the profile's reduceat log-sum-exp and _logsumexp differ in the last bit
+                    assert prof[l].mean == pytest.approx(single.mean, abs=1e-12)
+            assert set(prof) <= set(range(-reach, reach + 1))
+
+    def test_extreme_window_is_empty_and_silent(self, priors):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = fp_potential(priors["rademacher"], 6, 1.0, 1e300, 1e-300, np.ones(6), 2, 1)
+        assert est.empty_window
 
 
 class TestNishimori:

@@ -21,6 +21,24 @@ same rows and replicas make the same kernel calls.  The bits of a replica's
 energies, though, can move with n_disorder: sparse:0.25 at N = 8 (seed 5)
 gives replicas 0-2 with 2, 3 and 5 energies that differ between 3 and 40
 replicas, by at most 1.5e-14.
+
+Sign fold: -H sees a configuration only through its pair products x_i x_j,
+so with a sign-symmetric prior x and -x have the same energy and prior mass.
+The table then lists the configurations in orbit order: first the
+representatives, whose first nonzero atom is positive (those with a distinct
+mirror, then the all-zero row when 0 is an atom), then the mirrors of the
+first ones, built by mapping each digit to its negated atom (so 0 stays
++0.0).  Even per-row terms (log prior mass, pairsq, sumsq, the energy, the
+KL exponents, and the interpolation's even side term) are computed on the
+representatives and repeated for the mirrors before any reduction; odd terms
+(x.z and x.x* in the interpolation) enter as +odd on the representatives and
+-odd on the mirrors.  A mirror's pair products, prior mass and square sums
+equal its representative's bit for bit, so the repeated value is the one the
+kernel computes from those inputs; only the position-dependent last bits of
+BLAS and of numpy's x**4 are gone.  An asymmetric prior has no mirrors and
+runs the same code with nothing to repeat.  Fixed-spike windows
+(fp_potential, fp_profile, phi_of_t with a spike) select rows of the whole
+table and price them directly.
 """
 
 from __future__ import annotations
@@ -32,9 +50,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EnumerationBudgetError, InvalidArgumentError
-from .priors import Prior, prior_from_json, prior_to_json
+from .priors import Prior, prior_from_json, prior_to_json, support_bound
 from .report import VerificationReport
-from .rs import _check_lambda
+from . import rs
 
 DEFAULT_BUDGET = 2**20
 
@@ -113,7 +131,7 @@ def sample_instance(p: Prior, n: int, lam: float, seed: int) -> SpikedInstance:
     """Draw spike entries i.i.d. from the prior, then standard normal noise."""
     if n < 2:
         raise InvalidArgumentError(f"need n >= 2, got {n}")
-    _check_lambda(lam)
+    rs._check_lambda(lam)
     rng = np.random.default_rng(int(seed) & _MASK64)
     spike = _sample_atoms(p, n, rng)
     noise = rng.standard_normal(n * (n - 1) // 2)
@@ -158,12 +176,26 @@ def hamiltonian(inst: SpikedInstance, x) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EnumTable:
-    """All atom_count^n configurations with per-configuration invariants."""
+    """All atom_count^n configurations with per-configuration invariants.
 
-    X: np.ndarray        # (M, n) configuration values
-    logw: np.ndarray     # (M,) log prior mass
-    pairsq: np.ndarray   # (M,) sum_{i<j} x_i^2 x_j^2
-    sumsq: np.ndarray    # (M,) sum_i x_i^2
+    Rows [:reps] are the representatives the energy kernel prices; for a
+    sign-symmetric prior the rest are the mirrors of rows [:mirrors], in that
+    order, and for any other prior there are none.
+    """
+
+    X: np.ndarray        # (rows, n) configuration values
+    logw: np.ndarray     # (rows,) log prior mass
+    pairsq: np.ndarray   # (rows,) sum_{i<j} x_i^2 x_j^2
+    sumsq: np.ndarray    # (rows,) sum_i x_i^2
+    reps: int            # rows priced by the kernel
+
+    @property
+    def mirrors(self) -> int:
+        return self.X.shape[0] - self.reps
+
+    def unfold(self, a: np.ndarray) -> np.ndarray:
+        """An even per-row array over every row from its values on rows [:reps]."""
+        return np.concatenate([a, a[: self.mirrors]]) if self.mirrors else a
 
 
 @dataclass(frozen=True)
@@ -176,22 +208,35 @@ class EnumerationResult:
 
 
 @lru_cache(maxsize=4)
-def _enum_table(atoms: tuple, n: int) -> EnumTable:
-    values = np.array([v for v, _ in atoms])
+def _enum_table(atoms: tuple, n: int, symmetric: bool) -> EnumTable:
+    values = np.array([v for v, _ in atoms]) + 0.0  # a -0.0 atom enters as +0.0
     logw = np.log(np.array([w for _, w in atoms]))
     a = values.size
-    m = a**n
-    idx = np.arange(m, dtype=np.int64)
-    digits = np.empty((m, n), dtype=np.int64)
+    idx = np.arange(a**n, dtype=np.int64)
+    digits = np.empty((idx.size, n), dtype=np.min_scalar_type(a - 1))
     for k in range(n):
         digits[:, k] = (idx // a**k) % a
+    reps = idx.size
+    if symmetric:
+        # Orbit order: the rows whose first nonzero atom is positive, the
+        # all-zero row if 0 is an atom, then the first rows' mirrors, whose
+        # digits name the negated atoms (so that 0 stays +0.0).
+        sign = np.sign(values).astype(np.int8)[digits]
+        lead = sign[idx, (sign != 0).argmax(axis=1)]
+        negated = np.array([np.flatnonzero(values == -v)[0] for v in values], dtype=digits.dtype)
+        paired = digits[lead > 0]
+        digits = np.concatenate([paired, digits[lead == 0], negated[paired]])
+        reps -= paired.shape[0]
     x = values[digits]
-    logw_cfg = logw[digits].sum(axis=1)
-    sumsq = (x**2).sum(axis=1)
-    pairsq = 0.5 * (sumsq**2 - (x**4).sum(axis=1))
+    # The invariants are even in x: priced on the representatives and
+    # repeated for the mirrors, whose bits then match (numpy's x**4 can differ
+    # in the last bit between equal values at different positions).
+    sumsq = (x[:reps] ** 2).sum(axis=1)
+    even = (logw[digits[:reps]].sum(axis=1), 0.5 * (sumsq**2 - (x[:reps] ** 4).sum(axis=1)), sumsq)
+    logw_cfg, pairsq, sumsq = (np.concatenate([a, a[: x.shape[0] - reps]]) for a in even)
     for arr in (x, logw_cfg, pairsq, sumsq):
         arr.setflags(write=False)
-    return EnumTable(X=x, logw=logw_cfg, pairsq=pairsq, sumsq=sumsq)
+    return EnumTable(X=x, logw=logw_cfg, pairsq=pairsq, sumsq=sumsq, reps=reps)
 
 
 def enumeration_table(p: Prior, n: int, budget: int = DEFAULT_BUDGET) -> EnumTable:
@@ -199,7 +244,7 @@ def enumeration_table(p: Prior, n: int, budget: int = DEFAULT_BUDGET) -> EnumTab
     required = len(p.atoms) ** n
     if required > budget:
         raise EnumerationBudgetError(required=required, budget=budget)
-    return _enum_table(p.atoms, n)
+    return _enum_table(p.atoms, n, rs._sign_symmetric(p))
 
 
 def _energy_parts(x: np.ndarray, spikes: np.ndarray, noises: np.ndarray):
@@ -256,10 +301,18 @@ def _neg_energy(parts, pairsq: np.ndarray, lam: float, n: int) -> np.ndarray:
 
 
 def _log_weights(table: EnumTable, rows, lam: float, n_draws: int, draw):
-    """Yield (spike, log prior mass - H over table[rows]) per draw of _draw_parts."""
-    logw, pairsq = table.logw[rows], table.pairsq[rows]
-    for spike, parts in _draw_parts(table.X[rows], n_draws, draw):
-        yield spike, logw + _neg_energy(parts, pairsq, lam, table.X.shape[1])
+    """Yield (spike, log prior mass - H over table[rows]) per draw of _draw_parts.
+
+    rows None means every row of the table, in its order: the kernel prices
+    the representatives and the mirrors repeat their values.
+    """
+    every_row = rows is None
+    if every_row:
+        rows = slice(None, table.reps)
+    x, logw, pairsq = table.X[rows], table.logw[rows], table.pairsq[rows]
+    for spike, parts in _draw_parts(x, n_draws, draw):
+        a = logw + _neg_energy(parts, pairsq, lam, table.X.shape[1])
+        yield spike, table.unfold(a) if every_row else a
 
 
 def _sampled_draws(p: Prior, n: int, lam: float, seed: int):
@@ -291,6 +344,11 @@ def _overlap_window(x: np.ndarray, spike: np.ndarray, m: float, eps: float) -> n
     return _window_index(x @ spike / spike.size, m, eps) == 0
 
 
+def _rounded_overlap(x: np.ndarray, spike: np.ndarray) -> np.ndarray:
+    """R_{1,*} of the rows of x rounded to 9 digits, a rounded -0.0 read as 0.0."""
+    return np.round(x @ spike / spike.size, 9) + 0.0
+
+
 def _fixed_spike_noise(n: int, seed: int) -> np.ndarray:
     """The upper-triangular noise of a fixed-spike disorder draw."""
     return np.random.default_rng(int(seed) & _MASK64).standard_normal(n * (n - 1) // 2)
@@ -305,9 +363,9 @@ def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BU
     """log Z by stable log-sum-exp over all configurations, with the overlap law."""
     _check_spike_in_support(p, inst.spike)
     table = enumeration_table(p, inst.n, budget)
-    _, a = next(_log_weights(table, slice(None), inst.lam, 1, lambda k: (inst.spike, inst.noise)))
+    _, a = next(_log_weights(table, None, inst.lam, 1, lambda k: (inst.spike, inst.noise)))
     log_z = _logsumexp(a)
-    overlap = np.round(table.X @ inst.spike / inst.n, 9)
+    overlap = _rounded_overlap(table.X, inst.spike)
     vals, inv = np.unique(overlap, return_inverse=True)
     mass = np.bincount(inv, weights=np.exp(a - log_z))
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]
@@ -353,7 +411,7 @@ def free_entropy_mc(
     """F_N estimate: average of (1/N) log Z over independent instances."""
     _check_disorder(n_disorder)
     table = enumeration_table(p, n, budget)
-    draws = _log_weights(table, slice(None), lam, n_disorder, _sampled_draws(p, n, lam, seed))
+    draws = _log_weights(table, None, lam, n_disorder, _sampled_draws(p, n, lam, seed))
     return _mc_estimate(np.array([_logsumexp(a) / n for _, a in draws]), seed)
 
 
@@ -367,8 +425,9 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     the prior without the kernel and without expanding a square: per pair
     i < j and per distinct atom product v it tabulates
     g = y^2/2 - (y - sqrt(lam/N) v)^2/2, and a configuration's exponent is
-    the sum, pair by pair, of the entries at its products x_i x_j.  A block
-    of draws holds at most _BLOCK_VALUES table entries and exponents, and a
+    the sum, pair by pair, of the entries at its products x_i x_j, so it is
+    even in x and is formed on the table's representatives only.  A block of
+    draws holds at most _BLOCK_VALUES table entries and exponents, and a
     block of rows gathers at most _BLOCK_VALUES entries.
     """
     instances = list(instances)
@@ -379,7 +438,8 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     for inst in instances:
         _check_spike_in_support(p, inst.spike)
     table = enumeration_table(p, n, budget)
-    count, rows = len(instances), table.X.shape[0]
+    count, rows = len(instances), table.reps
+    x = table.X[:rows]
     i, j = _triu(n)
     products = np.unique(np.multiply.outer(p.values, p.values))
     offsets = products.size * np.arange(i.size)[:, None]
@@ -393,14 +453,14 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
         exponents = np.empty((y.shape[2], rows))
         step_r = max(1, _BLOCK_VALUES // max(1, i.size * y.shape[2]))
         for c in range(0, rows, step_r):
-            xt = np.ascontiguousarray(table.X[c : c + step_r].T)
+            xt = np.ascontiguousarray(x[c : c + step_r].T)
             codes = np.searchsorted(products, xt[i] * xt[j]) + offsets
             acc = g[codes[0]]
             for code in codes[1:]:
                 acc += g[code]
             exponents[:, c : c + step_r] = acc.T
-        llr[k0 : k0 + y.shape[2]] = [_logsumexp(table.logw + e) for e in exponents]
-    draws = _log_weights(table, slice(None), lam, count, lambda k: (instances[k].spike, instances[k].noise))
+        llr[k0 : k0 + y.shape[2]] = [_logsumexp(table.unfold(table.logw[:rows] + e)) for e in exponents]
+    draws = _log_weights(table, None, lam, count, lambda k: (instances[k].spike, instances[k].noise))
     return llr, np.array([_logsumexp(a) for _, a in draws])
 
 
@@ -424,7 +484,7 @@ def _potential_setup(p: Prior, n: int, lam: float, window, spike, n_disorder: in
     """
     if n < 2:
         raise InvalidArgumentError(f"need n >= 2, got {n}")
-    _check_lambda(lam)
+    rs._check_lambda(lam)
     if window is not None:
         m, eps = window
         if not math.isfinite(m):
@@ -480,9 +540,13 @@ def fp_profile(
     Returns [(l, McEstimate)] for the nonempty windows; windows absent from
     the list are unreachable (-inf).  One enumeration pass per disorder draw
     covers all windows, which is what makes the discretization bound of the
-    free entropy affordable to test.
+    free entropy affordable to test.  Window indices reach K^2/eps, K the
+    support bound, so an eps that takes them past 2**53, where they are no
+    longer exact integers, is refused.
     """
     spike, table = _potential_setup(p, n, lam, (0.0, eps), spike, n_disorder, budget)
+    if not support_bound(p) ** 2 / eps <= 2**53:
+        raise InvalidArgumentError(f"eps must be >= K^2 / 2**53 for exact window indices, got {eps!r}")
     bins = _window_index(table.X @ spike / n, 0.0, eps).astype(np.int64)
     order = np.argsort(bins, kind="stable")
     uniq, starts = np.unique(bins[order], return_index=True)
@@ -513,11 +577,11 @@ def nishimori_check(
     table = enumeration_table(p, n, budget)
     r12 = np.empty(n_disorder)
     r1s = np.empty(n_disorder)
-    draws = _log_weights(table, slice(None), lam, n_disorder, _sampled_draws(p, n, lam, seed))
+    draws = _log_weights(table, None, lam, n_disorder, _sampled_draws(p, n, lam, seed))
     for k, (spike, a) in enumerate(draws):
         post = np.exp(a - _logsumexp(a))
         r12[k] = float(((post @ table.X) ** 2).mean())
-        r1s[k] = float(post @ np.round(table.X @ spike / n, 9))
+        r1s[k] = float(post @ _rounded_overlap(table.X, spike))
     diff = r12 - r1s
     delta = abs(float(diff.mean()))
     se = float(diff.std(ddof=1) / math.sqrt(n_disorder)) if n_disorder > 1 else 0.0

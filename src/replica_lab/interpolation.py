@@ -19,8 +19,9 @@ so slope estimates are paired.
 
 The matrix part of -H_t is the original Hamiltonian at effective SNR
 t*lambda: the finite-size energy kernel's parts, computed for a block of
-draws at once over rows chosen once (a fixed spike's window, or every row)
-and recombined at each t one draw at a time; a window that follows a
+draws at once over rows chosen once (a fixed spike's window or every row,
+and for a resampled spike only the representatives of a sign-symmetric
+table) and recombined at each t one draw at a time; a window that follows a
 resampled spike masks each draw's own rows before the log-sum-exp.  At t = 1
 the side coefficients are exact zeros, so phi(1) reproduces the plain
 free-entropy estimator bit for bit on shared seeds.  h_t evaluates the
@@ -49,6 +50,7 @@ from .finite import (
     _potential_setup,
     _sampled_draws,
     _triu,
+    _window_index,
     McEstimate,
     derive_seed,
     fp_potential,
@@ -138,9 +140,19 @@ def _phi_t_draws(
     otherwise (the fixed-spike potential of the upper-bound argument).
     Disorder (W, z) is drawn once per replica and shared across every t.
     One loop walks the draws of finite._draw_parts over the rows chosen once:
-    a fixed spike's window rows, or every row for a resampled spike, whose
-    window then keeps each draw's own rows.  A draw with no row in its window
+    a fixed spike's window rows, or every row, whose window for a resampled
+    spike then keeps each draw's own rows.  A draw with no row in its window
     gets -inf.
+
+    The side term splits into an even part, -(1-t) r/2 sum_i x_i^2, which
+    joins the log prior mass and the matrix energy, and an odd part,
+    sqrt((1-t) r) z.x + (1-t) s x*.x, formed for every t at once as one
+    (T, n) @ (n, rows) product per draw.  For a resampled spike the rows are
+    the table's representatives, and a mirror row's value is its
+    representative's even part minus its odd part (a fixed spike prices its
+    rows directly, with no mirrors).  At t = 1 the side coefficients are
+    exact zeros, so phi(1) equals the plain free-entropy estimator bit for
+    bit.
     """
     if not (math.isfinite(q) and q >= 0):
         raise DomainError(f"q must be finite and >= 0, got {q}")
@@ -153,25 +165,27 @@ def _phi_t_draws(
     r = lam * q
     s = lam * m
     if spike is None:
-        rows, draw = slice(None), _sampled_draws(p, n, lam, seed)
+        rows, mirrors, draw = slice(None, table.reps), table.mirrors, _sampled_draws(p, n, lam, seed)
     else:
         rows = slice(None) if restricted is None else _overlap_window(table.X, spike, *restricted)
-        draw = _fixed_spike_draws(spike, seed)
+        mirrors, draw = 0, _fixed_spike_draws(spike, seed)
     x, logw, pairsq, sumsq = table.X[rows], table.logw[rows], table.pairsq[rows], table.sumsq[rows]
+    t = np.array(t_values)
+    side_z, side_s, side_sq = np.sqrt((1.0 - t) * r), (1.0 - t) * s, (1.0 - t) * r / 2.0
     per_draw_window = spike is None and restricted is not None
-    out = np.empty((n_disorder, len(t_values)))
+    out = np.empty((n_disorder, t.size))
     for k, (spike_k, parts) in enumerate(_draw_parts(x, n_disorder, draw)):
-        keep = _overlap_window(x, spike_k, *restricted) if per_draw_window else slice(None)
+        keep = slice(None)
+        if per_draw_window:
+            overlap = x @ spike_k / n
+            keep = _window_index(np.concatenate([overlap, -overlap[:mirrors]]), *restricted) == 0
         z = np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
-        xz = x @ z
-        xsp = x @ spike_k
-        for c, t in enumerate(t_values):
-            side = (
-                math.sqrt((1.0 - t) * r) * xz
-                + (1.0 - t) * s * xsp
-                - (1.0 - t) * r / 2.0 * sumsq
-            )
-            a = logw + _neg_energy(parts, pairsq, t * lam, n) + side
+        odd = (side_z[:, None] * z + side_s[:, None] * spike_k) @ x.T
+        for c in range(t.size):
+            even = logw + _neg_energy(parts, pairsq, t[c] * lam, n) - side_sq[c] * sumsq
+            a = even + odd[c]
+            if mirrors:
+                a = np.concatenate([a, even[:mirrors] - odd[c, :mirrors]])
             out[k, c] = _logsumexp(a[keep]) / n
     return out
 

@@ -28,7 +28,7 @@ from replica_lab import (
     sample_instance,
     sample_spike,
 )
-from replica_lab import finite, kl_log_likelihood_ratios, parse_prior_spec
+from replica_lab import finite, kl_log_likelihood_ratios, parse_prior_spec, rs
 from replica_lab.finite import enumeration_table, instance_from_parts
 from replica_lab.verify import kl_identity_check
 from replica_lab.priors import asymmetric_binary_prior, point_mass_prior
@@ -301,6 +301,73 @@ class TestBatchedKernel:
             kl_log_likelihood_ratios([], p)
 
 
+class TestSignFold:
+    """A sign-symmetric prior's table in orbit order, priced on its representatives."""
+
+    SPECS = [("rademacher", 8), ("sparse:0.25", 6), ("uniform:21", 3), ("asym:0.7", 8), ("point:0.7", 6)]
+    SYMMETRIC = ("rademacher", "sparse:0.25", "uniform:21")
+    BLOCKINGS = [(6, None), (5, "small")]
+
+    @pytest.mark.parametrize("spec, n", SPECS)
+    def test_orbit_table(self, spec, n):
+        p = parse_prior_spec(spec)
+        table = enumeration_table(p, n)
+        rows = table.X.shape[0]
+        product = np.array(list(itertools.product(p.values, repeat=n)))
+        assert sorted(map(tuple, table.X)) == sorted(map(tuple, product))
+        h, m = table.reps, table.mirrors
+        if spec not in self.SYMMETRIC:
+            assert (h, m) == (rows, 0)
+            return
+        zero_row = 0.0 in p.values
+        assert h == m + zero_row and h + m == rows
+        # each mirror is its representative negated, with +0.0 for the zero atom
+        assert np.array_equal(table.X[h:], -table.X[:m])
+        assert not np.signbit(table.X[table.X == 0.0]).any()
+        lead = [row[np.flatnonzero(row)[0]] for row in table.X[:m]]
+        assert min(lead) > 0.0
+        if zero_row:
+            assert not table.X[m].any()
+        for arr in (table.logw, table.pairsq, table.sumsq):
+            assert arr[h:].tobytes() == arr[:m].tobytes()
+
+    @pytest.mark.parametrize("spec, n", SPECS)
+    @pytest.mark.parametrize("draws, blocks", BLOCKINGS)
+    def test_matches_unfolded(self, monkeypatch, spec, n, draws, blocks):
+        p = parse_prior_spec(spec)
+        lam, seed = 2.0, 23
+        if blocks == "small":
+            monkeypatch.setattr(finite, "_BLOCK_VALUES", 2 * enumeration_table(p, n).X.shape[0] + 1)
+        insts = [sample_instance(p, n, lam, derive_seed(seed, k)) for k in range(draws)]
+
+        def run():
+            est = free_entropy_mc(p, n, lam, draws, seed)
+            rep = nishimori_check(p, n, lam, draws, seed)
+            llr, log_z = kl_log_likelihood_ratios(insts, p)
+            return est, rep.params, llr, log_z
+
+        est, nish, llr, log_z = run()
+        monkeypatch.setattr(rs, "_sign_symmetric", lambda p: False)
+        assert enumeration_table(p, n).mirrors == 0
+        est_u, nish_u, llr_u, log_z_u = run()
+        assert abs(est.mean - est_u.mean) <= 1e-13 * abs(est_u.mean)
+        assert abs(est.stderr - est_u.stderr) <= 1e-13 * abs(est_u.stderr) + 1e-16
+        assert np.all(np.abs(llr - llr_u) <= 1e-13 * np.abs(llr_u))
+        assert np.all(np.abs(log_z - log_z_u) <= 1e-13 * np.abs(log_z_u))
+        for key in ("mean_r12", "mean_r1s"):
+            if spec in self.SYMMETRIC:
+                assert abs(nish[key]) <= 1e-15 and abs(nish_u[key]) <= 1e-15, (key, nish, nish_u)
+            else:
+                assert abs(nish[key] - nish_u[key]) <= 1e-13 * abs(nish_u[key]), key
+
+    def test_overlap_law_has_no_negative_zero(self):
+        # a tiny negative overlap rounded to 9 digits is -0.0 unless normalized
+        p = parse_prior_spec("uniform:21")
+        for seed in range(30):
+            law = log_partition_exact(sample_instance(p, 3, 1.5, seed), p).overlap_law
+            assert not any(v == 0.0 and math.copysign(1.0, v) < 0 for v, _ in law), seed
+
+
 class TestKlIdentity:
     def test_zero_snr(self, priors):
         inst = sample_instance(priors["rademacher"], 8, 0.0, 3)
@@ -398,6 +465,19 @@ class TestFpPotential:
                     # the profile's reduceat log-sum-exp and _logsumexp differ in the last bit
                     assert prof[l].mean == pytest.approx(single.mean, abs=1e-12)
             assert set(prof) <= set(range(-reach, reach + 1))
+
+    def test_profile_refuses_inexact_window_indices(self, priors):
+        # K^2 / eps above 2**53: the int64 window labels would overflow
+        p = priors["rademacher"]
+        with pytest.raises(InvalidArgumentError, match="eps must be >= K"):
+            fp_profile(p, 6, 2.0, 1e-20, np.ones(6), 2, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            finest = fp_profile(p, 6, 2.0, 2.0**-53, np.ones(6), 2, 1)
+        coarse = fp_profile(p, 6, 2.0, 1e-3, np.ones(6), 2, 1)
+        assert len(finest) == len(coarse) == 7  # one window per overlap k/3, k = -3..3
+        for (_, a), (_, b) in zip(finest, coarse):
+            assert a.mean == pytest.approx(b.mean, abs=1e-12)
 
     def test_extreme_window_is_empty_and_silent(self, priors):
         with warnings.catch_warnings():

@@ -17,6 +17,7 @@ from replica_lab import (
     guerra_slope_check,
     h_t,
     hamiltonian,
+    parse_prior_spec,
     phi_of_t,
     psi,
     sample_instance,
@@ -24,9 +25,11 @@ from replica_lab import (
     second_moment,
     support_bound,
 )
+from replica_lab import finite, rs
 from replica_lab.channel import psi_hat_array
 from replica_lab.rs import _f_bar_grad, f_hat
-from replica_lab.finite import instance_from_parts
+from replica_lab.finite import enumeration_table, instance_from_parts
+from replica_lab.interpolation import DEFAULT_T_GRID, _phi_t_draws
 
 
 class TestAugmentedInstance:
@@ -197,6 +200,50 @@ class TestPhiOfT:
             top = max(exps)
             vals.append((top + math.log(sum(math.exp(e - top) for e in exps))) / n)
         assert est.mean == pytest.approx(float(np.mean(vals)), abs=1e-12)
+
+
+class TestSignFold:
+    """The path priced on a sign-symmetric table's representatives agrees with the unfolded path."""
+
+    SPECS = [("rademacher", 8), ("sparse:0.25", 6), ("uniform:21", 3), ("asym:0.7", 8), ("point:0.7", 6)]
+    BLOCKINGS = [(6, None), (5, "small")]
+
+    @staticmethod
+    def _close(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        finite_ = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite_)
+        assert np.array_equal(got[~finite_], want[~finite_])
+        assert np.all(np.abs(got[finite_] - want[finite_]) <= 1e-13 * np.abs(want[finite_]))
+
+    @pytest.mark.parametrize("spec, n", SPECS)
+    @pytest.mark.parametrize("draws, blocks", BLOCKINGS)
+    def test_matches_unfolded(self, monkeypatch, spec, n, draws, blocks):
+        p = parse_prior_spec(spec)
+        lam, q, m, seed = 2.0, 0.5, 0.3, 41
+        if blocks == "small":
+            monkeypatch.setattr(finite, "_BLOCK_VALUES", 2 * enumeration_table(p, n).X.shape[0] + 1)
+
+        def run():
+            return (
+                _phi_t_draws(p, n, lam, q, m, DEFAULT_T_GRID, draws, seed),
+                _phi_t_draws(p, n, lam, q, m, DEFAULT_T_GRID, draws, seed, restricted=(-0.25, 0.75)),
+                guerra_slope_check(p, n, lam, q, n_disorder=draws, seed=seed).params["min_slope"],
+                phi_of_t(p, n, lam, q, m, 0.4, draws, seed, restricted=(0.0, 0.5)).mean,
+            )
+
+        folded = run()
+        monkeypatch.setattr(rs, "_sign_symmetric", lambda p: False)
+        assert enumeration_table(p, n).mirrors == 0
+        for got, want in zip(folded, run()):
+            self._close(got, want)
+
+    @pytest.mark.parametrize("spec, n", SPECS)
+    def test_t_one_reproduces_free_entropy_estimator(self, spec, n):
+        p = parse_prior_spec(spec)
+        est_f = free_entropy_mc(p, n, 2.0, 12, 123)
+        est_p = phi_of_t(p, n, 2.0, 0.7, 0.3, 1.0, 12, 123)
+        assert (est_p.mean, est_p.stderr) == (est_f.mean, est_f.stderr)
 
 
 class TestGuerraSlope:

@@ -193,9 +193,12 @@ class EnumTable:
     def mirrors(self) -> int:
         return self.X.shape[0] - self.reps
 
-    def unfold(self, a: np.ndarray) -> np.ndarray:
-        """An even per-row array over every row from its values on rows [:reps]."""
-        return np.concatenate([a, a[: self.mirrors]]) if self.mirrors else a
+    def unfold(self, a: np.ndarray, odd: bool = False) -> np.ndarray:
+        """A per-row array over every row from its values on rows [:reps]:
+        the mirrors repeat an even one and negate an odd one."""
+        if not self.mirrors:
+            return a
+        return np.concatenate([a, -a[: self.mirrors] if odd else a[: self.mirrors]])
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,7 @@ def _enum_table(atoms: tuple, n: int, symmetric: bool) -> EnumTable:
     # in the last bit between equal values at different positions).
     sumsq = (x[:reps] ** 2).sum(axis=1)
     even = (logw[digits[:reps]].sum(axis=1), 0.5 * (sumsq**2 - (x[:reps] ** 4).sum(axis=1)), sumsq)
-    logw_cfg, pairsq, sumsq = (np.concatenate([a, a[: x.shape[0] - reps]]) for a in even)
+    logw_cfg, pairsq, sumsq = (np.concatenate([v, v[: x.shape[0] - reps]]) for v in even)
     for arr in (x, logw_cfg, pairsq, sumsq):
         arr.setflags(write=False)
     return EnumTable(X=x, logw=logw_cfg, pairsq=pairsq, sumsq=sumsq, reps=reps)
@@ -344,9 +347,9 @@ def _overlap_window(x: np.ndarray, spike: np.ndarray, m: float, eps: float) -> n
     return _window_index(x @ spike / spike.size, m, eps) == 0
 
 
-def _rounded_overlap(x: np.ndarray, spike: np.ndarray) -> np.ndarray:
-    """R_{1,*} of the rows of x rounded to 9 digits, a rounded -0.0 read as 0.0."""
-    return np.round(x @ spike / spike.size, 9) + 0.0
+def _rounded_overlap(table: EnumTable, spike: np.ndarray) -> np.ndarray:
+    """R_{1,*} of every row rounded to 9 digits, a rounded -0.0 read as 0.0."""
+    return table.unfold(np.round(table.X[: table.reps] @ spike / spike.size, 9), odd=True) + 0.0
 
 
 def _fixed_spike_noise(n: int, seed: int) -> np.ndarray:
@@ -365,7 +368,7 @@ def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BU
     table = enumeration_table(p, inst.n, budget)
     _, a = next(_log_weights(table, None, inst.lam, 1, lambda k: (inst.spike, inst.noise)))
     log_z = _logsumexp(a)
-    overlap = _rounded_overlap(table.X, inst.spike)
+    overlap = _rounded_overlap(table, inst.spike)
     vals, inv = np.unique(overlap, return_inverse=True)
     mass = np.bincount(inv, weights=np.exp(a - log_z))
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]
@@ -581,7 +584,7 @@ def nishimori_check(
     for k, (spike, a) in enumerate(draws):
         post = np.exp(a - _logsumexp(a))
         r12[k] = float(((post @ table.X) ** 2).mean())
-        r1s[k] = float(post @ _rounded_overlap(table.X, spike))
+        r1s[k] = float(post @ _rounded_overlap(table, spike))
     diff = r12 - r1s
     delta = abs(float(diff.mean()))
     se = float(diff.std(ddof=1) / math.sqrt(n_disorder)) if n_disorder > 1 else 0.0

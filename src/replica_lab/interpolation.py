@@ -177,8 +177,7 @@ def _phi_t_draws(
     for k, (spike_k, parts) in enumerate(_draw_parts(x, n_disorder, draw)):
         keep = slice(None)
         if per_draw_window:
-            overlap = x @ spike_k / n
-            keep = _window_index(np.concatenate([overlap, -overlap[:mirrors]]), *restricted) == 0
+            keep = _window_index(table.unfold(x @ spike_k / n, odd=True), *restricted) == 0
         z = np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
         odd = (side_z[:, None] * z + side_s[:, None] * spike_k) @ x.T
         for c in range(t.size):

@@ -211,10 +211,10 @@ class TestSignFold:
     @staticmethod
     def _close(got, want):
         got, want = np.asarray(got), np.asarray(want)
-        finite_ = np.isfinite(want)
-        assert np.array_equal(np.isfinite(got), finite_)
-        assert np.array_equal(got[~finite_], want[~finite_])
-        assert np.all(np.abs(got[finite_] - want[finite_]) <= 1e-13 * np.abs(want[finite_]))
+        real = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), real)
+        assert np.array_equal(got[~real], want[~real])
+        assert np.all(np.abs(got[real] - want[real]) <= 1e-13 * np.abs(want[real]))
 
     @pytest.mark.parametrize("spec, n", SPECS)
     @pytest.mark.parametrize("draws, blocks", BLOCKINGS)

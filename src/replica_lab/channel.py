@@ -36,6 +36,7 @@ accepts 2 to MAX_NODE_COUNT nodes, which bounds the dense Jacobi matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -154,25 +155,34 @@ def _atom_sum(e: np.ndarray) -> np.ndarray:
 
 
 def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
-    """(shape, log-sums, moments): the blocked kernel behind psi_hat.
+    """(r, log-sums, moments): the blocked kernel behind psi_hat.
 
-    For the broadcast points of r and s, the (points, nodes) table of
-    log sum_x w(x) exp(sqrt(r) z x + s x - (r/2) x^2) and, with moments, the
-    (2, points, nodes) posterior moments <x> and <x^2> at each node.  The
-    points are walked in blocks of about 2**16 / (atoms * nodes), each holding
-    one (points, nodes) exponent plane per atom, so the working set stays near
-    512 KB; only the output tables grow with the input.  The log-sum over
-    atoms subtracts the per-z maximum exponent before exponentiating, so large
-    r and s are safe.  The arithmetic, including the order of the atom sum, is
-    that of a direct broadcast over (points, nodes, atoms), so results do not
-    depend on the block size.
+    For the broadcast points of r and s (r comes back broadcast), the
+    (points, nodes) table of log sum_x w(x) exp(sqrt(r) z x + s x - (r/2) x^2)
+    and, with moments, the (2, points, nodes) posterior moments <x> and <x^2>
+    at each node.  The points are walked in blocks of about
+    2**16 / (atoms * nodes), each holding one (points, nodes) exponent plane
+    per atom, so the working set stays near 512 KB; only the output tables
+    grow with the input.  The log-sum over atoms subtracts the per-z maximum
+    exponent before exponentiating, so large r and s are safe.  The
+    arithmetic, including the order of the atom sum, is that of a direct
+    broadcast over (points, nodes, atoms), so results do not depend on the
+    block size, and a small call (psi_prime's two or three points) runs the
+    same arithmetic as a large one, paying its fixed cost once: r and s are
+    broadcast only when their shapes differ, the atom constants are built
+    before the block loop.  The one batch-dependent contraction is
+    psi_bar_array's final gemv vals @ p.weights, left as it is because every
+    phi_rs, state-evolution and saddle value rests on its bits.
     """
     r = np.asarray(r, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-    r_b, s_b = np.broadcast_arrays(r, s)
-    shape = r_b.shape
-    r_col = r_b.reshape(-1, 1)
-    s_col = s_b.reshape(-1, 1)
+    if r.shape != s.shape:
+        # copied out to the common shape, at a third of np.broadcast_arrays' cost
+        r_b, s_b = np.empty((2,) + np.broadcast(r, s).shape)
+        r_b[...], s_b[...] = r, s
+        r, s = r_b, s_b
+    r_col = r.reshape(-1, 1)
+    s_col = s.reshape(-1, 1)
     z = ev.nodes  # (G,)
     v = p.values[:, None, None]  # (A, 1, 1)
     v_sq = v**2
@@ -181,6 +191,7 @@ def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
     rows = max(1, _BLOCK_VALUES // (n_atoms * n_nodes))
     inner = np.empty((n_points, n_nodes))
     tables = np.empty((2, n_points, n_nodes)) if moments else None
+    powers = np.array([p.values, p.values**2]) if moments else None  # rows [v; v^2]
     buf = np.empty(n_atoms * min(rows, n_points) * n_nodes)
     for i in range(0, n_points, rows):
         rr = r_col[i : i + rows]
@@ -197,17 +208,19 @@ def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
         np.exp(e, out=e)
         total = _atom_sum(e)
         if moments:
-            np.divide(np.tensordot([p.values, p.values**2], e, 1), total, out=tables[:, i : i + rows])
+            # the dot that np.tensordot(powers, e, 1) makes, without its overhead
+            moment = np.dot(powers, e.reshape(n_atoms, -1)).reshape(2, rr.shape[0], n_nodes)
+            np.divide(moment, total, out=tables[:, i : i + rows])
         block = np.log(total, out=inner[i : i + rows])
         block += m
-    return shape, inner, tables
+    return r, inner, tables
 
 
 def psi_hat_array(ev: ChannelEvaluator | None, p: Prior, r, s) -> np.ndarray:
     """Vectorized psi_hat over broadcastable nonnegative r and real s (see _node_tables)."""
     ev = _resolve(ev)
-    shape, inner, _ = _node_tables(ev, p, r, s)
-    return inner.reshape(shape + (ev.nodes.size,)) @ ev.weights
+    r, inner, _ = _node_tables(ev, p, r, s)
+    return inner.reshape(r.shape + (ev.nodes.size,)) @ ev.weights
 
 
 def psi_hat_grad(ev: ChannelEvaluator | None, p: Prior, r, s):
@@ -226,38 +239,49 @@ def psi_hat_grad(ev: ChannelEvaluator | None, p: Prior, r, s):
     derivative they miss.
     """
     ev = _resolve(ev)
-    shape, inner, (mean, sq) = _node_tables(ev, p, r, s, moments=True)
-    full = shape + (ev.nodes.size,)
+    r_b, inner, (mean, sq) = _node_tables(ev, p, r, s, moments=True)
+    full = r_b.shape + (ev.nodes.size,)
     d_s = mean.reshape(full) @ ev.weights
-    r_b = np.broadcast_to(np.asarray(r, dtype=np.float64), shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_r = (mean * ev.nodes).reshape(full) @ ev.weights / (2.0 * np.sqrt(r_b))
+    # the first sum is divided only where it is kept, so r = 0 divides by nothing
+    d_r = (mean * ev.nodes).reshape(full) @ ev.weights / (2.0 * np.sqrt(np.maximum(r_b, _R_LIMIT)))
     d_r = np.where(r_b > _R_LIMIT, d_r - 0.5 * (sq.reshape(full) @ ev.weights), -0.5 * d_s**2)
     return inner.reshape(full) @ ev.weights, d_r, d_s
 
 
-def _check_r(r) -> None:
-    if np.any(np.asarray(r) < 0):
-        raise DomainError(f"r must be >= 0, got {r}")
+def _check_r(r) -> float:
+    """r as a float; DomainError unless it is finite and >= 0."""
+    r = float(r)
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"r must be finite and >= 0, got {r}")
+    return r
+
+
+def _check_s(s) -> float:
+    """s as a float; DomainError unless it is finite."""
+    s = float(s)
+    if not -math.inf < s < math.inf:
+        raise DomainError(f"s must be finite, got {s}")
+    return s
 
 
 def psi_hat(ev: ChannelEvaluator | None, p: Prior, r: float, s: float) -> float:
     """psi_hat(r, s) = E_z log int exp(sqrt(r) z x + s x - (r/2) x^2) dP(x)."""
-    _check_r(r)
-    return float(psi_hat_array(ev, p, float(r), float(s)))
+    return float(psi_hat_array(ev, p, _check_r(r), _check_s(s)))
 
 
 def psi_bar_array(ev: ChannelEvaluator | None, p: Prior, r, s) -> np.ndarray:
     """Vectorized psi_bar(r, s) = sum_{x*} w(x*) psi_hat(r, s * x*)."""
-    r_b, s_b = np.broadcast_arrays(r, s)
-    vals = psi_hat_array(ev, p, r_b[..., None], s_b[..., None] * p.values)
+    r = np.asarray(r, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    # (points, atoms) tables of equal shape, which the kernel need not broadcast
+    r_t = np.repeat(r[..., None], p.values.size, axis=-1) if r.shape == s.shape else r[..., None]
+    vals = psi_hat_array(ev, p, r_t, s[..., None] * p.values)
     return vals @ p.weights
 
 
 def psi_bar(ev: ChannelEvaluator | None, p: Prior, r: float, s: float) -> float:
     """psi_bar(r, s) = E_{x*} psi_hat(r, s x*) with x* drawn from the prior."""
-    _check_r(r)
-    return float(psi_bar_array(ev, p, float(r), float(s)))
+    return float(psi_bar_array(ev, p, _check_r(r), _check_s(s)))
 
 
 def psi_array(ev: ChannelEvaluator | None, p: Prior, r) -> np.ndarray:
@@ -270,8 +294,7 @@ def psi(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
 
     Equals psi_bar(r, r): the planted tilt is s = r x* averaged over x*.
     """
-    _check_r(r)
-    return float(psi_array(ev, p, float(r)))
+    return float(psi_array(ev, p, _check_r(r)))
 
 
 def psi_prime(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
@@ -281,19 +304,17 @@ def psi_prime(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
     central stencil would need r < 0.  Accuracy ~1e-9, ample for the fixed
     point iteration q <- 2 psi'(lambda q).
     """
-    _check_r(r)
-    r = float(r)
+    r = _check_r(r)
     h = max(1e-6, 1e-6 * r)
     if r >= h:
-        vals = psi_array(ev, p, np.array([r - h, r + h]))
-        return float((vals[1] - vals[0]) / (2.0 * h))
-    vals = psi_array(ev, p, np.array([r, r + h, r + 2.0 * h]))
-    return float((-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h))
+        lo, hi = psi_array(ev, p, np.array([r - h, r + h])).tolist()
+        return (hi - lo) / (2.0 * h)
+    v0, v1, v2 = psi_array(ev, p, np.array([r, r + h, r + 2.0 * h])).tolist()
+    return (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * h)
 
 
 def asymmetry_gap(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
     """psi_bar(r, r) - psi_bar(r, -r); nonnegative for every prior and r >= 0."""
-    _check_r(r)
-    r = float(r)
-    vals = psi_bar_array(ev, p, np.array([r, r]), np.array([r, -r]))
-    return float(vals[0] - vals[1])
+    r = _check_r(r)
+    plus, minus = psi_bar_array(ev, p, np.array([r, r]), np.array([r, -r])).tolist()
+    return plus - minus

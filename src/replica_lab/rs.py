@@ -42,10 +42,11 @@ phi_rs and psi do not fold, although the same symmetry would halve their
 tilts: the benchmark's guerra_slope|2 item pins phi_rs(p, 2).optimizer_q to
 the last bit, and a fold moves its last bits.  psi_prime and state evolution
 do not fold because it would not pay: an SE iteration prices two or three
-points and costs 85-110 us for the two- and three-atom catalog priors, mostly
-per-call overhead, and folding inside psi_prime (the folded law re-derived per
-call, as _planted_law does) made it 1-19 us slower; only uniform:21 gained
-(510 -> 360 us).  Measured at 61 nodes on a 2-CPU Xeon, numpy 2.4.
+points and costs 30-50 us for the two- and three-atom catalog priors, most of
+it the kernel's own arithmetic, and folding inside psi_prime (the folded law
+re-derived per call, as _planted_law does) made it 10-24 us slower for the
+sign-symmetric ones and moved rademacher's psi' by 2e-11; only uniform:21
+gained (about 380 -> 220 us).  Measured at 61 nodes on a 2-CPU Xeon, numpy 2.4.
 """
 
 from __future__ import annotations
@@ -162,6 +163,16 @@ def _check_lambda(lam: float):
         raise DomainError(f"lambda must be finite and >= 0, got {lam}")
 
 
+def _check_q(q: float):
+    if not 0.0 <= q < math.inf:
+        raise DomainError(f"q must be finite and >= 0, got {q}")
+
+
+def _check_m(m: float):
+    if not math.isfinite(m):
+        raise DomainError(f"m must be finite, got {m}")
+
+
 # ----------------------------------------------------------------------
 # RS potential and its supremum
 # ----------------------------------------------------------------------
@@ -169,8 +180,7 @@ def _check_lambda(lam: float):
 def rs_potential(p: Prior, lam: float, q: float, ev: ChannelEvaluator | None = None) -> float:
     """F(lambda, q) = psi(lambda q) - lambda q^2 / 4."""
     _check_lambda(lam)
-    if q < 0:
-        raise DomainError(f"q must be >= 0, got {q}")
+    _check_q(q)
     return float(psi_array(ev, p, lam * q)) - lam * q * q / 4.0
 
 
@@ -257,8 +267,8 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
 def f_bar(p: Prior, lam: float, m: float, q: float, ev: ChannelEvaluator | None = None) -> float:
     """F_bar(lambda, m, q) = psi_bar(lambda q, lambda m) - lambda m^2/2 + lambda q^2/4."""
     _check_lambda(lam)
-    if q < 0:
-        raise DomainError(f"q must be >= 0, got {q}")
+    _check_m(m)
+    _check_q(q)
     return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p))[0])
 
 
@@ -268,8 +278,8 @@ def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator 
     This is F_bar with x* drawn from the spike's empirical law.
     """
     _check_lambda(lam)
-    if q < 0:
-        raise DomainError(f"q must be >= 0, got {q}")
+    _check_m(m)
+    _check_q(q)
     spike = np.asarray(spike, dtype=np.float64)
     values, counts = np.unique(spike, return_counts=True)
     return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p, (values, counts / spike.size)))[0])
@@ -304,7 +314,8 @@ def _f_bar_grad(p: Prior, lam: float, m, q, ev, law):
     or not, the result is the same up to rounding.
     """
     values, weights = law
-    m, q = np.broadcast_arrays(np.asarray(m, dtype=np.float64), np.asarray(q, dtype=np.float64))
+    m, q = np.asarray(m, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    # the kernel broadcasts r against s; the terms below broadcast to its shape
     val, d_r, d_s = psi_hat_grad(ev, p, lam * q[..., None], (lam * m)[..., None] * values)
     value = val @ weights - lam * m * m / 2.0 + lam * q * q / 4.0
     d_m = lam * (d_s @ (weights * values)) - lam * m
@@ -396,10 +407,11 @@ def f_bar_inner_min(
     motivates the default search ceiling q_max = E[X^2] + 1.
     """
     _check_lambda(lam)
-    if not math.isfinite(m):
-        raise DomainError(f"m must be finite, got {m}")
+    _check_m(m)
     if q_max is None:
         q_max = second_moment(p) + 1.0
+    elif not 0.0 < q_max < math.inf:
+        raise DomainError(f"q_max must be finite and > 0, got {q_max}")
     q_bar, value, _ = _inner_min(p, lam, np.array([float(m)]), q_max, ev)
     return float(q_bar[0]), float(value[0])
 

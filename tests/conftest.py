@@ -24,6 +24,31 @@ def priors():
     return standard_priors()
 
 
+def broadcast_psi_hat(ev, p, r, s):
+    """Reference kernel: one (..., G, A) broadcast with the atom axis last."""
+    r = np.asarray(r, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    r_b, s_b = np.broadcast_arrays(r, s)
+    z = ev.nodes
+    v = p.values
+    lw = p.log_weights
+    a = (
+        np.sqrt(r_b)[..., None, None] * z[:, None] * v[None, :]
+        + s_b[..., None, None] * v[None, :]
+        - 0.5 * r_b[..., None, None] * v[None, :] ** 2
+        + lw[None, :]
+    )
+    m = a.max(axis=-1)
+    inner = m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
+    return inner @ ev.weights
+
+
+def broadcast_psi(ev, p, r):
+    """Reference psi(r): psi_hat at the tilts r x* from broadcast_psi_hat, averaged over x*."""
+    r = np.asarray(r, dtype=np.float64)
+    return broadcast_psi_hat(ev, p, r[..., None], r[..., None] * p.values) @ p.weights
+
+
 def mc_log_expectation(fn, n_samples=10**7, seed=0, chunk=10**6):
     """(mean, stderr) of fn(z) over z ~ N(0,1), chunked to bound memory."""
     rng = np.random.default_rng(seed)

@@ -33,7 +33,7 @@ from replica_lab.priors import (
     rademacher_prior,
 )
 
-from conftest import mc_log_cosh, mc_psi_bar
+from conftest import broadcast_psi, broadcast_psi_hat, mc_log_cosh, mc_psi_bar
 
 
 class TestEvaluator:
@@ -125,31 +125,16 @@ class TestPsiHat:
             psi_hat(ev, priors["rademacher"], -0.1, 0.0)
 
 
-def _broadcast_psi_hat(ev, p, r, s):
-    """Reference kernel: one (..., G, A) broadcast with the atom axis last."""
-    r = np.asarray(r, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    r_b, s_b = np.broadcast_arrays(r, s)
-    z = ev.nodes
-    v = p.values
-    lw = p.log_weights
-    a = (
-        np.sqrt(r_b)[..., None, None] * z[:, None] * v[None, :]
-        + s_b[..., None, None] * v[None, :]
-        - 0.5 * r_b[..., None, None] * v[None, :] ** 2
-        + lw[None, :]
-    )
-    m = a.max(axis=-1)
-    inner = m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
-    return inner @ ev.weights
-
-
 class TestBlockedKernel:
     """psi_hat_array is bit-identical to the broadcast reference.
 
     Atom counts cover numpy's three summation regimes (under 8 terms, 8 to
     128, above 128); the call shapes are those of psi_hat, psi and psi_bar,
-    a saddle-table chunk spanning many blocks, and a general broadcast.
+    a saddle-table chunk spanning many blocks, a general broadcast, and the
+    small calls: psi_prime's two- and three-point stencils (r of shape
+    (k, 1) against s of shape (k, atoms)).  psi_array on the stencils and
+    on a 0-d r, and psi_hat_grad's value on every case, are held to the
+    same reference.
     """
 
     @pytest.mark.parametrize("nodes", [61, 121])
@@ -175,9 +160,20 @@ class TestBlockedKernel:
             ),
             "broadcast_5x7": (rng.uniform(0.0, 20.0, (5, 7)), rng.normal(0.0, 5.0, 7)),
         }
+        # psi_prime's stencils at r = 1.3 (central) and r = 0 (one-sided)
+        stencils = {"central": np.array([1.3 - 1.3e-6, 1.3 + 1.3e-6]), "one_sided": np.array([0.0, 1e-6, 2e-6])}
+        for name, x in stencils.items():
+            cases[name] = (x[:, None], x[:, None] * p.values)
         for name, (r, s) in cases.items():
-            want = _broadcast_psi_hat(e, p, r, s)
+            want = broadcast_psi_hat(e, p, r, s)
             got = psi_hat_array(e, p, r, s)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want), name
+            assert np.array_equal(got, want), (name, float(np.max(np.abs(got - want))))
+            value = psi_hat_grad(e, p, r, s)[0]
+            assert np.shape(value) == np.shape(want) and np.array_equal(value, want), name
+        for name, x in dict(stencils, zero_d=np.float64(1.7)).items():
+            want = broadcast_psi(e, p, x)
+            got = psi_array(e, p, x)
             assert type(got) is type(want) and np.shape(got) == np.shape(want), name
             assert np.array_equal(got, want), (name, float(np.max(np.abs(got - want))))
 
@@ -413,14 +409,24 @@ class TestScalarEntries:
         assert out.stderr == ""
 
     def test_reject_negative_r(self, priors):
+        # r must be finite and >= 0 in every scalar entry, s finite in psi_hat
+        # and psi_bar; a NaN or infinity once came back as nan
         p = priors["asym:0.7"]
-        for call in (
-            lambda: psi_hat(None, p, -1e-12, 0.5),
-            lambda: psi_bar(None, p, -0.5, 0.5),
-            lambda: psi(None, p, -2.0),
-        ):
-            with pytest.raises(DomainError):
-                call()
+        nan, inf = float("nan"), float("inf")
+        for r in (-1e-12, -0.5, -2.0, nan, inf, -inf):
+            for call in (
+                lambda: psi_hat(None, p, r, 0.5),
+                lambda: psi_bar(None, p, r, 0.5),
+                lambda: psi(None, p, r),
+                lambda: psi_prime(None, p, r),
+                lambda: asymmetry_gap(None, p, r),
+            ):
+                with pytest.raises(DomainError, match="r must be finite and >= 0"):
+                    call()
+        for s in (nan, inf, -inf):
+            for call in (lambda: psi_hat(None, p, 1.0, s), lambda: psi_bar(None, p, 1.0, s)):
+                with pytest.raises(DomainError, match="s must be finite"):
+                    call()
 
     @pytest.mark.parametrize("node_count", [None, 61, 121])
     def test_equal_array_kernels(self, priors, node_count):

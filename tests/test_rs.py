@@ -32,7 +32,7 @@ from replica_lab.priors import (
     sparse_rademacher_prior,
 )
 
-from conftest import mc_log_cosh, mc_psi_bar
+from conftest import broadcast_psi, mc_log_cosh, mc_psi_bar
 
 
 class TestRsPotential:
@@ -61,6 +61,30 @@ class TestRsPotential:
             rs_potential(p, 1.0, -0.5, ev)
         with pytest.raises(DomainError, match="m must be finite"):
             f_bar_inner_min(p, 2.0, float("nan"), ev)
+
+    def test_reject_non_finite(self, ev, priors):
+        # q and m must be finite and q_max finite and > 0; each of these once
+        # returned nan, died with an IndexError, or (q_max = -1) returned q = 0
+        p = priors["asym:0.7"]
+        nan, inf = float("nan"), float("inf")
+        spike = np.array([1.0, -1.0, 1.0])
+        for q in (nan, inf):
+            with pytest.raises(DomainError, match="q must be finite and >= 0"):
+                rs_potential(p, 1.0, q, ev)
+            with pytest.raises(DomainError, match="q must be finite and >= 0"):
+                f_bar(p, 1.0, 0.2, q, ev)
+            with pytest.raises(DomainError, match="q must be finite and >= 0"):
+                f_hat(p, 1.0, 0.2, q, spike, ev)
+        for m in (nan, inf, -inf):
+            with pytest.raises(DomainError, match="m must be finite"):
+                f_bar(p, 1.0, m, 0.3, ev)
+            with pytest.raises(DomainError, match="m must be finite"):
+                f_hat(p, 1.0, m, 0.3, spike, ev)
+        for q_max in (nan, inf, -inf, -1.0, 0.0):
+            with pytest.raises(DomainError, match="q_max must be finite and > 0"):
+                f_bar_inner_min(p, 1.0, 0.3, ev, q_max=q_max)
+        q_bar, _ = f_bar_inner_min(p, 1.0, 0.3, ev, q_max=0.5)
+        assert 0.0 <= q_bar <= 0.5
 
 
 def _tanh_fixed_point(lam, q0=0.9, tol=1e-12):
@@ -401,6 +425,31 @@ class TestStateEvolution:
             m2 = second_moment(p)
             assert all(-1e-12 <= q <= m2 + 1e-9 for q in tr.iterates)
             assert abs(tr.fixed_point - 2.0 * psi_prime(ev, p, lam * tr.fixed_point)) <= 1e-8
+
+    @pytest.mark.parametrize("lam", [0.74, 0.75])
+    def test_iterates_match_broadcast_reference(self, ev, lam):
+        # q <- 2 psi'(lambda q) with psi' from the broadcast reference kernel and
+        # psi_prime's stencils, bit for bit, on both sides of sparse:0.05's
+        # lambda_c (about 0.746), where the iteration is slow and reaches
+        # r = lambda q < 1e-6, the one-sided stencil's range
+        p = sparse_rademacher_prior(0.05)
+        m2 = second_moment(p)
+
+        def two_psi_prime(r):
+            h = max(1e-6, 1e-6 * r)
+            if r >= h:
+                lo, hi = broadcast_psi(ev, p, np.array([r - h, r + h])).tolist()
+                return 2.0 * ((hi - lo) / (2.0 * h))
+            v0, v1, v2 = broadcast_psi(ev, p, np.array([r, r + h, r + 2.0 * h])).tolist()
+            return 2.0 * ((-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * h))
+
+        for q0 in (1e-3, m2):
+            tr = state_evolution(p, lam, q0, 1e-8, 1000, ev)
+            want = [q0]
+            for _ in range(len(tr.iterates) - 1):
+                want.append(min(max(two_psi_prime(lam * want[-1]), 0.0), m2))
+            assert tr.converged and len(tr.iterates) > 20
+            assert tr.iterates == want, (lam, q0)
 
     def test_validation(self, ev, priors):
         with pytest.raises(InvalidArgumentError):

@@ -135,8 +135,8 @@ def _atom_sum(e: np.ndarray) -> np.ndarray:
     """
     n = e.shape[0]
     if n < 8:
-        acc = e[0].copy()
-        for x in e[1:]:
+        acc = e[0] + e[1] if n > 1 else e[0].copy()
+        for x in e[2:]:
             acc += x
         return acc
     if n <= 128:
@@ -274,7 +274,7 @@ def psi_bar_array(ev: ChannelEvaluator | None, p: Prior, r, s) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     # (points, atoms) tables of equal shape, which the kernel need not broadcast
-    r_t = np.repeat(r[..., None], p.values.size, axis=-1) if r.shape == s.shape else r[..., None]
+    r_t = r[..., None].repeat(p.values.size, axis=-1) if r.shape == s.shape else r[..., None]
     vals = psi_hat_array(ev, p, r_t, s[..., None] * p.values)
     return vals @ p.weights
 

@@ -161,7 +161,10 @@ class TestBlockedKernel:
             "broadcast_5x7": (rng.uniform(0.0, 20.0, (5, 7)), rng.normal(0.0, 5.0, 7)),
         }
         # psi_prime's stencils at r = 1.3 (central) and r = 0 (one-sided)
-        stencils = {"central": np.array([1.3 - 1.3e-6, 1.3 + 1.3e-6]), "one_sided": np.array([0.0, 1e-6, 2e-6])}
+        stencils = {
+            "central": np.array([1.3 - 1.3e-6, 1.3 + 1.3e-6]),
+            "one_sided": np.array([0.0, 1e-6, 2e-6]),
+        }
         for name, x in stencils.items():
             cases[name] = (x[:, None], x[:, None] * p.values)
         for name, (r, s) in cases.items():
@@ -409,8 +412,7 @@ class TestScalarEntries:
         assert out.stderr == ""
 
     def test_reject_negative_r(self, priors):
-        # r must be finite and >= 0 in every scalar entry, s finite in psi_hat
-        # and psi_bar; a NaN or infinity once came back as nan
+        # r must be finite and >= 0 in every scalar entry, s finite in psi_hat and psi_bar
         p = priors["asym:0.7"]
         nan, inf = float("nan"), float("inf")
         for r in (-1e-12, -0.5, -2.0, nan, inf, -inf):

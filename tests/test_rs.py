@@ -63,8 +63,7 @@ class TestRsPotential:
             f_bar_inner_min(p, 2.0, float("nan"), ev)
 
     def test_reject_non_finite(self, ev, priors):
-        # q and m must be finite and q_max finite and > 0; each of these once
-        # returned nan, died with an IndexError, or (q_max = -1) returned q = 0
+        # q and m must be finite, and q_max finite and > 0
         p = priors["asym:0.7"]
         nan, inf = float("nan"), float("inf")
         spike = np.array([1.0, -1.0, 1.0])

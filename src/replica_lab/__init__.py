@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .channel import (
     ChannelEvaluator,
     asymmetry_gap,
-    default_evaluator,
     make_evaluator,
     psi,
     psi_bar,

@@ -112,46 +112,13 @@ def make_evaluator(node_count: int = DEFAULT_NODE_COUNT) -> ChannelEvaluator:
     return ChannelEvaluator(nodes=nodes, weights=weights, node_count=int(node_count))
 
 
-def default_evaluator() -> ChannelEvaluator:
-    return make_evaluator(DEFAULT_NODE_COUNT)
-
-
 def _resolve(ev: ChannelEvaluator | None) -> ChannelEvaluator:
-    return ev if ev is not None else default_evaluator()
+    return ev if ev is not None else make_evaluator(DEFAULT_NODE_COUNT)
 
 
 # Exponent values held per block of psi_hat_array: 2**16 doubles (512 KB),
 # about 512 points of a two-atom prior at 61 nodes.
 _BLOCK_VALUES = 2**16
-
-
-def _atom_sum(e: np.ndarray) -> np.ndarray:
-    """e.sum(axis=0) in the order numpy's add.reduce sums a contiguous axis.
-
-    numpy adds fewer than 8 terms one after another, up to 128 terms in 8
-    interleaved partial sums combined pairwise, and more by halving at a
-    multiple of 8.  Following that order over the leading (atom) axis keeps
-    the result bit-identical to reducing a trailing atom axis.
-    """
-    n = e.shape[0]
-    if n < 8:
-        acc = e[0] + e[1] if n > 1 else e[0].copy()
-        for x in e[2:]:
-            acc += x
-        return acc
-    if n <= 128:
-        lanes = e[:8].copy()
-        for i in range(8, n - n % 8, 8):
-            lanes += e[i : i + 8]
-        acc = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
-            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
-        )
-        for x in e[n - n % 8 :]:
-            acc += x
-        return acc
-    half = n // 2
-    half -= half % 8
-    return _atom_sum(e[:half]) + _atom_sum(e[half:])
 
 
 def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
@@ -164,11 +131,12 @@ def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
     2**16 / (atoms * nodes), each holding one (points, nodes) exponent plane
     per atom, so the working set stays near 512 KB; only the output tables
     grow with the input.  The log-sum over atoms subtracts the per-z maximum
-    exponent before exponentiating, so large r and s are safe.  The
-    arithmetic, including the order of the atom sum, is that of a direct
-    broadcast over (points, nodes, atoms), so results do not depend on the
-    block size, and a small call (psi_prime's two or three points) runs the
-    same arithmetic as a large one, paying its fixed cost once: r and s are
+    exponent before exponentiating, so large r and s are safe.  The atom
+    planes are summed in storage order (atom 0, then 1, ...), which is how
+    numpy reduces the leading axis of a contiguous block with more than one
+    point x node, so every value is fixed per (point, node) and results do not
+    depend on the block size.  A small call (psi_prime's two or three points)
+    runs the same arithmetic as a large one, paying its fixed cost once: r and s are
     broadcast only when their shapes differ, the atom constants are built
     before the block loop.  The one batch-dependent contraction is
     psi_bar_array's final gemv vals @ p.weights, left as it is because every
@@ -206,7 +174,7 @@ def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
         m = np.maximum.reduce(e, axis=0)
         e -= m
         np.exp(e, out=e)
-        total = _atom_sum(e)
+        total = e.sum(axis=0)
         if moments:
             # the dot that np.tensordot(powers, e, 1) makes, without its overhead
             moment = np.dot(powers, e.reshape(n_atoms, -1)).reshape(2, rr.shape[0], n_nodes)

@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EnumerationBudgetError, InvalidArgumentError
+from .errors import DomainError, EnumerationBudgetError, InvalidArgumentError
 from .priors import Prior, prior_from_json, prior_to_json, support_bound
 from .report import VerificationReport
 from . import rs
@@ -64,6 +64,10 @@ DEFAULT_BUDGET = 2**20
 _BLOCK_VALUES = 2**20
 
 _MASK64 = (1 << 64) - 1
+
+# _check_energy_scale's bound: the squared deviations of per-draw values this
+# large, and their sums over draws, stay finite in a standard error
+_ENERGY_MAX = 1e150
 
 
 def derive_seed(master: int, *indices: int) -> int:
@@ -357,6 +361,22 @@ def _fixed_spike_noise(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(int(seed) & _MASK64).standard_normal(n * (n - 1) // 2)
 
 
+def _check_energy_scale(p: Prior, n: int, lam: float):
+    """DomainError unless (lambda + n) n K^4 <= _ENERGY_MAX, after the lambda check.
+
+    The table's pairsq and sumsq^2 reach n^2 K^4, and the energy's terms
+    (lambda/N) S and (lambda/2N) pairsq reach lambda n K^4.
+    """
+    rs._check_lambda(lam)
+    k = support_bound(p)
+    scale = (lam + n) * n * (k * k) * (k * k)
+    if not scale <= _ENERGY_MAX:
+        raise DomainError(
+            f"the energies reach (lambda + n) n K^4 = {scale:.3g}, above {_ENERGY_MAX:g} "
+            f"(lambda = {lam}, n = {n}, K = {k})"
+        )
+
+
 def _check_spike_in_support(p: Prior, spike: np.ndarray):
     if not np.isin(spike, p.values).all():
         raise InvalidArgumentError("spike entries must be atoms of the prior")
@@ -365,6 +385,7 @@ def _check_spike_in_support(p: Prior, spike: np.ndarray):
 def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
     """log Z by stable log-sum-exp over all configurations, with the overlap law."""
     _check_spike_in_support(p, inst.spike)
+    _check_energy_scale(p, inst.n, inst.lam)
     table = enumeration_table(p, inst.n, budget)
     _, a = next(_log_weights(table, None, inst.lam, 1, lambda k: (inst.spike, inst.noise)))
     log_z = _logsumexp(a)
@@ -411,8 +432,9 @@ def _mc_estimate(values: np.ndarray, seed: int, empty: bool = False) -> McEstima
 def free_entropy_mc(
     p: Prior, n: int, lam: float, n_disorder: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> McEstimate:
-    """F_N estimate: average of (1/N) log Z over independent instances."""
+    """F_N estimate: average of (1/N) log Z over independent instances (see _check_energy_scale)."""
     _check_disorder(n_disorder)
+    _check_energy_scale(p, n, lam)
     table = enumeration_table(p, n, budget)
     draws = _log_weights(table, None, lam, n_disorder, _sampled_draws(p, n, lam, seed))
     return _mc_estimate(np.array([_logsumexp(a) / n for _, a in draws]), seed)
@@ -440,6 +462,7 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
         raise InvalidArgumentError("instances must share n and lambda")
     for inst in instances:
         _check_spike_in_support(p, inst.spike)
+    _check_energy_scale(p, n, lam)
     table = enumeration_table(p, n, budget)
     count, rows = len(instances), table.reps
     x = table.X[:rows]
@@ -483,11 +506,11 @@ def _potential_setup(p: Prior, n: int, lam: float, window, spike, n_disorder: in
 
     A window (m, eps) has a finite start m and a finite width eps > 0; a
     fixed spike has length n and entries among the prior's atoms, and None
-    (a resampled spike) stays None.
+    (a resampled spike) stays None.  lambda and n pass _check_energy_scale.
     """
     if n < 2:
         raise InvalidArgumentError(f"need n >= 2, got {n}")
-    rs._check_lambda(lam)
+    _check_energy_scale(p, n, lam)
     if window is not None:
         m, eps = window
         if not math.isfinite(m):
@@ -577,6 +600,7 @@ def nishimori_check(
     disorder means with a paired standard error.
     """
     _check_disorder(n_disorder)
+    _check_energy_scale(p, n, lam)
     table = enumeration_table(p, n, budget)
     r12 = np.empty(n_disorder)
     r1s = np.empty(n_disorder)
@@ -605,7 +629,6 @@ def nishimori_check(
         slack=allowance - delta,
         stderr=se,
         allowance=allowance,
-        passed=bool(delta <= allowance),
     )
 
 

@@ -58,7 +58,7 @@ from .finite import (
 )
 from .priors import Prior, support_bound
 from .report import VerificationReport
-from .rs import _inner_min
+from .rs import _check_lambda, _check_scale, _inner_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +269,6 @@ def guerra_slope_check(
         slack=float(margins[worst]),
         stderr=float(slope_se[worst]),
         allowance=float(bound + 3.0 * slope_se[worst]),
-        passed=bool(margins[worst] >= 0.0),
     )
 
 
@@ -291,8 +290,12 @@ def fp_upper_check(
     plus the calibration allowance C/N + 3 stderr (C = lam K^4).  The inf
     over q in [0, K^2 + 1] is the saddle's exact inner minimization, averaged
     over the spike's empirical law.  An unreachable window produces a skipped
-    (vacuously passing) report.
+    (vacuously passing) report.  lambda and m must pass rs._check_scale at
+    extent max(K^2 + 1, |m|), besides fp_potential's checks.
     """
+    K = support_bound(p)
+    _check_lambda(lam)
+    _check_scale(p, lam, max(K * K + 1.0, abs(m)))
     spike = sample_spike(p, n, derive_seed(seed, 0, 2))
     lhs = fp_potential(p, n, lam, m, eps, spike, n_disorder, derive_seed(seed, 1), budget)
     params = {
@@ -308,10 +311,9 @@ def fp_upper_check(
         params["skipped"] = "empty overlap window"
         return VerificationReport(
             check="fp_upper", params=params, slack=float("inf"),
-            stderr=0.0, allowance=0.0, passed=True,
+            stderr=0.0, allowance=0.0,
         )
 
-    K = support_bound(p)
     values, counts = np.unique(spike, return_counts=True)
     q_min, rhs_min, _ = _inner_min(p, lam, np.array([float(m)]), K**2 + 1.0, ev, (values, counts / n))
     q_min, rhs_min = float(q_min[0]), float(rhs_min[0])
@@ -324,5 +326,4 @@ def fp_upper_check(
         slack=float(slack),
         stderr=lhs.stderr,
         allowance=float(allowance),
-        passed=bool(slack >= 0.0),
     )

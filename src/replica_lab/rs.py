@@ -11,9 +11,9 @@ evolution), the limiting mutual information lambda/4 E[X^2]^2 - phi_rs, the
 per-entry matrix MMSE E[X^2]^2 - q*^2, and the location of the smallest SNR
 with a nontrivial optimizer.
 
-phi_rs locates its optimizer on a grid of exact values at GRID_RESOLUTION (the
-safeguard against multimodality, which genuinely occurs for sparse priors)
-followed by golden-section refinement inside each grid local maximum's
+phi_rs locates its optimizer on a grid of GRID_POINTS exact values over
+[0, E[X^2]] (the safeguard against multimodality, which genuinely occurs for
+sparse priors) followed by golden-section refinement inside each grid local maximum's
 bracket.  The local maxima of F are the stable fixed points of state
 evolution, at most a few and far apart, so the grid is not priced in full: a
 strided pass finds the coarse local maxima, and only the fine windows around
@@ -65,13 +65,16 @@ from .channel import (
     psi_prime,
 )
 from .errors import DomainError, InvalidArgumentError, NumericalError
-from .priors import Prior, second_moment
+from .priors import Prior, second_moment, support_bound
 
-GRID_RESOLUTION = 1e-3
+GRID_POINTS = 1001
 REFINE_XTOL = 1e-8
 TIE_TOL = 1e-10
 _STRIDE = 16  # phi_rs's coarse pass takes every _STRIDE-th grid point
 _LAM_CAP = 64.0  # critical_lambda's search ceiling
+# _check_scale's bound on the largest exponent or potential term, so that sums
+# and differences of a few of them stay below the float maximum (1.8e308)
+EXPONENT_MAX = 1e306
 
 # The saddle's coarse grids; the offset of their probe points next to a
 # symmetry point, relative to the grid's extent; the root polish's tolerances
@@ -92,7 +95,8 @@ class PotentialResult:
     """An optimized potential value with its optimizer(s) and scan diagnostics.
 
     For phi_rs, local_optima holds (q, value) for every local maximum of the
-    grid scan after refinement and optimizer_m is None.  For the saddle,
+    grid scan after refinement, optimizer_m is None, and grid_resolution is
+    the q grid's step.  For the saddle,
     local_optima holds (m, value) for every candidate of the outer
     maximization, optimizer_q is the inner minimizer at the reported m, and
     grid_resolution is the step of the coarse m grid.
@@ -102,7 +106,7 @@ class PotentialResult:
     optimizer_q: float
     optimizer_m: float | None = None
     local_optima: list = field(default_factory=list)
-    grid_resolution: float = GRID_RESOLUTION
+    grid_resolution: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -173,14 +177,33 @@ def _check_m(m: float):
         raise DomainError(f"m must be finite, got {m}")
 
 
+def _check_scale(p: Prior, lam: float, extent: float, tilt: float = 0.0):
+    """DomainError unless lambda * extent * (K * max(K, tilt) + extent) <= EXPONENT_MAX.
+
+    extent bounds the q and |m| a call reaches (E[X^2] + 1 for the solvers),
+    K is the support bound and tilt bounds a spike's |x*| beyond K.  With
+    r = lambda q and s = lambda m x*, the product bounds every channel
+    exponent term (r x^2, s x, sqrt(r) z x) and potential term (lambda q^2,
+    lambda m^2).
+    """
+    k = support_bound(p)
+    scale = lam * extent * (k * max(k, tilt) + extent)
+    if not scale <= EXPONENT_MAX:
+        raise DomainError(
+            f"the channel exponents reach {scale:.3g}, above {EXPONENT_MAX:g} "
+            f"(lambda = {lam}, q or |m| up to {extent}, K = {k})"
+        )
+
+
 # ----------------------------------------------------------------------
 # RS potential and its supremum
 # ----------------------------------------------------------------------
 
 def rs_potential(p: Prior, lam: float, q: float, ev: ChannelEvaluator | None = None) -> float:
-    """F(lambda, q) = psi(lambda q) - lambda q^2 / 4."""
+    """F(lambda, q) = psi(lambda q) - lambda q^2 / 4; lambda and q within _check_scale's bound."""
     _check_lambda(lam)
     _check_q(q)
+    _check_scale(p, lam, q)
     return float(psi_array(ev, p, lam * q)) - lam * q * q / 4.0
 
 
@@ -198,9 +221,10 @@ def _rs_values(p: Prior, lam: float, q_scan: np.ndarray, ev) -> np.ndarray:
 def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> PotentialResult:
     """phi_RS(lambda) = sup_{q in [0, E[X^2]]} F(lambda, q).
 
-    The optimizer is defined on the grid of GRID_RESOLUTION steps: golden
-    refinement of every grid local maximum's bracket [q_{i-1}, q_{i+1}], all
-    local optima recorded.  Value ties within 1e-10 resolve toward larger q
+    The optimizer is defined on the grid of GRID_POINTS points, step
+    E[X^2] / (GRID_POINTS - 1) (reported as grid_resolution, so a prior's
+    scale sets the step and not the cost): golden refinement of every grid
+    local maximum's bracket [q_{i-1}, q_{i+1}], all local optima recorded.  Value ties within 1e-10 resolve toward larger q
     (the informative branch at a first-order transition).
 
     The grid is priced in two passes.  A coarse pass evaluates every
@@ -213,14 +237,16 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     neighbours were evaluated or it is a grid end.  Away from the ends this
     finds the full scan's local maxima when the rises and dips between them
     are wider than a stride, as for the few, far-apart stable fixed points
-    q = 2 psi'(lambda q).
+    q = 2 psi'(lambda q).  lambda must pass _check_scale at extent E[X^2] + 1.
     """
     _check_lambda(lam)
     m2 = second_moment(p)
+    _check_scale(p, lam, m2 + 1.0)
+    npts = GRID_POINTS
+    step = m2 / (npts - 1)
     if lam == 0.0 or m2 == 0.0:
         v0 = rs_potential(p, lam, 0.0, ev)
-        return PotentialResult(v0, 0.0, None, [(0.0, v0)])
-    npts = max(2, int(round(m2 / GRID_RESOLUTION)) + 1)
+        return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
     q_scan = np.linspace(0.0, m2, npts)
     coarse = np.unique(np.r_[0:npts:_STRIDE, npts - 1])
     vals = np.full(npts, np.nan)  # NaN: not evaluated
@@ -238,7 +264,7 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     if v_max - v_min <= 1e-13 * max(1.0, abs(v_max)):
         # Flat potential: every q is optimal, report q = 0.
         v0 = rs_potential(p, lam, 0.0, ev)
-        return PotentialResult(v0, 0.0, None, [(0.0, v0)])
+        return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
 
     def f(q):
         return rs_potential(p, lam, q, ev)
@@ -257,7 +283,7 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     best_val = max(v for _, v in optima)
     candidates = [(q, v) for q, v in optima if v >= best_val - TIE_TOL]
     q_star, value = max(candidates, key=lambda t: t[0])
-    return PotentialResult(value, q_star, None, sorted(optima))
+    return PotentialResult(value, q_star, None, sorted(optima), step)
 
 
 # ----------------------------------------------------------------------
@@ -265,22 +291,31 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
 # ----------------------------------------------------------------------
 
 def f_bar(p: Prior, lam: float, m: float, q: float, ev: ChannelEvaluator | None = None) -> float:
-    """F_bar(lambda, m, q) = psi_bar(lambda q, lambda m) - lambda m^2/2 + lambda q^2/4."""
+    """F_bar(lambda, m, q) = psi_bar(lambda q, lambda m) - lambda m^2/2 + lambda q^2/4.
+
+    lambda, m and q must pass _check_scale at extent max(q, |m|).
+    """
     _check_lambda(lam)
     _check_m(m)
     _check_q(q)
+    _check_scale(p, lam, max(q, abs(m)))
     return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p))[0])
 
 
 def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator | None = None) -> float:
     """Fixed-spike potential (1/n) sum_i psi_hat(lambda q, lambda m x*_i) - lambda m^2/2 + lambda q^2/4.
 
-    This is F_bar with x* drawn from the spike's empirical law.
+    This is F_bar with x* drawn from the spike's empirical law.  The spike is
+    a nonempty list of finite values, and lambda, m, q and the spike pass
+    _check_scale at extent max(q, |m|) with tilt max |x*_i|.
     """
     _check_lambda(lam)
     _check_m(m)
     _check_q(q)
     spike = np.asarray(spike, dtype=np.float64)
+    if spike.ndim != 1 or spike.size == 0 or not np.isfinite(spike).all():
+        raise InvalidArgumentError(f"spike must be a nonempty 1-d list of finite values, got shape {spike.shape}")
+    _check_scale(p, lam, max(q, abs(m)), float(np.abs(spike).max()))
     values, counts = np.unique(spike, return_counts=True)
     return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p, (values, counts / spike.size)))[0])
 
@@ -342,7 +377,7 @@ def _bracketed_roots(f, a, b, fa, fb, ftol: float) -> np.ndarray:
         c = bl - fbl * (bl - al) / (fbl - fal)
         c = np.where((c == al) | (c == bl) | ~np.isfinite(c), 0.5 * (al + bl), c)
         fc = f(live, c)
-        stale = fc * fbl > 0.0  # the root stays between a and c
+        stale = np.sign(fc) == np.sign(fbl)  # the root stays between a and c (no product to overflow)
         shrink = 1.0 - fc / fbl
         a[live] = np.where(stale, al, bl)
         fa[live] = np.where(stale, np.where(shrink > 0.0, shrink, 0.5) * fal, fbl)
@@ -404,7 +439,8 @@ def f_bar_inner_min(
     Returns (q_bar, value).  Every local minimum found on a coarse q row is
     polished as a root of d_q F_bar and priced exactly; the least value wins.
     The minimizer is uniformly bounded in m (differentiate in q), which
-    motivates the default search ceiling q_max = E[X^2] + 1.
+    motivates the default search ceiling q_max = E[X^2] + 1.  lambda, m and
+    q_max must pass _check_scale at extent max(q_max, |m|).
     """
     _check_lambda(lam)
     _check_m(m)
@@ -412,6 +448,7 @@ def f_bar_inner_min(
         q_max = second_moment(p) + 1.0
     elif not 0.0 < q_max < math.inf:
         raise DomainError(f"q_max must be finite and > 0, got {q_max}")
+    _check_scale(p, lam, max(q_max, abs(m)))
     q_bar, value, _ = _inner_min(p, lam, np.array([float(m)]), q_max, ev)
     return float(q_bar[0]), float(value[0])
 
@@ -431,9 +468,11 @@ def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     half grid m >= 0, with the same step and the probe at +_PROBE E[X^2], is
     solved, and every candidate m > 0 is mirrored to -m with the same inner
     minimizer and value; local_optima and the tie rule see both signs.
+    lambda must pass _check_scale at extent E[X^2] + 1.
     """
     _check_lambda(lam)
     m2 = second_moment(p)
+    _check_scale(p, lam, m2 + 1.0)
     step = 2.0 * m2 / (_M_POINTS - 1)
     if lam == 0.0 or m2 == 0.0:
         return PotentialResult(0.0, 0.0, 0.0, [(0.0, 0.0)], step)
@@ -477,9 +516,13 @@ def state_evolution(
     max_iter: int = 1000,
     ev: ChannelEvaluator | None = None,
 ) -> SETrace:
-    """Iterate q <- 2 psi'(lambda q) from q0 until |delta q| <= tol, at most max_iter times."""
+    """Iterate q <- 2 psi'(lambda q) from q0 until |delta q| <= tol, at most max_iter times.
+
+    lambda must pass _check_scale at extent E[X^2] + 1.
+    """
     _check_lambda(lam)
     m2 = second_moment(p)
+    _check_scale(p, lam, m2 + 1.0)
     if not 0.0 <= q0 <= m2:
         raise InvalidArgumentError(f"q0 must lie in [0, {m2}], got {q0}")
     if not (math.isfinite(tol) and tol > 0):

@@ -25,7 +25,7 @@ def priors():
 
 
 def broadcast_psi_hat(ev, p, r, s):
-    """Reference kernel: one (..., G, A) broadcast with the atom axis last."""
+    """Reference kernel: one (..., G, A) broadcast, its atoms summed in storage order."""
     r = np.asarray(r, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     r_b, s_b = np.broadcast_arrays(r, s)
@@ -39,7 +39,11 @@ def broadcast_psi_hat(ev, p, r, s):
         + lw[None, :]
     )
     m = a.max(axis=-1)
-    inner = m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
+    terms = np.exp(a - m[..., None])
+    total = terms[..., 0].copy()
+    for k in range(1, v.size):
+        total += terms[..., k]
+    inner = m + np.log(total)
     return inner @ ev.weights
 
 

@@ -128,16 +128,15 @@ class TestPsiHat:
 class TestBlockedKernel:
     """psi_hat_array is bit-identical to the broadcast reference.
 
-    Atom counts cover numpy's three summation regimes (under 8 terms, 8 to
-    128, above 128); the call shapes are those of psi_hat, psi and psi_bar,
-    a saddle-table chunk spanning many blocks, a general broadcast, and the
-    small calls: psi_prime's two- and three-point stencils (r of shape
-    (k, 1) against s of shape (k, atoms)).  psi_array on the stencils and
-    on a 0-d r, and psi_hat_grad's value on every case, are held to the
-    same reference.
+    Both sum the atoms in storage order, so every atom count must match; the
+    call shapes are those of psi_hat, psi and psi_bar, a saddle-table chunk
+    spanning many blocks, a general broadcast, and the small calls:
+    psi_prime's two- and three-point stencils (r of shape (k, 1) against s of
+    shape (k, atoms)).  psi_array on the stencils and on a 0-d r, and
+    psi_hat_grad's value on every case, are held to the same reference.
     """
 
-    @pytest.mark.parametrize("nodes", [61, 121])
+    @pytest.mark.parametrize("nodes", [2, 61, 121])
     @pytest.mark.parametrize(
         "spec",
         ["point:0.7", "rademacher", "sparse:0.25", "uniform:8", "uniform:9", "uniform:21", "uniform:200"],
@@ -179,6 +178,19 @@ class TestBlockedKernel:
             got = psi_array(e, p, x)
             assert type(got) is type(want) and np.shape(got) == np.shape(want), name
             assert np.array_equal(got, want), (name, float(np.max(np.abs(got - want))))
+
+    @pytest.mark.parametrize("spec", ["uniform:8", "uniform:21", "uniform:200"])
+    def test_single_point_at_two_nodes(self, spec):
+        # the smallest block the kernel forms, (atoms, 1, 2): numpy sums an
+        # (atoms, 1, 1) block pairwise, so this is where another order would show
+        e = make_evaluator(2)
+        p = parse_prior_spec(spec)
+        rng = np.random.default_rng(0)
+        points = [(0.0, 2.5)] + list(zip(rng.uniform(0.0, 50.0, 20).tolist(), rng.normal(0.0, 10.0, 20).tolist()))
+        for r, s in points:
+            want = broadcast_psi_hat(e, p, r, s)
+            assert np.array_equal(psi_hat_array(e, p, r, s), want), (r, s)
+            assert np.array_equal(psi_hat_grad(e, p, r, s)[0], want), (r, s)
 
 
 class TestPsiHatGrad:

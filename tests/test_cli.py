@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -328,6 +329,44 @@ class TestErrorPaths:
         assert code == 2
         assert f"error: {message}" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["rs-curve", "--lambda", "1e308"], "the channel exponents reach"),
+            (["se", "--lambda", "1e308"], "the channel exponents reach"),
+            (["saddle", "--lambda", "1e308"], "the channel exponents reach"),
+            (["rs-curve", "--prior", "point:1e100", "--lambda", "1"], "the channel exponents reach"),
+            (["finite-n", "--n", "4", "--lambda", "1e308", "--disorder", "3"], "the energies reach"),
+            (["fp", "--n", "4", "--lambda", "1e308", "--disorder", "3"], "the energies reach"),
+            (["finite-n", "--n", "4", "--prior", "point:1e100", "--disorder", "3"], "the energies reach"),
+            (["verify", "--n", "4", "--prior", "point:1e100", "--disorder", "3"], "the channel exponents reach"),
+            (["verify", "--n", "4", "--prior", "sparse:1e-300", "--disorder", "3"], "the energies reach"),
+        ],
+    )
+    def test_overflowing_inputs_rejected(self, capsys, args, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rs-curve", "--lambda", "1e200"],
+            ["se", "--lambda", "1e200"],
+            ["rs-curve", "--prior", "sparse:1e-300", "--lambda", "6"],
+            ["saddle", "--prior", "sparse:1e-300", "--lambda", "6"],
+        ],
+    )
+    def test_large_but_representable_inputs_run(self, capsys, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(args, capsys)
+        assert code == 0, err
+        assert "nan" not in out and "inf" not in out
 
     @pytest.mark.parametrize("sizes", ["4,4", "6,4,6"])
     def test_finite_n_repeated_size(self, capsys, tmp_path, sizes):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from replica_lab import (
+    DomainError,
     EnumerationBudgetError,
     InvalidArgumentError,
     derive_seed,
@@ -217,6 +218,34 @@ def test_disorder_count_validated(priors, n_disorder):
     for call in calls:
         with pytest.raises(InvalidArgumentError, match="must be >= 1"):
             call()
+
+
+def test_energy_scale_bound_on_both_sides():
+    # (lambda + n) n K^4 <= finite._ENERGY_MAX: inside, every enumerating
+    # entry runs without a RuntimeWarning (the draws' values differ, so their
+    # standard error squares them); outside, each raises DomainError first
+    p, n = parse_prior_spec("sparse:0.25"), 4
+    k4 = rs.support_bound(p) ** 4
+    edge = finite._ENERGY_MAX / (n * k4) - n
+    spike = sample_spike(p, n, 3)
+    calls = (
+        lambda lam: free_entropy_mc(p, n, lam, 4, 1),
+        lambda lam: nishimori_check(p, n, lam, 4, 1),
+        lambda lam: fp_potential(p, n, lam, 0.0, 0.25, spike, 4, 1),
+        lambda lam: fp_profile(p, n, lam, 0.25, spike, 4, 1),
+        lambda lam: kl_log_likelihood_ratios([sample_instance(p, n, lam, s) for s in (1, 2)], p),
+        lambda lam: log_partition_exact(sample_instance(p, n, lam, 1), p),
+        lambda lam: phi_of_t(p, n, lam, 0.5, 0.5, 0.5, 4, 1),
+    )
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(0.999 * edge)
+        with pytest.raises(DomainError, match="energies reach"):
+            call(1.001 * edge)
+    # the table's n^2 K^4 alone: point:1e100 is refused at every lambda
+    with pytest.raises(DomainError, match="energies reach"):
+        free_entropy_mc(parse_prior_spec("point:1e100"), n, 0.0, 4, 1)
 
 
 class TestBatchedKernel:

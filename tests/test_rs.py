@@ -1,5 +1,7 @@
 """RS potential, saddle formula, state evolution, information curves."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,58 @@ class TestRsPotential:
         assert 0.0 <= q_bar <= 0.5
 
 
+class TestScaleBound:
+    """rs._check_scale: lambda * extent * (K^2 + extent) <= EXPONENT_MAX, both sides.
+
+    Inside the bound the solvers run without a RuntimeWarning; outside it
+    every entry raises DomainError before the kernel overflows.
+    """
+
+    @staticmethod
+    def _edge_lambda(p, extent):
+        k = rs.support_bound(p)
+        return rs.EXPONENT_MAX / (extent * (k * k + extent))
+
+    @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "sparse:1e-300", "point:0.01"])
+    def test_solvers_on_both_sides(self, ev, spec):
+        p = parse_prior_spec(spec)
+        m2 = second_moment(p)
+        lam = self._edge_lambda(p, m2 + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (phi_rs, saddle, lambda p, lam, ev: state_evolution(p, lam, m2, ev=ev)):
+                solve(p, 0.999 * lam, ev)
+                with pytest.raises(DomainError, match="channel exponents reach"):
+                    solve(p, 1.001 * lam, ev)
+
+    def test_point_evaluations(self, ev):
+        p = parse_prior_spec("asym:0.7")
+        with pytest.raises(DomainError, match="channel exponents reach"):
+            rs_potential(p, 1e308, 10.0, ev)
+        with pytest.raises(DomainError, match="channel exponents reach"):
+            f_bar(p, 1e200, 1e200, 0.5, ev)
+        with pytest.raises(DomainError, match="channel exponents reach"):
+            f_hat(p, 1e200, 1e200, 0.5, [1.0], ev)
+        with pytest.raises(DomainError, match="channel exponents reach"):
+            f_bar_inner_min(p, 1e200, 1e200, ev)
+        lam = self._edge_lambda(p, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(rs_potential(p, 0.999 * lam, 10.0, ev))
+            assert np.isfinite(f_bar(p, 0.999 * lam, -10.0, 10.0, ev))
+        with pytest.raises(DomainError, match="channel exponents reach"):
+            rs_potential(p, 1.001 * lam, 10.0, ev)
+
+    def test_f_hat_spike_is_nonempty_and_finite(self, ev):
+        p = parse_prior_spec("asym:0.7")
+        for spike in ([], [float("nan")], [1.0, float("inf")], [[1.0, -1.0]]):
+            with pytest.raises(InvalidArgumentError, match="spike must be a nonempty 1-d list"):
+                f_hat(p, 1.0, 0.2, 0.3, spike, ev)
+        # the spike's largest entry enters the bound as the tilt
+        with pytest.raises(DomainError, match="channel exponents reach"):
+            f_hat(p, 1.0, 0.2, 0.3, [1e308], ev)
+
+
 def _tanh_fixed_point(lam, q0=0.9, tol=1e-12):
     """Independent oracle for the Rademacher overlap: q = E tanh(lam q + sqrt(lam q) z)."""
     e = make_evaluator(121)
@@ -159,7 +213,7 @@ def _local_max_loop(vals):
 def _full_scan_phi_rs(p, lam, ev):
     """phi_rs as it was before the strided pass: every grid point priced."""
     from replica_lab.rs import (
-        GRID_RESOLUTION,
+        GRID_POINTS,
         TIE_TOL,
         PotentialResult,
         _golden_max,
@@ -167,15 +221,16 @@ def _full_scan_phi_rs(p, lam, ev):
     )
 
     m2 = second_moment(p)
+    npts = GRID_POINTS
+    step = m2 / (npts - 1)
     if lam == 0.0 or m2 == 0.0:
         v0 = rs_potential(p, lam, 0.0, ev)
-        return PotentialResult(v0, 0.0, None, [(0.0, v0)])
-    npts = max(2, int(round(m2 / GRID_RESOLUTION)) + 1)
+        return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
     q_scan = np.linspace(0.0, m2, npts)
     vals = _rs_values(p, lam, q_scan, ev)
     if vals.max() - vals.min() <= 1e-13 * max(1.0, abs(vals.max())):
         v0 = rs_potential(p, lam, 0.0, ev)
-        return PotentialResult(v0, 0.0, None, [(0.0, v0)])
+        return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
     optima = []
     for i in _local_max_loop(vals):
         a, b = q_scan[max(i - 1, 0)], q_scan[min(i + 1, npts - 1)]
@@ -186,7 +241,19 @@ def _full_scan_phi_rs(p, lam, ev):
         optima.append((float(q_c), float(v_c)))
     best_val = max(v for _, v in optima)
     q_star, value = max(((q, v) for q, v in optima if v >= best_val - TIE_TOL), key=lambda t: t[0])
-    return PotentialResult(value, q_star, None, sorted(optima))
+    return PotentialResult(value, q_star, None, sorted(optima), step)
+
+
+def test_phi_rs_grid_size_does_not_grow_with_the_prior_scale(ev, monkeypatch):
+    # E[X^2] = 1e6: a grid of fixed step 1e-3 would price 1e9 points
+    p = parse_prior_spec("point:1e3")
+    priced = []
+    rs_values = rs._rs_values
+    monkeypatch.setattr(rs, "_rs_values", lambda p, lam, q, ev: priced.append(q.size) or rs_values(p, lam, q, ev))
+    res = phi_rs(p, 1.0, ev)
+    assert 0 < sum(priced) <= rs.GRID_POINTS
+    assert res.grid_resolution == second_moment(p) / (rs.GRID_POINTS - 1)
+    assert res.optimizer_q == pytest.approx(second_moment(p), rel=1e-7)  # the flat top's rounding
 
 
 class TestPhiRsMatchesFullScan:

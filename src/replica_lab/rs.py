@@ -204,6 +204,11 @@ def rs_potential(p: Prior, lam: float, q: float, ev: ChannelEvaluator | None = N
     _check_lambda(lam)
     _check_q(q)
     _check_scale(p, lam, q)
+    return _potential(p, lam, q, ev)
+
+
+def _potential(p: Prior, lam: float, q: float, ev) -> float:
+    """rs_potential without its checks, for phi_rs's many calls inside a checked range."""
     return float(psi_array(ev, p, lam * q)) - lam * q * q / 4.0
 
 
@@ -245,7 +250,7 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     npts = GRID_POINTS
     step = m2 / (npts - 1)
     if lam == 0.0 or m2 == 0.0:
-        v0 = rs_potential(p, lam, 0.0, ev)
+        v0 = _potential(p, lam, 0.0, ev)
         return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
     q_scan = np.linspace(0.0, m2, npts)
     coarse = np.unique(np.r_[0:npts:_STRIDE, npts - 1])
@@ -263,11 +268,11 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     v_max, v_min = np.nanmax(vals), np.nanmin(vals)
     if v_max - v_min <= 1e-13 * max(1.0, abs(v_max)):
         # Flat potential: every q is optimal, report q = 0.
-        v0 = rs_potential(p, lam, 0.0, ev)
+        v0 = _potential(p, lam, 0.0, ev)
         return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
 
     def f(q):
-        return rs_potential(p, lam, q, ev)
+        return _potential(p, lam, q, ev)
 
     optima = []
     for i in _local_max_indices(vals):

@@ -133,14 +133,14 @@ def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
     grow with the input.  The log-sum over atoms subtracts the per-z maximum
     exponent before exponentiating, so large r and s are safe.  The atom
     planes are summed in storage order (atom 0, then 1, ...), which is how
-    numpy reduces the leading axis of a contiguous block with more than one
-    point x node, so every value is fixed per (point, node) and results do not
-    depend on the block size.  A small call (psi_prime's two or three points)
-    runs the same arithmetic as a large one, paying its fixed cost once: r and s are
-    broadcast only when their shapes differ, the atom constants are built
-    before the block loop.  The one batch-dependent contraction is
-    psi_bar_array's final gemv vals @ p.weights, left as it is because every
-    phi_rs, state-evolution and saddle value rests on its bits.
+    numpy reduces the leading axis of a contiguous block of more than one
+    (point, node) value (make_evaluator's two-node minimum sees to that), so
+    results do not depend on the block size.  A small call (psi_prime's two
+    or three points) runs the same arithmetic as a large one, paying its
+    fixed cost once: r and s are broadcast only when their shapes differ, the
+    atom constants are built before the block loop.  The one batch-dependent
+    contraction is psi_bar_array's final gemv vals @ p.weights, left as it is
+    because every phi_rs, state-evolution and saddle value rests on its bits.
     """
     r = np.asarray(r, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)

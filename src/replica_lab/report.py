@@ -12,7 +12,8 @@ class VerificationReport:
     slack is oriented so that the check passes iff slack >= 0: for an
     inequality LHS <= RHS it is RHS - LHS after adding the stated allowance;
     for an identity |difference| <= allowance it is allowance - |difference|.
-    passed is that verdict, derived from slack and never passed in.  stderr is the Monte Carlo standard error entering the allowance (0 for
+    passed is that verdict, derived from slack and never passed in.  stderr
+    is the Monte Carlo standard error entering the allowance (0 for
     deterministic checks) and allowance is the total additive slack granted
     (calibration constants plus 3 stderr), surfaced so reports stay honest
     about what was forgiven.

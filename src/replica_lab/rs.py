@@ -229,8 +229,9 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     The optimizer is defined on the grid of GRID_POINTS points, step
     E[X^2] / (GRID_POINTS - 1) (reported as grid_resolution, so a prior's
     scale sets the step and not the cost): golden refinement of every grid
-    local maximum's bracket [q_{i-1}, q_{i+1}], all local optima recorded.  Value ties within 1e-10 resolve toward larger q
-    (the informative branch at a first-order transition).
+    local maximum's bracket [q_{i-1}, q_{i+1}], all local optima recorded.
+    Value ties within 1e-10 resolve toward larger q (the informative branch
+    at a first-order transition).
 
     The grid is priced in two passes.  A coarse pass evaluates every
     _STRIDE-th point, both ends included.  Fine windows then fill the grid
@@ -319,7 +320,9 @@ def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator 
     _check_q(q)
     spike = np.asarray(spike, dtype=np.float64)
     if spike.ndim != 1 or spike.size == 0 or not np.isfinite(spike).all():
-        raise InvalidArgumentError(f"spike must be a nonempty 1-d list of finite values, got shape {spike.shape}")
+        raise InvalidArgumentError(
+            f"spike must be a nonempty 1-d list of finite values, got shape {spike.shape}"
+        )
     _check_scale(p, lam, max(q, abs(m)), float(np.abs(spike).max()))
     values, counts = np.unique(spike, return_counts=True)
     return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p, (values, counts / spike.size)))[0])

@@ -249,7 +249,9 @@ def test_phi_rs_grid_size_does_not_grow_with_the_prior_scale(ev, monkeypatch):
     p = parse_prior_spec("point:1e3")
     priced = []
     rs_values = rs._rs_values
-    monkeypatch.setattr(rs, "_rs_values", lambda p, lam, q, ev: priced.append(q.size) or rs_values(p, lam, q, ev))
+    monkeypatch.setattr(
+        rs, "_rs_values", lambda p, lam, q, ev: priced.append(q.size) or rs_values(p, lam, q, ev)
+    )
     res = phi_rs(p, 1.0, ev)
     assert 0 < sum(priced) <= rs.GRID_POINTS
     assert res.grid_resolution == second_moment(p) / (rs.GRID_POINTS - 1)

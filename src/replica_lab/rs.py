@@ -13,8 +13,8 @@ with a nontrivial optimizer.
 
 phi_rs locates its optimizer on a grid of GRID_POINTS exact values over
 [0, E[X^2]] (the safeguard against multimodality, which genuinely occurs for
-sparse priors) followed by golden-section refinement inside each grid local maximum's
-bracket.  The local maxima of F are the stable fixed points of state
+sparse priors) followed by golden-section refinement inside each grid local
+maximum's bracket.  The local maxima of F are the stable fixed points of state
 evolution, at most a few and far apart, so the grid is not priced in full: a
 strided pass finds the coarse local maxima, and only the fine windows around
 them and at both ends are evaluated (tests/test_rs.py holds the result to the
@@ -385,7 +385,8 @@ def _bracketed_roots(f, a, b, fa, fb, ftol: float) -> np.ndarray:
         c = bl - fbl * (bl - al) / (fbl - fal)
         c = np.where((c == al) | (c == bl) | ~np.isfinite(c), 0.5 * (al + bl), c)
         fc = f(live, c)
-        stale = np.sign(fc) == np.sign(fbl)  # the root stays between a and c (no product to overflow)
+        # the root stays between a and c; signs, since fc * fbl can overflow
+        stale = np.sign(fc) == np.sign(fbl)
         shrink = 1.0 - fc / fbl
         a[live] = np.where(stale, al, bl)
         fa[live] = np.where(stale, np.where(shrink > 0.0, shrink, 0.5) * fal, fbl)

@@ -186,8 +186,9 @@ class TestBlockedKernel:
         e = make_evaluator(2)
         p = parse_prior_spec(spec)
         rng = np.random.default_rng(0)
-        r, s = rng.uniform(0.0, 50.0, 20).tolist(), rng.normal(0.0, 10.0, 20).tolist()
-        points = [(0.0, 2.5)] + list(zip(r, s))
+        points = [(0.0, 2.5)] + list(
+            zip(rng.uniform(0.0, 50.0, 20).tolist(), rng.normal(0.0, 10.0, 20).tolist())
+        )
         for r, s in points:
             want = broadcast_psi_hat(e, p, r, s)
             assert np.array_equal(psi_hat_array(e, p, r, s), want), (r, s)

@@ -65,10 +65,6 @@ _BLOCK_VALUES = 2**20
 
 _MASK64 = (1 << 64) - 1
 
-# _check_energy_scale's bound: the squared deviations of per-draw values this
-# large, and their sums over draws, stay finite in a standard error
-_ENERGY_MAX = 1e150
-
 
 def derive_seed(master: int, *indices: int) -> int:
     """Deterministic per-replica seed from a master seed and counter indices."""
@@ -362,17 +358,19 @@ def _fixed_spike_noise(n: int, seed: int) -> np.ndarray:
 
 
 def _check_energy_scale(p: Prior, n: int, lam: float):
-    """DomainError unless (lambda + n) n K^4 <= _ENERGY_MAX, after the lambda check.
+    """DomainError unless (lambda + n) n K^4 <= rs.EXPONENT_MAX, after the lambda check.
 
     The table's pairsq and sumsq^2 reach n^2 K^4, and the energy's terms
-    (lambda/N) S and (lambda/2N) pairsq reach lambda n K^4.
+    (lambda/N) S and (lambda/2N) pairsq, like the likelihood ratio's
+    y^2/2, reach lambda n K^4, so every exponent, and the difference of
+    two, stays below the float maximum.
     """
     rs._check_lambda(lam)
     k = support_bound(p)
     scale = (lam + n) * n * (k * k) * (k * k)
-    if not scale <= _ENERGY_MAX:
+    if not scale <= rs.EXPONENT_MAX:
         raise DomainError(
-            f"the energies reach (lambda + n) n K^4 = {scale:.3g}, above {_ENERGY_MAX:g} "
+            f"the energies reach (lambda + n) n K^4 = {scale:.3g}, above {rs.EXPONENT_MAX:g} "
             f"(lambda = {lam}, n = {n}, K = {k})"
         )
 
@@ -421,18 +419,34 @@ def _check_disorder(n_disorder: int, name: str = "n_disorder") -> None:
         raise InvalidArgumentError(f"{name} must be >= 1, got {n_disorder}")
 
 
+def _mean_stderr(values: np.ndarray):
+    """(mean, std(ddof=1) / sqrt(count)) over the leading axis; stderr 0 for one value.
+
+    The values are divided by the power of two that takes their largest
+    magnitude to at most 2**500, and the results multiplied back.  Both steps
+    are exact, so the bits are numpy's wherever the values stay below 2**500,
+    and beyond it the sums of values and squared deviations stay finite for
+    values up to the float maximum (an energy-scale log Z / n).
+    """
+    scale = math.ldexp(1.0, max(0, math.frexp(float(np.abs(values).max(initial=0.0)))[1] - 500))
+    v = values / scale
+    mean = v.mean(axis=0) * scale
+    if values.shape[0] < 2:
+        return mean, np.zeros_like(mean)
+    return mean, v.std(axis=0, ddof=1) / math.sqrt(values.shape[0]) * scale
+
+
 def _mc_estimate(values: np.ndarray, seed: int, empty: bool = False) -> McEstimate:
     values = np.asarray(values, dtype=np.float64)
     k = values.size
-    mean = float(values.mean()) if k else float("nan")
-    stderr = float(values.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
-    return McEstimate(mean=mean, stderr=stderr, n_samples=k, seed=int(seed), empty_window=empty)
+    mean, stderr = _mean_stderr(values) if k else (float("nan"), 0.0)
+    return McEstimate(mean=float(mean), stderr=float(stderr), n_samples=k, seed=int(seed), empty_window=empty)
 
 
 def free_entropy_mc(
     p: Prior, n: int, lam: float, n_disorder: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> McEstimate:
-    """F_N estimate: average of (1/N) log Z over independent instances (see _check_energy_scale)."""
+    """F_N estimate: average of (1/N) log Z over independent instances."""
     _check_disorder(n_disorder)
     _check_energy_scale(p, n, lam)
     table = enumeration_table(p, n, budget)
@@ -629,6 +643,7 @@ def nishimori_check(
         slack=allowance - delta,
         stderr=se,
         allowance=allowance,
+        passed=bool(delta <= allowance),
     )
 
 

@@ -45,6 +45,7 @@ from .finite import (
     _fixed_spike_draws,
     _logsumexp,
     _mc_estimate,
+    _mean_stderr,
     _neg_energy,
     _overlap_window,
     _potential_setup,
@@ -58,7 +59,7 @@ from .finite import (
 )
 from .priors import Prior, support_bound
 from .report import VerificationReport
-from .rs import _check_lambda, _check_scale, _inner_min
+from .rs import _check_scale, _inner_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,11 +246,7 @@ def guerra_slope_check(
     phis = _phi_t_draws(p, n, lam, q, q, t_grid, n_disorder, seed, budget=budget)
     dt = np.diff(np.asarray(t_grid))
     slopes = np.diff(phis, axis=1) / dt
-    slope_mean = slopes.mean(axis=0)
-    if n_disorder > 1:
-        slope_se = slopes.std(axis=0, ddof=1) / math.sqrt(n_disorder)
-    else:
-        slope_se = np.zeros_like(slope_mean)
+    slope_mean, slope_se = _mean_stderr(slopes)
     bound = lam * q * q / 4.0 + c_val / n
     margins = slope_mean + bound + 3.0 * slope_se
     worst = int(np.argmin(margins))
@@ -269,6 +266,7 @@ def guerra_slope_check(
         slack=float(margins[worst]),
         stderr=float(slope_se[worst]),
         allowance=float(bound + 3.0 * slope_se[worst]),
+        passed=bool(margins[worst] >= 0.0),
     )
 
 
@@ -294,7 +292,6 @@ def fp_upper_check(
     extent max(K^2 + 1, |m|), besides fp_potential's checks.
     """
     K = support_bound(p)
-    _check_lambda(lam)
     _check_scale(p, lam, max(K * K + 1.0, abs(m)))
     spike = sample_spike(p, n, derive_seed(seed, 0, 2))
     lhs = fp_potential(p, n, lam, m, eps, spike, n_disorder, derive_seed(seed, 1), budget)
@@ -311,7 +308,7 @@ def fp_upper_check(
         params["skipped"] = "empty overlap window"
         return VerificationReport(
             check="fp_upper", params=params, slack=float("inf"),
-            stderr=0.0, allowance=0.0,
+            stderr=0.0, allowance=0.0, passed=True,
         )
 
     values, counts = np.unique(spike, return_counts=True)
@@ -326,4 +323,5 @@ def fp_upper_check(
         slack=float(slack),
         stderr=lhs.stderr,
         allowance=float(allowance),
+        passed=bool(slack >= 0.0),
     )

@@ -12,8 +12,7 @@ class VerificationReport:
     slack is oriented so that the check passes iff slack >= 0: for an
     inequality LHS <= RHS it is RHS - LHS after adding the stated allowance;
     for an identity |difference| <= allowance it is allowance - |difference|.
-    passed is that verdict, derived from slack and never passed in.  stderr
-    is the Monte Carlo standard error entering the allowance (0 for
+    stderr is the Monte Carlo standard error entering the allowance (0 for
     deterministic checks) and allowance is the total additive slack granted
     (calibration constants plus 3 stderr), surfaced so reports stay honest
     about what was forgiven.
@@ -24,10 +23,7 @@ class VerificationReport:
     slack: float = 0.0
     stderr: float = 0.0
     allowance: float = 0.0
-    passed: bool = field(init=False)  # slack >= 0, so a NaN slack fails
-
-    def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.slack >= 0.0))
+    passed: bool = False
 
     def to_dict(self) -> dict:
         """Plain record; writers spell non-finite floats (cli._json_clean, cli._fmt)."""
@@ -37,5 +33,5 @@ class VerificationReport:
             "slack": self.slack,
             "stderr": self.stderr,
             "allowance": self.allowance,
-            "pass": self.passed,
+            "pass": bool(self.passed),
         }

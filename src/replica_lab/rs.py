@@ -180,12 +180,13 @@ def _check_m(m: float):
 def _check_scale(p: Prior, lam: float, extent: float, tilt: float = 0.0):
     """DomainError unless lambda * extent * (K * max(K, tilt) + extent) <= EXPONENT_MAX.
 
-    extent bounds the q and |m| a call reaches (E[X^2] + 1 for the solvers),
-    K is the support bound and tilt bounds a spike's |x*| beyond K.  With
-    r = lambda q and s = lambda m x*, the product bounds every channel
-    exponent term (r x^2, s x, sqrt(r) z x) and potential term (lambda q^2,
-    lambda m^2).
+    lambda passes _check_lambda first.  extent bounds the q and |m| a call
+    reaches (E[X^2] + 1 for the solvers), K is the support bound and tilt
+    bounds a spike's |x*| beyond K.  With r = lambda q and s = lambda m x*,
+    the product bounds every channel exponent term (r x^2, s x, sqrt(r) z x)
+    and potential term (lambda q^2, lambda m^2).
     """
+    _check_lambda(lam)
     k = support_bound(p)
     scale = lam * extent * (k * max(k, tilt) + extent)
     if not scale <= EXPONENT_MAX:
@@ -201,7 +202,6 @@ def _check_scale(p: Prior, lam: float, extent: float, tilt: float = 0.0):
 
 def rs_potential(p: Prior, lam: float, q: float, ev: ChannelEvaluator | None = None) -> float:
     """F(lambda, q) = psi(lambda q) - lambda q^2 / 4; lambda and q within _check_scale's bound."""
-    _check_lambda(lam)
     _check_q(q)
     _check_scale(p, lam, q)
     return _potential(p, lam, q, ev)
@@ -227,9 +227,10 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     """phi_RS(lambda) = sup_{q in [0, E[X^2]]} F(lambda, q).
 
     The optimizer is defined on the grid of GRID_POINTS points, step
-    E[X^2] / (GRID_POINTS - 1) (reported as grid_resolution, so a prior's
-    scale sets the step and not the cost): golden refinement of every grid
-    local maximum's bracket [q_{i-1}, q_{i+1}], all local optima recorded.
+    E[X^2] / (GRID_POINTS - 1), so a prior's scale sets the step and not the
+    cost; grid_resolution reports the step to 12 significant digits, so that
+    an E[X^2] of 1 up to rounding reports 1e-3.  Golden refinement of every
+    grid local maximum's bracket [q_{i-1}, q_{i+1}], all local optima recorded.
     Value ties within 1e-10 resolve toward larger q (the informative branch
     at a first-order transition).
 
@@ -245,11 +246,10 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     are wider than a stride, as for the few, far-apart stable fixed points
     q = 2 psi'(lambda q).  lambda must pass _check_scale at extent E[X^2] + 1.
     """
-    _check_lambda(lam)
     m2 = second_moment(p)
     _check_scale(p, lam, m2 + 1.0)
     npts = GRID_POINTS
-    step = m2 / (npts - 1)
+    step = float(f"{m2 / (npts - 1):.12g}")
     if lam == 0.0 or m2 == 0.0:
         v0 = _potential(p, lam, 0.0, ev)
         return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
@@ -301,7 +301,6 @@ def f_bar(p: Prior, lam: float, m: float, q: float, ev: ChannelEvaluator | None 
 
     lambda, m and q must pass _check_scale at extent max(q, |m|).
     """
-    _check_lambda(lam)
     _check_m(m)
     _check_q(q)
     _check_scale(p, lam, max(q, abs(m)))
@@ -315,7 +314,6 @@ def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator 
     a nonempty list of finite values, and lambda, m, q and the spike pass
     _check_scale at extent max(q, |m|) with tilt max |x*_i|.
     """
-    _check_lambda(lam)
     _check_m(m)
     _check_q(q)
     spike = np.asarray(spike, dtype=np.float64)
@@ -451,7 +449,6 @@ def f_bar_inner_min(
     motivates the default search ceiling q_max = E[X^2] + 1.  lambda, m and
     q_max must pass _check_scale at extent max(q_max, |m|).
     """
-    _check_lambda(lam)
     _check_m(m)
     if q_max is None:
         q_max = second_moment(p) + 1.0
@@ -479,7 +476,6 @@ def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     minimizer and value; local_optima and the tie rule see both signs.
     lambda must pass _check_scale at extent E[X^2] + 1.
     """
-    _check_lambda(lam)
     m2 = second_moment(p)
     _check_scale(p, lam, m2 + 1.0)
     step = 2.0 * m2 / (_M_POINTS - 1)
@@ -529,7 +525,6 @@ def state_evolution(
 
     lambda must pass _check_scale at extent E[X^2] + 1.
     """
-    _check_lambda(lam)
     m2 = second_moment(p)
     _check_scale(p, lam, m2 + 1.0)
     if not 0.0 <= q0 <= m2:

@@ -36,6 +36,7 @@ def tilt_asymmetry_check(p: Prior, ev: ChannelEvaluator | None = None) -> Verifi
         slack=float(worst + tol),
         stderr=0.0,
         allowance=tol,
+        passed=bool(worst >= -tol),
     )
 
 
@@ -55,6 +56,7 @@ def saddle_equivalence_check(p: Prior, ev: ChannelEvaluator | None = None) -> Ve
         slack=float(tol - worst),
         stderr=0.0,
         allowance=tol,
+        passed=bool(worst <= tol),
     )
 
 
@@ -79,6 +81,7 @@ def kl_identity_check(
         slack=float(tol - worst),
         stderr=0.0,
         allowance=tol,
+        passed=bool(worst <= tol),
     )
 
 
@@ -96,6 +99,7 @@ def se_fixed_point_check(p: Prior, lam: float, ev: ChannelEvaluator | None = Non
         slack=float(tol - diff) if trace.converged else float("-inf"),
         stderr=0.0,
         allowance=tol,
+        passed=bool(trace.converged and diff <= tol),
     )
 
 
@@ -143,6 +147,7 @@ def run_suite(
                 check="enumeration_budget",
                 params={"prior": p.name, "n": n, "required": e.required, "budget": e.budget},
                 slack=float("-inf"),
+                passed=False,
             )
         )
     return reports

@@ -359,6 +359,9 @@ class TestErrorPaths:
             ["se", "--lambda", "1e200"],
             ["rs-curve", "--prior", "sparse:1e-300", "--lambda", "6"],
             ["saddle", "--prior", "sparse:1e-300", "--lambda", "6"],
+            ["finite-n", "--n", "4", "--lambda", "1e200", "--disorder", "3"],
+            ["finite-n", "--n", "4", "--lambda", "1e200", "--disorder", "3", "--prior", "sparse:0.25"],
+            ["fp", "--n", "4", "--lambda", "1e200", "--disorder", "3"],
         ],
     )
     def test_large_but_representable_inputs_run(self, capsys, args):

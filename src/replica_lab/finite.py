@@ -22,6 +22,18 @@ energies, though, can move with n_disorder: sparse:0.25 at N = 8 (seed 5)
 gives replicas 0-2 with 2, 3 and 5 energies that differ between 3 and 40
 replicas, by at most 1.5e-14.
 
+Per-block combine: every consumer takes the kernel's (Q_W, S) a block of
+replicas at a time and turns a sub-block into log weights at its SNRs with
+one shared combine (_log_weights), elementwise, so a replica's log weights
+depend only on its kernel row and its SNR, never on which replicas or SNRs
+share the sub-block.  The log-sum-exp then reduces each contiguous row
+(_logsumexp_rows).  What can move with the composition of a block is only
+what a BLAS product forms over several replicas at once: the interpolation's
+odd side term, nishimori_check's posterior means and overlaps, and
+kl_log_likelihood_ratios' exponents, in their last bits.  free_entropy_mc
+and phi_of_t(t = 1) stay equal bit for bit: at t = 1 the side coefficients
+are exact zeros, so both take the same elementwise steps and reductions.
+
 Sign fold: -H sees a configuration only through its pair products x_i x_j,
 so with a sign-symmetric prior x and -x have the same energy and prior mass.
 The table then lists the configurations in orbit order: first the
@@ -30,12 +42,12 @@ mirror, then the all-zero row when 0 is an atom), then the mirrors of the
 first ones, built by mapping each digit to its negated atom (so 0 stays
 +0.0).  Even per-row terms (log prior mass, pairsq, sumsq, the energy, the
 KL exponents, and the interpolation's even side term) are computed on the
-representatives and repeated for the mirrors before any reduction; odd terms
-(x.z and x.x* in the interpolation) enter as +odd on the representatives and
--odd on the mirrors.  A mirror's pair products, prior mass and square sums
-equal its representative's bit for bit, so the repeated value is the one the
-kernel computes from those inputs; only the position-dependent last bits of
-BLAS and of numpy's x**4 are gone.  An asymmetric prior has no mirrors and
+representatives, and the log-sum-exp counts rows [:mirrors] a second time
+without forming the mirrors; odd terms (x.z and x.x* in the interpolation)
+enter as +odd on the representatives and -odd on the mirrors.  A mirror's
+pair products, prior mass and square sums equal its representative's bit for
+bit, so the repeated value is the one the kernel computes from those inputs;
+only the position-dependent last bits of BLAS and of numpy's x**4 are gone.  An asymmetric prior has no mirrors and
 runs the same code with nothing to repeat.  Fixed-spike windows
 (fp_potential, fp_profile, phi_of_t with a spike) select rows of the whole
 table and price them directly.
@@ -194,11 +206,12 @@ class EnumTable:
         return self.X.shape[0] - self.reps
 
     def unfold(self, a: np.ndarray, odd: bool = False) -> np.ndarray:
-        """A per-row array over every row from its values on rows [:reps]:
-        the mirrors repeat an even one and negate an odd one."""
+        """Per-row values over every row from their values on rows [:reps],
+        along the last axis: the mirrors repeat even ones and negate odd ones."""
         if not self.mirrors:
             return a
-        return np.concatenate([a, -a[: self.mirrors] if odd else a[: self.mirrors]])
+        head = a[..., : self.mirrors]
+        return np.concatenate([a, -head if odd else head], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -256,7 +269,7 @@ def _energy_parts(x: np.ndarray, spikes: np.ndarray, noises: np.ndarray):
     spikes is (D, n) and noises (D, P), P = n(n-1)/2 over i < j row-major.
     -H(x) = sqrt(lam/N) Q_W(x) + (lam/N) S(x) - (lam/2N) pairsq(x), with the
     noise form Q_W = sum_{i<j} W_ij x_i x_j and the planted term
-    S = sum_{i<j} x*_i x*_j x_i x_j.  Neither depends on lambda; _neg_energy
+    S = sum_{i<j} x*_i x*_j x_i x_j.  Neither depends on lambda; _log_weights
     combines them at any SNR.  Every exact consumer computes -H this way,
     through _draw_parts, its one caller.
 
@@ -280,42 +293,59 @@ def _energy_parts(x: np.ndarray, spikes: np.ndarray, noises: np.ndarray):
 
 
 def _draw_parts(x: np.ndarray, n_draws: int, draw):
-    """Yield (spike, (Q_W, S)) per draw, in order: the kernel over blocks of draws.
+    """Yield (spikes, q_w, s) per block of consecutive draws: the kernel over blocks of draws.
 
-    draw(k) returns draw k's (spike, noise).  A block holds consecutive draws,
-    at most _BLOCK_VALUES // max(rows, n, P) of them (at least one), so neither
-    its stacked noises nor its (D, rows) parts exceed _BLOCK_VALUES values
-    unless one draw's row alone does.  The blocks depend only on the rows and
-    n_draws, so consumers that share both also share every kernel call.
+    draw(k) returns draw k's (spike, noise); a block yields its (D, n) spikes
+    and the kernel's (D, rows) parts.  A block holds at most
+    _BLOCK_VALUES // max(rows, n, P) draws (at least one), so neither its
+    stacked noises nor its parts exceed _BLOCK_VALUES values unless one draw's
+    row alone does.  The blocks depend only on the rows and n_draws, so
+    consumers that share both also share every kernel call.
     """
     rows, n = x.shape
     step = max(1, _BLOCK_VALUES // max(rows, n, n * (n - 1) // 2))
     for k0 in range(0, n_draws, step):
         block = [draw(k) for k in range(k0, min(k0 + step, n_draws))]
         spikes = np.stack([spike for spike, _ in block])
-        q_w, s = _energy_parts(x, spikes, np.stack([noise for _, noise in block]))
-        yield from zip(spikes, zip(q_w, s))
+        yield (spikes, *_energy_parts(x, spikes, np.stack([noise for _, noise in block])))
 
 
-def _neg_energy(parts, pairsq: np.ndarray, lam: float, n: int) -> np.ndarray:
-    """-H at SNR lam from the kernel's (Q_W, S) and the table's pairsq."""
-    q_w, s = parts
-    return math.sqrt(lam / n) * q_w + (lam / n) * s - lam / (2.0 * n) * pairsq
+def _log_weights(table: EnumTable, rows, lams, n_draws: int, draw, side_sq=None):
+    """Yield (draws, spikes, coefs, a) per sub-block: log prior mass - H over table[rows].
 
-
-def _log_weights(table: EnumTable, rows, lam: float, n_draws: int, draw):
-    """Yield (spike, log prior mass - H over table[rows]) per draw of _draw_parts.
-
-    rows None means every row of the table, in its order: the kernel prices
-    the representatives and the mirrors repeat their values.
+    draws slices the draw indices of the sub-block and coefs the SNRs lams;
+    spikes holds those draws' spikes and a[d, c] the log weights of draw
+    draws[d] at SNR lams[coefs][c], each entry (sqrt(lam/N) Q_W + (lam/N) S)
+    + base, where the draw-free base is logw - (lam/2N) pairsq, minus
+    side_sq[c] sumsq when side_sq is given.  Every entry takes the same
+    elementwise steps at any sub-block shape, so its bits depend only on its
+    draw's kernel row and its coefficients.  rows None means the
+    representatives: the consumer reads the mirrors from rows [:table.mirrors]
+    (_logsumexp_rows, EnumTable.unfold).  A sub-block spans at most
+    _BLOCK_VALUES // 16 values of a: whole draws of a kernel block when one
+    draw's SNRs fit, else one draw and as many SNRs as fit (at least one).
     """
-    every_row = rows is None
-    if every_row:
+    if rows is None:
         rows = slice(None, table.reps)
-    x, logw, pairsq = table.X[rows], table.logw[rows], table.pairsq[rows]
-    for spike, parts in _draw_parts(x, n_draws, draw):
-        a = logw + _neg_energy(parts, pairsq, lam, table.X.shape[1])
-        yield spike, table.unfold(a) if every_row else a
+    n = table.X.shape[1]
+    lams = np.asarray(lams, dtype=np.float64)[:, None]
+    c_w, c_s = np.sqrt(lams / n), lams / n
+    base = table.logw[rows] - lams / (2.0 * n) * table.pairsq[rows]
+    if side_sq is not None:
+        base -= side_sq[:, None] * table.sumsq[rows]
+    width, room = max(1, base.shape[1]), _BLOCK_VALUES // 16
+    c_step = min(lams.size, max(1, room // width))
+    d_step = max(1, room // (lams.size * width)) if c_step == lams.size else 1
+    k = 0
+    for spikes, q_w, s in _draw_parts(table.X[rows], n_draws, draw):
+        for d in range(0, spikes.shape[0], d_step):
+            for c0 in range(0, lams.size, c_step):
+                d_sl, c_sl = slice(d, d + d_step), slice(c0, c0 + c_step)
+                a = c_w[c_sl] * q_w[d_sl, None]
+                a += c_s[c_sl] * s[d_sl, None]
+                a += base[c_sl]
+                yield slice(k + d, k + d + a.shape[0]), spikes[d_sl], c_sl, a
+        k += spikes.shape[0]
 
 
 def _sampled_draws(p: Prior, n: int, lam: float, seed: int):
@@ -328,12 +358,28 @@ def _sampled_draws(p: Prior, n: int, lam: float, seed: int):
     return draw
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log sum exp(a), stably; -inf over no rows."""
-    m = a.max(initial=-np.inf)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.exp(a - m).sum()))
+def _logsumexp_rows(a: np.ndarray, mirrors: int, lo=None) -> np.ndarray:
+    """log sum exp over the last axis of a table's priced rows and their mirrors.
+
+    Rows [:mirrors] of a count twice: once more at the same value, or at lo's
+    when it is given (an odd term entering with opposite signs).  a and lo are
+    overwritten with the exps, so the sums are numpy's over contiguous rows
+    and a repeated value reuses its exp.  A row whose entries are all -inf
+    gives -inf.
+    """
+    top = a.max(axis=-1, initial=-np.inf)
+    if lo is not None:
+        np.maximum(top, lo.max(axis=-1, initial=-np.inf), out=top)
+    shift = np.where(top > -np.inf, top, 0.0)[..., None]
+    a -= shift
+    total = np.exp(a, out=a).sum(axis=-1)
+    if lo is None:
+        total += a[..., :mirrors].sum(axis=-1)
+    else:
+        lo -= shift
+        total += np.exp(lo, out=lo).sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        return top + np.log(total)
 
 
 def _window_index(overlap: np.ndarray, m: float, eps: float) -> np.ndarray:
@@ -347,9 +393,10 @@ def _overlap_window(x: np.ndarray, spike: np.ndarray, m: float, eps: float) -> n
     return _window_index(x @ spike / spike.size, m, eps) == 0
 
 
-def _rounded_overlap(table: EnumTable, spike: np.ndarray) -> np.ndarray:
-    """R_{1,*} of every row rounded to 9 digits, a rounded -0.0 read as 0.0."""
-    return table.unfold(np.round(table.X[: table.reps] @ spike / spike.size, 9), odd=True) + 0.0
+def _rounded_overlaps(table: EnumTable, spikes: np.ndarray) -> np.ndarray:
+    """(D, rows) R_{1,*} of every row for each of D spikes, rounded to 9
+    digits, a rounded -0.0 read as 0.0: one GEMM over the representatives."""
+    return table.unfold(np.round(spikes @ table.X[: table.reps].T / spikes.shape[1], 9), odd=True) + 0.0
 
 
 def _fixed_spike_noise(n: int, seed: int) -> np.ndarray:
@@ -385,11 +432,12 @@ def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BU
     _check_spike_in_support(p, inst.spike)
     _check_energy_scale(p, inst.n, inst.lam)
     table = enumeration_table(p, inst.n, budget)
-    _, a = next(_log_weights(table, None, inst.lam, 1, lambda k: (inst.spike, inst.noise)))
-    log_z = _logsumexp(a)
-    overlap = _rounded_overlap(table, inst.spike)
+    *_, a = next(_log_weights(table, None, [inst.lam], 1, lambda k: (inst.spike, inst.noise)))
+    a = a[0, 0]
+    log_z = float(_logsumexp_rows(a.copy(), table.mirrors))
+    overlap = _rounded_overlaps(table, inst.spike[None])[0]
     vals, inv = np.unique(overlap, return_inverse=True)
-    mass = np.bincount(inv, weights=np.exp(a - log_z))
+    mass = np.bincount(inv, weights=np.exp(table.unfold(a) - log_z))
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]
     return EnumerationResult(log_z=log_z, overlap_law=law, config_count=table.X.shape[0])
 
@@ -450,8 +498,10 @@ def free_entropy_mc(
     _check_disorder(n_disorder)
     _check_energy_scale(p, n, lam)
     table = enumeration_table(p, n, budget)
-    draws = _log_weights(table, None, lam, n_disorder, _sampled_draws(p, n, lam, seed))
-    return _mc_estimate(np.array([_logsumexp(a) / n for _, a in draws]), seed)
+    vals = np.empty(n_disorder)
+    for draws, _, _, a in _log_weights(table, None, [lam], n_disorder, _sampled_draws(p, n, lam, seed)):
+        vals[draws] = _logsumexp_rows(a, table.mirrors)[:, 0] / n
+    return _mc_estimate(vals, seed)
 
 
 def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
@@ -464,10 +514,12 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     the prior without the kernel and without expanding a square: per pair
     i < j and per distinct atom product v it tabulates
     g = y^2/2 - (y - sqrt(lam/N) v)^2/2, and a configuration's exponent is
-    the sum, pair by pair, of the entries at its products x_i x_j, so it is
-    even in x and is formed on the table's representatives only.  A block of
-    draws holds at most _BLOCK_VALUES table entries and exponents, and a
-    block of rows gathers at most _BLOCK_VALUES entries.
+    the sum over pairs of the entries at its products x_i x_j: one GEMM of a
+    block of draws' g against the one-hot (rows, pairs x products) indicator
+    of a block of rows' product codes.  It is even in x, so it is formed on
+    the table's representatives only.  A block of draws holds at most
+    _BLOCK_VALUES table entries and exponents, and a block of rows' indicator
+    at most _BLOCK_VALUES // 16.
     """
     instances = list(instances)
     _check_disorder(len(instances), "instance count")
@@ -478,7 +530,10 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
         _check_spike_in_support(p, inst.spike)
     _check_energy_scale(p, n, lam)
     table = enumeration_table(p, n, budget)
-    count, rows = len(instances), table.reps
+    count, rows, m = len(instances), table.reps, table.mirrors
+    log_z = np.empty(count)
+    for draws, _, _, a in _log_weights(table, None, [lam], count, lambda k: (instances[k].spike, instances[k].noise)):
+        log_z[draws] = _logsumexp_rows(a, m)[:, 0]
     x = table.X[:rows]
     i, j = _triu(n)
     products = np.unique(np.multiply.outer(p.values, p.values))
@@ -486,22 +541,21 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     coef = math.sqrt(lam / n)
     llr = np.empty(count)
     step_d = max(1, _BLOCK_VALUES // max(rows, i.size * products.size))
+    step_r = max(1, _BLOCK_VALUES // (16 * i.size * products.size))
     for k0 in range(0, count, step_d):
         # g[p * V + v, d] for pair p, product v and draw d of the block.
         y = np.stack([inst.y for inst in instances[k0 : k0 + step_d]]).T[:, None, :]
-        g = (0.5 * y**2 - 0.5 * (y - coef * products[:, None]) ** 2).reshape(-1, y.shape[2])
+        g_t = (0.5 * y**2 - 0.5 * (y - coef * products[:, None]) ** 2).reshape(-1, y.shape[2]).T
         exponents = np.empty((y.shape[2], rows))
-        step_r = max(1, _BLOCK_VALUES // max(1, i.size * y.shape[2]))
         for c in range(0, rows, step_r):
             xt = np.ascontiguousarray(x[c : c + step_r].T)
             codes = np.searchsorted(products, xt[i] * xt[j]) + offsets
-            acc = g[codes[0]]
-            for code in codes[1:]:
-                acc += g[code]
-            exponents[:, c : c + step_r] = acc.T
-        llr[k0 : k0 + y.shape[2]] = [_logsumexp(table.unfold(table.logw[:rows] + e)) for e in exponents]
-    draws = _log_weights(table, None, lam, count, lambda k: (instances[k].spike, instances[k].noise))
-    return llr, np.array([_logsumexp(a) for _, a in draws])
+            onehot = np.zeros((g_t.shape[1], codes.shape[1]))
+            onehot[codes, np.arange(codes.shape[1])] = 1.0
+            exponents[:, c : c + step_r] = g_t @ onehot
+        exponents += table.logw[:rows]
+        llr[k0 : k0 + y.shape[2]] = _logsumexp_rows(exponents, m)
+    return llr, log_z
 
 
 def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET):
@@ -561,8 +615,10 @@ def fp_potential(
     mask = _overlap_window(table.X, spike, m, eps)
     if not mask.any():
         return McEstimate(float("-inf"), 0.0, n_disorder, int(seed), empty_window=True)
-    draws = _log_weights(table, mask, lam, n_disorder, _fixed_spike_draws(spike, seed))
-    return _mc_estimate(np.array([_logsumexp(a) / n for _, a in draws]), seed)
+    vals = np.empty(n_disorder)
+    for draws, _, _, a in _log_weights(table, mask, [lam], n_disorder, _fixed_spike_draws(spike, seed)):
+        vals[draws] = _logsumexp_rows(a, 0)[:, 0] / n
+    return _mc_estimate(vals, seed)
 
 
 def fp_profile(
@@ -592,11 +648,10 @@ def fp_profile(
     uniq, starts = np.unique(bins[order], return_index=True)
     sizes = np.diff(np.append(starts, order.size))
     per_draw = np.empty((n_disorder, uniq.size))
-    draws = _log_weights(table, order, lam, n_disorder, _fixed_spike_draws(spike, seed))
-    for k, (_, a) in enumerate(draws):
-        seg_max = np.maximum.reduceat(a, starts)
-        per_draw[k] = seg_max + np.log(np.add.reduceat(np.exp(a - np.repeat(seg_max, sizes)), starts))
-    per_draw /= n
+    for draws, _, _, a in _log_weights(table, order, [lam], n_disorder, _fixed_spike_draws(spike, seed)):
+        seg_max = np.maximum.reduceat(a[:, 0], starts, axis=-1)
+        e = np.exp(a[:, 0] - np.repeat(seg_max, sizes, axis=-1))
+        per_draw[draws] = (seg_max + np.log(np.add.reduceat(e, starts, axis=-1))) / n
     return [
         (int(l), _mc_estimate(per_draw[:, c], seed))
         for c, l in enumerate(uniq)
@@ -611,18 +666,20 @@ def nishimori_check(
     Per instance, one kernel pass gives the posterior: <R_{1,*}> from the
     overlaps rounded to 9 digits as in log_partition_exact's overlap law,
     <R_{1,2}> from per-site means ((1/n) sum_i <x_i>^2); the check is on the
-    disorder means with a paired standard error.
+    disorder means with a paired standard error.  A sub-block of draws gets
+    its posterior means from one GEMM (post @ X) and its overlaps from
+    another (_rounded_overlaps).
     """
     _check_disorder(n_disorder)
     _check_energy_scale(p, n, lam)
     table = enumeration_table(p, n, budget)
     r12 = np.empty(n_disorder)
     r1s = np.empty(n_disorder)
-    draws = _log_weights(table, None, lam, n_disorder, _sampled_draws(p, n, lam, seed))
-    for k, (spike, a) in enumerate(draws):
-        post = np.exp(a - _logsumexp(a))
-        r12[k] = float(((post @ table.X) ** 2).mean())
-        r1s[k] = float(post @ _rounded_overlap(table, spike))
+    for draws, spikes, _, a in _log_weights(table, None, [lam], n_disorder, _sampled_draws(p, n, lam, seed)):
+        a = a[:, 0]
+        post = table.unfold(np.exp(a - _logsumexp_rows(a.copy(), table.mirrors)[:, None]))
+        r12[draws] = ((post @ table.X) ** 2).mean(axis=1)
+        r1s[draws] = (post * _rounded_overlaps(table, spikes)).sum(axis=1)
     diff = r12 - r1s
     delta = abs(float(diff.mean()))
     se = float(diff.std(ddof=1) / math.sqrt(n_disorder)) if n_disorder > 1 else 0.0

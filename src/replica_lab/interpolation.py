@@ -21,11 +21,14 @@ The matrix part of -H_t is the original Hamiltonian at effective SNR
 t*lambda: the finite-size energy kernel's parts, computed for a block of
 draws at once over rows chosen once (a fixed spike's window or every row,
 and for a resampled spike only the representatives of a sign-symmetric
-table) and recombined at each t one draw at a time; a window that follows a
-resampled spike masks each draw's own rows before the log-sum-exp.  At t = 1
-the side coefficients are exact zeros, so phi(1) reproduces the plain
-free-entropy estimator bit for bit on shared seeds.  h_t evaluates the
-definition directly, as the tests' reference.
+table), and combined at every t of a sub-block of draws at once by the
+finite layer's shared combine; the odd side term of a sub-block is one GEMM
+over the table, and a window that follows a resampled spike masks each
+draw's own rows before the log-sum-exp.  The even part's bits do not depend
+on the sub-block; the odd term's may move in the last bit with it.  At t = 1
+the side coefficients are exact zeros, so the odd term vanishes exactly and
+phi(1) reproduces the plain free-entropy estimator bit for bit on shared
+seeds.  h_t evaluates the definition directly, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -41,12 +44,11 @@ from .finite import (
     DEFAULT_BUDGET,
     _MASK64,
     SpikedInstance,
-    _draw_parts,
     _fixed_spike_draws,
-    _logsumexp,
+    _log_weights,
+    _logsumexp_rows,
     _mc_estimate,
     _mean_stderr,
-    _neg_energy,
     _overlap_window,
     _potential_setup,
     _sampled_draws,
@@ -140,20 +142,21 @@ def _phi_t_draws(
     (the expectation over x* of the lower-bound argument), held fixed
     otherwise (the fixed-spike potential of the upper-bound argument).
     Disorder (W, z) is drawn once per replica and shared across every t.
-    One loop walks the draws of finite._draw_parts over the rows chosen once:
-    a fixed spike's window rows, or every row, whose window for a resampled
-    spike then keeps each draw's own rows.  A draw with no row in its window
-    gets -inf.
+    One loop walks the sub-blocks of finite._log_weights over the rows chosen
+    once: a fixed spike's window rows, or every row, whose window for a
+    resampled spike then keeps each draw's own rows.  A draw with no row in
+    its window gets -inf.
 
     The side term splits into an even part, -(1-t) r/2 sum_i x_i^2, which
-    joins the log prior mass and the matrix energy, and an odd part,
-    sqrt((1-t) r) z.x + (1-t) s x*.x, formed for every t at once as one
-    (T, n) @ (n, rows) product per draw.  For a resampled spike the rows are
-    the table's representatives, and a mirror row's value is its
-    representative's even part minus its odd part (a fixed spike prices its
-    rows directly, with no mirrors).  At t = 1 the side coefficients are
-    exact zeros, so phi(1) equals the plain free-entropy estimator bit for
-    bit.
+    _log_weights joins to the log prior mass and the matrix energy at SNR
+    t lam, and an odd part, sqrt((1-t) r) z.x + (1-t) s x*.x, formed for every
+    draw of a sub-block and every t at once as one (D T, n) @ (n, rows) GEMM.
+    For a resampled spike the rows are the table's representatives, and a
+    mirror row's value is its representative's even part minus its odd part
+    (a fixed spike prices its rows directly, with no mirrors).  At t = 1 the
+    side coefficients are exact zeros, so phi(1) equals the plain
+    free-entropy estimator bit for bit.  r = lam q and s = lam m pass
+    rs._check_scale at extent max(q, |m|).
     """
     if not (math.isfinite(q) and q >= 0):
         raise DomainError(f"q must be finite and >= 0, got {q}")
@@ -163,30 +166,32 @@ def _phi_t_draws(
     for t in t_values:
         _check_t(t)
     spike, table = _potential_setup(p, n, lam, restricted, spike, n_disorder, budget)
+    _check_scale(p, lam, max(q, abs(m)))
     r = lam * q
     s = lam * m
     if spike is None:
-        rows, mirrors, draw = slice(None, table.reps), table.mirrors, _sampled_draws(p, n, lam, seed)
+        rows, mirrors, draw = None, table.mirrors, _sampled_draws(p, n, lam, seed)
+        x = table.X[: table.reps]
     else:
         rows = slice(None) if restricted is None else _overlap_window(table.X, spike, *restricted)
         mirrors, draw = 0, _fixed_spike_draws(spike, seed)
-    x, logw, pairsq, sumsq = table.X[rows], table.logw[rows], table.pairsq[rows], table.sumsq[rows]
+        x = table.X[rows]
     t = np.array(t_values)
     side_z, side_s, side_sq = np.sqrt((1.0 - t) * r), (1.0 - t) * s, (1.0 - t) * r / 2.0
     per_draw_window = spike is None and restricted is not None
+    z = np.stack([np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
+                  for k in range(n_disorder)])
     out = np.empty((n_disorder, t.size))
-    for k, (spike_k, parts) in enumerate(_draw_parts(x, n_disorder, draw)):
-        keep = slice(None)
+    for draws, spikes, c, even in _log_weights(table, rows, t * lam, n_disorder, draw, side_sq):
+        side = side_z[c, None] * z[draws, None] + side_s[c, None] * spikes[:, None]
+        odd = (side.reshape(-1, n) @ x.T).reshape(even.shape)
+        lo = even[..., :mirrors] - odd[..., :mirrors]
+        even += odd
         if per_draw_window:
-            keep = _window_index(table.unfold(x @ spike_k / n, odd=True), *restricted) == 0
-        z = np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
-        odd = (side_z[:, None] * z + side_s[:, None] * spike_k) @ x.T
-        for c in range(t.size):
-            even = logw + _neg_energy(parts, pairsq, t[c] * lam, n) - side_sq[c] * sumsq
-            a = even + odd[c]
-            if mirrors:
-                a = np.concatenate([a, even[:mirrors] - odd[c, :mirrors]])
-            out[k, c] = _logsumexp(a[keep]) / n
+            overlap = spikes @ x.T / n
+            np.copyto(even, -np.inf, where=(_window_index(overlap, *restricted) != 0)[:, None])
+            np.copyto(lo, -np.inf, where=(_window_index(-overlap[:, :mirrors], *restricted) != 0)[:, None])
+        out[draws, c] = _logsumexp_rows(even, mirrors, lo) / n
     return out
 
 

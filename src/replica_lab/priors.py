@@ -50,6 +50,11 @@ class Prior:
         lw.setflags(write=False)
         return lw
 
+    @cached_property
+    def bound(self) -> float:
+        """The support bound K = max_i |v_i| (support_bound reads it)."""
+        return float(np.max(np.abs(self.values)))
+
     def __repr__(self):
         return f"Prior({self.name or self.atoms!r})"
 
@@ -93,7 +98,7 @@ def mean(p: Prior) -> float:
 
 def support_bound(p: Prior) -> float:
     """The constant K = max_i |v_i| bounding the support."""
-    return float(np.max(np.abs(p.values)))
+    return p.bound
 
 
 def rademacher_prior() -> Prior:

@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
+    EXPONENT_MAX,
     ChannelEvaluator,
     _resolve,
     psi_array,
@@ -72,9 +73,6 @@ REFINE_XTOL = 1e-8
 TIE_TOL = 1e-10
 _STRIDE = 16  # phi_rs's coarse pass takes every _STRIDE-th grid point
 _LAM_CAP = 64.0  # critical_lambda's search ceiling
-# _check_scale's bound on the largest exponent or potential term, so that sums
-# and differences of a few of them stay below the float maximum (1.8e308)
-EXPONENT_MAX = 1e306
 
 # The saddle's coarse grids; the offset of their probe points next to a
 # symmetry point, relative to the grid's extent; the root polish's tolerances
@@ -523,9 +521,13 @@ def state_evolution(
 ) -> SETrace:
     """Iterate q <- 2 psi'(lambda q) from q0 until |delta q| <= tol, at most max_iter times.
 
-    lambda must pass _check_scale at extent E[X^2] + 1.
+    lambda must pass _check_scale at extent E[X^2] + 1.  An iterate may leave
+    [0, E[X^2]] by the finite-difference psi_prime's error, which grows with
+    E[X^2]: by at most 1e-9 max(1, E[X^2]) below and 1e-6 max(1, E[X^2])
+    above, and is then clipped back; farther out is a NumericalError.
     """
     m2 = second_moment(p)
+    scale = max(1.0, m2)
     _check_scale(p, lam, m2 + 1.0)
     if not 0.0 <= q0 <= m2:
         raise InvalidArgumentError(f"q0 must lie in [0, {m2}], got {q0}")
@@ -538,7 +540,7 @@ def state_evolution(
     converged = False
     for _ in range(max_iter):
         q_next = 2.0 * psi_prime(ev, p, lam * q)
-        if not (-1e-9 <= q_next <= m2 + 1e-6):
+        if not (-1e-9 * scale <= q_next <= m2 + 1e-6 * scale):
             raise NumericalError(
                 f"state evolution left [0, {m2}]: q = {q_next} (psi_prime bug?)"
             )

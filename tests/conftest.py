@@ -103,6 +103,48 @@ def mc_log_cosh(r, s, n_samples=10**7, seed=0):
     )
 
 
+def reference_phi_t_draws(p, n, lam, q, m, t_values, n_disorder, seed, restricted=None, spike=None):
+    """Per-draw path free entropies, one draw and one t at a time: the combine
+    that the blocked interpolation path replaced, kept as its reference.
+
+    Reads the kernel's (Q_W, S) from finite._draw_parts, then per draw and per
+    t forms the even part at SNR t lam, the odd side term as one (n,) @
+    (n, rows) product, joins the mirrors (even - odd) to the representatives
+    (even + odd) with one concatenation, keeps a resampled spike's window rows
+    and takes one log-sum-exp over what is left (-inf over no row).
+    """
+    from replica_lab import finite
+
+    table = finite.enumeration_table(p, n)
+    r, s = lam * q, lam * m
+    if spike is None:
+        rows, mirrors, draw = slice(None, table.reps), table.mirrors, finite._sampled_draws(p, n, lam, seed)
+    else:
+        spike = np.asarray(spike, dtype=np.float64)
+        rows = slice(None) if restricted is None else finite._overlap_window(table.X, spike, *restricted)
+        mirrors, draw = 0, finite._fixed_spike_draws(spike, seed)
+    x, logw, pairsq, sumsq = table.X[rows], table.logw[rows], table.pairsq[rows], table.sumsq[rows]
+    out = np.empty((n_disorder, len(t_values)))
+    k = 0
+    for spikes, q_ws, ss in finite._draw_parts(x, n_disorder, draw):
+        for spike_k, q_w, s_k in zip(spikes, q_ws, ss):
+            keep = slice(None)
+            if spike is None and restricted is not None:
+                overlap = x @ spike_k / n
+                keep = finite._window_index(np.concatenate([overlap, -overlap[:mirrors]]), *restricted) == 0
+            z = np.random.default_rng(finite.derive_seed(seed, k, 1) & ((1 << 64) - 1)).standard_normal(n)
+            for c, t in enumerate(t_values):
+                lam_t = t * lam
+                energy = math.sqrt(lam_t / n) * q_w + lam_t / n * s_k - lam_t / (2.0 * n) * pairsq
+                even = logw + energy - (1.0 - t) * r / 2.0 * sumsq
+                odd = (math.sqrt((1.0 - t) * r) * z + (1.0 - t) * s * spike_k) @ x.T
+                a = np.concatenate([even + odd, even[:mirrors] - odd[:mirrors]])[keep]
+                top = a.max(initial=-np.inf)
+                out[k, c] = top if top == -np.inf else (top + np.log(np.exp(a - top).sum())) / n
+            k += 1
+    return out
+
+
 @pytest.fixture(scope="session")
 def rademacher_fn_estimates(priors):
     """Free-entropy estimates at lambda = 2 for n in {8, 12, 16}, 400 draws.

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +444,35 @@ class TestScalarEntries:
             for call in (lambda: psi_hat(None, p, 1.0, s), lambda: psi_bar(None, p, 1.0, s)):
                 with pytest.raises(DomainError, match="s must be finite"):
                     call()
+
+    @pytest.mark.parametrize("spec", ["rademacher", "asym:0.7", "point:1e100"])
+    def test_exponent_bound_on_both_sides(self, spec):
+        # r K^2 and the tilt's |s| K (|s| K^2 for psi_bar's s x*) against
+        # EXPONENT_MAX: inside, every scalar entry runs without a RuntimeWarning;
+        # outside, each raises DomainError before the kernel overflows; the
+        # bound lives in channel and stays importable from rs
+        from replica_lab import channel, rs
+
+        assert rs.EXPONENT_MAX is channel.EXPONENT_MAX
+        EXPONENT_MAX = channel.EXPONENT_MAX
+        p = parse_prior_spec(spec)
+        k = max(abs(v) for v, _ in p.atoms)
+        r_edge = EXPONENT_MAX / (k * k)
+        calls = (
+            lambda c: psi_hat(None, p, c * r_edge, 0.0),
+            lambda c: psi_hat(None, p, 0.0, c * EXPONENT_MAX / k),
+            lambda c: psi_bar(None, p, c * r_edge, 0.0),
+            lambda c: psi_bar(None, p, 0.0, -c * r_edge),
+            lambda c: psi(None, p, c * r_edge),
+            lambda c: psi_prime(None, p, c * r_edge),
+            lambda c: asymmetry_gap(None, p, c * r_edge),
+        )
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert math.isfinite(call(0.999))
+            with pytest.raises(DomainError, match="the channel exponents reach"):
+                call(1.001)
 
     @pytest.mark.parametrize("node_count", [None, 61, 121])
     def test_equal_array_kernels(self, priors, node_count):

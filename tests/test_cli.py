@@ -362,6 +362,7 @@ class TestErrorPaths:
             ["finite-n", "--n", "4", "--lambda", "1e200", "--disorder", "3"],
             ["finite-n", "--n", "4", "--lambda", "1e200", "--disorder", "3", "--prior", "sparse:0.25"],
             ["fp", "--n", "4", "--lambda", "1e200", "--disorder", "3"],
+            ["se", "--prior", "point:1e3", "--lambda", "1"],
         ],
     )
     def test_large_but_representable_inputs_run(self, capsys, args):

@@ -298,7 +298,8 @@ class TestBatchedKernel:
         def draw(k):
             return insts[k].spike, insts[k].noise
 
-        weights = [a for _, a in finite._log_weights(table, slice(None), lam, draws, draw)]
+        blocks = finite._log_weights(table, slice(None), [lam], draws, draw)
+        weights = [a[0] for *_, block in blocks for a in block]
         llr, log_z = kl_log_likelihood_ratios(insts, p)
         assert len(weights) == llr.size == log_z.size == draws
         for inst, a, llr_k, log_z_k in zip(insts, weights, llr, log_z):
@@ -341,8 +342,10 @@ class TestBatchedKernel:
             lambda: nishimori_check(p, n, lam, draws, 3),
             lambda: kl_log_likelihood_ratios(insts, p),
             lambda: phi_of_t(p, n, lam, 0.5, 0.5, 0.5, draws, 3),
+            lambda: guerra_slope_check(p, n, lam, 0.5, n_disorder=draws, seed=3),
         )
         for call in calls:
+            call()  # a first call may import modules (np.unique loads numpy.ma)
             tracemalloc.start()
             try:
                 call()

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,45 @@ class TestSignFold:
         assert (est_p.mean, est_p.stderr) == (est_f.mean, est_f.stderr)
 
 
+class TestBlockedPath:
+    """The blocked path against the per-draw, per-t reference combine of conftest.py."""
+
+    SPECS = [("rademacher", 8), ("sparse:0.25", 6), ("uniform:21", 3), ("asym:0.7", 8), ("point:0.7", 6)]
+    # _BLOCK_VALUES in units of the priced rows R: 2R + 1 gives kernel blocks of
+    # two draws and sub-blocks of one draw at one t; 48 R sub-blocks of one
+    # draw at three t's; 192 R sub-blocks of two draws at every t
+    BLOCKINGS = [None, 2, 48, 192]
+
+    @pytest.mark.parametrize("spec, n", SPECS)
+    @pytest.mark.parametrize("per_rows", BLOCKINGS)
+    def test_matches_per_draw_reference(self, monkeypatch, spec, n, per_rows):
+        from conftest import reference_phi_t_draws
+
+        p = parse_prior_spec(spec)
+        lam, q, draws, seed = 2.0, 0.5, 5, 37
+        spike = sample_spike(p, n, 6)
+        if per_rows is not None:
+            rows = enumeration_table(p, n).reps
+            monkeypatch.setattr(finite, "_BLOCK_VALUES", per_rows * rows + (per_rows == 2))
+        cases = [
+            (q, q, None, None),                 # guerra_slope_check's matched path
+            (q, 0.3, (-0.25, 0.75), None),      # a resampled spike's window
+            (q, -0.4, (0.0, 0.5), spike),       # a fixed spike's window
+        ]
+        for q_c, m_c, window, spike_c in cases:
+            got = _phi_t_draws(p, n, lam, q_c, m_c, DEFAULT_T_GRID, draws, seed, restricted=window, spike=spike_c)
+            want = reference_phi_t_draws(p, n, lam, q_c, m_c, DEFAULT_T_GRID, draws, seed, window, spike_c)
+            real = np.isfinite(want)
+            assert np.array_equal(got[~real], want[~real]) and np.isfinite(got[real]).all()
+            # 1e-13 relative; a value below 1 in magnitude keeps the absolute
+            # rounding of its O(1) log-sum-exp terms, so it is held to 1e-13
+            assert np.all(np.abs(got - want)[real] <= 1e-13 * np.maximum(np.abs(want[real]), 1.0))
+        ref = reference_phi_t_draws(p, n, lam, q, q, DEFAULT_T_GRID, draws, seed)
+        slopes = (np.diff(ref, axis=1) / np.diff(DEFAULT_T_GRID)).mean(axis=0)
+        rep = guerra_slope_check(p, n, lam, q, n_disorder=draws, seed=seed)
+        assert rep.params["min_slope"] == pytest.approx(slopes[rep.params["worst_segment"]], abs=1e-12)
+
+
 class TestGuerraSlope:
     def test_zero_snr_slopes_vanish(self, priors):
         rep = guerra_slope_check(priors["rademacher"], 8, 0.0, 0.5, n_disorder=20, seed=1)
@@ -282,6 +322,19 @@ class TestGuerraSlope:
             guerra_slope_check(p, 8, 1.0, math.nan, n_disorder=5, seed=0)
         with pytest.raises(DomainError, match="lambda must be finite"):
             fp_upper_check(p, 8, math.nan, 0.0, 0.25, n_disorder=5, seed=0)
+
+    @pytest.mark.parametrize("q, m", [(1e10, 0.0), (0.5, -1e10)])
+    def test_side_terms_bounded(self, priors, q, m):
+        # lambda passes the energy bound, but r = lambda q or s = lambda m
+        # would overflow the side terms: rs._check_scale at extent max(q, |m|)
+        p = priors["rademacher"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="the channel exponents reach"):
+                phi_of_t(p, 4, 1e300, q, m, 0.5, 3, 1)
+            with pytest.raises(DomainError, match="the channel exponents reach"):
+                guerra_slope_check(p, 4, 1e300, max(q, abs(m)), n_disorder=3, seed=1)
+            assert math.isfinite(phi_of_t(p, 4, 1e280, q, m, 0.5, 3, 1).mean)
 
 
 class TestFpUpper:

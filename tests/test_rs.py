@@ -494,6 +494,19 @@ class TestStateEvolution:
             assert all(-1e-12 <= q <= m2 + 1e-9 for q in tr.iterates)
             assert abs(tr.fixed_point - 2.0 * psi_prime(ev, p, lam * tr.fixed_point)) <= 1e-8
 
+    @pytest.mark.parametrize("spec", ["point:1e3", "point:1e70"])
+    def test_range_slack_scales_with_second_moment(self, ev, spec):
+        # psi_prime's finite-difference error grows with E[X^2]: at point:1e3,
+        # 2 psi'(lambda E[X^2]) = E[X^2] + 6.1e-5, which an absolute 1e-6 slack
+        # refused; the iterate is clipped back to E[X^2]
+        p = parse_prior_spec(spec)
+        m2 = second_moment(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = state_evolution(p, 1.0, m2, 1e-8, 50, ev)
+        assert all(0.0 <= q <= m2 for q in tr.iterates)
+        assert tr.fixed_point == pytest.approx(m2, rel=1e-9)
+
     @pytest.mark.parametrize("lam", [0.74, 0.75])
     def test_iterates_match_broadcast_reference(self, ev, lam):
         # q <- 2 psi'(lambda q) with psi' from the broadcast reference kernel and

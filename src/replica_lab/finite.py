@@ -29,8 +29,9 @@ depend only on its kernel row and its SNR, never on which replicas or SNRs
 share the sub-block.  The log-sum-exp then reduces each contiguous row
 (_logsumexp_rows).  What can move with the composition of a block is only
 what a BLAS product forms over several replicas at once: the interpolation's
-odd side term, nishimori_check's posterior means and overlaps, and
-kl_log_likelihood_ratios' exponents, in their last bits.  free_entropy_mc
+odd side term and nishimori_check's posterior means and overlaps, in their
+last bits.  kl_log_likelihood_ratios' exponents are a pair-by-pair
+gather-add, elementwise per replica.  free_entropy_mc
 and phi_of_t(t = 1) stay equal bit for bit: at t = 1 the side coefficients
 are exact zeros, so both take the same elementwise steps and reductions.
 
@@ -69,11 +70,20 @@ from . import rs
 DEFAULT_BUDGET = 2**20
 
 # Values held per block of the enumeration kernel: 2**20 doubles (8 MB).  A
-# block of draws spans at most this many energies.  A block of configuration
-# rows holds a sixteenth of it in pair features (512 KB), so that they stay in
-# cache while the GEMM reads them: one draw over sparse:0.25 at n = 12 took
-# 3.6x as long with 8 MB of features per block.
+# block of draws spans at most this many energies.
 _BLOCK_VALUES = 2**20
+
+
+def _sub_block_values() -> int:
+    """Values held per sub-block: a sixteenth of _BLOCK_VALUES (512 KB), read at call time.
+
+    A block of configuration rows holds this many pair features, so that they
+    stay in cache while the kernel's GEMM reads them: one draw over
+    sparse:0.25 at n = 12 took 3.6x as long with 8 MB of features per block.
+    A sub-block of log weights holds at most this many too: an eighth was 5%
+    faster on the Guerra path but raised the peak RSS.
+    """
+    return _BLOCK_VALUES // 16
 
 _MASK64 = (1 << 64) - 1
 
@@ -277,15 +287,15 @@ def _energy_parts(x: np.ndarray, spikes: np.ndarray, noises: np.ndarray):
     coefficients [noises; spike pair products] against the features of a
     block of rows gives both.  The results are (D, rows), draw-major, so each
     draw's energies form one contiguous row.  Rows are walked in blocks of
-    _BLOCK_VALUES // (16 max(n, P, 2D)) configurations, so no temporary
-    exceeds _BLOCK_VALUES / 16 values beyond the results, each of which
+    _sub_block_values() // max(n, P, 2D) configurations, so no temporary
+    exceeds _sub_block_values() values beyond the results, each of which
     _draw_parts bounds by _BLOCK_VALUES.
     """
     d, n = spikes.shape
     i, j = _triu(n)
     pair_coef = np.concatenate([noises, spikes[:, i] * spikes[:, j]])
     parts = np.empty((2 * d, x.shape[0]))
-    step = max(1, _BLOCK_VALUES // (16 * max(n, i.size, 2 * d)))
+    step = max(1, _sub_block_values() // max(n, i.size, 2 * d))
     for c in range(0, x.shape[0], step):
         xt = np.ascontiguousarray(x[c : c + step].T)
         parts[:, c : c + step] = pair_coef @ (xt[i] * xt[j])
@@ -322,7 +332,7 @@ def _log_weights(table: EnumTable, rows, lams, n_draws: int, draw, side_sq=None)
     draw's kernel row and its coefficients.  rows None means the
     representatives: the consumer reads the mirrors from rows [:table.mirrors]
     (_logsumexp_rows, EnumTable.unfold).  A sub-block spans at most
-    _BLOCK_VALUES // 16 values of a: whole draws of a kernel block when one
+    _sub_block_values() values of a: whole draws of a kernel block when one
     draw's SNRs fit, else one draw and as many SNRs as fit (at least one).
     """
     if rows is None:
@@ -333,7 +343,7 @@ def _log_weights(table: EnumTable, rows, lams, n_draws: int, draw, side_sq=None)
     base = table.logw[rows] - lams / (2.0 * n) * table.pairsq[rows]
     if side_sq is not None:
         base -= side_sq[:, None] * table.sumsq[rows]
-    width, room = max(1, base.shape[1]), _BLOCK_VALUES // 16
+    width, room = max(1, base.shape[1]), _sub_block_values()
     c_step = min(lams.size, max(1, room // width))
     d_step = max(1, room // (lams.size * width)) if c_step == lams.size else 1
     k = 0
@@ -514,12 +524,12 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     the prior without the kernel and without expanding a square: per pair
     i < j and per distinct atom product v it tabulates
     g = y^2/2 - (y - sqrt(lam/N) v)^2/2, and a configuration's exponent is
-    the sum over pairs of the entries at its products x_i x_j: one GEMM of a
-    block of draws' g against the one-hot (rows, pairs x products) indicator
-    of a block of rows' product codes.  It is even in x, so it is formed on
-    the table's representatives only.  A block of draws holds at most
-    _BLOCK_VALUES table entries and exponents, and a block of rows' indicator
-    at most _BLOCK_VALUES // 16.
+    the sum, pair by pair, of the entries at its products x_i x_j, so it is
+    even in x and is formed on the table's representatives only.  The
+    gather-add costs one add per pair, row and draw, whatever the number of
+    distinct products.  A block of draws holds at most _BLOCK_VALUES table
+    entries and exponents, and a block of rows gathers at most _BLOCK_VALUES
+    entries.
     """
     instances = list(instances)
     _check_disorder(len(instances), "instance count")
@@ -541,18 +551,19 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     coef = math.sqrt(lam / n)
     llr = np.empty(count)
     step_d = max(1, _BLOCK_VALUES // max(rows, i.size * products.size))
-    step_r = max(1, _BLOCK_VALUES // (16 * i.size * products.size))
     for k0 in range(0, count, step_d):
         # g[p * V + v, d] for pair p, product v and draw d of the block.
         y = np.stack([inst.y for inst in instances[k0 : k0 + step_d]]).T[:, None, :]
-        g_t = (0.5 * y**2 - 0.5 * (y - coef * products[:, None]) ** 2).reshape(-1, y.shape[2]).T
+        g = (0.5 * y**2 - 0.5 * (y - coef * products[:, None]) ** 2).reshape(-1, y.shape[2])
         exponents = np.empty((y.shape[2], rows))
+        step_r = max(1, _BLOCK_VALUES // max(1, i.size * y.shape[2]))
         for c in range(0, rows, step_r):
             xt = np.ascontiguousarray(x[c : c + step_r].T)
             codes = np.searchsorted(products, xt[i] * xt[j]) + offsets
-            onehot = np.zeros((g_t.shape[1], codes.shape[1]))
-            onehot[codes, np.arange(codes.shape[1])] = 1.0
-            exponents[:, c : c + step_r] = g_t @ onehot
+            acc = g[codes[0]]
+            for code in codes[1:]:
+                acc += g[code]
+            exponents[:, c : c + step_r] = acc.T
         exponents += table.logw[:rows]
         llr[k0 : k0 + y.shape[2]] = _logsumexp_rows(exponents, m)
     return llr, log_z

@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(sp, nodes=True, plot=True)
     sp.add_argument("--lambda", dest="lam", default="0.5,1,2,4")
     sp.add_argument("--q", dest="q0", type=float, default=None, help="initial overlap (default: E[X^2])")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=1e-8, help="stop once |delta q| <= tol * max(1, E[X^2])")
     sp.add_argument("--max-iter", type=int, default=1000)
 
     sp = sub.add_parser("finite-n", help="free entropy estimates across sizes")

@@ -680,6 +680,13 @@ def nishimori_check(
     disorder means with a paired standard error.  A sub-block of draws gets
     its posterior means from one GEMM (post @ X) and its overlaps from
     another (_rounded_overlaps).
+
+    For a sign-symmetric prior the check is vacuous.  The posterior is then
+    even in x (the data enter only through x x^T), so every <x_i> is zero,
+    and E<R_{1,2}> and E<R_{1,*}> both vanish by the x -> -x symmetry: the
+    report compares two rounding residues, and its 1e-12 absolute floor
+    passes any code that keeps the symmetry, right or wrong.  Only a prior
+    without the symmetry (asym:P, point:C) tests the identity.
     """
     _check_disorder(n_disorder)
     _check_energy_scale(p, n, lam)

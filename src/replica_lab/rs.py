@@ -25,12 +25,16 @@ phi_rs(p, 2).optimizer_q to the last bit.
 The saddle works on derivatives instead.  psi_hat_grad gives F_bar with its
 exact partial derivatives in m and q (those of the quadrature rule itself).
 The inner inf over q takes every sign change of d_q F_bar on a coarse q row,
-polishes it as a root, and keeps the least exact value.  By the envelope
-theorem the outer profile inf_q F_bar has slope d_m F_bar at the inner
-minimizer, so the outer sup takes the sign changes of that slope on a coarse
-m grid and polishes them the same way; every candidate is priced exactly.  A
-simple root pins m* to near machine precision, and nothing is cached between
-calls, so a result depends only on its arguments.  The same inner
+polishes it as a root, and keeps the least value, each from the kernel call
+that found it.  By the envelope theorem the outer profile inf_q F_bar has
+slope d_m F_bar at the inner minimizer, so the outer sup takes the sign
+changes of that slope on a coarse m grid.  Each is polished as one joint
+root of (d_m F_bar, d_q F_bar) by Newton, not by a root search on the slope
+whose every step is a whole inner minimization: one inner minimization
+prices the root and checks that its q is the inner minimizer, and regula
+falsi on the slope steps in where Newton leaves the bracket or the check
+fails.  A simple root pins m* to near machine precision, and nothing is
+cached between calls, so a result depends only on its arguments.  The same inner
 minimization, averaged over a spike's empirical law instead of the prior,
 gives inf_q F_hat for the fixed-spike bound in interpolation.fp_upper_check.
 
@@ -83,6 +87,11 @@ _PROBE = 1e-4
 _ROOT_XTOL = 1e-13
 _ROOT_FTOL = 1e-14
 _ROOT_MAX_ITER = 100
+# The saddle's joint polish: the Jacobian's forward-difference step and the
+# largest gap between a joint root's q and the inner minimizer there, both
+# relative to the inner search ceiling.
+_JAC_STEP = 1e-7
+_GUARD_QTOL = 1e-8
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -362,56 +371,78 @@ def _f_bar_grad(p: Prior, lam: float, m, q, ev, law):
     return value, d_m, d_q
 
 
-def _bracketed_roots(f, a, b, fa, fb, ftol: float) -> np.ndarray:
-    """Roots of f in the brackets [a_k, b_k], all brackets at once.
+def _secant_step(f, live, a, b, fa, yb):
+    """One regula falsi step on the brackets live, updating a, b, fa and yb in place.
 
-    f(k, x) evaluates the function of brackets k at points x; fa and fb are
-    its values at the ends, of opposite signs.  Regula falsi with the
-    Anderson-Bjorck scaling of the value kept at a stale end; a secant point
-    that lands on an end is replaced by the midpoint.  A bracket stops once
-    it is narrower than _ROOT_XTOL or its newest point has |f| <= ftol, where
-    the sign of f is rounding noise.
+    f(k, x) evaluates brackets k at points x as a stacked array whose row 0
+    is the function and whose other rows are carried along; yb holds that
+    stack at the ends b, fa the function at the ends a, of opposite sign.
+    The secant point c becomes the new b, and a becomes whichever old end
+    keeps the root between a and c, with the Anderson-Bjorck scaling of the
+    value kept at a stale end; a secant point that lands on an end is
+    replaced by the midpoint.
     """
-    a, b, fa, fb = (np.array(x, dtype=np.float64) for x in (a, b, fa, fb))
+    al, bl, fal, fbl = a[live], b[live], fa[live], yb[0, live]
+    c = bl - fbl * (bl - al) / (fbl - fal)
+    c = np.where((c == al) | (c == bl) | ~np.isfinite(c), 0.5 * (al + bl), c)
+    yc = f(live, c)
+    fc = yc[0]
+    # the root stays between a and c; signs, since fc * fbl can overflow
+    stale = np.sign(fc) == np.sign(fbl)
+    shrink = 1.0 - fc / fbl
+    a[live] = np.where(stale, al, bl)
+    fa[live] = np.where(stale, np.where(shrink > 0.0, shrink, 0.5) * fal, fbl)
+    b[live], yb[:, live] = c, yc
+
+
+def _open_brackets(a, b, fb, ftol: float) -> np.ndarray:
+    """Brackets still wider than _ROOT_XTOL whose newest point has |f| > ftol (below, its sign is rounding noise)."""
+    return np.flatnonzero((np.abs(b - a) > _ROOT_XTOL) & (np.abs(fb) > ftol))
+
+
+def _bracketed_roots(f, a, b, fa, yb, ftol: float):
+    """Roots of f in the brackets [a_k, b_k], all brackets at once, by _secant_step.
+
+    f, fa and yb are as _secant_step takes them.  A bracket stops once
+    _open_brackets drops it.  Returns the roots and f's stack at them, both
+    from the evaluations already made.
+    """
+    a, b, fa, yb = (np.array(x, dtype=np.float64) for x in (a, b, fa, yb))
     for _ in range(_ROOT_MAX_ITER):
-        live = np.flatnonzero((np.abs(b - a) > _ROOT_XTOL) & (np.abs(fb) > ftol))
+        live = _open_brackets(a, b, yb[0], ftol)
         if live.size == 0:
             break
-        al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
-        c = bl - fbl * (bl - al) / (fbl - fal)
-        c = np.where((c == al) | (c == bl) | ~np.isfinite(c), 0.5 * (al + bl), c)
-        fc = f(live, c)
-        # the root stays between a and c; signs, since fc * fbl can overflow
-        stale = np.sign(fc) == np.sign(fbl)
-        shrink = 1.0 - fc / fbl
-        a[live] = np.where(stale, al, bl)
-        fa[live] = np.where(stale, np.where(shrink > 0.0, shrink, 0.5) * fal, fbl)
-        b[live], fb[live] = c, fc
-    return b
+        _secant_step(f, live, a, b, fa, yb)
+    return b, yb
 
 
-def _local_maxima(grid: np.ndarray, slope: np.ndarray, f, ftol: float):
+def _local_maxima(grid: np.ndarray, ys: np.ndarray, polish, ftol: float):
     """Local maximizers of functions sampled on a grid, from their derivative.
 
-    slope holds the derivative of each row's function on the grid; f(k, x)
-    evaluates the derivative of the rows of brackets k at points x.  The
-    candidates are the grid points where |slope| <= ftol (stationary, as a
-    symmetry point is), the first point where the function falls from it and
-    the last where it rises to it, and the plus-to-minus sign changes between
-    grid points, polished by _bracketed_roots.  Stationary points closer
-    together than one grid step can hide each other.  Returns (rows, points).
+    ys is a stack over the grid, (rows, points) per entry: ys[0] holds the
+    derivative of each row's function and the other entries values carried
+    to the candidates.  The candidates are the grid points where
+    |ys[0]| <= ftol (stationary, as a symmetry point is), the first point
+    where the function falls from it and the last where it rises to it, and
+    the plus-to-minus sign changes between grid points.  polish(rows, a, b,
+    ya, yb) turns the sign changes [a_k, b_k] of the given rows, with ys at
+    their ends, into (roots, ys at the roots).  Stationary points closer
+    together than one grid step can hide each other.  Returns (rows, points,
+    ys at the points).
     """
+    slope = ys[0]
     sign = np.where(np.abs(slope) <= ftol, 0.0, np.sign(slope))
     rows, cols = np.nonzero((sign[:, :-1] > 0) & (sign[:, 1:] < 0))
-    roots = _bracketed_roots(
-        lambda k, x: f(rows[k], x),
-        grid[cols], grid[cols + 1], slope[rows, cols], slope[rows, cols + 1], ftol,
-    )
+    roots, y_roots = polish(rows, grid[cols], grid[cols + 1], ys[:, rows, cols], ys[:, rows, cols + 1])
     flat = sign == 0
     flat[:, 0] |= sign[:, 0] < 0
     flat[:, -1] |= sign[:, -1] > 0
     rows_flat, cols_flat = np.nonzero(flat)
-    return np.concatenate([rows, rows_flat]), np.concatenate([roots, grid[cols_flat]])
+    return (
+        np.concatenate([rows, rows_flat]),
+        np.concatenate([roots, grid[cols_flat]]),
+        np.concatenate([y_roots, ys[:, rows_flat, cols_flat]], axis=1),
+    )
 
 
 def _inner_min(p: Prior, lam: float, m: np.ndarray, q_max: float, ev, law=None):
@@ -419,21 +450,108 @@ def _inner_min(p: Prior, lam: float, m: np.ndarray, q_max: float, ev, law=None):
 
     Returns (q_bar, value, d_m F_bar at q_bar), each of m's shape; law is
     the planted law as _planted_law takes it (the prior's by default), folded
-    here once per call.  The local minima found by _local_maxima on a coarse
-    q row are priced exactly and each m keeps the least.  The row has a point
-    just off q = 0, where d_q F_bar vanishes at m = 0 by symmetry, so that
-    the sign beside it decides.
+    here once per call.  _local_maxima finds the local minima on a coarse q
+    row and polishes them as roots of d_q F_bar; each m keeps the least
+    value.  Every kernel call gives F_bar with both partial derivatives, so
+    a candidate's value and d_m come from the call that found it and none is
+    priced again.  The row has a point just off q = 0, where d_q F_bar
+    vanishes at m = 0 by symmetry, so that the sign beside it decides.
     """
     law = _planted_law(p, law)
     q_row = np.union1d(np.linspace(0.0, q_max, _Q_POINTS), [_PROBE * q_max])
-    _, _, d_q = _f_bar_grad(p, lam, m[:, None], q_row, ev, law)
-    owner, q_cand = _local_maxima(
-        q_row, -d_q, lambda k, q: -_f_bar_grad(p, lam, m[k], q, ev, law)[2], _ROOT_FTOL * lam
-    )
-    value, d_m, _ = _f_bar_grad(p, lam, m[owner], q_cand, ev, law)
+
+    def grads(k, q):
+        value, d_m, d_q = _f_bar_grad(p, lam, m[k], q, ev, law)
+        return np.stack([-d_q, value, d_m])
+
+    def polish(rows, a, b, ya, yb):
+        return _bracketed_roots(lambda k, q: grads(rows[k], q), a, b, ya[0], yb, ftol)
+
+    ftol = _ROOT_FTOL * lam
+    ys = grads(np.arange(m.size)[:, None], q_row)
+    owner, q_cand, (_, value, d_m) = _local_maxima(q_row, ys, polish, ftol)
     order = np.lexsort((value, owner))
     best = order[np.searchsorted(owner[order], np.arange(m.size))]
     return q_cand[best], value[best], d_m[best]
+
+
+def _profile(p: Prior, lam: float, m: np.ndarray, q_max: float, ev) -> np.ndarray:
+    """The outer profile g(m) = inf_q F_bar on [0, q_max] as the stack (g'(m), q_bar(m), g(m)), by _inner_min."""
+    q_bar, value, d_m = _inner_min(p, lam, m, q_max, ev)
+    return np.stack([d_m, q_bar, value])
+
+
+def _joint_polish(p: Prior, lam: float, q_max: float, ev, a, b, ya, yb):
+    """Roots of the outer slope g'(m) in the brackets [a_k, b_k], each as a joint root of (d_m F_bar, d_q F_bar).
+
+    ya and yb stack (g', q_bar, value) at the ends, g'(a) > 0 > g'(b).
+    Newton on the pair starts from the secant point, with q interpolated
+    between q_bar(a) and q_bar(b); one kernel call on (m, q), (m + h, q) and
+    (m, q + h) gives the gradient and a forward-difference Jacobian.  A
+    step that leaves the bracket, or q's range [0, q_max], is replaced by
+    one _secant_step on g' through _inner_min, which shrinks the bracket,
+    and Newton restarts from (c, q_bar(c)).  A joint root is priced by one
+    _inner_min at m*; if its q is not the global inner minimizer there, that
+    bracket falls back to _bracketed_roots on g'.  Returns (roots, the stack
+    (g', q_bar, value) at them), as _local_maxima's polish.
+    """
+    law = _planted_law(p)
+    ftol = _ROOT_FTOL * lam
+    h = _JAC_STEP * q_max
+
+    def slope_at(_, m):
+        return _profile(p, lam, m, q_max, ev)
+
+    a, b, fa, yb = (np.array(x, dtype=np.float64) for x in (a, b, ya[0], yb))
+    m = b - yb[0] * (b - a) / (yb[0] - fa)
+    q = ya[1] + (m - a) / (b - a) * (yb[1] - ya[1])
+    todo = np.ones(m.size, dtype=bool)  # still iterating
+    joint = np.zeros(m.size, dtype=bool)  # (m, q) is a joint root
+    for _ in range(_ROOT_MAX_ITER):
+        live = np.flatnonzero(todo)
+        if live.size == 0:
+            break
+        m_l, q_l = m[live, None], q[live, None]
+        m_s, q_s = m_l + [0.0, h, 0.0], q_l + [0.0, 0.0, h]
+        _, d_m, d_q = _f_bar_grad(p, lam, m_s, q_s, ev, law)
+        g_m, g_q = d_m[:, 0], d_q[:, 0]
+        with np.errstate(all="ignore"):  # a singular Jacobian gives a step that fails the test below
+            h_m, h_q = m_s[:, 1] - m_l[:, 0], q_s[:, 2] - q_l[:, 0]
+            j_mm, j_mq = (d_m[:, 1] - g_m) / h_m, (d_m[:, 2] - g_m) / h_q
+            j_qm, j_qq = (d_q[:, 1] - g_q) / h_m, (d_q[:, 2] - g_q) / h_q
+            det = j_mm * j_qq - j_mq * j_qm
+            step_m = (j_mq * g_q - j_qq * g_m) / det
+            step_q = (j_qm * g_m - j_mm * g_q) / det
+        root = (np.abs(g_m) <= ftol) & (np.abs(g_q) <= ftol)
+        m_new, q_new = m[live] + step_m, q[live] + step_q
+        inside = (
+            (np.minimum(a[live], b[live]) < m_new) & (m_new < np.maximum(a[live], b[live]))
+            & (q_new >= 0.0) & (q_new <= q_max)
+        )
+        take = ~root & inside
+        m[live[take]], q[live[take]] = m_new[take], q_new[take]
+        root |= take & (np.abs(step_m) <= _ROOT_XTOL) & (np.abs(step_q) <= _ROOT_XTOL)
+        joint[live[root]] = True
+        todo[live[root]] = False
+        safeguard = live[~root & ~inside]
+        if safeguard.size:
+            _secant_step(slope_at, safeguard, a, b, fa, yb)
+            m[safeguard], q[safeguard] = b[safeguard], yb[1, safeguard]
+            done = np.setdiff1d(safeguard, _open_brackets(a, b, yb[0], ftol))
+            todo[done] = False  # the secant point is the root
+
+    out = yb.copy()  # a bracket that ends on its secant point keeps its stack
+    priced = np.flatnonzero(joint)
+    if priced.size:
+        y = slope_at(None, m[priced])
+        # the joint q must be the global inner minimizer at m*
+        same = np.abs(y[1] - q[priced]) <= _GUARD_QTOL * q_max
+        b[priced[same]], out[:, priced[same]] = m[priced[same]], y[:, same]
+        todo[priced[~same]] = True
+    nested = np.flatnonzero(todo)
+    if nested.size:
+        b[nested], out[:, nested] = _bracketed_roots(slope_at, a[nested], b[nested], fa[nested], yb[:, nested], ftol)
+    return b, out
 
 
 def f_bar_inner_min(
@@ -442,7 +560,8 @@ def f_bar_inner_min(
     """Exact inner minimization q -> F_bar(lambda, m, q) on [0, q_max].
 
     Returns (q_bar, value).  Every local minimum found on a coarse q row is
-    polished as a root of d_q F_bar and priced exactly; the least value wins.
+    polished as a root of d_q F_bar, its value taken from the kernel call
+    that found it; the least value wins.
     The minimizer is uniformly bounded in m (differentiate in q), which
     motivates the default search ceiling q_max = E[X^2] + 1.  lambda, m and
     q_max must pass _check_scale at extent max(q_max, |m|).
@@ -464,9 +583,11 @@ def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     g'(m) = d_m F_bar(m, q_bar(m)), with q_bar from an exact inner
     minimization.  The local maxima of g come from _local_maxima on a coarse
     m grid, which has points just off m = 0, where g' vanishes for
-    sign-symmetric priors; each is priced exactly and recorded, and value
-    ties within 1e-9 (the +-m* of a sign-symmetric prior) resolve to the
-    largest m.  grid_resolution reports the coarse grid's step.
+    sign-symmetric priors.  _joint_polish polishes each sign change of g' as
+    a joint root of (d_m F_bar, d_q F_bar) and prices it with one inner
+    minimization; every candidate is recorded, and value ties within 1e-9
+    (the +-m* of a sign-symmetric prior) resolve to the largest m.
+    grid_resolution reports the coarse grid's step.
 
     For a sign-symmetric prior g is even in m (see _planted_law), so only the
     half grid m >= 0, with the same step and the probe at +_PROBE E[X^2], is
@@ -486,16 +607,10 @@ def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     else:
         m_grid = m2 * np.union1d(np.linspace(-1.0, 1.0, _M_POINTS), [-_PROBE, _PROBE])
 
-    inner = {}  # m -> (q_bar, value): every candidate is a point already solved
-
-    def slope_at(m):
-        q_bar, value, d_m = _inner_min(p, lam, m, q_max, ev)
-        inner.update(zip(m.tolist(), zip(q_bar.tolist(), value.tolist())))
-        return d_m
-
-    slope = slope_at(m_grid)
-    _, m_cand = _local_maxima(m_grid, slope[None, :], lambda k, m: slope_at(m), _ROOT_FTOL * lam)
-    q_cand, v_cand = np.array([inner[m] for m in m_cand.tolist()]).T
+    ys = _profile(p, lam, m_grid, q_max, ev)[:, None]
+    _, m_cand, (_, q_cand, v_cand) = _local_maxima(
+        m_grid, ys, lambda rows, *ends: _joint_polish(p, lam, q_max, ev, *ends), _ROOT_FTOL * lam
+    )
     if symmetric:
         mirror = m_cand > 0.0
         m_cand = np.r_[m_cand, -m_cand[mirror]]
@@ -519,8 +634,10 @@ def state_evolution(
     max_iter: int = 1000,
     ev: ChannelEvaluator | None = None,
 ) -> SETrace:
-    """Iterate q <- 2 psi'(lambda q) from q0 until |delta q| <= tol, at most max_iter times.
+    """Iterate q <- 2 psi'(lambda q) from q0 until |delta q| <= tol max(1, E[X^2]), at most max_iter times.
 
+    tol is relative to the scale of q, so a prior with a large E[X^2]
+    converges as one of unit scale does (E[X^2] = 1 reads tol as absolute).
     lambda must pass _check_scale at extent E[X^2] + 1.  An iterate may leave
     [0, E[X^2]] by the finite-difference psi_prime's error, which grows with
     E[X^2]: by at most 1e-9 max(1, E[X^2]) below and 1e-6 max(1, E[X^2])
@@ -546,7 +663,7 @@ def state_evolution(
             )
         q_next = min(max(q_next, 0.0), m2)
         iterates.append(float(q_next))
-        if abs(q_next - q) <= tol:
+        if abs(q_next - q) <= tol * scale:
             converged = True
             q = q_next
             break

@@ -53,6 +53,21 @@ def broadcast_psi(ev, p, r):
     return broadcast_psi_hat(ev, p, r[..., None], r[..., None] * p.values) @ p.weights
 
 
+def nested_polish(p, lam, q_max, ev, a, b, ya, yb):
+    """Reference outer polish for rs.saddle, in place of rs._joint_polish: the
+    nested polish that the joint (m, q) Newton replaced, kept as its reference.
+
+    Regula falsi on the outer slope g'(m) = d_m F_bar(m, q_bar(m)) in each
+    bracket, every step a full inner minimization (rs._profile) and every
+    root priced by the inner minimization that found it.
+    """
+    from replica_lab import rs
+
+    return rs._bracketed_roots(
+        lambda k, m: rs._profile(p, lam, m, q_max, ev), a, b, ya[0], yb, rs._ROOT_FTOL * lam
+    )
+
+
 def mc_log_expectation(fn, n_samples=10**7, seed=0, chunk=10**6):
     """(mean, stderr) of fn(z) over z ~ N(0,1), chunked to bound memory."""
     rng = np.random.default_rng(seed)

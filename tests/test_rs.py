@@ -24,7 +24,7 @@ from replica_lab import (
     second_moment,
     state_evolution,
 )
-from replica_lab import rs
+from replica_lab import channel, rs
 from replica_lab.channel import make_evaluator, psi_hat_grad
 from replica_lab.interpolation import fp_upper_check
 from replica_lab.priors import (
@@ -34,7 +34,7 @@ from replica_lab.priors import (
     sparse_rademacher_prior,
 )
 
-from conftest import broadcast_psi, mc_log_cosh, mc_psi_bar
+from conftest import broadcast_psi, mc_log_cosh, mc_psi_bar, nested_polish
 
 
 class TestRsPotential:
@@ -452,6 +452,92 @@ class TestSignFold:
             assert not rs._sign_symmetric(p), p
 
 
+class TestSaddleMatchesNestedPolish:
+    """The joint (m, q) Newton polish finds the saddle that nested regula falsi on g'(m) finds."""
+
+    LAMBDAS = (0.5, 1.02, 1.05, 1.3, 2.0, 2.6, 4.0, 6.0, 10.0, 20.0, 40.0)
+
+    @staticmethod
+    def _agree(ev, monkeypatch, p, lams):
+        joint = [saddle(p, lam, ev) for lam in lams]
+        with monkeypatch.context() as mp:
+            mp.setattr(rs, "_joint_polish", nested_polish)
+            nested = [saddle(p, lam, ev) for lam in lams]
+        for lam, got, want in zip(lams, joint, nested):
+            label = (p.name, lam)
+            assert abs(got.value - want.value) <= 1e-13, (label, got.value - want.value)
+            assert abs(abs(got.optimizer_m) - abs(want.optimizer_m)) <= 1e-10, (label, got, want)
+            assert abs(got.optimizer_q - want.optimizer_q) <= 1e-10, (label, got, want)
+            assert len(got.local_optima) == len(want.local_optima), (label, got, want)
+
+    @pytest.mark.parametrize(
+        "spec", ["rademacher", "sparse:0.25", "sparse:0.05", "sparse:0.02", "asym:0.7",
+                 "point:0.7", "uniform:8", "uniform:21"],
+    )
+    def test_lambda_grid(self, ev, monkeypatch, spec):
+        self._agree(ev, monkeypatch, parse_prior_spec(spec), self.LAMBDAS)
+
+    def test_first_order_transition(self, ev, monkeypatch):
+        # sparse:0.05 has two outer candidates of nearly equal value at lambda_c
+        p = parse_prior_spec("sparse:0.05")
+        lam_c = critical_lambda(p, ev=ev)
+        self._agree(ev, monkeypatch, p, (lam_c - 1e-3, lam_c + 1e-3))
+
+    @pytest.mark.parametrize("q_start", [0.0, 0.02, 0.025, 0.05, 0.5])
+    def test_start_on_another_inner_branch(self, ev, q_start):
+        # sparse:0.01 at lambda = 0.7: in [0.0225, 0.0315] g' falls from
+        # +1.3e-4 to -1.0e-2 across a jump of q_bar (0.009 -> 0.117 near
+        # m = 0.0306), and the unstable SE fixed point m = q = 0.0251 is a
+        # joint root whose q is not the inner minimizer there (that is 0.003).
+        # Started from q near it, Newton converges to it; the guard must
+        # refuse it and the bracket still end on the nested polish's root.
+        p = parse_prior_spec("sparse:0.01")
+        lam, q_max = 0.7, second_moment(p) + 1.0
+        a, b = np.array([0.0225]), np.array([0.0315])
+        y = rs._profile(p, lam, np.r_[a, b], q_max, ev)
+        ya, yb = y[:, :1].copy(), y[:, 1:].copy()
+        assert ya[0, 0] > 0.0 > yb[0, 0]
+        want, y_want = nested_polish(p, lam, q_max, ev, a, b, ya, yb)
+        ya[1] = yb[1] = q_start  # the start interpolates q between these
+        got, y_got = rs._joint_polish(p, lam, q_max, ev, a, b, ya, yb)
+        assert abs(got[0] - want[0]) <= 1e-12, (got, want)
+        assert abs(y_got[1, 0] - y_want[1, 0]) <= 1e-10, (y_got, y_want)
+
+    @pytest.mark.parametrize("name", ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21"])
+    def test_joint_path_runs(self, ev, priors, monkeypatch, name):
+        # after the grid stage's one inner minimization, a saddle whose
+        # Newton steps stay in their brackets makes one more per outer
+        # candidate at most (the pricing), and fewer kernel calls than the
+        # nested polish: a silent fallback to the nested path shows here
+        p = priors[name]
+        calls = {}
+
+        def counting(mod, fn_name):
+            fn = getattr(mod, fn_name)
+
+            def wrapped(*args, **kwargs):
+                calls[fn_name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, fn_name, wrapped)
+
+        counting(channel, "_node_tables")
+        counting(rs, "_inner_min")
+        for lam in (2.0, 4.0):
+            kernel = {}
+            for polish in ("joint", "nested"):
+                calls.update(_node_tables=0, _inner_min=0)
+                with monkeypatch.context() as mp:
+                    if polish == "nested":
+                        mp.setattr(rs, "_joint_polish", nested_polish)
+                    res = saddle(p, lam, ev)
+                kernel[polish] = calls["_node_tables"]
+                if polish == "joint":
+                    polished = [m for m, _ in res.local_optima if m > 0.0 or not rs._sign_symmetric(p)]
+                    assert 2 <= calls["_inner_min"] <= 1 + len(polished), (lam, calls, res)
+            assert kernel["joint"] < kernel["nested"], (lam, kernel)
+
+
 class TestFHat:
     def test_matches_f_bar_for_point_spike_distribution(self, ev):
         # a spike listing each atom proportionally to its weight makes
@@ -498,7 +584,9 @@ class TestStateEvolution:
     def test_range_slack_scales_with_second_moment(self, ev, spec):
         # psi_prime's finite-difference error grows with E[X^2]: at point:1e3,
         # 2 psi'(lambda E[X^2]) = E[X^2] + 6.1e-5, which an absolute 1e-6 slack
-        # refused; the iterate is clipped back to E[X^2]
+        # refused; the iterate is clipped back to E[X^2].  The stopping rule
+        # scales the same way: at point:1e70 the iterates alternate between
+        # 1e140 and 9.999999998694e139, which an absolute tol never accepted
         p = parse_prior_spec(spec)
         m2 = second_moment(p)
         with warnings.catch_warnings():
@@ -506,6 +594,7 @@ class TestStateEvolution:
             tr = state_evolution(p, 1.0, m2, 1e-8, 50, ev)
         assert all(0.0 <= q <= m2 for q in tr.iterates)
         assert tr.fixed_point == pytest.approx(m2, rel=1e-9)
+        assert tr.converged and len(tr.iterates) < 50, (spec, len(tr.iterates))
 
     @pytest.mark.parametrize("lam", [0.74, 0.75])
     def test_iterates_match_broadcast_reference(self, ev, lam):

@@ -317,8 +317,8 @@ def fp_upper_check(
         )
 
     values, counts = np.unique(spike, return_counts=True)
-    q_min, rhs_min, _ = _inner_min(p, lam, np.array([float(m)]), K**2 + 1.0, ev, (values, counts / n))
-    q_min, rhs_min = float(q_min[0]), float(rhs_min[0])
+    _, q_min, rhs_min = _inner_min(p, lam, np.array([float(m)]), K**2 + 1.0, ev, (values, counts / n))[:, 0]
+    q_min, rhs_min = float(q_min), float(rhs_min)
     allowance = lam * eps * eps / 2.0 + lam * K**4 / n + 3.0 * lhs.stderr
     slack = rhs_min + allowance - lhs.mean
     params.update({"q_min": q_min, "rhs_min": rhs_min, "lhs_mean": lhs.mean})

@@ -396,7 +396,7 @@ def _secant_step(f, live, a, b, fa, yb):
 
 
 def _open_brackets(a, b, fb, ftol: float) -> np.ndarray:
-    """Brackets still wider than _ROOT_XTOL whose newest point has |f| > ftol (below, its sign is rounding noise)."""
+    """Brackets wider than _ROOT_XTOL whose newest |f| > ftol (below it, f's sign is rounding noise)."""
     return np.flatnonzero((np.abs(b - a) > _ROOT_XTOL) & (np.abs(fb) > ftol))
 
 
@@ -448,14 +448,16 @@ def _local_maxima(grid: np.ndarray, ys: np.ndarray, polish, ftol: float):
 def _inner_min(p: Prior, lam: float, m: np.ndarray, q_max: float, ev, law=None):
     """Global minimum of q -> F_bar(lambda, m, q) on [0, q_max] for each m.
 
-    Returns (q_bar, value, d_m F_bar at q_bar), each of m's shape; law is
-    the planted law as _planted_law takes it (the prior's by default), folded
-    here once per call.  _local_maxima finds the local minima on a coarse q
-    row and polishes them as roots of d_q F_bar; each m keeps the least
-    value.  Every kernel call gives F_bar with both partial derivatives, so
-    a candidate's value and d_m come from the call that found it and none is
-    priced again.  The row has a point just off q = 0, where d_q F_bar
-    vanishes at m = 0 by symmetry, so that the sign beside it decides.
+    Returns the stack (d_m F_bar at q_bar, q_bar, value), each row of m's
+    shape: with the prior's law, the outer profile g(m) = inf_q F_bar as
+    (g'(m), q_bar(m), g(m)).  law is the planted law as _planted_law takes
+    it (the prior's by default), folded here once per call.  _local_maxima
+    finds the local minima on a coarse q row and polishes them as roots of
+    d_q F_bar; each m keeps the least value.  Every kernel call gives F_bar
+    with both partial derivatives, so a candidate's value and d_m come from
+    the call that found it and none is priced again.  The row has a point
+    just off q = 0, where d_q F_bar vanishes at m = 0 by symmetry, so that
+    the sign beside it decides.
     """
     law = _planted_law(p, law)
     q_row = np.union1d(np.linspace(0.0, q_max, _Q_POINTS), [_PROBE * q_max])
@@ -472,17 +474,11 @@ def _inner_min(p: Prior, lam: float, m: np.ndarray, q_max: float, ev, law=None):
     owner, q_cand, (_, value, d_m) = _local_maxima(q_row, ys, polish, ftol)
     order = np.lexsort((value, owner))
     best = order[np.searchsorted(owner[order], np.arange(m.size))]
-    return q_cand[best], value[best], d_m[best]
-
-
-def _profile(p: Prior, lam: float, m: np.ndarray, q_max: float, ev) -> np.ndarray:
-    """The outer profile g(m) = inf_q F_bar on [0, q_max] as the stack (g'(m), q_bar(m), g(m)), by _inner_min."""
-    q_bar, value, d_m = _inner_min(p, lam, m, q_max, ev)
-    return np.stack([d_m, q_bar, value])
+    return np.stack([d_m[best], q_cand[best], value[best]])
 
 
 def _joint_polish(p: Prior, lam: float, q_max: float, ev, a, b, ya, yb):
-    """Roots of the outer slope g'(m) in the brackets [a_k, b_k], each as a joint root of (d_m F_bar, d_q F_bar).
+    """Roots of g'(m) in the brackets [a_k, b_k], each as a joint root of (d_m F_bar, d_q F_bar).
 
     ya and yb stack (g', q_bar, value) at the ends, g'(a) > 0 > g'(b).
     Newton on the pair starts from the secant point, with q interpolated
@@ -500,7 +496,7 @@ def _joint_polish(p: Prior, lam: float, q_max: float, ev, a, b, ya, yb):
     h = _JAC_STEP * q_max
 
     def slope_at(_, m):
-        return _profile(p, lam, m, q_max, ev)
+        return _inner_min(p, lam, m, q_max, ev)
 
     a, b, fa, yb = (np.array(x, dtype=np.float64) for x in (a, b, ya[0], yb))
     m = b - yb[0] * (b - a) / (yb[0] - fa)
@@ -540,18 +536,19 @@ def _joint_polish(p: Prior, lam: float, q_max: float, ev, a, b, ya, yb):
             done = np.setdiff1d(safeguard, _open_brackets(a, b, yb[0], ftol))
             todo[done] = False  # the secant point is the root
 
-    out = yb.copy()  # a bracket that ends on its secant point keeps its stack
+    # a bracket that ended on its secant point keeps (b, yb) as they are
     priced = np.flatnonzero(joint)
     if priced.size:
-        y = slope_at(None, m[priced])
+        y = _inner_min(p, lam, m[priced], q_max, ev)
         # the joint q must be the global inner minimizer at m*
         same = np.abs(y[1] - q[priced]) <= _GUARD_QTOL * q_max
-        b[priced[same]], out[:, priced[same]] = m[priced[same]], y[:, same]
+        b[priced[same]], yb[:, priced[same]] = m[priced[same]], y[:, same]
         todo[priced[~same]] = True
     nested = np.flatnonzero(todo)
     if nested.size:
-        b[nested], out[:, nested] = _bracketed_roots(slope_at, a[nested], b[nested], fa[nested], yb[:, nested], ftol)
-    return b, out
+        ends = a[nested], b[nested], fa[nested], yb[:, nested]
+        b[nested], yb[:, nested] = _bracketed_roots(slope_at, *ends, ftol)
+    return b, yb
 
 
 def f_bar_inner_min(
@@ -572,8 +569,8 @@ def f_bar_inner_min(
     elif not 0.0 < q_max < math.inf:
         raise DomainError(f"q_max must be finite and > 0, got {q_max}")
     _check_scale(p, lam, max(q_max, abs(m)))
-    q_bar, value, _ = _inner_min(p, lam, np.array([float(m)]), q_max, ev)
-    return float(q_bar[0]), float(value[0])
+    _, q_bar, value = _inner_min(p, lam, np.array([float(m)]), q_max, ev)[:, 0]
+    return float(q_bar), float(value)
 
 
 def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> PotentialResult:
@@ -607,7 +604,7 @@ def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     else:
         m_grid = m2 * np.union1d(np.linspace(-1.0, 1.0, _M_POINTS), [-_PROBE, _PROBE])
 
-    ys = _profile(p, lam, m_grid, q_max, ev)[:, None]
+    ys = _inner_min(p, lam, m_grid, q_max, ev)[:, None]
     _, m_cand, (_, q_cand, v_cand) = _local_maxima(
         m_grid, ys, lambda rows, *ends: _joint_polish(p, lam, q_max, ev, *ends), _ROOT_FTOL * lam
     )
@@ -634,7 +631,7 @@ def state_evolution(
     max_iter: int = 1000,
     ev: ChannelEvaluator | None = None,
 ) -> SETrace:
-    """Iterate q <- 2 psi'(lambda q) from q0 until |delta q| <= tol max(1, E[X^2]), at most max_iter times.
+    """Iterate q <- 2 psi'(lambda q) from q0 until |delta q| <= tol max(1, E[X^2]), up to max_iter times.
 
     tol is relative to the scale of q, so a prior with a large E[X^2]
     converges as one of unit scale does (E[X^2] = 1 reads tol as absolute).

@@ -58,13 +58,13 @@ def nested_polish(p, lam, q_max, ev, a, b, ya, yb):
     nested polish that the joint (m, q) Newton replaced, kept as its reference.
 
     Regula falsi on the outer slope g'(m) = d_m F_bar(m, q_bar(m)) in each
-    bracket, every step a full inner minimization (rs._profile) and every
+    bracket, every step a full inner minimization (rs._inner_min) and every
     root priced by the inner minimization that found it.
     """
     from replica_lab import rs
 
     return rs._bracketed_roots(
-        lambda k, m: rs._profile(p, lam, m, q_max, ev), a, b, ya[0], yb, rs._ROOT_FTOL * lam
+        lambda k, m: rs._inner_min(p, lam, m, q_max, ev), a, b, ya[0], yb, rs._ROOT_FTOL * lam
     )
 
 

@@ -494,7 +494,7 @@ class TestSaddleMatchesNestedPolish:
         p = parse_prior_spec("sparse:0.01")
         lam, q_max = 0.7, second_moment(p) + 1.0
         a, b = np.array([0.0225]), np.array([0.0315])
-        y = rs._profile(p, lam, np.r_[a, b], q_max, ev)
+        y = rs._inner_min(p, lam, np.r_[a, b], q_max, ev)
         ya, yb = y[:, :1].copy(), y[:, 1:].copy()
         assert ya[0, 0] > 0.0 > yb[0, 0]
         want, y_want = nested_polish(p, lam, q_max, ev, a, b, ya, yb)

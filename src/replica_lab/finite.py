@@ -29,9 +29,8 @@ depend only on its kernel row and its SNR, never on which replicas or SNRs
 share the sub-block.  The log-sum-exp then reduces each contiguous row
 (_logsumexp_rows).  What can move with the composition of a block is only
 what a BLAS product forms over several replicas at once: the interpolation's
-odd side term and nishimori_check's posterior means and overlaps, in their
-last bits.  kl_log_likelihood_ratios' exponents are a pair-by-pair
-gather-add, elementwise per replica.  free_entropy_mc
+odd side term, nishimori_check's posterior means and overlaps, and
+kl_log_likelihood_ratios' cross-sum GEMM, in their last bits.  free_entropy_mc
 and phi_of_t(t = 1) stay equal bit for bit: at t = 1 the side coefficients
 are exact zeros, so both take the same elementwise steps and reductions.
 
@@ -41,17 +40,19 @@ The table then lists the configurations in orbit order: first the
 representatives, whose first nonzero atom is positive (those with a distinct
 mirror, then the all-zero row when 0 is an atom), then the mirrors of the
 first ones, built by mapping each digit to its negated atom (so 0 stays
-+0.0).  Even per-row terms (log prior mass, pairsq, sumsq, the energy, the
-KL exponents, and the interpolation's even side term) are computed on the
-representatives, and the log-sum-exp counts rows [:mirrors] a second time
-without forming the mirrors; odd terms (x.z and x.x* in the interpolation)
++0.0).  Even per-row terms (log prior mass, pairsq, sumsq, the energy and
+the interpolation's even side term) are computed on the representatives,
+and the log-sum-exp counts rows [:mirrors] a second time without forming
+the mirrors; odd terms (x.z and x.x* in the interpolation)
 enter as +odd on the representatives and -odd on the mirrors.  A mirror's
 pair products, prior mass and square sums equal its representative's bit for
 bit, so the repeated value is the one the kernel computes from those inputs;
 only the position-dependent last bits of BLAS and of numpy's x**4 are gone.  An asymmetric prior has no mirrors and
 runs the same code with nothing to repeat.  Fixed-spike windows
 (fp_potential, fp_profile, phi_of_t with a spike) select rows of the whole
-table and price them directly.
+table and price them directly.  The likelihood ratio's exponents, built
+without the table, fold their first half's configurations the same way
+(kl_log_likelihood_ratios).
 """
 
 from __future__ import annotations
@@ -514,6 +515,56 @@ def free_entropy_mc(
     return _mc_estimate(vals, seed)
 
 
+def _log_likelihood_ratios(ys: np.ndarray, p: Prior, n: int, lam: float) -> np.ndarray:
+    """log dP_lambda/dP_0 (Y) per row of ys, the (draws, pairs) Y_ij over i < j: kl_log_likelihood_ratios' half."""
+    atoms, h = len(p.atoms), n // 2
+    i, j = _triu(n)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[i, j] = np.arange(i.size)
+    # every configuration of each half as atom indices, site k the k-th digit
+    d_l, d_r = (np.arange(atoms**s)[:, None] // atoms ** np.arange(s) % atoms for s in (h, n - h))
+    w_l, w_r = p.log_weights[d_l].sum(axis=1), p.log_weights[d_r].sum(axis=1)
+    if rs._sign_symmetric(p):
+        sign = np.sign(p.values)[d_l]
+        lead = (sign * ((sign != 0).cumsum(axis=1) == 1)).sum(axis=1)  # the first nonzero atom's sign
+        d_l, w_l = d_l[lead >= 0], (w_l + math.log(2.0) * (lead > 0))[lead >= 0]
+
+    def codes(d, first):
+        # (pairs, rows): where each pair within a half reads a draw's flat g
+        u, v = np.triu_indices(d.shape[1], k=1)
+        return (pair[u + first, v + first][:, None] * atoms + d[:, u].T) * atoms + d[:, v].T
+
+    def one_hot(d):
+        return (d[:, :, None] == np.arange(atoms)).reshape(d.shape[0], -1).astype(np.float64)
+
+    codes_l, codes_r, hot_l = codes(d_l, 0), codes(d_r, h), one_hot(d_l)
+    # R's one-hot digits over a row of ones, which picks up the column logw_L + E_L
+    hot_r = np.concatenate([one_hot(d_r).T, np.ones((1, d_r.shape[0]))])
+    rows_l, (cols, rows_r) = d_l.shape[0], hot_r.shape
+    products = np.multiply.outer(p.values, p.values).ravel()
+    coef = math.sqrt(lam / n)
+    llr = np.empty(ys.shape[0])
+    step = max(1, _BLOCK_VALUES // max(rows_l * rows_r, rows_l * cols, i.size * products.size))
+    for k0 in range(0, ys.shape[0], step):
+        y = ys[k0 : k0 + step, :, None]
+        d = y.shape[0]
+        g = 0.5 * y**2 - 0.5 * (y - coef * products) ** 2  # g[d, pair(i, j), b * atoms + c]
+        flat = g.reshape(d, -1)
+        e_l, e_r = np.tile(w_l, (d, 1)), np.tile(w_r, (d, 1))
+        for e, half in ((e_l, codes_l), (e_r, codes_r)):
+            for code in half:
+                e += flat[:, code]
+        # M[d, x_L, (j, c)] = sum_{i in L} g_ij(x_i v_c), beside logw_L + E_L
+        cross = g.reshape(d, i.size, atoms, atoms)[:, pair[:h, h:]].transpose(0, 1, 3, 2, 4)
+        lhs = np.empty((d, rows_l, cols))
+        np.matmul(hot_l, cross.reshape(d, hot_l.shape[1], cols - 1), out=lhs[:, :, :-1])
+        lhs[:, :, -1] = e_l
+        exponents = (lhs.reshape(d * rows_l, cols) @ hot_r).reshape(d, rows_l, rows_r)
+        exponents += e_r[:, None, :]
+        llr[k0 : k0 + d] = _logsumexp_rows(exponents.reshape(d, -1), 0)
+    return llr
+
+
 def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     """(log dP_lambda/dP_0 (Y), log Z) per instance, as two arrays.
 
@@ -521,52 +572,37 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     likelihood-ratio identity, and agreement to 1e-10 is a consistency check
     on two independent code paths.  log Z comes from the energy kernel.  The
     likelihood ratio integrates the Gaussian density ratio of Y given x over
-    the prior without the kernel and without expanding a square: per pair
-    i < j and per distinct atom product v it tabulates
-    g = y^2/2 - (y - sqrt(lam/N) v)^2/2, and a configuration's exponent is
-    the sum, pair by pair, of the entries at its products x_i x_j, so it is
-    even in x and is formed on the table's representatives only.  The
-    gather-add costs one add per pair, row and draw, whatever the number of
-    distinct products.  A block of draws holds at most _BLOCK_VALUES table
-    entries and exponents, and a block of rows gathers at most _BLOCK_VALUES
-    entries.
+    the prior without the kernel or the enumeration table, and without
+    expanding a square: per pair i < j and atoms v_b, v_c it tabulates
+    g_ij(v_b v_c) = y^2/2 - (y - sqrt(lam/N) v_b v_c)^2/2.  The sites split
+    into L, the first h = n // 2, and R, the rest, so that a configuration's
+    exponent is
+
+        logw_L + E_L(x_L) + logw_R + E_R(x_R) + C(x_L, x_R).
+
+    E_L and E_R gather-add the pairs within a half over its own
+    configurations only.  The cross sum C is a GEMM: the table
+    M[x_L, (j, c)] = sum_{i in L} g_ij(x_i v_c), with logw_L + E_L as one
+    more column, times R's one-hot digits over a row of ones.  One
+    log-sum-exp then runs over the whole grid of (x_L, x_R).  For a
+    sign-symmetric prior x and -x have the same exponent and mass, so L
+    keeps the configurations whose first nonzero atom is positive, at an
+    added log 2, and the all-zero one.  A block of draws holds at most
+    _BLOCK_VALUES values in each array (at least one draw).
     """
     instances = list(instances)
     _check_disorder(len(instances), "instance count")
     n, lam = instances[0].n, instances[0].lam
     if any(inst.n != n or inst.lam != lam for inst in instances):
         raise InvalidArgumentError("instances must share n and lambda")
-    for inst in instances:
-        _check_spike_in_support(p, inst.spike)
+    _check_spike_in_support(p, np.stack([inst.spike for inst in instances]))
     _check_energy_scale(p, n, lam)
     table = enumeration_table(p, n, budget)
-    count, rows, m = len(instances), table.reps, table.mirrors
+    count = len(instances)
     log_z = np.empty(count)
     for draws, _, _, a in _log_weights(table, None, [lam], count, lambda k: (instances[k].spike, instances[k].noise)):
-        log_z[draws] = _logsumexp_rows(a, m)[:, 0]
-    x = table.X[:rows]
-    i, j = _triu(n)
-    products = np.unique(np.multiply.outer(p.values, p.values))
-    offsets = products.size * np.arange(i.size)[:, None]
-    coef = math.sqrt(lam / n)
-    llr = np.empty(count)
-    step_d = max(1, _BLOCK_VALUES // max(rows, i.size * products.size))
-    for k0 in range(0, count, step_d):
-        # g[p * V + v, d] for pair p, product v and draw d of the block.
-        y = np.stack([inst.y for inst in instances[k0 : k0 + step_d]]).T[:, None, :]
-        g = (0.5 * y**2 - 0.5 * (y - coef * products[:, None]) ** 2).reshape(-1, y.shape[2])
-        exponents = np.empty((y.shape[2], rows))
-        step_r = max(1, _BLOCK_VALUES // max(1, i.size * y.shape[2]))
-        for c in range(0, rows, step_r):
-            xt = np.ascontiguousarray(x[c : c + step_r].T)
-            codes = np.searchsorted(products, xt[i] * xt[j]) + offsets
-            acc = g[codes[0]]
-            for code in codes[1:]:
-                acc += g[code]
-            exponents[:, c : c + step_r] = acc.T
-        exponents += table.logw[:rows]
-        llr[k0 : k0 + y.shape[2]] = _logsumexp_rows(exponents, m)
-    return llr, log_z
+        log_z[draws] = _logsumexp_rows(a, table.mirrors)[:, 0]
+    return _log_likelihood_ratios(np.stack([inst.y for inst in instances]), p, n, lam), log_z
 
 
 def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET):

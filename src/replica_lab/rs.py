@@ -31,10 +31,11 @@ slope d_m F_bar at the inner minimizer, so the outer sup takes the sign
 changes of that slope on a coarse m grid.  Each is polished as one joint
 root of (d_m F_bar, d_q F_bar) by Newton, not by a root search on the slope
 whose every step is a whole inner minimization: one inner minimization
-prices the root and checks that its q is the inner minimizer, and regula
-falsi on the slope steps in where Newton leaves the bracket or the check
-fails.  A simple root pins m* to near machine precision, and nothing is
-cached between calls, so a result depends only on its arguments.  The same inner
+prices the root and checks that its q is the inner minimizer.  Where
+Newton first leaves the bracket it restarts from the bracket's midpoint;
+after that, and where the check fails, regula falsi on the slope steps in.
+A simple root pins m* to near machine precision, and nothing is cached
+between calls, so a result depends only on its arguments.  The same inner
 minimization, averaged over a spike's empirical law instead of the prior,
 gives inf_q F_hat for the fixed-spike bound in interpolation.fp_upper_check.
 
@@ -261,7 +262,7 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
         v0 = _potential(p, lam, 0.0, ev)
         return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
     q_scan = np.linspace(0.0, m2, npts)
-    coarse = np.unique(np.r_[0:npts:_STRIDE, npts - 1])
+    coarse = np.r_[0 : npts - 1 : _STRIDE, npts - 1]
     vals = np.full(npts, np.nan)  # NaN: not evaluated
     vals[coarse] = _rs_values(p, lam, q_scan[coarse], ev)
     # The fine windows run from coarse neighbour to coarse neighbour around
@@ -371,6 +372,16 @@ def _f_bar_grad(p: Prior, lam: float, m, q, ev, law):
     return value, d_m, d_q
 
 
+def _union(*arrays) -> np.ndarray:
+    """The sorted distinct values of the arrays, as np.union1d gives them.
+
+    np.union1d and np.setdiff1d go through a plain np.unique, which imports
+    numpy.ma on first use (about 11 ms per process).
+    """
+    a = np.sort(np.concatenate(arrays))
+    return a[np.r_[True, a[1:] != a[:-1]]]
+
+
 def _secant_step(f, live, a, b, fa, yb):
     """One regula falsi step on the brackets live, updating a, b, fa and yb in place.
 
@@ -460,7 +471,7 @@ def _inner_min(p: Prior, lam: float, m: np.ndarray, q_max: float, ev, law=None):
     the sign beside it decides.
     """
     law = _planted_law(p, law)
-    q_row = np.union1d(np.linspace(0.0, q_max, _Q_POINTS), [_PROBE * q_max])
+    q_row = _union(np.linspace(0.0, q_max, _Q_POINTS), [_PROBE * q_max])
 
     def grads(k, q):
         value, d_m, d_q = _f_bar_grad(p, lam, m[k], q, ev, law)
@@ -483,13 +494,15 @@ def _joint_polish(p: Prior, lam: float, q_max: float, ev, a, b, ya, yb):
     ya and yb stack (g', q_bar, value) at the ends, g'(a) > 0 > g'(b).
     Newton on the pair starts from the secant point, with q interpolated
     between q_bar(a) and q_bar(b); one kernel call on (m, q), (m + h, q) and
-    (m, q + h) gives the gradient and a forward-difference Jacobian.  A
-    step that leaves the bracket, or q's range [0, q_max], is replaced by
-    one _secant_step on g' through _inner_min, which shrinks the bracket,
-    and Newton restarts from (c, q_bar(c)).  A joint root is priced by one
-    _inner_min at m*; if its q is not the global inner minimizer there, that
-    bracket falls back to _bracketed_roots on g'.  Returns (roots, the stack
-    (g', q_bar, value) at them), as _local_maxima's polish.
+    (m, q + h) gives the gradient and a forward-difference Jacobian.  The
+    first step that leaves a bracket, or q's range [0, q_max], restarts
+    Newton from the bracket's midpoint, with q midway between q_bar(a) and
+    q_bar(b); each later one is replaced by one _secant_step on g' through
+    _inner_min, which shrinks the bracket, and Newton restarts from
+    (c, q_bar(c)).  A joint root is priced by one _inner_min at m*; if its q
+    is not the global inner minimizer there, that bracket falls back to
+    _bracketed_roots on g'.  Returns (roots, the stack (g', q_bar, value) at
+    them), as _local_maxima's polish.
     """
     law = _planted_law(p)
     ftol = _ROOT_FTOL * lam
@@ -502,6 +515,7 @@ def _joint_polish(p: Prior, lam: float, q_max: float, ev, a, b, ya, yb):
     m = b - yb[0] * (b - a) / (yb[0] - fa)
     q = ya[1] + (m - a) / (b - a) * (yb[1] - ya[1])
     todo = np.ones(m.size, dtype=bool)  # still iterating
+    fresh = np.ones(m.size, dtype=bool)  # no safeguard yet
     joint = np.zeros(m.size, dtype=bool)  # (m, q) is a joint root
     for _ in range(_ROOT_MAX_ITER):
         live = np.flatnonzero(todo)
@@ -530,10 +544,17 @@ def _joint_polish(p: Prior, lam: float, q_max: float, ev, a, b, ya, yb):
         joint[live[root]] = True
         todo[live[root]] = False
         safeguard = live[~root & ~inside]
+        # a bracket's first safeguard restarts Newton from its midpoint, its
+        # ends still the given ones: from a secant start next to an end
+        # where g' is tiny (the probe, just above a transition) Newton heads
+        # for the symmetric root outside, and regula falsi creeps from there
+        first, safeguard = safeguard[fresh[safeguard]], safeguard[~fresh[safeguard]]
+        fresh[first] = False
+        m[first], q[first] = 0.5 * (a[first] + b[first]), 0.5 * (ya[1, first] + yb[1, first])
         if safeguard.size:
             _secant_step(slope_at, safeguard, a, b, fa, yb)
             m[safeguard], q[safeguard] = b[safeguard], yb[1, safeguard]
-            done = np.setdiff1d(safeguard, _open_brackets(a, b, yb[0], ftol))
+            done = safeguard[~np.isin(safeguard, _open_brackets(a, b, yb[0], ftol))]
             todo[done] = False  # the secant point is the root
 
     # a bracket that ended on its secant point keeps (b, yb) as they are
@@ -600,9 +621,9 @@ def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     q_max = m2 + 1.0
     symmetric = _sign_symmetric(p)
     if symmetric:
-        m_grid = m2 * np.union1d(np.linspace(0.0, 1.0, _M_POINTS // 2 + 1), [_PROBE])
+        m_grid = m2 * _union(np.linspace(0.0, 1.0, _M_POINTS // 2 + 1), [_PROBE])
     else:
-        m_grid = m2 * np.union1d(np.linspace(-1.0, 1.0, _M_POINTS), [-_PROBE, _PROBE])
+        m_grid = m2 * _union(np.linspace(-1.0, 1.0, _M_POINTS), [-_PROBE, _PROBE])
 
     ys = _inner_min(p, lam, m_grid, q_max, ev)[:, None]
     _, m_cand, (_, q_cand, v_cand) = _local_maxima(

@@ -283,8 +283,14 @@ class TestBatchedKernel:
     # draws and the rows of each block are split into several row blocks.
     BLOCKINGS = [(1, None), (5, "small")]
 
+    # The likelihood ratio splits the sites into the first n // 2 and the
+    # rest: odd n, the smallest split, one atom, and asymmetric and
+    # many-atom priors.
     @pytest.mark.parametrize("spec, n", [
         ("point:0.7", 6), ("rademacher", 8), ("sparse:0.25", 6), ("asym:0.7", 8), ("uniform:21", 3),
+        ("rademacher", 2), ("asym:0.7", 2), ("point:0.7", 2), ("rademacher", 5), ("sparse:0.25", 5),
+        ("asym:0.7", 5), ("point:0.7", 5), ("rademacher", 7), ("sparse:0.25", 7), ("asym:0.7", 7),
+        ("uniform:21", 4),
     ])
     @pytest.mark.parametrize("lam", [0.0, 2.0])
     @pytest.mark.parametrize("draws, blocks", BLOCKINGS)

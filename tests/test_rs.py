@@ -538,6 +538,45 @@ class TestSaddleMatchesNestedPolish:
             assert kernel["joint"] < kernel["nested"], (lam, kernel)
 
 
+    @pytest.mark.parametrize("name", ["rademacher", "sparse:0.25", "uniform:21"])
+    def test_midpoint_restart_just_above_transition(self, ev, monkeypatch, name):
+        # at lambda = 1.02 the secant start sits next to the probe m, where g'
+        # is about 1e-6, and Newton heads for the symmetric root outside the
+        # bracket; restarted from the bracket's midpoint it converges there.
+        # Regula falsi from the probe took 147-155 kernel calls and 9 inner
+        # minimizations (test_lambda_grid checks the values at this lambda).
+        p = parse_prior_spec(name)
+        calls = {"_node_tables": 0, "_inner_min": 0}
+        for mod, fn_name in ((channel, "_node_tables"), (rs, "_inner_min")):
+            fn = getattr(mod, fn_name)
+
+            def wrapped(*args, _fn=fn, _name=fn_name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, fn_name, wrapped)
+        res = saddle(p, 1.02, ev)
+        assert calls["_node_tables"] <= 73 and calls["_inner_min"] <= 2, calls
+        assert abs(res.value - phi_rs(p, 1.02, ev).value) <= 1e-4
+
+
+class TestNumpySetOps:
+    def test_grids_equal_numpy_set_ops(self):
+        # rs builds its grids without np.unique, np.union1d and np.setdiff1d
+        for npts, stride in ((1001, 16), (1001, 10), (17, 16), (33, 16)):
+            want = np.unique(np.r_[0:npts:stride, npts - 1])
+            got = np.r_[0 : npts - 1 : stride, npts - 1]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for q_max in (1.0, 2.0, 1.3125, 1e-300, 1e300, 5.0 / 3.0):
+            row = np.linspace(0.0, q_max, rs._Q_POINTS)
+            assert rs._union(row, [rs._PROBE * q_max]).tobytes() == np.union1d(row, [rs._PROBE * q_max]).tobytes()
+        for half, probes in (((0.0, 1.0, rs._M_POINTS // 2 + 1), [rs._PROBE]),
+                             ((-1.0, 1.0, rs._M_POINTS), [-rs._PROBE, rs._PROBE])):
+            grid = np.linspace(*half)
+            assert rs._union(grid, probes).tobytes() == np.union1d(grid, probes).tobytes()
+        assert rs._union(np.array([2.0, 0.0, 2.0]), [0.0, 1.0]).tolist() == [0.0, 1.0, 2.0]
+
+
 class TestFHat:
     def test_matches_f_bar_for_point_spike_distribution(self, ev):
         # a spike listing each atom proportionally to its weight makes

@@ -1,5 +1,10 @@
 """The verify suite's assembly: which checks run, in which order, under which budget."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from replica_lab import run_suite
 from replica_lab.verify import se_fixed_point_check
 
@@ -33,3 +38,21 @@ class TestSeFixedPoint:
             assert not rep.passed
             assert rep.slack == float("-inf")
             assert rep.passed == (rep.slack >= 0)
+
+
+def test_no_numpy_ma_import():
+    # a plain np.unique (so np.union1d and np.setdiff1d) imports numpy.ma on
+    # first use, about 11 ms per process; none of these paths makes one
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    script = (
+        "import sys\n"
+        "from replica_lab import parse_prior_spec, phi_rs, run_suite, saddle, state_evolution\n"
+        "for spec in ('rademacher', 'sparse:0.25', 'asym:0.7'):\n"
+        "    p = parse_prior_spec(spec)\n"
+        "    phi_rs(p, 2.0), saddle(p, 2.0), saddle(p, 1.02), state_evolution(p, 2.0, 0.5)\n"
+        "    run_suite(p, 4, 3, 0)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

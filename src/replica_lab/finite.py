@@ -574,21 +574,16 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     likelihood ratio integrates the Gaussian density ratio of Y given x over
     the prior without the kernel or the enumeration table, and without
     expanding a square: per pair i < j and atoms v_b, v_c it tabulates
-    g_ij(v_b v_c) = y^2/2 - (y - sqrt(lam/N) v_b v_c)^2/2.  The sites split
-    into L, the first h = n // 2, and R, the rest, so that a configuration's
-    exponent is
-
-        logw_L + E_L(x_L) + logw_R + E_R(x_R) + C(x_L, x_R).
-
-    E_L and E_R gather-add the pairs within a half over its own
-    configurations only.  The cross sum C is a GEMM: the table
-    M[x_L, (j, c)] = sum_{i in L} g_ij(x_i v_c), with logw_L + E_L as one
-    more column, times R's one-hot digits over a row of ones.  One
-    log-sum-exp then runs over the whole grid of (x_L, x_R).  For a
-    sign-symmetric prior x and -x have the same exponent and mass, so L
-    keeps the configurations whose first nonzero atom is positive, at an
-    added log 2, and the all-zero one.  A block of draws holds at most
-    _BLOCK_VALUES values in each array (at least one draw).
+    g_ij(v_b v_c) = y^2/2 - (y - sqrt(lam/N) v_b v_c)^2/2.  With the sites
+    split into L, the first n // 2, and R, the rest, a configuration's
+    exponent is logw + E_L(x_L) + E_R(x_R) + C(x_L, x_R).  E_L and E_R
+    gather-add the pairs within a half over that half's configurations; the
+    cross sum C is a GEMM of M[x_L, (j, c)] = sum_{i in L} g_ij(x_i v_c)
+    against R's one-hot digits.  For a sign-symmetric prior, whose exponent
+    and mass are even in x, L keeps the configurations whose first nonzero
+    atom is positive, at an added log 2, and the all-zero one.  A block of
+    draws holds at most _BLOCK_VALUES values in each array (at least one
+    draw).
     """
     instances = list(instances)
     _check_disorder(len(instances), "instance count")

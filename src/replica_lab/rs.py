@@ -544,10 +544,9 @@ def _joint_polish(p: Prior, lam: float, q_max: float, ev, a, b, ya, yb):
         joint[live[root]] = True
         todo[live[root]] = False
         safeguard = live[~root & ~inside]
-        # a bracket's first safeguard restarts Newton from its midpoint, its
-        # ends still the given ones: from a secant start next to an end
-        # where g' is tiny (the probe, just above a transition) Newton heads
-        # for the symmetric root outside, and regula falsi creeps from there
+        # a bracket's first safeguard (its ends still the given ones) restarts
+        # Newton from the midpoint: regula falsi creeps from an end where g'
+        # is tiny, as at the probe just above a transition
         first, safeguard = safeguard[fresh[safeguard]], safeguard[~fresh[safeguard]]
         fresh[first] = False
         m[first], q[first] = 0.5 * (a[first] + b[first]), 0.5 * (ya[1, first] + yb[1, first])

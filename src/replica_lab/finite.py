@@ -516,7 +516,10 @@ def free_entropy_mc(
 
 
 def _log_likelihood_ratios(ys: np.ndarray, p: Prior, n: int, lam: float) -> np.ndarray:
-    """log dP_lambda/dP_0 (Y) per row of ys, the (draws, pairs) Y_ij over i < j: kl_log_likelihood_ratios' half."""
+    """log dP_lambda/dP_0 (Y) per row of ys, the (draws, pairs) Y_ij over i < j.
+
+    The likelihood-ratio half of kl_log_likelihood_ratios, which describes it.
+    """
     atoms, h = len(p.atoms), n // 2
     i, j = _triu(n)
     pair = np.zeros((n, n), dtype=np.intp)

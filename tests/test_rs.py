@@ -537,7 +537,6 @@ class TestSaddleMatchesNestedPolish:
                     assert 2 <= calls["_inner_min"] <= 1 + len(polished), (lam, calls, res)
             assert kernel["joint"] < kernel["nested"], (lam, kernel)
 
-
     @pytest.mark.parametrize("name", ["rademacher", "sparse:0.25", "uniform:21"])
     def test_midpoint_restart_just_above_transition(self, ev, monkeypatch, name):
         # at lambda = 1.02 the secant start sits next to the probe m, where g'

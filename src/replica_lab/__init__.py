@@ -34,8 +34,6 @@ from .finite import (
     fp_profile,
     free_entropy_mc,
     hamiltonian,
-    instance_from_json,
-    instance_to_json,
     kl_log_likelihood_ratio,
     kl_log_likelihood_ratios,
     log_partition_exact,

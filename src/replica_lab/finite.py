@@ -6,12 +6,18 @@ An instance is one draw of the rank-one model
 
 with the diagonal omitted.  For finite-atom priors and small N the partition
 function of the posterior is a finite sum over atom_count^N configurations,
-so free entropies, overlap laws, per-site posterior means and
-overlap-restricted (Franz-Parisi) partition sums are all computed exactly
-per instance; outer expectations over the disorder (W, and where applicable
-x* and the side noise) are plain Monte Carlo over instances with
-counter-derived seeds.  A single-site Metropolis sampler covers sizes beyond
-the enumeration budget.
+so free entropies, overlap laws, per-site posterior means, overlap-restricted
+(Franz-Parisi) partition sums and the free entropy along the Guerra
+interpolation path (_phi_t_draws) are all computed exactly per instance;
+outer expectations over the disorder (W, and where applicable x* and the
+side noise) are plain Monte Carlo over instances with counter-derived seeds.
+A single-site Metropolis sampler covers sizes beyond the enumeration budget.
+
+Every exact estimator is built from the same pieces: _setup checks its
+inputs and fetches the table, _overlaps gives R_{1,*} of every row (the
+overlap law, Nishimori and every window), _log_weights and _logsumexp_rows
+(or _log_z) give per-draw log partition sums, and _mc_estimate averages
+them, with the -inf sentinel of an empty window.
 
 Seed discipline: every disorder replica k uses derive_seed(master, k, ...),
 so replica k's instance does not depend on the other replicas.  The energy
@@ -28,8 +34,8 @@ one shared combine (_log_weights), elementwise, so a replica's log weights
 depend only on its kernel row and its SNR, never on which replicas or SNRs
 share the sub-block.  The log-sum-exp then reduces each contiguous row
 (_logsumexp_rows).  What can move with the composition of a block is only
-what a BLAS product forms over several replicas at once: the interpolation's
-odd side term, nishimori_check's posterior means and overlaps, and
+what a BLAS product forms over several replicas at once: the path's odd side
+term, the overlaps, nishimori_check's posterior means, and
 kl_log_likelihood_ratios' cross-sum GEMM, in their last bits.  free_entropy_mc
 and phi_of_t(t = 1) stay equal bit for bit: at t = 1 the side coefficients
 are exact zeros, so both take the same elementwise steps and reductions.
@@ -41,17 +47,19 @@ representatives, whose first nonzero atom is positive (those with a distinct
 mirror, then the all-zero row when 0 is an atom), then the mirrors of the
 first ones, built by mapping each digit to its negated atom (so 0 stays
 +0.0).  Even per-row terms (log prior mass, pairsq, sumsq, the energy and
-the interpolation's even side term) are computed on the representatives,
-and the log-sum-exp counts rows [:mirrors] a second time without forming
-the mirrors; odd terms (x.z and x.x* in the interpolation)
-enter as +odd on the representatives and -odd on the mirrors.  A mirror's
-pair products, prior mass and square sums equal its representative's bit for
-bit, so the repeated value is the one the kernel computes from those inputs;
-only the position-dependent last bits of BLAS and of numpy's x**4 are gone.  An asymmetric prior has no mirrors and
-runs the same code with nothing to repeat.  Fixed-spike windows
-(fp_potential, fp_profile, phi_of_t with a spike) select rows of the whole
-table and price them directly.  The likelihood ratio's exponents, built
-without the table, fold their first half's configurations the same way
+the path's even side term) are computed on the representatives, and the
+log-sum-exp counts rows [:mirrors] a second time without forming the
+mirrors; odd terms (x.z and x.x* on the path, and R_{1,*}) enter as +odd on
+the representatives and -odd on the mirrors.  A mirror's pair products,
+prior mass and square sums equal its representative's bit for bit, so the
+repeated value is the one the kernel computes from those inputs; only the
+position-dependent last bits of BLAS and of numpy's x**4 are gone.  An
+asymmetric prior has no mirrors and runs the same code with nothing to
+repeat.  The path prices the representatives for a resampled and for a fixed
+spike alike, and drops the rows outside a window with a mask; only
+fp_potential and fp_profile select window rows of the whole table and price
+them directly.  The likelihood ratio's exponents, built without the table,
+fold their first half's configurations the same way
 (kl_log_likelihood_ratios).
 """
 
@@ -64,7 +72,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, EnumerationBudgetError, InvalidArgumentError
-from .priors import Prior, prior_from_json, prior_to_json, support_bound
+from .priors import Prior, support_bound
 from .report import VerificationReport
 from . import rs
 
@@ -168,20 +176,6 @@ def sample_spike(p: Prior, n: int, seed: int) -> np.ndarray:
     return _sample_atoms(p, n, np.random.default_rng(int(seed) & _MASK64))
 
 
-def instance_to_json(inst: SpikedInstance, p: Prior) -> dict:
-    """Serialization envelope; noise is regenerated from the seed, never stored."""
-    return {
-        "n": inst.n,
-        "lambda": inst.lam,
-        "seed": inst.seed,
-        "prior": prior_to_json(p),
-    }
-
-
-def instance_from_json(d: dict) -> SpikedInstance:
-    return sample_instance(prior_from_json(d["prior"]), d["n"], d["lambda"], d["seed"])
-
-
 def hamiltonian(inst: SpikedInstance, x) -> float:
     """-H(x) = sum_{i<j} sqrt(lambda/N) Y_ij x_i x_j - (lambda/2N) x_i^2 x_j^2."""
     x = np.asarray(x, dtype=np.float64)
@@ -267,7 +261,9 @@ def _enum_table(atoms: tuple, n: int, symmetric: bool) -> EnumTable:
 
 
 def enumeration_table(p: Prior, n: int, budget: int = DEFAULT_BUDGET) -> EnumTable:
-    """Fetch (or build) the configuration table, refusing over-budget requests."""
+    """Fetch (or build) the configuration table, refusing n < 1 and over-budget requests."""
+    if n < 1:
+        raise InvalidArgumentError(f"need n >= 1, got {n}")
     required = len(p.atoms) ** n
     if required > budget:
         raise EnumerationBudgetError(required=required, budget=budget)
@@ -399,15 +395,17 @@ def _window_index(overlap: np.ndarray, m: float, eps: float) -> np.ndarray:
         return np.floor(np.round((overlap - m) / eps, 9))
 
 
-def _overlap_window(x: np.ndarray, spike: np.ndarray, m: float, eps: float) -> np.ndarray:
-    """Mask of the rows of x with R_{1,*} in the half-open window [m, m + eps)."""
-    return _window_index(x @ spike / spike.size, m, eps) == 0
+def _overlaps(table: EnumTable, spikes: np.ndarray, digits=None) -> np.ndarray:
+    """(D, rows) R_{1,*} of every row of the table for each of the D spikes.
 
-
-def _rounded_overlaps(table: EnumTable, spikes: np.ndarray) -> np.ndarray:
-    """(D, rows) R_{1,*} of every row for each of D spikes, rounded to 9
-    digits, a rounded -0.0 read as 0.0: one GEMM over the representatives."""
-    return table.unfold(np.round(spikes @ table.X[: table.reps].T / spikes.shape[1], 9), odd=True) + 0.0
+    One GEMM over the representatives; the mirrors get their negatives.  With
+    digits, the representatives' values are rounded to that many digits
+    before the mirrors are formed.  A -0.0 is read as 0.0.
+    """
+    overlap = spikes @ table.X[: table.reps].T / spikes.shape[1]
+    if digits is not None:
+        overlap = np.round(overlap, digits)
+    return table.unfold(overlap, odd=True) + 0.0
 
 
 def _fixed_spike_noise(n: int, seed: int) -> np.ndarray:
@@ -438,16 +436,55 @@ def _check_spike_in_support(p: Prior, spike: np.ndarray):
         raise InvalidArgumentError("spike entries must be atoms of the prior")
 
 
+def _check_disorder(n_disorder: int, name: str = "n_disorder") -> None:
+    """Every Monte Carlo estimate averages over at least one disorder draw."""
+    if n_disorder < 1:
+        raise InvalidArgumentError(f"{name} must be >= 1, got {n_disorder}")
+
+
+def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=None, spike=None):
+    """Validated (spike, table) for an exact estimator: the one input check of them all.
+
+    n >= 2, and lambda and n pass _check_energy_scale; a window (m, eps) has
+    a finite start m and a finite width eps > 0; n_disorder >= 1; a fixed
+    spike has length n and entries among the prior's atoms, and None (a
+    resampled spike) stays None.
+    """
+    if n < 2:
+        raise InvalidArgumentError(f"need n >= 2, got {n}")
+    _check_energy_scale(p, n, lam)
+    if window is not None:
+        m, eps = window
+        if not math.isfinite(m):
+            raise InvalidArgumentError(f"m must be finite, got {m}")
+        if not (math.isfinite(eps) and eps > 0):
+            raise InvalidArgumentError(f"eps must be finite and > 0, got {eps}")
+    _check_disorder(n_disorder)
+    if spike is not None:
+        spike = np.asarray(spike, dtype=np.float64)
+        if spike.shape != (n,):
+            raise InvalidArgumentError(f"spike must have length {n}")
+        _check_spike_in_support(p, spike)
+    return spike, enumeration_table(p, n, budget)
+
+
+def _log_z(table: EnumTable, rows, lam: float, n_draws: int, draw) -> np.ndarray:
+    """log Z per draw at SNR lam over table[rows] priced directly, or with rows
+    None over the representatives and their mirrors."""
+    mirrors = table.mirrors if rows is None else 0
+    log_z = np.empty(n_draws)
+    for draws, _, _, a in _log_weights(table, rows, [lam], n_draws, draw):
+        log_z[draws] = _logsumexp_rows(a, mirrors)[:, 0]
+    return log_z
+
+
 def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
     """log Z by stable log-sum-exp over all configurations, with the overlap law."""
-    _check_spike_in_support(p, inst.spike)
-    _check_energy_scale(p, inst.n, inst.lam)
-    table = enumeration_table(p, inst.n, budget)
+    _, table = _setup(p, inst.n, inst.lam, 1, budget, spike=inst.spike)
     *_, a = next(_log_weights(table, None, [inst.lam], 1, lambda k: (inst.spike, inst.noise)))
     a = a[0, 0]
     log_z = float(_logsumexp_rows(a.copy(), table.mirrors))
-    overlap = _rounded_overlaps(table, inst.spike[None])[0]
-    vals, inv = np.unique(overlap, return_inverse=True)
+    vals, inv = np.unique(_overlaps(table, inst.spike[None], 9)[0], return_inverse=True)
     mass = np.bincount(inv, weights=np.exp(table.unfold(a) - log_z))
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]
     return EnumerationResult(log_z=log_z, overlap_law=law, config_count=table.X.shape[0])
@@ -472,12 +509,6 @@ class McEstimate:
     empty_window: bool = False
 
 
-def _check_disorder(n_disorder: int, name: str = "n_disorder") -> None:
-    """Every Monte Carlo estimate averages over at least one disorder draw."""
-    if n_disorder < 1:
-        raise InvalidArgumentError(f"{name} must be >= 1, got {n_disorder}")
-
-
 def _mean_stderr(values: np.ndarray):
     """(mean, std(ddof=1) / sqrt(count)) over the leading axis; stderr 0 for one value.
 
@@ -495,24 +526,22 @@ def _mean_stderr(values: np.ndarray):
     return mean, v.std(axis=0, ddof=1) / math.sqrt(values.shape[0]) * scale
 
 
-def _mc_estimate(values: np.ndarray, seed: int, empty: bool = False) -> McEstimate:
+def _mc_estimate(values: np.ndarray, seed: int) -> McEstimate:
+    """McEstimate of the per-draw values; the -inf sentinel when a draw's window is empty (-inf)."""
     values = np.asarray(values, dtype=np.float64)
-    k = values.size
-    mean, stderr = _mean_stderr(values) if k else (float("nan"), 0.0)
-    return McEstimate(mean=float(mean), stderr=float(stderr), n_samples=k, seed=int(seed), empty_window=empty)
+    if not np.isfinite(values).all():
+        return McEstimate(float("-inf"), 0.0, values.size, int(seed), empty_window=True)
+    mean, stderr = _mean_stderr(values)
+    return McEstimate(mean=float(mean), stderr=float(stderr), n_samples=values.size, seed=int(seed))
 
 
 def free_entropy_mc(
     p: Prior, n: int, lam: float, n_disorder: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> McEstimate:
     """F_N estimate: average of (1/N) log Z over independent instances."""
-    _check_disorder(n_disorder)
-    _check_energy_scale(p, n, lam)
-    table = enumeration_table(p, n, budget)
-    vals = np.empty(n_disorder)
-    for draws, _, _, a in _log_weights(table, None, [lam], n_disorder, _sampled_draws(p, n, lam, seed)):
-        vals[draws] = _logsumexp_rows(a, table.mirrors)[:, 0] / n
-    return _mc_estimate(vals, seed)
+    _, table = _setup(p, n, lam, n_disorder, budget)
+    log_z = _log_z(table, None, lam, n_disorder, _sampled_draws(p, n, lam, seed))
+    return _mc_estimate(log_z / n, seed)
 
 
 def _log_likelihood_ratios(ys: np.ndarray, p: Prior, n: int, lam: float) -> np.ndarray:
@@ -596,10 +625,7 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     _check_spike_in_support(p, np.stack([inst.spike for inst in instances]))
     _check_energy_scale(p, n, lam)
     table = enumeration_table(p, n, budget)
-    count = len(instances)
-    log_z = np.empty(count)
-    for draws, _, _, a in _log_weights(table, None, [lam], count, lambda k: (instances[k].spike, instances[k].noise)):
-        log_z[draws] = _logsumexp_rows(a, table.mirrors)[:, 0]
+    log_z = _log_z(table, None, lam, len(instances), lambda k: (instances[k].spike, instances[k].noise))
     return _log_likelihood_ratios(np.stack([inst.y for inst in instances]), p, n, lam), log_z
 
 
@@ -612,31 +638,6 @@ def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAUL
 def _fixed_spike_draws(spike: np.ndarray, seed: int):
     """draw(k) at a fixed spike, noise _fixed_spike_noise(n, derive_seed(seed, k))."""
     return lambda k: (spike, _fixed_spike_noise(spike.size, derive_seed(seed, k)))
-
-
-def _potential_setup(p: Prior, n: int, lam: float, window, spike, n_disorder: int, budget: int):
-    """Validated (spike, table) for the overlap-restricted potentials.
-
-    A window (m, eps) has a finite start m and a finite width eps > 0; a
-    fixed spike has length n and entries among the prior's atoms, and None
-    (a resampled spike) stays None.  lambda and n pass _check_energy_scale.
-    """
-    if n < 2:
-        raise InvalidArgumentError(f"need n >= 2, got {n}")
-    _check_energy_scale(p, n, lam)
-    if window is not None:
-        m, eps = window
-        if not math.isfinite(m):
-            raise InvalidArgumentError(f"m must be finite, got {m}")
-        if not (math.isfinite(eps) and eps > 0):
-            raise InvalidArgumentError(f"eps must be finite and > 0, got {eps}")
-    _check_disorder(n_disorder)
-    if spike is not None:
-        spike = np.asarray(spike, dtype=np.float64)
-        if spike.shape != (n,):
-            raise InvalidArgumentError(f"spike must have length {n}")
-        _check_spike_in_support(p, spike)
-    return spike, enumeration_table(p, n, budget)
 
 
 def fp_potential(
@@ -656,14 +657,9 @@ def fp_potential(
     The window is half-open and the disorder average is over W only.  An
     unreachable window returns the -inf sentinel with empty_window set.
     """
-    spike, table = _potential_setup(p, n, lam, (m, eps), spike, n_disorder, budget)
-    mask = _overlap_window(table.X, spike, m, eps)
-    if not mask.any():
-        return McEstimate(float("-inf"), 0.0, n_disorder, int(seed), empty_window=True)
-    vals = np.empty(n_disorder)
-    for draws, _, _, a in _log_weights(table, mask, [lam], n_disorder, _fixed_spike_draws(spike, seed)):
-        vals[draws] = _logsumexp_rows(a, 0)[:, 0] / n
-    return _mc_estimate(vals, seed)
+    spike, table = _setup(p, n, lam, n_disorder, budget, (m, eps), spike)
+    rows = _window_index(_overlaps(table, spike[None])[0], m, eps) == 0
+    return _mc_estimate(_log_z(table, rows, lam, n_disorder, _fixed_spike_draws(spike, seed)) / n, seed)
 
 
 def fp_profile(
@@ -685,10 +681,10 @@ def fp_profile(
     support bound, so an eps that takes them past 2**53, where they are no
     longer exact integers, is refused.
     """
-    spike, table = _potential_setup(p, n, lam, (0.0, eps), spike, n_disorder, budget)
+    spike, table = _setup(p, n, lam, n_disorder, budget, (0.0, eps), spike)
     if not support_bound(p) ** 2 / eps <= 2**53:
         raise InvalidArgumentError(f"eps must be >= K^2 / 2**53 for exact window indices, got {eps!r}")
-    bins = _window_index(table.X @ spike / n, 0.0, eps).astype(np.int64)
+    bins = _window_index(_overlaps(table, spike[None])[0], 0.0, eps).astype(np.int64)
     order = np.argsort(bins, kind="stable")
     uniq, starts = np.unique(bins[order], return_index=True)
     sizes = np.diff(np.append(starts, order.size))
@@ -697,10 +693,73 @@ def fp_profile(
         seg_max = np.maximum.reduceat(a[:, 0], starts, axis=-1)
         e = np.exp(a[:, 0] - np.repeat(seg_max, sizes, axis=-1))
         per_draw[draws] = (seg_max + np.log(np.add.reduceat(e, starts, axis=-1))) / n
-    return [
-        (int(l), _mc_estimate(per_draw[:, c], seed))
-        for c, l in enumerate(uniq)
-    ]
+    return [(int(l), _mc_estimate(per_draw[:, c], seed)) for c, l in enumerate(uniq)]
+
+
+def _check_t(t: float):
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"t must lie in [0, 1], got {t}")
+
+
+def _phi_t_draws(
+    p: Prior,
+    n: int,
+    lam: float,
+    q: float,
+    m: float,
+    t_values,
+    n_disorder: int,
+    seed: int,
+    restricted=None,
+    spike=None,
+    budget: int = DEFAULT_BUDGET,
+) -> np.ndarray:
+    """Per-draw free entropies of the interpolation path, shape (n_disorder, len(t_values)).
+
+    The path is interpolation.phi_of_t's, whose docstring gives -H_t.  The
+    spike is resampled per draw when spike is None (the expectation over x*
+    of the lower-bound argument) and held fixed otherwise (the fixed-spike
+    potential of the upper-bound argument); the disorder (W, z) is drawn once
+    per draw and shared across every t.  One loop walks the sub-blocks of
+    _log_weights over the table's representatives.  The side term splits
+    into an even part, -(1-t) r/2 sum_i x_i^2, which _log_weights joins to
+    the log prior mass and the matrix energy at SNR t lam, and an odd part,
+    sqrt((1-t) r) z.x + (1-t) s x*.x, formed for every draw of a sub-block
+    and every t at once as one (D T, n) @ (n, reps) GEMM; a mirror row's
+    value is its representative's even part minus its odd part.  A window
+    (restricted, an (m_window, eps) pair) is one mask per sub-block from
+    _overlaps, and a draw with no row in its window gets -inf.  At t = 1 the
+    side coefficients are exact zeros, so phi(1) equals the plain
+    free-entropy estimator bit for bit.  r = lam q and s = lam m pass
+    rs._check_scale at extent max(q, |m|).
+    """
+    if not (math.isfinite(q) and q >= 0):
+        raise DomainError(f"q must be finite and >= 0, got {q}")
+    if not math.isfinite(m):
+        raise DomainError(f"m must be finite, got {m}")
+    t = np.array([float(v) for v in t_values])
+    for v in t:
+        _check_t(v)
+    spike, table = _setup(p, n, lam, n_disorder, budget, restricted, spike)
+    rs._check_scale(p, lam, max(q, abs(m)))
+    r, s = lam * q, lam * m
+    draw = _sampled_draws(p, n, lam, seed) if spike is None else _fixed_spike_draws(spike, seed)
+    x, mirrors = table.X[: table.reps], table.mirrors
+    side_z, side_s, side_sq = np.sqrt((1.0 - t) * r), (1.0 - t) * s, (1.0 - t) * r / 2.0
+    z = np.stack([np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
+                  for k in range(n_disorder)])
+    out = np.empty((n_disorder, t.size))
+    for draws, spikes, c, even in _log_weights(table, None, t * lam, n_disorder, draw, side_sq):
+        side = side_z[c, None] * z[draws, None] + side_s[c, None] * spikes[:, None]
+        odd = (side.reshape(-1, n) @ x.T).reshape(even.shape)
+        lo = even[..., :mirrors] - odd[..., :mirrors]
+        even += odd
+        if restricted is not None:
+            outside = (_window_index(_overlaps(table, spikes), *restricted) != 0)[:, None]
+            np.copyto(even, -np.inf, where=outside[..., : table.reps])
+            np.copyto(lo, -np.inf, where=outside[..., table.reps :])
+        out[draws, c] = _logsumexp_rows(even, mirrors, lo) / n
+    return out
 
 
 def nishimori_check(
@@ -713,7 +772,7 @@ def nishimori_check(
     <R_{1,2}> from per-site means ((1/n) sum_i <x_i>^2); the check is on the
     disorder means with a paired standard error.  A sub-block of draws gets
     its posterior means from one GEMM (post @ X) and its overlaps from
-    another (_rounded_overlaps).
+    another (_overlaps).
 
     For a sign-symmetric prior the check is vacuous.  The posterior is then
     even in x (the data enter only through x x^T), so every <x_i> is zero,
@@ -722,16 +781,14 @@ def nishimori_check(
     passes any code that keeps the symmetry, right or wrong.  Only a prior
     without the symmetry (asym:P, point:C) tests the identity.
     """
-    _check_disorder(n_disorder)
-    _check_energy_scale(p, n, lam)
-    table = enumeration_table(p, n, budget)
+    _, table = _setup(p, n, lam, n_disorder, budget)
     r12 = np.empty(n_disorder)
     r1s = np.empty(n_disorder)
     for draws, spikes, _, a in _log_weights(table, None, [lam], n_disorder, _sampled_draws(p, n, lam, seed)):
         a = a[:, 0]
         post = table.unfold(np.exp(a - _logsumexp_rows(a.copy(), table.mirrors)[:, None]))
         r12[draws] = ((post @ table.X) ** 2).mean(axis=1)
-        r1s[draws] = (post * _rounded_overlaps(table, spikes)).sum(axis=1)
+        r1s[draws] = (post * _overlaps(table, spikes, 9)).sum(axis=1)
     diff = r12 - r1s
     delta = abs(float(diff.mean()))
     se = float(diff.std(ddof=1) / math.sqrt(n_disorder)) if n_disorder > 1 else 0.0

@@ -17,18 +17,15 @@ entropy.  Both are verified here by finite differences of the exactly
 enumerated path free entropy phi(t), with disorder shared across the t grid
 so slope estimates are paired.
 
-The matrix part of -H_t is the original Hamiltonian at effective SNR
-t*lambda: the finite-size energy kernel's parts, computed for a block of
-draws at once over rows chosen once (a fixed spike's window or every row,
-and for a resampled spike only the representatives of a sign-symmetric
-table), and combined at every t of a sub-block of draws at once by the
-finite layer's shared combine; the odd side term of a sub-block is one GEMM
-over the table, and a window that follows a resampled spike masks each
-draw's own rows before the log-sum-exp.  The even part's bits do not depend
-on the sub-block; the odd term's may move in the last bit with it.  At t = 1
-the side coefficients are exact zeros, so the odd term vanishes exactly and
-phi(1) reproduces the plain free-entropy estimator bit for bit on shared
-seeds.  h_t evaluates the definition directly, as the tests' reference.
+phi(t) is an exact-enumeration estimator like the others of the finite
+layer, and lives there: finite._phi_t_draws prices the table's
+representatives at SNR t lam with the side term added, for a resampled or a
+fixed spike alike, and a window is a mask from the finite layer's overlap
+kernel.  At t = 1 the side coefficients are exact zeros, so phi(1)
+reproduces the plain free-entropy estimator bit for bit on shared seeds.
+This module keeps the public path and the two checks built on it, and
+augment and h_t, which evaluate the definition directly as the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -44,16 +41,11 @@ from .finite import (
     DEFAULT_BUDGET,
     _MASK64,
     SpikedInstance,
-    _fixed_spike_draws,
-    _log_weights,
-    _logsumexp_rows,
+    _check_t,
     _mc_estimate,
     _mean_stderr,
-    _overlap_window,
-    _potential_setup,
-    _sampled_draws,
+    _phi_t_draws,
     _triu,
-    _window_index,
     McEstimate,
     derive_seed,
     fp_potential,
@@ -79,11 +71,6 @@ class AugmentedInstance:
     s: float
     side_noise: np.ndarray = field(repr=False)
     side_obs: np.ndarray = field(repr=False)
-
-
-def _check_t(t: float):
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
 
 
 def augment(inst: SpikedInstance, t: float, r: float, s: float, seed: int) -> AugmentedInstance:
@@ -123,78 +110,6 @@ def h_t(aug: AugmentedInstance, x) -> float:
     return float(mat + side)
 
 
-def _phi_t_draws(
-    p: Prior,
-    n: int,
-    lam: float,
-    q: float,
-    m: float,
-    t_values,
-    n_disorder: int,
-    seed: int,
-    restricted=None,
-    spike=None,
-    budget: int = DEFAULT_BUDGET,
-) -> np.ndarray:
-    """Per-draw path free entropies, shape (n_disorder, len(t_values)).
-
-    Spike handling has two variants: resampled per draw when spike is None
-    (the expectation over x* of the lower-bound argument), held fixed
-    otherwise (the fixed-spike potential of the upper-bound argument).
-    Disorder (W, z) is drawn once per replica and shared across every t.
-    One loop walks the sub-blocks of finite._log_weights over the rows chosen
-    once: a fixed spike's window rows, or every row, whose window for a
-    resampled spike then keeps each draw's own rows.  A draw with no row in
-    its window gets -inf.
-
-    The side term splits into an even part, -(1-t) r/2 sum_i x_i^2, which
-    _log_weights joins to the log prior mass and the matrix energy at SNR
-    t lam, and an odd part, sqrt((1-t) r) z.x + (1-t) s x*.x, formed for every
-    draw of a sub-block and every t at once as one (D T, n) @ (n, rows) GEMM.
-    For a resampled spike the rows are the table's representatives, and a
-    mirror row's value is its representative's even part minus its odd part
-    (a fixed spike prices its rows directly, with no mirrors).  At t = 1 the
-    side coefficients are exact zeros, so phi(1) equals the plain
-    free-entropy estimator bit for bit.  r = lam q and s = lam m pass
-    rs._check_scale at extent max(q, |m|).
-    """
-    if not (math.isfinite(q) and q >= 0):
-        raise DomainError(f"q must be finite and >= 0, got {q}")
-    if not math.isfinite(m):
-        raise DomainError(f"m must be finite, got {m}")
-    t_values = [float(t) for t in t_values]
-    for t in t_values:
-        _check_t(t)
-    spike, table = _potential_setup(p, n, lam, restricted, spike, n_disorder, budget)
-    _check_scale(p, lam, max(q, abs(m)))
-    r = lam * q
-    s = lam * m
-    if spike is None:
-        rows, mirrors, draw = None, table.mirrors, _sampled_draws(p, n, lam, seed)
-        x = table.X[: table.reps]
-    else:
-        rows = slice(None) if restricted is None else _overlap_window(table.X, spike, *restricted)
-        mirrors, draw = 0, _fixed_spike_draws(spike, seed)
-        x = table.X[rows]
-    t = np.array(t_values)
-    side_z, side_s, side_sq = np.sqrt((1.0 - t) * r), (1.0 - t) * s, (1.0 - t) * r / 2.0
-    per_draw_window = spike is None and restricted is not None
-    z = np.stack([np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
-                  for k in range(n_disorder)])
-    out = np.empty((n_disorder, t.size))
-    for draws, spikes, c, even in _log_weights(table, rows, t * lam, n_disorder, draw, side_sq):
-        side = side_z[c, None] * z[draws, None] + side_s[c, None] * spikes[:, None]
-        odd = (side.reshape(-1, n) @ x.T).reshape(even.shape)
-        lo = even[..., :mirrors] - odd[..., :mirrors]
-        even += odd
-        if per_draw_window:
-            overlap = spikes @ x.T / n
-            np.copyto(even, -np.inf, where=(_window_index(overlap, *restricted) != 0)[:, None])
-            np.copyto(lo, -np.inf, where=(_window_index(-overlap[:, :mirrors], *restricted) != 0)[:, None])
-        out[draws, c] = _logsumexp_rows(even, mirrors, lo) / n
-    return out
-
-
 def phi_of_t(
     p: Prior,
     n: int,
@@ -219,8 +134,6 @@ def phi_of_t(
     vals = _phi_t_draws(
         p, n, lam, q, m, [t], n_disorder, seed, restricted=restricted, spike=spike, budget=budget
     )[:, 0]
-    if not np.isfinite(vals).all():
-        return McEstimate(float("-inf"), 0.0, n_disorder, int(seed), empty_window=True)
     return _mc_estimate(vals, seed)
 
 

@@ -136,7 +136,7 @@ def reference_phi_t_draws(p, n, lam, q, m, t_values, n_disorder, seed, restricte
         rows, mirrors, draw = slice(None, table.reps), table.mirrors, finite._sampled_draws(p, n, lam, seed)
     else:
         spike = np.asarray(spike, dtype=np.float64)
-        rows = slice(None) if restricted is None else finite._overlap_window(table.X, spike, *restricted)
+        rows = slice(None) if restricted is None else finite._window_index(table.X @ spike / n, *restricted) == 0
         mirrors, draw = 0, finite._fixed_spike_draws(spike, seed)
     x, logw, pairsq, sumsq = table.X[rows], table.logw[rows], table.pairsq[rows], table.sumsq[rows]
     out = np.empty((n_disorder, len(t_values)))

@@ -316,6 +316,9 @@ class TestErrorPaths:
             (["fp", "--n", "6", "--eps", "nan"], "eps must be finite"),
             (["fp", "--n", "6", "--m", "nan"], "m must be finite"),
             (["fp", "--n", "1"], "need n >= 2"),
+            (["finite-n", "--n", "0", "--disorder", "2"], "need n >= 2, got 0"),
+            (["finite-n", "--n", "-2", "--disorder", "2"], "need n >= 2, got -2"),
+            (["verify", "--n", "0", "--disorder", "2"], "need n >= 2, got 0"),
             (["se", "--lambda", "2", "--tol", "nan"], "tol must be finite and > 0"),
             (["se", "--lambda", "2", "--tol", "inf"], "tol must be finite and > 0"),
             (["se", "--lambda", "2", "--tol", "0"], "tol must be finite and > 0"),

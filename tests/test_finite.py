@@ -19,8 +19,6 @@ from replica_lab import (
     free_entropy_mc,
     guerra_slope_check,
     hamiltonian,
-    instance_from_json,
-    instance_to_json,
     kl_log_likelihood_ratio,
     log_partition_exact,
     metropolis_sampler,
@@ -98,12 +96,6 @@ class TestSampling:
     def test_small_n_rejected(self, priors):
         with pytest.raises(InvalidArgumentError):
             sample_instance(priors["rademacher"], 1, 1.0, 0)
-
-    def test_json_round_trip(self, priors):
-        p = priors["asym:0.7"]
-        inst = sample_instance(p, 7, 2.5, 321)
-        again = instance_from_json(instance_to_json(inst, p))
-        assert np.array_equal(inst.y, again.y)
 
     def test_derive_seed_splits(self):
         seeds = {derive_seed(7, k) for k in range(100)}
@@ -219,6 +211,24 @@ def test_disorder_count_validated(priors, n_disorder):
     for call in calls:
         with pytest.raises(InvalidArgumentError, match="must be >= 1"):
             call()
+
+
+@pytest.mark.parametrize("n", [0, 1, -2])
+def test_size_below_two_refused(priors, n):
+    # every enumerating estimator refuses n < 2 with one message, and the
+    # table itself refuses n < 1, rather than failing inside numpy
+    p = priors["rademacher"]
+    calls = (
+        lambda: free_entropy_mc(p, n, 2.0, 3, 1),
+        lambda: nishimori_check(p, n, 2.0, 3, 1),
+        lambda: phi_of_t(p, n, 2.0, 0.5, 0.5, 0.5, 3, 1),
+    )
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match=f"need n >= 2, got {n}"):
+            call()
+    if n < 1:
+        with pytest.raises(InvalidArgumentError, match=f"need n >= 1, got {n}"):
+            enumeration_table(p, n)
 
 
 def test_energy_scale_bound_on_both_sides():
@@ -524,7 +534,7 @@ class TestFpPotential:
             bins = finite._window_index(table.X @ spike / n, 0.0, eps)
             reach = math.ceil(1.0 / eps) + 1
             for l in range(-reach, reach + 1):
-                rows = finite._overlap_window(table.X, spike, l * eps, eps)
+                rows = finite._window_index(table.X @ spike / n, l * eps, eps) == 0
                 assert np.array_equal(rows, bins == l), (eps, l)
                 single = fp_potential(p, n, 2.0, l * eps, eps, spike, 3, 31)
                 assert single.empty_window == (l not in prof), (eps, l)
@@ -532,6 +542,21 @@ class TestFpPotential:
                     # the profile's reduceat log-sum-exp and _logsumexp differ in the last bit
                     assert prof[l].mean == pytest.approx(single.mean, abs=1e-12)
             assert set(prof) <= set(range(-reach, reach + 1))
+
+    @pytest.mark.parametrize("spec, n", [("rademacher", 10), ("sparse:0.25", 7), ("asym:0.7", 9), ("uniform:21", 3)])
+    def test_overlap_kernel_matches_direct_product(self, spec, n):
+        # one GEMM over the representatives, the mirrors negated: the same
+        # values as the product over every row (uniform:21's atoms are not
+        # dyadic, so its sums may round differently)
+        p = parse_prior_spec(spec)
+        table = enumeration_table(p, n)
+        for seed in range(3):
+            spike = sample_spike(p, n, seed)
+            got, want = finite._overlaps(table, spike[None])[0], table.X @ spike / n
+            if spec == "uniform:21":
+                assert np.max(np.abs(got - want)) <= 1e-15
+            else:
+                assert np.array_equal(got, want)
 
     def test_profile_refuses_inexact_window_indices(self, priors):
         # K^2 / eps above 2**53: the int64 window labels would overflow

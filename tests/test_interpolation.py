@@ -151,6 +151,23 @@ class TestPhiOfT:
         )
         assert est.empty_window
 
+    @pytest.mark.parametrize("spec, n", [("rademacher", 8), ("sparse:0.25", 6), ("asym:0.7", 8)])
+    def test_t_one_window_is_the_franz_parisi_potential(self, spec, n):
+        # at t = 1 the fixed-spike path over a window and fp_potential read the
+        # same draws: the path masks the representatives and their mirrors,
+        # fp_potential prices the window rows directly
+        p = parse_prior_spec(spec)
+        lam, draws, seed = 2.0, 12, 19
+        spike = sample_spike(p, n, 5)
+        for m_w, eps in ((-0.25, 0.5), (0.25, 0.5), (0.0, 0.25), (-9.0, 0.5)):
+            path = phi_of_t(p, n, lam, 0.5, 0.3, 1.0, draws, seed, restricted=(m_w, eps), spike=spike)
+            fp = fp_potential(p, n, lam, m_w, eps, spike, draws, seed)
+            assert path.empty_window == fp.empty_window == (m_w == -9.0)
+            if fp.empty_window:
+                assert path.mean == fp.mean == -math.inf
+            else:
+                assert path.mean == pytest.approx(fp.mean, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("spike", [None, np.ones(6)])
     @pytest.mark.parametrize("window", [(math.nan, 0.25), (0.0, math.nan), (0.0, -0.5), (-math.inf, 1.0)])
     def test_window_checked_like_fp_potential(self, priors, spike, window):

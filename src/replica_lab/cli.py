@@ -6,7 +6,9 @@ Every command takes --prior, --seed, --out and --format, and these others:
     se         --lambda --q --tol --max-iter --nodes --plot
     finite-n   --lambda* --n --budget --disorder --plot
     fp         --lambda* --n* --eps --m --budget --disorder --plot
-    verify     --n* --nodes --budget --disorder     (exit 1 on any failed check)
+    verify     --n* --nodes --budget --disorder     (exit 1 on any failed check,
+               or when the enumeration budget refuses the run and an
+               enumeration_budget report is written)
 A starred flag takes one value and refuses a list or range.  Otherwise
 --lambda takes a value, a comma list or start:stop:step (endpoint included
 when it lies within half a step), and finite-n --n a comma list of distinct
@@ -317,6 +319,8 @@ def _run(args) -> int:
 
     if args.command == "fp":
         header["lambda"] = lam = _one_lambda(args.lam)
+        if args.n < 2:  # the exact estimators' rule, before the spike is drawn
+            raise InvalidArgumentError(f"need n >= 2, got {args.n}")
         spike = sample_spike(prior, args.n, derive_seed(seed, 0, 2))
         if args.m is not None:
             est = fp_potential(prior, args.n, lam, args.m, args.eps, spike, args.disorder,

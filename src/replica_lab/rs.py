@@ -20,7 +20,9 @@ strided pass finds the coarse local maxima, and only the fine windows around
 them and at both ends are evaluated (tests/test_rs.py holds the result to the
 full scan's bits).  The fine grid and the golden refinement stay because they
 define the result, and the benchmark's guerra_slope|2 item pins
-phi_rs(p, 2).optimizer_q to the last bit.
+phi_rs(p, 2).optimizer_q to the last bit.  The scan (_rs_scan) and the
+refinement (_rs_refine) are separate steps, so that critical_lambda reads
+q* > delta from the scan alone wherever that decides it, bit for bit.
 
 The saddle works on derivatives instead.  psi_hat_grad gives F_bar with its
 exact partial derivatives in m and q (those of the quadrature rule itself).
@@ -242,17 +244,29 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     Value ties within 1e-10 resolve toward larger q (the informative branch
     at a first-order transition).
 
-    The grid is priced in two passes.  A coarse pass evaluates every
-    _STRIDE-th point, both ends included.  Fine windows then fill the grid
-    from coarse neighbour to coarse neighbour around each coarse local
-    maximum, and over the first and last coarse intervals: at small lambda a
-    sparse prior can hold a local maximum next to q = 0 behind a dip narrower
-    than the stride (sparse:0.02 at lambda = 1 has one worth 4e-17 behind a
-    dip of 8e-10).  A grid point counts as a local maximum only when both its
-    neighbours were evaluated or it is a grid end.  Away from the ends this
-    finds the full scan's local maxima when the rises and dips between them
-    are wider than a stride, as for the few, far-apart stable fixed points
-    q = 2 psi'(lambda q).  lambda must pass _check_scale at extent E[X^2] + 1.
+    The grid is priced in two passes (_rs_scan), and only the grid's local
+    maxima are refined (_rs_refine).  lambda must pass _check_scale at extent
+    E[X^2] + 1.
+    """
+    scan = _rs_scan(p, lam, ev)
+    return scan if isinstance(scan, PotentialResult) else _rs_refine(p, lam, ev, *scan)
+
+
+def _rs_scan(p: Prior, lam: float, ev):
+    """phi_rs's grid scan: (step, q_scan, idx), the grid step, the grid and the
+    indices of its local maxima, or the finished PotentialResult (optimizer
+    0.0) at lambda = 0, E[X^2] = 0 or a flat potential.
+
+    A coarse pass evaluates every _STRIDE-th point, both ends included.  Fine
+    windows then fill the grid from coarse neighbour to coarse neighbour
+    around each coarse local maximum, and over the first and last coarse
+    intervals: at small lambda a sparse prior can hold a local maximum next to
+    q = 0 behind a dip narrower than the stride (sparse:0.02 at lambda = 1 has
+    one worth 4e-17 behind a dip of 8e-10).  A grid point counts as a local
+    maximum only when both its neighbours were evaluated or it is a grid end.
+    Away from the ends this finds the full scan's local maxima when the rises
+    and dips between them are wider than a stride, as for the few, far-apart
+    stable fixed points q = 2 psi'(lambda q).
     """
     m2 = second_moment(p)
     _check_scale(p, lam, m2 + 1.0)
@@ -279,14 +293,28 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
         # Flat potential: every q is optimal, report q = 0.
         v0 = _potential(p, lam, 0.0, ev)
         return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
+    return step, q_scan, _local_max_indices(vals)
+
+
+def _brackets(q_scan: np.ndarray, idx: list) -> list:
+    """The refinement bracket [q_{i-1}, q_{i+1}] of each grid local maximum i, clipped to the grid."""
+    last = q_scan.size - 1
+    return [(q_scan[max(i - 1, 0)], q_scan[min(i + 1, last)]) for i in idx]
+
+
+def _rs_refine(p: Prior, lam: float, ev, step: float, q_scan: np.ndarray, idx: list) -> PotentialResult:
+    """phi_rs's refinement of a scan: golden search in every bracket, the grid
+    point kept where it beats the bracket's interior, then the tie rule.
+
+    Each refined q lies in its bracket (golden probes only its interior, and
+    the fallback is the grid point itself), which critical_lambda relies on.
+    """
 
     def f(q):
         return _potential(p, lam, q, ev)
 
     optima = []
-    for i in _local_max_indices(vals):
-        a = q_scan[max(i - 1, 0)]
-        b = q_scan[min(i + 1, npts - 1)]
+    for i, (a, b) in zip(idx, _brackets(q_scan, idx)):
         q_c, v_c = _golden_max(f, a, b)
         # The bracket interior can undershoot the grid point itself.
         v_grid = f(float(q_scan[i]))
@@ -712,17 +740,41 @@ def critical_lambda(
     tol: float = 0.01,
     ev: ChannelEvaluator | None = None,
 ) -> float:
-    """Smallest lambda with q*(lambda) > delta, by doubling plus bisection up to _LAM_CAP."""
+    """Smallest lambda with q*(lambda) > delta, by doubling plus bisection up to _LAM_CAP.
+
+    Each step needs only the bit q* > delta of phi_rs, and most steps read it
+    from phi_rs's grid scan without the refinement.  The q* that phi_rs
+    returns is 0.0 (the scan's early returns) or the refined q of one grid
+    local maximum i, and that q lies in i's bracket [q_{i-1}, q_{i+1}]:
+    golden section probes only the bracket's left end plus a nonnegative
+    offset, which rounding cannot carry below that end, and stays (1 - 1/phi)
+    of its width, at least 2e-9, below the right end, far more than the
+    rounding its steps accrue on a q <= delta <= 0.1; the v_grid fallback is
+    q_i itself.  So when every bracket starts above delta, q* > delta, and
+    when every bracket ends at or below delta, q* <= delta, whichever
+    candidate wins.  Only a scan with brackets on both sides of delta is
+    refined, and then the refinement of that scan decides.  Each step
+    therefore returns phi_rs(p, lambda).optimizer_q > delta bit for bit, and
+    so does the result.
+    """
     if not 0.0 < delta <= 0.1:
         raise InvalidArgumentError(f"delta must lie in (0, 0.1], got {delta}")
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
 
-    def q_star(lam):
-        return phi_rs(p, lam, ev).optimizer_q
+    def above(lam):
+        scan = _rs_scan(p, lam, ev)
+        if isinstance(scan, PotentialResult):
+            return scan.optimizer_q > delta
+        brackets = _brackets(*scan[1:])
+        if brackets and min(a for a, _ in brackets) > delta:
+            return True
+        if brackets and max(b for _, b in brackets) <= delta:
+            return False
+        return _rs_refine(p, lam, ev, *scan).optimizer_q > delta
 
     lo, hi = 0.0, 1.0
-    while q_star(hi) <= delta:
+    while not above(hi):
         lo = hi
         hi *= 2.0
         if hi > _LAM_CAP:
@@ -731,7 +783,7 @@ def critical_lambda(
             )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if q_star(mid) > delta:
+        if above(mid):
             hi = mid
         else:
             lo = mid

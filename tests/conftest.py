@@ -68,6 +68,29 @@ def nested_polish(p, lam, q_max, ev, a, b, ya, yb):
     )
 
 
+def refine_always_critical_lambda(p, delta, tol, ev):
+    """Reference for rs.critical_lambda: the doubling and bisection it replaced,
+    which reads phi_rs(p, lambda).optimizer_q > delta, refinement and all, at
+    every step."""
+    from replica_lab import rs
+
+    def above(lam):
+        return rs.phi_rs(p, lam, ev).optimizer_q > delta
+
+    lo, hi = 0.0, 1.0
+    while not above(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > rs._LAM_CAP:
+            raise rs.NumericalError(f"no transition up to lambda = {rs._LAM_CAP}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def mc_log_expectation(fn, n_samples=10**7, seed=0, chunk=10**6):
     """(mean, stderr) of fn(z) over z ~ N(0,1), chunked to bound memory."""
     rng = np.random.default_rng(seed)

@@ -316,6 +316,8 @@ class TestErrorPaths:
             (["fp", "--n", "6", "--eps", "nan"], "eps must be finite"),
             (["fp", "--n", "6", "--m", "nan"], "m must be finite"),
             (["fp", "--n", "1"], "need n >= 2"),
+            (["fp", "--n", "0", "--disorder", "2"], "need n >= 2, got 0"),
+            (["fp", "--n", "1", "--disorder", "2"], "need n >= 2, got 1"),
             (["finite-n", "--n", "0", "--disorder", "2"], "need n >= 2, got 0"),
             (["finite-n", "--n", "-2", "--disorder", "2"], "need n >= 2, got -2"),
             (["verify", "--n", "0", "--disorder", "2"], "need n >= 2, got 0"),

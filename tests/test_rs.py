@@ -34,7 +34,13 @@ from replica_lab.priors import (
     sparse_rademacher_prior,
 )
 
-from conftest import broadcast_psi, mc_log_cosh, mc_psi_bar, nested_polish
+from conftest import (
+    broadcast_psi,
+    mc_log_cosh,
+    mc_psi_bar,
+    nested_polish,
+    refine_always_critical_lambda,
+)
 
 
 class TestRsPotential:
@@ -719,3 +725,51 @@ class TestCriticalLambda:
         for tol in (-1.0, np.nan, np.inf):
             with pytest.raises(InvalidArgumentError, match="tol must be finite and > 0"):
                 critical_lambda(priors["rademacher"], 1e-3, tol, ev)
+
+
+class TestCriticalLambdaFromTheScan:
+    """critical_lambda refines a scan only when its brackets straddle delta, and
+    returns the always-refine bisection's bits."""
+
+    # the catalog, and sparse priors from the first-order region (rho <= 0.09) on
+    SPECS = ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21"] + [
+        f"sparse:{rho}"
+        for rho in (0.02, 0.03, 0.05, 0.07, 0.09, 0.1, 0.12, 0.15, 0.2, 0.3,
+                    0.35, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.97, 0.98)
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_matches_always_refine(self, ev, spec):
+        p = parse_prior_spec(spec)
+        for delta in (1e-3, 1e-2, 0.05):
+            for tol in (0.01, 1e-3):
+                got = critical_lambda(p, delta, tol, ev)
+                want = refine_always_critical_lambda(p, delta, tol, ev)
+                assert got.hex() == want.hex(), (spec, delta, tol)
+
+    def test_refinements_counted(self, ev, monkeypatch):
+        # the benchmark's phase-diagram priors at its default delta and tol
+        calls = []
+        golden = rs._golden_max
+        monkeypatch.setattr(rs, "_golden_max", lambda *a: calls.append(1) or golden(*a))
+        priors = [sparse_rademacher_prior(rho) for rho in (0.05, 0.1, 0.2, 0.35, 0.6, 0.9)]
+        for p in priors:
+            refine_always_critical_lambda(p, 1e-3, 0.01, ev)
+        assert len(calls) == 57
+        calls.clear()
+        for p in priors:
+            critical_lambda(p, 1e-3, 0.01, ev)
+        assert len(calls) == 13
+
+    @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.05", "sparse:0.02", "asym:0.7", "uniform:8"])
+    def test_refined_optima_stay_in_their_brackets(self, ev, spec):
+        p = parse_prior_spec(spec)
+        for lam in (0.3, 0.75, 0.99, 1.0, 1.3, 2.0, 7.0):
+            scan = rs._rs_scan(p, lam, ev)
+            if isinstance(scan, rs.PotentialResult):
+                continue
+            brackets = rs._brackets(*scan[1:])
+            optima = rs._rs_refine(p, lam, ev, *scan).local_optima
+            assert len(optima) == len(brackets)
+            for (q, _), (a, b) in zip(optima, brackets):
+                assert a <= q <= b, (spec, lam, q, a, b)

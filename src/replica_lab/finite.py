@@ -14,10 +14,10 @@ side noise) are plain Monte Carlo over instances with counter-derived seeds.
 A single-site Metropolis sampler covers sizes beyond the enumeration budget.
 
 Every exact estimator is built from the same pieces: _setup checks its
-inputs and fetches the table, _overlaps gives R_{1,*} of every row (the
-overlap law, Nishimori and every window), _log_weights and _logsumexp_rows
-(or _log_z) give per-draw log partition sums, and _mc_estimate averages
-them, with the -inf sentinel of an empty window.
+inputs and fetches the table, _overlaps gives R_{1,*} of every row, the
+Gibbs pass _gibbs (_log_weights, then _logsumexp_rows) gives per-draw log Z
+or Gibbs means of odd row statistics, and _mc_estimate averages per-draw
+values, with the -inf sentinel of an empty window.
 
 Seed discipline: every disorder replica k uses derive_seed(master, k, ...),
 so replica k's instance does not depend on the other replicas.  The energy
@@ -35,10 +35,10 @@ depend only on its kernel row and its SNR, never on which replicas or SNRs
 share the sub-block.  The log-sum-exp then reduces each contiguous row
 (_logsumexp_rows).  What can move with the composition of a block is only
 what a BLAS product forms over several replicas at once: the path's odd side
-term, the overlaps, nishimori_check's posterior means, and
-kl_log_likelihood_ratios' cross-sum GEMM, in their last bits.  free_entropy_mc
-and phi_of_t(t = 1) stay equal bit for bit: at t = 1 the side coefficients
-are exact zeros, so both take the same elementwise steps and reductions.
+term, the overlaps, the Gibbs means, and kl_log_likelihood_ratios'
+cross-sum GEMM, in their last bits.  free_entropy_mc and phi_of_t(t = 1)
+stay equal bit for bit: at t = 1 the side coefficients are exact zeros, so
+both take the same elementwise steps and reductions.
 
 Sign fold: -H sees a configuration only through its pair products x_i x_j,
 so with a sign-symmetric prior x and -x have the same energy and prior mass.
@@ -50,16 +50,17 @@ first ones, built by mapping each digit to its negated atom (so 0 stays
 the path's even side term) are computed on the representatives, and the
 log-sum-exp counts rows [:mirrors] a second time without forming the
 mirrors; odd terms (x.z and x.x* on the path, and R_{1,*}) enter as +odd on
-the representatives and -odd on the mirrors.  A mirror's pair products,
-prior mass and square sums equal its representative's bit for bit, so the
-repeated value is the one the kernel computes from those inputs; only the
+the representatives and -odd on the mirrors, and their Gibbs means over the
+whole table are exact zeros (_gibbs).  A mirror's pair products, prior mass
+and square sums equal its representative's bit for bit, so the repeated
+value is the one the kernel computes from those inputs; only the
 position-dependent last bits of BLAS are gone.  An asymmetric prior has no
 mirrors and runs the same code with nothing to repeat.  The path prices the
 representatives for a resampled and for a fixed spike alike, and drops the
 rows outside a window with a mask; only fp_potential and fp_profile select
-window rows of the whole table and price them directly.  The likelihood ratio's exponents, built without the table,
-fold their first half's configurations the same way
-(kl_log_likelihood_ratios).
+window rows of the whole table and price them directly.  The likelihood
+ratio's exponents, built without the table, fold their first half's
+configurations the same way (kl_log_likelihood_ratios).
 """
 
 from __future__ import annotations
@@ -469,14 +470,32 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
     return spike, enumeration_table(p, n, budget)
 
 
-def _log_z(table: EnumTable, rows, lam: float, n_draws: int, draw) -> np.ndarray:
-    """log Z per draw at SNR lam over table[rows] priced directly, or with rows
-    None over the representatives and their mirrors."""
+def _gibbs(table: EnumTable, rows, lam: float, n_draws: int, draw, odd=None) -> np.ndarray:
+    """The Gibbs pass: per-draw log Z at SNR lam over table[rows] priced
+    directly, or with rows None over the representatives and their mirrors.
+
+    With odd, it returns instead the (n_draws, k) Gibbs means of statistics
+    odd in x.  odd(spikes) gives a sub-block's values on the priced rows as
+    arrays (rows, k_g) shared by its draws or (D, rows, k_g), k_g summing to
+    k; a mean is their product with the log-sum-exp's exps over the exps'
+    sum.  On a sign-folded table the means are exact zeros (a mirror's log
+    weight is its representative's bit for bit, its statistic negated, and
+    the zero row's statistic is 0), so no kernel pass runs; odd then sees an
+    empty sub-block, for k.
+    """
     mirrors = table.mirrors if rows is None else 0
-    log_z = np.empty(n_draws)
-    for draws, _, _, a in _log_weights(table, rows, [lam], n_draws, draw):
-        log_z[draws] = _logsumexp_rows(a, mirrors)[:, 0]
-    return log_z
+    if odd is not None and mirrors:
+        return np.zeros((n_draws, sum(v.shape[-1] for v in odd(np.empty((0, table.X.shape[1]))))))
+    out = []
+    for _, spikes, _, a in _log_weights(table, rows, [lam], n_draws, draw):
+        e = a[:, 0]
+        log_z = _logsumexp_rows(e, mirrors)  # e now holds the exps
+        if odd is None:
+            out.append(log_z)
+        else:
+            sums = np.concatenate([np.matmul(e[:, None], v)[:, 0] for v in odd(spikes)], axis=-1)
+            out.append(sums / e.sum(axis=-1)[:, None])
+    return np.concatenate(out)
 
 
 def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
@@ -541,7 +560,7 @@ def free_entropy_mc(
 ) -> McEstimate:
     """F_N estimate: average of (1/N) log Z over independent instances."""
     _, table = _setup(p, n, lam, n_disorder, budget)
-    log_z = _log_z(table, None, lam, n_disorder, _sampled_draws(p, n, lam, seed))
+    log_z = _gibbs(table, None, lam, n_disorder, _sampled_draws(p, n, lam, seed))
     return _mc_estimate(log_z / n, seed)
 
 
@@ -626,7 +645,7 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     _check_spike_in_support(p, np.stack([inst.spike for inst in instances]))
     _check_energy_scale(p, n, lam)
     table = enumeration_table(p, n, budget)
-    log_z = _log_z(table, None, lam, len(instances), lambda k: (instances[k].spike, instances[k].noise))
+    log_z = _gibbs(table, None, lam, len(instances), lambda k: (instances[k].spike, instances[k].noise))
     return _log_likelihood_ratios(np.stack([inst.y for inst in instances]), p, n, lam), log_z
 
 
@@ -660,7 +679,7 @@ def fp_potential(
     """
     spike, table = _setup(p, n, lam, n_disorder, budget, (m, eps), spike)
     rows = _window_index(_overlaps(table, spike[None])[0], m, eps) == 0
-    return _mc_estimate(_log_z(table, rows, lam, n_disorder, _fixed_spike_draws(spike, seed)) / n, seed)
+    return _mc_estimate(_gibbs(table, rows, lam, n_disorder, _fixed_spike_draws(spike, seed)) / n, seed)
 
 
 def fp_profile(
@@ -768,50 +787,31 @@ def nishimori_check(
 ) -> VerificationReport:
     """E<R_{1,2}> = E<R_{1,*}>: replica-replica vs replica-spike overlap.
 
-    Per instance, one kernel pass gives the posterior: <R_{1,*}> from the
-    overlaps rounded to 9 digits as in log_partition_exact's overlap law,
-    <R_{1,2}> from per-site means ((1/n) sum_i <x_i>^2); the check is on the
-    disorder means with a paired standard error.  A sub-block of draws gets
-    its posterior means from one GEMM (post @ X) and its overlaps from
-    another (_overlaps).
+    Per instance, the Gibbs pass gives the posterior means of two odd
+    statistics: x_i, for <R_{1,2}> = (1/n) sum_i <x_i>^2, and R_{1,*} rounded
+    to 9 digits as in log_partition_exact's overlap law.  The check is on the
+    disorder means with a paired standard error.
 
-    For a sign-symmetric prior the check is vacuous.  The posterior is then
-    even in x (the data enter only through x x^T), so every <x_i> is zero,
-    and E<R_{1,2}> and E<R_{1,*}> both vanish by the x -> -x symmetry: the
-    report compares two rounding residues, and its 1e-12 absolute floor
-    passes any code that keeps the symmetry, right or wrong.  Only a prior
-    without the symmetry (asym:P, point:C) tests the identity.
+    For a sign-symmetric prior the check is vacuous: the posterior is even in
+    x (the data enter only through x x^T), so both sides vanish by the
+    x -> -x symmetry, here as exact zeros from no kernel pass, and
+    params["skipped"] says so.  Only a prior without the symmetry (asym:P,
+    point:C) tests the identity.
     """
     _, table = _setup(p, n, lam, n_disorder, budget)
-    r12 = np.empty(n_disorder)
-    r1s = np.empty(n_disorder)
-    for draws, spikes, _, a in _log_weights(table, None, [lam], n_disorder, _sampled_draws(p, n, lam, seed)):
-        a = a[:, 0]
-        post = table.unfold(np.exp(a - _logsumexp_rows(a.copy(), table.mirrors)[:, None]))
-        r12[draws] = ((post @ table.X) ** 2).mean(axis=1)
-        r1s[draws] = (post * _overlaps(table, spikes, 9)).sum(axis=1)
-    diff = r12 - r1s
-    delta = abs(float(diff.mean()))
-    se = float(diff.std(ddof=1) / math.sqrt(n_disorder)) if n_disorder > 1 else 0.0
-    # Absolute floor keeps rounding noise from flipping the verdict when both
-    # sides vanish identically (sign-symmetric priors).
+    means = _gibbs(table, None, lam, n_disorder, _sampled_draws(p, n, lam, seed),
+                   odd=lambda spikes: (table.X, _overlaps(table, spikes, 9)[..., None]))
+    r12, r1s = (means[:, :n] ** 2).mean(axis=1), means[:, n]
+    mean_diff, se = _mean_stderr(r12 - r1s)
+    delta, se = abs(float(mean_diff)), float(se)
+    # The absolute floor absorbs rounding noise where both sides are equal.
     allowance = 3.0 * se + 1e-12
-    return VerificationReport(
-        check="nishimori",
-        params={
-            "prior": p.name,
-            "n": n,
-            "lambda": lam,
-            "n_disorder": n_disorder,
-            "seed": seed,
-            "mean_r12": float(r12.mean()),
-            "mean_r1s": float(r1s.mean()),
-        },
-        slack=allowance - delta,
-        stderr=se,
-        allowance=allowance,
-        passed=bool(delta <= allowance),
-    )
+    params = {"prior": p.name, "n": n, "lambda": lam, "n_disorder": n_disorder, "seed": seed,
+              "mean_r12": float(r12.mean()), "mean_r1s": float(r1s.mean())}
+    if table.mirrors:
+        params["skipped"] = "sign-symmetric prior: both sides vanish exactly"
+    return VerificationReport(check="nishimori", params=params, slack=allowance - delta, stderr=se,
+                              allowance=allowance, passed=bool(delta <= allowance))
 
 
 # ----------------------------------------------------------------------

@@ -348,14 +348,17 @@ class TestBatchedKernel:
 
     def test_block_constant_bounds_temporaries(self, monkeypatch, priors):
         # 400 draws x 256 rows in one block hold 0.8 MB per energy array (a
-        # 4.5 MB peak); at 2**12 values per block each array is 32 KB
+        # 4.5 MB peak); at 2**12 values per block each array is 32 KB.
+        # Nishimori runs on asym:0.7, whose table (256 rows too) has no
+        # mirrors: on rademacher's it makes no kernel pass.
         p, n, lam, draws = priors["rademacher"], 8, 2.0, 400
+        asym = priors["asym:0.7"]
         enumeration_table(p, n)
         insts = [sample_instance(p, n, lam, derive_seed(5, k)) for k in range(draws)]
         monkeypatch.setattr(finite, "_BLOCK_VALUES", 2**12)
         calls = (
             lambda: free_entropy_mc(p, n, lam, draws, 3),
-            lambda: nishimori_check(p, n, lam, draws, 3),
+            lambda: nishimori_check(asym, n, lam, draws, 3),
             lambda: kl_log_likelihood_ratios(insts, p),
             lambda: phi_of_t(p, n, lam, 0.5, 0.5, 0.5, draws, 3),
             lambda: guerra_slope_check(p, n, lam, 0.5, n_disorder=draws, seed=3),
@@ -433,9 +436,22 @@ class TestSignFold:
         assert np.all(np.abs(log_z - log_z_u) <= 1e-13 * np.abs(log_z_u))
         for key in ("mean_r12", "mean_r1s"):
             if spec in self.SYMMETRIC:
-                assert abs(nish[key]) <= 1e-15 and abs(nish_u[key]) <= 1e-15, (key, nish, nish_u)
+                assert nish[key] == 0.0 and abs(nish_u[key]) <= 1e-15, (key, nish, nish_u)
             else:
                 assert abs(nish[key] - nish_u[key]) <= 1e-13 * abs(nish_u[key]), key
+
+    @pytest.mark.parametrize("spec, n", [("rademacher", 8), ("sparse:0.25", 6), ("uniform:21", 3)])
+    def test_nishimori_exact_zeros_without_kernel(self, monkeypatch, spec, n):
+        # a mirror's log weight equals its representative's and its odd
+        # statistics are negated, so both means are exact zeros unpriced
+        def no_kernel(*args):
+            raise AssertionError("the energy kernel ran")
+
+        monkeypatch.setattr(finite, "_energy_parts", no_kernel)
+        rep = nishimori_check(parse_prior_spec(spec), n, 2.0, 7, 23)
+        assert rep.params["mean_r12"] == rep.params["mean_r1s"] == 0.0
+        assert rep.stderr == 0.0 and rep.allowance == 1e-12 and rep.passed
+        assert rep.params["skipped"] == "sign-symmetric prior: both sides vanish exactly"
 
     def test_overlap_law_has_no_negative_zero(self):
         # a tiny negative overlap rounded to 9 digits is -0.0 unless normalized
@@ -596,6 +612,7 @@ class TestNishimori:
         rep = nishimori_check(priors["asym:0.7"], 10, 1.0, 400, 11)
         assert rep.passed
         assert rep.params["mean_r12"] > 0.1  # genuinely nonzero sides
+        assert "skipped" not in rep.params
 
 
 class TestMetropolis:

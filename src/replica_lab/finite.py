@@ -14,31 +14,39 @@ side noise) are plain Monte Carlo over instances with counter-derived seeds.
 A single-site Metropolis sampler covers sizes beyond the enumeration budget.
 
 Every exact estimator is built from the same pieces: _setup checks its
-inputs and fetches the table, _overlaps gives R_{1,*} of every row, the
-Gibbs pass _gibbs (_log_weights, then _logsumexp_rows) gives per-draw log Z
-or Gibbs means of odd row statistics, and _mc_estimate averages per-draw
-values, with the -inf sentinel of an empty window.
+inputs and fetches the table, _overlaps gives R_{1,*} of the rows, the
+Gibbs pass _gibbs (_log_weights, then _fold) gives per-draw log Z or Gibbs
+means of odd row statistics, and _mc_estimate averages per-draw values, with
+the -inf sentinel of an empty window.
 
 Seed discipline: every disorder replica k uses derive_seed(master, k, ...),
-so replica k's instance does not depend on the other replicas.  The energy
-kernel stacks consecutive replicas into blocks sized from the enumerated rows
-and n_disorder, so runs are reproducible bit-for-bit, and estimators over the
-same rows and replicas make the same kernel calls.  The bits of a replica's
-energies, though, can move with n_disorder: sparse:0.25 at N = 8 (seed 5)
-gives replicas 0-2 with 2, 3 and 5 energies that differ between 3 and 40
-replicas, by at most 1.5e-14.
+so replica k's instance does not depend on the other replicas.  The pass
+walks the priced rows in row blocks and the replicas in draw blocks, both
+sized from the priced rows, n and n_disorder alone (_blocks), so runs are
+reproducible bit-for-bit, and estimators over the same rows and replicas
+make the same kernel calls.  The bits of a replica's energies, though, can
+move with n_disorder: sparse:0.25 at N = 8 (seed 5) gives replicas 0-2 with
+2, 2 and 2 of their 3,281 energies that differ between 3 and 40 replicas,
+by at most 7.1e-15, and their log Z by at most 4.4e-16 (3 against 40 or
+400 replicas).
 
-Per-block combine: every consumer takes the kernel's (Q_W, S) a block of
-replicas at a time and turns a sub-block into log weights at its SNRs with
-one shared combine (_log_weights), elementwise, so a replica's log weights
-depend only on its kernel row and its SNR, never on which replicas or SNRs
-share the sub-block.  The log-sum-exp then reduces each contiguous row
-(_logsumexp_rows).  What can move with the composition of a block is only
-what a BLAS product forms over several replicas at once: the path's odd side
+Per-block combine: the pass builds a row block's pair features once and
+takes the kernel's (Q_W, S) for each draw block of it with one GEMM.  Each
+consumer turns that block into log weights at each of its SNRs or path
+points with one shared combine (_log_weights), elementwise, so a replica's
+log weights depend only on its kernel value and its SNR, never on which
+replicas or SNRs share the block.  It folds them into a per-(replica, SNR)
+online log-sum-exp (_fold): a running maximum and the sum of exps relative
+to it, rescaled when the maximum grows, with the mirrors counted in the
+block that holds their representatives.  So no array spans the replicas
+times the rows, and _BLOCK_VALUES bounds the pass's working memory.  What
+can move with the composition of a block is only what a BLAS product forms
+over several replicas at once: the kernel's parts, the path's odd side
 term, the overlaps, the Gibbs means, and kl_log_likelihood_ratios'
 cross-sum GEMM, in their last bits.  free_entropy_mc and phi_of_t(t = 1)
-stay equal bit for bit: at t = 1 the side coefficients are exact zeros, so
-both take the same elementwise steps and reductions.
+stay equal bit for bit: their blocks depend on neither SNR count, and at
+t = 1 the side coefficients are exact zeros, so both take the same
+elementwise steps and reductions.
 
 Sign fold: -H sees a configuration only through its pair products x_i x_j,
 so with a sign-symmetric prior x and -x have the same energy and prior mass.
@@ -78,21 +86,11 @@ from . import rs
 
 DEFAULT_BUDGET = 2**20
 
-# Values held per block of the enumeration kernel: 2**20 doubles (8 MB).  A
-# block of draws spans at most this many energies.
-_BLOCK_VALUES = 2**20
-
-
-def _sub_block_values() -> int:
-    """Values held per sub-block: a sixteenth of _BLOCK_VALUES (512 KB), read at call time.
-
-    A block of configuration rows holds this many pair features, so that they
-    stay in cache while the kernel's GEMM reads them: one draw over
-    sparse:0.25 at n = 12 took 3.6x as long with 8 MB of features per block.
-    A sub-block of log weights holds at most this many too: an eighth was 5%
-    faster on the Guerra path but raised the peak RSS.
-    """
-    return _BLOCK_VALUES // 16
+# Values held per block of the Gibbs pass: 2**16 doubles (512 KB).  It sizes
+# the row and draw blocks of the energy kernel (_blocks), so that every array
+# the pass forms stays within it, and the likelihood ratio's draw blocks and
+# chunks of its (x_L, x_R) grid.
+_BLOCK_VALUES = 2**16
 
 _MASK64 = (1 << 64) - 1
 
@@ -244,19 +242,23 @@ def _enum_table(atoms: tuple, n: int, symmetric: bool) -> EnumTable:
         # digits name the negated atoms (so that 0 stays +0.0).
         sign = np.sign(values).astype(np.int8)[digits]
         lead = sign[idx, (sign != 0).argmax(axis=1)]
+        del sign
         negated = np.array([np.flatnonzero(values == -v)[0] for v in values], dtype=digits.dtype)
         paired = digits[lead > 0]
         digits = np.concatenate([paired, digits[lead == 0], negated[paired]])
         reps -= paired.shape[0]
-    x = values[digits]
+        del lead, paired
+    del idx
     # The invariants are even in x: priced on the representatives and
-    # repeated for the mirrors, whose bits then match.  x^4 is the square of
-    # x^2, not numpy's x**4: that is a pow, about ten times slower on
-    # negative bases.
-    sumsq = (x[:reps] ** 2).sum(axis=1)
-    quartic = np.square(np.square(x[:reps])).sum(axis=1)
-    even = (logw[digits[:reps]].sum(axis=1), 0.5 * (sumsq**2 - quartic), sumsq)
-    logw_cfg, pairsq, sumsq = (np.concatenate([v, v[: x.shape[0] - reps]]) for v in even)
+    # repeated for the mirrors, whose bits then match.  Each gathers a
+    # per-atom value through the digits, which is x^2, x^4 or log w of that
+    # row's entries bit for bit.  x^4 is the square of x^2, not numpy's x**4:
+    # that is a pow, about ten times slower on negative bases.
+    sq, head = np.square(values), digits[:reps]
+    sumsq = sq[head].sum(axis=1)
+    even = (logw[head].sum(axis=1), 0.5 * (sumsq**2 - np.square(sq)[head].sum(axis=1)), sumsq)
+    logw_cfg, pairsq, sumsq = (np.concatenate([v, v[: digits.shape[0] - reps]]) for v in even)
+    x = values[digits]
     for arr in (x, logw_cfg, pairsq, sumsq):
         arr.setflags(write=False)
     return EnumTable(X=x, logw=logw_cfg, pairsq=pairsq, sumsq=sumsq, reps=reps)
@@ -272,89 +274,136 @@ def enumeration_table(p: Prior, n: int, budget: int = DEFAULT_BUDGET) -> EnumTab
     return _enum_table(p.atoms, n, rs._sign_symmetric(p))
 
 
-def _energy_parts(x: np.ndarray, spikes: np.ndarray, noises: np.ndarray):
-    """The energy kernel: (Q_W, S) for a stack of D draws over the rows of x.
+def _blocks(rows: int, n: int, n_draws: int):
+    """(row step, draw step) of the Gibbs pass over rows priced configurations of n sites.
 
-    spikes is (D, n) and noises (D, P), P = n(n-1)/2 over i < j row-major.
-    -H(x) = sqrt(lam/N) Q_W(x) + (lam/N) S(x) - (lam/2N) pairsq(x), with the
-    noise form Q_W = sum_{i<j} W_ij x_i x_j and the planted term
-    S = sum_{i<j} x*_i x*_j x_i x_j.  Neither depends on lambda; _log_weights
-    combines them at any SNR.  Every exact consumer computes -H this way,
-    through _draw_parts, its one caller.
-
-    Both are linear in the pair features x_i x_j, so one GEMM of the stacked
-    coefficients [noises; spike pair products] against the features of a
-    block of rows gives both.  The results are (D, rows), draw-major, so each
-    draw's energies form one contiguous row.  Rows are walked in blocks of
-    _sub_block_values() // max(n, P, 2D) configurations, so no temporary
-    exceeds _sub_block_values() values beyond the results, each of which
-    _draw_parts bounds by _BLOCK_VALUES.
+    With m = max(n, P), P = n(n-1)/2 the pairs, a draw block holds up to
+    _BLOCK_VALUES // (2m) draws, and a row block up to _BLOCK_VALUES // m
+    configurations and as many as fill half the budget with the block's
+    draws (at least one of each).  So a row block's pair features (P, rows)
+    and transposed values (n, rows) stay within _BLOCK_VALUES, the kernel's
+    (Q_W, S) for a draw block within it too, and each (draws, rows) array of
+    log weights within half of it.  The steps depend only on the priced rows,
+    n and n_draws, never on the SNRs a consumer combines at.
     """
-    d, n = spikes.shape
+    m = max(n, n * (n - 1) // 2)
+    d_step = max(1, min(n_draws, _BLOCK_VALUES // (2 * m)))
+    return max(1, min(rows, _BLOCK_VALUES // m, _BLOCK_VALUES // 2 // d_step)), d_step
+
+
+def _energy_parts(table: EnumTable, rows, n_draws: int, draw):
+    """The energy kernel: yield (blk, sel, draw_blocks) per row block of the priced rows.
+
+    rows None prices the representatives, table rows [:reps]; an index array
+    prices those table rows.  blk slices the row block's positions among the
+    priced rows and sel its table rows.  draw(k) returns draw k's (spike,
+    noise), all fetched once; draw_blocks yields (draws, spikes, q_w, s) per
+    block of consecutive draws: the draw indices as a slice, their (D, n)
+    spikes, and (D, rows) arrays of
+
+        Q_W = sum_{i<j} W_ij x_i x_j,   S = sum_{i<j} x*_i x*_j x_i x_j,
+
+    so that -H(x) = sqrt(lam/N) Q_W + (lam/N) S - (lam/2N) pairsq.  Neither
+    depends on lambda; _log_weights combines them at any SNR.  Both are
+    linear in the pair features x_i x_j, which are built once per row block;
+    one GEMM of a draw block's stacked coefficients [noises; spike pair
+    products] against them gives both, draw-major.  _blocks sizes every
+    block, so consumers that share the priced rows and n_draws share every
+    kernel call, and no array spans the draws times the rows.
+    """
+    n = table.X.shape[1]
     i, j = _triu(n)
-    pair_coef = np.concatenate([noises, spikes[:, i] * spikes[:, j]])
-    parts = np.empty((2 * d, x.shape[0]))
-    step = max(1, _sub_block_values() // max(n, i.size, 2 * d))
-    for c in range(0, x.shape[0], step):
-        xt = np.ascontiguousarray(x[c : c + step].T)
-        parts[:, c : c + step] = pair_coef @ (xt[i] * xt[j])
-    return parts[:d], parts[d:]
+    count = table.reps if rows is None else rows.size
+    r_step, d_step = _blocks(count, n, n_draws)
+    spikes, noises = (np.stack(v) for v in zip(*map(draw, range(n_draws))))
+    pairs = spikes[:, i] * spikes[:, j]
 
+    def draw_blocks(features):
+        for k in range(0, n_draws, d_step):
+            draws = slice(k, min(k + d_step, n_draws))
+            parts = np.concatenate([noises[draws], pairs[draws]]) @ features
+            yield draws, spikes[draws], parts[: draws.stop - k], parts[draws.stop - k :]
 
-def _draw_parts(x: np.ndarray, n_draws: int, draw):
-    """Yield (spikes, q_w, s) per block of consecutive draws: the kernel over blocks of draws.
-
-    draw(k) returns draw k's (spike, noise); a block yields its (D, n) spikes
-    and the kernel's (D, rows) parts.  A block holds at most
-    _BLOCK_VALUES // max(rows, n, P) draws (at least one), so neither its
-    stacked noises nor its parts exceed _BLOCK_VALUES values unless one draw's
-    row alone does.  The blocks depend only on the rows and n_draws, so
-    consumers that share both also share every kernel call.
-    """
-    rows, n = x.shape
-    step = max(1, _BLOCK_VALUES // max(rows, n, n * (n - 1) // 2))
-    for k0 in range(0, n_draws, step):
-        block = [draw(k) for k in range(k0, min(k0 + step, n_draws))]
-        spikes = np.stack([spike for spike, _ in block])
-        yield (spikes, *_energy_parts(x, spikes, np.stack([noise for _, noise in block])))
+    for r0 in range(0, count, r_step):
+        blk = slice(r0, min(r0 + r_step, count))
+        sel = blk if rows is None else rows[blk]
+        xt = np.ascontiguousarray(table.X[sel].T)
+        features = xt[i]
+        features *= xt[j]
+        del xt
+        yield blk, sel, draw_blocks(features)
 
 
 def _log_weights(table: EnumTable, rows, lams, n_draws: int, draw, side_sq=None):
-    """Yield (draws, spikes, coefs, a) per sub-block: log prior mass - H over table[rows].
+    """Yield (blk, draws, spikes, weights) per row block and draw block of the kernel.
 
-    draws slices the draw indices of the sub-block and coefs the SNRs lams;
-    spikes holds those draws' spikes and a[d, c] the log weights of draw
-    draws[d] at SNR lams[coefs][c], each entry (sqrt(lam/N) Q_W + (lam/N) S)
-    + base, where the draw-free base is logw - (lam/2N) pairsq, minus
-    side_sq[c] sumsq when side_sq is given.  Every entry takes the same
-    elementwise steps at any sub-block shape, so its bits depend only on its
-    draw's kernel row and its coefficients.  rows None means the
-    representatives: the consumer reads the mirrors from rows [:table.mirrors]
-    (_logsumexp_rows, EnumTable.unfold).  A sub-block spans at most
-    _sub_block_values() values of a: whole draws of a kernel block when one
-    draw's SNRs fit, else one draw and as many SNRs as fit (at least one).
+    blk, draws and spikes are _energy_parts'; weights(c) returns the (D, rows)
+    log prior mass - H of those rows for those draws at SNR lams[c], each
+    entry (sqrt(lam/N) Q_W + (lam/N) S) + base, where the draw-free base is
+    logw - (lam/2N) pairsq, minus side_sq[c] sumsq when side_sq is given.
+    Every entry takes the same elementwise steps at any block shape, so its
+    bits depend only on its draw's kernel value and its coefficients.  rows
+    None means the representatives: the consumer counts the mirrors of
+    rows [:table.mirrors] itself (_mirrored).
     """
-    if rows is None:
-        rows = slice(None, table.reps)
     n = table.X.shape[1]
     lams = np.asarray(lams, dtype=np.float64)[:, None]
     c_w, c_s = np.sqrt(lams / n), lams / n
-    base = table.logw[rows] - lams / (2.0 * n) * table.pairsq[rows]
-    if side_sq is not None:
-        base -= side_sq[:, None] * table.sumsq[rows]
-    width, room = max(1, base.shape[1]), _sub_block_values()
-    c_step = min(lams.size, max(1, room // width))
-    d_step = max(1, room // (lams.size * width)) if c_step == lams.size else 1
-    k = 0
-    for spikes, q_w, s in _draw_parts(table.X[rows], n_draws, draw):
-        for d in range(0, spikes.shape[0], d_step):
-            for c0 in range(0, lams.size, c_step):
-                d_sl, c_sl = slice(d, d + d_step), slice(c0, c0 + c_step)
-                a = c_w[c_sl] * q_w[d_sl, None]
-                a += c_s[c_sl] * s[d_sl, None]
-                a += base[c_sl]
-                yield slice(k + d, k + d + a.shape[0]), spikes[d_sl], c_sl, a
-        k += spikes.shape[0]
+    for blk, sel, draw_blocks in _energy_parts(table, rows, n_draws, draw):
+        base = table.logw[sel] - lams / (2.0 * n) * table.pairsq[sel]
+        if side_sq is not None:
+            base -= side_sq[:, None] * table.sumsq[sel]
+        for draws, spikes, q_w, s in draw_blocks:
+
+            def weights(c, q_w=q_w, s=s, base=base):
+                a = c_w[c] * q_w
+                a += c_s[c] * s
+                a += base[c]
+                return a
+
+            yield blk, draws, spikes, weights
+
+
+def _mirrored(blk: slice, mirrors: int) -> int:
+    """How many rows of the representatives' block blk have a mirror (rows [:mirrors] do)."""
+    return max(0, min(blk.stop, mirrors) - blk.start)
+
+
+def _fold(top: np.ndarray, total: np.ndarray, a: np.ndarray, mirrors: int, lo=None):
+    """Fold a block of log weights a (D, rows) into D online log-sum-exps; returns (exps, scale).
+
+    top and total (D,) hold each running maximum and the sum of exps
+    relative to it (-inf and 0 before any block), and are updated in place.
+    The block's first `mirrors` columns of a count twice: once more at the
+    same value, or at lo's when it is given (an odd term entering with
+    opposite signs).  a and lo are overwritten with their exps relative to
+    the new maximum, and scale = exp(old top - new top) rescales the old
+    sums, so a Gibbs mean accumulates Sum exp * stat the same way (_gibbs).
+    A first block leaves the bits of a one-shot log-sum-exp over it, and a
+    row whose entries are all -inf keeps top -inf and total 0.
+    """
+    new = np.maximum(top, a.max(axis=-1, initial=-np.inf))
+    if lo is not None:
+        np.maximum(new, lo.max(axis=-1, initial=-np.inf), out=new)
+    shift = np.where(new > -np.inf, new, 0.0)
+    scale = np.exp(top - shift)
+    a -= shift[..., None]
+    block = np.exp(a, out=a).sum(axis=-1)
+    if lo is None:
+        block += a[..., :mirrors].sum(axis=-1)
+    else:
+        lo -= shift[..., None]
+        block += np.exp(lo, out=lo).sum(axis=-1)
+    total *= scale
+    total += block
+    top[...] = new
+    return a, scale
+
+
+def _log_of(top: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """The log-sum-exps that _fold accumulated: -inf over no finite entry."""
+    with np.errstate(divide="ignore"):
+        return top + np.log(total)
 
 
 def _sampled_draws(p: Prior, n: int, lam: float, seed: int):
@@ -367,47 +416,29 @@ def _sampled_draws(p: Prior, n: int, lam: float, seed: int):
     return draw
 
 
-def _logsumexp_rows(a: np.ndarray, mirrors: int, lo=None) -> np.ndarray:
-    """log sum exp over the last axis of a table's priced rows and their mirrors.
-
-    Rows [:mirrors] of a count twice: once more at the same value, or at lo's
-    when it is given (an odd term entering with opposite signs).  a and lo are
-    overwritten with the exps, so the sums are numpy's over contiguous rows
-    and a repeated value reuses its exp.  A row whose entries are all -inf
-    gives -inf.
-    """
-    top = a.max(axis=-1, initial=-np.inf)
-    if lo is not None:
-        np.maximum(top, lo.max(axis=-1, initial=-np.inf), out=top)
-    shift = np.where(top > -np.inf, top, 0.0)[..., None]
-    a -= shift
-    total = np.exp(a, out=a).sum(axis=-1)
-    if lo is None:
-        total += a[..., :mirrors].sum(axis=-1)
-    else:
-        lo -= shift
-        total += np.exp(lo, out=lo).sum(axis=-1)
-    with np.errstate(divide="ignore"):
-        return top + np.log(total)
-
-
 def _window_index(overlap: np.ndarray, m: float, eps: float) -> np.ndarray:
     """floor((R - m) / eps) rounded to 9 digits first, so that an R on a window edge starts it."""
     with np.errstate(over="ignore"):
         return np.floor(np.round((overlap - m) / eps, 9))
 
 
-def _overlaps(table: EnumTable, spikes: np.ndarray, digits=None) -> np.ndarray:
-    """(D, rows) R_{1,*} of every row of the table for each of the D spikes.
+def _overlaps(table: EnumTable, spikes: np.ndarray, digits=None, block: slice = slice(None)) -> np.ndarray:
+    """(D, rows) R_{1,*} of the table's rows for each of the D spikes.
 
-    One GEMM over the representatives; the mirrors get their negatives.  With
-    digits, the representatives' values are rounded to that many digits
-    before the mirrors are formed.  A -0.0 is read as 0.0.
+    One GEMM over the representatives in block (all of them by default); the
+    mirrors among them follow with the negatives.  With digits, the
+    representatives' values are rounded to that many digits before the
+    mirrors are formed.  A -0.0 is read as 0.0.
     """
-    overlap = spikes @ table.X[: table.reps].T / spikes.shape[1]
+    overlap = spikes @ table.X[: table.reps][block].T
+    overlap /= spikes.shape[1]
     if digits is not None:
-        overlap = np.round(overlap, digits)
-    return table.unfold(overlap, odd=True) + 0.0
+        np.round(overlap, digits, out=overlap)
+    head = overlap[..., : max(0, table.mirrors - block.indices(table.reps)[0])]
+    if head.size:
+        overlap = np.concatenate([overlap, -head], axis=-1)
+    overlap += 0.0
+    return overlap
 
 
 def _fixed_spike_noise(n: int, seed: int) -> np.ndarray:
@@ -471,39 +502,43 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
 
 
 def _gibbs(table: EnumTable, rows, lam: float, n_draws: int, draw, odd=None) -> np.ndarray:
-    """The Gibbs pass: per-draw log Z at SNR lam over table[rows] priced
-    directly, or with rows None over the representatives and their mirrors.
+    """The Gibbs pass: per-draw log Z at SNR lam over the table rows indexed
+    by rows, or with rows None over the representatives and their mirrors.
 
-    With odd, it returns instead the (n_draws, k) Gibbs means of statistics
-    odd in x.  odd(spikes) gives a sub-block's values on the priced rows as
-    arrays (rows, k_g) shared by its draws or (D, rows, k_g), k_g summing to
-    k; a mean is their product with the log-sum-exp's exps over the exps'
-    sum.  On a sign-folded table the means are exact zeros (a mirror's log
-    weight is its representative's bit for bit, its statistic negated, and
-    the zero row's statistic is 0), so no kernel pass runs; odd then sees an
-    empty sub-block, for k.
+    It walks _log_weights' blocks and folds each into a per-draw online
+    log-sum-exp (_fold), so no array spans the draws times the rows.  With
+    odd, it returns instead the (n_draws, k) Gibbs means of statistics odd
+    in x.  odd(spikes, blk) gives a block's values on its rows as arrays
+    (rows, k_g) shared by its draws or (D, rows, k_g), k_g summing to k; the
+    pass accumulates their products with the fold's exps, rescaled with the
+    running sum, and divides by it at the end.  On a sign-folded table the
+    means are exact zeros (a mirror's log weight is its representative's
+    bit for bit, its statistic negated, and the zero row's statistic is 0),
+    so no kernel pass runs; odd then sees an empty block, for k.
     """
     mirrors = table.mirrors if rows is None else 0
     if odd is not None and mirrors:
-        return np.zeros((n_draws, sum(v.shape[-1] for v in odd(np.empty((0, table.X.shape[1]))))))
-    out = []
-    for _, spikes, _, a in _log_weights(table, rows, [lam], n_draws, draw):
-        e = a[:, 0]
-        log_z = _logsumexp_rows(e, mirrors)  # e now holds the exps
-        if odd is None:
-            out.append(log_z)
-        else:
-            sums = np.concatenate([np.matmul(e[:, None], v)[:, 0] for v in odd(spikes)], axis=-1)
-            out.append(sums / e.sum(axis=-1)[:, None])
-    return np.concatenate(out)
+        return np.zeros((n_draws, sum(v.shape[-1] for v in odd(np.empty((0, table.X.shape[1])), slice(0, 0)))))
+    top, total, sums = np.full(n_draws, -np.inf), np.zeros(n_draws), None
+    for blk, draws, spikes, weights in _log_weights(table, rows, [lam], n_draws, draw):
+        e, scale = _fold(top[draws], total[draws], weights(0), _mirrored(blk, mirrors))
+        if odd is not None:
+            block = np.concatenate([np.matmul(e[:, None], v)[:, 0] for v in odd(spikes, blk)], axis=-1)
+            if sums is None:
+                sums = np.zeros((n_draws, block.shape[-1]))
+            sums[draws] *= scale[:, None]
+            sums[draws] += block
+        del e  # before the next block's weights are formed
+    return _log_of(top, total) if odd is None else sums / total[:, None]
 
 
 def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
     """log Z by stable log-sum-exp over all configurations, with the overlap law."""
     _, table = _setup(p, inst.n, inst.lam, 1, budget, spike=inst.spike)
-    *_, a = next(_log_weights(table, None, [inst.lam], 1, lambda k: (inst.spike, inst.noise)))
-    a = a[0, 0]
-    log_z = float(_logsumexp_rows(a.copy(), table.mirrors))
+    blocks = _log_weights(table, None, [inst.lam], 1, lambda k: (inst.spike, inst.noise))
+    a = np.concatenate([weights(0)[0] for *_, weights in blocks])
+    e = np.exp(a - a.max())
+    log_z = float(a.max() + np.log(e.sum() + e[: table.mirrors].sum()))
     vals, inv = np.unique(_overlaps(table, inst.spike[None], 9)[0], return_inverse=True)
     mass = np.bincount(inv, weights=np.exp(table.unfold(a) - log_z))
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]
@@ -595,8 +630,8 @@ def _log_likelihood_ratios(ys: np.ndarray, p: Prior, n: int, lam: float) -> np.n
     rows_l, (cols, rows_r) = d_l.shape[0], hot_r.shape
     products = np.multiply.outer(p.values, p.values).ravel()
     coef = math.sqrt(lam / n)
-    llr = np.empty(ys.shape[0])
-    step = max(1, _BLOCK_VALUES // max(rows_l * rows_r, rows_l * cols, i.size * products.size))
+    top, total = np.full(ys.shape[0], -np.inf), np.zeros(ys.shape[0])
+    step = max(1, _BLOCK_VALUES // max(rows_r, rows_l * cols, i.size * products.size))
     for k0 in range(0, ys.shape[0], step):
         y = ys[k0 : k0 + step, :, None]
         d = y.shape[0]
@@ -611,10 +646,17 @@ def _log_likelihood_ratios(ys: np.ndarray, p: Prior, n: int, lam: float) -> np.n
         lhs = np.empty((d, rows_l, cols))
         np.matmul(hot_l, cross.reshape(d, hot_l.shape[1], cols - 1), out=lhs[:, :, :-1])
         lhs[:, :, -1] = e_l
-        exponents = (lhs.reshape(d * rows_l, cols) @ hot_r).reshape(d, rows_l, rows_r)
-        exponents += e_r[:, None, :]
-        llr[k0 : k0 + d] = _logsumexp_rows(exponents.reshape(d, -1), 0)
-    return llr
+        # the (x_L, x_R) grid a chunk of x_L at a time, folded per draw; a
+        # chunk holds up to twice the budget, since its GEMM's inner dimension
+        # is only cols: at the budget itself sparse:0.25 at n = 10 took 1.4x
+        # as long, on many small GEMMs
+        chunk = max(1, 2 * _BLOCK_VALUES // (d * rows_r))
+        for l0 in range(0, rows_l, chunk):
+            exponents = (lhs[:, l0 : l0 + chunk].reshape(-1, cols) @ hot_r).reshape(d, -1, rows_r)
+            exponents += e_r[:, None, :]
+            _fold(top[k0 : k0 + d], total[k0 : k0 + d], exponents.reshape(d, -1), 0)
+            del exponents  # before the next chunk's are formed
+    return _log_of(top, total)
 
 
 def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
@@ -635,7 +677,10 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     and mass are even in x, L keeps the configurations whose first nonzero
     atom is positive, at an added log 2, and the all-zero one.  A block of
     draws holds at most _BLOCK_VALUES values in each array (at least one
-    draw).
+    draw), and the (x_L, x_R) grid of exponents is formed a chunk of x_L at a
+    time, at most 2 _BLOCK_VALUES values (at least one x_L), and folded into
+    a per-draw online log-sum-exp, so no array spans the draws times the
+    configurations.  log Z comes from the Gibbs pass (_gibbs).
     """
     instances = list(instances)
     _check_disorder(len(instances), "instance count")
@@ -678,7 +723,7 @@ def fp_potential(
     unreachable window returns the -inf sentinel with empty_window set.
     """
     spike, table = _setup(p, n, lam, n_disorder, budget, (m, eps), spike)
-    rows = _window_index(_overlaps(table, spike[None])[0], m, eps) == 0
+    rows = np.flatnonzero(_window_index(_overlaps(table, spike[None])[0], m, eps) == 0)
     return _mc_estimate(_gibbs(table, rows, lam, n_disorder, _fixed_spike_draws(spike, seed)) / n, seed)
 
 
@@ -695,24 +740,34 @@ def fp_profile(
     """Phi_eps(l*eps, spike) for every reachable window index l at once.
 
     Returns [(l, McEstimate)] for the nonempty windows; windows absent from
-    the list are unreachable (-inf).  One enumeration pass per disorder draw
-    covers all windows, which is what makes the discretization bound of the
-    free entropy affordable to test.  Window indices reach K^2/eps, K the
-    support bound, so an eps that takes them past 2**53, where they are no
-    longer exact integers, is refused.
+    the list are unreachable (-inf).  One pass over the table, its rows
+    sorted by window, covers all windows for every draw, which is what makes
+    the discretization bound of the free entropy affordable to test: each
+    block's segments fold into per-(draw, window) online log-sum-exps, which
+    merge where a window spans a block edge.  Window indices reach K^2/eps,
+    K the support bound, so an eps that takes them past 2**53, where they
+    are no longer exact integers, is refused.
     """
     spike, table = _setup(p, n, lam, n_disorder, budget, (0.0, eps), spike)
     if not support_bound(p) ** 2 / eps <= 2**53:
         raise InvalidArgumentError(f"eps must be >= K^2 / 2**53 for exact window indices, got {eps!r}")
     bins = _window_index(_overlaps(table, spike[None])[0], 0.0, eps).astype(np.int64)
     order = np.argsort(bins, kind="stable")
-    uniq, starts = np.unique(bins[order], return_index=True)
-    sizes = np.diff(np.append(starts, order.size))
-    per_draw = np.empty((n_disorder, uniq.size))
-    for draws, _, _, a in _log_weights(table, order, [lam], n_disorder, _fixed_spike_draws(spike, seed)):
-        seg_max = np.maximum.reduceat(a[:, 0], starts, axis=-1)
-        e = np.exp(a[:, 0] - np.repeat(seg_max, sizes, axis=-1))
-        per_draw[draws] = (seg_max + np.log(np.add.reduceat(e, starts, axis=-1))) / n
+    uniq, label = np.unique(bins[order], return_inverse=True)
+    # per-window online log-sum-exps, as _fold's, over segments of each block
+    top = np.full((n_disorder, uniq.size), -np.inf)
+    total = np.zeros_like(top)
+    for blk, draws, _, weights in _log_weights(table, order, [lam], n_disorder, _fixed_spike_draws(spike, seed)):
+        lab = label[blk]
+        starts = np.flatnonzero(np.diff(lab, prepend=-1))
+        win = (draws, slice(lab[0], lab[-1] + 1))
+        a = weights(0)
+        new = np.maximum(top[win], np.maximum.reduceat(a, starts, axis=-1))
+        a -= np.repeat(new, np.diff(starts, append=lab.size), axis=-1)
+        total[win] *= np.exp(top[win] - new)
+        total[win] += np.add.reduceat(np.exp(a, out=a), starts, axis=-1)
+        top[win] = new
+    per_draw = _log_of(top, total) / n
     return [(int(l), _mc_estimate(per_draw[:, c], seed)) for c, l in enumerate(uniq)]
 
 
@@ -740,18 +795,19 @@ def _phi_t_draws(
     spike is resampled per draw when spike is None (the expectation over x*
     of the lower-bound argument) and held fixed otherwise (the fixed-spike
     potential of the upper-bound argument); the disorder (W, z) is drawn once
-    per draw and shared across every t.  One loop walks the sub-blocks of
-    _log_weights over the table's representatives.  The side term splits
-    into an even part, -(1-t) r/2 sum_i x_i^2, which _log_weights joins to
-    the log prior mass and the matrix energy at SNR t lam, and an odd part,
-    sqrt((1-t) r) z.x + (1-t) s x*.x, formed for every draw of a sub-block
-    and every t at once as one (D T, n) @ (n, reps) GEMM; a mirror row's
-    value is its representative's even part minus its odd part.  A window
-    (restricted, an (m_window, eps) pair) is one mask per sub-block from
-    _overlaps, and a draw with no row in its window gets -inf.  At t = 1 the
-    side coefficients are exact zeros, so phi(1) equals the plain
-    free-entropy estimator bit for bit.  r = lam q and s = lam m pass
-    rs._check_scale at extent max(q, |m|).
+    per draw and shared across every t.  One loop walks the blocks of
+    _log_weights over the table's representatives and, within each, the t's.
+    The side term splits into an even part, -(1-t) r/2 sum_i x_i^2, which
+    _log_weights joins to the log prior mass and the matrix energy at SNR
+    t lam, and an odd part, sqrt((1-t) r) z.x + (1-t) s x*.x, formed for a
+    block's draws at one t as one (D, n) @ (n, rows) GEMM; a mirror row's
+    value is its representative's even part minus its odd part.  Each block
+    folds into a per-(draw, t) online log-sum-exp (_fold), so no array spans
+    the draws times the rows.  A window (restricted, an (m_window, eps) pair)
+    is one mask per block from _overlaps, and a draw with no row in its
+    window gets -inf.  At t = 1 the side coefficients are exact zeros, so
+    phi(1) equals the plain free-entropy estimator bit for bit.  r = lam q
+    and s = lam m pass rs._check_scale at extent max(q, |m|).
     """
     if not (math.isfinite(q) and q >= 0):
         raise DomainError(f"q must be finite and >= 0, got {q}")
@@ -764,22 +820,27 @@ def _phi_t_draws(
     rs._check_scale(p, lam, max(q, abs(m)))
     r, s = lam * q, lam * m
     draw = _sampled_draws(p, n, lam, seed) if spike is None else _fixed_spike_draws(spike, seed)
-    x, mirrors = table.X[: table.reps], table.mirrors
     side_z, side_s, side_sq = np.sqrt((1.0 - t) * r), (1.0 - t) * s, (1.0 - t) * r / 2.0
     z = np.stack([np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
                   for k in range(n_disorder)])
-    out = np.empty((n_disorder, t.size))
-    for draws, spikes, c, even in _log_weights(table, None, t * lam, n_disorder, draw, side_sq):
-        side = side_z[c, None] * z[draws, None] + side_s[c, None] * spikes[:, None]
-        odd = (side.reshape(-1, n) @ x.T).reshape(even.shape)
-        lo = even[..., :mirrors] - odd[..., :mirrors]
-        even += odd
+    top = np.full((n_disorder, t.size), -np.inf)
+    total = np.zeros_like(top)
+    for blk, draws, spikes, weights in _log_weights(table, None, t * lam, n_disorder, draw, side_sq):
+        xt, mirrors = table.X[blk].T, _mirrored(blk, table.mirrors)
         if restricted is not None:
-            outside = (_window_index(_overlaps(table, spikes), *restricted) != 0)[:, None]
-            np.copyto(even, -np.inf, where=outside[..., : table.reps])
-            np.copyto(lo, -np.inf, where=outside[..., table.reps :])
-        out[draws, c] = _logsumexp_rows(even, mirrors, lo) / n
-    return out
+            outside = _window_index(_overlaps(table, spikes, block=blk), *restricted) != 0
+        for c in range(t.size):
+            even = weights(c)
+            odd = (side_z[c] * z[draws] + side_s[c] * spikes) @ xt
+            lo = even[:, :mirrors] - odd[:, :mirrors]
+            even += odd
+            del odd
+            if restricted is not None:
+                np.copyto(even, -np.inf, where=outside[:, : even.shape[1]])
+                np.copyto(lo, -np.inf, where=outside[:, even.shape[1] :])
+            _fold(top[draws, c], total[draws, c], even, mirrors, lo)
+            del even, lo  # before the next weights are formed
+    return _log_of(top, total) / n
 
 
 def nishimori_check(
@@ -800,7 +861,7 @@ def nishimori_check(
     """
     _, table = _setup(p, n, lam, n_disorder, budget)
     means = _gibbs(table, None, lam, n_disorder, _sampled_draws(p, n, lam, seed),
-                   odd=lambda spikes: (table.X, _overlaps(table, spikes, 9)[..., None]))
+                   odd=lambda spikes, blk: (table.X[blk], _overlaps(table, spikes, 9, blk)[..., None]))
     r12, r1s = (means[:, :n] ** 2).mean(axis=1), means[:, n]
     mean_diff, se = _mean_stderr(r12 - r1s)
     delta, se = abs(float(mean_diff)), float(se)

@@ -141,12 +141,54 @@ def mc_log_cosh(r, s, n_samples=10**7, seed=0):
     )
 
 
+def reference_enum_table(atoms, n, symmetric):
+    """Reference for finite._enum_table: (X, logw, pairsq, sumsq, reps) built
+    from the configurations' values, as before the invariants were gathered
+    per atom through the digits."""
+    values = np.array([v for v, _ in atoms]) + 0.0
+    logw = np.log(np.array([w for _, w in atoms]))
+    a = values.size
+    idx = np.arange(a**n, dtype=np.int64)
+    digits = np.empty((idx.size, n), dtype=np.min_scalar_type(a - 1))
+    for k in range(n):
+        digits[:, k] = (idx // a**k) % a
+    reps = idx.size
+    if symmetric:
+        sign = np.sign(values).astype(np.int8)[digits]
+        lead = sign[idx, (sign != 0).argmax(axis=1)]
+        negated = np.array([np.flatnonzero(values == -v)[0] for v in values], dtype=digits.dtype)
+        paired = digits[lead > 0]
+        digits = np.concatenate([paired, digits[lead == 0], negated[paired]])
+        reps -= paired.shape[0]
+    x = values[digits]
+    sumsq = (x[:reps] ** 2).sum(axis=1)
+    quartic = np.square(np.square(x[:reps])).sum(axis=1)
+    even = (logw[digits[:reps]].sum(axis=1), 0.5 * (sumsq**2 - quartic), sumsq)
+    logw_cfg, pairsq, sumsq = (np.concatenate([v, v[: x.shape[0] - reps]]) for v in even)
+    return x, logw_cfg, pairsq, sumsq, reps
+
+
+def reference_neg_energy(inst, table):
+    """-H of every configuration for one instance, one draw at a time: the
+    symmetric noise matrix product x @ W contracted row by row."""
+    n = inst.n
+    i, j = np.triu_indices(n, k=1)
+    w = np.zeros((n, n))
+    w[i, j] = inst.noise
+    w[j, i] = inst.noise
+    x = table.X
+    q_w = 0.5 * np.einsum("ck,ck->c", x @ w, x)
+    xs = x @ inst.spike
+    s = 0.5 * (xs * xs - np.einsum("ck,ck,k->c", x, x, inst.spike**2))
+    return math.sqrt(inst.lam / n) * q_w + inst.lam / n * s - inst.lam / (2.0 * n) * table.pairsq
+
+
 def reference_phi_t_draws(p, n, lam, q, m, t_values, n_disorder, seed, restricted=None, spike=None):
     """Per-draw path free entropies, one draw and one t at a time: the combine
     that the blocked interpolation path replaced, kept as its reference.
 
-    Reads the kernel's (Q_W, S) from finite._draw_parts, then per draw and per
-    t forms the even part at SNR t lam, the odd side term as one (n,) @
+    Takes each draw's energy at SNR t lam from reference_neg_energy, then per
+    draw and per t forms the even part, the odd side term as one (n,) @
     (n, rows) product, joins the mirrors (even - odd) to the representatives
     (even + odd) with one concatenation, keeps a resampled spike's window rows
     and takes one log-sum-exp over what is left (-inf over no row).
@@ -161,25 +203,22 @@ def reference_phi_t_draws(p, n, lam, q, m, t_values, n_disorder, seed, restricte
         spike = np.asarray(spike, dtype=np.float64)
         rows = slice(None) if restricted is None else finite._window_index(table.X @ spike / n, *restricted) == 0
         mirrors, draw = 0, finite._fixed_spike_draws(spike, seed)
-    x, logw, pairsq, sumsq = table.X[rows], table.logw[rows], table.pairsq[rows], table.sumsq[rows]
+    x, logw, sumsq = table.X[rows], table.logw[rows], table.sumsq[rows]
     out = np.empty((n_disorder, len(t_values)))
-    k = 0
-    for spikes, q_ws, ss in finite._draw_parts(x, n_disorder, draw):
-        for spike_k, q_w, s_k in zip(spikes, q_ws, ss):
-            keep = slice(None)
-            if spike is None and restricted is not None:
-                overlap = x @ spike_k / n
-                keep = finite._window_index(np.concatenate([overlap, -overlap[:mirrors]]), *restricted) == 0
-            z = np.random.default_rng(finite.derive_seed(seed, k, 1) & ((1 << 64) - 1)).standard_normal(n)
-            for c, t in enumerate(t_values):
-                lam_t = t * lam
-                energy = math.sqrt(lam_t / n) * q_w + lam_t / n * s_k - lam_t / (2.0 * n) * pairsq
-                even = logw + energy - (1.0 - t) * r / 2.0 * sumsq
-                odd = (math.sqrt((1.0 - t) * r) * z + (1.0 - t) * s * spike_k) @ x.T
-                a = np.concatenate([even + odd, even[:mirrors] - odd[:mirrors]])[keep]
-                top = a.max(initial=-np.inf)
-                out[k, c] = top if top == -np.inf else (top + np.log(np.exp(a - top).sum())) / n
-            k += 1
+    for k in range(n_disorder):
+        spike_k, noise_k = draw(k)
+        keep = slice(None)
+        if spike is None and restricted is not None:
+            overlap = x @ spike_k / n
+            keep = finite._window_index(np.concatenate([overlap, -overlap[:mirrors]]), *restricted) == 0
+        z = np.random.default_rng(finite.derive_seed(seed, k, 1) & ((1 << 64) - 1)).standard_normal(n)
+        for c, t in enumerate(t_values):
+            energy = reference_neg_energy(finite.instance_from_parts(spike_k, noise_k, t * lam), table)[rows]
+            even = logw + energy - (1.0 - t) * r / 2.0 * sumsq
+            odd = (math.sqrt((1.0 - t) * r) * z + (1.0 - t) * s * spike_k) @ x.T
+            a = np.concatenate([even + odd, even[:mirrors] - odd[:mirrors]])[keep]
+            top = a.max(initial=-np.inf)
+            out[k, c] = top if top == -np.inf else (top + np.log(np.exp(a - top).sum())) / n
     return out
 
 

@@ -33,25 +33,12 @@ from replica_lab.finite import enumeration_table, instance_from_parts
 from replica_lab.verify import kl_identity_check
 from replica_lab.priors import asymmetric_binary_prior, point_mass_prior
 
+from conftest import reference_enum_table, reference_neg_energy
+
 
 def _logsumexp(a):
     m = a.max()
     return float(m + np.log(np.exp(a - m).sum()))
-
-
-def _reference_neg_energy(inst, table):
-    """-H of every configuration for one instance, one draw at a time: the
-    symmetric noise matrix product x @ W contracted row by row."""
-    n = inst.n
-    i, j = np.triu_indices(n, k=1)
-    w = np.zeros((n, n))
-    w[i, j] = inst.noise
-    w[j, i] = inst.noise
-    x = table.X
-    q_w = 0.5 * np.einsum("ck,ck->c", x @ w, x)
-    xs = x @ inst.spike
-    s = 0.5 * (xs * xs - np.einsum("ck,ck,k->c", x, x, inst.spike**2))
-    return math.sqrt(inst.lam / n) * q_w + inst.lam / n * s - inst.lam / (2.0 * n) * table.pairsq
 
 
 def _reference_llr(inst, table):
@@ -287,10 +274,18 @@ def test_mean_stderr_keeps_numpy_bits_below_two_to_the_500():
     assert se == pytest.approx(np.std(big / 1e300, ddof=1) / 3.0 * 1e300, rel=1e-14)
 
 
+def _small_budget(monkeypatch, p, n, divisor=1):
+    """Shrink the block budget to the table's rows // divisor, so that a small
+    table spans many row blocks, and some tables several draw blocks too."""
+    monkeypatch.setattr(finite, "_BLOCK_VALUES", max(2, enumeration_table(p, n).X.shape[0] // divisor))
+
+
 class TestBatchedKernel:
-    # (draws, block constant): one draw at the default blocking, and five
-    # draws with the constant shrunk to 2M + 1 values, so that blocks hold two
-    # draws and the rows of each block are split into several row blocks.
+    # (draws, block budget): one draw at the default budget, and five draws
+    # with the budget shrunk to the table's rows, which splits the rows into
+    # several row blocks (and the draws into two blocks for rademacher and
+    # asym:0.7 at n = 8), the likelihood ratio's draws into blocks of one or
+    # two and its (x_L, x_R) grid into chunks of a few x_L.
     BLOCKINGS = [(1, None), (5, "small")]
 
     # The likelihood ratio splits the sites into the first n // 2 and the
@@ -308,18 +303,20 @@ class TestBatchedKernel:
         p = parse_prior_spec(spec)
         table = enumeration_table(p, n)
         if blocks == "small":
-            monkeypatch.setattr(finite, "_BLOCK_VALUES", 2 * table.X.shape[0] + 1)
+            _small_budget(monkeypatch, p, n)
         insts = [sample_instance(p, n, lam, derive_seed(61, k)) for k in range(draws)]
 
         def draw(k):
             return insts[k].spike, insts[k].noise
 
-        blocks = finite._log_weights(table, slice(None), [lam], draws, draw)
-        weights = [a[0] for *_, block in blocks for a in block]
+        rows = np.arange(table.X.shape[0])
+        weights = np.full((draws, rows.size), np.nan)
+        for blk, ks, _, block in finite._log_weights(table, rows, [lam], draws, draw):
+            weights[ks, blk] = block(0)
         llr, log_z = kl_log_likelihood_ratios(insts, p)
-        assert len(weights) == llr.size == log_z.size == draws
+        assert llr.size == log_z.size == draws
         for inst, a, llr_k, log_z_k in zip(insts, weights, llr, log_z):
-            ref = table.logw + _reference_neg_energy(inst, table)
+            ref = table.logw + reference_neg_energy(inst, table)
             assert np.abs(a - ref).max() <= 1e-12
             assert abs(log_z_k - _logsumexp(ref)) <= 1e-12
             assert abs(llr_k - _reference_llr(inst, table)) <= 1e-12
@@ -331,13 +328,13 @@ class TestBatchedKernel:
         p, n, lam, seed = priors["asym:0.7"], 8, 2.0, 19
         table = enumeration_table(p, n)
         if blocks == "small":
-            monkeypatch.setattr(finite, "_BLOCK_VALUES", 2 * table.X.shape[0] + 1)
+            _small_budget(monkeypatch, p, n)
         est = free_entropy_mc(p, n, lam, draws, seed)
         rep = nishimori_check(p, n, lam, draws, seed)
         f_n, r12, r1s = [], [], []
         for k in range(draws):
             inst = sample_instance(p, n, lam, derive_seed(seed, k))
-            a = table.logw + _reference_neg_energy(inst, table)
+            a = table.logw + reference_neg_energy(inst, table)
             post = np.exp(a - _logsumexp(a))
             f_n.append(_logsumexp(a) / n)
             r12.append(((post @ table.X) ** 2).mean())
@@ -346,11 +343,49 @@ class TestBatchedKernel:
         assert rep.params["mean_r12"] == pytest.approx(np.mean(r12), rel=1e-13)
         assert rep.params["mean_r1s"] == pytest.approx(np.mean(r1s), rel=1e-13)
 
+    def test_small_budget_splits_rows_and_draws(self, monkeypatch, priors):
+        # the blockings above reach what they are meant to: several row and
+        # draw blocks, and a row-block edge inside the mirrored rows
+        # [:mirrors] of a sign-folded table
+        for spec, n in (("rademacher", 8), ("asym:0.7", 8), ("sparse:0.25", 6)):
+            p = priors[spec]
+            _small_budget(monkeypatch, p, n)
+            table = enumeration_table(p, n)
+            r_step, d_step = finite._blocks(table.reps, n, 5)
+            assert r_step < table.reps and (d_step < 5) == (spec != "sparse:0.25")
+            if table.mirrors:
+                assert 0 < r_step < table.mirrors and table.mirrors % r_step
+
+    def test_default_budget_bounds_the_pass(self, priors):
+        # with the table built, no array of the pass spans the draws times
+        # the priced rows: sparse:0.25 at n = 9 holds 60 x 9,842 values in
+        # the kernel's parts alone (9.4 MB for Q_W and S) before streaming
+        p, n, draws = priors["sparse:0.25"], 9, 60
+        asym = priors["asym:0.7"]
+        enumeration_table(p, n)
+        enumeration_table(asym, 11)
+        insts = [sample_instance(p, n, 2.0, derive_seed(5, k)) for k in range(draws)]
+        calls = (
+            lambda: free_entropy_mc(p, n, 2.0, draws, 3),
+            lambda: guerra_slope_check(p, n, 2.0, 0.5, n_disorder=draws, seed=3),
+            lambda: kl_log_likelihood_ratios(insts, p),
+            lambda: nishimori_check(asym, 11, 1.0, draws, 3),
+        )
+        for call in calls:
+            call()  # a first call may import modules (np.unique loads numpy.ma)
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
+
     def test_block_constant_bounds_temporaries(self, monkeypatch, priors):
-        # 400 draws x 256 rows in one block hold 0.8 MB per energy array (a
-        # 4.5 MB peak); at 2**12 values per block each array is 32 KB.
-        # Nishimori runs on asym:0.7, whose table (256 rows too) has no
-        # mirrors: on rademacher's it makes no kernel pass.
+        # 400 draws x 256 rows: at 2**12 values per block each array of the
+        # pass is at most 32 KB.  Nishimori runs on asym:0.7, whose table
+        # (256 rows too) has no mirrors: on rademacher's it makes no kernel
+        # pass.
         p, n, lam, draws = priors["rademacher"], 8, 2.0, 400
         asym = priors["asym:0.7"]
         enumeration_table(p, n)
@@ -386,6 +421,8 @@ class TestSignFold:
 
     SPECS = [("rademacher", 8), ("sparse:0.25", 6), ("uniform:21", 3), ("asym:0.7", 8), ("point:0.7", 6)]
     SYMMETRIC = ("rademacher", "sparse:0.25", "uniform:21")
+    # (draws, block budget): the default, and the budget shrunk to the
+    # table's rows, so that row-block edges fall inside the mirrored rows
     BLOCKINGS = [(6, None), (5, "small")]
 
     @pytest.mark.parametrize("spec, n", SPECS)
@@ -411,13 +448,27 @@ class TestSignFold:
         for arr in (table.logw, table.pairsq, table.sumsq):
             assert arr[h:].tobytes() == arr[:m].tobytes()
 
+    @pytest.mark.parametrize("spec, n", [
+        ("rademacher", 12), ("sparse:0.25", 10), ("sparse:0.25", 12), ("asym:0.7", 12), ("uniform:21", 3),
+        ("point:0.7", 6),
+    ])
+    def test_table_matches_reference_construction(self, spec, n):
+        # the invariants gathered per atom through the digits keep every bit
+        # of the ones computed from the configurations' values (uncached build)
+        p = parse_prior_spec(spec)
+        table = finite._enum_table.__wrapped__(p.atoms, n, rs._sign_symmetric(p))
+        x, logw, pairsq, sumsq, reps = reference_enum_table(p.atoms, n, rs._sign_symmetric(p))
+        assert table.reps == reps
+        for got, want in ((table.X, x), (table.logw, logw), (table.pairsq, pairsq), (table.sumsq, sumsq)):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("spec, n", SPECS)
     @pytest.mark.parametrize("draws, blocks", BLOCKINGS)
     def test_matches_unfolded(self, monkeypatch, spec, n, draws, blocks):
         p = parse_prior_spec(spec)
         lam, seed = 2.0, 23
         if blocks == "small":
-            monkeypatch.setattr(finite, "_BLOCK_VALUES", 2 * enumeration_table(p, n).X.shape[0] + 1)
+            _small_budget(monkeypatch, p, n)
         insts = [sample_instance(p, n, lam, derive_seed(seed, k)) for k in range(draws)]
 
         def run():
@@ -558,6 +609,30 @@ class TestFpPotential:
                     # the profile's reduceat log-sum-exp and _logsumexp differ in the last bit
                     assert prof[l].mean == pytest.approx(single.mean, abs=1e-12)
             assert set(prof) <= set(range(-reach, reach + 1))
+
+    @pytest.mark.parametrize("divisor", [None, 8])
+    def test_profile_and_potential_match_per_draw_reference(self, monkeypatch, priors, divisor):
+        # at the budget of the table's rows // 8 the windows of the sorted
+        # rows are split across row blocks, and their running sums merge
+        p, n, lam, eps, draws, seed = priors["sparse:0.25"], 7, 2.0, 0.25, 3, 31
+        table = enumeration_table(p, n)
+        spike = sample_spike(p, n, 4)
+        bins = finite._window_index(table.X @ spike / n, 0.0, eps)
+        if divisor is not None:
+            _small_budget(monkeypatch, p, n, divisor)
+            r_step = finite._blocks(bins.size, n, draws)[0]
+            edges = np.flatnonzero(np.diff(np.sort(bins)) == 0) + 1  # splitting an edge here splits a window
+            assert np.any(edges % r_step == 0)
+        prof = dict(fp_profile(p, n, lam, eps, spike, draws, seed))
+        energies = []
+        for k in range(draws):
+            noise = finite._fixed_spike_noise(n, derive_seed(seed, k))
+            energies.append(table.logw + reference_neg_energy(instance_from_parts(spike, noise, lam), table))
+        assert set(prof) == set(np.unique(bins).astype(int))
+        for l in prof:
+            want = np.mean([_logsumexp(a[bins == l]) / n for a in energies])
+            assert prof[l].mean == pytest.approx(want, abs=1e-12)
+            assert fp_potential(p, n, lam, l * eps, eps, spike, draws, seed).mean == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("spec, n", [("rademacher", 10), ("sparse:0.25", 7), ("asym:0.7", 9), ("uniform:21", 3)])
     def test_overlap_kernel_matches_direct_product(self, spec, n):

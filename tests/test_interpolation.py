@@ -224,6 +224,8 @@ class TestSignFold:
     """The path priced on a sign-symmetric table's representatives agrees with the unfolded path."""
 
     SPECS = [("rademacher", 8), ("sparse:0.25", 6), ("uniform:21", 3), ("asym:0.7", 8), ("point:0.7", 6)]
+    # (draws, block budget): the default, and the budget shrunk to the
+    # table's rows, so that row-block edges fall inside the mirrored rows
     BLOCKINGS = [(6, None), (5, "small")]
 
     @staticmethod
@@ -240,7 +242,7 @@ class TestSignFold:
         p = parse_prior_spec(spec)
         lam, q, m, seed = 2.0, 0.5, 0.3, 41
         if blocks == "small":
-            monkeypatch.setattr(finite, "_BLOCK_VALUES", 2 * enumeration_table(p, n).X.shape[0] + 1)
+            monkeypatch.setattr(finite, "_BLOCK_VALUES", enumeration_table(p, n).X.shape[0])
 
         def run():
             return (
@@ -268,22 +270,22 @@ class TestBlockedPath:
     """The blocked path against the per-draw, per-t reference combine of conftest.py."""
 
     SPECS = [("rademacher", 8), ("sparse:0.25", 6), ("uniform:21", 3), ("asym:0.7", 8), ("point:0.7", 6)]
-    # _BLOCK_VALUES in units of the priced rows R: 2R + 1 gives kernel blocks of
-    # two draws and sub-blocks of one draw at one t; 48 R sub-blocks of one
-    # draw at three t's; 192 R sub-blocks of two draws at every t
-    BLOCKINGS = [None, 2, 48, 192]
+    # _BLOCK_VALUES as the table's rows // divisor: the table's rows give
+    # several row blocks (two draw blocks for rademacher and asym:0.7, and
+    # edges inside the mirrored rows); an eighth gives blocks of one or a few
+    # rows, one draw each for rademacher and asym:0.7
+    BLOCKINGS = [None, 1, 8]
 
     @pytest.mark.parametrize("spec, n", SPECS)
-    @pytest.mark.parametrize("per_rows", BLOCKINGS)
-    def test_matches_per_draw_reference(self, monkeypatch, spec, n, per_rows):
+    @pytest.mark.parametrize("divisor", BLOCKINGS)
+    def test_matches_per_draw_reference(self, monkeypatch, spec, n, divisor):
         from conftest import reference_phi_t_draws
 
         p = parse_prior_spec(spec)
         lam, q, draws, seed = 2.0, 0.5, 5, 37
         spike = sample_spike(p, n, 6)
-        if per_rows is not None:
-            rows = enumeration_table(p, n).reps
-            monkeypatch.setattr(finite, "_BLOCK_VALUES", per_rows * rows + (per_rows == 2))
+        if divisor is not None:
+            monkeypatch.setattr(finite, "_BLOCK_VALUES", max(2, enumeration_table(p, n).X.shape[0] // divisor))
         cases = [
             (q, q, None, None),                 # guerra_slope_check's matched path
             (q, 0.3, (-0.25, 0.75), None),      # a resampled spike's window

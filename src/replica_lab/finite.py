@@ -297,7 +297,8 @@ def _energy_parts(table: EnumTable, rows, n_draws: int, draw):
     rows None prices the representatives, table rows [:reps]; an index array
     prices those table rows.  blk slices the row block's positions among the
     priced rows and sel its table rows.  draw(k) returns draw k's (spike,
-    noise), all fetched once; draw_blocks yields (draws, spikes, q_w, s) per
+    noise), all fetched once, n_draws (n + P) values in all, since every row
+    block reads every draw; draw_blocks yields (draws, spikes, q_w, s) per
     block of consecutive draws: the draw indices as a slice, their (D, n)
     spikes, and (D, rows) arrays of
 
@@ -330,7 +331,6 @@ def _energy_parts(table: EnumTable, rows, n_draws: int, draw):
         xt = np.ascontiguousarray(table.X[sel].T)
         features = xt[i]
         features *= xt[j]
-        del xt
         yield blk, sel, draw_blocks(features)
 
 
@@ -834,7 +834,6 @@ def _phi_t_draws(
             odd = (side_z[c] * z[draws] + side_s[c] * spikes) @ xt
             lo = even[:, :mirrors] - odd[:, :mirrors]
             even += odd
-            del odd
             if restricted is not None:
                 np.copyto(even, -np.inf, where=outside[:, : even.shape[1]])
                 np.copyto(lo, -np.inf, where=outside[:, even.shape[1] :])

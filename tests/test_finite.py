@@ -283,9 +283,10 @@ def _small_budget(monkeypatch, p, n, divisor=1):
 class TestBatchedKernel:
     # (draws, block budget): one draw at the default budget, and five draws
     # with the budget shrunk to the table's rows, which splits the rows into
-    # several row blocks (and the draws into two blocks for rademacher and
-    # asym:0.7 at n = 8), the likelihood ratio's draws into blocks of one or
-    # two and its (x_L, x_R) grid into chunks of a few x_L.
+    # several row blocks (and the draws, for n <= 3), the likelihood ratio's
+    # draws into blocks of one or two and its (x_L, x_R) grid into chunks of
+    # a few x_L.  Forty draws at that budget split into draw blocks at n = 8
+    # too, where a draw block holds at most P = 28 draws.
     BLOCKINGS = [(1, None), (5, "small")]
 
     # The likelihood ratio splits the sites into the first n // 2 and the
@@ -321,7 +322,7 @@ class TestBatchedKernel:
             assert abs(log_z_k - _logsumexp(ref)) <= 1e-12
             assert abs(llr_k - _reference_llr(inst, table)) <= 1e-12
 
-    @pytest.mark.parametrize("draws, blocks", BLOCKINGS)
+    @pytest.mark.parametrize("draws, blocks", BLOCKINGS + [(40, "small")])
     def test_disorder_means_match_per_draw_reference(self, monkeypatch, priors, draws, blocks):
         # asym:0.7 keeps both Nishimori sides away from zero, so that a
         # relative tolerance means something
@@ -344,17 +345,19 @@ class TestBatchedKernel:
         assert rep.params["mean_r1s"] == pytest.approx(np.mean(r1s), rel=1e-13)
 
     def test_small_budget_splits_rows_and_draws(self, monkeypatch, priors):
-        # the blockings above reach what they are meant to: several row and
-        # draw blocks, and a row-block edge inside the mirrored rows
-        # [:mirrors] of a sign-folded table
-        for spec, n in (("rademacher", 8), ("asym:0.7", 8), ("sparse:0.25", 6)):
+        # the blockings of this module reach what they are meant to: several
+        # row blocks, a row-block edge inside the mirrored rows [:mirrors] of
+        # a sign-folded table, and several draw blocks at forty draws
+        for spec, n in (("rademacher", 8), ("asym:0.7", 8), ("sparse:0.25", 6), ("uniform:21", 3)):
             p = priors[spec]
             _small_budget(monkeypatch, p, n)
             table = enumeration_table(p, n)
             r_step, d_step = finite._blocks(table.reps, n, 5)
-            assert r_step < table.reps and (d_step < 5) == (spec != "sparse:0.25")
+            assert r_step < table.reps and (d_step < 5) == (n == 3)
             if table.mirrors:
                 assert 0 < r_step < table.mirrors and table.mirrors % r_step
+            r_step, d_step = finite._blocks(table.reps, n, 40)
+            assert r_step < table.reps and d_step < 40
 
     def test_default_budget_bounds_the_pass(self, priors):
         # with the table built, no array of the pass spans the draws times
@@ -422,8 +425,9 @@ class TestSignFold:
     SPECS = [("rademacher", 8), ("sparse:0.25", 6), ("uniform:21", 3), ("asym:0.7", 8), ("point:0.7", 6)]
     SYMMETRIC = ("rademacher", "sparse:0.25", "uniform:21")
     # (draws, block budget): the default, and the budget shrunk to the
-    # table's rows, so that row-block edges fall inside the mirrored rows
-    BLOCKINGS = [(6, None), (5, "small")]
+    # table's rows, so that row-block edges fall inside the mirrored rows,
+    # at five draws and at forty, which also split into draw blocks
+    BLOCKINGS = [(6, None), (5, "small"), (40, "small")]
 
     @pytest.mark.parametrize("spec, n", SPECS)
     def test_orbit_table(self, spec, n):

@@ -270,19 +270,20 @@ class TestBlockedPath:
     """The blocked path against the per-draw, per-t reference combine of conftest.py."""
 
     SPECS = [("rademacher", 8), ("sparse:0.25", 6), ("uniform:21", 3), ("asym:0.7", 8), ("point:0.7", 6)]
-    # _BLOCK_VALUES as the table's rows // divisor: the table's rows give
-    # several row blocks (two draw blocks for rademacher and asym:0.7, and
-    # edges inside the mirrored rows); an eighth gives blocks of one or a few
-    # rows, one draw each for rademacher and asym:0.7
-    BLOCKINGS = [None, 1, 8]
+    # (draws, _BLOCK_VALUES as the table's rows // divisor): the table's rows
+    # give several row blocks, with edges inside the mirrored rows; an eighth
+    # gives blocks of one or a few rows.  Five draws split into draw blocks
+    # only for uniform:21, whose n = 3 caps a draw block at 3 draws; forty
+    # split at every n here.
+    BLOCKINGS = [(5, None), (5, 1), (5, 8), (40, 1)]
 
     @pytest.mark.parametrize("spec, n", SPECS)
-    @pytest.mark.parametrize("divisor", BLOCKINGS)
-    def test_matches_per_draw_reference(self, monkeypatch, spec, n, divisor):
+    @pytest.mark.parametrize("draws, divisor", BLOCKINGS)
+    def test_matches_per_draw_reference(self, monkeypatch, spec, n, draws, divisor):
         from conftest import reference_phi_t_draws
 
         p = parse_prior_spec(spec)
-        lam, q, draws, seed = 2.0, 0.5, 5, 37
+        lam, q, seed = 2.0, 0.5, 37
         spike = sample_spike(p, n, 6)
         if divisor is not None:
             monkeypatch.setattr(finite, "_BLOCK_VALUES", max(2, enumeration_table(p, n).X.shape[0] // divisor))

@@ -544,8 +544,9 @@ def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BU
     _, table = _setup(p, inst.n, inst.lam, 1, budget, spike=inst.spike)
     blocks = _log_weights(table, None, [inst.lam], 1, lambda k: (inst.spike, inst.noise))
     a = np.concatenate([weights(0)[0] for *_, weights in blocks])
-    e = np.exp(a - a.max())
-    log_z = float(a.max() + np.log(e.sum() + e[: table.mirrors].sum()))
+    top = a.max()
+    e = np.exp(a - top)
+    log_z = float(top + np.log(e.sum() + e[: table.mirrors].sum()))
     vals, inv = np.unique(_overlaps(table, inst.spike[None], 9)[0], return_inverse=True)
     mass = np.bincount(inv, weights=np.exp(table.unfold(a) - log_z))
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]

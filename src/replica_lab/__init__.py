@@ -33,7 +33,6 @@ from .finite import (
     fp_potential,
     fp_profile,
     free_entropy_mc,
-    hamiltonian,
     kl_log_likelihood_ratio,
     kl_log_likelihood_ratios,
     log_partition_exact,
@@ -43,11 +42,8 @@ from .finite import (
     sample_spike,
 )
 from .interpolation import (
-    AugmentedInstance,
-    augment,
     fp_upper_check,
     guerra_slope_check,
-    h_t,
     phi_of_t,
 )
 from .priors import (
@@ -70,8 +66,6 @@ from .rs import (
     f_bar,
     f_bar_inner_min,
     f_hat,
-    mmse_curve,
-    mutual_information,
     phi_rs,
     rs_potential,
     saddle,

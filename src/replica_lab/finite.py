@@ -17,7 +17,10 @@ Every exact estimator is built from the same pieces: _setup checks its
 inputs and fetches the table, _overlaps gives R_{1,*} of the rows, the
 Gibbs pass _gibbs (_log_weights, then _fold) gives per-draw log Z or Gibbs
 means of odd row statistics, and _mc_estimate averages per-draw values, with
-the -inf sentinel of an empty window.
+the -inf sentinel of an empty window.  The energy kernel _log_weights is the
+package's one definition of -H, and _phi_t_draws adds the side term of the
+interpolating -H_t to it; the tests hold both to direct per-configuration
+evaluations of the definitions.
 
 Seed discipline: every disorder replica k uses derive_seed(master, k, ...),
 so replica k's instance does not depend on the other replicas.  The pass
@@ -174,17 +177,6 @@ def sample_spike(p: Prior, n: int, seed: int) -> np.ndarray:
     return _sample_atoms(p, n, np.random.default_rng(int(seed) & _MASK64))
 
 
-def hamiltonian(inst: SpikedInstance, x) -> float:
-    """-H(x) = sum_{i<j} sqrt(lambda/N) Y_ij x_i x_j - (lambda/2N) x_i^2 x_j^2."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (inst.n,):
-        raise InvalidArgumentError(f"x must have length {inst.n}, got shape {x.shape}")
-    i, j = _triu(inst.n)
-    pp = x[i] * x[j]
-    n = inst.n
-    return float(math.sqrt(inst.lam / n) * (inst.y @ pp) - inst.lam / (2.0 * n) * (pp @ pp))
-
-
 # ----------------------------------------------------------------------
 # Exact enumeration
 # ----------------------------------------------------------------------
@@ -207,14 +199,6 @@ class EnumTable:
     @property
     def mirrors(self) -> int:
         return self.X.shape[0] - self.reps
-
-    def unfold(self, a: np.ndarray, odd: bool = False) -> np.ndarray:
-        """Per-row values over every row from their values on rows [:reps],
-        along the last axis: the mirrors repeat even ones and negate odd ones."""
-        if not self.mirrors:
-            return a
-        head = a[..., : self.mirrors]
-        return np.concatenate([a, -head if odd else head], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -298,26 +282,31 @@ def _blocks(rows: int, n: int, n_draws: int):
     return max(1, min(rows, _BLOCK_VALUES // m, _BLOCK_VALUES // 2 // d_step)), d_step
 
 
-def _energy_parts(table: EnumTable, rows, n_draws: int, draw):
-    """The energy kernel: yield (blk, sel, draw_blocks) per row block of the priced rows.
+def _log_weights(table: EnumTable, rows, lams, n_draws: int, draw, side_sq=None):
+    """The energy kernel: yield (blk, draws, spikes, weights) per row block and draw block.
 
-    rows None prices the representatives, table rows [:reps]; an index array
-    prices those table rows.  blk slices the row block's positions among the
-    priced rows and sel its table rows.  draw(k) returns draw k's (spike,
+    rows None prices the representatives, table rows [:reps], and the
+    consumer counts the mirrors of rows [:table.mirrors] itself (_mirrored);
+    an index array prices those table rows.  blk slices the row block's
+    positions among the priced rows, draws the block's draw indices, and
+    spikes holds their (D, n) spikes.  draw(k) returns draw k's (spike,
     noise), all fetched once, n_draws (n + P) values in all, since every row
-    block reads every draw; draw_blocks yields (draws, spikes, q_w, s) per
-    block of consecutive draws: the draw indices as a slice, their (D, n)
-    spikes, and (D, rows) arrays of
+    block reads every draw.  weights(c) returns the (D, rows) log prior mass
+    - H of the block's rows for its draws at SNR lams[c],
 
+        -H(x) = sqrt(lam/N) Q_W + (lam/N) S - (lam/2N) pairsq,
         Q_W = sum_{i<j} W_ij x_i x_j,   S = sum_{i<j} x*_i x*_j x_i x_j,
 
-    so that -H(x) = sqrt(lam/N) Q_W + (lam/N) S - (lam/2N) pairsq.  Neither
-    depends on lambda; _log_weights combines them at any SNR.  Both are
-    linear in the pair features x_i x_j, which are built once per row block;
-    one GEMM of a draw block's stacked coefficients [noises; spike pair
-    products] against them gives both, draw-major.  _blocks sizes every
-    block, so consumers that share the priced rows and n_draws share every
-    kernel call, and no array spans the draws times the rows.
+    each entry (sqrt(lam/N) Q_W + (lam/N) S) + base, where the draw-free
+    base is logw - (lam/2N) pairsq, minus side_sq[c] sumsq when side_sq is
+    given.  Q_W and S do not depend on lambda, and both are linear in the
+    pair features x_i x_j, which are built once per row block; one GEMM of a
+    draw block's stacked coefficients [noises; spike pair products] against
+    them gives both, draw-major.  Every entry then takes the same
+    elementwise steps at any block shape, so its bits depend only on its
+    draw's kernel value and its coefficients.  _blocks sizes every block, so
+    consumers that share the priced rows and n_draws share every kernel
+    call, and no array spans the draws times the rows.
     """
     n = table.X.shape[1]
     i, j = _triu(n)
@@ -325,42 +314,21 @@ def _energy_parts(table: EnumTable, rows, n_draws: int, draw):
     r_step, d_step = _blocks(count, n, n_draws)
     spikes, noises = (np.stack(v) for v in zip(*map(draw, range(n_draws))))
     pairs = spikes[:, i] * spikes[:, j]
-
-    def draw_blocks(features):
-        for k in range(0, n_draws, d_step):
-            draws = slice(k, min(k + d_step, n_draws))
-            parts = np.concatenate([noises[draws], pairs[draws]]) @ features
-            yield draws, spikes[draws], parts[: draws.stop - k], parts[draws.stop - k :]
-
+    lams = np.asarray(lams, dtype=np.float64)[:, None]
+    c_w, c_s = np.sqrt(lams / n), lams / n
     for r0 in range(0, count, r_step):
         blk = slice(r0, min(r0 + r_step, count))
         sel = blk if rows is None else rows[blk]
         xt = np.ascontiguousarray(table.X[sel].T)
         features = xt[i]
         features *= xt[j]
-        yield blk, sel, draw_blocks(features)
-
-
-def _log_weights(table: EnumTable, rows, lams, n_draws: int, draw, side_sq=None):
-    """Yield (blk, draws, spikes, weights) per row block and draw block of the kernel.
-
-    blk, draws and spikes are _energy_parts'; weights(c) returns the (D, rows)
-    log prior mass - H of those rows for those draws at SNR lams[c], each
-    entry (sqrt(lam/N) Q_W + (lam/N) S) + base, where the draw-free base is
-    logw - (lam/2N) pairsq, minus side_sq[c] sumsq when side_sq is given.
-    Every entry takes the same elementwise steps at any block shape, so its
-    bits depend only on its draw's kernel value and its coefficients.  rows
-    None means the representatives: the consumer counts the mirrors of
-    rows [:table.mirrors] itself (_mirrored).
-    """
-    n = table.X.shape[1]
-    lams = np.asarray(lams, dtype=np.float64)[:, None]
-    c_w, c_s = np.sqrt(lams / n), lams / n
-    for blk, sel, draw_blocks in _energy_parts(table, rows, n_draws, draw):
         base = table.logw[sel] - lams / (2.0 * n) * table.pairsq[sel]
         if side_sq is not None:
             base -= side_sq[:, None] * table.sumsq[sel]
-        for draws, spikes, q_w, s in draw_blocks:
+        for k in range(0, n_draws, d_step):
+            draws = slice(k, min(k + d_step, n_draws))
+            parts = np.concatenate([noises[draws], pairs[draws]]) @ features
+            q_w, s = parts[: draws.stop - k], parts[draws.stop - k :]
 
             def weights(c, q_w=q_w, s=s, base=base):
                 a = c_w[c] * q_w
@@ -368,7 +336,7 @@ def _log_weights(table: EnumTable, rows, lams, n_draws: int, draw, side_sq=None)
                 a += base[c]
                 return a
 
-            yield blk, draws, spikes, weights
+            yield blk, draws, spikes[draws], weights
 
 
 def _mirrored(blk: slice, mirrors: int) -> int:
@@ -548,7 +516,7 @@ def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BU
     e = np.exp(a - top)
     log_z = float(top + np.log(e.sum() + e[: table.mirrors].sum()))
     vals, inv = np.unique(_overlaps(table, inst.spike[None], 9)[0], return_inverse=True)
-    mass = np.bincount(inv, weights=np.exp(table.unfold(a) - log_z))
+    mass = np.bincount(inv, weights=np.exp(np.concatenate([a, a[: table.mirrors]]) - log_z))
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]
     return EnumerationResult(log_z=log_z, overlap_law=law, config_count=table.X.shape[0])
 
@@ -817,10 +785,8 @@ def _phi_t_draws(
     phi(1) equals the plain free-entropy estimator bit for bit.  r = lam q
     and s = lam m pass rs._check_scale at extent max(q, |m|).
     """
-    if not (math.isfinite(q) and q >= 0):
-        raise DomainError(f"q must be finite and >= 0, got {q}")
-    if not math.isfinite(m):
-        raise DomainError(f"m must be finite, got {m}")
+    rs._check_q(q)
+    rs._check_m(m)
     t = np.array([float(v) for v in t_values])
     for v in t:
         _check_t(v)
@@ -878,8 +844,7 @@ def nishimori_check(
               "mean_r12": float(r12.mean()), "mean_r1s": float(r1s.mean())}
     if table.mirrors:
         params["skipped"] = "sign-symmetric prior: both sides vanish exactly"
-    return VerificationReport(check="nishimori", params=params, slack=allowance - delta, stderr=se,
-                              allowance=allowance, passed=bool(delta <= allowance))
+    return VerificationReport.from_slack("nishimori", params, allowance - delta, se, allowance)
 
 
 # ----------------------------------------------------------------------

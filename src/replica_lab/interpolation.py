@@ -23,30 +23,23 @@ representatives at SNR t lam with the side term added, for a resampled or a
 fixed spike alike, and a window is a mask from the finite layer's overlap
 kernel.  At t = 1 the side coefficients are exact zeros, so phi(1)
 reproduces the plain free-entropy estimator bit for bit on shared seeds.
-This module keeps the public path and the two checks built on it, and
-augment and h_t, which evaluate the definition directly as the tests'
-reference.
+This module keeps the public path and the two checks built on it.  -H_t is
+priced only by the finite layer's kernel; the tests hold it to a direct
+per-configuration evaluation of the definition above.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .channel import ChannelEvaluator
-from .errors import DomainError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .finite import (
     DEFAULT_BUDGET,
-    _MASK64,
-    SpikedInstance,
-    _check_t,
+    McEstimate,
     _mc_estimate,
     _mean_stderr,
     _phi_t_draws,
-    _triu,
-    McEstimate,
     derive_seed,
     fp_potential,
     sample_spike,
@@ -54,60 +47,6 @@ from .finite import (
 from .priors import Prior, support_bound
 from .report import VerificationReport
 from .rs import _check_scale, _inner_min
-
-
-@dataclass(frozen=True, eq=False)
-class AugmentedInstance:
-    """A base instance plus the side-channel observations of the t-path.
-
-    side_obs records y_i = sqrt((1-t) r) x*_i + z_i; the Hamiltonian uses the
-    noise z_i directly.  At t = 1 every side coefficient vanishes, at t = 0
-    every matrix coefficient does.
-    """
-
-    base: SpikedInstance
-    t: float
-    r: float
-    s: float
-    side_noise: np.ndarray = field(repr=False)
-    side_obs: np.ndarray = field(repr=False)
-
-
-def augment(inst: SpikedInstance, t: float, r: float, s: float, seed: int) -> AugmentedInstance:
-    """Draw the side noise and assemble the augmented observation set."""
-    _check_t(t)
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got {r}")
-    z = np.random.default_rng(int(seed) & _MASK64).standard_normal(inst.n)
-    obs = math.sqrt((1.0 - t) * r) * inst.spike + z
-    z.setflags(write=False)
-    obs.setflags(write=False)
-    return AugmentedInstance(base=inst, t=float(t), r=float(r), s=float(s), side_noise=z, side_obs=obs)
-
-
-def h_t(aug: AugmentedInstance, x) -> float:
-    """-H_t(x) for one configuration, evaluated directly from the definition."""
-    _check_t(aug.t)
-    inst = aug.base
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (inst.n,):
-        raise InvalidArgumentError(f"x must have length {inst.n}, got shape {x.shape}")
-    n = inst.n
-    i, j = _triu(n)
-    pp = x[i] * x[j]
-    spike_pp = inst.spike[i] * inst.spike[j]
-    t, lam, r, s = aug.t, inst.lam, aug.r, aug.s
-    mat = (
-        math.sqrt(t * lam / n) * (inst.noise @ pp)
-        + t * lam / n * (spike_pp @ pp)
-        - t * lam / (2.0 * n) * (pp @ pp)
-    )
-    side = (
-        math.sqrt((1.0 - t) * r) * (aug.side_noise @ x)
-        + (1.0 - t) * s * (x @ inst.spike)
-        - (1.0 - t) * r / 2.0 * (x @ x)
-    )
-    return float(mat + side)
 
 
 def phi_of_t(
@@ -168,9 +107,9 @@ def guerra_slope_check(
     bound = lam * q * q / 4.0 + c_val / n
     margins = slope_mean + bound + 3.0 * slope_se
     worst = int(np.argmin(margins))
-    return VerificationReport(
-        check="guerra_slope",
-        params={
+    return VerificationReport.from_slack(
+        "guerra_slope",
+        {
             "prior": p.name,
             "n": n,
             "lambda": lam,
@@ -181,10 +120,9 @@ def guerra_slope_check(
             "min_slope": float(slope_mean[worst]),
             "worst_segment": worst,
         },
-        slack=float(margins[worst]),
-        stderr=float(slope_se[worst]),
-        allowance=float(bound + 3.0 * slope_se[worst]),
-        passed=bool(margins[worst] >= 0.0),
+        margins[worst],
+        slope_se[worst],
+        bound + 3.0 * slope_se[worst],
     )
 
 
@@ -224,10 +162,7 @@ def fp_upper_check(
     }
     if lhs.empty_window:
         params["skipped"] = "empty overlap window"
-        return VerificationReport(
-            check="fp_upper", params=params, slack=float("inf"),
-            stderr=0.0, allowance=0.0, passed=True,
-        )
+        return VerificationReport.from_slack("fp_upper", params, float("inf"))
 
     values, counts = np.unique(spike, return_counts=True)
     _, q_min, rhs_min = _inner_min(p, lam, np.array([float(m)]), K**2 + 1.0, ev, (values, counts / n))[:, 0]
@@ -235,11 +170,4 @@ def fp_upper_check(
     allowance = lam * eps * eps / 2.0 + lam * K**4 / n + 3.0 * lhs.stderr
     slack = rhs_min + allowance - lhs.mean
     params.update({"q_min": q_min, "rhs_min": rhs_min, "lhs_mean": lhs.mean})
-    return VerificationReport(
-        check="fp_upper",
-        params=params,
-        slack=float(slack),
-        stderr=lhs.stderr,
-        allowance=float(allowance),
-        passed=bool(slack >= 0.0),
-    )
+    return VerificationReport.from_slack("fp_upper", params, slack, lhs.stderr, allowance)

@@ -25,6 +25,13 @@ class VerificationReport:
     allowance: float = 0.0
     passed: bool = False
 
+    @classmethod
+    def from_slack(cls, check: str, params: dict, slack: float, stderr: float = 0.0,
+                   allowance: float = 0.0) -> VerificationReport:
+        """The report whose verdict is the sign of its slack: passed iff slack >= 0."""
+        return cls(check=check, params=params, slack=float(slack), stderr=float(stderr),
+                   allowance=float(allowance), passed=bool(slack >= 0.0))
+
     def to_dict(self) -> dict:
         """Plain record; writers spell non-finite floats (cli._json_clean, cli._fmt)."""
         return {

@@ -716,24 +716,6 @@ def state_evolution(
     return SETrace(iterates, converged, float(q))
 
 
-def mutual_information(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> float:
-    """Limit of I(Y; x*)/N: lambda/4 E[X^2]^2 - phi_RS(lambda)."""
-    _check_lambda(lam)
-    m2 = second_moment(p)
-    return lam / 4.0 * m2 * m2 - phi_rs(p, lam, ev).value
-
-
-def mmse_curve(p: Prior, lam_grid, ev: ChannelEvaluator | None = None) -> list:
-    """Per-entry matrix MMSE E[X^2]^2 - q*(lambda)^2 along a lambda grid."""
-    m2 = second_moment(p)
-    out = []
-    for lam in lam_grid:
-        _check_lambda(lam)
-        q_star = phi_rs(p, lam, ev).optimizer_q
-        out.append((float(lam), m2 * m2 - q_star * q_star))
-    return out
-
-
 def critical_lambda(
     p: Prior,
     delta: float = 1e-3,
@@ -801,6 +783,8 @@ def compute_curve(p: Prior, lam_values, ev: ChannelEvaluator | None = None) -> l
     """One record per lambda with the full set of RS quantities.
 
     Returns dicts keyed by CURVE_FIELDS, ready for CSV/JSON serialization.
+    mi is the limit of I(Y; x*)/N, lambda/4 E[X^2]^2 - phi_RS, and mmse the
+    per-entry matrix MMSE E[X^2]^2 - q*^2.
     """
     m2 = second_moment(p)
     rows = []

@@ -30,13 +30,11 @@ def tilt_asymmetry_check(p: Prior, ev: ChannelEvaluator | None = None) -> Verifi
     r_grid, tol = np.arange(0.0, 10.0 + 1e-12, 0.25), 1e-10
     gaps = [asymmetry_gap(ev, p, float(r)) for r in r_grid]
     worst = min(gaps)
-    return VerificationReport(
-        check="tilt_asymmetry",
-        params={"prior": p.name, "r_max": float(max(r_grid)), "min_gap": float(worst)},
-        slack=float(worst + tol),
-        stderr=0.0,
+    return VerificationReport.from_slack(
+        "tilt_asymmetry",
+        {"prior": p.name, "r_max": float(max(r_grid)), "min_gap": float(worst)},
+        worst + tol,
         allowance=tol,
-        passed=bool(worst >= -tol),
     )
 
 
@@ -49,14 +47,12 @@ def saddle_equivalence_check(p: Prior, ev: ChannelEvaluator | None = None) -> Ve
         gap = abs(saddle(p, float(lam), ev).value - phi_rs(p, float(lam), ev).value)
         if gap > worst:
             worst, worst_lam = gap, float(lam)
-    return VerificationReport(
-        check="saddle_equivalence",
-        params={"prior": p.name, "lambda_grid": [float(x) for x in lam_grid],
-                "max_gap": worst, "argmax_lambda": worst_lam},
-        slack=float(tol - worst),
-        stderr=0.0,
+    return VerificationReport.from_slack(
+        "saddle_equivalence",
+        {"prior": p.name, "lambda_grid": [float(x) for x in lam_grid],
+         "max_gap": worst, "argmax_lambda": worst_lam},
+        tol - worst,
         allowance=tol,
-        passed=bool(worst <= tol),
     )
 
 
@@ -74,14 +70,12 @@ def kl_identity_check(
     instances = [sample_instance(p, n, lam, derive_seed(seed, k)) for k in range(n_instances)]
     llr, log_z = kl_log_likelihood_ratios(instances, p, budget)
     worst = float(np.abs(llr - log_z).max())
-    return VerificationReport(
-        check="kl_identity",
-        params={"prior": p.name, "n": n, "lambda": lam,
-                "n_instances": n_instances, "seed": seed, "max_abs_diff": worst},
-        slack=float(tol - worst),
-        stderr=0.0,
+    return VerificationReport.from_slack(
+        "kl_identity",
+        {"prior": p.name, "n": n, "lambda": lam,
+         "n_instances": n_instances, "seed": seed, "max_abs_diff": worst},
+        tol - worst,
         allowance=tol,
-        passed=bool(worst <= tol),
     )
 
 
@@ -92,14 +86,12 @@ def se_fixed_point_check(p: Prior, lam: float, ev: ChannelEvaluator | None = Non
     trace = state_evolution(p, lam, q0=0.9 * m2, tol=1e-10, max_iter=2000, ev=ev)
     q_star = phi_rs(p, lam, ev).optimizer_q
     diff = abs(trace.fixed_point - q_star)
-    return VerificationReport(
-        check="se_fixed_point",
-        params={"prior": p.name, "lambda": lam, "fixed_point": trace.fixed_point,
-                "q_star": q_star, "converged": trace.converged},
-        slack=float(tol - diff) if trace.converged else float("-inf"),
-        stderr=0.0,
+    return VerificationReport.from_slack(
+        "se_fixed_point",
+        {"prior": p.name, "lambda": lam, "fixed_point": trace.fixed_point,
+         "q_star": q_star, "converged": trace.converged},
+        tol - diff if trace.converged else float("-inf"),
         allowance=tol,
-        passed=bool(trace.converged and diff <= tol),
     )
 
 
@@ -143,11 +135,10 @@ def run_suite(
             )
     except EnumerationBudgetError as e:
         reports.append(
-            VerificationReport(
-                check="enumeration_budget",
-                params={"prior": p.name, "n": n, "required": e.required, "budget": e.budget},
-                slack=float("-inf"),
-                passed=False,
+            VerificationReport.from_slack(
+                "enumeration_budget",
+                {"prior": p.name, "n": n, "required": e.required, "budget": e.budget},
+                float("-inf"),
             )
         )
     return reports

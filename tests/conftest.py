@@ -6,12 +6,14 @@ report a standard error so tests can assert 3-sigma agreement.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from replica_lab import free_entropy_mc, standard_priors
+from replica_lab import DomainError, InvalidArgumentError, SpikedInstance, free_entropy_mc, standard_priors
 from replica_lab.channel import make_evaluator
+from replica_lab.finite import _MASK64, _check_t, _triu
 
 
 @pytest.fixture(scope="session")
@@ -181,6 +183,75 @@ def reference_neg_energy(inst, table):
     xs = x @ inst.spike
     s = 0.5 * (xs * xs - np.einsum("ck,ck,k->c", x, x, inst.spike**2))
     return math.sqrt(inst.lam / n) * q_w + inst.lam / n * s - inst.lam / (2.0 * n) * table.pairsq
+
+
+def hamiltonian(inst, x) -> float:
+    """-H(x) = sum_{i<j} sqrt(lambda/N) Y_ij x_i x_j - (lambda/2N) x_i^2 x_j^2 for one
+    configuration, in the Y form: the definition that the energy kernel
+    (finite._log_weights) prices."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (inst.n,):
+        raise InvalidArgumentError(f"x must have length {inst.n}, got shape {x.shape}")
+    i, j = _triu(inst.n)
+    pp = x[i] * x[j]
+    n = inst.n
+    return float(math.sqrt(inst.lam / n) * (inst.y @ pp) - inst.lam / (2.0 * n) * (pp @ pp))
+
+
+@dataclass(frozen=True, eq=False)
+class AugmentedInstance:
+    """A base instance plus the side-channel observations of the t-path.
+
+    side_obs records y_i = sqrt((1-t) r) x*_i + z_i; the Hamiltonian uses the
+    noise z_i directly.  At t = 1 every side coefficient vanishes, at t = 0
+    every matrix coefficient does.
+    """
+
+    base: SpikedInstance
+    t: float
+    r: float
+    s: float
+    side_noise: np.ndarray = field(repr=False)
+    side_obs: np.ndarray = field(repr=False)
+
+
+def augment(inst, t: float, r: float, s: float, seed: int) -> AugmentedInstance:
+    """Draw the side noise and assemble the augmented observation set."""
+    _check_t(t)
+    if r < 0:
+        raise DomainError(f"r must be >= 0, got {r}")
+    z = np.random.default_rng(int(seed) & _MASK64).standard_normal(inst.n)
+    obs = math.sqrt((1.0 - t) * r) * inst.spike + z
+    z.setflags(write=False)
+    obs.setflags(write=False)
+    return AugmentedInstance(base=inst, t=float(t), r=float(r), s=float(s), side_noise=z, side_obs=obs)
+
+
+def h_t(aug: AugmentedInstance, x) -> float:
+    """-H_t(x) for one configuration, evaluated directly from the definition in
+    interpolation's module docstring: the reference for the path's kernel
+    (finite._phi_t_draws)."""
+    _check_t(aug.t)
+    inst = aug.base
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (inst.n,):
+        raise InvalidArgumentError(f"x must have length {inst.n}, got shape {x.shape}")
+    n = inst.n
+    i, j = _triu(n)
+    pp = x[i] * x[j]
+    spike_pp = inst.spike[i] * inst.spike[j]
+    t, lam, r, s = aug.t, inst.lam, aug.r, aug.s
+    mat = (
+        math.sqrt(t * lam / n) * (inst.noise @ pp)
+        + t * lam / n * (spike_pp @ pp)
+        - t * lam / (2.0 * n) * (pp @ pp)
+    )
+    side = (
+        math.sqrt((1.0 - t) * r) * (aug.side_noise @ x)
+        + (1.0 - t) * s * (x @ inst.spike)
+        - (1.0 - t) * r / 2.0 * (x @ x)
+    )
+    return float(mat + side)
 
 
 def reference_phi_t_draws(p, n, lam, q, m, t_values, n_disorder, seed, restricted=None, spike=None):

@@ -18,7 +18,6 @@ from replica_lab import (
     fp_profile,
     free_entropy_mc,
     guerra_slope_check,
-    hamiltonian,
     kl_log_likelihood_ratio,
     log_partition_exact,
     metropolis_sampler,
@@ -33,7 +32,7 @@ from replica_lab.finite import enumeration_table, instance_from_parts
 from replica_lab.verify import kl_identity_check
 from replica_lab.priors import asymmetric_binary_prior, point_mass_prior
 
-from conftest import reference_enum_table, reference_neg_energy
+from conftest import hamiltonian, reference_enum_table, reference_neg_energy
 
 
 def _logsumexp(a):
@@ -502,7 +501,7 @@ class TestSignFold:
         def no_kernel(*args):
             raise AssertionError("the energy kernel ran")
 
-        monkeypatch.setattr(finite, "_energy_parts", no_kernel)
+        monkeypatch.setattr(finite, "_log_weights", no_kernel)
         rep = nishimori_check(parse_prior_spec(spec), n, 2.0, 7, 23)
         assert rep.params["mean_r12"] == rep.params["mean_r1s"] == 0.0
         assert rep.stderr == 0.0 and rep.allowance == 1e-12 and rep.passed

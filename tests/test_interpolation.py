@@ -10,14 +10,11 @@ import pytest
 from replica_lab import (
     DomainError,
     InvalidArgumentError,
-    augment,
     derive_seed,
     fp_potential,
     fp_upper_check,
     free_entropy_mc,
     guerra_slope_check,
-    h_t,
-    hamiltonian,
     parse_prior_spec,
     phi_of_t,
     psi,
@@ -31,6 +28,8 @@ from replica_lab.channel import psi_hat_array
 from replica_lab.rs import _f_bar_grad, f_hat
 from replica_lab.finite import enumeration_table, instance_from_parts
 from replica_lab.interpolation import DEFAULT_T_GRID, _phi_t_draws
+
+from conftest import augment, h_t, hamiltonian
 
 
 class TestAugmentedInstance:

@@ -8,12 +8,11 @@ import pytest
 from replica_lab import (
     DomainError,
     InvalidArgumentError,
+    compute_curve,
     critical_lambda,
     f_bar,
     f_bar_inner_min,
     f_hat,
-    mmse_curve,
-    mutual_information,
     parse_prior_spec,
     phi_rs,
     prior_from_json,
@@ -680,26 +679,28 @@ class TestStateEvolution:
 
 
 class TestInformationCurves:
+    """compute_curve's mi and mmse columns: the numbers rs-curve writes."""
+
     def test_mi_zero_at_zero(self, ev, priors):
         for p in priors.values():
-            assert abs(mutual_information(p, 0.0, ev)) <= 1e-14
+            assert abs(compute_curve(p, [0.0], ev)[0]["mi"]) <= 1e-14
 
     def test_mi_nonnegative_and_monotone(self, ev):
         p = rademacher_prior()
         grid = np.arange(0.0, 6.01, 0.5)
-        vals = [mutual_information(p, float(lam), ev) for lam in grid]
+        vals = [row["mi"] for row in compute_curve(p, grid, ev)]
         assert all(v >= -1e-10 for v in vals)
         assert all(b - a >= -1e-7 for a, b in zip(vals, vals[1:]))
 
     def test_mmse_endpoints(self, ev):
         p = rademacher_prior()
-        curve = dict(mmse_curve(p, [0.0, 50.0], ev))
+        curve = {row["lambda"]: row["mmse"] for row in compute_curve(p, [0.0, 50.0], ev)}
         assert curve[0.0] == pytest.approx(1.0, abs=1e-12)  # (E[X^2])^2 at lambda = 0
         assert curve[50.0] <= 0.01
 
     def test_mmse_nonincreasing(self, ev):
         p = rademacher_prior()
-        vals = [v for _, v in mmse_curve(p, np.arange(0.0, 4.01, 0.5), ev)]
+        vals = [row["mmse"] for row in compute_curve(p, np.arange(0.0, 4.01, 0.5), ev)]
         assert all(b - a <= 1e-7 for a, b in zip(vals, vals[1:]))
 
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from replica_lab import run_suite
+from replica_lab import VerificationReport, run_suite
 from replica_lab.verify import se_fixed_point_check
 
 
@@ -38,6 +38,18 @@ class TestSeFixedPoint:
             assert not rep.passed
             assert rep.slack == float("-inf")
             assert rep.passed == (rep.slack >= 0)
+
+
+def test_from_slack_verdict_at_the_boundary():
+    # the verdict is the sign of the slack, zero of either sign passing and
+    # a nan slack failing
+    for slack, passed in ((0.0, True), (-0.0, True), (5e-324, True), (-5e-324, False),
+                          (float("inf"), True), (float("-inf"), False), (float("nan"), False)):
+        rep = VerificationReport.from_slack("c", {"k": 1}, slack, 0.5, 2.0)
+        assert rep.passed is passed, slack
+        assert (rep.check, rep.params, rep.stderr, rep.allowance) == ("c", {"k": 1}, 0.5, 2.0)
+    assert VerificationReport.from_slack("c", {}, -1.0).to_dict() == {
+        "check": "c", "params": {}, "slack": -1.0, "stderr": 0.0, "allowance": 0.0, "pass": False}
 
 
 def test_no_numpy_ma_import():

@@ -53,25 +53,25 @@ elementwise steps and reductions.
 
 Sign fold: -H sees a configuration only through its pair products x_i x_j,
 so with a sign-symmetric prior x and -x have the same energy and prior mass.
-The table then lists the configurations in orbit order: first the
-representatives, whose first nonzero atom is positive (those with a distinct
-mirror, then the all-zero row when 0 is an atom), then the mirrors of the
-first ones, built by mapping each digit to its negated atom (so 0 stays
-+0.0).  Even per-row terms (log prior mass, pairsq, sumsq, the energy and
-the path's even side term) are computed on the representatives, and the
-log-sum-exp counts rows [:mirrors] a second time without forming the
-mirrors; odd terms (x.z and x.x* on the path, and R_{1,*}) enter as +odd on
-the representatives and -odd on the mirrors, and their Gibbs means over the
-whole table are exact zeros (_gibbs).  A mirror's pair products, prior mass
-and square sums equal its representative's bit for bit, so the repeated
-value is the one the kernel computes from those inputs; only the
-position-dependent last bits of BLAS are gone.  An asymmetric prior has no
-mirrors and runs the same code with nothing to repeat.  The path prices the
-representatives for a resampled and for a fixed spike alike, and drops the
-rows outside a window with a mask; only fp_potential and fp_profile select
-window rows of the whole table and price them directly.  The likelihood
-ratio's exponents, built without the table, fold their first half's
-configurations the same way (kl_log_likelihood_ratios).
+The table then stores only the representatives, whose first nonzero atom is
+positive: those with a distinct mirror, then the all-zero row when 0 is an
+atom.  The configurations in order are the representatives, then the
+negated rows [:mirrors] (0 stays +0.0): _overlaps' columns, the one place
+that forms a mirror.  Even per-row terms (log prior mass, pairsq, sumsq,
+the energy and the path's even side term) are computed on the
+representatives, and the log-sum-exp counts rows [:mirrors] a second time;
+odd terms (x.z and x.x* on the path, and R_{1,*}) enter as +odd on the
+representatives and -odd on the mirrors, and their Gibbs means over all
+configurations are exact zeros (_gibbs).  A mirror's pair products, prior
+mass and square sums equal its representative's bit for bit, so its value
+is the one the kernel computes for its representative.  An asymmetric prior
+has no mirrors and runs the same code with nothing to repeat.  The path
+prices the representatives for a resampled and for a fixed spike alike, and
+drops the rows outside a window with a mask; only fp_potential and
+fp_profile select window rows among all configurations, and price a mirror
+row reps + k as its representative k.  The likelihood ratio's exponents,
+built without the table, fold their first half's configurations the same
+way (kl_log_likelihood_ratios).
 """
 
 from __future__ import annotations
@@ -183,22 +183,22 @@ def sample_spike(p: Prior, n: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EnumTable:
-    """All atom_count^n configurations with per-configuration invariants.
+    """The representatives of the atom_count^n configurations with their invariants.
 
-    Rows [:reps] are the representatives the energy kernel prices; for a
-    sign-symmetric prior the rest are the mirrors of rows [:mirrors], in that
-    order, and for any other prior there are none.
+    For a sign-symmetric prior each of rows [:mirrors] also stands for its
+    mirror, its negation, which is not stored; any other prior has none.
+    The configurations number reps + mirrors.
     """
 
-    X: np.ndarray        # (rows, n) configuration values
-    logw: np.ndarray     # (rows,) log prior mass
-    pairsq: np.ndarray   # (rows,) sum_{i<j} x_i^2 x_j^2
-    sumsq: np.ndarray    # (rows,) sum_i x_i^2
-    reps: int            # rows priced by the kernel
+    X: np.ndarray        # (reps, n) configuration values
+    logw: np.ndarray     # (reps,) log prior mass
+    pairsq: np.ndarray   # (reps,) sum_{i<j} x_i^2 x_j^2
+    sumsq: np.ndarray    # (reps,) sum_i x_i^2
+    mirrors: int         # rows [:mirrors] have a mirror
 
     @property
-    def mirrors(self) -> int:
-        return self.X.shape[0] - self.reps
+    def reps(self) -> int:
+        return self.X.shape[0]
 
 
 @dataclass(frozen=True)
@@ -219,33 +219,30 @@ def _enum_table(atoms: tuple, n: int, symmetric: bool) -> EnumTable:
     digits = np.empty((idx.size, n), dtype=np.min_scalar_type(a - 1))
     for k in range(n):
         digits[:, k] = (idx // a**k) % a
-    reps = idx.size
+    mirrors = 0
     if symmetric:
-        # Orbit order: the rows whose first nonzero atom is positive, the
-        # all-zero row if 0 is an atom, then the first rows' mirrors, whose
-        # digits name the negated atoms (so that 0 stays +0.0).
+        # The representatives: the rows whose first nonzero atom is positive,
+        # each of which has a mirror, then the all-zero row if 0 is an atom.
         sign = np.sign(values).astype(np.int8)[digits]
         lead = sign[idx, (sign != 0).argmax(axis=1)]
         del sign
-        negated = np.array([np.flatnonzero(values == -v)[0] for v in values], dtype=digits.dtype)
-        paired = digits[lead > 0]
-        digits = np.concatenate([paired, digits[lead == 0], negated[paired]])
-        reps -= paired.shape[0]
+        paired = np.flatnonzero(lead > 0)
+        digits = digits[np.concatenate([paired, np.flatnonzero(lead == 0)])]
+        mirrors = paired.size
         del lead, paired
     del idx
-    # The invariants are even in x: priced on the representatives and
-    # repeated for the mirrors, whose bits then match.  Each gathers a
-    # per-atom value through the digits, which is x^2, x^4 or log w of that
-    # row's entries bit for bit.  x^4 is the square of x^2, not numpy's x**4:
-    # that is a pow, about ten times slower on negative bases.
-    sq, head = np.square(values), digits[:reps]
-    sumsq = sq[head].sum(axis=1)
-    even = (logw[head].sum(axis=1), 0.5 * (sumsq**2 - np.square(sq)[head].sum(axis=1)), sumsq)
-    logw_cfg, pairsq, sumsq = (np.concatenate([v, v[: digits.shape[0] - reps]]) for v in even)
+    # The invariants are even in x, so a mirror's are its representative's.
+    # Each gathers a per-atom value through the digits, which is x^2, x^4 or
+    # log w of that row's entries bit for bit.  x^4 is the square of x^2, not
+    # numpy's x**4: that is a pow, about ten times slower on negative bases.
+    sq = np.square(values)
+    sumsq = sq[digits].sum(axis=1)
+    pairsq = 0.5 * (sumsq**2 - np.square(sq)[digits].sum(axis=1))
+    logw_cfg = logw[digits].sum(axis=1)
     x = values[digits]
     for arr in (x, logw_cfg, pairsq, sumsq):
         arr.setflags(write=False)
-    return EnumTable(X=x, logw=logw_cfg, pairsq=pairsq, sumsq=sumsq, reps=reps)
+    return EnumTable(X=x, logw=logw_cfg, pairsq=pairsq, sumsq=sumsq, mirrors=mirrors)
 
 
 def enumeration_table(p: Prior, n: int, budget: int = DEFAULT_BUDGET) -> EnumTable:
@@ -285,14 +282,15 @@ def _blocks(rows: int, n: int, n_draws: int):
 def _log_weights(table: EnumTable, rows, lams, n_draws: int, draw, side_sq=None):
     """The energy kernel: yield (blk, draws, spikes, weights) per row block and draw block.
 
-    rows None prices the representatives, table rows [:reps], and the
-    consumer counts the mirrors of rows [:table.mirrors] itself (_mirrored);
-    an index array prices those table rows.  blk slices the row block's
-    positions among the priced rows, draws the block's draw indices, and
-    spikes holds their (D, n) spikes.  draw(k) returns draw k's (spike,
-    noise), all fetched once, n_draws (n + P) values in all, since every row
-    block reads every draw.  weights(c) returns the (D, rows) log prior mass
-    - H of the block's rows for its draws at SNR lams[c],
+    rows None prices the whole table, and the consumer counts the mirrors
+    of rows [:table.mirrors] itself (_mirrored); an index array names
+    representatives, and one may appear twice (a mirror is priced as its
+    representative).  blk slices the row block's positions among the priced
+    rows, draws the block's draw indices, and spikes holds their (D, n)
+    spikes.  draw(k) returns draw k's (spike, noise), all fetched once,
+    n_draws (n + P) values in all, since every row block reads every draw.
+    weights(c) returns the (D, rows) log prior mass - H of the block's rows
+    for its draws at SNR lams[c],
 
         -H(x) = sqrt(lam/N) Q_W + (lam/N) S - (lam/2N) pairsq,
         Q_W = sum_{i<j} W_ij x_i x_j,   S = sum_{i<j} x*_i x*_j x_i x_j,
@@ -398,14 +396,15 @@ def _window_index(overlap: np.ndarray, m: float, eps: float) -> np.ndarray:
 
 
 def _overlaps(table: EnumTable, spikes: np.ndarray, digits=None, block: slice = slice(None)) -> np.ndarray:
-    """(D, rows) R_{1,*} of the table's rows for each of the D spikes.
+    """(D, configurations) R_{1,*} for each of the D spikes, in configuration order.
 
     One GEMM over the representatives in block (all of them by default); the
-    mirrors among them follow with the negatives.  With digits, the
-    representatives' values are rounded to that many digits before the
-    mirrors are formed.  A -0.0 is read as 0.0.
+    mirrors of those among rows [:mirrors] follow with the negatives, so
+    column reps + k is row k negated, and a window's rows index these
+    columns.  With digits, the representatives' values are rounded to that
+    many digits before the mirrors are formed.  A -0.0 is read as 0.0.
     """
-    overlap = spikes @ table.X[: table.reps][block].T
+    overlap = spikes @ table.X[block].T
     overlap /= spikes.shape[1]
     if digits is not None:
         np.round(overlap, digits, out=overlap)
@@ -518,7 +517,7 @@ def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BU
     vals, inv = np.unique(_overlaps(table, inst.spike[None], 9)[0], return_inverse=True)
     mass = np.bincount(inv, weights=np.exp(np.concatenate([a, a[: table.mirrors]]) - log_z))
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]
-    return EnumerationResult(log_z=log_z, overlap_law=law, config_count=table.X.shape[0])
+    return EnumerationResult(log_z=log_z, overlap_law=law, config_count=table.reps + table.mirrors)
 
 
 # ----------------------------------------------------------------------
@@ -699,7 +698,7 @@ def fp_potential(
     unreachable window returns the -inf sentinel with empty_window set.
     """
     spike, table = _setup(p, n, lam, n_disorder, budget, (m, eps), spike)
-    rows = np.flatnonzero(_window_index(_overlaps(table, spike[None])[0], m, eps) == 0)
+    rows = np.flatnonzero(_window_index(_overlaps(table, spike[None])[0], m, eps) == 0) % table.reps
     return _mc_estimate(_gibbs(table, rows, lam, n_disorder, _fixed_spike_draws(spike, seed)) / n, seed)
 
 
@@ -716,8 +715,8 @@ def fp_profile(
     """Phi_eps(l*eps, spike) for every reachable window index l at once.
 
     Returns [(l, McEstimate)] for the nonempty windows; windows absent from
-    the list are unreachable (-inf).  One pass over the table, its rows
-    sorted by window, covers all windows for every draw, which is what makes
+    the list are unreachable (-inf).  One pass over the configurations
+    sorted by window covers all windows for every draw, which is what makes
     the discretization bound of the free entropy affordable to test: each
     block's segments fold into per-(draw, window) online log-sum-exps, which
     merge where a window spans a block edge.  Window indices reach K^2/eps,
@@ -733,7 +732,8 @@ def fp_profile(
     # per-window online log-sum-exps, as _fold's, over segments of each block
     top = np.full((n_disorder, uniq.size), -np.inf)
     total = np.zeros_like(top)
-    for blk, draws, _, weights in _log_weights(table, order, [lam], n_disorder, _fixed_spike_draws(spike, seed)):
+    draw = _fixed_spike_draws(spike, seed)
+    for blk, draws, _, weights in _log_weights(table, order % table.reps, [lam], n_disorder, draw):
         lab = label[blk]
         starts = np.flatnonzero(np.diff(lab, prepend=-1))
         win = (draws, slice(lab[0], lab[-1] + 1))

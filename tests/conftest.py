@@ -7,6 +7,7 @@ report a standard error so tests can assert 3-sigma agreement.
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,9 +145,9 @@ def mc_log_cosh(r, s, n_samples=10**7, seed=0):
 
 
 def reference_enum_table(atoms, n, symmetric):
-    """Reference for finite._enum_table: (X, logw, pairsq, sumsq, reps) built
-    from the configurations' values, as before the invariants were gathered
-    per atom through the digits."""
+    """Reference for finite._enum_table: (X, logw, pairsq, sumsq, mirrors) of
+    the representatives, the invariants built from the configurations'
+    values, as before they were gathered per atom through the digits."""
     values = np.array([v for v, _ in atoms]) + 0.0
     logw = np.log(np.array([w for _, w in atoms]))
     a = values.size
@@ -154,20 +155,36 @@ def reference_enum_table(atoms, n, symmetric):
     digits = np.empty((idx.size, n), dtype=np.min_scalar_type(a - 1))
     for k in range(n):
         digits[:, k] = (idx // a**k) % a
-    reps = idx.size
+    mirrors = 0
     if symmetric:
         sign = np.sign(values).astype(np.int8)[digits]
         lead = sign[idx, (sign != 0).argmax(axis=1)]
-        negated = np.array([np.flatnonzero(values == -v)[0] for v in values], dtype=digits.dtype)
-        paired = digits[lead > 0]
-        digits = np.concatenate([paired, digits[lead == 0], negated[paired]])
-        reps -= paired.shape[0]
+        digits = np.concatenate([digits[lead > 0], digits[lead == 0]])
+        mirrors = int((lead > 0).sum())
     x = values[digits]
-    sumsq = (x[:reps] ** 2).sum(axis=1)
-    quartic = np.square(np.square(x[:reps])).sum(axis=1)
-    even = (logw[digits[:reps]].sum(axis=1), 0.5 * (sumsq**2 - quartic), sumsq)
-    logw_cfg, pairsq, sumsq = (np.concatenate([v, v[: x.shape[0] - reps]]) for v in even)
-    return x, logw_cfg, pairsq, sumsq, reps
+    sumsq = (x**2).sum(axis=1)
+    quartic = np.square(np.square(x)).sum(axis=1)
+    return x, logw[digits].sum(axis=1), 0.5 * (sumsq**2 - quartic), sumsq, mirrors
+
+
+def unfold_table(table):
+    """Every configuration of an EnumTable in order: the representatives, then
+    rows [:mirrors] negated (a zero as +0.0), with the invariants repeated.
+    Carries reps and mirrors, so it stands in for the table in the references."""
+    m = table.mirrors
+    x = np.concatenate([table.X, -table.X[:m] + 0.0])
+    logw, pairsq, sumsq = (np.concatenate([v, v[:m]]) for v in (table.logw, table.pairsq, table.sumsq))
+    return SimpleNamespace(X=x, logw=logw, pairsq=pairsq, sumsq=sumsq, reps=table.reps, mirrors=m)
+
+
+def small_budget(monkeypatch, p, n, divisor=1):
+    """Shrink the block budget to the configuration count // divisor, so that
+    a small table spans many row blocks, and some tables several draw blocks
+    too."""
+    from replica_lab import finite
+
+    table = finite.enumeration_table(p, n)
+    monkeypatch.setattr(finite, "_BLOCK_VALUES", max(2, (table.reps + table.mirrors) // divisor))
 
 
 def reference_neg_energy(inst, table):
@@ -266,7 +283,7 @@ def reference_phi_t_draws(p, n, lam, q, m, t_values, n_disorder, seed, restricte
     """
     from replica_lab import finite
 
-    table = finite.enumeration_table(p, n)
+    table = unfold_table(finite.enumeration_table(p, n))
     r, s = lam * q, lam * m
     if spike is None:
         rows, mirrors, draw = slice(None, table.reps), table.mirrors, finite._sampled_draws(p, n, lam, seed)

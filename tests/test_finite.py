@@ -32,7 +32,7 @@ from replica_lab.finite import enumeration_table, instance_from_parts
 from replica_lab.verify import kl_identity_check
 from replica_lab.priors import asymmetric_binary_prior, point_mass_prior
 
-from conftest import hamiltonian, reference_enum_table, reference_neg_energy
+from conftest import hamiltonian, reference_enum_table, reference_neg_energy, small_budget, unfold_table
 
 
 def _logsumexp(a):
@@ -273,18 +273,12 @@ def test_mean_stderr_keeps_numpy_bits_below_two_to_the_500():
     assert se == pytest.approx(np.std(big / 1e300, ddof=1) / 3.0 * 1e300, rel=1e-14)
 
 
-def _small_budget(monkeypatch, p, n, divisor=1):
-    """Shrink the block budget to the table's rows // divisor, so that a small
-    table spans many row blocks, and some tables several draw blocks too."""
-    monkeypatch.setattr(finite, "_BLOCK_VALUES", max(2, enumeration_table(p, n).X.shape[0] // divisor))
-
-
 class TestBatchedKernel:
     # (draws, block budget): one draw at the default budget, and five draws
-    # with the budget shrunk to the table's rows, which splits the rows into
-    # several row blocks (and the draws, for n <= 3), the likelihood ratio's
-    # draws into blocks of one or two and its (x_L, x_R) grid into chunks of
-    # a few x_L.  Forty draws at that budget split into draw blocks at n = 8
+    # with the budget shrunk to the configuration count, which splits the
+    # rows into several row blocks (and the draws, for n <= 3), the
+    # likelihood ratio's draws into blocks of one or two and its (x_L, x_R)
+    # grid into chunks of a few x_L.  Forty draws at that budget split into draw blocks at n = 8
     # too, where a draw block holds at most P = 28 draws.
     BLOCKINGS = [(1, None), (5, "small")]
 
@@ -302,24 +296,26 @@ class TestBatchedKernel:
     def test_energies_and_kl_match_per_draw_references(self, monkeypatch, spec, n, lam, draws, blocks):
         p = parse_prior_spec(spec)
         table = enumeration_table(p, n)
+        full = unfold_table(table)
         if blocks == "small":
-            _small_budget(monkeypatch, p, n)
+            small_budget(monkeypatch, p, n)
         insts = [sample_instance(p, n, lam, derive_seed(61, k)) for k in range(draws)]
 
         def draw(k):
             return insts[k].spike, insts[k].noise
 
-        rows = np.arange(table.X.shape[0])
+        # every configuration, a mirror named by its representative
+        rows = np.arange(full.X.shape[0]) % table.reps
         weights = np.full((draws, rows.size), np.nan)
         for blk, ks, _, block in finite._log_weights(table, rows, [lam], draws, draw):
             weights[ks, blk] = block(0)
         llr, log_z = kl_log_likelihood_ratios(insts, p)
         assert llr.size == log_z.size == draws
         for inst, a, llr_k, log_z_k in zip(insts, weights, llr, log_z):
-            ref = table.logw + reference_neg_energy(inst, table)
+            ref = full.logw + reference_neg_energy(inst, full)
             assert np.abs(a - ref).max() <= 1e-12
             assert abs(log_z_k - _logsumexp(ref)) <= 1e-12
-            assert abs(llr_k - _reference_llr(inst, table)) <= 1e-12
+            assert abs(llr_k - _reference_llr(inst, full)) <= 1e-12
 
     @pytest.mark.parametrize("draws, blocks", BLOCKINGS + [(40, "small")])
     def test_disorder_means_match_per_draw_reference(self, monkeypatch, priors, draws, blocks):
@@ -328,7 +324,7 @@ class TestBatchedKernel:
         p, n, lam, seed = priors["asym:0.7"], 8, 2.0, 19
         table = enumeration_table(p, n)
         if blocks == "small":
-            _small_budget(monkeypatch, p, n)
+            small_budget(monkeypatch, p, n)
         est = free_entropy_mc(p, n, lam, draws, seed)
         rep = nishimori_check(p, n, lam, draws, seed)
         f_n, r12, r1s = [], [], []
@@ -349,7 +345,7 @@ class TestBatchedKernel:
         # a sign-folded table, and several draw blocks at forty draws
         for spec, n in (("rademacher", 8), ("asym:0.7", 8), ("sparse:0.25", 6), ("uniform:21", 3)):
             p = priors[spec]
-            _small_budget(monkeypatch, p, n)
+            small_budget(monkeypatch, p, n)
             table = enumeration_table(p, n)
             r_step, d_step = finite._blocks(table.reps, n, 5)
             assert r_step < table.reps and (d_step < 5) == (n == 3)
@@ -419,37 +415,35 @@ class TestBatchedKernel:
 
 
 class TestSignFold:
-    """A sign-symmetric prior's table in orbit order, priced on its representatives."""
+    """A sign-symmetric prior's table holds one representative per orbit and is priced on them."""
 
     SPECS = [("rademacher", 8), ("sparse:0.25", 6), ("uniform:21", 3), ("asym:0.7", 8), ("point:0.7", 6)]
     SYMMETRIC = ("rademacher", "sparse:0.25", "uniform:21")
     # (draws, block budget): the default, and the budget shrunk to the
-    # table's rows, so that row-block edges fall inside the mirrored rows,
-    # at five draws and at forty, which also split into draw blocks
+    # configuration count, so that row-block edges fall inside the mirrored
+    # rows, at five draws and at forty, which also split into draw blocks
     BLOCKINGS = [(6, None), (5, "small"), (40, "small")]
 
     @pytest.mark.parametrize("spec, n", SPECS)
     def test_orbit_table(self, spec, n):
+        # the representatives and their negated rows [:mirrors] are the
+        # itertools.product enumeration, each configuration exactly once
         p = parse_prior_spec(spec)
         table = enumeration_table(p, n)
-        rows = table.X.shape[0]
-        product = np.array(list(itertools.product(p.values, repeat=n)))
-        assert sorted(map(tuple, table.X)) == sorted(map(tuple, product))
         h, m = table.reps, table.mirrors
+        product = np.array(list(itertools.product(p.values, repeat=n)))
+        assert sorted(map(tuple, unfold_table(table).X)) == sorted(map(tuple, product))
+        assert all(arr.shape[0] == h for arr in (table.X, table.logw, table.pairsq, table.sumsq))
+        assert not np.signbit(table.X[table.X == 0.0]).any()
         if spec not in self.SYMMETRIC:
-            assert (h, m) == (rows, 0)
+            assert m == 0
             return
         zero_row = 0.0 in p.values
-        assert h == m + zero_row and h + m == rows
-        # each mirror is its representative negated, with +0.0 for the zero atom
-        assert np.array_equal(table.X[h:], -table.X[:m])
-        assert not np.signbit(table.X[table.X == 0.0]).any()
+        assert h == m + zero_row
         lead = [row[np.flatnonzero(row)[0]] for row in table.X[:m]]
         assert min(lead) > 0.0
         if zero_row:
-            assert not table.X[m].any()
-        for arr in (table.logw, table.pairsq, table.sumsq):
-            assert arr[h:].tobytes() == arr[:m].tobytes()
+            assert not table.X[-1].any()
 
     @pytest.mark.parametrize("spec, n", [
         ("rademacher", 12), ("sparse:0.25", 10), ("sparse:0.25", 12), ("asym:0.7", 12), ("uniform:21", 3),
@@ -460,10 +454,26 @@ class TestSignFold:
         # of the ones computed from the configurations' values (uncached build)
         p = parse_prior_spec(spec)
         table = finite._enum_table.__wrapped__(p.atoms, n, rs._sign_symmetric(p))
-        x, logw, pairsq, sumsq, reps = reference_enum_table(p.atoms, n, rs._sign_symmetric(p))
-        assert table.reps == reps
+        x, logw, pairsq, sumsq, mirrors = reference_enum_table(p.atoms, n, rs._sign_symmetric(p))
+        assert table.mirrors == mirrors
         for got, want in ((table.X, x), (table.logw, logw), (table.pairsq, pairsq), (table.sumsq, sumsq)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec, n, limit_mb", [("rademacher", 16, 8.0), ("sparse:0.25", 10, 5.0)])
+    def test_table_build_stores_representatives_only(self, spec, n, limit_mb):
+        # the bounds lie between an uncached build's peak with the mirror rows
+        # stored (11.9 and 7.5 MB) and without them (5.6 and 3.4 MB)
+        p = parse_prior_spec(spec)
+        finite._enum_table.__wrapped__(p.atoms, 2, True)  # a first call may import modules
+        tracemalloc.start()
+        try:
+            table = finite._enum_table.__wrapped__(p.atoms, n, rs._sign_symmetric(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
+        assert all(arr.shape[0] == table.reps for arr in (table.X, table.logw, table.pairsq, table.sumsq))
+        assert table.reps + table.mirrors == len(p.atoms) ** n
 
     @pytest.mark.parametrize("spec, n", SPECS)
     @pytest.mark.parametrize("draws, blocks", BLOCKINGS)
@@ -471,7 +481,7 @@ class TestSignFold:
         p = parse_prior_spec(spec)
         lam, seed = 2.0, 23
         if blocks == "small":
-            _small_budget(monkeypatch, p, n)
+            small_budget(monkeypatch, p, n)
         insts = [sample_instance(p, n, lam, derive_seed(seed, k)) for k in range(draws)]
 
         def run():
@@ -598,13 +608,13 @@ class TestFpPotential:
         # R = 0.6 starts window 6 at eps = 0.1 although 0.6 / 0.1 = 5.999999999999999
         p = priors["rademacher"]
         n = 10
-        table = enumeration_table(p, n)
+        configs = unfold_table(enumeration_table(p, n)).X
         for spike in (np.ones(n), sample_spike(p, n, 4)):
             prof = dict(fp_profile(p, n, 2.0, eps, spike, 3, 31))
-            bins = finite._window_index(table.X @ spike / n, 0.0, eps)
+            bins = finite._window_index(configs @ spike / n, 0.0, eps)
             reach = math.ceil(1.0 / eps) + 1
             for l in range(-reach, reach + 1):
-                rows = finite._window_index(table.X @ spike / n, l * eps, eps) == 0
+                rows = finite._window_index(configs @ spike / n, l * eps, eps) == 0
                 assert np.array_equal(rows, bins == l), (eps, l)
                 single = fp_potential(p, n, 2.0, l * eps, eps, spike, 3, 31)
                 assert single.empty_window == (l not in prof), (eps, l)
@@ -615,14 +625,14 @@ class TestFpPotential:
 
     @pytest.mark.parametrize("divisor", [None, 8])
     def test_profile_and_potential_match_per_draw_reference(self, monkeypatch, priors, divisor):
-        # at the budget of the table's rows // 8 the windows of the sorted
-        # rows are split across row blocks, and their running sums merge
+        # at the budget of the configuration count // 8 the windows of the
+        # sorted rows are split across row blocks, and their running sums merge
         p, n, lam, eps, draws, seed = priors["sparse:0.25"], 7, 2.0, 0.25, 3, 31
-        table = enumeration_table(p, n)
+        table = unfold_table(enumeration_table(p, n))
         spike = sample_spike(p, n, 4)
         bins = finite._window_index(table.X @ spike / n, 0.0, eps)
         if divisor is not None:
-            _small_budget(monkeypatch, p, n, divisor)
+            small_budget(monkeypatch, p, n, divisor)
             r_step = finite._blocks(bins.size, n, draws)[0]
             edges = np.flatnonzero(np.diff(np.sort(bins)) == 0) + 1  # splitting an edge here splits a window
             assert np.any(edges % r_step == 0)
@@ -640,13 +650,14 @@ class TestFpPotential:
     @pytest.mark.parametrize("spec, n", [("rademacher", 10), ("sparse:0.25", 7), ("asym:0.7", 9), ("uniform:21", 3)])
     def test_overlap_kernel_matches_direct_product(self, spec, n):
         # one GEMM over the representatives, the mirrors negated: the same
-        # values as the product over every row (uniform:21's atoms are not
-        # dyadic, so its sums may round differently)
+        # values as the product over every configuration (uniform:21's atoms
+        # are not dyadic, so its sums may round differently)
         p = parse_prior_spec(spec)
         table = enumeration_table(p, n)
+        configs = unfold_table(table).X
         for seed in range(3):
             spike = sample_spike(p, n, seed)
-            got, want = finite._overlaps(table, spike[None])[0], table.X @ spike / n
+            got, want = finite._overlaps(table, spike[None])[0], configs @ spike / n
             if spec == "uniform:21":
                 assert np.max(np.abs(got - want)) <= 1e-15
             else:

@@ -29,7 +29,7 @@ from replica_lab.rs import _f_bar_grad, f_hat
 from replica_lab.finite import enumeration_table, instance_from_parts
 from replica_lab.interpolation import DEFAULT_T_GRID, _phi_t_draws
 
-from conftest import augment, h_t, hamiltonian
+from conftest import augment, h_t, hamiltonian, small_budget
 
 
 class TestAugmentedInstance:
@@ -224,7 +224,8 @@ class TestSignFold:
 
     SPECS = [("rademacher", 8), ("sparse:0.25", 6), ("uniform:21", 3), ("asym:0.7", 8), ("point:0.7", 6)]
     # (draws, block budget): the default, and the budget shrunk to the
-    # table's rows, so that row-block edges fall inside the mirrored rows
+    # configuration count, so that row-block edges fall inside the mirrored
+    # rows
     BLOCKINGS = [(6, None), (5, "small")]
 
     @staticmethod
@@ -241,7 +242,7 @@ class TestSignFold:
         p = parse_prior_spec(spec)
         lam, q, m, seed = 2.0, 0.5, 0.3, 41
         if blocks == "small":
-            monkeypatch.setattr(finite, "_BLOCK_VALUES", enumeration_table(p, n).X.shape[0])
+            small_budget(monkeypatch, p, n)
 
         def run():
             return (
@@ -269,8 +270,8 @@ class TestBlockedPath:
     """The blocked path against the per-draw, per-t reference combine of conftest.py."""
 
     SPECS = [("rademacher", 8), ("sparse:0.25", 6), ("uniform:21", 3), ("asym:0.7", 8), ("point:0.7", 6)]
-    # (draws, _BLOCK_VALUES as the table's rows // divisor): the table's rows
-    # give several row blocks, with edges inside the mirrored rows; an eighth
+    # (draws, _BLOCK_VALUES as the configuration count // divisor): the count
+    # gives several row blocks, with edges inside the mirrored rows; an eighth
     # gives blocks of one or a few rows.  Five draws split into draw blocks
     # only for uniform:21, whose n = 3 caps a draw block at 3 draws; forty
     # split at every n here.
@@ -285,7 +286,7 @@ class TestBlockedPath:
         lam, q, seed = 2.0, 0.5, 37
         spike = sample_spike(p, n, 6)
         if divisor is not None:
-            monkeypatch.setattr(finite, "_BLOCK_VALUES", max(2, enumeration_table(p, n).X.shape[0] // divisor))
+            small_budget(monkeypatch, p, n, divisor)
         cases = [
             (q, q, None, None),                 # guerra_slope_check's matched path
             (q, 0.3, (-0.25, 0.75), None),      # a resampled spike's window

@@ -164,6 +164,25 @@ class TestPhiRs:
             assert res.value == pytest.approx(0.0, abs=1e-14)
             assert res.optimizer_q == 0.0
 
+    @pytest.mark.parametrize(
+        "spec, lam, resolution",
+        [("rademacher", 0.0, 0.001), ("rademacher", 1e-14, 0.001), ("sparse:0.25", 1e-14, 0.001),
+         ("point:0", 2.0, 0.0)],
+    )
+    def test_one_point_scan(self, ev, spec, lam, resolution):
+        # lambda = 0, a potential flat to 1e-13 (lambda = 1e-14) and E[X^2] = 0
+        # each scan the one-point grid [0.0]; sparse:0.25's F(1e-14, 0) is
+        # 2**-53, so the value is the potential at 0, not a literal 0.0
+        p = parse_prior_spec(spec)
+        step, q_scan, idx = rs._rs_scan(p, lam, ev)
+        assert q_scan.tolist() == [0.0] and idx == [0], (q_scan, idx)
+        v = rs_potential(p, lam, 0.0, ev)
+        res = phi_rs(p, lam, ev)
+        assert res.optimizer_q == 0.0 and res.optimizer_m is None
+        assert res.value.hex() == v.hex()
+        assert res.local_optima == [(0.0, v)]
+        assert res.grid_resolution == step == resolution
+
     def test_below_threshold_flat(self, ev):
         # dense-grid oracle at resolution 1e-5: at lambda = 0.5 the potential
         # is maximized at q = 0
@@ -460,7 +479,7 @@ class TestSignFold:
 class TestSaddleMatchesNestedPolish:
     """The joint (m, q) Newton polish finds the saddle that nested regula falsi on g'(m) finds."""
 
-    LAMBDAS = (0.5, 1.02, 1.05, 1.3, 2.0, 2.6, 4.0, 6.0, 10.0, 20.0, 40.0)
+    LAMBDAS = (0.5, 1.02, 1.05, 1.1, 1.11, 1.13, 1.3, 2.0, 2.6, 4.0, 6.0, 10.0, 20.0, 40.0)
 
     @staticmethod
     def _agree(ev, monkeypatch, p, lams):
@@ -550,6 +569,24 @@ class TestSaddleMatchesNestedPolish:
         # Regula falsi from the probe took 147-155 kernel calls and 9 inner
         # minimizations (test_lambda_grid checks the values at this lambda).
         p = parse_prior_spec(name)
+        res, calls = self._counted_saddle(monkeypatch, p, 1.02, ev)
+        assert calls["_node_tables"] <= 73 and calls["_inner_min"] <= 2, calls
+        assert abs(res.value - phi_rs(p, 1.02, ev).value) <= 1e-4
+
+    @pytest.mark.parametrize("name, lam", [("rademacher", 1.1), ("sparse:0.25", 1.11)])
+    def test_bisection_just_above_transition(self, ev, monkeypatch, name, lam):
+        # q_bar jumps inside the bracket above the probe, and Newton leaves it
+        # from the midpoint restart too; bisection then takes 49-52 kernel
+        # calls and 4 inner minimizations, where regula falsi crept up from
+        # the probe in 91-94 and 6-7 (test_lambda_grid checks the values)
+        p = parse_prior_spec(name)
+        res, calls = self._counted_saddle(monkeypatch, p, lam, ev)
+        assert calls["_node_tables"] <= 60 and calls["_inner_min"] <= 4, calls
+        assert abs(res.value - phi_rs(p, lam, ev).value) <= 1e-4
+
+    @staticmethod
+    def _counted_saddle(monkeypatch, p, lam, ev):
+        """saddle(p, lam) with its channel._node_tables and rs._inner_min calls counted."""
         calls = {"_node_tables": 0, "_inner_min": 0}
         for mod, fn_name in ((channel, "_node_tables"), (rs, "_inner_min")):
             fn = getattr(mod, fn_name)
@@ -559,9 +596,7 @@ class TestSaddleMatchesNestedPolish:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(mod, fn_name, wrapped)
-        res = saddle(p, 1.02, ev)
-        assert calls["_node_tables"] <= 73 and calls["_inner_min"] <= 2, calls
-        assert abs(res.value - phi_rs(p, 1.02, ev).value) <= 1e-4
+        return saddle(p, lam, ev), calls
 
 
 class TestNumpySetOps:
@@ -767,8 +802,6 @@ class TestCriticalLambdaFromTheScan:
         p = parse_prior_spec(spec)
         for lam in (0.3, 0.75, 0.99, 1.0, 1.3, 2.0, 7.0):
             scan = rs._rs_scan(p, lam, ev)
-            if isinstance(scan, rs.PotentialResult):
-                continue
             brackets = rs._brackets(*scan[1:])
             optima = rs._rs_refine(p, lam, ev, *scan).local_optima
             assert len(optima) == len(brackets)

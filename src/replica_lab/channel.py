@@ -142,9 +142,7 @@ def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
     results do not depend on the block size.  A small call (psi_prime's two
     or three points) runs the same arithmetic as a large one, paying its
     fixed cost once: r and s are broadcast only when their shapes differ, the
-    atom constants are built before the block loop.  The one batch-dependent
-    contraction is psi_bar_array's final gemv vals @ p.weights, left as it is
-    because every phi_rs, state-evolution and saddle value rests on its bits.
+    atom constants are built before the block loop.
     """
     r = np.asarray(r, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
@@ -268,7 +266,9 @@ def psi_bar_array(ev: ChannelEvaluator | None, p: Prior, r, s) -> np.ndarray:
     # (points, atoms) tables of equal shape, which the kernel need not broadcast
     r_t = r[..., None].repeat(p.values.size, axis=-1) if r.shape == s.shape else r[..., None]
     vals = psi_hat_array(ev, p, r_t, s[..., None] * p.values)
-    return vals @ p.weights
+    # an elementwise sum over the atoms: a gemv's bits would depend on the batch
+    vals *= p.weights
+    return vals.sum(axis=-1)
 
 
 def psi_bar(ev: ChannelEvaluator | None, p: Prior, r: float, s: float) -> float:

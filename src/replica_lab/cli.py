@@ -345,8 +345,6 @@ def _run(args) -> int:
               [r.to_dict() for r in reports])
         return 0 if all(r.passed for r in reports) else 1
 
-    raise UsageError(f"unknown command {args.command!r}")
-
 
 def main(argv=None) -> int:
     parser = build_parser()

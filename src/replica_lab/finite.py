@@ -14,13 +14,17 @@ side noise) are plain Monte Carlo over instances with counter-derived seeds.
 A single-site Metropolis sampler covers sizes beyond the enumeration budget.
 
 Every exact estimator is built from the same pieces: _setup checks its
-inputs and fetches the table, _overlaps gives R_{1,*} of the rows, the
-Gibbs pass _gibbs (_log_weights, then _fold) gives per-draw log Z or Gibbs
-means of odd row statistics, and _mc_estimate averages per-draw values, with
-the -inf sentinel of an empty window.  The energy kernel _log_weights is the
-package's one definition of -H, and _phi_t_draws adds the side term of the
-interpolating -H_t to it; the tests hold both to direct per-configuration
-evaluations of the definitions.
+inputs and fetches the table, _sampled_draws or _fixed_spike_draws fetch the
+disorder draws once as (spikes, noises) arrays, _overlaps gives R_{1,*} of
+the rows, the Gibbs pass _gibbs (_log_weights, then _fold) gives per-draw
+log Z or Gibbs means of odd row statistics, and _mc_estimate averages
+per-draw values, with the -inf sentinel of an empty window.  The energy
+kernel _log_weights is the package's one definition of -H, and _phi_t_draws
+adds the side term of the interpolating -H_t to it; the tests hold both to
+direct per-configuration evaluations of the definitions.  The Franz-Parisi
+potential has one definition too (_window_estimate): one Gibbs pass over a
+window's configurations, which fp_potential runs for one window and
+fp_profile for each reachable one, on draws it fetches once.
 
 Seed discipline: every disorder replica k uses derive_seed(master, k, ...),
 so replica k's instance does not depend on the other replicas.  The pass
@@ -39,17 +43,17 @@ consumer turns that block into log weights at each of its SNRs or path
 points with one shared combine (_log_weights), elementwise, so a replica's
 log weights depend only on its kernel value and its SNR, never on which
 replicas or SNRs share the block.  It folds them into a per-(replica, SNR)
-online log-sum-exp (_fold): a running maximum and the sum of exps relative
-to it, rescaled when the maximum grows, with the mirrors counted in the
-block that holds their representatives.  So no array spans the replicas
-times the rows, and _BLOCK_VALUES bounds the pass's working memory.  What
-can move with the composition of a block is only what a BLAS product forms
-over several replicas at once: the kernel's parts, the path's odd side
-term, the overlaps, the Gibbs means, and kl_log_likelihood_ratios'
-cross-sum GEMM, in their last bits.  free_entropy_mc and phi_of_t(t = 1)
-stay equal bit for bit: their blocks depend on neither SNR count, and at
-t = 1 the side coefficients are exact zeros, so both take the same
-elementwise steps and reductions.
+online log-sum-exp (_fold), the layer's one: a running maximum and the sum
+of exps relative to it, rescaled when the maximum grows, with the mirrors
+counted in the block that holds their representatives.  So no array spans
+the replicas times the rows, and _BLOCK_VALUES bounds the pass's working
+memory.  What can move with the composition of a block is only what a
+BLAS product forms over several replicas at once: the kernel's parts, the
+path's odd side term, the overlaps, the Gibbs means, and
+kl_log_likelihood_ratios' cross-sum GEMM, in their last bits.
+free_entropy_mc and phi_of_t(t = 1) stay equal bit for bit: their blocks
+depend on neither SNR count, and at t = 1 the side coefficients are exact
+zeros, so both take the same elementwise steps and reductions.
 
 Sign fold: -H sees a configuration only through its pair products x_i x_j,
 so with a sign-symmetric prior x and -x have the same energy and prior mass.
@@ -62,16 +66,16 @@ the energy and the path's even side term) are computed on the
 representatives, and the log-sum-exp counts rows [:mirrors] a second time;
 odd terms (x.z and x.x* on the path, and R_{1,*}) enter as +odd on the
 representatives and -odd on the mirrors, and their Gibbs means over all
-configurations are exact zeros (_gibbs).  A mirror's pair products, prior
-mass and square sums equal its representative's bit for bit, so its value
-is the one the kernel computes for its representative.  An asymmetric prior
-has no mirrors and runs the same code with nothing to repeat.  The path
-prices the representatives for a resampled and for a fixed spike alike, and
-drops the rows outside a window with a mask; only fp_potential and
-fp_profile select window rows among all configurations, and price a mirror
-row reps + k as its representative k.  The likelihood ratio's exponents,
-built without the table, fold their first half's configurations the same
-way (kl_log_likelihood_ratios).
+configurations are exact zeros (nishimori_check).  A mirror's pair
+products, prior mass and square sums equal its representative's bit for
+bit, so its value is the one the kernel computes for its representative.
+An asymmetric prior has no mirrors and runs the same code with nothing to
+repeat.  The path prices the representatives for a resampled and for a
+fixed spike alike, and drops the rows outside a window with a mask; only
+the Franz-Parisi windows (_window_estimate) select rows among all
+configurations, and price a mirror row reps + k as its representative k.
+The likelihood ratio's exponents, built without the table, fold their
+first half's configurations the same way (kl_log_likelihood_ratios).
 """
 
 from __future__ import annotations
@@ -279,16 +283,16 @@ def _blocks(rows: int, n: int, n_draws: int):
     return max(1, min(rows, _BLOCK_VALUES // m, _BLOCK_VALUES // 2 // d_step)), d_step
 
 
-def _log_weights(table: EnumTable, rows, lams, n_draws: int, draw, side_sq=None):
-    """The energy kernel: yield (blk, draws, spikes, weights) per row block and draw block.
+def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None):
+    """The energy kernel: yield (blk, ks, spikes, weights) per row block and draw block.
 
     rows None prices the whole table, and the consumer counts the mirrors
     of rows [:table.mirrors] itself (_mirrored); an index array names
     representatives, and one may appear twice (a mirror is priced as its
-    representative).  blk slices the row block's positions among the priced
-    rows, draws the block's draw indices, and spikes holds their (D, n)
-    spikes.  draw(k) returns draw k's (spike, noise), all fetched once,
-    n_draws (n + P) values in all, since every row block reads every draw.
+    representative).  draws = (spikes, noises) holds the disorder draws as
+    (D, n) and (D, P) arrays, read by every row block; the draw count is
+    theirs.  blk slices the row block's positions among the priced rows, ks
+    the block's draw indices, and spikes holds their (D, n) spikes.
     weights(c) returns the (D, rows) log prior mass - H of the block's rows
     for its draws at SNR lams[c],
 
@@ -303,14 +307,15 @@ def _log_weights(table: EnumTable, rows, lams, n_draws: int, draw, side_sq=None)
     them gives both, draw-major.  Every entry then takes the same
     elementwise steps at any block shape, so its bits depend only on its
     draw's kernel value and its coefficients.  _blocks sizes every block, so
-    consumers that share the priced rows and n_draws share every kernel
+    consumers that share the priced rows and draw count share every kernel
     call, and no array spans the draws times the rows.
     """
     n = table.X.shape[1]
     i, j = _triu(n)
+    spikes, noises = draws
+    n_draws = spikes.shape[0]
     count = table.reps if rows is None else rows.size
     r_step, d_step = _blocks(count, n, n_draws)
-    spikes, noises = (np.stack(v) for v in zip(*map(draw, range(n_draws))))
     pairs = spikes[:, i] * spikes[:, j]
     lams = np.asarray(lams, dtype=np.float64)[:, None]
     c_w, c_s = np.sqrt(lams / n), lams / n
@@ -324,9 +329,9 @@ def _log_weights(table: EnumTable, rows, lams, n_draws: int, draw, side_sq=None)
         if side_sq is not None:
             base -= side_sq[:, None] * table.sumsq[sel]
         for k in range(0, n_draws, d_step):
-            draws = slice(k, min(k + d_step, n_draws))
-            parts = np.concatenate([noises[draws], pairs[draws]]) @ features
-            q_w, s = parts[: draws.stop - k], parts[draws.stop - k :]
+            ks = slice(k, min(k + d_step, n_draws))
+            parts = np.concatenate([noises[ks], pairs[ks]]) @ features
+            q_w, s = parts[: ks.stop - k], parts[ks.stop - k :]
 
             def weights(c, q_w=q_w, s=s, base=base):
                 a = c_w[c] * q_w
@@ -334,7 +339,7 @@ def _log_weights(table: EnumTable, rows, lams, n_draws: int, draw, side_sq=None)
                 a += base[c]
                 return a
 
-            yield blk, draws, spikes[draws], weights
+            yield blk, ks, spikes[ks], weights
 
 
 def _mirrored(blk: slice, mirrors: int) -> int:
@@ -379,14 +384,10 @@ def _log_of(top: np.ndarray, total: np.ndarray) -> np.ndarray:
         return top + np.log(total)
 
 
-def _sampled_draws(p: Prior, n: int, lam: float, seed: int):
-    """draw(k) of the instance sample_instance(p, n, lam, derive_seed(seed, k))."""
-
-    def draw(k):
-        inst = sample_instance(p, n, lam, derive_seed(seed, k))
-        return inst.spike, inst.noise
-
-    return draw
+def _sampled_draws(p: Prior, n: int, lam: float, seed: int, n_draws: int):
+    """(spikes, noises) of the instances sample_instance(p, n, lam, derive_seed(seed, k)), k < n_draws."""
+    insts = [sample_instance(p, n, lam, derive_seed(seed, k)) for k in range(n_draws)]
+    return np.stack([inst.spike for inst in insts]), np.stack([inst.noise for inst in insts])
 
 
 def _window_index(overlap: np.ndarray, m: float, eps: float) -> np.ndarray:
@@ -475,33 +476,33 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
     return spike, enumeration_table(p, n, budget)
 
 
-def _gibbs(table: EnumTable, rows, lam: float, n_draws: int, draw, odd=None) -> np.ndarray:
+def _gibbs(table: EnumTable, rows, lam: float, draws, odd=None) -> np.ndarray:
     """The Gibbs pass: per-draw log Z at SNR lam over the table rows indexed
     by rows, or with rows None over the representatives and their mirrors.
 
-    It walks _log_weights' blocks and folds each into a per-draw online
-    log-sum-exp (_fold), so no array spans the draws times the rows.  With
-    odd, it returns instead the (n_draws, k) Gibbs means of statistics odd
-    in x.  odd(spikes, blk) gives a block's values on its rows as arrays
-    (rows, k_g) shared by its draws or (D, rows, k_g), k_g summing to k; the
-    pass accumulates their products with the fold's exps, rescaled with the
-    running sum, and divides by it at the end.  On a sign-folded table the
-    means are exact zeros (a mirror's log weight is its representative's
-    bit for bit, its statistic negated, and the zero row's statistic is 0),
-    so no kernel pass runs; odd then sees an empty block, for k.
+    draws = (spikes, noises) are the disorder draws as _log_weights takes
+    them.  The pass walks _log_weights' blocks and folds each into a
+    per-draw online log-sum-exp (_fold), so no array spans the draws times
+    the rows.  With odd, it returns instead the (D, k) Gibbs means of
+    statistics odd in x.  odd(spikes, blk) gives a block's values on its
+    rows as arrays (rows, k_g) shared by its draws or (D, rows, k_g), k_g
+    summing to k; the pass accumulates their products with the fold's exps,
+    rescaled with the running sum, and divides by it at the end.  It adds
+    no mirror's statistic, so odd needs a table without mirrors or rows
+    given; on a sign-folded table the means are exact zeros, which
+    nishimori_check returns without a pass.
     """
+    n_draws = draws[0].shape[0]
     mirrors = table.mirrors if rows is None else 0
-    if odd is not None and mirrors:
-        return np.zeros((n_draws, sum(v.shape[-1] for v in odd(np.empty((0, table.X.shape[1])), slice(0, 0)))))
     top, total, sums = np.full(n_draws, -np.inf), np.zeros(n_draws), None
-    for blk, draws, spikes, weights in _log_weights(table, rows, [lam], n_draws, draw):
-        e, scale = _fold(top[draws], total[draws], weights(0), _mirrored(blk, mirrors))
+    for blk, ks, spikes, weights in _log_weights(table, rows, [lam], draws):
+        e, scale = _fold(top[ks], total[ks], weights(0), _mirrored(blk, mirrors))
         if odd is not None:
             block = np.concatenate([np.matmul(e[:, None], v)[:, 0] for v in odd(spikes, blk)], axis=-1)
             if sums is None:
                 sums = np.zeros((n_draws, block.shape[-1]))
-            sums[draws] *= scale[:, None]
-            sums[draws] += block
+            sums[ks] *= scale[:, None]
+            sums[ks] += block
         del e  # before the next block's weights are formed
     return _log_of(top, total) if odd is None else sums / total[:, None]
 
@@ -509,7 +510,7 @@ def _gibbs(table: EnumTable, rows, lam: float, n_draws: int, draw, odd=None) -> 
 def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
     """log Z by stable log-sum-exp over all configurations, with the overlap law."""
     _, table = _setup(p, inst.n, inst.lam, 1, budget, spike=inst.spike)
-    blocks = _log_weights(table, None, [inst.lam], 1, lambda k: (inst.spike, inst.noise))
+    blocks = _log_weights(table, None, [inst.lam], (inst.spike[None], inst.noise[None]))
     a = np.concatenate([weights(0)[0] for *_, weights in blocks])
     top = a.max()
     e = np.exp(a - top)
@@ -570,7 +571,7 @@ def free_entropy_mc(
 ) -> McEstimate:
     """F_N estimate: average of (1/N) log Z over independent instances."""
     _, table = _setup(p, n, lam, n_disorder, budget)
-    log_z = _gibbs(table, None, lam, n_disorder, _sampled_draws(p, n, lam, seed))
+    log_z = _gibbs(table, None, lam, _sampled_draws(p, n, lam, seed, n_disorder))
     return _mc_estimate(log_z / n, seed)
 
 
@@ -662,10 +663,11 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     n, lam = instances[0].n, instances[0].lam
     if any(inst.n != n or inst.lam != lam for inst in instances):
         raise InvalidArgumentError("instances must share n and lambda")
-    _check_spike_in_support(p, np.stack([inst.spike for inst in instances]))
+    spikes = np.stack([inst.spike for inst in instances])
+    _check_spike_in_support(p, spikes)
     _check_energy_scale(p, n, lam)
     table = enumeration_table(p, n, budget)
-    log_z = _gibbs(table, None, lam, len(instances), lambda k: (instances[k].spike, instances[k].noise))
+    log_z = _gibbs(table, None, lam, (spikes, np.stack([inst.noise for inst in instances])))
     return _log_likelihood_ratios(np.stack([inst.y for inst in instances]), p, n, lam), log_z
 
 
@@ -675,9 +677,16 @@ def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAUL
     return float(llr[0]), float(log_z[0])
 
 
-def _fixed_spike_draws(spike: np.ndarray, seed: int):
-    """draw(k) at a fixed spike, noise _fixed_spike_noise(n, derive_seed(seed, k))."""
-    return lambda k: (spike, _fixed_spike_noise(spike.size, derive_seed(seed, k)))
+def _fixed_spike_draws(spike: np.ndarray, seed: int, n_draws: int):
+    """(spikes, noises) of n_draws draws at a fixed spike, draw k's noise from derive_seed(seed, k)."""
+    noises = [_fixed_spike_noise(spike.size, derive_seed(seed, k)) for k in range(n_draws)]
+    return np.tile(spike, (n_draws, 1)), np.stack(noises)
+
+
+def _window_estimate(table: EnumTable, in_window: np.ndarray, lam: float, draws, seed: int) -> McEstimate:
+    """Phi over the configurations (_overlaps' columns) where in_window holds, mirrors as representatives."""
+    log_z = _gibbs(table, np.flatnonzero(in_window) % table.reps, lam, draws)
+    return _mc_estimate(log_z / table.X.shape[1], seed)
 
 
 def fp_potential(
@@ -698,8 +707,8 @@ def fp_potential(
     unreachable window returns the -inf sentinel with empty_window set.
     """
     spike, table = _setup(p, n, lam, n_disorder, budget, (m, eps), spike)
-    rows = np.flatnonzero(_window_index(_overlaps(table, spike[None])[0], m, eps) == 0) % table.reps
-    return _mc_estimate(_gibbs(table, rows, lam, n_disorder, _fixed_spike_draws(spike, seed)) / n, seed)
+    in_window = _window_index(_overlaps(table, spike[None])[0], m, eps) == 0
+    return _window_estimate(table, in_window, lam, _fixed_spike_draws(spike, seed, n_disorder), seed)
 
 
 def fp_profile(
@@ -715,36 +724,19 @@ def fp_profile(
     """Phi_eps(l*eps, spike) for every reachable window index l at once.
 
     Returns [(l, McEstimate)] for the nonempty windows; windows absent from
-    the list are unreachable (-inf).  One pass over the configurations
-    sorted by window covers all windows for every draw, which is what makes
-    the discretization bound of the free entropy affordable to test: each
-    block's segments fold into per-(draw, window) online log-sum-exps, which
-    merge where a window spans a block edge.  Window indices reach K^2/eps,
-    K the support bound, so an eps that takes them past 2**53, where they
-    are no longer exact integers, is refused.
+    the list are unreachable (-inf).  Each window is priced as fp_potential
+    prices it (_window_estimate), one Gibbs pass over its configurations,
+    so every entry equals fp_potential(l * eps) bit for bit.  The draws are
+    fetched once and shared by every window's pass.  Window indices reach
+    K^2/eps, K the support bound, so an eps that takes them past 2**53,
+    where they are no longer exact integers, is refused.
     """
     spike, table = _setup(p, n, lam, n_disorder, budget, (0.0, eps), spike)
     if not support_bound(p) ** 2 / eps <= 2**53:
         raise InvalidArgumentError(f"eps must be >= K^2 / 2**53 for exact window indices, got {eps!r}")
     bins = _window_index(_overlaps(table, spike[None])[0], 0.0, eps).astype(np.int64)
-    order = np.argsort(bins, kind="stable")
-    uniq, label = np.unique(bins[order], return_inverse=True)
-    # per-window online log-sum-exps, as _fold's, over segments of each block
-    top = np.full((n_disorder, uniq.size), -np.inf)
-    total = np.zeros_like(top)
-    draw = _fixed_spike_draws(spike, seed)
-    for blk, draws, _, weights in _log_weights(table, order % table.reps, [lam], n_disorder, draw):
-        lab = label[blk]
-        starts = np.flatnonzero(np.diff(lab, prepend=-1))
-        win = (draws, slice(lab[0], lab[-1] + 1))
-        a = weights(0)
-        new = np.maximum(top[win], np.maximum.reduceat(a, starts, axis=-1))
-        a -= np.repeat(new, np.diff(starts, append=lab.size), axis=-1)
-        total[win] *= np.exp(top[win] - new)
-        total[win] += np.add.reduceat(np.exp(a, out=a), starts, axis=-1)
-        top[win] = new
-    per_draw = _log_of(top, total) / n
-    return [(int(l), _mc_estimate(per_draw[:, c], seed)) for c, l in enumerate(uniq)]
+    draws = _fixed_spike_draws(spike, seed, n_disorder)
+    return [(int(l), _window_estimate(table, bins == l, lam, draws, seed)) for l in np.unique(bins)]
 
 
 def _check_t(t: float):
@@ -793,25 +785,28 @@ def _phi_t_draws(
     spike, table = _setup(p, n, lam, n_disorder, budget, restricted, spike)
     rs._check_scale(p, lam, max(q, abs(m)))
     r, s = lam * q, lam * m
-    draw = _sampled_draws(p, n, lam, seed) if spike is None else _fixed_spike_draws(spike, seed)
+    if spike is None:
+        draws = _sampled_draws(p, n, lam, seed, n_disorder)
+    else:
+        draws = _fixed_spike_draws(spike, seed, n_disorder)
     side_z, side_s, side_sq = np.sqrt((1.0 - t) * r), (1.0 - t) * s, (1.0 - t) * r / 2.0
     z = np.stack([np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
                   for k in range(n_disorder)])
     top = np.full((n_disorder, t.size), -np.inf)
     total = np.zeros_like(top)
-    for blk, draws, spikes, weights in _log_weights(table, None, t * lam, n_disorder, draw, side_sq):
+    for blk, ks, spikes, weights in _log_weights(table, None, t * lam, draws, side_sq):
         xt, mirrors = table.X[blk].T, _mirrored(blk, table.mirrors)
         if restricted is not None:
             outside = _window_index(_overlaps(table, spikes, block=blk), *restricted) != 0
         for c in range(t.size):
             even = weights(c)
-            odd = (side_z[c] * z[draws] + side_s[c] * spikes) @ xt
+            odd = (side_z[c] * z[ks] + side_s[c] * spikes) @ xt
             lo = even[:, :mirrors] - odd[:, :mirrors]
             even += odd
             if restricted is not None:
                 np.copyto(even, -np.inf, where=outside[:, : even.shape[1]])
                 np.copyto(lo, -np.inf, where=outside[:, even.shape[1] :])
-            _fold(top[draws, c], total[draws, c], even, mirrors, lo)
+            _fold(top[ks, c], total[ks, c], even, mirrors, lo)
             del even, lo  # before the next weights are formed
     return _log_of(top, total) / n
 
@@ -828,13 +823,16 @@ def nishimori_check(
 
     For a sign-symmetric prior the check is vacuous: the posterior is even in
     x (the data enter only through x x^T), so both sides vanish by the
-    x -> -x symmetry, here as exact zeros from no kernel pass, and
-    params["skipped"] says so.  Only a prior without the symmetry (asym:P,
+    x -> -x symmetry: a sign-folded table returns them as exact zeros
+    before any disorder is drawn or priced, and params["skipped"] says so.  Only a prior without the symmetry (asym:P,
     point:C) tests the identity.
     """
     _, table = _setup(p, n, lam, n_disorder, budget)
-    means = _gibbs(table, None, lam, n_disorder, _sampled_draws(p, n, lam, seed),
-                   odd=lambda spikes, blk: (table.X[blk], _overlaps(table, spikes, 9, blk)[..., None]))
+    if table.mirrors:
+        means = np.zeros((n_disorder, n + 1))
+    else:
+        means = _gibbs(table, None, lam, _sampled_draws(p, n, lam, seed, n_disorder),
+                       odd=lambda spikes, blk: (table.X[blk], _overlaps(table, spikes, 9, blk)[..., None]))
     r12, r1s = (means[:, :n] ** 2).mean(axis=1), means[:, n]
     mean_diff, se = _mean_stderr(r12 - r1s)
     delta, se = abs(float(mean_diff)), float(se)

@@ -51,9 +51,10 @@ def broadcast_psi_hat(ev, p, r, s):
 
 
 def broadcast_psi(ev, p, r):
-    """Reference psi(r): psi_hat at the tilts r x* from broadcast_psi_hat, averaged over x*."""
+    """Reference psi(r): psi_hat at the tilts r x* from broadcast_psi_hat, averaged over x*
+    elementwise, as psi_bar_array sums its atoms."""
     r = np.asarray(r, dtype=np.float64)
-    return broadcast_psi_hat(ev, p, r[..., None], r[..., None] * p.values) @ p.weights
+    return (broadcast_psi_hat(ev, p, r[..., None], r[..., None] * p.values) * p.weights).sum(axis=-1)
 
 
 def nested_polish(p, lam, q_max, ev, a, b, ya, yb):
@@ -286,15 +287,15 @@ def reference_phi_t_draws(p, n, lam, q, m, t_values, n_disorder, seed, restricte
     table = unfold_table(finite.enumeration_table(p, n))
     r, s = lam * q, lam * m
     if spike is None:
-        rows, mirrors, draw = slice(None, table.reps), table.mirrors, finite._sampled_draws(p, n, lam, seed)
+        rows, mirrors = slice(None, table.reps), table.mirrors
+        spikes, noises = finite._sampled_draws(p, n, lam, seed, n_disorder)
     else:
         spike = np.asarray(spike, dtype=np.float64)
         rows = slice(None) if restricted is None else finite._window_index(table.X @ spike / n, *restricted) == 0
-        mirrors, draw = 0, finite._fixed_spike_draws(spike, seed)
+        mirrors, (spikes, noises) = 0, finite._fixed_spike_draws(spike, seed, n_disorder)
     x, logw, sumsq = table.X[rows], table.logw[rows], table.sumsq[rows]
     out = np.empty((n_disorder, len(t_values)))
-    for k in range(n_disorder):
-        spike_k, noise_k = draw(k)
+    for k, (spike_k, noise_k) in enumerate(zip(spikes, noises)):
         keep = slice(None)
         if spike is None and restricted is not None:
             overlap = x @ spike_k / n

@@ -292,20 +292,11 @@ class TestPsiBar:
     def test_positive_tilt_dominates(self, ev, priors):
         assert psi_bar(ev, priors["asym:0.7"], 1.0, 1.0) >= psi_bar(ev, priors["asym:0.7"], 1.0, -1.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "psi_bar_array's final vals @ p.weights is a BLAS gemv whose per-row bits "
-            "depend on how many points share the call; the node tables agree, and "
-            "rademacher's two equal weights keep every bit.  Batching it differently "
-            "moves phi_rs's optimizer in its last bits (ROADMAP, Small defects)"
-        ),
-    )
     def test_point_bits_do_not_depend_on_the_batch(self, ev, priors):
-        p = priors["asym:0.7"]
         r = np.linspace(0.1, 6.0, 30)
-        batched = psi_array(ev, p, r)
-        assert all(batched[k] == psi_array(ev, p, r[k : k + 1])[0] for k in range(r.size))
+        for p in priors.values():
+            batched = psi_array(ev, p, r)
+            assert all(batched[k] == psi_array(ev, p, r[k : k + 1])[0] for k in range(r.size)), p.name
 
 
 def _gibbs_mean_sq_oracle(ev, p, r):

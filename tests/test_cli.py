@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,18 @@ class TestCommands:
         lines = [l for l in out.splitlines() if not l.startswith(("#", "n,"))]
         assert len(lines) == 1 and "fp[m=0;eps=0.5]" in lines[0]
 
+    def test_fp_empty_window_writes_minus_inf(self, capsys):
+        # no configuration reaches R >= 5: the -inf sentinel, as text in JSON
+        args = ["fp", "--n", "4", "--disorder", "3", "--m", "5"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith(("#", "n,"))]
+        assert len(rows) == 1 and rows[0][2:5] == ["fp[m=5;eps=0.25]", "-inf", "0"]
+        code, out, _ = run_cli(args + ["--format", "json"], capsys)
+        assert code == 0
+        (row,) = json.loads(out)["results"]
+        assert row["mean"] == "-inf" and row["stderr"] == 0.0
+
     def test_verify_tiny_suite_passes(self, capsys, tmp_path):
         out_path = tmp_path / "verify.json"
         code, _, _ = run_cli(
@@ -174,14 +187,18 @@ class TestCommands:
         assert blocked == free
         assert blocked.count(b"\n") == 10  # 2 comment lines, the CSV header, 7 rows
 
-    def test_plot_writes_svg(self, capsys, tmp_path):
+    @pytest.mark.parametrize("args", [
+        ["--lambda", "0:1:0.5"],
+        ["--lambda", "1"],  # one point: an empty x range
+        ["--prior", "point:0", "--lambda", "0:1:0.5"],  # every value 0: an empty y range
+    ])
+    def test_plot_writes_svg(self, capsys, tmp_path, args):
         out_path = tmp_path / "c.csv"
-        code, _, _ = run_cli(
-            ["rs-curve", "--lambda", "0:1:0.5", "--out", str(out_path), "--plot"], capsys
-        )
-        assert code == 0
+        code, _, err = run_cli(["rs-curve", *args, "--out", str(out_path), "--plot"], capsys)
+        assert code == 0, err
         svg = (tmp_path / "c.svg").read_text()
-        assert svg.startswith("<svg") and "polyline" in svg
+        assert svg.startswith("<svg")
+        assert len(ET.fromstring(svg).findall("{*}polyline")) == 4
 
 
 class TestDeclaredFlags:
@@ -270,6 +287,7 @@ class TestErrorPaths:
         code, _, err = run_cli(["rs-curve", "--lambda", "2:1:0.5"], capsys)
         assert code == 2
 
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -327,6 +345,8 @@ class TestErrorPaths:
             (["se", "--lambda", "2", "--max-iter", "0"], "max_iter must be >= 1"),
             (["se", "--lambda", "2", "--max-iter", "-3"], "max_iter must be >= 1"),
             (["fp", "--n", "6", "--eps", "1e-20"], "eps must be >= K^2 / 2**53"),
+            (["finite-n", "--n", "8,x"], "bad integer list '8,x'"),
+            (["rs-curve", "--prior", "uniform:1"], "bad prior spec 'uniform:1': need at least 2 atoms"),
         ],
     )
     def test_non_finite_and_small_n_rejected(self, capsys, args, message):

@@ -82,6 +82,8 @@ class TestSampling:
     def test_small_n_rejected(self, priors):
         with pytest.raises(InvalidArgumentError):
             sample_instance(priors["rademacher"], 1, 1.0, 0)
+        with pytest.raises(InvalidArgumentError, match="need n >= 1, got 0"):
+            sample_spike(priors["rademacher"], 0, 1)
 
     def test_derive_seed_splits(self):
         seeds = {derive_seed(7, k) for k in range(100)}
@@ -300,14 +302,11 @@ class TestBatchedKernel:
         if blocks == "small":
             small_budget(monkeypatch, p, n)
         insts = [sample_instance(p, n, lam, derive_seed(61, k)) for k in range(draws)]
-
-        def draw(k):
-            return insts[k].spike, insts[k].noise
-
+        stacked = np.stack([inst.spike for inst in insts]), np.stack([inst.noise for inst in insts])
         # every configuration, a mirror named by its representative
         rows = np.arange(full.X.shape[0]) % table.reps
         weights = np.full((draws, rows.size), np.nan)
-        for blk, ks, _, block in finite._log_weights(table, rows, [lam], draws, draw):
+        for blk, ks, _, block in finite._log_weights(table, rows, [lam], stacked):
             weights[ks, blk] = block(0)
         llr, log_z = kl_log_likelihood_ratios(insts, p)
         assert llr.size == log_z.size == draws
@@ -511,7 +510,11 @@ class TestSignFold:
         def no_kernel(*args):
             raise AssertionError("the energy kernel ran")
 
+        def no_draw(*args):
+            raise AssertionError("a disorder draw was made")
+
         monkeypatch.setattr(finite, "_log_weights", no_kernel)
+        monkeypatch.setattr(finite, "sample_instance", no_draw)
         rep = nishimori_check(parse_prior_spec(spec), n, 2.0, 7, 23)
         assert rep.params["mean_r12"] == rep.params["mean_r1s"] == 0.0
         assert rep.stderr == 0.0 and rep.allowance == 1e-12 and rep.passed
@@ -619,23 +622,21 @@ class TestFpPotential:
                 single = fp_potential(p, n, 2.0, l * eps, eps, spike, 3, 31)
                 assert single.empty_window == (l not in prof), (eps, l)
                 if l in prof:
-                    # the profile's reduceat log-sum-exp and _logsumexp differ in the last bit
-                    assert prof[l].mean == pytest.approx(single.mean, abs=1e-12)
+                    assert prof[l] == single, (eps, l)
             assert set(prof) <= set(range(-reach, reach + 1))
 
     @pytest.mark.parametrize("divisor", [None, 8])
     def test_profile_and_potential_match_per_draw_reference(self, monkeypatch, priors, divisor):
-        # at the budget of the configuration count // 8 the windows of the
-        # sorted rows are split across row blocks, and their running sums merge
+        # at the budget of the configuration count // 8 a window's rows are
+        # split across row blocks, and their running sums merge
         p, n, lam, eps, draws, seed = priors["sparse:0.25"], 7, 2.0, 0.25, 3, 31
         table = unfold_table(enumeration_table(p, n))
         spike = sample_spike(p, n, 4)
         bins = finite._window_index(table.X @ spike / n, 0.0, eps)
         if divisor is not None:
             small_budget(monkeypatch, p, n, divisor)
-            r_step = finite._blocks(bins.size, n, draws)[0]
-            edges = np.flatnonzero(np.diff(np.sort(bins)) == 0) + 1  # splitting an edge here splits a window
-            assert np.any(edges % r_step == 0)
+            sizes = [int(np.sum(bins == l)) for l in np.unique(bins)]
+            assert any(size > finite._blocks(size, n, draws)[0] for size in sizes)
         prof = dict(fp_profile(p, n, lam, eps, spike, draws, seed))
         energies = []
         for k in range(draws):
@@ -646,6 +647,18 @@ class TestFpPotential:
             want = np.mean([_logsumexp(a[bins == l]) / n for a in energies])
             assert prof[l].mean == pytest.approx(want, abs=1e-12)
             assert fp_potential(p, n, lam, l * eps, eps, spike, draws, seed).mean == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("spec, n", [("rademacher", 8), ("sparse:0.25", 6), ("asym:0.7", 7), ("uniform:21", 3)])
+    @pytest.mark.parametrize("eps", [0.25, 0.1, 0.3, 1 / 3])
+    def test_profile_windows_equal_potential_bit_for_bit(self, spec, n, eps):
+        # every profile window is fp_potential's pass over the same rows
+        p = parse_prior_spec(spec)
+        for seed in (31, 32):
+            spike = sample_spike(p, n, seed)
+            prof = fp_profile(p, n, 1.5, eps, spike, 9, seed)
+            assert prof
+            for l, est in prof:
+                assert est == fp_potential(p, n, 1.5, l * eps, eps, spike, 9, seed), (seed, l)
 
     @pytest.mark.parametrize("spec, n", [("rademacher", 10), ("sparse:0.25", 7), ("asym:0.7", 9), ("uniform:21", 3)])
     def test_overlap_kernel_matches_direct_product(self, spec, n):

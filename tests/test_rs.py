@@ -8,6 +8,7 @@ import pytest
 from replica_lab import (
     DomainError,
     InvalidArgumentError,
+    NumericalError,
     compute_curve,
     critical_lambda,
     f_bar,
@@ -658,6 +659,12 @@ class TestStateEvolution:
             assert all(-1e-12 <= q <= m2 + 1e-9 for q in tr.iterates)
             assert abs(tr.fixed_point - 2.0 * psi_prime(ev, p, lam * tr.fixed_point)) <= 1e-8
 
+    def test_iterate_outside_the_range_raises(self, monkeypatch, ev, priors):
+        # 2 psi' of 2.0 sends q to 4, outside [0, E[X^2]] = [0, 1]
+        monkeypatch.setattr(rs, "psi_prime", lambda *args: 2.0)
+        with pytest.raises(NumericalError, match=r"state evolution left \[0, 1.0\]"):
+            state_evolution(priors["rademacher"], 2.0, 0.5, 1e-8, 50, ev)
+
     @pytest.mark.parametrize("spec", ["point:1e3", "point:1e70"])
     def test_range_slack_scales_with_second_moment(self, ev, spec):
         # psi_prime's finite-difference error grows with E[X^2]: at point:1e3,
@@ -747,6 +754,11 @@ class TestCriticalLambda:
     def test_point_mass_immediate(self, ev):
         lam_c = critical_lambda(point_mass_prior(1.0), 1e-3, 0.01, ev)
         assert lam_c <= 0.01
+
+    def test_no_transition_raises(self, ev):
+        # q* stays 0 at every lambda when the only atom is 0
+        with pytest.raises(NumericalError, match=r"no transition: .* up to lambda = 64\.0"):
+            critical_lambda(point_mass_prior(0.0), 1e-3, 0.01, ev)
 
     def test_sparse_first_order(self, ev):
         p = sparse_rademacher_prior(0.05)

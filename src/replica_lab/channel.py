@@ -36,13 +36,12 @@ accepts 2 to MAX_NODE_COUNT nodes, which bounds the dense Jacobi matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError, _check_finite, _check_nonnegative
 from .priors import Prior
 
 DEFAULT_NODE_COUNT = 61
@@ -218,22 +217,6 @@ def psi_hat_grad(ev: ChannelEvaluator | None, p: Prior, r, s):
     return inner.reshape(full) @ ev.weights, d_r, d_s
 
 
-def _check_r(r) -> float:
-    """r as a float; DomainError unless it is finite and >= 0."""
-    r = float(r)
-    if not 0.0 <= r < math.inf:
-        raise DomainError(f"r must be finite and >= 0, got {r}")
-    return r
-
-
-def _check_s(s) -> float:
-    """s as a float; DomainError unless it is finite."""
-    s = float(s)
-    if not -math.inf < s < math.inf:
-        raise DomainError(f"s must be finite, got {s}")
-    return s
-
-
 def _check_exponents(p: Prior, r: float, tilt: float) -> None:
     """DomainError unless r K^2 and |tilt| K stay within EXPONENT_MAX.
 
@@ -254,7 +237,7 @@ def psi_hat(ev: ChannelEvaluator | None, p: Prior, r: float, s: float) -> float:
 
     r K^2 and |s| K pass _check_exponents.
     """
-    r, s = _check_r(r), _check_s(s)
+    r, s = _check_nonnegative("r", r), _check_finite("s", s)
     _check_exponents(p, r, s)
     return float(psi_hat_array(ev, p, r, s))
 
@@ -276,7 +259,7 @@ def psi_bar(ev: ChannelEvaluator | None, p: Prior, r: float, s: float) -> float:
 
     r K^2 and the tilts' |s| K^2 pass _check_exponents.
     """
-    r, s = _check_r(r), _check_s(s)
+    r, s = _check_nonnegative("r", r), _check_finite("s", s)
     _check_exponents(p, r, s * p.bound)
     return float(psi_bar_array(ev, p, r, s))
 
@@ -292,7 +275,7 @@ def psi(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
     Equals psi_bar(r, r): the planted tilt is s = r x* averaged over x*.
     r K^2 passes _check_exponents.
     """
-    r = _check_r(r)
+    r = _check_nonnegative("r", r)
     _check_exponents(p, r, r * p.bound)
     return float(psi_array(ev, p, r))
 
@@ -305,7 +288,7 @@ def psi_prime(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
     point iteration q <- 2 psi'(lambda q).  r K^2 passes _check_exponents,
     so the stencil's r + 2h stays within the float range too.
     """
-    r = _check_r(r)
+    r = _check_nonnegative("r", r)
     _check_exponents(p, r, r * p.bound)
     h = max(1e-6, 1e-6 * r)
     if r >= h:
@@ -320,7 +303,7 @@ def asymmetry_gap(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
 
     r K^2 passes _check_exponents.
     """
-    r = _check_r(r)
+    r = _check_nonnegative("r", r)
     _check_exponents(p, r, r * p.bound)
     plus, minus = psi_bar_array(ev, p, np.array([r, r]), np.array([r, -r])).tolist()
     return plus - minus

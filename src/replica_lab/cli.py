@@ -38,7 +38,7 @@ from .errors import (
     InvalidPriorError,
     NumericalError,
 )
-from .channel import make_evaluator
+from .channel import DEFAULT_NODE_COUNT, make_evaluator
 from .finite import (
     DEFAULT_BUDGET,
     MC_CSV_FIELDS,
@@ -202,7 +202,7 @@ def _add_flags(sp, nodes=False, enumeration=False, plot=False):
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     if nodes:
-        sp.add_argument("--nodes", type=int, default=61, help="quadrature node count")
+        sp.add_argument("--nodes", type=int, default=DEFAULT_NODE_COUNT, help="quadrature node count")
     if enumeration:
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget in configurations")
         sp.add_argument("--disorder", type=int, default=400, help="number of disorder replicas")

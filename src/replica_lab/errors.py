@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its scalar range checks."""
+
+import math
 
 
 class InvalidPriorError(ValueError):
@@ -31,3 +33,19 @@ class EnumerationBudgetError(RuntimeError):
 
 class NumericalError(RuntimeError):
     """Raised when an iteration leaves its provably valid range."""
+
+
+def _check_nonnegative(name: str, x) -> float:
+    """x as a float; DomainError unless it is finite and >= 0."""
+    x = float(x)
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0, got {x}")
+    return x
+
+
+def _check_finite(name: str, x) -> float:
+    """x as a float; DomainError unless it is finite."""
+    x = float(x)
+    if not -math.inf < x < math.inf:
+        raise DomainError(f"{name} must be finite, got {x}")
+    return x

@@ -14,10 +14,10 @@ side noise) are plain Monte Carlo over instances with counter-derived seeds.
 A single-site Metropolis sampler covers sizes beyond the enumeration budget.
 
 Every exact estimator is built from the same pieces: _setup checks its
-inputs and fetches the table, _sampled_draws or _fixed_spike_draws fetch the
-disorder draws once as (spikes, noises) arrays, _overlaps gives R_{1,*} of
-the rows, the Gibbs pass _gibbs (_log_weights, then _fold) gives per-draw
-log Z or Gibbs means of odd row statistics, and _mc_estimate averages
+inputs and fetches the table, _draws fetches the disorder draws once as
+(spikes, noises) arrays, _overlaps gives R_{1,*} of the rows, the Gibbs
+pass _gibbs (_log_weights, then _fold) gives per-draw log Z or Gibbs
+means of odd row statistics, and _mc_estimate averages
 per-draw values, with the -inf sentinel of an empty window.  The energy
 kernel _log_weights is the package's one definition of -H, and _phi_t_draws
 adds the side term of the interpolating -H_t to it; the tests hold both to
@@ -86,7 +86,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, EnumerationBudgetError, InvalidArgumentError
+from .errors import DomainError, EnumerationBudgetError, InvalidArgumentError, _check_finite, _check_nonnegative
 from .priors import Prior, support_bound
 from .report import VerificationReport
 from . import rs
@@ -127,7 +127,6 @@ class SpikedInstance:
     spike: np.ndarray = field(repr=False)
     noise: np.ndarray = field(repr=False)  # flat, row-major over i < j
     y: np.ndarray = field(repr=False)
-    seed: int = 0
 
     def y_full(self) -> np.ndarray:
         """Symmetric Y with zero diagonal."""
@@ -138,7 +137,7 @@ class SpikedInstance:
         return m
 
 
-def instance_from_parts(spike, noise, lam: float, seed: int = 0) -> SpikedInstance:
+def instance_from_parts(spike, noise, lam: float) -> SpikedInstance:
     """Assemble Y = sqrt(lambda/N) spike spike^T + W on the upper triangle.
 
     Single construction path: sample_instance and everything that rebuilds an
@@ -152,7 +151,7 @@ def instance_from_parts(spike, noise, lam: float, seed: int = 0) -> SpikedInstan
     y = math.sqrt(lam / n) * spike[i] * spike[j] + noise
     for arr in (spike, noise, y):
         arr.setflags(write=False)
-    return SpikedInstance(n=n, lam=float(lam), spike=spike, noise=noise, y=y, seed=int(seed))
+    return SpikedInstance(n=n, lam=float(lam), spike=spike, noise=noise, y=y)
 
 
 def _sample_atoms(p: Prior, count: int, rng) -> np.ndarray:
@@ -163,15 +162,28 @@ def _sample_atoms(p: Prior, count: int, rng) -> np.ndarray:
     return p.values[np.minimum(idx, p.values.size - 1)]
 
 
+def _draw(p: Prior, n: int, seed: int, spike=None):
+    """The disorder draw of one seed, (spike, noise): the spike's n i.i.d.
+    atoms (unless a spike is given), then the upper-triangular standard
+    normal noise, from one stream."""
+    rng = np.random.default_rng(int(seed) & _MASK64)
+    if spike is None:
+        spike = _sample_atoms(p, n, rng)
+    return spike, rng.standard_normal(n * (n - 1) // 2)
+
+
+def _draws(p: Prior, n: int, seed: int, n_draws: int, spike=None):
+    """(spikes, noises), the stacked _draw of derive_seed(seed, k) for k < n_draws."""
+    spikes, noises = zip(*(_draw(p, n, derive_seed(seed, k), spike) for k in range(n_draws)))
+    return np.stack(spikes), np.stack(noises)
+
+
 def sample_instance(p: Prior, n: int, lam: float, seed: int) -> SpikedInstance:
     """Draw spike entries i.i.d. from the prior, then standard normal noise."""
     if n < 2:
         raise InvalidArgumentError(f"need n >= 2, got {n}")
-    rs._check_lambda(lam)
-    rng = np.random.default_rng(int(seed) & _MASK64)
-    spike = _sample_atoms(p, n, rng)
-    noise = rng.standard_normal(n * (n - 1) // 2)
-    return instance_from_parts(spike, noise, lam, seed=seed)
+    _check_nonnegative("lambda", lam)
+    return instance_from_parts(*_draw(p, n, seed), lam)
 
 
 def sample_spike(p: Prior, n: int, seed: int) -> np.ndarray:
@@ -384,12 +396,6 @@ def _log_of(top: np.ndarray, total: np.ndarray) -> np.ndarray:
         return top + np.log(total)
 
 
-def _sampled_draws(p: Prior, n: int, lam: float, seed: int, n_draws: int):
-    """(spikes, noises) of the instances sample_instance(p, n, lam, derive_seed(seed, k)), k < n_draws."""
-    insts = [sample_instance(p, n, lam, derive_seed(seed, k)) for k in range(n_draws)]
-    return np.stack([inst.spike for inst in insts]), np.stack([inst.noise for inst in insts])
-
-
 def _window_index(overlap: np.ndarray, m: float, eps: float) -> np.ndarray:
     """floor((R - m) / eps) rounded to 9 digits first, so that an R on a window edge starts it."""
     with np.errstate(over="ignore"):
@@ -416,11 +422,6 @@ def _overlaps(table: EnumTable, spikes: np.ndarray, digits=None, block: slice = 
     return overlap
 
 
-def _fixed_spike_noise(n: int, seed: int) -> np.ndarray:
-    """The upper-triangular noise of a fixed-spike disorder draw."""
-    return np.random.default_rng(int(seed) & _MASK64).standard_normal(n * (n - 1) // 2)
-
-
 def _check_energy_scale(p: Prior, n: int, lam: float):
     """DomainError unless (lambda + n) n K^4 <= rs.EXPONENT_MAX, after the lambda check.
 
@@ -429,7 +430,7 @@ def _check_energy_scale(p: Prior, n: int, lam: float):
     y^2/2, reach lambda n K^4, so every exponent, and the difference of
     two, stays below the float maximum.
     """
-    rs._check_lambda(lam)
+    _check_nonnegative("lambda", lam)
     k = support_bound(p)
     scale = (lam + n) * n * (k * k) * (k * k)
     if not scale <= rs.EXPONENT_MAX:
@@ -571,7 +572,7 @@ def free_entropy_mc(
 ) -> McEstimate:
     """F_N estimate: average of (1/N) log Z over independent instances."""
     _, table = _setup(p, n, lam, n_disorder, budget)
-    log_z = _gibbs(table, None, lam, _sampled_draws(p, n, lam, seed, n_disorder))
+    log_z = _gibbs(table, None, lam, _draws(p, n, seed, n_disorder))
     return _mc_estimate(log_z / n, seed)
 
 
@@ -677,15 +678,9 @@ def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAUL
     return float(llr[0]), float(log_z[0])
 
 
-def _fixed_spike_draws(spike: np.ndarray, seed: int, n_draws: int):
-    """(spikes, noises) of n_draws draws at a fixed spike, draw k's noise from derive_seed(seed, k)."""
-    noises = [_fixed_spike_noise(spike.size, derive_seed(seed, k)) for k in range(n_draws)]
-    return np.tile(spike, (n_draws, 1)), np.stack(noises)
-
-
-def _window_estimate(table: EnumTable, in_window: np.ndarray, lam: float, draws, seed: int) -> McEstimate:
-    """Phi over the configurations (_overlaps' columns) where in_window holds, mirrors as representatives."""
-    log_z = _gibbs(table, np.flatnonzero(in_window) % table.reps, lam, draws)
+def _window_estimate(table: EnumTable, rows: np.ndarray, lam: float, draws, seed: int) -> McEstimate:
+    """Phi over the configurations rows (_overlaps' columns, ascending), mirrors as representatives."""
+    log_z = _gibbs(table, rows % table.reps, lam, draws)
     return _mc_estimate(log_z / table.X.shape[1], seed)
 
 
@@ -707,8 +702,8 @@ def fp_potential(
     unreachable window returns the -inf sentinel with empty_window set.
     """
     spike, table = _setup(p, n, lam, n_disorder, budget, (m, eps), spike)
-    in_window = _window_index(_overlaps(table, spike[None])[0], m, eps) == 0
-    return _window_estimate(table, in_window, lam, _fixed_spike_draws(spike, seed, n_disorder), seed)
+    rows = np.flatnonzero(_window_index(_overlaps(table, spike[None])[0], m, eps) == 0)
+    return _window_estimate(table, rows, lam, _draws(p, n, seed, n_disorder, spike), seed)
 
 
 def fp_profile(
@@ -726,17 +721,21 @@ def fp_profile(
     Returns [(l, McEstimate)] for the nonempty windows; windows absent from
     the list are unreachable (-inf).  Each window is priced as fp_potential
     prices it (_window_estimate), one Gibbs pass over its configurations,
-    so every entry equals fp_potential(l * eps) bit for bit.  The draws are
-    fetched once and shared by every window's pass.  Window indices reach
-    K^2/eps, K the support bound, so an eps that takes them past 2**53,
-    where they are no longer exact integers, is refused.
+    so every entry equals fp_potential(l * eps) bit for bit.  One stable
+    argsort of the window indices groups the configurations: each window's
+    rows are a run of it, in ascending order as fp_potential selects them.
+    The draws are fetched once and shared by every window's pass.  Window
+    indices reach K^2/eps, K the support bound, so an eps that takes them
+    past 2**53, where they are no longer exact integers, is refused.
     """
     spike, table = _setup(p, n, lam, n_disorder, budget, (0.0, eps), spike)
     if not support_bound(p) ** 2 / eps <= 2**53:
         raise InvalidArgumentError(f"eps must be >= K^2 / 2**53 for exact window indices, got {eps!r}")
     bins = _window_index(_overlaps(table, spike[None])[0], 0.0, eps).astype(np.int64)
-    draws = _fixed_spike_draws(spike, seed, n_disorder)
-    return [(int(l), _window_estimate(table, bins == l, lam, draws, seed)) for l in np.unique(bins)]
+    order = np.argsort(bins, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(bins[order])) + 1)
+    draws = _draws(p, n, seed, n_disorder, spike)
+    return [(int(bins[run[0]]), _window_estimate(table, run, lam, draws, seed)) for run in runs]
 
 
 def _check_t(t: float):
@@ -777,18 +776,15 @@ def _phi_t_draws(
     phi(1) equals the plain free-entropy estimator bit for bit.  r = lam q
     and s = lam m pass rs._check_scale at extent max(q, |m|).
     """
-    rs._check_q(q)
-    rs._check_m(m)
+    _check_nonnegative("q", q)
+    _check_finite("m", m)
     t = np.array([float(v) for v in t_values])
     for v in t:
         _check_t(v)
     spike, table = _setup(p, n, lam, n_disorder, budget, restricted, spike)
     rs._check_scale(p, lam, max(q, abs(m)))
     r, s = lam * q, lam * m
-    if spike is None:
-        draws = _sampled_draws(p, n, lam, seed, n_disorder)
-    else:
-        draws = _fixed_spike_draws(spike, seed, n_disorder)
+    draws = _draws(p, n, seed, n_disorder, spike)
     side_z, side_s, side_sq = np.sqrt((1.0 - t) * r), (1.0 - t) * s, (1.0 - t) * r / 2.0
     z = np.stack([np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
                   for k in range(n_disorder)])
@@ -831,7 +827,7 @@ def nishimori_check(
     if table.mirrors:
         means = np.zeros((n_disorder, n + 1))
     else:
-        means = _gibbs(table, None, lam, _sampled_draws(p, n, lam, seed, n_disorder),
+        means = _gibbs(table, None, lam, _draws(p, n, seed, n_disorder),
                        odd=lambda spikes, blk: (table.X[blk], _overlaps(table, spikes, 9, blk)[..., None]))
     r12, r1s = (means[:, :n] ** 2).mean(axis=1), means[:, n]
     mean_diff, se = _mean_stderr(r12 - r1s)

@@ -129,14 +129,13 @@ def asymmetric_binary_prior(p_plus: float = 0.7) -> Prior:
     return make_prior([(1.0, p_plus), (-1.0, 1.0 - p_plus)], name=f"asym:{p_plus:g}")
 
 
-def uniform_prior(n_atoms: int = 21, unit_second_moment: bool = True) -> Prior:
+def uniform_prior(n_atoms: int = 21) -> Prior:
     """Centered uniform law on [-sqrt(3), sqrt(3)] discretized by the midpoint rule.
 
     The raw midpoint discretization has second moment 1 - h^2/12 (h the cell
-    width); with unit_second_moment the atom values are rescaled by the exact
-    factor that restores E[X^2] = 1, which keeps the law centered, symmetric
-    and bounded while removing the O(h^2) bias from every moment-sensitive
-    downstream formula.
+    width); the atom values are rescaled by the exact factor that restores
+    E[X^2] = 1, which keeps the law centered, symmetric and bounded while
+    removing the O(h^2) bias from every moment-sensitive downstream formula.
 
     The k-th midpoint is built as (k - (n-1)/2) h, whose half-integer factor
     is exact, so the atoms are exact mirror images (values == -values[::-1])
@@ -146,9 +145,7 @@ def uniform_prior(n_atoms: int = 21, unit_second_moment: bool = True) -> Prior:
         raise InvalidPriorError(f"need at least 2 atoms, got {n_atoms}")
     h = 2.0 * math.sqrt(3.0) / n_atoms
     mids = (np.arange(n_atoms) - (n_atoms - 1) / 2.0) * h
-    if unit_second_moment:
-        m2 = float(np.mean(mids**2))
-        mids = mids / math.sqrt(m2)
+    mids = mids / math.sqrt(float(np.mean(mids**2)))
     w = 1.0 / n_atoms
     return make_prior([(float(v), w) for v in mids], name=f"uniform:{n_atoms}")
 

@@ -22,7 +22,10 @@ full scan's bits).  The fine grid and the golden refinement stay because they
 define the result, and the benchmark's guerra_slope|2 item pins
 phi_rs(p, 2).optimizer_q to the last bit.  The scan (_rs_scan) and the
 refinement (_rs_refine) are separate steps, so that critical_lambda reads
-q* > delta from the scan alone wherever that decides it, bit for bit.
+q* > delta from the scan alone wherever that decides it, bit for bit.  F
+itself has one evaluator, _potential, at one q or an array of them:
+rs_potential, the scan and the refinement all price F there, and a point's
+bits do not depend on how many points share its call.
 
 The saddle works on derivatives instead.  psi_hat_grad gives F_bar with its
 exact partial derivatives in m and q (those of the quadrature rule itself).
@@ -68,13 +71,12 @@ import numpy as np
 from .channel import (
     EXPONENT_MAX,
     ChannelEvaluator,
-    _resolve,
     psi_array,
     psi_hat_array,  # noqa: F401  (tracing code reads it as rs.psi_hat_array)
     psi_hat_grad,
     psi_prime,
 )
-from .errors import DomainError, InvalidArgumentError, NumericalError
+from .errors import DomainError, InvalidArgumentError, NumericalError, _check_finite, _check_nonnegative
 from .priors import Prior, second_moment, support_bound
 
 GRID_POINTS = 1001
@@ -166,39 +168,22 @@ def _local_max_indices(vals: np.ndarray) -> list:
     """
     left_ok = np.r_[True, vals[1:] >= vals[:-1]]
     right_ok = np.r_[vals[:-1] >= vals[1:], True]
-    idx = []
-    for i in np.flatnonzero(left_ok & right_ok).tolist():
-        if idx and idx[-1] == i - 1 and vals[i] == vals[i - 1]:
-            continue  # same plateau, keep the left end
-        idx.append(i)
-    return idx
-
-
-def _check_lambda(lam: float):
-    if not (math.isfinite(lam) and lam >= 0):
-        raise DomainError(f"lambda must be finite and >= 0, got {lam}")
-
-
-def _check_q(q: float):
-    if not 0.0 <= q < math.inf:
-        raise DomainError(f"q must be finite and >= 0, got {q}")
-
-
-def _check_m(m: float):
-    if not math.isfinite(m):
-        raise DomainError(f"m must be finite, got {m}")
+    idx = np.flatnonzero(left_ok & right_ok)
+    # a candidate right after an equal candidate lies on its plateau
+    plateau = (np.diff(idx) == 1) & (vals[idx[1:]] == vals[idx[:-1]])
+    return np.delete(idx, np.flatnonzero(plateau) + 1).tolist()
 
 
 def _check_scale(p: Prior, lam: float, extent: float, tilt: float = 0.0):
     """DomainError unless lambda * extent * (K * max(K, tilt) + extent) <= EXPONENT_MAX.
 
-    lambda passes _check_lambda first.  extent bounds the q and |m| a call
-    reaches (E[X^2] + 1 for the solvers), K is the support bound and tilt
+    lambda must first be finite and >= 0.  extent bounds the q and |m| a
+    call reaches (E[X^2] + 1 for the solvers), K is the support bound and tilt
     bounds a spike's |x*| beyond K.  With r = lambda q and s = lambda m x*,
     the product bounds every channel exponent term (r x^2, s x, sqrt(r) z x)
     and potential term (lambda q^2, lambda m^2).
     """
-    _check_lambda(lam)
+    _check_nonnegative("lambda", lam)
     k = support_bound(p)
     scale = lam * extent * (k * max(k, tilt) + extent)
     if not scale <= EXPONENT_MAX:
@@ -214,25 +199,14 @@ def _check_scale(p: Prior, lam: float, extent: float, tilt: float = 0.0):
 
 def rs_potential(p: Prior, lam: float, q: float, ev: ChannelEvaluator | None = None) -> float:
     """F(lambda, q) = psi(lambda q) - lambda q^2 / 4; lambda and q within _check_scale's bound."""
-    _check_q(q)
+    _check_nonnegative("q", q)
     _check_scale(p, lam, q)
-    return _potential(p, lam, q, ev)
+    return float(_potential(p, lam, q, ev))
 
 
-def _potential(p: Prior, lam: float, q: float, ev) -> float:
-    """rs_potential without its checks, for phi_rs's many calls inside a checked range."""
-    return float(psi_array(ev, p, lam * q)) - lam * q * q / 4.0
-
-
-def _rs_values(p: Prior, lam: float, q_scan: np.ndarray, ev) -> np.ndarray:
-    """F(lambda, q) on a grid, chunked to bound quadrature memory."""
-    out = np.empty_like(q_scan)
-    cost = max(1, p.values.size**2 * _resolve(ev).node_count)
-    chunk = max(16, int(4_000_000 / cost))
-    for i in range(0, len(q_scan), chunk):
-        qs = q_scan[i : i + chunk]
-        out[i : i + chunk] = psi_array(ev, p, lam * qs) - lam * qs * qs / 4.0
-    return out
+def _potential(p: Prior, lam: float, q, ev):
+    """F(lambda, q) at one q or an array of them, without rs_potential's checks."""
+    return psi_array(ev, p, lam * q) - lam * q * q / 4.0
 
 
 def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> PotentialResult:
@@ -281,7 +255,7 @@ def _rs_scan(p: Prior, lam: float, ev):
         return step, q_scan[:1], [0]
     coarse = np.r_[0 : npts - 1 : _STRIDE, npts - 1]
     vals = np.full(npts, np.nan)  # NaN: not evaluated
-    vals[coarse] = _rs_values(p, lam, q_scan[coarse], ev)
+    vals[coarse] = _potential(p, lam, q_scan[coarse], ev)
     # The fine windows run from coarse neighbour to coarse neighbour around
     # every coarse local maximum and around both ends.
     last = coarse.size - 1
@@ -289,7 +263,7 @@ def _rs_scan(p: Prior, lam: float, ev):
     for j in [0, last] + _local_max_indices(vals[coarse]):
         fine[coarse[max(j - 1, 0)] : coarse[min(j + 1, last)] + 1] = True
     fine[coarse] = False
-    vals[fine] = _rs_values(p, lam, q_scan[fine], ev)
+    vals[fine] = _potential(p, lam, q_scan[fine], ev)
 
     v_max, v_min = np.nanmax(vals), np.nanmin(vals)
     if v_max - v_min <= 1e-13 * max(1.0, abs(v_max)):
@@ -312,7 +286,7 @@ def _rs_refine(p: Prior, lam: float, ev, step: float, q_scan: np.ndarray, idx: l
     """
 
     def f(q):
-        return _potential(p, lam, q, ev)
+        return float(_potential(p, lam, q, ev))
 
     optima = []
     for i, (a, b) in zip(idx, _brackets(q_scan, idx)):
@@ -338,8 +312,8 @@ def f_bar(p: Prior, lam: float, m: float, q: float, ev: ChannelEvaluator | None 
 
     lambda, m and q must pass _check_scale at extent max(q, |m|).
     """
-    _check_m(m)
-    _check_q(q)
+    _check_finite("m", m)
+    _check_nonnegative("q", q)
     _check_scale(p, lam, max(q, abs(m)))
     return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p))[0])
 
@@ -351,8 +325,8 @@ def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator 
     a nonempty list of finite values, and lambda, m, q and the spike pass
     _check_scale at extent max(q, |m|) with tilt max |x*_i|.
     """
-    _check_m(m)
-    _check_q(q)
+    _check_finite("m", m)
+    _check_nonnegative("q", q)
     spike = np.asarray(spike, dtype=np.float64)
     if spike.ndim != 1 or spike.size == 0 or not np.isfinite(spike).all():
         raise InvalidArgumentError(
@@ -399,16 +373,6 @@ def _f_bar_grad(p: Prior, lam: float, m, q, ev, law):
     d_m = lam * (d_s @ (weights * values)) - lam * m
     d_q = lam * (d_r @ weights) + lam * q / 2.0
     return value, d_m, d_q
-
-
-def _union(*arrays) -> np.ndarray:
-    """The sorted distinct values of the arrays, as np.union1d gives them.
-
-    np.union1d and np.setdiff1d go through a plain np.unique, which imports
-    numpy.ma on first use (about 11 ms per process).
-    """
-    a = np.sort(np.concatenate(arrays))
-    return a[np.r_[True, a[1:] != a[:-1]]]
 
 
 def _bracketed_roots(f, a, b, fa, yb, ftol: float):
@@ -489,7 +453,7 @@ def _inner_min(p: Prior, lam: float, m: np.ndarray, q_max: float, ev, law=None):
     the sign beside it decides.
     """
     law = _planted_law(p, law)
-    q_row = _union(np.linspace(0.0, q_max, _Q_POINTS), [_PROBE * q_max])
+    q_row = np.sort(np.r_[np.linspace(0.0, q_max, _Q_POINTS), _PROBE * q_max])
 
     def grads(k, q):
         value, d_m, d_q = _f_bar_grad(p, lam, m[k], q, ev, law)
@@ -597,23 +561,18 @@ def _joint_polish(p: Prior, lam: float, q_max: float, ev, a, b, ya, yb):
     return b, yb
 
 
-def f_bar_inner_min(
-    p: Prior, lam: float, m: float, ev: ChannelEvaluator | None = None, q_max: float | None = None
-):
-    """Exact inner minimization q -> F_bar(lambda, m, q) on [0, q_max].
+def f_bar_inner_min(p: Prior, lam: float, m: float, ev: ChannelEvaluator | None = None):
+    """Exact inner minimization q -> F_bar(lambda, m, q) on [0, E[X^2] + 1].
 
     Returns (q_bar, value).  Every local minimum found on a coarse q row is
     polished as a root of d_q F_bar, its value taken from the kernel call
     that found it; the least value wins.
     The minimizer is uniformly bounded in m (differentiate in q), which
-    motivates the default search ceiling q_max = E[X^2] + 1.  lambda, m and
-    q_max must pass _check_scale at extent max(q_max, |m|).
+    motivates the search ceiling q_max = E[X^2] + 1, the saddle's.  lambda
+    and m must pass _check_scale at extent max(q_max, |m|).
     """
-    _check_m(m)
-    if q_max is None:
-        q_max = second_moment(p) + 1.0
-    elif not 0.0 < q_max < math.inf:
-        raise DomainError(f"q_max must be finite and > 0, got {q_max}")
+    _check_finite("m", m)
+    q_max = second_moment(p) + 1.0
     _check_scale(p, lam, max(q_max, abs(m)))
     _, q_bar, value = _inner_min(p, lam, np.array([float(m)]), q_max, ev)[:, 0]
     return float(q_bar), float(value)
@@ -646,9 +605,9 @@ def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     q_max = m2 + 1.0
     symmetric = _sign_symmetric(p)
     if symmetric:
-        m_grid = m2 * _union(np.linspace(0.0, 1.0, _M_POINTS // 2 + 1), [_PROBE])
+        m_grid = m2 * np.sort(np.r_[np.linspace(0.0, 1.0, _M_POINTS // 2 + 1), _PROBE])
     else:
-        m_grid = m2 * _union(np.linspace(-1.0, 1.0, _M_POINTS), [-_PROBE, _PROBE])
+        m_grid = m2 * np.sort(np.r_[np.linspace(-1.0, 1.0, _M_POINTS), -_PROBE, _PROBE])
 
     ys = _inner_min(p, lam, m_grid, q_max, ev)[:, None]
     _, m_cand, (_, q_cand, v_cand) = _local_maxima(
@@ -785,7 +744,6 @@ def compute_curve(p: Prior, lam_values, ev: ChannelEvaluator | None = None) -> l
     m2 = second_moment(p)
     rows = []
     for lam in lam_values:
-        _check_lambda(lam)
         rs = phi_rs(p, lam, ev)
         sad = saddle(p, lam, ev)
         rows.append(

@@ -286,13 +286,16 @@ def reference_phi_t_draws(p, n, lam, q, m, t_values, n_disorder, seed, restricte
 
     table = unfold_table(finite.enumeration_table(p, n))
     r, s = lam * q, lam * m
+    seeds = [finite.derive_seed(seed, k) for k in range(n_disorder)]
     if spike is None:
         rows, mirrors = slice(None, table.reps), table.mirrors
-        spikes, noises = finite._sampled_draws(p, n, lam, seed, n_disorder)
+        insts = [finite.sample_instance(p, n, lam, s_k) for s_k in seeds]
+        spikes, noises = [inst.spike for inst in insts], [inst.noise for inst in insts]
     else:
         spike = np.asarray(spike, dtype=np.float64)
         rows = slice(None) if restricted is None else finite._window_index(table.X @ spike / n, *restricted) == 0
-        mirrors, (spikes, noises) = 0, finite._fixed_spike_draws(spike, seed, n_disorder)
+        mirrors, spikes = 0, [spike] * n_disorder
+        noises = [np.random.default_rng(s_k & ((1 << 64) - 1)).standard_normal(n * (n - 1) // 2) for s_k in seeds]
     x, logw, sumsq = table.X[rows], table.logw[rows], table.sumsq[rows]
     out = np.empty((n_disorder, len(t_values)))
     for k, (spike_k, noise_k) in enumerate(zip(spikes, noises)):

@@ -85,6 +85,24 @@ class TestSampling:
         with pytest.raises(InvalidArgumentError, match="need n >= 1, got 0"):
             sample_spike(priors["rademacher"], 0, 1)
 
+    @pytest.mark.parametrize("spec", ["rademacher", "asym:0.7"])
+    @pytest.mark.parametrize("n_draws", [1, 7])
+    def test_draws_are_one_stream_per_seed(self, spec, n_draws):
+        # draw k is sample_instance's spike and noise at derive_seed(seed, k);
+        # at a fixed spike its noise is the stream's first P normals
+        p, n, seed = parse_prior_spec(spec), 6, 2024
+        spikes, noises = finite._draws(p, n, seed, n_draws)
+        fixed = sample_spike(p, n, 3)
+        same, fixed_noises = finite._draws(p, n, seed, n_draws, fixed)
+        assert spikes.shape == same.shape == (n_draws, n)
+        assert noises.shape == fixed_noises.shape == (n_draws, 15)
+        for k in range(n_draws):
+            inst = sample_instance(p, n, 1.5, derive_seed(seed, k))
+            assert spikes[k].tobytes() == inst.spike.tobytes() and noises[k].tobytes() == inst.noise.tobytes()
+            rng = np.random.default_rng(derive_seed(seed, k) & ((1 << 64) - 1))
+            assert same[k].tobytes() == fixed.tobytes()
+            assert fixed_noises[k].tobytes() == rng.standard_normal(15).tobytes()
+
     def test_derive_seed_splits(self):
         seeds = {derive_seed(7, k) for k in range(100)}
         assert len(seeds) == 100
@@ -576,7 +594,7 @@ class TestFpPotential:
         for k in range(30):
             rng = np.random.default_rng(derive_seed(55, k) & ((1 << 64) - 1))
             noise = rng.standard_normal(66)
-            inst = instance_from_parts(spike, noise, 1.0, seed=derive_seed(55, k))
+            inst = instance_from_parts(spike, noise, 1.0)
             vals.append((hamiltonian(inst, spike) + 12 * math.log(0.5)) / 12)
         assert est.mean == pytest.approx(float(np.mean(vals)), abs=1e-12)
 
@@ -640,7 +658,7 @@ class TestFpPotential:
         prof = dict(fp_profile(p, n, lam, eps, spike, draws, seed))
         energies = []
         for k in range(draws):
-            noise = finite._fixed_spike_noise(n, derive_seed(seed, k))
+            noise = np.random.default_rng(derive_seed(seed, k) & ((1 << 64) - 1)).standard_normal(n * (n - 1) // 2)
             energies.append(table.logw + reference_neg_energy(instance_from_parts(spike, noise, lam), table))
         assert set(prof) == set(np.unique(bins).astype(int))
         for l in prof:
@@ -659,6 +677,16 @@ class TestFpPotential:
             assert prof
             for l, est in prof:
                 assert est == fp_potential(p, n, 1.5, l * eps, eps, spike, 9, seed), (seed, l)
+
+    def test_many_windows_equal_potential_bit_for_bit(self):
+        # dozens of windows, each a run of one sort of the window indices
+        p, n, eps, seed = parse_prior_spec("uniform:8"), 4, 0.01, 5
+        spike = sample_spike(p, n, seed)
+        prof = fp_profile(p, n, 1.5, eps, spike, 3, seed)
+        assert len(prof) >= 24
+        assert [l for l, _ in prof] == sorted(l for l, _ in prof)
+        for l, est in prof:
+            assert est == fp_potential(p, n, 1.5, l * eps, eps, spike, 3, seed), l
 
     @pytest.mark.parametrize("spec, n", [("rademacher", 10), ("sparse:0.25", 7), ("asym:0.7", 9), ("uniform:21", 3)])
     def test_overlap_kernel_matches_direct_product(self, spec, n):

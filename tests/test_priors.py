@@ -111,22 +111,15 @@ def test_uniform_prior_shape():
     assert abs(mean(p)) <= 1e-12
     assert second_moment(p) == pytest.approx(1.0, abs=1e-12)
     assert support_bound(p) <= math.sqrt(3.0) * 1.01
-    raw = uniform_prior(21, unit_second_moment=False)
-    assert support_bound(raw) < math.sqrt(3.0)
-    # midpoint rule bias h^2/12 before rescaling
-    h = 2.0 * math.sqrt(3.0) / 21
-    assert second_moment(raw) == pytest.approx(1.0 - h * h / 12.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("unit", [True, False])
-def test_uniform_prior_exact_mirror_images(unit):
+def test_uniform_prior_exact_mirror_images():
     for n in range(2, 201):
-        p = uniform_prior(n, unit_second_moment=unit)
+        p = uniform_prior(n)
         assert np.array_equal(p.values, -p.values[::-1]), n
         if n % 2:
             assert p.values[n // 2] == 0.0, n
-        if unit:
-            assert abs(second_moment(p) - 1.0) <= 1e-12, n
+        assert abs(second_moment(p) - 1.0) <= 1e-12, n
 
 
 def test_parse_prior_spec():

@@ -71,7 +71,7 @@ class TestRsPotential:
             f_bar_inner_min(p, 2.0, float("nan"), ev)
 
     def test_reject_non_finite(self, ev, priors):
-        # q and m must be finite, and q_max finite and > 0
+        # q and m must be finite
         p = priors["asym:0.7"]
         nan, inf = float("nan"), float("inf")
         spike = np.array([1.0, -1.0, 1.0])
@@ -87,11 +87,6 @@ class TestRsPotential:
                 f_bar(p, 1.0, m, 0.3, ev)
             with pytest.raises(DomainError, match="m must be finite"):
                 f_hat(p, 1.0, m, 0.3, spike, ev)
-        for q_max in (nan, inf, -inf, -1.0, 0.0):
-            with pytest.raises(DomainError, match="q_max must be finite and > 0"):
-                f_bar_inner_min(p, 1.0, 0.3, ev, q_max=q_max)
-        q_bar, _ = f_bar_inner_min(p, 1.0, 0.3, ev, q_max=0.5)
-        assert 0.0 <= q_bar <= 0.5
 
 
 class TestScaleBound:
@@ -187,11 +182,12 @@ class TestPhiRs:
     def test_below_threshold_flat(self, ev):
         # dense-grid oracle at resolution 1e-5: at lambda = 0.5 the potential
         # is maximized at q = 0
-        from replica_lab.rs import _rs_values
+        from replica_lab.rs import _potential
 
         p = rademacher_prior()
         qs = np.linspace(0.0, 1.0, 100001)
-        vals = _rs_values(p, 0.5, qs, ev)
+        # in slices: the kernel's node tables take about 1 KB per point
+        vals = np.concatenate([_potential(p, 0.5, part, ev) for part in np.array_split(qs, 8)])
         assert vals.argmax() == 0
         res = phi_rs(p, 0.5, ev)
         assert abs(res.value) <= 1e-12
@@ -224,14 +220,15 @@ class TestPhiRs:
 def _local_max_loop(vals):
     """Grid local maxima, flat runs collapsed to their left end, one point at a time."""
     n = len(vals)
-    idx = []
+    idx, prev = [], None
     for i in range(n):
         left_ok = i == 0 or vals[i] >= vals[i - 1]
         right_ok = i == n - 1 or vals[i] >= vals[i + 1]
         if left_ok and right_ok:
-            if idx and idx[-1] == i - 1 and vals[i] == vals[i - 1]:
-                continue
-            idx.append(i)
+            # a candidate right after an equal candidate lies on its plateau
+            if not (prev == i - 1 and vals[i] == vals[i - 1]):
+                idx.append(i)
+            prev = i
     return idx
 
 
@@ -242,7 +239,7 @@ def _full_scan_phi_rs(p, lam, ev):
         TIE_TOL,
         PotentialResult,
         _golden_max,
-        _rs_values,
+        _potential,
     )
 
     m2 = second_moment(p)
@@ -252,7 +249,7 @@ def _full_scan_phi_rs(p, lam, ev):
         v0 = rs_potential(p, lam, 0.0, ev)
         return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
     q_scan = np.linspace(0.0, m2, npts)
-    vals = _rs_values(p, lam, q_scan, ev)
+    vals = _potential(p, lam, q_scan, ev)
     if vals.max() - vals.min() <= 1e-13 * max(1.0, abs(vals.max())):
         v0 = rs_potential(p, lam, 0.0, ev)
         return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
@@ -273,10 +270,14 @@ def test_phi_rs_grid_size_does_not_grow_with_the_prior_scale(ev, monkeypatch):
     # E[X^2] = 1e6: a grid of fixed step 1e-3 would price 1e9 points
     p = parse_prior_spec("point:1e3")
     priced = []
-    rs_values = rs._rs_values
-    monkeypatch.setattr(
-        rs, "_rs_values", lambda p, lam, q, ev: priced.append(q.size) or rs_values(p, lam, q, ev)
-    )
+    potential = rs._potential
+
+    def counted(p, lam, q, ev):
+        if np.ndim(q):  # the scan's array calls, not the refinement's scalar ones
+            priced.append(q.size)
+        return potential(p, lam, q, ev)
+
+    monkeypatch.setattr(rs, "_potential", counted)
     res = phi_rs(p, 1.0, ev)
     assert 0 < sum(priced) <= rs.GRID_POINTS
     assert res.grid_resolution == 1e3
@@ -306,6 +307,14 @@ class TestPhiRsMatchesFullScan:
             vals = rng.integers(0, 4, rng.integers(1, 30)).astype(float)
             vals[rng.random(vals.size) < 0.2] = np.nan
             assert _local_max_indices(vals) == _local_max_loop(vals), vals
+
+    @pytest.mark.parametrize("vals, want", [([0.0, 1.0, 1.0, 1.0, 0.0], [1]), ([1.0, 1.0, 1.0], [0])])
+    def test_local_max_indices_collapse_plateaus(self, vals, want):
+        # a flat run of three or more is one local maximum, at its left end
+        from replica_lab.rs import _local_max_indices
+
+        assert _local_max_indices(np.array(vals)) == want
+        assert _local_max_loop(vals) == want
 
     def test_two_local_optima(self, ev):
         # a local maximum next to q = 0 behind a dip narrower than the coarse
@@ -601,20 +610,27 @@ class TestSaddleMatchesNestedPolish:
 
 
 class TestNumpySetOps:
-    def test_grids_equal_numpy_set_ops(self):
-        # rs builds its grids without np.unique, np.union1d and np.setdiff1d
+    def test_grids_equal_numpy_set_ops(self, ev, monkeypatch):
+        # rs builds its grids without np.unique, np.union1d and np.setdiff1d:
+        # no probe is a grid point, so a sort inserts it as the union would
         for npts, stride in ((1001, 16), (1001, 10), (17, 16), (33, 16)):
             want = np.unique(np.r_[0:npts:stride, npts - 1])
             got = np.r_[0 : npts - 1 : stride, npts - 1]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         for q_max in (1.0, 2.0, 1.3125, 1e-300, 1e300, 5.0 / 3.0):
             row = np.linspace(0.0, q_max, rs._Q_POINTS)
-            assert rs._union(row, [rs._PROBE * q_max]).tobytes() == np.union1d(row, [rs._PROBE * q_max]).tobytes()
-        for half, probes in (((0.0, 1.0, rs._M_POINTS // 2 + 1), [rs._PROBE]),
-                             ((-1.0, 1.0, rs._M_POINTS), [-rs._PROBE, rs._PROBE])):
-            grid = np.linspace(*half)
-            assert rs._union(grid, probes).tobytes() == np.union1d(grid, probes).tobytes()
-        assert rs._union(np.array([2.0, 0.0, 2.0]), [0.0, 1.0]).tolist() == [0.0, 1.0, 2.0]
+            got = np.sort(np.r_[row, rs._PROBE * q_max])
+            assert got.tobytes() == np.union1d(row, [rs._PROBE * q_max]).tobytes()
+        # the saddle's own m grids, as its first inner minimization gets them
+        inner_min = rs._inner_min
+        for spec, half, probes in (("sparse:0.25", (0.0, 1.0, rs._M_POINTS // 2 + 1), [rs._PROBE]),
+                                   ("asym:0.7", (-1.0, 1.0, rs._M_POINTS), [-rs._PROBE, rs._PROBE])):
+            p = parse_prior_spec(spec)
+            grids = []
+            monkeypatch.setattr(rs, "_inner_min", lambda p, lam, m, *a: grids.append(m) or inner_min(p, lam, m, *a))
+            saddle(p, 2.0, ev)
+            want = second_moment(p) * np.union1d(np.linspace(*half), probes)
+            assert grids[0].tobytes() == want.tobytes(), spec
 
 
 class TestFHat:

@@ -8,13 +8,13 @@ Every command takes --prior, --seed, --out and --format, and these others:
     fp         --lambda* --n* --eps --m --budget --disorder --plot
     verify     --n* --nodes --budget --disorder     (exit 1 on any failed check,
                or when the enumeration budget refuses the run and an
-               enumeration_budget report is written)
+               enumeration_budget report is written; --disorder >= 2)
 A starred flag takes one value and refuses a list or range.  Otherwise
 --lambda takes a value, a comma list or start:stop:step (endpoint included
-when it lies within half a step), and finite-n --n a comma list of distinct
-sizes.  --nodes sets the quadrature rule, --budget and --disorder the
-enumeration, and --plot writes an SVG chart next to --out.  A flag the
-command does not declare is refused under the command's own usage line.
+when it lies within half a step; at most 10**6 steps), finite-n --n a
+comma list of distinct sizes.  --nodes sets the quadrature rule, --budget
+and --disorder the enumeration, --plot writes an SVG chart next to --out.
+A flag the command does not declare is refused under its own usage line.
 
 The artifact header/envelope records the version and each flag the command
 declares except --out, with the lambda grid, n, q0 and seed resolved.  The
@@ -56,6 +56,7 @@ from .verify import run_suite
 
 DEFAULT_MASTER_SEED = 123456789
 VERSION_STRING = f"replica-lab-v{__version__}"
+_MAX_STEPS = 10**6  # the most steps a start:stop:step range takes, so that a range ends
 
 
 class UsageError(Exception):
@@ -88,7 +89,7 @@ def _json_clean(obj):
 
 
 def parse_lambda_spec(spec: str) -> list:
-    """"a:b:s" range (endpoint within half a step), comma list, or one value."""
+    """"a:b:s" range (a + k s up to the endpoint within half a step), comma list, or one value."""
     try:
         if ":" in spec:
             parts = spec.split(":")
@@ -99,6 +100,10 @@ def parse_lambda_spec(spec: str) -> list:
                 raise ValueError("start, stop and step must be finite")
             if s <= 0 or b < a:
                 raise ValueError("need step > 0 and stop >= start")
+            if not a + s > a:
+                raise ValueError(f"step {s!r} does not advance start {a!r}")
+            if (b - a) / s > _MAX_STEPS:
+                raise ValueError(f"a range takes at most {_MAX_STEPS} steps")
             vals, k = [], 0
             while a + k * s <= b + s / 2.0:
                 vals.append(a + k * s)
@@ -113,10 +118,9 @@ def parse_lambda_spec(spec: str) -> list:
 
 def _one_lambda(spec: str) -> float:
     """The lambda of a command that takes one: a list or range is refused, not cut to its first entry."""
-    lams = parse_lambda_spec(spec)
     if ":" in spec or "," in spec:
         raise UsageError(f"--lambda takes one value here, got {spec!r}")
-    return lams[0]
+    return parse_lambda_spec(spec)[0]
 
 
 def parse_int_list(spec: str) -> list:

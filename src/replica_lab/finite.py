@@ -16,15 +16,16 @@ A single-site Metropolis sampler covers sizes beyond the enumeration budget.
 Every exact estimator is built from the same pieces: _setup checks its
 inputs and fetches the table, _draws fetches the disorder draws once as
 (spikes, noises) arrays, _overlaps gives R_{1,*} of the rows, the Gibbs
-pass _gibbs (_log_weights, then _fold) gives per-draw log Z or Gibbs
-means of odd row statistics, and _mc_estimate averages
-per-draw values, with the -inf sentinel of an empty window.  The energy
-kernel _log_weights is the package's one definition of -H, and _phi_t_draws
-adds the side term of the interpolating -H_t to it; the tests hold both to
-direct per-configuration evaluations of the definitions.  The Franz-Parisi
-potential has one definition too (_window_estimate): one Gibbs pass over a
-window's configurations, which fp_potential runs for one window and
-fp_profile for each reachable one, on draws it fetches once.
+pass _gibbs (_log_weights, then _fold) gives per-(draw, SNR) log Z or Gibbs
+means of odd row statistics, and _mc_estimate averages per-draw values,
+with the -inf sentinel of an empty window.  The energy kernel _log_weights
+is the package's one definition of -H; the path (_phi_t_draws) is one Gibbs
+pass at its SNRs t lam with the side term of the interpolating -H_t added,
+and the tests hold both to direct per-configuration evaluations of the
+definitions.  The Franz-Parisi potential has one definition too
+(_window_estimate): one Gibbs pass over a window's configurations, which
+fp_potential runs for one window and fp_profile for each reachable one, on
+draws it fetches once.
 
 Seed discipline: every disorder replica k uses derive_seed(master, k, ...),
 so replica k's instance does not depend on the other replicas.  The pass
@@ -38,22 +39,21 @@ by at most 7.1e-15, and their log Z by at most 4.4e-16 (3 against 40 or
 400 replicas).
 
 Per-block combine: the pass builds a row block's pair features once and
-takes the kernel's (Q_W, S) for each draw block of it with one GEMM.  Each
-consumer turns that block into log weights at each of its SNRs or path
-points with one shared combine (_log_weights), elementwise, so a replica's
-log weights depend only on its kernel value and its SNR, never on which
-replicas or SNRs share the block.  It folds them into a per-(replica, SNR)
-online log-sum-exp (_fold), the layer's one: a running maximum and the sum
-of exps relative to it, rescaled when the maximum grows, with the mirrors
-counted in the block that holds their representatives.  So no array spans
-the replicas times the rows, and _BLOCK_VALUES bounds the pass's working
-memory.  What can move with the composition of a block is only what a
-BLAS product forms over several replicas at once: the kernel's parts, the
-path's odd side term, the overlaps, the Gibbs means, and
-kl_log_likelihood_ratios' cross-sum GEMM, in their last bits.
-free_entropy_mc and phi_of_t(t = 1) stay equal bit for bit: their blocks
-depend on neither SNR count, and at t = 1 the side coefficients are exact
-zeros, so both take the same elementwise steps and reductions.
+takes the kernel's (Q_W, S) for each draw block of it with one GEMM.  The
+pass turns that block into log weights at each of its consumer's SNRs with
+one shared combine (_log_weights), elementwise, so a replica's log weights
+depend only on its kernel value and its SNR, never on which replicas or
+SNRs share the block.  It folds them into a per-(replica, SNR) online
+log-sum-exp (_fold), the layer's one: a running maximum and the sum of exps
+relative to it, rescaled when the maximum grows, with the mirrors counted
+in the block that holds their representatives.  So no array spans the
+replicas times the rows, and _BLOCK_VALUES bounds the pass's working
+memory.  What can move with the composition of a block is only what a BLAS
+product forms over several replicas at once: the kernel's parts, the path's
+odd side term, the overlaps, the Gibbs means, and kl_log_likelihood_ratios'
+cross-sum GEMM, in their last bits.  free_entropy_mc and phi_of_t(t = 1)
+stay equal bit for bit: both are the same pass, and at t = 1 the side
+coefficients are exact zeros.
 
 Sign fold: -H sees a configuration only through its pair products x_i x_j,
 so with a sign-symmetric prior x and -x have the same energy and prior mass.
@@ -299,7 +299,7 @@ def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None):
     """The energy kernel: yield (blk, ks, spikes, weights) per row block and draw block.
 
     rows None prices the whole table, and the consumer counts the mirrors
-    of rows [:table.mirrors] itself (_mirrored); an index array names
+    of rows [:table.mirrors] itself (_gibbs); an index array names
     representatives, and one may appear twice (a mirror is priced as its
     representative).  draws = (spikes, noises) holds the disorder draws as
     (D, n) and (D, P) arrays, read by every row block; the draw count is
@@ -352,11 +352,6 @@ def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None):
                 return a
 
             yield blk, ks, spikes[ks], weights
-
-
-def _mirrored(blk: slice, mirrors: int) -> int:
-    """How many rows of the representatives' block blk have a mirror (rows [:mirrors] do)."""
-    return max(0, min(blk.stop, mirrors) - blk.start)
 
 
 def _fold(top: np.ndarray, total: np.ndarray, a: np.ndarray, mirrors: int, lo=None):
@@ -477,35 +472,52 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
     return spike, enumeration_table(p, n, budget)
 
 
-def _gibbs(table: EnumTable, rows, lam: float, draws, odd=None) -> np.ndarray:
-    """The Gibbs pass: per-draw log Z at SNR lam over the table rows indexed
-    by rows, or with rows None over the representatives and their mirrors.
+def _gibbs(table: EnumTable, rows, lams, draws, side=None, odd=None) -> np.ndarray:
+    """The Gibbs pass: (D, L) log Z at the L SNRs lams over the table rows
+    indexed by rows, or with rows None over the representatives and their
+    mirrors, for the disorder draws = (spikes, noises) of _log_weights.
 
-    draws = (spikes, noises) are the disorder draws as _log_weights takes
-    them.  The pass walks _log_weights' blocks and folds each into a
-    per-draw online log-sum-exp (_fold), so no array spans the draws times
-    the rows.  With odd, it returns instead the (D, k) Gibbs means of
-    statistics odd in x.  odd(spikes, blk) gives a block's values on its
-    rows as arrays (rows, k_g) shared by its draws or (D, rows, k_g), k_g
-    summing to k; the pass accumulates their products with the fold's exps,
-    rescaled with the running sum, and divides by it at the end.  It adds
-    no mirror's statistic, so odd needs a table without mirrors or rows
-    given; on a sign-folded table the means are exact zeros, which
-    nishimori_check returns without a pass.
+    It walks _log_weights' blocks and, within each, the SNRs, folding each
+    into a per-(draw, SNR) online log-sum-exp (_fold).  side = (sq, field,
+    window) adds a one-body term at rows None: the even -sq[c] sum_i x_i^2,
+    the odd field(c, ks, spikes) . x, which a mirror takes with the opposite
+    sign, and, unless window is None, -inf outside the (m, eps) window of
+    R_{1,*}.  With odd, it returns instead the (D, L, k) Gibbs means of
+    statistics odd in x: odd(spikes, blk) gives a block's values as arrays
+    (rows, k_g) or (D, rows, k_g), k_g summing to k, whose products with the
+    fold's exps accumulate with the same rescaling.  It adds no mirror's
+    statistic, so odd needs a table without mirrors or rows given; on a
+    sign-folded table the means are exact zeros, which nishimori_check
+    returns without a pass.
     """
-    n_draws = draws[0].shape[0]
-    mirrors = table.mirrors if rows is None else 0
-    top, total, sums = np.full(n_draws, -np.inf), np.zeros(n_draws), None
-    for blk, ks, spikes, weights in _log_weights(table, rows, [lam], draws):
-        e, scale = _fold(top[ks], total[ks], weights(0), _mirrored(blk, mirrors))
-        if odd is not None:
-            block = np.concatenate([np.matmul(e[:, None], v)[:, 0] for v in odd(spikes, blk)], axis=-1)
-            if sums is None:
-                sums = np.zeros((n_draws, block.shape[-1]))
-            sums[ks] *= scale[:, None]
-            sums[ks] += block
-        del e  # before the next block's weights are formed
-    return _log_of(top, total) if odd is None else sums / total[:, None]
+    lams = np.asarray(lams, dtype=np.float64)
+    shape = (draws[0].shape[0], lams.size)
+    top, total, sums = np.full(shape, -np.inf), np.zeros(shape), None
+    sq, field, window = (None, None, None) if side is None else side
+    paired = table.mirrors if rows is None else 0  # rows [:paired] have a mirror
+    for blk, ks, spikes, weights in _log_weights(table, rows, lams, draws, sq):
+        mirrors = max(0, min(blk.stop, paired) - blk.start)
+        if window is not None:
+            outside = _window_index(_overlaps(table, spikes, block=blk), *window) != 0
+        for c in range(lams.size):
+            a, lo = weights(c), None
+            if side is not None:
+                h = field(c, ks, spikes) @ table.X[blk].T
+                lo = a[:, :mirrors] - h[:, :mirrors]
+                a += h
+                del h
+                if window is not None:
+                    np.copyto(a, -np.inf, where=outside[:, : a.shape[1]])
+                    np.copyto(lo, -np.inf, where=outside[:, a.shape[1] :])
+            e, scale = _fold(top[ks, c], total[ks, c], a, mirrors, lo)
+            if odd is not None:  # formed after the fold, so no block array waits beside the weights
+                block = np.concatenate([np.matmul(e[:, None], v)[:, 0] for v in odd(spikes, blk)], axis=-1)
+                if sums is None:
+                    sums = np.zeros(shape + block.shape[-1:])
+                sums[ks, c] *= scale[:, None]
+                sums[ks, c] += block
+            del a, e, lo  # before the next weights are formed
+    return _log_of(top, total) if odd is None else sums / total[..., None]
 
 
 def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
@@ -572,7 +584,7 @@ def free_entropy_mc(
 ) -> McEstimate:
     """F_N estimate: average of (1/N) log Z over independent instances."""
     _, table = _setup(p, n, lam, n_disorder, budget)
-    log_z = _gibbs(table, None, lam, _draws(p, n, seed, n_disorder))
+    log_z = _gibbs(table, None, [lam], _draws(p, n, seed, n_disorder))[:, 0]
     return _mc_estimate(log_z / n, seed)
 
 
@@ -668,7 +680,7 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     _check_spike_in_support(p, spikes)
     _check_energy_scale(p, n, lam)
     table = enumeration_table(p, n, budget)
-    log_z = _gibbs(table, None, lam, (spikes, np.stack([inst.noise for inst in instances])))
+    log_z = _gibbs(table, None, [lam], (spikes, np.stack([inst.noise for inst in instances])))[:, 0]
     return _log_likelihood_ratios(np.stack([inst.y for inst in instances]), p, n, lam), log_z
 
 
@@ -680,7 +692,7 @@ def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAUL
 
 def _window_estimate(table: EnumTable, rows: np.ndarray, lam: float, draws, seed: int) -> McEstimate:
     """Phi over the configurations rows (_overlaps' columns, ascending), mirrors as representatives."""
-    log_z = _gibbs(table, rows % table.reps, lam, draws)
+    log_z = _gibbs(table, rows % table.reps, [lam], draws)[:, 0]
     return _mc_estimate(log_z / table.X.shape[1], seed)
 
 
@@ -762,19 +774,13 @@ def _phi_t_draws(
     spike is resampled per draw when spike is None (the expectation over x*
     of the lower-bound argument) and held fixed otherwise (the fixed-spike
     potential of the upper-bound argument); the disorder (W, z) is drawn once
-    per draw and shared across every t.  One loop walks the blocks of
-    _log_weights over the table's representatives and, within each, the t's.
-    The side term splits into an even part, -(1-t) r/2 sum_i x_i^2, which
-    _log_weights joins to the log prior mass and the matrix energy at SNR
-    t lam, and an odd part, sqrt((1-t) r) z.x + (1-t) s x*.x, formed for a
-    block's draws at one t as one (D, n) @ (n, rows) GEMM; a mirror row's
-    value is its representative's even part minus its odd part.  Each block
-    folds into a per-(draw, t) online log-sum-exp (_fold), so no array spans
-    the draws times the rows.  A window (restricted, an (m_window, eps) pair)
-    is one mask per block from _overlaps, and a draw with no row in its
-    window gets -inf.  At t = 1 the side coefficients are exact zeros, so
-    phi(1) equals the plain free-entropy estimator bit for bit.  r = lam q
-    and s = lam m pass rs._check_scale at extent max(q, |m|).
+    per draw and shared across every t.  It is one Gibbs pass at the SNRs
+    t lam with the side term: the even -(1-t) r/2 sum_i x_i^2 and the odd
+    field sqrt((1-t) r) z + (1-t) s x*.  A window (restricted, an (m_window,
+    eps) pair) drops the rows outside it; a draw with none left gets -inf.
+    At t = 1 it is free_entropy_mc's pass with zero side coefficients, bit
+    for bit.  r = lam q and s = lam m pass rs._check_scale at extent
+    max(q, |m|).
     """
     _check_nonnegative("q", q)
     _check_finite("m", m)
@@ -785,26 +791,11 @@ def _phi_t_draws(
     rs._check_scale(p, lam, max(q, abs(m)))
     r, s = lam * q, lam * m
     draws = _draws(p, n, seed, n_disorder, spike)
-    side_z, side_s, side_sq = np.sqrt((1.0 - t) * r), (1.0 - t) * s, (1.0 - t) * r / 2.0
+    side_z, side_s = np.sqrt((1.0 - t) * r), (1.0 - t) * s
     z = np.stack([np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
                   for k in range(n_disorder)])
-    top = np.full((n_disorder, t.size), -np.inf)
-    total = np.zeros_like(top)
-    for blk, ks, spikes, weights in _log_weights(table, None, t * lam, draws, side_sq):
-        xt, mirrors = table.X[blk].T, _mirrored(blk, table.mirrors)
-        if restricted is not None:
-            outside = _window_index(_overlaps(table, spikes, block=blk), *restricted) != 0
-        for c in range(t.size):
-            even = weights(c)
-            odd = (side_z[c] * z[ks] + side_s[c] * spikes) @ xt
-            lo = even[:, :mirrors] - odd[:, :mirrors]
-            even += odd
-            if restricted is not None:
-                np.copyto(even, -np.inf, where=outside[:, : even.shape[1]])
-                np.copyto(lo, -np.inf, where=outside[:, even.shape[1] :])
-            _fold(top[ks, c], total[ks, c], even, mirrors, lo)
-            del even, lo  # before the next weights are formed
-    return _log_of(top, total) / n
+    side = ((1.0 - t) * r / 2.0, lambda c, ks, spikes: side_z[c] * z[ks] + side_s[c] * spikes, restricted)
+    return _gibbs(table, None, t * lam, draws, side) / n
 
 
 def nishimori_check(
@@ -827,8 +818,8 @@ def nishimori_check(
     if table.mirrors:
         means = np.zeros((n_disorder, n + 1))
     else:
-        means = _gibbs(table, None, lam, _draws(p, n, seed, n_disorder),
-                       odd=lambda spikes, blk: (table.X[blk], _overlaps(table, spikes, 9, blk)[..., None]))
+        means = _gibbs(table, None, [lam], _draws(p, n, seed, n_disorder),
+                       odd=lambda spikes, blk: (table.X[blk], _overlaps(table, spikes, 9, blk)[..., None]))[:, 0]
     r12, r1s = (means[:, :n] ** 2).mean(axis=1), means[:, n]
     mean_diff, se = _mean_stderr(r12 - r1s)
     delta, se = abs(float(mean_diff)), float(se)

@@ -11,20 +11,20 @@ decoupled one-body Gaussian side channel at strength 1 - t:
                           - ((1-t) r / 2) x_i^2 ],
 
 with r = lam q and s = lam m.  The matched case s = r drives the free-entropy
-lower bound (the t-derivative is bounded below by -lam q^2/4 up to O(1/N));
-the general case drives the upper bound on the overlap-restricted free
-entropy.  Both are verified here by finite differences of the exactly
-enumerated path free entropy phi(t), with disorder shared across the t grid
-so slope estimates are paired.
+lower bound (the t-derivative is bounded below by -lam q^2/4 up to O(1/N)),
+checked here by finite differences of the exactly enumerated path free
+entropy phi(t), with disorder shared across the t grid so slope estimates
+are paired (guerra_slope_check).  The general case drives the upper bound
+on the overlap-restricted free entropy, checked by comparing the exactly
+enumerated Franz-Parisi potential with inf_q F_hat at the same spike
+(fp_upper_check).
 
 phi(t) is an exact-enumeration estimator like the others of the finite
-layer, and lives there: finite._phi_t_draws prices the table's
-representatives at SNR t lam with the side term added, for a resampled or a
-fixed spike alike, and a window is a mask from the finite layer's overlap
-kernel.  At t = 1 the side coefficients are exact zeros, so phi(1)
-reproduces the plain free-entropy estimator bit for bit on shared seeds.
-This module keeps the public path and the two checks built on it.  -H_t is
-priced only by the finite layer's kernel; the tests hold it to a direct
+layer, and lives there: finite._phi_t_draws is one Gibbs pass over the
+table at the SNRs t lam with the side term added, for a resampled or a
+fixed spike alike, so phi(1) is the plain free-entropy estimator bit for
+bit on shared seeds.  This module keeps the public path and the two checks
+built on it; the tests hold -H_t as the finite layer prices it to a direct
 per-configuration evaluation of the definition above.
 """
 
@@ -164,8 +164,7 @@ def fp_upper_check(
         params["skipped"] = "empty overlap window"
         return VerificationReport.from_slack("fp_upper", params, float("inf"))
 
-    values, counts = np.unique(spike, return_counts=True)
-    _, q_min, rhs_min = _inner_min(p, lam, np.array([float(m)]), K**2 + 1.0, ev, (values, counts / n))[:, 0]
+    _, q_min, rhs_min = _inner_min(p, lam, np.array([float(m)]), K**2 + 1.0, ev, spike)[:, 0]
     q_min, rhs_min = float(q_min), float(rhs_min)
     allowance = lam * eps * eps / 2.0 + lam * K**4 / n + 3.0 * lhs.stderr
     slack = rhs_min + allowance - lhs.mean

@@ -333,8 +333,7 @@ def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator 
             f"spike must be a nonempty 1-d list of finite values, got shape {spike.shape}"
         )
     _check_scale(p, lam, max(q, abs(m)), float(np.abs(spike).max()))
-    values, counts = np.unique(spike, return_counts=True)
-    return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p, (values, counts / spike.size)))[0])
+    return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p, spike))[0])
 
 
 def _sign_symmetric(p: Prior) -> bool:
@@ -342,16 +341,19 @@ def _sign_symmetric(p: Prior) -> bool:
     return sorted(p.atoms) == sorted((-v, w) for v, w in p.atoms)
 
 
-def _planted_law(p: Prior, law=None):
+def _planted_law(p: Prior, spike=None):
     """The law (values, weights) of x* that F_bar averages over, folded to |x*| when p is sign-symmetric.
 
-    law is the prior's by default; a spike's empirical law gives F_hat
-    instead.  For a sign-symmetric p, psi_hat(r, s) and its d_r are even in s
-    and d_s is odd, so the value, d_q and the x* d_s(r, lambda m x*) term of
-    d_m depend on x* only through |x*|: merging the weights of x* and -x* is
-    exact, and the kernel prices about half as many tilts.
+    The law is the prior's by default; a spike's empirical law (its distinct
+    values and their frequencies) gives F_hat instead.  For a sign-symmetric
+    p, psi_hat(r, s) and its d_r are even in s and d_s is odd, so the value,
+    d_q and the x* d_s(r, lambda m x*) term of d_m depend on x* only through
+    |x*|: merging the weights of x* and -x* is exact, and the kernel prices
+    about half as many tilts.
     """
-    values, weights = (p.values, p.weights) if law is None else law
+    values, weights = (p.values, p.weights) if spike is None else np.unique(spike, return_counts=True)
+    if spike is not None:
+        weights = weights / spike.size  # the counts' frequencies
     if not _sign_symmetric(p):
         return values, weights
     folded, inverse = np.unique(np.abs(values), return_inverse=True)
@@ -438,21 +440,21 @@ def _local_maxima(grid: np.ndarray, ys: np.ndarray, polish, ftol: float):
     )
 
 
-def _inner_min(p: Prior, lam: float, m: np.ndarray, q_max: float, ev, law=None):
+def _inner_min(p: Prior, lam: float, m: np.ndarray, q_max: float, ev, spike=None):
     """Global minimum of q -> F_bar(lambda, m, q) on [0, q_max] for each m.
 
     Returns the stack (d_m F_bar at q_bar, q_bar, value), each row of m's
     shape: with the prior's law, the outer profile g(m) = inf_q F_bar as
-    (g'(m), q_bar(m), g(m)).  law is the planted law as _planted_law takes
-    it (the prior's by default), folded here once per call.  _local_maxima
-    finds the local minima on a coarse q row and polishes them as roots of
-    d_q F_bar; each m keeps the least value.  Every kernel call gives F_bar
-    with both partial derivatives, so a candidate's value and d_m come from
-    the call that found it and none is priced again.  The row has a point
-    just off q = 0, where d_q F_bar vanishes at m = 0 by symmetry, so that
-    the sign beside it decides.
+    (g'(m), q_bar(m), g(m)).  With a spike, F_bar averages over the spike's
+    empirical law instead; _planted_law builds and folds the law once per
+    call.  _local_maxima finds the local minima on a coarse q row and
+    polishes them as roots of d_q F_bar; each m keeps the least value.
+    Every kernel call gives F_bar with both partial derivatives, so a
+    candidate's value and d_m come from the call that found it and none is
+    priced again.  The row has a point just off q = 0, where d_q F_bar
+    vanishes at m = 0 by symmetry, so that the sign beside it decides.
     """
-    law = _planted_law(p, law)
+    law = _planted_law(p, spike)
     q_row = np.sort(np.r_[np.linspace(0.0, q_max, _Q_POINTS), _PROBE * q_max])
 
     def grads(k, q):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelEvaluator, asymmetry_gap
-from .errors import EnumerationBudgetError
+from .errors import EnumerationBudgetError, InvalidArgumentError
 from .finite import (
     DEFAULT_BUDGET,
     _check_disorder,
@@ -103,8 +103,10 @@ def run_suite(
     budget: int = DEFAULT_BUDGET,
     ev: ChannelEvaluator | None = None,
 ) -> list:
-    """The full battery at one (prior, n, n_disorder, seed) setting."""
+    """The full battery at one (prior, n, n_disorder >= 2, seed) setting: one draw has no standard errors."""
     _check_disorder(n_disorder)
+    if n_disorder < 2:
+        raise InvalidArgumentError(f"n_disorder must be >= 2 for the suite's standard errors, got {n_disorder}")
     m2 = second_moment(p)
     reports = [
         tilt_asymmetry_check(p, ev=ev),
@@ -113,11 +115,7 @@ def run_suite(
         se_fixed_point_check(p, 4.0, ev=ev),
     ]
     try:
-        reports.append(
-            kl_identity_check(
-                p, n, 2.0, min(100, max(2, n_disorder)), derive_seed(seed, 101), budget=budget
-            )
-        )
+        reports.append(kl_identity_check(p, n, 2.0, min(100, n_disorder), derive_seed(seed, 101), budget=budget))
         for lam in (0.5, 1.0, 2.0):
             reports.append(nishimori_check(p, n, lam, n_disorder, derive_seed(seed, 102), budget))
         q_star2 = phi_rs(p, 2.0, ev).optimizer_q

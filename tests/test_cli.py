@@ -37,6 +37,11 @@ class TestLambdaSpec:
             with pytest.raises(UsageError):
                 parse_lambda_spec(bad)
 
+    def test_range_values_up_to_the_step_cap(self):
+        # a range's values are a + k s, up to 10**6 steps
+        assert parse_lambda_spec("0.5:2:0.25") == [0.5 + k * 0.25 for k in range(7)]
+        assert parse_lambda_spec("0:1:1e-6") == [k * 1e-6 for k in range(10**6 + 1)]
+
 
 class TestCommands:
     def test_rs_curve_single_zero_lambda(self, capsys):
@@ -287,12 +292,56 @@ class TestErrorPaths:
         code, _, err = run_cli(["rs-curve", "--lambda", "2:1:0.5"], capsys)
         assert code == 2
 
+    def test_lambda_range_that_would_not_end(self):
+        # A step that does not advance its start, or 10**9 steps, once
+        # appended values until memory ran out.  The commands run in a fresh
+        # process under a 1 GiB address-space cap (on one BLAS thread, whose
+        # buffers count against it) and a time limit, so that a regression
+        # fails here instead of exhausting the machine.
+        import resource
+
+        cases = [
+            (["rs-curve", "--lambda", "1:2:1e-300"], "bad lambda spec '1:2:1e-300': step 1e-300 does not advance start 1.0"),
+            (["rs-curve", "--lambda", "1e20:1e20:1"], "bad lambda spec '1e20:1e20:1': step 1.0 does not advance start 1e+20"),
+            (["rs-curve", "--lambda", "0:1e6:1e-3"], "bad lambda spec '0:1e6:1e-3': a range takes at most 1000000 steps"),
+            (["finite-n", "--n", "4", "--lambda", "1:2:1e-300"], "--lambda takes one value here, got '1:2:1e-300'"),
+            (["fp", "--n", "4", "--lambda", "0:1e6:1e-3"], "--lambda takes one value here, got '0:1e6:1e-3'"),
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from replica_lab.cli import main\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        code = main(args)\n"
+            "    print(json.dumps([code, err.getvalue()]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([args for args, _ in cases])],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert out.returncode == 0, out.stderr
+        results = [json.loads(line) for line in out.stdout.splitlines()]
+        assert len(results) == len(cases)
+        for (args, message), (code, err) in zip(cases, results):
+            assert code == 2, args
+            assert err == f"error: {message}\n", args
+
+    def test_verify_refuses_one_disorder_draw(self, capsys):
+        # at one draw every standard error is 0, so the Monte Carlo checks'
+        # 3-sigma allowances vanish and they fail on noise
+        code, out, err = run_cli(["verify", "--n", "4", "--disorder", "1"], capsys)
+        assert code == 2
+        assert "error: n_disorder must be >= 2 for the suite's standard errors, got 1" in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "args",
         [
             ["rs-curve", "--lambda", "nan:1:0.5"],
-            ["finite-n", "--n", "6", "--lambda", "nan:1:0.5", "--disorder", "3"],
+            ["saddle", "--lambda", "nan:1:0.5"],  # finite-n refuses a range before parsing it
             ["se", "--lambda", "0:1:nan"],
             ["rs-curve", "--lambda", "0:inf:1"],
             ["rs-curve", "--lambda=-inf:0:1"],
@@ -304,6 +353,14 @@ class TestErrorPaths:
         assert code == 2
         assert "error: bad lambda spec" in err
         assert "start, stop and step must be finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["finite-n", "fp"])
+    @pytest.mark.parametrize("spec", ["nan:1:0.5", "0:1:0.5", "1,2"])
+    def test_one_value_refuses_a_list_or_range_unparsed(self, capsys, command, spec):
+        code, out, err = run_cli([command, "--n", "6", "--lambda", spec, "--disorder", "3"], capsys)
+        assert code == 2
+        assert err == f"error: --lambda takes one value here, got {spec!r}\n"
         assert out == ""
 
     def test_unwritable_output(self, capsys):

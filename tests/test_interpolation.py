@@ -306,6 +306,36 @@ class TestBlockedPath:
         assert rep.params["min_slope"] == pytest.approx(slopes[rep.params["worst_segment"]], abs=1e-12)
 
 
+class TestSnrColumns:
+    """An SNR's column of a Gibbs pass does not depend on the other SNRs in the pass."""
+
+    SPECS = [("rademacher", 8), ("sparse:0.25", 6), ("asym:0.7", 8), ("uniform:21", 3)]
+
+    @pytest.mark.parametrize("spec, n", SPECS)
+    @pytest.mark.parametrize("small", [False, True])
+    def test_path_column_equals_its_own_pass(self, monkeypatch, spec, n, small):
+        p = parse_prior_spec(spec)
+        lam, q, m, draws, seed = 2.0, 0.5, 0.3, 7, 29
+        if small:
+            small_budget(monkeypatch, p, n)
+        spike = sample_spike(p, n, 6)
+        for window, spike_c in itertools.product((None, (-0.25, 0.75)), (None, spike)):
+            grid = _phi_t_draws(p, n, lam, q, m, DEFAULT_T_GRID, draws, seed, restricted=window, spike=spike_c)
+            for c, t in enumerate(DEFAULT_T_GRID):
+                alone = _phi_t_draws(p, n, lam, q, m, [t], draws, seed, restricted=window, spike=spike_c)
+                assert np.array_equal(grid[:, c], alone[:, 0]), (window, spike_c is None, t)
+
+    @pytest.mark.parametrize("spec, n", SPECS)
+    def test_log_z_column_is_free_entropy_mc(self, spec, n):
+        p = parse_prior_spec(spec)
+        lams, draws, seed = (0.5, 1.0, 2.0, 3.5), 9, 17
+        table, disorder = enumeration_table(p, n), finite._draws(p, n, seed, draws)
+        log_z = finite._gibbs(table, None, lams, disorder)
+        for c, lam in enumerate(lams):
+            assert np.array_equal(log_z[:, c], finite._gibbs(table, None, [lam], disorder)[:, 0])
+            assert finite._mc_estimate(log_z[:, c] / n, seed) == free_entropy_mc(p, n, lam, draws, seed)
+
+
 class TestGuerraSlope:
     def test_zero_snr_slopes_vanish(self, priors):
         rep = guerra_slope_check(priors["rademacher"], 8, 0.0, 0.5, n_disorder=20, seed=1)

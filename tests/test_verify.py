@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from replica_lab import VerificationReport, run_suite
+import pytest
+
+from replica_lab import InvalidArgumentError, VerificationReport, nishimori_check, run_suite
 from replica_lab.verify import se_fixed_point_check
 
 
@@ -20,6 +22,15 @@ class TestRunSuite:
         ]
         assert reports[-1].params["required"] == 1024
         assert all(r.passed for r in reports[:4])
+
+    def test_one_disorder_draw_is_refused(self, priors):
+        # at one draw every standard error is 0: asym:0.7 at n = 6 would fail
+        # all three Nishimori checks and a Guerra check on noise alone.  The
+        # public checks still take one draw.
+        p = priors["asym:0.7"]
+        with pytest.raises(InvalidArgumentError, match="n_disorder must be >= 2 for the suite's standard errors, got 1"):
+            run_suite(p, 6, 1, 0)
+        assert nishimori_check(p, 6, 1.0, 1, 0).stderr == 0.0
 
     def test_verdict_is_sign_of_slack(self, priors):
         reports = run_suite(priors["asym:0.7"], 6, 20, 0)

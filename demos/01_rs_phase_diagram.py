@@ -13,22 +13,18 @@ import sys
 
 import numpy as np
 
-from replica_lab import phi_rs, second_moment, standard_priors
+from replica_lab import compute_curve, second_moment, standard_priors
 from replica_lab.svg import line_chart_svg
 
 prior = standard_priors()["rademacher"]
-m2 = second_moment(prior)
 grid = np.arange(0.0, 4.01, 0.2)
 
-print(f"prior = {prior.name}, E[X^2] = {m2}")
+print(f"prior = {prior.name}, E[X^2] = {second_moment(prior)}")
 print(f"{'lambda':>8} {'q*':>10} {'phi_RS':>10} {'MI/N':>10} {'MMSE':>10}")
-rows = []
-for lam in grid:
-    res = phi_rs(prior, float(lam))
-    mi = lam / 4.0 * m2 * m2 - res.value
-    mmse = m2 * m2 - res.optimizer_q**2
-    rows.append((float(lam), res.optimizer_q, res.value, mi, mmse))
-    print(f"{lam:8.2f} {res.optimizer_q:10.5f} {res.value:10.5f} {mi:10.5f} {mmse:10.5f}")
+# the rs-curve command's records: q*, phi_RS, MI and MMSE per lambda
+rows = [(r["lambda"], r["q_star"], r["phi_rs"], r["mi"], r["mmse"]) for r in compute_curve(prior, grid.tolist())]
+for row in rows:
+    print("{:8.2f} {:10.5f} {:10.5f} {:10.5f} {:10.5f}".format(*row))
 
 lam_first_nonzero = next((lam for lam, q, *_ in rows if q > 1e-3), None)
 print(f"\nthe overlap becomes nontrivial near lambda = {lam_first_nonzero:.2f}")

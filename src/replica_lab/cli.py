@@ -89,7 +89,11 @@ def _json_clean(obj):
 
 
 def parse_lambda_spec(spec: str) -> list:
-    """"a:b:s" range (a + k s up to the endpoint within half a step), comma list, or one value."""
+    """"a:b:s" range (a + k s up to the endpoint within half a step), comma list, or one value.
+
+    A spec whose values repeat is refused: a list that names one twice, or a
+    range whose step lies below the resolution of its later values.
+    """
     try:
         if ":" in spec:
             parts = spec.split(":")
@@ -108,10 +112,11 @@ def parse_lambda_spec(spec: str) -> list:
             while a + k * s <= b + s / 2.0:
                 vals.append(a + k * s)
                 k += 1
-            return vals
-        if "," in spec:
-            return [float(t) for t in spec.split(",")]
-        return [float(spec)]
+        else:
+            vals = [float(t) for t in spec.split(",")]
+        if len(set(vals)) < len(vals):
+            raise ValueError(f"it repeats a lambda ({len(vals)} values, {len(set(vals))} distinct)")
+        return vals
     except ValueError as e:
         raise UsageError(f"bad lambda spec {spec!r}: {e}") from e
 

@@ -13,19 +13,20 @@ outer expectations over the disorder (W, and where applicable x* and the
 side noise) are plain Monte Carlo over instances with counter-derived seeds.
 A single-site Metropolis sampler covers sizes beyond the enumeration budget.
 
-Every exact estimator is built from the same pieces: _setup checks its
-inputs and fetches the table, _draws fetches the disorder draws once as
-(spikes, noises) arrays, _overlaps gives R_{1,*} of the rows, the Gibbs
-pass _gibbs (_log_weights, then _fold) gives per-(draw, SNR) log Z or Gibbs
-means of odd row statistics, and _mc_estimate averages per-draw values,
-with the -inf sentinel of an empty window.  The energy kernel _log_weights
-is the package's one definition of -H; the path (_phi_t_draws) is one Gibbs
-pass at its SNRs t lam with the side term of the interpolating -H_t added,
-and the tests hold both to direct per-configuration evaluations of the
-definitions.  The Franz-Parisi potential has one definition too
-(_window_estimate): one Gibbs pass over a window's configurations, which
-fp_potential runs for one window and fp_profile for each reachable one, on
-draws it fetches once.
+Every exact estimator is built from the same pieces: _configurations
+enumerates the configurations and keeps one per sign orbit (below), for the
+table and the likelihood ratio alike; _setup checks the inputs and fetches
+the table; _draws fetches the disorder draws once as (spikes, noises);
+_overlaps gives R_{1,*} of the rows; the Gibbs pass _gibbs (_log_weights,
+then _fold) gives per-(draw, SNR) log Z or Gibbs means of odd row
+statistics; _mc_estimate averages per-draw values, with the -inf sentinel
+of an empty window.  _log_weights is the package's one definition of -H;
+the path (_phi_t_draws) is one Gibbs pass at its SNRs t lam with the side
+term of -H_t added, and the tests hold both to per-configuration
+evaluations of the definitions.  The Franz-Parisi potential has one
+definition too (_window_estimate): one Gibbs pass over a window's
+configurations, run by fp_potential for one window and by fp_profile for
+each reachable one, on draws fetched once.
 
 Seed discipline: every disorder replica k uses derive_seed(master, k, ...),
 so replica k's instance does not depend on the other replicas.  The pass
@@ -39,43 +40,44 @@ by at most 7.1e-15, and their log Z by at most 4.4e-16 (3 against 40 or
 400 replicas).
 
 Per-block combine: the pass builds a row block's pair features once and
-takes the kernel's (Q_W, S) for each draw block of it with one GEMM.  The
-pass turns that block into log weights at each of its consumer's SNRs with
-one shared combine (_log_weights), elementwise, so a replica's log weights
-depend only on its kernel value and its SNR, never on which replicas or
-SNRs share the block.  It folds them into a per-(replica, SNR) online
-log-sum-exp (_fold), the layer's one: a running maximum and the sum of exps
+takes the kernel's (Q_W, S) for each draw block of it with one GEMM.  It
+turns that block into log weights at each of its consumer's SNRs with one
+shared elementwise combine (_log_weights), so a replica's log weights depend
+only on its kernel value and its SNR, never on which replicas or SNRs share
+the block.  It folds them into a per-(replica, SNR) online log-sum-exp
+(_fold, read by _log_of), the layer's one, which log_partition_exact and
+the likelihood ratio use too: a running maximum and the sum of exps
 relative to it, rescaled when the maximum grows, with the mirrors counted
 in the block that holds their representatives.  So no array spans the
-replicas times the rows, and _BLOCK_VALUES bounds the pass's working
-memory.  What can move with the composition of a block is only what a BLAS
-product forms over several replicas at once: the kernel's parts, the path's
-odd side term, the overlaps, the Gibbs means, and kl_log_likelihood_ratios'
+replicas times the rows, and _BLOCK_VALUES bounds the working memory.  What
+can move with the composition of a block is only what a BLAS product forms
+over several replicas at once: the kernel's parts, the path's odd side
+term, the overlaps, the Gibbs means, and kl_log_likelihood_ratios'
 cross-sum GEMM, in their last bits.  free_entropy_mc and phi_of_t(t = 1)
 stay equal bit for bit: both are the same pass, and at t = 1 the side
 coefficients are exact zeros.
 
 Sign fold: -H sees a configuration only through its pair products x_i x_j,
 so with a sign-symmetric prior x and -x have the same energy and prior mass.
-The table then stores only the representatives, whose first nonzero atom is
-positive: those with a distinct mirror, then the all-zero row when 0 is an
-atom.  The configurations in order are the representatives, then the
-negated rows [:mirrors] (0 stays +0.0): _overlaps' columns, the one place
-that forms a mirror.  Even per-row terms (log prior mass, pairsq, sumsq,
-the energy and the path's even side term) are computed on the
-representatives, and the log-sum-exp counts rows [:mirrors] a second time;
-odd terms (x.z and x.x* on the path, and R_{1,*}) enter as +odd on the
-representatives and -odd on the mirrors, and their Gibbs means over all
-configurations are exact zeros (nishimori_check).  A mirror's pair
-products, prior mass and square sums equal its representative's bit for
-bit, so its value is the one the kernel computes for its representative.
-An asymmetric prior has no mirrors and runs the same code with nothing to
-repeat.  The path prices the representatives for a resampled and for a
-fixed spike alike, and drops the rows outside a window with a mask; only
-the Franz-Parisi windows (_window_estimate) select rows among all
-configurations, and price a mirror row reps + k as its representative k.
-The likelihood ratio's exponents, built without the table, fold their
-first half's configurations the same way (kl_log_likelihood_ratios).
+_configurations, the rule's one place, then keeps only the representatives,
+whose first nonzero atom is positive: those with a distinct mirror, then the
+all-zero row when 0 is an atom.  The table stores them, and the likelihood
+ratio its first half's.  The configurations in order are the
+representatives, then the negated rows [:mirrors] (0 stays +0.0):
+_overlaps' columns, the one place that forms a mirror.  Even per-row terms
+(log prior mass, pairsq, sumsq, the energy and the path's even side term)
+are computed on the representatives, and the log-sum-exp counts rows
+[:mirrors] a second time; odd terms (x.z and x.x* on the path, and R_{1,*})
+enter as +odd on the representatives and -odd on the mirrors, and their
+Gibbs means over all configurations are exact zeros (nishimori_check).  A
+mirror's pair products, prior mass and square sums equal its
+representative's bit for bit, so its value is the one the kernel computes
+for its representative.  An asymmetric prior has no mirrors and runs the
+same code with nothing to repeat.  The path prices the representatives for
+a resampled and for a fixed spike alike, and drops the rows outside a
+window with a mask; only the Franz-Parisi windows (_window_estimate) select
+rows among all configurations, and price a mirror row reps + k as its
+representative k.
 """
 
 from __future__ import annotations
@@ -226,27 +228,33 @@ class EnumerationResult:
     config_count: int
 
 
-@lru_cache(maxsize=4)
-def _enum_table(atoms: tuple, n: int, symmetric: bool) -> EnumTable:
-    values = np.array([v for v, _ in atoms]) + 0.0  # a -0.0 atom enters as +0.0
-    logw = np.log(np.array([w for _, w in atoms]))
-    a = values.size
+def _configurations(values, n: int, symmetric: bool):
+    """(digits, mirrors): n sites' configurations as atom indices, site k the k-th base-a digit.
+
+    With symmetric, the sign orbits' representatives: the rows whose first
+    nonzero atom is positive (rows [:mirrors], each with a mirror), then the
+    all-zero row if 0 is an atom.  Otherwise every row, and mirrors is 0.
+    """
+    a = len(values)
     idx = np.arange(a**n, dtype=np.int64)
     digits = np.empty((idx.size, n), dtype=np.min_scalar_type(a - 1))
     for k in range(n):
         digits[:, k] = (idx // a**k) % a
-    mirrors = 0
-    if symmetric:
-        # The representatives: the rows whose first nonzero atom is positive,
-        # each of which has a mirror, then the all-zero row if 0 is an atom.
-        sign = np.sign(values).astype(np.int8)[digits]
-        lead = sign[idx, (sign != 0).argmax(axis=1)]
-        del sign
-        paired = np.flatnonzero(lead > 0)
-        digits = digits[np.concatenate([paired, np.flatnonzero(lead == 0)])]
-        mirrors = paired.size
-        del lead, paired
-    del idx
+    if not symmetric:
+        return digits, 0
+    sign = np.sign(values).astype(np.int8)[digits]
+    lead = sign[idx, (sign != 0).argmax(axis=1)]
+    del sign, idx
+    paired = np.flatnonzero(lead > 0)
+    return digits[np.concatenate([paired, np.flatnonzero(lead == 0)])], paired.size
+
+
+@lru_cache(maxsize=4)
+def _enum_table(atoms: tuple, n: int, symmetric: bool) -> EnumTable:
+    """_configurations' rows (the representatives if symmetric) with their values and even invariants."""
+    values = np.array([v for v, _ in atoms]) + 0.0  # a -0.0 atom enters as +0.0
+    logw = np.log(np.array([w for _, w in atoms]))
+    digits, mirrors = _configurations(values, n, symmetric)
     # The invariants are even in x, so a mirror's are its representative's.
     # Each gathers a per-atom value through the digits, which is x^2, x^4 or
     # log w of that row's entries bit for bit.  x^4 is the square of x^2, not
@@ -524,12 +532,11 @@ def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BU
     """log Z by stable log-sum-exp over all configurations, with the overlap law."""
     _, table = _setup(p, inst.n, inst.lam, 1, budget, spike=inst.spike)
     blocks = _log_weights(table, None, [inst.lam], (inst.spike[None], inst.noise[None]))
-    a = np.concatenate([weights(0)[0] for *_, weights in blocks])
-    top = a.max()
-    e = np.exp(a - top)
-    log_z = float(top + np.log(e.sum() + e[: table.mirrors].sum()))
+    top, total = np.full(1, -np.inf), np.zeros(1)
+    e = _fold(top, total, np.concatenate([weights(0) for *_, weights in blocks], axis=1), table.mirrors)[0][0]
+    log_z = float(_log_of(top, total)[0])
     vals, inv = np.unique(_overlaps(table, inst.spike[None], 9)[0], return_inverse=True)
-    mass = np.bincount(inv, weights=np.exp(np.concatenate([a, a[: table.mirrors]]) - log_z))
+    mass = np.bincount(inv, weights=np.concatenate([e, e[: table.mirrors]]) / total[0])
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]
     return EnumerationResult(log_z=log_z, overlap_law=law, config_count=table.reps + table.mirrors)
 
@@ -591,19 +598,17 @@ def free_entropy_mc(
 def _log_likelihood_ratios(ys: np.ndarray, p: Prior, n: int, lam: float) -> np.ndarray:
     """log dP_lambda/dP_0 (Y) per row of ys, the (draws, pairs) Y_ij over i < j.
 
-    The likelihood-ratio half of kl_log_likelihood_ratios, which describes it.
+    The likelihood-ratio half of kl_log_likelihood_ratios, which describes it:
+    _configurations gives L's sign orbits' representatives and all of R.
     """
     atoms, h = len(p.atoms), n // 2
     i, j = _triu(n)
     pair = np.zeros((n, n), dtype=np.intp)
     pair[i, j] = np.arange(i.size)
-    # every configuration of each half as atom indices, site k the k-th digit
-    d_l, d_r = (np.arange(atoms**s)[:, None] // atoms ** np.arange(s) % atoms for s in (h, n - h))
+    d_l, paired = _configurations(p.values, h, rs._sign_symmetric(p))
+    d_r, _ = _configurations(p.values, n - h, False)
     w_l, w_r = p.log_weights[d_l].sum(axis=1), p.log_weights[d_r].sum(axis=1)
-    if rs._sign_symmetric(p):
-        sign = np.sign(p.values)[d_l]
-        lead = (sign * ((sign != 0).cumsum(axis=1) == 1)).sum(axis=1)  # the first nonzero atom's sign
-        d_l, w_l = d_l[lead >= 0], (w_l + math.log(2.0) * (lead > 0))[lead >= 0]
+    w_l[:paired] += math.log(2.0)  # a paired representative stands for its mirror too
 
     def codes(d, first):
         # (pairs, rows): where each pair within a half reads a draw's flat g
@@ -652,24 +657,27 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     """(log dP_lambda/dP_0 (Y), log Z) per instance, as two arrays.
 
     The instances share n and lambda.  The two are equal by the
-    likelihood-ratio identity, and agreement to 1e-10 is a consistency check
-    on two independent code paths.  log Z comes from the energy kernel.  The
-    likelihood ratio integrates the Gaussian density ratio of Y given x over
-    the prior without the kernel or the enumeration table, and without
-    expanding a square: per pair i < j and atoms v_b, v_c it tabulates
+    likelihood-ratio identity, and agreement to 1e-10 checks one side against
+    the other.  They share the log-sum-exp (_fold) and the enumeration with
+    its sign-orbit rule (_configurations), which tests/test_finite.py checks
+    on its own: TestSignFold::test_orbit_table against itertools.product,
+    and test_matches_unfolded with the fold turned off.  The likelihood
+    ratio integrates the Gaussian density ratio of Y given x over the prior
+    without the energy kernel or the table, and without expanding a square:
+    per pair i < j and atoms v_b, v_c it tabulates
     g_ij(v_b v_c) = y^2/2 - (y - sqrt(lam/N) v_b v_c)^2/2.  With the sites
     split into L, the first n // 2, and R, the rest, a configuration's
     exponent is logw + E_L(x_L) + E_R(x_R) + C(x_L, x_R).  E_L and E_R
     gather-add the pairs within a half over that half's configurations; the
     cross sum C is a GEMM of M[x_L, (j, c)] = sum_{i in L} g_ij(x_i v_c)
     against R's one-hot digits.  For a sign-symmetric prior, whose exponent
-    and mass are even in x, L keeps the configurations whose first nonzero
-    atom is positive, at an added log 2, and the all-zero one.  A block of
-    draws holds at most _BLOCK_VALUES values in each array (at least one
-    draw), and the (x_L, x_R) grid of exponents is formed a chunk of x_L at a
-    time, at most 2 _BLOCK_VALUES values (at least one x_L), and folded into
-    a per-draw online log-sum-exp, so no array spans the draws times the
-    configurations.  log Z comes from the Gibbs pass (_gibbs).
+    and mass are even in x, L holds only the representatives, a paired one at
+    an added log 2.  A block of draws holds at most _BLOCK_VALUES values in
+    each array (at least one draw), and the (x_L, x_R) grid of exponents is
+    formed a chunk of x_L at a time, at most 2 _BLOCK_VALUES values (at least
+    one x_L), and folded into a per-draw online log-sum-exp (_fold), so no
+    array spans the draws times the configurations.  log Z comes from the
+    Gibbs pass (_gibbs).
     """
     instances = list(instances)
     _check_disorder(len(instances), "instance count")
@@ -886,12 +894,4 @@ MC_CSV_FIELDS = ("n", "lambda", "quantity", "mean", "stderr", "n_samples", "seed
 
 
 def mc_csv_record(n: int, lam: float, quantity: str, est: McEstimate) -> dict:
-    return {
-        "n": n,
-        "lambda": lam,
-        "quantity": quantity,
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "n_samples": est.n_samples,
-        "seed": est.seed,
-    }
+    return dict(zip(MC_CSV_FIELDS, (n, lam, quantity, est.mean, est.stderr, est.n_samples, est.seed)))

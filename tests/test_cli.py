@@ -42,6 +42,22 @@ class TestLambdaSpec:
         assert parse_lambda_spec("0.5:2:0.25") == [0.5 + k * 0.25 for k in range(7)]
         assert parse_lambda_spec("0:1:1e-6") == [k * 1e-6 for k in range(10**6 + 1)]
 
+    @pytest.mark.parametrize(
+        "spec, counts",
+        [
+            # a step that advances the start but lies below the resolution of
+            # the range's later values
+            ("1:1.000000000000001:1.2e-16", "11 values, 6 distinct"),
+            ("1e6:1000000.0000001:1e-10", "1001 values, 860 distinct"),
+            ("1,2,1", "3 values, 2 distinct"),
+            ("0,-0", "2 values, 1 distinct"),
+        ],
+    )
+    def test_repeated_values_refused(self, spec, counts):
+        with pytest.raises(UsageError) as info:
+            parse_lambda_spec(spec)
+        assert str(info.value) == f"bad lambda spec {spec!r}: it repeats a lambda ({counts})"
+
 
 class TestCommands:
     def test_rs_curve_single_zero_lambda(self, capsys):
@@ -328,6 +344,14 @@ class TestErrorPaths:
         for (args, message), (code, err) in zip(cases, results):
             assert code == 2, args
             assert err == f"error: {message}\n", args
+
+    @pytest.mark.parametrize("spec", ["1:1.000000000000001:1.2e-16", "1e6:1000000.0000001:1e-10", "0.5,1,0.5"])
+    def test_repeated_lambdas(self, capsys, spec):
+        # like finite-n --n 4,4: no duplicate rows are written or priced
+        code, out, err = run_cli(["rs-curve", "--lambda", spec], capsys)
+        assert code == 2
+        assert err.startswith(f"error: bad lambda spec {spec!r}: it repeats a lambda")
+        assert out == ""
 
     def test_verify_refuses_one_disorder_draw(self, capsys):
         # at one draw every standard error is 0, so the Monte Carlo checks'

@@ -219,6 +219,32 @@ class TestPhiOfT:
         assert est.mean == pytest.approx(float(np.mean(vals)), abs=1e-12)
 
 
+class TestPathStart:
+    """At t = 0, -H_t is a sum of one-site terms, so the path's free entropy has a closed form."""
+
+    @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "asym:0.7"])
+    def test_t_zero_is_the_one_site_closed_form(self, spec, ev):
+        # phi_N(0) = (1/N) sum_i log sum_v w_v exp(sqrt(r) z_i v + s x*_i v - r v^2/2)
+        # on the pass's own draws: the spikes of finite._draws and the side
+        # noise z of derive_seed(seed, k, 1)
+        p = parse_prior_spec(spec)
+        n, lam, q, draws, seed = 8, 2.0, 0.5, 200, 61
+        spikes = finite._draws(p, n, seed, draws)[0]
+        z = np.stack([np.random.default_rng(derive_seed(seed, k, 1)).standard_normal(n) for k in range(draws)])
+        for m in (q, -0.3):
+            r, s = lam * q, lam * m
+            got = _phi_t_draws(p, n, lam, q, m, [0.0], draws, seed)[:, 0]
+            v = p.values
+            e = math.sqrt(r) * z[..., None] * v + s * spikes[..., None] * v - r * v * v / 2.0 + p.log_weights
+            top = e.max(axis=-1)
+            closed = (top + np.log(np.exp(e - top[..., None]).sum(axis=-1))).sum(axis=1) / n
+            assert np.all(np.abs(got - closed) <= 2e-15), np.abs(got - closed).max()
+            if m == q:
+                # with a resampled spike and s = r, E phi_N(0) = psi(r) at every N
+                est = finite._mc_estimate(got, seed)
+                assert abs(est.mean - psi(ev, p, r)) <= 3.0 * est.stderr
+
+
 class TestSignFold:
     """The path priced on a sign-symmetric table's representatives agrees with the unfolded path."""
 

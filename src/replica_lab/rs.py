@@ -27,6 +27,23 @@ itself has one evaluator, _potential, at one q or an array of them:
 rs_potential, the scan and the refinement all price F there, and a point's
 bits do not depend on how many points share its call.
 
+The refinement prices several golden-section steps per kernel call, since a
+call's cost is mostly fixed.  From a bracket's state the next step's point
+is known, and each later point turns on one comparison, so the next k steps
+can need at most 2**k - 1 points (_golden_tree).  One call prices them all,
+and the ordinary steps then run against those values, each new point taken
+by its float value, which _golden_step computes with the sequential search's
+own arithmetic.  Because a point's bits do not depend on its batch, every
+comparison and the result are the one-point-per-call search's bit for bit
+(tests/test_rs.py keeps that search as the reference); the unused candidates
+cost only kernel time.  The first call also prices the grid point of the
+bracket.  k comes from a cost model (_golden_depth): a call costs about
+_KERNEL_FIXED + points * A^2 G exponent values for A atoms at G nodes, so k
+steps cost (R + 2**k - 1) / k per step with R = _KERNEL_FIXED / (A^2 G).
+At 61 nodes that gives 4 for two atoms, 3 for three, 2 for uniform:8 and 1
+for uniform:21, the fastest k of 1-5 for each when the refinement alone was
+timed.
+
 The saddle works on derivatives instead.  psi_hat_grad gives F_bar with its
 exact partial derivatives in m and q (those of the quadrature rule itself).
 The inner inf over q takes every sign change of d_q F_bar on a coarse q row,
@@ -53,12 +70,13 @@ spike's) to |x*|, and saddle solves only m >= 0 and mirrors each candidate.
 phi_rs and psi do not fold, although the same symmetry would halve their
 tilts: the benchmark's guerra_slope|2 item pins phi_rs(p, 2).optimizer_q to
 the last bit, and a fold moves its last bits.  psi_prime and state evolution
-do not fold because it would not pay: an SE iteration prices two or three
-points and costs 30-50 us for the two- and three-atom catalog priors, most of
-it the kernel's own arithmetic, and folding inside psi_prime (the folded law
-re-derived per call, as _planted_law does) made it 10-24 us slower for the
-sign-symmetric ones and moved rademacher's psi' by 2e-11; only uniform:21
-gained (about 380 -> 220 us).  Measured at 61 nodes on a 2-CPU Xeon, numpy 2.4.
+do not fold because it would not pay: psi_prime prices two or three points
+and costs 15-17.5 us per call for the two- and three-atom catalog priors (61
+nodes, a 2-CPU AMD EPYC, numpy 2.4), most of it the kernel's fixed per-call
+cost, and folding inside psi_prime (the folded law re-derived per call, as
+_planted_law does) made it 10-24 us slower for the sign-symmetric ones and
+moved rademacher's psi' by 2e-11; only uniform:21 gained (about 380 -> 220
+us).  The fold was measured at 61 nodes on a 2-CPU Xeon, numpy 2.4.
 """
 
 from __future__ import annotations
@@ -71,6 +89,7 @@ import numpy as np
 from .channel import (
     EXPONENT_MAX,
     ChannelEvaluator,
+    _resolve,
     psi_array,
     psi_hat_array,  # noqa: F401  (tracing code reads it as rs.psi_hat_array)
     psi_hat_grad,
@@ -102,6 +121,10 @@ _GUARD_QTOL = 1e-8
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# The channel kernel's fixed cost per call in exponent values (tilts x atoms
+# x nodes): a psi_array call on N points of an A-atom prior at G nodes costs
+# about as much as _KERNEL_FIXED + N A^2 G values (a 2-CPU AMD EPYC, numpy 2.4).
+_KERNEL_FIXED = 2**13
 
 
 @dataclass(frozen=True)
@@ -132,33 +155,81 @@ class SETrace:
     fixed_point: float
 
 
-def _golden_max(f, a: float, b: float):
-    """Golden-section maximizer on [a, b] to REFINE_XTOL; returns (x, f(x)).
+def _golden_step(a: float, h: float, c: float, d: float, left: bool):
+    """One golden-section step from the bracket [a, a + h] with interior points c < d.
 
-    Assumes unimodality inside the bracket; phi_rs provides brackets from a
-    grid scan so a wrong assumption costs accuracy only, never a crash.
+    left keeps [a, d] (f(c) > f(d)), otherwise [c, a + h] is kept.  Returns
+    the new (a, h, c, d) and the one new point, which needs pricing.
+    """
+    h *= _INVPHI
+    if left:
+        x = a + _INVPHI2 * h
+        return a, h, x, c, x
+    x = c + _INVPHI * h
+    return c, h, d, x, x
+
+
+def _golden_tree(a: float, h: float, c: float, d: float, left: bool, depth: int) -> list:
+    """The 2**depth - 1 points that the next depth golden steps from (a, h, c, d) can price.
+
+    The first step's direction is known (left); each later step's turns on
+    the point priced just before it, so level j holds 2**j candidates.
+    """
+    points, frontier = [], [(a, h, c, d, (left,))]
+    for _ in range(depth):
+        grown = []
+        for a, h, c, d, ways in frontier:
+            for way in ways:
+                *state, x = _golden_step(a, h, c, d, way)
+                points.append(x)
+                grown.append((*state, (True, False)))
+        frontier = grown
+    return points
+
+
+def _golden_max(f, a: float, b: float, depth: int, extra=()):
+    """Golden-section maximizer on [a, b] to REFINE_XTOL: (x, f(x), f at the points extra).
+
+    f prices a 1-d array of points.  The result is the sequential search's
+    bit for bit (tests/test_rs.py keeps that search as the reference): the
+    first call prices the two interior points and extra, and each later call
+    prices _golden_tree's candidates for the next depth steps (the last call
+    only up to the search's step count), which are then taken one by one
+    with the sequential comparisons, each point looked up by its float
+    value.  This holds because a point's value does not depend on the other
+    points in its call.  Assumes unimodality inside the bracket; phi_rs
+    provides brackets from a grid scan so a wrong assumption costs accuracy
+    only, never a crash.
     """
     h = b - a
     if h <= REFINE_XTOL:
         x = 0.5 * (a + b)
-        return x, f(x)
+        fx, *f_extra = f(np.array([x, *extra])).tolist()
+        return x, fx, f_extra
     n = max(1, int(math.ceil(math.log(REFINE_XTOL / h) / math.log(_INVPHI))))
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(n):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h *= _INVPHI
-            c = a + _INVPHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= _INVPHI
-            d = a + _INVPHI * h
-            yd = f(d)
-    return (c, yc) if yc > yd else (d, yd)
+    yc, yd, *f_extra = f(np.array([c, d, *extra])).tolist()
+    for done in range(0, n, depth):
+        steps = min(depth, n - done)
+        tree = _golden_tree(a, h, c, d, yc > yd, steps)
+        values = dict(zip(tree, f(np.array(tree)).tolist()))
+        for _ in range(steps):
+            left = yc > yd
+            a, h, c, d, x = _golden_step(a, h, c, d, left)
+            yc, yd = (values[x], yc) if left else (yd, values[x])
+    return (c, yc, f_extra) if yc > yd else (d, yd, f_extra)
+
+
+def _golden_depth(p: Prior, ev) -> int:
+    """How many golden steps _golden_max prices per kernel call: the k >= 1
+    with the least cost per step, (R + 2**k - 1) / k with R = _KERNEL_FIXED
+    / (A^2 G) for A atoms at G nodes (the smaller k on a tie)."""
+    ratio = _KERNEL_FIXED / (p.values.size**2 * _resolve(ev).node_count)
+    depth = 1
+    while (ratio + 2 ** (depth + 1) - 1) / (depth + 1) < (ratio + 2**depth - 1) / depth:
+        depth += 1
+    return depth
 
 
 def _local_max_indices(vals: np.ndarray) -> list:
@@ -281,18 +352,20 @@ def _rs_refine(p: Prior, lam: float, ev, step: float, q_scan: np.ndarray, idx: l
     """phi_rs's refinement of a scan: golden search in every bracket, the grid
     point kept where it beats the bracket's interior, then the tie rule.
 
-    Each refined q lies in its bracket (golden probes only its interior, and
-    the fallback is the grid point itself), which critical_lambda relies on.
+    The grid point is priced in the golden search's first call, and
+    _golden_depth sets how many steps each later call prices.  Each refined q
+    lies in its bracket (golden probes only its interior, and the fallback is
+    the grid point itself), which critical_lambda relies on.
     """
+    depth = _golden_depth(p, ev)
 
     def f(q):
-        return float(_potential(p, lam, q, ev))
+        return _potential(p, lam, q, ev)
 
     optima = []
     for i, (a, b) in zip(idx, _brackets(q_scan, idx)):
-        q_c, v_c = _golden_max(f, a, b)
+        q_c, v_c, (v_grid,) = _golden_max(f, a, b, depth, q_scan[i : i + 1])
         # The bracket interior can undershoot the grid point itself.
-        v_grid = f(float(q_scan[i]))
         if v_grid > v_c:
             q_c, v_c = float(q_scan[i]), v_grid
         optima.append((float(q_c), float(v_c)))
@@ -691,12 +764,14 @@ def critical_lambda(
     offset, which rounding cannot carry below that end, and stays (1 - 1/phi)
     of its width, at least 2e-9, below the right end, far more than the
     rounding its steps accrue on a q <= delta <= 0.1; the v_grid fallback is
-    q_i itself.  So when every bracket starts above delta, q* > delta, and
-    when every bracket ends at or below delta, q* <= delta, whichever
-    candidate wins.  Only a scan with brackets on both sides of delta is
-    refined, and then the refinement of that scan decides.  Each step
-    therefore returns phi_rs(p, lambda).optimizer_q > delta bit for bit, and
-    so does the result.
+    q_i itself.  Pricing several golden steps per call changes none of
+    this, since the same points are priced and the one returned is the
+    sequential search's.  So when every bracket starts above delta,
+    q* > delta, and when every bracket ends at or below delta, q* <= delta,
+    whichever candidate wins.  Only a scan with brackets on both sides of
+    delta is refined, and then the refinement of that scan decides.  Each
+    step therefore returns phi_rs(p, lambda).optimizer_q > delta bit for
+    bit, and so does the result.
     """
     if not 0.0 < delta <= 0.1:
         raise InvalidArgumentError(f"delta must lie in (0, 0.1], got {delta}")

@@ -1,5 +1,6 @@
 """RS potential, saddle formula, state evolution, information curves."""
 
+import math
 import warnings
 
 import numpy as np
@@ -232,13 +233,42 @@ def _local_max_loop(vals):
     return idx
 
 
+def _sequential_golden_max(f, a, b):
+    """Golden-section maximizer on [a, b] to REFINE_XTOL, one point per call of
+    the scalar f: the search that rs._golden_max prices several steps at a
+    time, and must match bit for bit.  Returns (x, f(x))."""
+    from replica_lab.rs import _INVPHI, _INVPHI2, REFINE_XTOL
+
+    h = b - a
+    if h <= REFINE_XTOL:
+        x = 0.5 * (a + b)
+        return x, f(x)
+    n = max(1, int(math.ceil(math.log(REFINE_XTOL / h) / math.log(_INVPHI))))
+    c = a + _INVPHI2 * h
+    d = a + _INVPHI * h
+    yc = f(c)
+    yd = f(d)
+    for _ in range(n):
+        if yc > yd:
+            b, d, yd = d, c, yc
+            h *= _INVPHI
+            c = a + _INVPHI2 * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h *= _INVPHI
+            d = a + _INVPHI * h
+            yd = f(d)
+    return (c, yc) if yc > yd else (d, yd)
+
+
 def _full_scan_phi_rs(p, lam, ev):
-    """phi_rs as it was before the strided pass: every grid point priced."""
+    """phi_rs as it was before the strided pass: every grid point priced,
+    every bracket refined one point per call."""
     from replica_lab.rs import (
         GRID_POINTS,
         TIE_TOL,
         PotentialResult,
-        _golden_max,
         _potential,
     )
 
@@ -256,7 +286,7 @@ def _full_scan_phi_rs(p, lam, ev):
     optima = []
     for i in _local_max_loop(vals):
         a, b = q_scan[max(i - 1, 0)], q_scan[min(i + 1, npts - 1)]
-        q_c, v_c = _golden_max(lambda q: rs_potential(p, lam, q, ev), a, b)
+        q_c, v_c = _sequential_golden_max(lambda q: rs_potential(p, lam, q, ev), a, b)
         v_grid = rs_potential(p, lam, float(q_scan[i]), ev)
         if v_grid > v_c:
             q_c, v_c = float(q_scan[i]), v_grid
@@ -273,13 +303,13 @@ def test_phi_rs_grid_size_does_not_grow_with_the_prior_scale(ev, monkeypatch):
     potential = rs._potential
 
     def counted(p, lam, q, ev):
-        if np.ndim(q):  # the scan's array calls, not the refinement's scalar ones
-            priced.append(q.size)
+        priced.append(np.size(q))
         return potential(p, lam, q, ev)
 
     monkeypatch.setattr(rs, "_potential", counted)
-    res = phi_rs(p, 1.0, ev)
+    rs._rs_scan(p, 1.0, ev)
     assert 0 < sum(priced) <= rs.GRID_POINTS
+    res = phi_rs(p, 1.0, ev)
     assert res.grid_resolution == 1e3
     assert res.optimizer_q == pytest.approx(second_moment(p), rel=1e-7)  # the flat top's rounding
 
@@ -325,6 +355,122 @@ class TestPhiRsMatchesFullScan:
             want = _full_scan_phi_rs(p, lam, ev)
             assert len(want.local_optima) == 2, (p.name, lam)
             assert phi_rs(p, lam, ev) == want, (p.name, lam)
+
+
+class TestSpeculativeGolden:
+    """rs._golden_max prices several golden steps per kernel call and returns
+    the sequential search's (x, f(x)) bit for bit."""
+
+    @staticmethod
+    def _hex(x, fx):
+        return float(x).hex(), float(fx).hex()
+
+    @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "uniform:8", "uniform:21"])
+    def test_matches_sequential_at_every_depth(self, ev, spec):
+        # 2, 3, 8 and 21 atoms; random brackets from 3e-9 to a tenth of
+        # [0, E[X^2]] wide and one no wider than REFINE_XTOL, so that the
+        # step counts run from 0 to about 30, most not a multiple of a depth
+        p = parse_prior_spec(spec)
+        m2 = second_moment(p)
+        rng = np.random.default_rng(17)
+        counts = []
+        for lam in (0.8, 2.5):
+            brackets = [(0.3 * m2, 0.3 * m2 + 0.5 * rs.REFINE_XTOL)]
+            for width in m2 * 10.0 ** rng.uniform(-8.5, -1.0, 5):
+                a = rng.uniform(0.0, m2 - width)
+                brackets.append((a, a + width))
+            for a, b in brackets:
+                priced = []
+                want = _sequential_golden_max(
+                    lambda q: priced.append(q) or float(rs._potential(p, lam, q, ev)), a, b
+                )
+                counts.append(max(len(priced) - 2, 0))
+                for depth in range(1, 6):
+                    x, fx, _ = rs._golden_max(lambda q: rs._potential(p, lam, q, ev), a, b, depth)
+                    assert self._hex(x, fx) == self._hex(*want), (spec, lam, a, b, depth)
+        assert 0 in counts and any(n % 4 and n % 5 for n in counts), counts
+
+    def test_matches_sequential_off_unimodal(self):
+        # a sawtooth with a tooth every 1e-6 turns the comparisons both ways,
+        # so that the replay walks every branch of the candidate tree
+        def saw(q):
+            return (q * 1e6) % 1.0
+
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            a = rng.uniform(0.0, 1.0)
+            b = a + 10.0 ** rng.uniform(-9.0, 0.0)
+            want = _sequential_golden_max(saw, a, b)
+            for depth in range(1, 6):
+                assert self._hex(*rs._golden_max(saw, a, b, depth)[:2]) == self._hex(*want), (a, b, depth)
+
+    def test_extra_points_come_with_the_first_call(self):
+        calls = []
+
+        def f(q):
+            calls.append(q.size)
+            return -((q - 0.3) ** 2)
+
+        want = (-((np.array([0.1, 0.35]) - 0.3) ** 2)).tolist()
+        # a bracket of 0.2 takes 35 steps: 11 calls of three steps, then two
+        assert rs._golden_max(f, 0.2, 0.4, 3, [0.1, 0.35])[2] == want
+        assert calls == [4] + [7] * 11 + [3]
+        calls.clear()
+        assert rs._golden_max(f, 0.2, 0.2 + 0.5 * rs.REFINE_XTOL, 3, [0.1, 0.35])[2] == want
+        assert calls == [3]
+
+    @pytest.mark.parametrize(
+        "spec, depth",
+        [("rademacher", 4), ("asym:0.7", 4), ("sparse:0.25", 3), ("sparse:0.05", 3), ("uniform:8", 2), ("uniform:21", 1)],
+    )
+    def test_depth_of_the_catalog(self, ev, spec, depth):
+        assert rs._golden_depth(parse_prior_spec(spec), ev) == depth
+
+    def test_depth_minimizes_the_cost_model(self):
+        # (R + 2**k - 1) / k per step with R = _KERNEL_FIXED / (A^2 G), the
+        # least k on ties
+        for atoms in (1, 2, 3, 5, 8, 13, 21, 40):
+            p = make_prior([(float(v), 1.0 / atoms) for v in range(atoms)])
+            for nodes in (2, 21, 61, 121, 400):
+                ratio = rs._KERNEL_FIXED / (atoms * atoms * nodes)
+                cost = [(ratio + 2**k - 1) / k for k in range(1, 20)]
+                assert rs._golden_depth(p, make_evaluator(nodes)) == 1 + cost.index(min(cost)), (atoms, nodes)
+
+    @pytest.mark.parametrize(
+        "spec, lam, depth",
+        [("rademacher", 2.0, 4), ("sparse:0.25", 2.0, 3), ("sparse:0.05", 0.75, 3), ("uniform:8", 2.0, 2),
+         ("uniform:21", 1.5, 1), ("rademacher", 0.0, 4)],
+    )
+    def test_kernel_calls_per_bracket(self, ev, monkeypatch, spec, lam, depth):
+        # a bracket whose sequential search takes n steps costs 1 + ceil(n /
+        # depth) kernel calls, its grid point priced in the first; sparse:0.05
+        # at 0.75 has two brackets, and lambda = 0 the one-point scan's
+        # zero-width one
+        p = parse_prior_spec(spec)
+        scan = rs._rs_scan(p, lam, ev)
+        want = 0
+        for a, b in rs._brackets(*scan[1:]):
+            priced = []
+            _sequential_golden_max(lambda q: priced.append(q) or 0.0, a, b)
+            want += 1 + math.ceil(max(len(priced) - 2, 0) / depth)
+        calls = []
+        potential = rs._potential
+        monkeypatch.setattr(rs, "_potential", lambda *args: calls.append(1) or potential(*args))
+        rs._rs_refine(p, lam, ev, *scan)
+        assert len(calls) == want, (spec, lam)
+
+    @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21", "uniform:8"])
+    def test_point_bits_do_not_depend_on_the_batch(self, ev, spec):
+        # the property the speculation rests on, at the refinement's batch
+        # shapes: one point (the scalar call and a 1-array), 3, 7 and 15
+        p = parse_prior_spec(spec)
+        q = np.random.default_rng(11).uniform(0.0, second_moment(p), 15)
+        for lam in (0.7, 2.0, 5.0):
+            single = [float(rs._potential(p, lam, float(x), ev)).hex() for x in q]
+            for size in (1, 3, 7, 15):
+                for start in range(0, q.size, size):
+                    got = rs._potential(p, lam, q[start : start + size], ev).tolist()
+                    assert [v.hex() for v in got] == single[start : start + size], (spec, lam, size)
 
 
 class TestFBar:

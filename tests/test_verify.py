@@ -5,10 +5,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from replica_lab import InvalidArgumentError, VerificationReport, nishimori_check, run_suite
-from replica_lab.verify import se_fixed_point_check
+from replica_lab import (
+    DomainError,
+    InvalidArgumentError,
+    VerificationReport,
+    asymmetry_gap,
+    channel,
+    nishimori_check,
+    parse_prior_spec,
+    run_suite,
+)
+from replica_lab.verify import se_fixed_point_check, tilt_asymmetry_check
 
 
 class TestRunSuite:
@@ -49,6 +59,25 @@ class TestSeFixedPoint:
             assert not rep.passed
             assert rep.slack == float("-inf")
             assert rep.passed == (rep.slack >= 0)
+
+
+class TestTiltAsymmetry:
+    @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21", "point:0.7"])
+    def test_one_kernel_call_with_the_gaps_bits(self, ev, monkeypatch, spec):
+        # the r grid in one call, its least gap asymmetry_gap's bit for bit
+        p = parse_prior_spec(spec)
+        want = min(asymmetry_gap(ev, p, float(r)) for r in np.arange(0.0, 10.0 + 1e-12, 0.25))
+        calls = []
+        kernel = channel.psi_hat_array
+        monkeypatch.setattr(channel, "psi_hat_array", lambda *a: calls.append(1) or kernel(*a))
+        rep = tilt_asymmetry_check(p, ev)
+        assert len(calls) == 1
+        assert rep.params["min_gap"].hex() == want.hex()
+        assert rep.params["r_max"] == 10.0 and rep.passed
+
+    def test_exponent_bound_at_r_max(self, ev):
+        with pytest.raises(DomainError, match="channel exponents reach"):
+            tilt_asymmetry_check(parse_prior_spec("point:1e160"), ev)
 
 
 def test_from_slack_verdict_at_the_boundary():

@@ -232,6 +232,27 @@ def _check_exponents(p: Prior, r: float, tilt: float) -> None:
         )
 
 
+def _check_scale(p: Prior, lam: float, extent: float, tilt: float = 0.0):
+    """DomainError unless lambda * extent * (K * max(K, tilt) + extent) <= EXPONENT_MAX.
+
+    The solvers' rule, where _check_exponents is the channel entries': it
+    bounds the exponents that a call at SNR lambda reaches.  lambda must
+    first be finite and >= 0.  extent bounds the q and |m| a call reaches
+    (E[X^2] + 1 for the solvers), K is the support bound and tilt bounds a
+    spike's |x*| beyond K.  With r = lambda q and s = lambda m x*, the
+    product bounds every channel exponent term (r x^2, s x, sqrt(r) z x) and
+    potential term (lambda q^2, lambda m^2).
+    """
+    _check_nonnegative("lambda", lam)
+    k = p.bound
+    scale = lam * extent * (k * max(k, tilt) + extent)
+    if not scale <= EXPONENT_MAX:
+        raise DomainError(
+            f"the channel exponents reach {scale:.3g}, above {EXPONENT_MAX:g} "
+            f"(lambda = {lam}, q or |m| up to {extent}, K = {k})"
+        )
+
+
 def psi_hat(ev: ChannelEvaluator | None, p: Prior, r: float, s: float) -> float:
     """psi_hat(r, s) = E_z log int exp(sqrt(r) z x + s x - (r/2) x^2) dP(x).
 
@@ -298,12 +319,18 @@ def psi_prime(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
     return (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * h)
 
 
-def asymmetry_gap(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
+def asymmetry_gap(ev: ChannelEvaluator | None, p: Prior, r):
     """psi_bar(r, r) - psi_bar(r, -r); nonnegative for every prior and r >= 0.
 
-    r K^2 passes _check_exponents.
+    r is a float, which gives a float, or an array, which gives the array of
+    its gaps, all priced in one kernel call over (r, r) and (r, -r).  A
+    point's gap does not depend on the other points of its call.  Every r is
+    finite and >= 0 (the least and the largest are checked), and the
+    largest r's r K^2 passes _check_exponents.
     """
-    r = _check_nonnegative("r", r)
-    _check_exponents(p, r, r * p.bound)
-    plus, minus = psi_bar_array(ev, p, np.array([r, r]), np.array([r, -r])).tolist()
-    return plus - minus
+    r = np.asarray(r, dtype=np.float64)
+    _check_nonnegative("r", r.min(initial=0.0))
+    r_max = _check_nonnegative("r", r.max(initial=0.0))
+    _check_exponents(p, r_max, r_max * p.bound)
+    plus, minus = psi_bar_array(ev, p, np.stack([r, r]), np.stack([r, -r]))
+    return plus - minus if r.ndim else float(plus - minus)

@@ -68,10 +68,6 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
         if x == 0.0:
             x = 0.0
         return f"{x:.12g}"

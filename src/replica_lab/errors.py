@@ -43,6 +43,12 @@ def _check_nonnegative(name: str, x) -> float:
     return x
 
 
+def _check_positive(name: str, x) -> None:
+    """InvalidArgumentError unless x is finite and > 0."""
+    if not 0.0 < float(x) < math.inf:
+        raise InvalidArgumentError(f"{name} must be finite and > 0, got {x}")
+
+
 def _check_finite(name: str, x) -> float:
     """x as a float; DomainError unless it is finite."""
     x = float(x)

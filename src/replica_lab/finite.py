@@ -16,11 +16,12 @@ A single-site Metropolis sampler covers sizes beyond the enumeration budget.
 Every exact estimator is built from the same pieces: _configurations
 enumerates the configurations and keeps one per sign orbit (below), for the
 table and the likelihood ratio alike; _setup checks the inputs and fetches
-the table; _draws fetches the disorder draws once as (spikes, noises);
-_overlaps gives R_{1,*} of the rows; the Gibbs pass _gibbs (_log_weights,
-then _fold) gives per-(draw, SNR) log Z or Gibbs means of odd row
-statistics; _mc_estimate averages per-draw values, with the -inf sentinel
-of an empty window.  _log_weights is the package's one definition of -H;
+the table for every one of them, the likelihood-ratio pair
+(kl_log_likelihood_ratios) included; _draws fetches the disorder draws once
+as (spikes, noises); _overlaps gives R_{1,*} of the rows; the Gibbs pass
+_gibbs (_log_weights, then _fold) gives per-(draw, SNR) log Z or Gibbs
+means of odd row statistics; _mc_estimate averages per-draw values, with
+the -inf sentinel of an empty window.  _log_weights is the package's one definition of -H;
 the path (_phi_t_draws) is one Gibbs pass at its SNRs t lam with the side
 term of -H_t added, and the tests hold both to per-configuration
 evaluations of the definitions.  The Franz-Parisi potential has one
@@ -88,10 +89,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, EnumerationBudgetError, InvalidArgumentError, _check_finite, _check_nonnegative
+from . import priors
+from .channel import EXPONENT_MAX, _check_scale
+from .errors import DomainError, EnumerationBudgetError, InvalidArgumentError
+from .errors import _check_finite, _check_nonnegative, _check_positive
 from .priors import Prior, support_bound
 from .report import VerificationReport
-from . import rs
 
 DEFAULT_BUDGET = 2**20
 
@@ -108,12 +111,6 @@ def derive_seed(master: int, *indices: int) -> int:
     """Deterministic per-replica seed from a master seed and counter indices."""
     words = [int(master) & _MASK64] + [int(i) & _MASK64 for i in indices]
     return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
-
-
-@lru_cache(maxsize=64)
-def _triu(n: int):
-    iu = np.triu_indices(n, k=1)
-    return iu[0].copy(), iu[1].copy()
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +130,7 @@ class SpikedInstance:
     def y_full(self) -> np.ndarray:
         """Symmetric Y with zero diagonal."""
         m = np.zeros((self.n, self.n))
-        i, j = _triu(self.n)
+        i, j = np.triu_indices(self.n, 1)
         m[i, j] = self.y
         m[j, i] = self.y
         return m
@@ -144,16 +141,23 @@ def instance_from_parts(spike, noise, lam: float) -> SpikedInstance:
 
     Single construction path: sample_instance and everything that rebuilds an
     instance from its parts go through here, so equal inputs give
-    bit-identical Y.
+    bit-identical Y.  The spike is a nonempty 1-d array of n values, the
+    noise a 1-d array of its n(n-1)/2 pairs (InvalidArgumentError
+    otherwise), and lambda is finite and >= 0 (DomainError otherwise).
     """
     spike = np.asarray(spike, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     n = spike.size
-    i, j = _triu(n)
+    if spike.shape != (n,) or n == 0:
+        raise InvalidArgumentError(f"spike must be a nonempty 1-d array, got shape {spike.shape}")
+    i, j = np.triu_indices(n, 1)
+    if noise.shape != i.shape:
+        raise InvalidArgumentError(f"noise must have n(n-1)/2 = {i.size} entries, got shape {noise.shape}")
+    lam = _check_nonnegative("lambda", lam)
     y = math.sqrt(lam / n) * spike[i] * spike[j] + noise
     for arr in (spike, noise, y):
         arr.setflags(write=False)
-    return SpikedInstance(n=n, lam=float(lam), spike=spike, noise=noise, y=y)
+    return SpikedInstance(n=n, lam=lam, spike=spike, noise=noise, y=y)
 
 
 def _sample_atoms(p: Prior, count: int, rng) -> np.ndarray:
@@ -276,7 +280,7 @@ def enumeration_table(p: Prior, n: int, budget: int = DEFAULT_BUDGET) -> EnumTab
     required = len(p.atoms) ** n
     if required > budget:
         raise EnumerationBudgetError(required=required, budget=budget)
-    return _enum_table(p.atoms, n, rs._sign_symmetric(p))
+    return _enum_table(p.atoms, n, priors._sign_symmetric(p))
 
 
 def _blocks(rows: int, n: int, n_draws: int):
@@ -331,7 +335,7 @@ def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None):
     call, and no array spans the draws times the rows.
     """
     n = table.X.shape[1]
-    i, j = _triu(n)
+    i, j = np.triu_indices(n, 1)
     spikes, noises = draws
     n_draws = spikes.shape[0]
     count = table.reps if rows is None else rows.size
@@ -426,7 +430,7 @@ def _overlaps(table: EnumTable, spikes: np.ndarray, digits=None, block: slice = 
 
 
 def _check_energy_scale(p: Prior, n: int, lam: float):
-    """DomainError unless (lambda + n) n K^4 <= rs.EXPONENT_MAX, after the lambda check.
+    """DomainError unless (lambda + n) n K^4 <= EXPONENT_MAX, after the lambda check.
 
     The table's pairsq and sumsq^2 reach n^2 K^4, and the energy's terms
     (lambda/N) S and (lambda/2N) pairsq, like the likelihood ratio's
@@ -436,16 +440,11 @@ def _check_energy_scale(p: Prior, n: int, lam: float):
     _check_nonnegative("lambda", lam)
     k = support_bound(p)
     scale = (lam + n) * n * (k * k) * (k * k)
-    if not scale <= rs.EXPONENT_MAX:
+    if not scale <= EXPONENT_MAX:
         raise DomainError(
-            f"the energies reach (lambda + n) n K^4 = {scale:.3g}, above {rs.EXPONENT_MAX:g} "
+            f"the energies reach (lambda + n) n K^4 = {scale:.3g}, above {EXPONENT_MAX:g} "
             f"(lambda = {lam}, n = {n}, K = {k})"
         )
-
-
-def _check_spike_in_support(p: Prior, spike: np.ndarray):
-    if not np.isin(spike, p.values).all():
-        raise InvalidArgumentError("spike entries must be atoms of the prior")
 
 
 def _check_disorder(n_disorder: int, name: str = "n_disorder") -> None:
@@ -458,9 +457,11 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
     """Validated (spike, table) for an exact estimator: the one input check of them all.
 
     n >= 2, and lambda and n pass _check_energy_scale; a window (m, eps) has
-    a finite start m and a finite width eps > 0; n_disorder >= 1; a fixed
-    spike has length n and entries among the prior's atoms, and None (a
-    resampled spike) stays None.
+    a finite start m and a finite width eps > 0; n_disorder >= 1; a spike
+    has entries among the prior's atoms and is either one fixed spike of
+    length n or, without a window, the n_disorder draws' own spikes stacked
+    as (n_disorder, n) (log_partition_exact's instance and the
+    likelihood-ratio pair's); None (a resampled spike) stays None.
     """
     if n < 2:
         raise InvalidArgumentError(f"need n >= 2, got {n}")
@@ -469,14 +470,14 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
         m, eps = window
         if not math.isfinite(m):
             raise InvalidArgumentError(f"m must be finite, got {m}")
-        if not (math.isfinite(eps) and eps > 0):
-            raise InvalidArgumentError(f"eps must be finite and > 0, got {eps}")
+        _check_positive("eps", eps)
     _check_disorder(n_disorder)
     if spike is not None:
         spike = np.asarray(spike, dtype=np.float64)
-        if spike.shape != (n,):
+        if spike.shape != (n,) and (window is not None or spike.shape != (n_disorder, n)):
             raise InvalidArgumentError(f"spike must have length {n}")
-        _check_spike_in_support(p, spike)
+        if not np.isin(spike, p.values).all():
+            raise InvalidArgumentError("spike entries must be atoms of the prior")
     return spike, enumeration_table(p, n, budget)
 
 
@@ -530,12 +531,12 @@ def _gibbs(table: EnumTable, rows, lams, draws, side=None, odd=None) -> np.ndarr
 
 def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
     """log Z by stable log-sum-exp over all configurations, with the overlap law."""
-    _, table = _setup(p, inst.n, inst.lam, 1, budget, spike=inst.spike)
-    blocks = _log_weights(table, None, [inst.lam], (inst.spike[None], inst.noise[None]))
+    spikes, table = _setup(p, inst.n, inst.lam, 1, budget, spike=inst.spike[None])
+    blocks = _log_weights(table, None, [inst.lam], (spikes, inst.noise[None]))
     top, total = np.full(1, -np.inf), np.zeros(1)
     e = _fold(top, total, np.concatenate([weights(0) for *_, weights in blocks], axis=1), table.mirrors)[0][0]
     log_z = float(_log_of(top, total)[0])
-    vals, inv = np.unique(_overlaps(table, inst.spike[None], 9)[0], return_inverse=True)
+    vals, inv = np.unique(_overlaps(table, spikes, 9)[0], return_inverse=True)
     mass = np.bincount(inv, weights=np.concatenate([e, e[: table.mirrors]]) / total[0])
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]
     return EnumerationResult(log_z=log_z, overlap_law=law, config_count=table.reps + table.mirrors)
@@ -602,10 +603,10 @@ def _log_likelihood_ratios(ys: np.ndarray, p: Prior, n: int, lam: float) -> np.n
     _configurations gives L's sign orbits' representatives and all of R.
     """
     atoms, h = len(p.atoms), n // 2
-    i, j = _triu(n)
+    i, j = np.triu_indices(n, 1)
     pair = np.zeros((n, n), dtype=np.intp)
     pair[i, j] = np.arange(i.size)
-    d_l, paired = _configurations(p.values, h, rs._sign_symmetric(p))
+    d_l, paired = _configurations(p.values, h, priors._sign_symmetric(p))
     d_r, _ = _configurations(p.values, n - h, False)
     w_l, w_r = p.log_weights[d_l].sum(axis=1), p.log_weights[d_r].sum(axis=1)
     w_l[:paired] += math.log(2.0)  # a paired representative stands for its mirror too
@@ -685,9 +686,7 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     if any(inst.n != n or inst.lam != lam for inst in instances):
         raise InvalidArgumentError("instances must share n and lambda")
     spikes = np.stack([inst.spike for inst in instances])
-    _check_spike_in_support(p, spikes)
-    _check_energy_scale(p, n, lam)
-    table = enumeration_table(p, n, budget)
+    _, table = _setup(p, n, lam, len(instances), budget, spike=spikes)
     log_z = _gibbs(table, None, [lam], (spikes, np.stack([inst.noise for inst in instances])))[:, 0]
     return _log_likelihood_ratios(np.stack([inst.y for inst in instances]), p, n, lam), log_z
 
@@ -758,11 +757,6 @@ def fp_profile(
     return [(int(bins[run[0]]), _window_estimate(table, run, lam, draws, seed)) for run in runs]
 
 
-def _check_t(t: float):
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
-
-
 def _phi_t_draws(
     p: Prior,
     n: int,
@@ -787,16 +781,19 @@ def _phi_t_draws(
     field sqrt((1-t) r) z + (1-t) s x*.  A window (restricted, an (m_window,
     eps) pair) drops the rows outside it; a draw with none left gets -inf.
     At t = 1 it is free_entropy_mc's pass with zero side coefficients, bit
-    for bit.  r = lam q and s = lam m pass rs._check_scale at extent
-    max(q, |m|).
+    for bit.  Every t lies in [0, 1], and r = lam q and s = lam m pass
+    channel._check_scale at extent max(q, |m|).
     """
     _check_nonnegative("q", q)
     _check_finite("m", m)
     t = np.array([float(v) for v in t_values])
     for v in t:
-        _check_t(v)
+        if not 0.0 <= v <= 1.0:
+            raise DomainError(f"t must lie in [0, 1], got {v}")
     spike, table = _setup(p, n, lam, n_disorder, budget, restricted, spike)
-    rs._check_scale(p, lam, max(q, abs(m)))
+    if spike is not None and spike.ndim != 1:  # a stack passes _setup without a window
+        raise InvalidArgumentError(f"spike must have length {n}")
+    _check_scale(p, lam, max(q, abs(m)))
     r, s = lam * q, lam * m
     draws = _draws(p, n, seed, n_disorder, spike)
     side_z, side_s = np.sqrt((1.0 - t) * r), (1.0 - t) * s

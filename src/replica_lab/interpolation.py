@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelEvaluator
+from .channel import ChannelEvaluator, _check_scale
 from .errors import InvalidArgumentError
 from .finite import (
     DEFAULT_BUDGET,
@@ -46,7 +46,7 @@ from .finite import (
 )
 from .priors import Prior, support_bound
 from .report import VerificationReport
-from .rs import _check_scale, _inner_min
+from .rs import _inner_min
 
 
 def phi_of_t(
@@ -144,8 +144,9 @@ def fp_upper_check(
     plus the calibration allowance C/N + 3 stderr (C = lam K^4).  The inf
     over q in [0, K^2 + 1] is the saddle's exact inner minimization, averaged
     over the spike's empirical law.  An unreachable window produces a skipped
-    (vacuously passing) report.  lambda and m must pass rs._check_scale at
-    extent max(K^2 + 1, |m|), besides fp_potential's checks.
+    (vacuously passing) report.  lambda and m must pass
+    channel._check_scale at extent max(K^2 + 1, |m|), besides fp_potential's
+    checks.
     """
     K = support_bound(p)
     _check_scale(p, lam, max(K * K + 1.0, abs(m)))

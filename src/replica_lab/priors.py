@@ -101,6 +101,11 @@ def support_bound(p: Prior) -> float:
     return p.bound
 
 
+def _sign_symmetric(p: Prior) -> bool:
+    """Whether the multiset of p's (v, w) atoms equals the multiset of (-v, w)."""
+    return sorted(p.atoms) == sorted((-v, w) for v, w in p.atoms)
+
+
 def rademacher_prior() -> Prior:
     """Atoms +-1 with weight 1/2 each."""
     return make_prior([(1.0, 0.5), (-1.0, 0.5)], name="rademacher")

@@ -63,20 +63,22 @@ between calls, so a result depends only on its arguments.  The same inner
 minimization, averaged over a spike's empirical law instead of the prior,
 gives inf_q F_hat for the fixed-spike bound in interpolation.fp_upper_check.
 
-When the prior is sign-symmetric (its (v, w) atoms are those of (-v, w)),
-psi_hat(r, s) is even in s, so F_bar is even in m and its planted average
-needs only |x*|.  _planted_law then folds the law of x* (the prior's or a
-spike's) to |x*|, and saddle solves only m >= 0 and mirrors each candidate.
-phi_rs and psi do not fold, although the same symmetry would halve their
-tilts: the benchmark's guerra_slope|2 item pins phi_rs(p, 2).optimizer_q to
-the last bit, and a fold moves its last bits.  psi_prime and state evolution
-do not fold because it would not pay: psi_prime prices two or three points
-and costs 15-17.5 us per call for the two- and three-atom catalog priors (61
-nodes, a 2-CPU AMD EPYC, numpy 2.4), most of it the kernel's fixed per-call
-cost, and folding inside psi_prime (the folded law re-derived per call, as
-_planted_law does) made it 10-24 us slower for the sign-symmetric ones and
-moved rademacher's psi' by 2e-11; only uniform:21 gained (about 380 -> 220
-us).  The fold was measured at 61 nodes on a 2-CPU Xeon, numpy 2.4.
+When the prior is sign-symmetric (its (v, w) atoms are those of (-v, w),
+which priors._sign_symmetric decides for this layer and the finite one
+alike), psi_hat(r, s) is even in s, so F_bar is even in m and its planted
+average needs only |x*|.  _planted_law then folds the law of x* (the
+prior's or a spike's) to |x*|, and saddle solves only m >= 0 and mirrors
+each candidate.  phi_rs and psi do not fold, although the same symmetry
+would halve their tilts: the benchmark's guerra_slope|2 item pins
+phi_rs(p, 2).optimizer_q to the last bit, and a fold moves its last bits.
+psi_prime and state evolution do not fold because it would not pay:
+psi_prime prices two or three points and costs 15-17.5 us per call for the
+two- and three-atom catalog priors (61 nodes, a 2-CPU AMD EPYC, numpy 2.4),
+most of it the kernel's fixed per-call cost, and folding inside psi_prime
+(the folded law re-derived per call, as _planted_law does) made it 10-24 us
+slower for the sign-symmetric ones and moved rademacher's psi' by 2e-11;
+only uniform:21 gained (about 380 -> 220 us).  The fold was measured at 61
+nodes on a 2-CPU Xeon, numpy 2.4.
 """
 
 from __future__ import annotations
@@ -86,17 +88,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import priors
 from .channel import (
-    EXPONENT_MAX,
+    EXPONENT_MAX,  # noqa: F401  (README documents it as rs.EXPONENT_MAX)
     ChannelEvaluator,
+    _check_scale,
     _resolve,
     psi_array,
     psi_hat_array,  # noqa: F401  (tracing code reads it as rs.psi_hat_array)
     psi_hat_grad,
     psi_prime,
 )
-from .errors import DomainError, InvalidArgumentError, NumericalError, _check_finite, _check_nonnegative
-from .priors import Prior, second_moment, support_bound
+from .errors import InvalidArgumentError, NumericalError, _check_finite, _check_nonnegative, _check_positive
+from .priors import Prior, second_moment
 
 GRID_POINTS = 1001
 REFINE_XTOL = 1e-8
@@ -245,25 +249,6 @@ def _local_max_indices(vals: np.ndarray) -> list:
     return np.delete(idx, np.flatnonzero(plateau) + 1).tolist()
 
 
-def _check_scale(p: Prior, lam: float, extent: float, tilt: float = 0.0):
-    """DomainError unless lambda * extent * (K * max(K, tilt) + extent) <= EXPONENT_MAX.
-
-    lambda must first be finite and >= 0.  extent bounds the q and |m| a
-    call reaches (E[X^2] + 1 for the solvers), K is the support bound and tilt
-    bounds a spike's |x*| beyond K.  With r = lambda q and s = lambda m x*,
-    the product bounds every channel exponent term (r x^2, s x, sqrt(r) z x)
-    and potential term (lambda q^2, lambda m^2).
-    """
-    _check_nonnegative("lambda", lam)
-    k = support_bound(p)
-    scale = lam * extent * (k * max(k, tilt) + extent)
-    if not scale <= EXPONENT_MAX:
-        raise DomainError(
-            f"the channel exponents reach {scale:.3g}, above {EXPONENT_MAX:g} "
-            f"(lambda = {lam}, q or |m| up to {extent}, K = {k})"
-        )
-
-
 # ----------------------------------------------------------------------
 # RS potential and its supremum
 # ----------------------------------------------------------------------
@@ -409,11 +394,6 @@ def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator 
     return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p, spike))[0])
 
 
-def _sign_symmetric(p: Prior) -> bool:
-    """Whether the multiset of p's (v, w) atoms equals the multiset of (-v, w)."""
-    return sorted(p.atoms) == sorted((-v, w) for v, w in p.atoms)
-
-
 def _planted_law(p: Prior, spike=None):
     """The law (values, weights) of x* that F_bar averages over, folded to |x*| when p is sign-symmetric.
 
@@ -427,7 +407,7 @@ def _planted_law(p: Prior, spike=None):
     values, weights = (p.values, p.weights) if spike is None else np.unique(spike, return_counts=True)
     if spike is not None:
         weights = weights / spike.size  # the counts' frequencies
-    if not _sign_symmetric(p):
+    if not priors._sign_symmetric(p):
         return values, weights
     folded, inverse = np.unique(np.abs(values), return_inverse=True)
     return folded, np.bincount(inverse, weights)
@@ -678,7 +658,7 @@ def saddle(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     if lam == 0.0 or m2 == 0.0:
         return PotentialResult(0.0, 0.0, 0.0, [(0.0, 0.0)], step)
     q_max = m2 + 1.0
-    symmetric = _sign_symmetric(p)
+    symmetric = priors._sign_symmetric(p)
     if symmetric:
         m_grid = m2 * np.sort(np.r_[np.linspace(0.0, 1.0, _M_POINTS // 2 + 1), _PROBE])
     else:
@@ -725,8 +705,7 @@ def state_evolution(
     _check_scale(p, lam, m2 + 1.0)
     if not 0.0 <= q0 <= m2:
         raise InvalidArgumentError(f"q0 must lie in [0, {m2}], got {q0}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
+    _check_positive("tol", tol)
     if not max_iter >= 1:
         raise InvalidArgumentError(f"max_iter must be >= 1, got {max_iter}")
     iterates = [float(q0)]
@@ -775,8 +754,7 @@ def critical_lambda(
     """
     if not 0.0 < delta <= 0.1:
         raise InvalidArgumentError(f"delta must lie in (0, 0.1], got {delta}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
+    _check_positive("tol", tol)
 
     def above(lam):
         scan = _rs_scan(p, lam, ev)

@@ -14,7 +14,7 @@ import pytest
 
 from replica_lab import DomainError, InvalidArgumentError, SpikedInstance, free_entropy_mc, standard_priors
 from replica_lab.channel import make_evaluator
-from replica_lab.finite import _MASK64, _check_t, _triu
+from replica_lab.finite import _MASK64
 
 
 @pytest.fixture(scope="session")
@@ -210,7 +210,7 @@ def hamiltonian(inst, x) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (inst.n,):
         raise InvalidArgumentError(f"x must have length {inst.n}, got shape {x.shape}")
-    i, j = _triu(inst.n)
+    i, j = np.triu_indices(inst.n, 1)
     pp = x[i] * x[j]
     n = inst.n
     return float(math.sqrt(inst.lam / n) * (inst.y @ pp) - inst.lam / (2.0 * n) * (pp @ pp))
@@ -231,6 +231,11 @@ class AugmentedInstance:
     s: float
     side_noise: np.ndarray = field(repr=False)
     side_obs: np.ndarray = field(repr=False)
+
+
+def _check_t(t: float):
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"t must lie in [0, 1], got {t}")
 
 
 def augment(inst, t: float, r: float, s: float, seed: int) -> AugmentedInstance:
@@ -255,7 +260,7 @@ def h_t(aug: AugmentedInstance, x) -> float:
     if x.shape != (inst.n,):
         raise InvalidArgumentError(f"x must have length {inst.n}, got shape {x.shape}")
     n = inst.n
-    i, j = _triu(n)
+    i, j = np.triu_indices(n, 1)
     pp = x[i] * x[j]
     spike_pp = inst.spike[i] * inst.spike[j]
     t, lam, r, s = aug.t, inst.lam, aug.r, aug.s

@@ -20,6 +20,7 @@ from replica_lab import (
     psi_prime,
 )
 from replica_lab.channel import (
+    EXPONENT_MAX,
     MAX_NODE_COUNT,
     make_evaluator,
     psi_array,
@@ -378,6 +379,33 @@ class TestAsymmetryGap:
         plus, se_p = mc_psi_bar(p, 2.0, 2.0, n_samples=10**6, seed=3)
         minus, se_m = mc_psi_bar(p, 2.0, -2.0, n_samples=10**6, seed=4)
         assert abs(gap - (plus - minus)) <= 3.0 * math.hypot(se_p, se_m)
+
+    @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21", "point:0.7"])
+    def test_array_equals_scalar_calls(self, ev, spec):
+        # one call over an r array gives each r's scalar gap bit for bit,
+        # whatever the array's shape
+        p = parse_prior_spec(spec)
+        r = np.arange(0.0, 10.0 + 1e-12, 0.25)
+        want = np.array([asymmetry_gap(ev, p, float(x)) for x in r])
+        for shape in (r.shape, (r.size, 1), (1, r.size)):
+            got = asymmetry_gap(ev, p, r.reshape(shape))
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            assert got.ravel().tobytes() == want.tobytes()
+        assert type(asymmetry_gap(ev, p, 2.0)) is float
+
+    def test_array_refuses_any_bad_entry(self, priors):
+        # the least and the largest r are checked, wherever they sit
+        p = priors["asym:0.7"]
+        for bad in (-1e-12, -2.0, float("nan"), float("inf")):
+            for at in (0, 3, -1):
+                r = np.linspace(0.0, 5.0, 7)
+                r[at] = bad
+                with pytest.raises(DomainError, match="r must be finite and >= 0"):
+                    asymmetry_gap(None, p, r)
+        k = p.bound
+        r = np.array([0.0, 1.001 * EXPONENT_MAX / (k * k), 1.0])
+        with pytest.raises(DomainError, match="the channel exponents reach"):
+            asymmetry_gap(None, p, r)
 
 
 class TestDoublingStability:

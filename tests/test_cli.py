@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from replica_lab.channel import MAX_NODE_COUNT
-from replica_lab.cli import main, parse_lambda_spec
+from replica_lab.cli import _fmt, main, parse_lambda_spec
 from replica_lab.cli import UsageError
 
 
@@ -57,6 +57,13 @@ class TestLambdaSpec:
         with pytest.raises(UsageError) as info:
             parse_lambda_spec(spec)
         assert str(info.value) == f"bad lambda spec {spec!r}: it repeats a lambda ({counts})"
+
+
+def test_fmt_of_special_floats():
+    # Python's own 12-digit format for nan and the infinities, and a signed
+    # zero written as 0
+    values = (float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-300, -2.5, True, 3)
+    assert [_fmt(x) for x in values] == ["nan", "inf", "-inf", "0", "0", "1e-300", "-2.5", "true", "3"]
 
 
 class TestCommands:

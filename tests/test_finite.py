@@ -1,9 +1,11 @@
 """Finite-size instances: enumeration, disorder averages, sampling."""
 
+import ast
 import itertools
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from replica_lab import (
     DomainError,
     EnumerationBudgetError,
     InvalidArgumentError,
+    SpikedInstance,
     derive_seed,
     f_hat,
     fp_potential,
@@ -27,7 +30,8 @@ from replica_lab import (
     sample_instance,
     sample_spike,
 )
-from replica_lab import finite, kl_log_likelihood_ratios, parse_prior_spec, rs
+from replica_lab import finite, kl_log_likelihood_ratios, parse_prior_spec
+from replica_lab import priors as prior_module
 from replica_lab.finite import enumeration_table, instance_from_parts
 from replica_lab.verify import kl_identity_check
 from replica_lab.priors import asymmetric_binary_prior, point_mass_prior
@@ -71,6 +75,23 @@ class TestSampling:
         inst = sample_instance(priors["sparse:0.25"], 9, 2.0, 31)
         again = instance_from_parts(inst.spike, inst.noise, inst.lam)
         assert np.abs(again.y - inst.y).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "spike, noise, lam, error, message",
+        [
+            # one noise entry broadcast over three pairs
+            ([1.0, -1.0, 1.0], [0.3], 1.0, InvalidArgumentError, r"noise must have n\(n-1\)/2 = 3 entries"),
+            ([1.0, -1.0, 1.0], [[0.1, 0.2, 0.3]], 1.0, InvalidArgumentError, r"noise must have n\(n-1\)/2 = 3"),
+            ([[1.0, -1.0], [1.0, 1.0]], np.zeros(6), 1.0, InvalidArgumentError, "spike must be a nonempty 1-d"),
+            ([], [], 1.0, InvalidArgumentError, "spike must be a nonempty 1-d"),
+            ([1.0, -1.0], [0.3], -1.0, DomainError, "lambda must be finite and >= 0"),
+            ([1.0, -1.0], [0.3], math.nan, DomainError, "lambda must be finite and >= 0"),
+            ([1.0, -1.0], [0.3], math.inf, DomainError, "lambda must be finite and >= 0"),
+        ],
+    )
+    def test_parts_checked(self, spike, noise, lam, error, message):
+        with pytest.raises(error, match=message):
+            instance_from_parts(spike, noise, lam)
 
     def test_noise_clt(self, priors):
         # pooled residual y - sqrt(lam/n) x x^T is standard normal
@@ -237,14 +258,59 @@ def test_size_below_two_refused(priors, n):
             enumeration_table(p, n)
 
 
+def test_setup_checks_stacked_spikes_like_one_spike(priors):
+    # log_partition_exact and the likelihood-ratio pair pass their
+    # instances' spikes stacked, one per draw; a window still takes one fixed
+    # spike only
+    p, budget = priors["rademacher"], finite.DEFAULT_BUDGET
+    spikes = np.ones((3, 4))
+    assert finite._setup(p, 4, 1.0, 3, budget, spike=spikes)[0].shape == (3, 4)
+    spikes[2, 1] = 0.5
+    for spike in (spikes[2], spikes):
+        with pytest.raises(InvalidArgumentError, match="^spike entries must be atoms of the prior$"):
+            finite._setup(p, 4, 1.0, 3, budget, spike=spike)
+    for n_disorder, window in ((2, None), (4, None), (3, (0.0, 0.25))):
+        with pytest.raises(InvalidArgumentError, match="^spike must have length 4$"):
+            finite._setup(p, 4, 1.0, n_disorder, budget, window, np.ones((3, 4)))
+    # the fixed-spike estimators refuse a stack, with or without a window
+    for call in (lambda spike: fp_potential(p, 4, 1.0, 0.0, 0.25, spike, 3, 1),
+                 lambda spike: fp_profile(p, 4, 1.0, 0.25, spike, 3, 1),
+                 lambda spike: phi_of_t(p, 4, 1.0, 0.5, 0.5, 0.5, 3, 1, spike=spike),
+                 lambda spike: phi_of_t(p, 4, 1.0, 0.5, 0.5, 0.5, 3, 1, (0.0, 0.25), spike)):
+        with pytest.raises(InvalidArgumentError, match="^spike must have length 4$"):
+            call(np.ones((3, 4)))
+    bad = instance_from_parts([1.0, 0.5, -1.0], np.zeros(3), 1.0)
+    with pytest.raises(InvalidArgumentError, match="^spike entries must be atoms of the prior$"):
+        kl_log_likelihood_ratios([sample_instance(p, 3, 1.0, 0), bad], p)
+    # an instance built around instance_from_parts with a (1, n) spike
+    good = sample_instance(p, 4, 1.0, 0)
+    flat = SpikedInstance(n=4, lam=1.0, spike=good.spike[None], noise=good.noise, y=good.y)
+    for call in (log_partition_exact, kl_log_likelihood_ratio):
+        with pytest.raises(InvalidArgumentError, match="^spike must have length 4$"):
+            call(flat, p)
+
+
+def test_finite_does_not_import_rs():
+    # the finite layer takes the sign predicate from priors and the exponent
+    # bound and scale rule from channel, not from the RS solvers
+    tree = ast.parse(Path(finite.__file__).read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{a.name}" for a in node.names]
+    assert names and not any("rs" in name.split(".") for name in names), names
+
+
 def test_energy_scale_bound_on_both_sides():
-    # (lambda + n) n K^4 <= rs.EXPONENT_MAX: inside, every enumerating entry
+    # (lambda + n) n K^4 <= finite.EXPONENT_MAX: inside, every enumerating entry
     # runs without a RuntimeWarning (the draws' values differ, so their
     # standard error squares deviations near 1e304); outside, each raises
     # DomainError first
     p, n = parse_prior_spec("sparse:0.25"), 4
-    k4 = rs.support_bound(p) ** 4
-    edge = rs.EXPONENT_MAX / (n * k4) - n
+    k4 = prior_module.support_bound(p) ** 4
+    edge = finite.EXPONENT_MAX / (n * k4) - n
     spike = sample_spike(p, n, 3)
     calls = (
         lambda lam: free_entropy_mc(p, n, lam, 4, 1),
@@ -470,8 +536,8 @@ class TestSignFold:
         # the invariants gathered per atom through the digits keep every bit
         # of the ones computed from the configurations' values (uncached build)
         p = parse_prior_spec(spec)
-        table = finite._enum_table.__wrapped__(p.atoms, n, rs._sign_symmetric(p))
-        x, logw, pairsq, sumsq, mirrors = reference_enum_table(p.atoms, n, rs._sign_symmetric(p))
+        table = finite._enum_table.__wrapped__(p.atoms, n, prior_module._sign_symmetric(p))
+        x, logw, pairsq, sumsq, mirrors = reference_enum_table(p.atoms, n, prior_module._sign_symmetric(p))
         assert table.mirrors == mirrors
         for got, want in ((table.X, x), (table.logw, logw), (table.pairsq, pairsq), (table.sumsq, sumsq)):
             assert np.array_equal(got, want)
@@ -484,7 +550,7 @@ class TestSignFold:
         finite._enum_table.__wrapped__(p.atoms, 2, True)  # a first call may import modules
         tracemalloc.start()
         try:
-            table = finite._enum_table.__wrapped__(p.atoms, n, rs._sign_symmetric(p))
+            table = finite._enum_table.__wrapped__(p.atoms, n, prior_module._sign_symmetric(p))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -508,7 +574,7 @@ class TestSignFold:
             return est, rep.params, llr, log_z
 
         est, nish, llr, log_z = run()
-        monkeypatch.setattr(rs, "_sign_symmetric", lambda p: False)
+        monkeypatch.setattr(prior_module, "_sign_symmetric", lambda p: False)
         assert enumeration_table(p, n).mirrors == 0
         est_u, nish_u, llr_u, log_z_u = run()
         assert abs(est.mean - est_u.mean) <= 1e-13 * abs(est_u.mean)
@@ -547,6 +613,14 @@ class TestSignFold:
 
 
 class TestKlIdentity:
+    @pytest.mark.parametrize("spec", ["rademacher", "asym:0.7"])
+    def test_one_site_refused_like_log_partition_exact(self, spec):
+        # the pair checks its inputs through _setup, as log_partition_exact does
+        p, inst = parse_prior_spec(spec), instance_from_parts([1.0], [], 1.0)
+        for call in (kl_log_likelihood_ratio, log_partition_exact):
+            with pytest.raises(InvalidArgumentError, match="need n >= 2, got 1"):
+                call(inst, p)
+
     def test_zero_snr(self, priors):
         inst = sample_instance(priors["rademacher"], 8, 0.0, 3)
         llr, log_z = kl_log_likelihood_ratio(inst, priors["rademacher"])

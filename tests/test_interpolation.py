@@ -23,7 +23,8 @@ from replica_lab import (
     second_moment,
     support_bound,
 )
-from replica_lab import finite, rs
+from replica_lab import finite
+from replica_lab import priors as prior_module
 from replica_lab.channel import psi_hat_array
 from replica_lab.rs import _f_bar_grad, f_hat
 from replica_lab.finite import enumeration_table, instance_from_parts
@@ -279,7 +280,7 @@ class TestSignFold:
             )
 
         folded = run()
-        monkeypatch.setattr(rs, "_sign_symmetric", lambda p: False)
+        monkeypatch.setattr(prior_module, "_sign_symmetric", lambda p: False)
         assert enumeration_table(p, n).mirrors == 0
         for got, want in zip(folded, run()):
             self._close(got, want)
@@ -402,7 +403,7 @@ class TestGuerraSlope:
     @pytest.mark.parametrize("q, m", [(1e10, 0.0), (0.5, -1e10)])
     def test_side_terms_bounded(self, priors, q, m):
         # lambda passes the energy bound, but r = lambda q or s = lambda m
-        # would overflow the side terms: rs._check_scale at extent max(q, |m|)
+        # would overflow the side terms: channel._check_scale at extent max(q, |m|)
         p = priors["rademacher"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

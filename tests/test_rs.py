@@ -26,6 +26,7 @@ from replica_lab import (
     state_evolution,
 )
 from replica_lab import channel, rs
+from replica_lab import priors as prior_module
 from replica_lab.channel import make_evaluator, psi_hat_grad
 from replica_lab.interpolation import fp_upper_check
 from replica_lab.priors import (
@@ -91,7 +92,7 @@ class TestRsPotential:
 
 
 class TestScaleBound:
-    """rs._check_scale: lambda * extent * (K^2 + extent) <= EXPONENT_MAX, both sides.
+    """channel._check_scale: lambda * extent * (K^2 + extent) <= EXPONENT_MAX, both sides.
 
     Inside the bound the solvers run without a RuntimeWarning; outside it
     every entry raises DomainError before the kernel overflows.
@@ -99,8 +100,8 @@ class TestScaleBound:
 
     @staticmethod
     def _edge_lambda(p, extent):
-        k = rs.support_bound(p)
-        return rs.EXPONENT_MAX / (extent * (k * k + extent))
+        k = prior_module.support_bound(p)
+        return channel.EXPONENT_MAX / (extent * (k * k + extent))
 
     @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "sparse:1e-300", "point:0.01"])
     def test_solvers_on_both_sides(self, ev, spec):
@@ -590,9 +591,9 @@ class TestSignFold:
 
     def test_matches_unfolded_saddle(self, ev, monkeypatch):
         priors = [parse_prior_spec(spec) for spec in self.SPECS]
-        assert all(rs._sign_symmetric(p) for p in priors)
+        assert all(prior_module._sign_symmetric(p) for p in priors)
         folded = {(p.name, lam): saddle(p, lam, ev) for p in priors for lam in self.LAMBDAS}
-        monkeypatch.setattr(rs, "_sign_symmetric", lambda p: False)
+        monkeypatch.setattr(prior_module, "_sign_symmetric", lambda p: False)
         for (name, lam), got in folded.items():
             self._agree(got, saddle(parse_prior_spec(name), lam, ev), (name, lam))
 
@@ -600,7 +601,7 @@ class TestSignFold:
         p = parse_prior_spec("uniform:8")
         atoms = [p.atoms[i] for i in np.random.default_rng(3).permutation(len(p.atoms))]
         shuffled = prior_from_json({"name": "shuffled", "atoms": [list(a) for a in atoms]})
-        assert shuffled.atoms != p.atoms and rs._sign_symmetric(shuffled)
+        assert shuffled.atoms != p.atoms and prior_module._sign_symmetric(shuffled)
         for lam in (1.3, 6.0):
             self._agree(saddle(shuffled, lam, ev), saddle(p, lam, ev), lam)
 
@@ -616,20 +617,20 @@ class TestSignFold:
             ]
 
         folded = run()
-        monkeypatch.setattr(rs, "_sign_symmetric", lambda p: False)
+        monkeypatch.setattr(prior_module, "_sign_symmetric", lambda p: False)
         for got, want in zip(folded, run()):
             assert "q_min" in got, got
             assert abs(got["q_min"] - want["q_min"]) <= 1e-13, (got, want)
             assert abs(got["rhs_min"] - want["rhs_min"]) <= 1e-13, (got, want)
 
     def test_asymmetric_priors_keep_the_unfolded_path(self):
-        assert rs._sign_symmetric(make_prior([(1.0, 0.3), (0.0, 0.4), (-1.0, 0.3)]))
+        assert prior_module._sign_symmetric(make_prior([(1.0, 0.3), (0.0, 0.4), (-1.0, 0.3)]))
         for p in (
             parse_prior_spec("asym:0.7"),
             point_mass_prior(0.7),
             make_prior([(1.0, 0.2), (0.0, 0.4), (-1.0, 0.4)]),  # symmetric values, not weights
         ):
-            assert not rs._sign_symmetric(p), p
+            assert not prior_module._sign_symmetric(p), p
 
 
 class TestSaddleMatchesNestedPolish:
@@ -713,7 +714,7 @@ class TestSaddleMatchesNestedPolish:
                     res = saddle(p, lam, ev)
                 kernel[polish] = calls["_node_tables"]
                 if polish == "joint":
-                    polished = [m for m, _ in res.local_optima if m > 0.0 or not rs._sign_symmetric(p)]
+                    polished = [m for m, _ in res.local_optima if m > 0.0 or not prior_module._sign_symmetric(p)]
                     assert 2 <= calls["_inner_min"] <= 1 + len(polished), (lam, calls, res)
             assert kernel["joint"] < kernel["nested"], (lam, kernel)
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and its scalar range checks."""
 
 import math
+import operator
 
 
 class InvalidPriorError(ValueError):
@@ -47,6 +48,14 @@ def _check_positive(name: str, x) -> None:
     """InvalidArgumentError unless x is finite and > 0."""
     if not 0.0 < float(x) < math.inf:
         raise InvalidArgumentError(f"{name} must be finite and > 0, got {x}")
+
+
+def _check_integer(name: str, x) -> None:
+    """InvalidArgumentError unless x is an integer (an int or a numpy integer, not a float)."""
+    try:
+        operator.index(x)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {x!r}") from None
 
 
 def _check_finite(name: str, x) -> float:

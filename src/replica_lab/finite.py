@@ -8,7 +8,8 @@ with the diagonal omitted.  For finite-atom priors and small N the partition
 function of the posterior is a finite sum over atom_count^N configurations,
 so free entropies, overlap laws, per-site posterior means, overlap-restricted
 (Franz-Parisi) partition sums and the free entropy along the Guerra
-interpolation path (_phi_t_draws) are all computed exactly per instance;
+interpolation path (_phi_t_draws) are all computed exactly per instance
+(the path's unrestricted t = 0 end in closed form, as its sites decouple);
 outer expectations over the disorder (W, and where applicable x* and the
 side noise) are plain Monte Carlo over instances with counter-derived seeds.
 A single-site Metropolis sampler covers sizes beyond the enumeration budget.
@@ -18,16 +19,19 @@ enumerates the configurations and keeps one per sign orbit (below), for the
 table and the likelihood ratio alike; _setup checks the inputs and fetches
 the table for every one of them, the likelihood-ratio pair
 (kl_log_likelihood_ratios) included; _draws fetches the disorder draws once
-as (spikes, noises); _overlaps gives R_{1,*} of the rows; the Gibbs pass
+as (spikes, noises), and _observations forms their Y, for one instance or
+for stacked draws; _overlaps gives R_{1,*} of the rows; the Gibbs pass
 _gibbs (_log_weights, then _fold) gives per-(draw, SNR) log Z or Gibbs
 means of odd row statistics; _mc_estimate averages per-draw values, with
-the -inf sentinel of an empty window.  _log_weights is the package's one definition of -H;
-the path (_phi_t_draws) is one Gibbs pass at its SNRs t lam with the side
-term of -H_t added, and the tests hold both to per-configuration
-evaluations of the definitions.  The Franz-Parisi potential has one
-definition too (_window_estimate): one Gibbs pass over a window's
-configurations, run by fp_potential for one window and by fp_profile for
-each reachable one, on draws fetched once.
+the -inf sentinel of an empty window.  _log_weights is the package's one
+definition of -H; the path (_phi_t_draws) is one Gibbs pass at its SNRs
+t lam with the side term of -H_t added, but for an unrestricted t = 0,
+where -H_0 is a sum of one-site terms and each draw's log Z a sum of
+one-site log-sum-exps (_one_site_log_z); the tests hold all three to
+per-configuration evaluations of the definitions.  The Franz-Parisi
+potential has one definition too (_window_estimate): one Gibbs pass over a
+window's configurations, run by fp_potential for one window and by
+fp_profile for each reachable one, on draws fetched once.
 
 Seed discipline: every disorder replica k uses derive_seed(master, k, ...),
 so replica k's instance does not depend on the other replicas.  The pass
@@ -55,8 +59,9 @@ can move with the composition of a block is only what a BLAS product forms
 over several replicas at once: the kernel's parts, the path's odd side
 term, the overlaps, the Gibbs means, and kl_log_likelihood_ratios'
 cross-sum GEMM, in their last bits.  free_entropy_mc and phi_of_t(t = 1)
-stay equal bit for bit: both are the same pass, and at t = 1 the side
-coefficients are exact zeros.
+stay equal bit for bit: both are the same pass, and at t = 1, where the
+side coefficients are exact zeros, the path forms no side field, so its
+mirrors count as free_entropy_mc's do.
 
 Sign fold: -H sees a configuration only through its pair products x_i x_j,
 so with a sign-symmetric prior x and -x have the same energy and prior mass.
@@ -92,7 +97,7 @@ import numpy as np
 from . import priors
 from .channel import EXPONENT_MAX, _check_scale
 from .errors import DomainError, EnumerationBudgetError, InvalidArgumentError
-from .errors import _check_finite, _check_nonnegative, _check_positive
+from .errors import _check_finite, _check_integer, _check_nonnegative, _check_positive
 from .priors import Prior, support_bound
 from .report import VerificationReport
 
@@ -150,14 +155,23 @@ def instance_from_parts(spike, noise, lam: float) -> SpikedInstance:
     n = spike.size
     if spike.shape != (n,) or n == 0:
         raise InvalidArgumentError(f"spike must be a nonempty 1-d array, got shape {spike.shape}")
-    i, j = np.triu_indices(n, 1)
-    if noise.shape != i.shape:
-        raise InvalidArgumentError(f"noise must have n(n-1)/2 = {i.size} entries, got shape {noise.shape}")
+    pairs = n * (n - 1) // 2
+    if noise.shape != (pairs,):
+        raise InvalidArgumentError(f"noise must have n(n-1)/2 = {pairs} entries, got shape {noise.shape}")
     lam = _check_nonnegative("lambda", lam)
-    y = math.sqrt(lam / n) * spike[i] * spike[j] + noise
+    y = _observations(spike, noise, lam)
     for arr in (spike, noise, y):
         arr.setflags(write=False)
     return SpikedInstance(n=n, lam=lam, spike=spike, noise=noise, y=y)
+
+
+def _observations(spikes: np.ndarray, noises: np.ndarray, lam: float) -> np.ndarray:
+    """Y_ij = sqrt(lambda/N) x*_i x*_j + W_ij over i < j, for an (n,) spike or (D, n) spikes
+    and their noises; each entry takes the same elementwise steps, so a stacked
+    draw's Y is its instance's bit for bit."""
+    n = spikes.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    return math.sqrt(lam / n) * spikes[..., i] * spikes[..., j] + noises
 
 
 def _sample_atoms(p: Prior, count: int, rng) -> np.ndarray:
@@ -184,18 +198,23 @@ def _draws(p: Prior, n: int, seed: int, n_draws: int, spike=None):
     return np.stack(spikes), np.stack(noises)
 
 
+def _check_n(n: int, least: int = 2) -> None:
+    """InvalidArgumentError unless the site count n is an integer >= least."""
+    _check_integer("n", n)
+    if n < least:
+        raise InvalidArgumentError(f"need n >= {least}, got {n}")
+
+
 def sample_instance(p: Prior, n: int, lam: float, seed: int) -> SpikedInstance:
     """Draw spike entries i.i.d. from the prior, then standard normal noise."""
-    if n < 2:
-        raise InvalidArgumentError(f"need n >= 2, got {n}")
+    _check_n(n)
     _check_nonnegative("lambda", lam)
     return instance_from_parts(*_draw(p, n, seed), lam)
 
 
 def sample_spike(p: Prior, n: int, seed: int) -> np.ndarray:
     """n i.i.d. prior atoms; the spike-drawing half of sample_instance."""
-    if n < 1:
-        raise InvalidArgumentError(f"need n >= 1, got {n}")
+    _check_n(n, 1)
     return _sample_atoms(p, n, np.random.default_rng(int(seed) & _MASK64))
 
 
@@ -240,15 +259,14 @@ def _configurations(values, n: int, symmetric: bool):
     all-zero row if 0 is an atom.  Otherwise every row, and mirrors is 0.
     """
     a = len(values)
-    idx = np.arange(a**n, dtype=np.int64)
-    digits = np.empty((idx.size, n), dtype=np.min_scalar_type(a - 1))
-    for k in range(n):
-        digits[:, k] = (idx // a**k) % a
+    digits = np.empty((a**n, n), dtype=np.min_scalar_type(a - 1))
+    for k in range(n):  # digit k counts up once every a^k rows
+        digits[:, k] = np.tile(np.repeat(np.arange(a, dtype=digits.dtype), a**k), a ** (n - 1 - k))
     if not symmetric:
         return digits, 0
     sign = np.sign(values).astype(np.int8)[digits]
-    lead = sign[idx, (sign != 0).argmax(axis=1)]
-    del sign, idx
+    lead = np.take_along_axis(sign, (sign != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+    del sign
     paired = np.flatnonzero(lead > 0)
     return digits[np.concatenate([paired, np.flatnonzero(lead == 0)])], paired.size
 
@@ -275,8 +293,7 @@ def _enum_table(atoms: tuple, n: int, symmetric: bool) -> EnumTable:
 
 def enumeration_table(p: Prior, n: int, budget: int = DEFAULT_BUDGET) -> EnumTable:
     """Fetch (or build) the configuration table, refusing n < 1 and over-budget requests."""
-    if n < 1:
-        raise InvalidArgumentError(f"need n >= 1, got {n}")
+    _check_n(n, 1)
     required = len(p.atoms) ** n
     if required > budget:
         raise EnumerationBudgetError(required=required, budget=budget)
@@ -404,9 +421,16 @@ def _log_of(top: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 
 def _window_index(overlap: np.ndarray, m: float, eps: float) -> np.ndarray:
-    """floor((R - m) / eps) rounded to 9 digits first, so that an R on a window edge starts it."""
+    """floor((R - m) / eps) rounded to 9 digits first, so that an R on a window edge starts it.
+
+    The steps run in place on one array: over every configuration they
+    would otherwise leave several of its size behind in the heap.
+    """
     with np.errstate(over="ignore"):
-        return np.floor(np.round((overlap - m) / eps, 9))
+        index = overlap - m
+        index /= eps
+        np.round(index, 9, out=index)
+        return np.floor(index, out=index)
 
 
 def _overlaps(table: EnumTable, spikes: np.ndarray, digits=None, block: slice = slice(None)) -> np.ndarray:
@@ -448,7 +472,8 @@ def _check_energy_scale(p: Prior, n: int, lam: float):
 
 
 def _check_disorder(n_disorder: int, name: str = "n_disorder") -> None:
-    """Every Monte Carlo estimate averages over at least one disorder draw."""
+    """Every Monte Carlo estimate averages over an integer number of disorder draws, at least one."""
+    _check_integer(name, n_disorder)
     if n_disorder < 1:
         raise InvalidArgumentError(f"{name} must be >= 1, got {n_disorder}")
 
@@ -456,15 +481,15 @@ def _check_disorder(n_disorder: int, name: str = "n_disorder") -> None:
 def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=None, spike=None):
     """Validated (spike, table) for an exact estimator: the one input check of them all.
 
-    n >= 2, and lambda and n pass _check_energy_scale; a window (m, eps) has
-    a finite start m and a finite width eps > 0; n_disorder >= 1; a spike
-    has entries among the prior's atoms and is either one fixed spike of
-    length n or, without a window, the n_disorder draws' own spikes stacked
-    as (n_disorder, n) (log_partition_exact's instance and the
-    likelihood-ratio pair's); None (a resampled spike) stays None.
+    n is an integer >= 2, and lambda and n pass _check_energy_scale; a
+    window (m, eps) has a finite start m and a finite width eps > 0;
+    n_disorder is an integer >= 1; a spike has entries among the prior's
+    atoms and is either one fixed spike of length n or, without a window,
+    the n_disorder draws' own spikes stacked as (n_disorder, n)
+    (log_partition_exact's instance and the likelihood-ratio pair's); None
+    (a resampled spike) stays None.
     """
-    if n < 2:
-        raise InvalidArgumentError(f"need n >= 2, got {n}")
+    _check_n(n)
     _check_energy_scale(p, n, lam)
     if window is not None:
         m, eps = window
@@ -491,10 +516,14 @@ def _gibbs(table: EnumTable, rows, lams, draws, side=None, odd=None) -> np.ndarr
     window) adds a one-body term at rows None: the even -sq[c] sum_i x_i^2,
     the odd field(c, ks, spikes) . x, which a mirror takes with the opposite
     sign, and, unless window is None, -inf outside the (m, eps) window of
-    R_{1,*}.  With odd, it returns instead the (D, L, k) Gibbs means of
-    statistics odd in x: odd(spikes, blk) gives a block's values as arrays
-    (rows, k_g) or (D, rows, k_g), k_g summing to k, whose products with the
-    fold's exps accumulate with the same rescaling.  It adds no mirror's
+    R_{1,*}.  A column whose field is None (an exact zero) forms no field
+    product and no mirror copy: its mirrors count as their representatives,
+    as without a side term, or as a copy of them that the window masks, and
+    the bits are those of the zero field.  With odd, it returns instead the
+    (D, L, k) Gibbs means of statistics odd in x: odd(spikes, blk) gives a
+    block's values as arrays (rows, k_g) or (D, rows, k_g), k_g summing to
+    k, whose products with the fold's exps accumulate with the same
+    rescaling.  It adds no mirror's
     statistic, so odd needs a table without mirrors or rows given; on a
     sign-folded table the means are exact zeros, which nishimori_check
     returns without a pass.
@@ -510,14 +539,17 @@ def _gibbs(table: EnumTable, rows, lams, draws, side=None, odd=None) -> np.ndarr
             outside = _window_index(_overlaps(table, spikes, block=blk), *window) != 0
         for c in range(lams.size):
             a, lo = weights(c), None
-            if side is not None:
-                h = field(c, ks, spikes) @ table.X[blk].T
+            f = None if field is None else field(c, ks, spikes)
+            if f is not None:
+                h = f @ table.X[blk].T
                 lo = a[:, :mirrors] - h[:, :mirrors]
                 a += h
                 del h
-                if window is not None:
-                    np.copyto(a, -np.inf, where=outside[:, : a.shape[1]])
-                    np.copyto(lo, -np.inf, where=outside[:, a.shape[1] :])
+            if window is not None:
+                if lo is None:
+                    lo = a[:, :mirrors].copy()
+                np.copyto(a, -np.inf, where=outside[:, : a.shape[1]])
+                np.copyto(lo, -np.inf, where=outside[:, a.shape[1] :])
             e, scale = _fold(top[ks, c], total[ks, c], a, mirrors, lo)
             if odd is not None:  # formed after the fold, so no block array waits beside the weights
                 block = np.concatenate([np.matmul(e[:, None], v)[:, 0] for v in odd(spikes, blk)], axis=-1)
@@ -525,7 +557,7 @@ def _gibbs(table: EnumTable, rows, lams, draws, side=None, odd=None) -> np.ndarr
                     sums = np.zeros(shape + block.shape[-1:])
                 sums[ks, c] *= scale[:, None]
                 sums[ks, c] += block
-            del a, e, lo  # before the next weights are formed
+            del a, e, f, lo  # before the next weights are formed
     return _log_of(top, total) if odd is None else sums / total[..., None]
 
 
@@ -685,10 +717,27 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     n, lam = instances[0].n, instances[0].lam
     if any(inst.n != n or inst.lam != lam for inst in instances):
         raise InvalidArgumentError("instances must share n and lambda")
-    spikes = np.stack([inst.spike for inst in instances])
+    spikes, noises, ys = (np.stack([getattr(inst, part) for inst in instances]) for part in ("spike", "noise", "y"))
     _, table = _setup(p, n, lam, len(instances), budget, spike=spikes)
-    log_z = _gibbs(table, None, [lam], (spikes, np.stack([inst.noise for inst in instances])))[:, 0]
-    return _log_likelihood_ratios(np.stack([inst.y for inst in instances]), p, n, lam), log_z
+    return _kl_pair(table, p, lam, spikes, noises, ys)
+
+
+def _kl_pair(table: EnumTable, p: Prior, lam: float, spikes, noises, ys):
+    """kl_log_likelihood_ratios' two arrays for stacked draws (spikes, noises) and their Y, on _setup's table."""
+    log_z = _gibbs(table, None, [lam], (spikes, noises))[:, 0]
+    return _log_likelihood_ratios(ys, p, spikes.shape[1], lam), log_z
+
+
+def _kl_pair_draws(p: Prior, n: int, lam: float, n_draws: int, seed: int, budget: int = DEFAULT_BUDGET):
+    """kl_log_likelihood_ratios over sample_instance(p, n, lam, derive_seed(seed, k)) for k < n_draws.
+
+    The instances are not built one by one: their (spikes, noises) are one
+    _draws call, and their Y one _observations call, so every value equals
+    the instances' own bit for bit.
+    """
+    _, table = _setup(p, n, lam, n_draws, budget)
+    spikes, noises = _draws(p, n, seed, n_draws)
+    return _kl_pair(table, p, lam, spikes, noises, _observations(spikes, noises, lam))
 
 
 def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET):
@@ -776,13 +825,21 @@ def _phi_t_draws(
     spike is resampled per draw when spike is None (the expectation over x*
     of the lower-bound argument) and held fixed otherwise (the fixed-spike
     potential of the upper-bound argument); the disorder (W, z) is drawn once
-    per draw and shared across every t.  It is one Gibbs pass at the SNRs
-    t lam with the side term: the even -(1-t) r/2 sum_i x_i^2 and the odd
-    field sqrt((1-t) r) z + (1-t) s x*.  A window (restricted, an (m_window,
-    eps) pair) drops the rows outside it; a draw with none left gets -inf.
-    At t = 1 it is free_entropy_mc's pass with zero side coefficients, bit
-    for bit.  Every t lies in [0, 1], and r = lam q and s = lam m pass
-    channel._check_scale at extent max(q, |m|).
+    per draw and shared across every t.  Without a window, -H_0 is a sum of
+    one-site terms, so each t = 0 column is the closed form
+    (1/N) sum_i log sum_v w_v exp(sqrt(r) z_i v + s x*_i v - r v^2/2) on
+    the same draws (_one_site_log_z), with no enumeration.  The other t are
+    one Gibbs pass at the SNRs t lam with the side term: the even
+    -(1-t) r/2 sum_i x_i^2 and the odd field sqrt((1-t) r) z + (1-t) s x*.
+    A window (restricted, an (m_window, eps) pair) couples the sites, so
+    every t, t = 0 included, goes through the pass, which drops the rows
+    outside it; a draw with none left gets -inf.  Where the field is an
+    exact zero (t = 1, or r = s = 0), the pass forms no field product and
+    no mirror copy (_gibbs), so t = 1 is free_entropy_mc's pass bit for bit,
+    and the t > 0 columns keep their bits whatever other t share the call
+    (_blocks does not depend on the SNR count).  Every t lies in [0, 1],
+    and r = lam q and s = lam m pass channel._check_scale at extent
+    max(q, |m|).
     """
     _check_nonnegative("q", q)
     _check_finite("m", m)
@@ -796,11 +853,34 @@ def _phi_t_draws(
     _check_scale(p, lam, max(q, abs(m)))
     r, s = lam * q, lam * m
     draws = _draws(p, n, seed, n_disorder, spike)
-    side_z, side_s = np.sqrt((1.0 - t) * r), (1.0 - t) * s
     z = np.stack([np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
                   for k in range(n_disorder)])
-    side = ((1.0 - t) * r / 2.0, lambda c, ks, spikes: side_z[c] * z[ks] + side_s[c] * spikes, restricted)
-    return _gibbs(table, None, t * lam, draws, side) / n
+    log_z = np.empty((n_disorder, t.size))
+    closed = (t == 0.0) & (restricted is None)
+    if closed.any():
+        log_z[:, closed] = _one_site_log_z(p, r, s, z, draws[0])[:, None]
+    if not closed.all():
+        tp = t[~closed]
+        side_z, side_s = np.sqrt((1.0 - tp) * r), (1.0 - tp) * s
+
+        def field(c, ks, spikes):
+            return None if side_z[c] == side_s[c] == 0.0 else side_z[c] * z[ks] + side_s[c] * spikes
+
+        log_z[:, ~closed] = _gibbs(table, None, tp * lam, draws, ((1.0 - tp) * r / 2.0, field, restricted))
+    return log_z / n
+
+
+def _one_site_log_z(p: Prior, r: float, s: float, z: np.ndarray, spikes: np.ndarray) -> np.ndarray:
+    """(D,) log Z of the t = 0 path: sum_i log sum_v w_v exp(sqrt(r) z_i v + s x*_i v - r v^2/2).
+
+    One (D, n, atoms) array of exponents, a log-sum-exp over the atoms
+    (shifted by their maximum), summed over the sites.
+    """
+    v = p.values
+    e = math.sqrt(r) * z[..., None] * v + s * spikes[..., None] * v - r * v * v / 2.0 + p.log_weights
+    top = e.max(axis=-1)
+    e -= top[..., None]
+    return (top + np.log(np.exp(e, out=e).sum(axis=-1))).sum(axis=1)
 
 
 def nishimori_check(

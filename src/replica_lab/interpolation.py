@@ -23,9 +23,15 @@ phi(t) is an exact-enumeration estimator like the others of the finite
 layer, and lives there: finite._phi_t_draws is one Gibbs pass over the
 table at the SNRs t lam with the side term added, for a resampled or a
 fixed spike alike, so phi(1) is the plain free-entropy estimator bit for
-bit on shared seeds.  This module keeps the public path and the two checks
-built on it; the tests hold -H_t as the finite layer prices it to a direct
-per-configuration evaluation of the definition above.
+bit on shared seeds.  At t = 0 without a window the sites decouple, and
+phi(0) is the one-site closed form
+(1/N) sum_i log sum_v w_v exp(sqrt(r) z_i v + s x*_i v - r v^2/2), the
+scalar channel that phi_RS is built from, on the same draws; with a
+resampled spike and s = r its expectation is psi(r) at every N.  This
+module keeps the public path and the two checks built on it; the tests
+hold -H_t as the finite layer prices it to a direct per-configuration
+evaluation of the definition above, and the closed form to the enumerated
+t = 0 column.
 """
 
 from __future__ import annotations

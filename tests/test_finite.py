@@ -124,6 +124,30 @@ class TestSampling:
             assert same[k].tobytes() == fixed.tobytes()
             assert fixed_noises[k].tobytes() == rng.standard_normal(15).tobytes()
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            # the three calls that used to fail inside numpy with a TypeError
+            (lambda p: free_entropy_mc(p, 6, 2.0, 2.5, 1), "n_disorder must be an integer, got 2.5"),
+            (lambda p: free_entropy_mc(p, 6.0, 2.0, 3, 1), "n must be an integer, got 6.0"),
+            (lambda p: sample_instance(p, 4.5, 1.0, 0), "n must be an integer, got 4.5"),
+            (lambda p: sample_spike(p, 3.0, 0), "n must be an integer, got 3.0"),
+            (lambda p: enumeration_table(p, np.float64(4.0)), "n must be an integer"),
+            (lambda p: nishimori_check(p, 4, 1.0, 3.0, 0), "n_disorder must be an integer, got 3.0"),
+            (lambda p: phi_of_t(p, 4, 1.0, 0.5, 0.5, 0.0, 2.0, 0), "n_disorder must be an integer"),
+            (lambda p: kl_identity_check(p, 4, 1.0, 2.0, 0), "n_instances must be an integer, got 2.0"),
+        ],
+    )
+    def test_non_integer_sizes_refused(self, priors, call, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            call(priors["rademacher"])
+
+    def test_numpy_integer_sizes_accepted(self, priors):
+        p = priors["rademacher"]
+        want = free_entropy_mc(p, 5, 2.0, 3, 1)
+        assert free_entropy_mc(p, np.int64(5), 2.0, np.int32(3), 1) == want
+        assert sample_instance(p, np.int16(5), 2.0, 1).y.tobytes() == sample_instance(p, 5, 2.0, 1).y.tobytes()
+
     def test_derive_seed_splits(self):
         seeds = {derive_seed(7, k) for k in range(100)}
         assert len(seeds) == 100
@@ -620,6 +644,22 @@ class TestKlIdentity:
         for call in (kl_log_likelihood_ratio, log_partition_exact):
             with pytest.raises(InvalidArgumentError, match="need n >= 2, got 1"):
                 call(inst, p)
+
+    @pytest.mark.parametrize("spec, n", [("rademacher", 7), ("sparse:0.25", 6), ("asym:0.7", 5)])
+    def test_stacked_draws_are_the_instances(self, spec, n):
+        # kl_identity_check's draws: one _draws call and one Y, not one
+        # instance at a time, with the bits of instance_from_parts
+        p, lam, seed, draws = parse_prior_spec(spec), 2.0, 31, 9
+        spikes, noises = finite._draws(p, n, seed, draws)
+        ys = finite._observations(spikes, noises, lam)
+        instances = [sample_instance(p, n, lam, derive_seed(seed, k)) for k in range(draws)]
+        for k, inst in enumerate(instances):
+            assert ys[k].tobytes() == inst.y.tobytes()
+            assert ys[k].tobytes() == instance_from_parts(spikes[k], noises[k], lam).y.tobytes()
+        got, want = finite._kl_pair_draws(p, n, lam, draws, seed), kl_log_likelihood_ratios(instances, p)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        report = kl_identity_check(p, n, lam, draws, seed)
+        assert report.params["max_abs_diff"] == float(np.abs(want[0] - want[1]).max())
 
     def test_zero_snr(self, priors):
         inst = sample_instance(priors["rademacher"], 8, 0.0, 3)

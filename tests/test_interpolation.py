@@ -221,29 +221,50 @@ class TestPhiOfT:
 
 
 class TestPathStart:
-    """At t = 0, -H_t is a sum of one-site terms, so the path's free entropy has a closed form."""
+    """At t = 0, -H_t is a sum of one-site terms, so without a window the path
+    takes that column from the one-site closed form instead of enumerating."""
 
     @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "asym:0.7"])
-    def test_t_zero_is_the_one_site_closed_form(self, spec, ev):
-        # phi_N(0) = (1/N) sum_i log sum_v w_v exp(sqrt(r) z_i v + s x*_i v - r v^2/2)
-        # on the pass's own draws: the spikes of finite._draws and the side
-        # noise z of derive_seed(seed, k, 1)
+    @pytest.mark.parametrize("fixed", [False, True], ids=["resampled", "fixed"])
+    def test_t_zero_closed_form_is_the_enumerated_column(self, spec, fixed, ev):
+        # the enumerated column is the Gibbs pass at SNR 0 with the side term
+        # of -H_0 (even -r/2 |x|^2, odd sqrt(r) z + s x*), on the pass's own
+        # draws: the spikes of finite._draws and the side noise z of
+        # derive_seed(seed, k, 1)
         p = parse_prior_spec(spec)
         n, lam, q, draws, seed = 8, 2.0, 0.5, 200, 61
-        spikes = finite._draws(p, n, seed, draws)[0]
+        spike = sample_spike(p, n, 5) if fixed else None
+        table = enumeration_table(p, n)
+        pass_draws = finite._draws(p, n, seed, draws, spike)
         z = np.stack([np.random.default_rng(derive_seed(seed, k, 1)).standard_normal(n) for k in range(draws)])
         for m in (q, -0.3):
             r, s = lam * q, lam * m
-            got = _phi_t_draws(p, n, lam, q, m, [0.0], draws, seed)[:, 0]
-            v = p.values
-            e = math.sqrt(r) * z[..., None] * v + s * spikes[..., None] * v - r * v * v / 2.0 + p.log_weights
-            top = e.max(axis=-1)
-            closed = (top + np.log(np.exp(e - top[..., None]).sum(axis=-1))).sum(axis=1) / n
-            assert np.all(np.abs(got - closed) <= 2e-15), np.abs(got - closed).max()
-            if m == q:
+            got = _phi_t_draws(p, n, lam, q, m, [0.0], draws, seed, spike=spike)[:, 0]
+            side = (np.array([r / 2.0]), lambda c, ks, spikes: math.sqrt(r) * z[ks] + s * spikes, None)
+            enumerated = finite._gibbs(table, None, [0.0], pass_draws, side)[:, 0] / n
+            assert np.all(np.abs(got - enumerated) <= 2e-15), np.abs(got - enumerated).max()
+            if m == q and not fixed:
                 # with a resampled spike and s = r, E phi_N(0) = psi(r) at every N
                 est = finite._mc_estimate(got, seed)
                 assert abs(est.mean - psi(ev, p, r)) <= 3.0 * est.stderr
+
+    @pytest.mark.parametrize("spec, n", [("rademacher", 8), ("sparse:0.25", 6), ("asym:0.7", 8), ("uniform:21", 3)])
+    def test_t_one_window_is_the_franz_parisi_potential(self, spec, n):
+        # at t = 1 the side field is an exact zero: the pass forms no field
+        # product and no mirror copy, and the window still masks the
+        # representatives and their mirrors, so the path is the fixed-spike
+        # window's free entropy
+        p, lam, eps, draws, seed = parse_prior_spec(spec), 2.0, 0.25, 10, 19
+        spike = sample_spike(p, n, 7)
+        reached = 0
+        for l in range(-5, 5):
+            want = fp_potential(p, n, lam, l * eps, eps, spike, draws, seed)
+            got = phi_of_t(p, n, lam, 0.7, 0.3, 1.0, draws, seed, restricted=(l * eps, eps), spike=spike)
+            assert got.empty_window == want.empty_window
+            if not want.empty_window:
+                reached += 1
+                assert abs(got.mean - want.mean) <= 1e-13 * abs(want.mean), (l, got, want)
+        assert reached >= 3
 
 
 class TestSignFold:

@@ -36,6 +36,7 @@ accepts 2 to MAX_NODE_COUNT nodes, which bounds the dense Jacobi matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -138,10 +139,10 @@ def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
     planes are summed in storage order (atom 0, then 1, ...), which is how
     numpy reduces the leading axis of a contiguous block of more than one
     (point, node) value (make_evaluator's two-node minimum sees to that), so
-    results do not depend on the block size.  A small call (psi_prime's two
-    or three points) runs the same arithmetic as a large one, paying its
-    fixed cost once: r and s are broadcast only when their shapes differ, the
-    atom constants are built before the block loop.
+    results do not depend on the block size.  A small call (a golden step's
+    few points) runs the same arithmetic as a large one, paying its fixed
+    cost once: r and s are broadcast only when their shapes differ, the atom
+    constants are built before the block loop.
     """
     r = np.asarray(r, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
@@ -222,7 +223,7 @@ def _check_exponents(p: Prior, r: float, tilt: float) -> None:
 
     tilt bounds the |s| that multiplies an atom x in the exponent, so the two
     products bound every exponent term (r x^2 / 2, s x and sqrt(r) z x).
-    Float comparisons only: psi_prime runs this once per state-evolution step.
+    Float comparisons only: state evolution runs this once per step.
     """
     k = p.bound
     if not (r * k * k <= EXPONENT_MAX and abs(tilt) * k <= EXPONENT_MAX):
@@ -301,22 +302,52 @@ def psi(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
     return float(psi_array(ev, p, r))
 
 
-def psi_prime(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
-    """d psi / dr by finite differences with step h = max(1e-6, 1e-6 r).
+def _psi_prime_kernel(ev: ChannelEvaluator, p: Prior):
+    """r -> psi'(r), the rule's own derivative (see psi_prime), for one prior and rule.
 
-    Central away from the boundary; second-order one-sided on [0, h) where a
-    central stencil would need r < 0.  Accuracy ~1e-9, ample for the fixed
-    point iteration q <- 2 psi'(lambda q).  r K^2 passes _check_exponents,
-    so the stencil's r + 2h stays within the float range too.
+    The per-prior constants are built once: v z_g, x* x - x^2/2 and log w
+    over the (planted, atom, node) block, the w* w_g product and the block
+    itself, so that each call is about ten numpy calls on that one block.
+    Unchecked: the caller passes r >= 0 whose r K^2 passes _check_exponents.
+    """
+    v, z = p.values, ev.nodes
+    vz = v[:, None] * z  # (atoms, nodes)
+    lw = p.log_weights[:, None]
+    c = (v[:, None] * v - 0.5 * v**2)[:, :, None]  # (planted, atoms, 1)
+    ww = p.weights[:, None] * ev.weights  # (planted, nodes)
+    e = np.empty((v.size, v.size, z.size))
+
+    def psi_prime_at(r: float) -> float:
+        sr = math.sqrt(r)
+        np.add(r * c, sr * vz + lw, out=e)
+        np.subtract(e, e.max(axis=1, keepdims=True), out=e)
+        np.exp(e, out=e)
+        total = e.sum(axis=1)
+        if r > _R_LIMIT:
+            np.multiply(e, (0.5 / sr) * vz + c, out=e)
+            return float(np.vdot(ww, e.sum(axis=1) / total))
+        d_s = (e * v[:, None]).sum(axis=1) / total @ ev.weights
+        return float(p.weights @ (v * d_s - 0.5 * d_s**2))
+
+    return psi_prime_at
+
+
+def psi_prime(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
+    """d psi / dr of the quadrature rule itself, by the chain rule of psi_hat_grad.
+
+    With <.>_g the posterior at node z_g and tilt s = r x*,
+
+        psi'(r) = sum_{x*} w(x*) sum_g w_g < z_g x / (2 sqrt(r)) + x* x - x^2/2 >_g,
+
+    which is sum_{x*} w(x*) (d_r + x* d_s) of psi_hat_grad at (r, r x*).  At
+    and below _R_LIMIT it takes psi_hat_grad's limit form d_r = -d_s^2/2, so
+    psi'(0) = (E X)^2 / 2.  tests/test_channel.py holds it within
+    2e-15 max(1, E[X^2]) (1 + r^-1/2) of that chain rule, from r = 0 to 50.
+    r K^2 passes _check_exponents.
     """
     r = _check_nonnegative("r", r)
     _check_exponents(p, r, r * p.bound)
-    h = max(1e-6, 1e-6 * r)
-    if r >= h:
-        lo, hi = psi_array(ev, p, np.array([r - h, r + h])).tolist()
-        return (hi - lo) / (2.0 * h)
-    v0, v1, v2 = psi_array(ev, p, np.array([r, r + h, r + 2.0 * h])).tolist()
-    return (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * h)
+    return _psi_prime_kernel(_resolve(ev), p)(r)
 
 
 def asymmetry_gap(ev: ChannelEvaluator | None, p: Prior, r):

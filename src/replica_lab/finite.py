@@ -934,7 +934,10 @@ def metropolis_sampler(
     in the acceptance ratio and accept = min(1, exp(delta(-H))).  The energy
     change per site flip is O(n) via the cached symmetric Y row and a running
     sum of squares.  Overlaps are recorded once per sweep after burn_in.
+    n_sweeps and burn_in are integers (a Python or numpy integer).
     """
+    _check_integer("n_sweeps", n_sweeps)
+    _check_integer("burn_in", burn_in)
     if burn_in < 0 or n_sweeps <= burn_in:
         raise InvalidArgumentError(f"need n_sweeps > burn_in >= 0, got {n_sweeps}, {burn_in}")
     n = inst.n

@@ -71,14 +71,15 @@ prior's or a spike's) to |x*|, and saddle solves only m >= 0 and mirrors
 each candidate.  phi_rs and psi do not fold, although the same symmetry
 would halve their tilts: the benchmark's guerra_slope|2 item pins
 phi_rs(p, 2).optimizer_q to the last bit, and a fold moves its last bits.
-psi_prime and state evolution do not fold because it would not pay:
-psi_prime prices two or three points and costs 15-17.5 us per call for the
-two- and three-atom catalog priors (61 nodes, a 2-CPU AMD EPYC, numpy 2.4),
-most of it the kernel's fixed per-call cost, and folding inside psi_prime
-(the folded law re-derived per call, as _planted_law does) made it 10-24 us
-slower for the sign-symmetric ones and moved rademacher's psi' by 2e-11;
-only uniform:21 gained (about 380 -> 220 us).  The fold was measured at 61
-nodes on a 2-CPU Xeon, numpy 2.4.
+State evolution does not fold either, because it would not pay.  Its psi'
+is the quadrature rule's own derivative (channel.psi_prime, the chain rule
+of psi_hat_grad at the tilts r x*), from one kernel built once per run
+whose per-prior constants and work block are hoisted out of the steps: a
+step costs 8-9 us for the two- and three-atom catalog priors and about
+70 us for uniform:21, against 15-18 and 107 us for the finite-difference
+stencil it replaced (61 nodes, a 2-CPU AMD EPYC, numpy 2.4.6).  A fold through
+_planted_law ran no faster on the three-atom priors (phase_diagram's 144
+runs took 31 ms either way) and its np.unique raised the peak RSS.
 """
 
 from __future__ import annotations
@@ -92,14 +93,22 @@ from . import priors
 from .channel import (
     EXPONENT_MAX,  # noqa: F401  (README documents it as rs.EXPONENT_MAX)
     ChannelEvaluator,
+    _check_exponents,
     _check_scale,
+    _psi_prime_kernel,
     _resolve,
     psi_array,
     psi_hat_array,  # noqa: F401  (tracing code reads it as rs.psi_hat_array)
     psi_hat_grad,
-    psi_prime,
 )
-from .errors import InvalidArgumentError, NumericalError, _check_finite, _check_nonnegative, _check_positive
+from .errors import (
+    InvalidArgumentError,
+    NumericalError,
+    _check_finite,
+    _check_integer,
+    _check_nonnegative,
+    _check_positive,
+)
 from .priors import Prior, second_moment
 
 GRID_POINTS = 1001
@@ -693,12 +702,15 @@ def state_evolution(
 ) -> SETrace:
     """Iterate q <- 2 psi'(lambda q) from q0 until |delta q| <= tol max(1, E[X^2]), up to max_iter times.
 
-    tol is relative to the scale of q, so a prior with a large E[X^2]
-    converges as one of unit scale does (E[X^2] = 1 reads tol as absolute).
-    lambda must pass _check_scale at extent E[X^2] + 1.  An iterate may leave
-    [0, E[X^2]] by the finite-difference psi_prime's error, which grows with
-    E[X^2]: by at most 1e-9 max(1, E[X^2]) below and 1e-6 max(1, E[X^2])
-    above, and is then clipped back; farther out is a NumericalError.
+    psi' is psi_prime's, the quadrature rule's own derivative, from one
+    kernel built for the run.  tol is relative to the scale of q, so a prior
+    with a large E[X^2] converges as one of unit scale does (E[X^2] = 1 reads
+    tol as absolute).  lambda must pass _check_scale at extent E[X^2] + 1 and
+    max_iter must be an integer >= 1.  An iterate that leaves [0, E[X^2]] by
+    rounding (psi' is within about 1e-15 max(1, E[X^2]) (1 + r^-1/2) of the
+    chain rule, so 2 psi'(lambda E[X^2]) may exceed E[X^2] in its last bits)
+    is clipped back; the range guard allows 1e-9 max(1, E[X^2]) below and
+    1e-6 max(1, E[X^2]) above, and farther out is a NumericalError.
     """
     m2 = second_moment(p)
     scale = max(1.0, m2)
@@ -706,16 +718,20 @@ def state_evolution(
     if not 0.0 <= q0 <= m2:
         raise InvalidArgumentError(f"q0 must lie in [0, {m2}], got {q0}")
     _check_positive("tol", tol)
+    _check_integer("max_iter", max_iter)
     if not max_iter >= 1:
         raise InvalidArgumentError(f"max_iter must be >= 1, got {max_iter}")
+    psi_prime_at = _psi_prime_kernel(_resolve(ev), p)
     iterates = [float(q0)]
     q = float(q0)
     converged = False
     for _ in range(max_iter):
-        q_next = 2.0 * psi_prime(ev, p, lam * q)
+        r = lam * q
+        _check_exponents(p, r, r * p.bound)
+        q_next = 2.0 * psi_prime_at(r)
         if not (-1e-9 * scale <= q_next <= m2 + 1e-6 * scale):
             raise NumericalError(
-                f"state evolution left [0, {m2}]: q = {q_next} (psi_prime bug?)"
+                f"state evolution left [0, {m2}]: q = {q_next} (psi' bug?)"
             )
         q_next = min(max(q_next, 0.0), m2)
         iterates.append(float(q_next))

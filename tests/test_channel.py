@@ -22,6 +22,7 @@ from replica_lab import (
 from replica_lab.channel import (
     EXPONENT_MAX,
     MAX_NODE_COUNT,
+    _R_LIMIT,
     make_evaluator,
     psi_array,
     psi_bar_array,
@@ -33,6 +34,7 @@ from replica_lab.priors import (
     parse_prior_spec,
     point_mass_prior,
     rademacher_prior,
+    second_moment,
 )
 
 from conftest import broadcast_psi, broadcast_psi_hat, mc_log_cosh, mc_psi_bar
@@ -132,10 +134,11 @@ class TestBlockedKernel:
 
     Both sum the atoms in storage order, so every atom count must match; the
     call shapes are those of psi_hat, psi and psi_bar, a saddle-table chunk
-    spanning many blocks, a general broadcast, and the small calls:
-    psi_prime's two- and three-point stencils (r of shape (k, 1) against s of
-    shape (k, atoms)).  psi_array on the stencils and on a 0-d r, and
-    psi_hat_grad's value on every case, are held to the same reference.
+    spanning many blocks, a general broadcast, and the small calls: two and
+    three points (r of shape (k, 1) against s of shape (k, atoms)), one pair
+    off zero and one triple from r = 0.  psi_array on the small calls and on
+    a 0-d r, and psi_hat_grad's value on every case, are held to the same
+    reference.
     """
 
     @pytest.mark.parametrize("nodes", [2, 61, 121])
@@ -161,12 +164,11 @@ class TestBlockedKernel:
             ),
             "broadcast_5x7": (rng.uniform(0.0, 20.0, (5, 7)), rng.normal(0.0, 5.0, 7)),
         }
-        # psi_prime's stencils at r = 1.3 (central) and r = 0 (one-sided)
-        stencils = {
-            "central": np.array([1.3 - 1.3e-6, 1.3 + 1.3e-6]),
-            "one_sided": np.array([0.0, 1e-6, 2e-6]),
+        small = {
+            "two_points": np.array([1.3 - 1.3e-6, 1.3 + 1.3e-6]),
+            "three_from_zero": np.array([0.0, 1e-6, 2e-6]),
         }
-        for name, x in stencils.items():
+        for name, x in small.items():
             cases[name] = (x[:, None], x[:, None] * p.values)
         for name, (r, s) in cases.items():
             want = broadcast_psi_hat(e, p, r, s)
@@ -175,7 +177,7 @@ class TestBlockedKernel:
             assert np.array_equal(got, want), (name, float(np.max(np.abs(got - want))))
             value = psi_hat_grad(e, p, r, s)[0]
             assert np.shape(value) == np.shape(want) and np.array_equal(value, want), name
-        for name, x in dict(stencils, zero_d=np.float64(1.7)).items():
+        for name, x in dict(small, zero_d=np.float64(1.7)).items():
             want = broadcast_psi(e, p, x)
             got = psi_array(e, p, x)
             assert type(got) is type(want) and np.shape(got) == np.shape(want), name
@@ -321,8 +323,10 @@ class TestPsiPrime:
                 assert psi_prime(ev, p, float(r)) >= -1e-9
 
     def test_matches_gibbs_oracle_two_point(self):
-        # both sides under one converged rule, so the comparison isolates the
-        # finite-difference path from quadrature error
+        # the rule's derivative against (1/2) E <x>^2, which equals psi' for
+        # the Gaussian integral but not for the rule: under one converged
+        # rule the two agree, so the comparison isolates the chain rule from
+        # quadrature error
         e = make_evaluator(201)
         for p in (rademacher_prior(), asymmetric_binary_prior(0.7)):
             for r in (0.5, 1.0, 3.0):
@@ -334,22 +338,28 @@ class TestPsiPrime:
         # psi(r) ~ r/2 for two-point priors at large r
         p = rademacher_prior()
         assert 0.49 <= psi_prime(ev, p, 50.0) <= 0.5
-        # the finite difference sits within 2e-11 of the bound; the chain rule
-        # through psi_hat at (r, r x*) is the rule's own derivative
+        # and so does psi_hat_grad's chain rule at (r, r x*), which psi_prime
+        # computes in one block
         _, d_r, d_s = psi_hat_grad(ev, p, 50.0, 50.0 * p.values)
         assert 0.49 <= float(p.weights @ (d_r + p.values * d_s)) <= 0.5
 
-    @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21", "sparse:0.05"])
-    def test_within_1e9_of_the_rules_derivative(self, ev, spec):
-        # the docstring's accuracy claim: the finite difference against the
-        # rule's own derivative, sum_x* w (d_r + x* d_s) at the tilts s = r x*
-        # (at most 2.1e-10 at 61 nodes), across the one-sided stencil's range
-        # near 0, psi_hat_grad's limit form below its cutoff, and large r
+    @pytest.mark.parametrize(
+        "spec", ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21", "sparse:0.05", "point:1e3"]
+    )
+    def test_within_rounding_of_the_rules_derivative(self, ev, spec):
+        # the docstring's accuracy claim: psi_prime against the chain rule
+        # through psi_hat_grad, sum_x* w (d_r + x* d_s) at the tilts s = r x*,
+        # within 2e-15 max(1, E[X^2]) (1 + r^-1/2) (r^-1/2 taken at _R_LIMIT
+        # below it, where both take the limit form), at r = 0, below and just
+        # above _R_LIMIT, where the z-sum's cancellation is amplified most,
+        # and up to r = 50
         p = parse_prior_spec(spec)
-        for r in (0.0, 1e-12, 1e-7, 0.3, 1.0, 2.5, 6.0, 20.0):
+        scale = max(1.0, second_moment(p))
+        for r in (0.0, 1e-12, _R_LIMIT, 2e-11, 1e-7, 0.3, 1.0, 2.5, 6.0, 20.0, 50.0):
             _, d_r, d_s = psi_hat_grad(ev, p, r, r * p.values)
             exact = float(p.weights @ (d_r + p.values * d_s))
-            assert abs(psi_prime(ev, p, r) - exact) <= 1e-9, r
+            bound = 2e-15 * scale * (1.0 + max(r, _R_LIMIT) ** -0.5)
+            assert abs(psi_prime(ev, p, r) - exact) <= bound, (r, psi_prime(ev, p, r), exact)
 
     def test_point_mass_constant(self, ev):
         p = point_mass_prior(0.8)

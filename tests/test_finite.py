@@ -885,6 +885,16 @@ class TestMetropolis:
         with pytest.raises(InvalidArgumentError):
             metropolis_sampler(inst, priors["rademacher"], 10, 10, 0)
 
+    def test_non_integer_counts_refused(self, priors):
+        # float sweep and burn-in counts are refused before the order check,
+        # not left to fail inside numpy with a TypeError
+        p = priors["sparse:0.25"]
+        inst = sample_instance(p, 6, 1.0, 3)
+        for n_sweeps, burn_in in ((10.0, 2), (10, 2.0), (10.5, 2)):
+            with pytest.raises(InvalidArgumentError, match="must be an integer"):
+                metropolis_sampler(inst, p, n_sweeps, burn_in, 0)
+        assert metropolis_sampler(inst, p, np.int64(10), np.int32(2), 0).shape == (8,)
+
 
 class TestConcentration:
     def test_restricted_log_z_variance_halves_when_n_doubles(self, priors):

@@ -37,7 +37,6 @@ from replica_lab.priors import (
 )
 
 from conftest import (
-    broadcast_psi,
     mc_log_cosh,
     mc_psi_bar,
     nested_polish,
@@ -824,17 +823,16 @@ class TestStateEvolution:
 
     def test_iterate_outside_the_range_raises(self, monkeypatch, ev, priors):
         # 2 psi' of 2.0 sends q to 4, outside [0, E[X^2]] = [0, 1]
-        monkeypatch.setattr(rs, "psi_prime", lambda *args: 2.0)
+        monkeypatch.setattr(rs, "_psi_prime_kernel", lambda *args: lambda r: 2.0)
         with pytest.raises(NumericalError, match=r"state evolution left \[0, 1.0\]"):
             state_evolution(priors["rademacher"], 2.0, 0.5, 1e-8, 50, ev)
 
     @pytest.mark.parametrize("spec", ["point:1e3", "point:1e70"])
     def test_range_slack_scales_with_second_moment(self, ev, spec):
-        # psi_prime's finite-difference error grows with E[X^2]: at point:1e3,
-        # 2 psi'(lambda E[X^2]) = E[X^2] + 6.1e-5, which an absolute 1e-6 slack
-        # refused; the iterate is clipped back to E[X^2].  The stopping rule
-        # scales the same way: at point:1e70 the iterates alternate between
-        # 1e140 and 9.999999998694e139, which an absolute tol never accepted
+        # 2 psi'(lambda E[X^2]) of a point mass is E[X^2] up to rounding on
+        # the scale of E[X^2], which the range guard must take and the clip
+        # bring back to E[X^2]; the stopping rule scales the same way, so an
+        # iterate near 1e140 (point:1e70) converges as a unit-scale one does
         p = parse_prior_spec(spec)
         m2 = second_moment(p)
         with warnings.catch_warnings():
@@ -845,27 +843,19 @@ class TestStateEvolution:
         assert tr.converged and len(tr.iterates) < 50, (spec, len(tr.iterates))
 
     @pytest.mark.parametrize("lam", [0.74, 0.75])
-    def test_iterates_match_broadcast_reference(self, ev, lam):
-        # q <- 2 psi'(lambda q) with psi' from the broadcast reference kernel and
-        # psi_prime's stencils, bit for bit, on both sides of sparse:0.05's
+    def test_iterates_are_psi_primes_recursion(self, ev, lam):
+        # each iterate is min(max(2 psi_prime(lambda q), 0), E[X^2]) of the
+        # one before, bit for bit: the kernel built once per run prices every
+        # step as the public psi_prime does, on both sides of sparse:0.05's
         # lambda_c (about 0.746), where the iteration is slow and reaches
-        # r = lambda q < 1e-6, the one-sided stencil's range
+        # r = lambda q far below 1e-6
         p = sparse_rademacher_prior(0.05)
         m2 = second_moment(p)
-
-        def two_psi_prime(r):
-            h = max(1e-6, 1e-6 * r)
-            if r >= h:
-                lo, hi = broadcast_psi(ev, p, np.array([r - h, r + h])).tolist()
-                return 2.0 * ((hi - lo) / (2.0 * h))
-            v0, v1, v2 = broadcast_psi(ev, p, np.array([r, r + h, r + 2.0 * h])).tolist()
-            return 2.0 * ((-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * h))
-
         for q0 in (1e-3, m2):
             tr = state_evolution(p, lam, q0, 1e-8, 1000, ev)
             want = [q0]
             for _ in range(len(tr.iterates) - 1):
-                want.append(min(max(two_psi_prime(lam * want[-1]), 0.0), m2))
+                want.append(min(max(2.0 * psi_prime(ev, p, lam * want[-1]), 0.0), m2))
             assert tr.converged and len(tr.iterates) > 20
             assert tr.iterates == want, (lam, q0)
 
@@ -881,6 +871,16 @@ class TestStateEvolution:
             with pytest.raises(InvalidArgumentError, match="max_iter must be >= 1"):
                 state_evolution(priors["rademacher"], 1.0, 0.5, 1e-8, max_iter, ev)
         assert len(state_evolution(priors["rademacher"], 1.0, 0.5, 1e-8, 1, ev).iterates) == 2
+
+    def test_non_integer_max_iter_refused(self, ev, priors):
+        # a float count passes max_iter >= 1 but is no count of steps
+        p = priors["rademacher"]
+        for max_iter in (2.5, 3.0):
+            with pytest.raises(InvalidArgumentError, match="max_iter must be an integer"):
+                state_evolution(p, 1.0, 0.5, 1e-8, max_iter, ev)
+        tr = state_evolution(p, 1.0, 0.5, 1e-8, np.int64(3), ev)
+        assert tr.iterates == state_evolution(p, 1.0, 0.5, 1e-8, 3, ev).iterates
+        assert len(tr.iterates) == 4
 
 
 class TestInformationCurves:

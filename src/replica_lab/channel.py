@@ -223,7 +223,6 @@ def _check_exponents(p: Prior, r: float, tilt: float) -> None:
 
     tilt bounds the |s| that multiplies an atom x in the exponent, so the two
     products bound every exponent term (r x^2 / 2, s x and sqrt(r) z x).
-    Float comparisons only: state evolution runs this once per step.
     """
     k = p.bound
     if not (r * k * k <= EXPONENT_MAX and abs(tilt) * k <= EXPONENT_MAX):
@@ -308,7 +307,7 @@ def _psi_prime_kernel(ev: ChannelEvaluator, p: Prior):
     The per-prior constants are built once: v z_g, x* x - x^2/2 and log w
     over the (planted, atom, node) block, the w* w_g product and the block
     itself, so that each call is about ten numpy calls on that one block.
-    Unchecked: the caller passes r >= 0 whose r K^2 passes _check_exponents.
+    Unchecked: r >= 0 and r K^2 <= EXPONENT_MAX, which both callers ensure.
     """
     v, z = p.values, ev.nodes
     vz = v[:, None] * z  # (atoms, nodes)

@@ -42,6 +42,7 @@ from .channel import DEFAULT_NODE_COUNT, make_evaluator
 from .finite import (
     DEFAULT_BUDGET,
     MC_CSV_FIELDS,
+    _check_n,
     derive_seed,
     fp_potential,
     fp_profile,
@@ -324,8 +325,7 @@ def _run(args) -> int:
 
     if args.command == "fp":
         header["lambda"] = lam = _one_lambda(args.lam)
-        if args.n < 2:  # the exact estimators' rule, before the spike is drawn
-            raise InvalidArgumentError(f"need n >= 2, got {args.n}")
+        _check_n(args.n)  # the exact estimators' rule, before the spike is drawn
         spike = sample_spike(prior, args.n, derive_seed(seed, 0, 2))
         if args.m is not None:
             est = fp_potential(prior, args.n, lam, args.m, args.eps, spike, args.disorder,

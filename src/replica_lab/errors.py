@@ -58,6 +58,13 @@ def _check_integer(name: str, x) -> None:
         raise InvalidArgumentError(f"{name} must be an integer, got {x!r}") from None
 
 
+def _check_count(name: str, x) -> None:
+    """InvalidArgumentError unless x is an integer >= 1."""
+    _check_integer(name, x)
+    if x < 1:
+        raise InvalidArgumentError(f"{name} must be >= 1, got {x}")
+
+
 def _check_finite(name: str, x) -> float:
     """x as a float; DomainError unless it is finite."""
     x = float(x)

@@ -97,7 +97,7 @@ import numpy as np
 from . import priors
 from .channel import EXPONENT_MAX, _check_scale
 from .errors import DomainError, EnumerationBudgetError, InvalidArgumentError
-from .errors import _check_finite, _check_integer, _check_nonnegative, _check_positive
+from .errors import _check_count, _check_finite, _check_integer, _check_nonnegative, _check_positive
 from .priors import Prior, support_bound
 from .report import VerificationReport
 
@@ -473,9 +473,7 @@ def _check_energy_scale(p: Prior, n: int, lam: float):
 
 def _check_disorder(n_disorder: int, name: str = "n_disorder") -> None:
     """Every Monte Carlo estimate averages over an integer number of disorder draws, at least one."""
-    _check_integer(name, n_disorder)
-    if n_disorder < 1:
-        raise InvalidArgumentError(f"{name} must be >= 1, got {n_disorder}")
+    _check_count(name, n_disorder)
 
 
 def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=None, spike=None):
@@ -487,7 +485,7 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
     atoms and is either one fixed spike of length n or, without a window,
     the n_disorder draws' own spikes stacked as (n_disorder, n)
     (log_partition_exact's instance and the likelihood-ratio pair's); None
-    (a resampled spike) stays None.
+    (a resampled spike) stays None; budget None fetches no table (None).
     """
     _check_n(n)
     _check_energy_scale(p, n, lam)
@@ -503,7 +501,7 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
             raise InvalidArgumentError(f"spike must have length {n}")
         if not np.isin(spike, p.values).all():
             raise InvalidArgumentError("spike entries must be atoms of the prior")
-    return spike, enumeration_table(p, n, budget)
+    return spike, None if budget is None else enumeration_table(p, n, budget)
 
 
 def _gibbs(table: EnumTable, rows, lams, draws, side=None, odd=None) -> np.ndarray:
@@ -828,8 +826,9 @@ def _phi_t_draws(
     per draw and shared across every t.  Without a window, -H_0 is a sum of
     one-site terms, so each t = 0 column is the closed form
     (1/N) sum_i log sum_v w_v exp(sqrt(r) z_i v + s x*_i v - r v^2/2) on
-    the same draws (_one_site_log_z), with no enumeration.  The other t are
-    one Gibbs pass at the SNRs t lam with the side term: the even
+    the same draws (_one_site_log_z), with no enumeration: a call of such
+    columns alone fetches no table and is not held to the budget.  The
+    other t are one Gibbs pass at the SNRs t lam with the side term: the even
     -(1-t) r/2 sum_i x_i^2 and the odd field sqrt((1-t) r) z + (1-t) s x*.
     A window (restricted, an (m_window, eps) pair) couples the sites, so
     every t, t = 0 included, goes through the pass, which drops the rows
@@ -847,7 +846,8 @@ def _phi_t_draws(
     for v in t:
         if not 0.0 <= v <= 1.0:
             raise DomainError(f"t must lie in [0, 1], got {v}")
-    spike, table = _setup(p, n, lam, n_disorder, budget, restricted, spike)
+    closed = (t == 0.0) & (restricted is None)
+    spike, table = _setup(p, n, lam, n_disorder, None if closed.all() else budget, restricted, spike)
     if spike is not None and spike.ndim != 1:  # a stack passes _setup without a window
         raise InvalidArgumentError(f"spike must have length {n}")
     _check_scale(p, lam, max(q, abs(m)))
@@ -856,7 +856,6 @@ def _phi_t_draws(
     z = np.stack([np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
                   for k in range(n_disorder)])
     log_z = np.empty((n_disorder, t.size))
-    closed = (t == 0.0) & (restricted is None)
     if closed.any():
         log_z[:, closed] = _one_site_log_z(p, r, s, z, draws[0])[:, None]
     if not closed.all():

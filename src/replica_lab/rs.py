@@ -36,13 +36,13 @@ by its float value, which _golden_step computes with the sequential search's
 own arithmetic.  Because a point's bits do not depend on its batch, every
 comparison and the result are the one-point-per-call search's bit for bit
 (tests/test_rs.py keeps that search as the reference); the unused candidates
-cost only kernel time.  The first call also prices the grid point of the
-bracket.  k comes from a cost model (_golden_depth): a call costs about
-_KERNEL_FIXED + points * A^2 G exponent values for A atoms at G nodes, so k
-steps cost (R + 2**k - 1) / k per step with R = _KERNEL_FIXED / (A^2 G).
-At 61 nodes that gives 4 for two atoms, 3 for three, 2 for uniform:8 and 1
-for uniform:21, the fastest k of 1-5 for each when the refinement alone was
-timed.
+cost only kernel time.  The bracket's grid point is not priced again: the
+scan hands its value to the refinement.  k comes from a cost model
+(_golden_depth): a call costs about _KERNEL_FIXED + points * A^2 G exponent
+values for A atoms at G nodes, so k steps cost (R + 2**k - 1) / k per step
+with R = _KERNEL_FIXED / (A^2 G).  At 61 nodes that gives 4 for two atoms,
+3 for three, 2 for uniform:8 and 1 for uniform:21, the fastest k of 1-5 for
+each when the refinement alone was timed.
 
 The saddle works on derivatives instead.  psi_hat_grad gives F_bar with its
 exact partial derivatives in m and q (those of the quadrature rule itself).
@@ -93,7 +93,6 @@ from . import priors
 from .channel import (
     EXPONENT_MAX,  # noqa: F401  (README documents it as rs.EXPONENT_MAX)
     ChannelEvaluator,
-    _check_exponents,
     _check_scale,
     _psi_prime_kernel,
     _resolve,
@@ -104,8 +103,8 @@ from .channel import (
 from .errors import (
     InvalidArgumentError,
     NumericalError,
+    _check_count,
     _check_finite,
-    _check_integer,
     _check_nonnegative,
     _check_positive,
 )
@@ -188,41 +187,34 @@ def _golden_tree(a: float, h: float, c: float, d: float, left: bool, depth: int)
     The first step's direction is known (left); each later step's turns on
     the point priced just before it, so level j holds 2**j candidates.
     """
-    points, frontier = [], [(a, h, c, d, (left,))]
-    for _ in range(depth):
-        grown = []
-        for a, h, c, d, ways in frontier:
-            for way in ways:
-                *state, x = _golden_step(a, h, c, d, way)
-                points.append(x)
-                grown.append((*state, (True, False)))
-        frontier = grown
-    return points
+    if depth == 0:
+        return []
+    *state, x = _golden_step(a, h, c, d, left)
+    return [x, *_golden_tree(*state, True, depth - 1), *_golden_tree(*state, False, depth - 1)]
 
 
-def _golden_max(f, a: float, b: float, depth: int, extra=()):
-    """Golden-section maximizer on [a, b] to REFINE_XTOL: (x, f(x), f at the points extra).
+def _golden_max(f, a: float, b: float, depth: int):
+    """Golden-section maximizer on [a, b] to REFINE_XTOL: (x, f(x)).
 
     f prices a 1-d array of points.  The result is the sequential search's
     bit for bit (tests/test_rs.py keeps that search as the reference): the
-    first call prices the two interior points and extra, and each later call
-    prices _golden_tree's candidates for the next depth steps (the last call
-    only up to the search's step count), which are then taken one by one
-    with the sequential comparisons, each point looked up by its float
-    value.  This holds because a point's value does not depend on the other
-    points in its call.  Assumes unimodality inside the bracket; phi_rs
-    provides brackets from a grid scan so a wrong assumption costs accuracy
-    only, never a crash.
+    first call prices the two interior points, and each later call prices
+    _golden_tree's candidates for the next depth steps (the last call only
+    up to the search's step count), which are then taken one by one with
+    the sequential comparisons, each point looked up by its float value.
+    This holds because a point's value does not depend on the other points
+    in its call.  Assumes unimodality inside the bracket; phi_rs provides
+    brackets from a grid scan so a wrong assumption costs accuracy only,
+    never a crash.
     """
     h = b - a
     if h <= REFINE_XTOL:
         x = 0.5 * (a + b)
-        fx, *f_extra = f(np.array([x, *extra])).tolist()
-        return x, fx, f_extra
+        return x, float(f(np.array([x]))[0])
     n = max(1, int(math.ceil(math.log(REFINE_XTOL / h) / math.log(_INVPHI))))
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
-    yc, yd, *f_extra = f(np.array([c, d, *extra])).tolist()
+    yc, yd = f(np.array([c, d])).tolist()
     for done in range(0, n, depth):
         steps = min(depth, n - done)
         tree = _golden_tree(a, h, c, d, yc > yd, steps)
@@ -231,7 +223,7 @@ def _golden_max(f, a: float, b: float, depth: int, extra=()):
             left = yc > yd
             a, h, c, d, x = _golden_step(a, h, c, d, left)
             yc, yd = (values[x], yc) if left else (yd, values[x])
-    return (c, yc, f_extra) if yc > yd else (d, yd, f_extra)
+    return (c, yc) if yc > yd else (d, yd)
 
 
 def _golden_depth(p: Prior, ev) -> int:
@@ -293,8 +285,8 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
 
 
 def _rs_scan(p: Prior, lam: float, ev):
-    """phi_rs's grid scan: (step, q_scan, idx), the grid step, the grid and the
-    indices of its local maxima.
+    """phi_rs's grid scan: (step, q_scan, vals, idx), the grid step, the grid,
+    F on it (NaN where not priced) and the indices of its local maxima.
 
     At lambda = 0, E[X^2] = 0 or a flat potential every q is optimal, and
     the grid is the one point [0.0] with idx = [0]: its bracket is [0, 0],
@@ -316,10 +308,10 @@ def _rs_scan(p: Prior, lam: float, ev):
     npts = GRID_POINTS
     step = float(f"{m2 / (npts - 1):.12g}")
     q_scan = np.linspace(0.0, m2, npts)
-    if lam == 0.0 or m2 == 0.0:
-        return step, q_scan[:1], [0]
-    coarse = np.r_[0 : npts - 1 : _STRIDE, npts - 1]
     vals = np.full(npts, np.nan)  # NaN: not evaluated
+    if lam == 0.0 or m2 == 0.0:
+        return step, q_scan[:1], vals[:1], [0]
+    coarse = np.r_[0 : npts - 1 : _STRIDE, npts - 1]
     vals[coarse] = _potential(p, lam, q_scan[coarse], ev)
     # The fine windows run from coarse neighbour to coarse neighbour around
     # every coarse local maximum and around both ends.
@@ -332,8 +324,8 @@ def _rs_scan(p: Prior, lam: float, ev):
 
     v_max, v_min = np.nanmax(vals), np.nanmin(vals)
     if v_max - v_min <= 1e-13 * max(1.0, abs(v_max)):
-        return step, q_scan[:1], [0]  # flat potential
-    return step, q_scan, _local_max_indices(vals)
+        return step, q_scan[:1], vals[:1], [0]  # flat potential
+    return step, q_scan, vals, _local_max_indices(vals)
 
 
 def _brackets(q_scan: np.ndarray, idx: list) -> list:
@@ -342,14 +334,16 @@ def _brackets(q_scan: np.ndarray, idx: list) -> list:
     return [(q_scan[max(i - 1, 0)], q_scan[min(i + 1, last)]) for i in idx]
 
 
-def _rs_refine(p: Prior, lam: float, ev, step: float, q_scan: np.ndarray, idx: list) -> PotentialResult:
+def _rs_refine(p: Prior, lam: float, ev, step: float, q_scan: np.ndarray, vals: np.ndarray,
+               idx: list) -> PotentialResult:
     """phi_rs's refinement of a scan: golden search in every bracket, the grid
-    point kept where it beats the bracket's interior, then the tie rule.
+    point's scanned value kept where it beats the bracket's interior (a NaN,
+    the one-point grid's unpriced q = 0, never does), then the tie rule.
 
-    The grid point is priced in the golden search's first call, and
-    _golden_depth sets how many steps each later call prices.  Each refined q
-    lies in its bracket (golden probes only its interior, and the fallback is
-    the grid point itself), which critical_lambda relies on.
+    _golden_depth sets how many steps each golden call after the first
+    prices.  Each refined q lies in its bracket (golden probes only its
+    interior, and the fallback is the grid point itself), which
+    critical_lambda relies on.
     """
     depth = _golden_depth(p, ev)
 
@@ -358,10 +352,10 @@ def _rs_refine(p: Prior, lam: float, ev, step: float, q_scan: np.ndarray, idx: l
 
     optima = []
     for i, (a, b) in zip(idx, _brackets(q_scan, idx)):
-        q_c, v_c, (v_grid,) = _golden_max(f, a, b, depth, q_scan[i : i + 1])
+        q_c, v_c = _golden_max(f, a, b, depth)
         # The bracket interior can undershoot the grid point itself.
-        if v_grid > v_c:
-            q_c, v_c = float(q_scan[i]), v_grid
+        if vals[i] > v_c:
+            q_c, v_c = q_scan[i], vals[i]
         optima.append((float(q_c), float(v_c)))
 
     best_val = max(v for _, v in optima)
@@ -711,6 +705,11 @@ def state_evolution(
     chain rule, so 2 psi'(lambda E[X^2]) may exceed E[X^2] in its last bits)
     is clipped back; the range guard allows 1e-9 max(1, E[X^2]) below and
     1e-6 max(1, E[X^2]) above, and farther out is a NumericalError.
+
+    The exponents are bounded once, at entry: q0 and every clipped iterate
+    lie in [0, E[X^2]], so each step's r K^2 = lambda q K^2 is at most
+    lambda E[X^2] K^2 <= lambda (E[X^2] + 1)(K^2 + E[X^2] + 1) up to rounding,
+    which _check_scale holds to EXPONENT_MAX, 180 times below the float max.
     """
     m2 = second_moment(p)
     scale = max(1.0, m2)
@@ -718,17 +717,13 @@ def state_evolution(
     if not 0.0 <= q0 <= m2:
         raise InvalidArgumentError(f"q0 must lie in [0, {m2}], got {q0}")
     _check_positive("tol", tol)
-    _check_integer("max_iter", max_iter)
-    if not max_iter >= 1:
-        raise InvalidArgumentError(f"max_iter must be >= 1, got {max_iter}")
+    _check_count("max_iter", max_iter)
     psi_prime_at = _psi_prime_kernel(_resolve(ev), p)
     iterates = [float(q0)]
     q = float(q0)
     converged = False
     for _ in range(max_iter):
-        r = lam * q
-        _check_exponents(p, r, r * p.bound)
-        q_next = 2.0 * psi_prime_at(r)
+        q_next = 2.0 * psi_prime_at(lam * q)
         if not (-1e-9 * scale <= q_next <= m2 + 1e-6 * scale):
             raise NumericalError(
                 f"state evolution left [0, {m2}]: q = {q_next} (psi' bug?)"
@@ -774,7 +769,7 @@ def critical_lambda(
 
     def above(lam):
         scan = _rs_scan(p, lam, ev)
-        brackets = _brackets(*scan[1:])
+        brackets = _brackets(scan[1], scan[3])
         if min(a for a, _ in brackets) > delta:
             return True
         if max(b for _, b in brackets) <= delta:

@@ -9,6 +9,7 @@ import pytest
 
 from replica_lab import (
     DomainError,
+    EnumerationBudgetError,
     InvalidArgumentError,
     derive_seed,
     fp_potential,
@@ -248,6 +249,23 @@ class TestPathStart:
                 est = finite._mc_estimate(got, seed)
                 assert abs(est.mean - psi(ev, p, r)) <= 3.0 * est.stderr
 
+    def test_closed_form_alone_fetches_no_table(self, monkeypatch):
+        # sparse:0.25 at n = 14 has 3**14 = 4,782,969 configurations, over
+        # the default budget: t = 0 alone needs none of them, t = 0.5 does
+        p = parse_prior_spec("sparse:0.25")
+        assert math.isfinite(phi_of_t(p, 14, 2.0, 0.5, 0.5, 0.0, 20, 1).mean)
+        with pytest.raises(EnumerationBudgetError):
+            phi_of_t(p, 14, 2.0, 0.5, 0.5, 0.5, 20, 1)
+        # the closed-form column keeps its bits without the table
+        mixed = _phi_t_draws(p, 8, 2.0, 0.5, 0.5, [0.0, 0.5], 20, 1)[:, 0]
+
+        def refused(*args):
+            raise AssertionError("the closed form fetched the enumeration table")
+
+        monkeypatch.setattr(finite, "enumeration_table", refused)
+        alone = _phi_t_draws(p, 8, 2.0, 0.5, 0.5, [0.0], 20, 1)[:, 0]
+        assert [v.hex() for v in alone.tolist()] == [v.hex() for v in mixed.tolist()]
+
     @pytest.mark.parametrize("spec, n", [("rademacher", 8), ("sparse:0.25", 6), ("asym:0.7", 8), ("uniform:21", 3)])
     def test_t_one_window_is_the_franz_parisi_potential(self, spec, n):
         # at t = 1 the side field is an exact zero: the pass forms no field
@@ -416,6 +434,11 @@ class TestGuerraSlope:
                 phi_of_t(p, 6, lam, q, m, 0.5, 3, 1, spike=np.ones(6))
         with pytest.raises(DomainError, match="q must be finite"):
             phi_of_t(p, 6, 2.0, math.nan, 0.5, 0.5, 3, 1)
+        for t in (1.5, -0.1):
+            with pytest.raises(DomainError, match=r"t must lie in \[0, 1\]"):
+                phi_of_t(p, 6, 2.0, 0.5, 0.5, t, 4, 1)
+        with pytest.raises(DomainError, match=r"t must lie in \[0, 1\]"):
+            guerra_slope_check(p, 6, 2.0, 0.5, t_grid=(0.0, 1.2), n_disorder=4, seed=1)
         with pytest.raises(DomainError, match="q must be finite"):
             guerra_slope_check(p, 8, 1.0, math.nan, n_disorder=5, seed=0)
         with pytest.raises(DomainError, match="lambda must be finite"):

@@ -1,5 +1,6 @@
 """RS potential, saddle formula, state evolution, information curves."""
 
+import itertools
 import math
 import warnings
 
@@ -169,11 +170,16 @@ class TestPhiRs:
     def test_one_point_scan(self, ev, spec, lam, resolution):
         # lambda = 0, a potential flat to 1e-13 (lambda = 1e-14) and E[X^2] = 0
         # each scan the one-point grid [0.0]; sparse:0.25's F(1e-14, 0) is
-        # 2**-53, so the value is the potential at 0, not a literal 0.0
+        # 2**-53, so the value is the potential at 0, not a literal 0.0.  The
+        # flat scan priced q = 0, the other two priced nothing (NaN)
         p = parse_prior_spec(spec)
-        step, q_scan, idx = rs._rs_scan(p, lam, ev)
+        step, q_scan, vals, idx = rs._rs_scan(p, lam, ev)
         assert q_scan.tolist() == [0.0] and idx == [0], (q_scan, idx)
         v = rs_potential(p, lam, 0.0, ev)
+        if lam == 0.0 or spec == "point:0":
+            assert np.isnan(vals).tolist() == [True]
+        else:
+            assert [x.hex() for x in vals.tolist()] == [v.hex()]
         res = phi_rs(p, lam, ev)
         assert res.optimizer_q == 0.0 and res.optimizer_m is None
         assert res.value.hex() == v.hex()
@@ -386,7 +392,7 @@ class TestSpeculativeGolden:
                 )
                 counts.append(max(len(priced) - 2, 0))
                 for depth in range(1, 6):
-                    x, fx, _ = rs._golden_max(lambda q: rs._potential(p, lam, q, ev), a, b, depth)
+                    x, fx = rs._golden_max(lambda q: rs._potential(p, lam, q, ev), a, b, depth)
                     assert self._hex(x, fx) == self._hex(*want), (spec, lam, a, b, depth)
         assert 0 in counts and any(n % 4 and n % 5 for n in counts), counts
 
@@ -402,22 +408,40 @@ class TestSpeculativeGolden:
             b = a + 10.0 ** rng.uniform(-9.0, 0.0)
             want = _sequential_golden_max(saw, a, b)
             for depth in range(1, 6):
-                assert self._hex(*rs._golden_max(saw, a, b, depth)[:2]) == self._hex(*want), (a, b, depth)
+                assert self._hex(*rs._golden_max(saw, a, b, depth)) == self._hex(*want), (a, b, depth)
 
-    def test_extra_points_come_with_the_first_call(self):
+    def test_first_call_prices_the_two_interior_points(self):
         calls = []
 
         def f(q):
             calls.append(q.size)
             return -((q - 0.3) ** 2)
 
-        want = (-((np.array([0.1, 0.35]) - 0.3) ** 2)).tolist()
         # a bracket of 0.2 takes 35 steps: 11 calls of three steps, then two
-        assert rs._golden_max(f, 0.2, 0.4, 3, [0.1, 0.35])[2] == want
-        assert calls == [4] + [7] * 11 + [3]
+        rs._golden_max(f, 0.2, 0.4, 3)
+        assert calls == [2] + [7] * 11 + [3]
         calls.clear()
-        assert rs._golden_max(f, 0.2, 0.2 + 0.5 * rs.REFINE_XTOL, 3, [0.1, 0.35])[2] == want
-        assert calls == [3]
+        rs._golden_max(f, 0.2, 0.2 + 0.5 * rs.REFINE_XTOL, 3)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_tree_is_every_direction_sequence(self, depth):
+        # the candidates are the points that golden steps along every
+        # direction sequence of length 1 to depth, the first one given, price
+        rng = np.random.default_rng(depth)
+        for _ in range(20):
+            a, h = rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-8.0, 0.0)
+            c, d = a + rs._INVPHI2 * h, a + rs._INVPHI * h
+            for left in (True, False):
+                want = set()
+                for length in range(1, depth + 1):
+                    for ways in itertools.product((True, False), repeat=length - 1):
+                        state = (a, h, c, d)
+                        for way in (left, *ways):
+                            *state, x = rs._golden_step(*state, way)
+                        want.add(x)
+                tree = rs._golden_tree(a, h, c, d, left, depth)
+                assert len(tree) == 2**depth - 1 and set(tree) == want, (a, h, left)
 
     @pytest.mark.parametrize(
         "spec, depth",
@@ -443,13 +467,13 @@ class TestSpeculativeGolden:
     )
     def test_kernel_calls_per_bracket(self, ev, monkeypatch, spec, lam, depth):
         # a bracket whose sequential search takes n steps costs 1 + ceil(n /
-        # depth) kernel calls, its grid point priced in the first; sparse:0.05
-        # at 0.75 has two brackets, and lambda = 0 the one-point scan's
-        # zero-width one
+        # depth) kernel calls, the first on its two interior points (the grid
+        # point comes priced from the scan); sparse:0.05 at 0.75 has two
+        # brackets, and lambda = 0 the one-point scan's zero-width one
         p = parse_prior_spec(spec)
         scan = rs._rs_scan(p, lam, ev)
         want = 0
-        for a, b in rs._brackets(*scan[1:]):
+        for a, b in rs._brackets(scan[1], scan[3]):
             priced = []
             _sequential_golden_max(lambda q: priced.append(q) or 0.0, a, b)
             want += 1 + math.ceil(max(len(priced) - 2, 0) / depth)
@@ -458,6 +482,30 @@ class TestSpeculativeGolden:
         monkeypatch.setattr(rs, "_potential", lambda *args: calls.append(1) or potential(*args))
         rs._rs_refine(p, lam, ev, *scan)
         assert len(calls) == want, (spec, lam)
+
+    @pytest.mark.parametrize(
+        "spec, lam", [("rademacher", 2.0), ("sparse:0.05", 0.75), ("asym:0.7", 1.3), ("uniform:8", 2.0)]
+    )
+    def test_no_point_priced_twice(self, ev, monkeypatch, spec, lam):
+        # the refinement takes each grid point's value from the scan, so the
+        # points it prices are disjoint from the scan's (sparse:0.05 at 0.75
+        # refines two brackets)
+        p = parse_prior_spec(spec)
+        priced = []
+        potential = rs._potential
+
+        def recorded(p, lam, q, ev):
+            priced.append(np.atleast_1d(q))
+            return potential(p, lam, q, ev)
+
+        monkeypatch.setattr(rs, "_potential", recorded)
+        scan = rs._rs_scan(p, lam, ev)
+        scanned = np.concatenate(priced)
+        priced.clear()
+        rs._rs_refine(p, lam, ev, *scan)
+        refined = np.concatenate(priced)
+        assert np.unique(scanned).size == scanned.size, (spec, lam)
+        assert np.intersect1d(scanned, refined).size == 0, (spec, lam)
 
     @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21", "uniform:8"])
     def test_point_bits_do_not_depend_on_the_batch(self, ev, spec):
@@ -842,6 +890,28 @@ class TestStateEvolution:
         assert tr.fixed_point == pytest.approx(m2, rel=1e-9)
         assert tr.converged and len(tr.iterates) < 50, (spec, len(tr.iterates))
 
+    @pytest.mark.parametrize(
+        "spec, lam", [("rademacher", 4.0), ("sparse:0.05", 0.75), ("point:1e3", 1.0), ("point:1e100", 1e-200)]
+    )
+    def test_kernel_sees_r_within_the_entry_bound(self, monkeypatch, ev, spec, lam):
+        # every iterate is clipped into [0, E[X^2]], so r = lambda q stays at
+        # most lambda E[X^2], which the entry's _check_scale bounds (point:1e100
+        # at 1e-200 runs at r K^2 = 1e200 every step)
+        p = parse_prior_spec(spec)
+        m2 = second_moment(p)
+        seen = []
+        kernel = rs._psi_prime_kernel
+
+        def recorded(*args):
+            psi_prime_at = kernel(*args)
+            return lambda r: seen.append(r) or psi_prime_at(r)
+
+        monkeypatch.setattr(rs, "_psi_prime_kernel", recorded)
+        steps = sum(len(state_evolution(p, lam, q0, 1e-8, 200, ev).iterates) - 1 for q0 in (0.0, 0.5 * m2, m2))
+        assert len(seen) == steps
+        assert 0.0 <= min(seen) and max(seen) <= lam * m2, (spec, max(seen), lam * m2)
+        assert max(seen) * p.bound**2 <= channel.EXPONENT_MAX
+
     @pytest.mark.parametrize("lam", [0.74, 0.75])
     def test_iterates_are_psi_primes_recursion(self, ev, lam):
         # each iterate is min(max(2 psi_prime(lambda q), 0), E[X^2]) of the
@@ -977,7 +1047,7 @@ class TestCriticalLambdaFromTheScan:
         p = parse_prior_spec(spec)
         for lam in (0.3, 0.75, 0.99, 1.0, 1.3, 2.0, 7.0):
             scan = rs._rs_scan(p, lam, ev)
-            brackets = rs._brackets(*scan[1:])
+            brackets = rs._brackets(scan[1], scan[3])
             optima = rs._rs_refine(p, lam, ev, *scan).local_optima
             assert len(optima) == len(brackets)
             for (q, _), (a, b) in zip(optima, brackets):

@@ -471,11 +471,6 @@ def _check_energy_scale(p: Prior, n: int, lam: float):
         )
 
 
-def _check_disorder(n_disorder: int, name: str = "n_disorder") -> None:
-    """Every Monte Carlo estimate averages over an integer number of disorder draws, at least one."""
-    _check_count(name, n_disorder)
-
-
 def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=None, spike=None):
     """Validated (spike, table) for an exact estimator: the one input check of them all.
 
@@ -494,7 +489,7 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
         if not math.isfinite(m):
             raise InvalidArgumentError(f"m must be finite, got {m}")
         _check_positive("eps", eps)
-    _check_disorder(n_disorder)
+    _check_count("n_disorder", n_disorder)
     if spike is not None:
         spike = np.asarray(spike, dtype=np.float64)
         if spike.shape != (n,) and (window is not None or spike.shape != (n_disorder, n)):
@@ -711,19 +706,14 @@ def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
     Gibbs pass (_gibbs).
     """
     instances = list(instances)
-    _check_disorder(len(instances), "instance count")
+    _check_count("instance count", len(instances))
     n, lam = instances[0].n, instances[0].lam
     if any(inst.n != n or inst.lam != lam for inst in instances):
         raise InvalidArgumentError("instances must share n and lambda")
     spikes, noises, ys = (np.stack([getattr(inst, part) for inst in instances]) for part in ("spike", "noise", "y"))
     _, table = _setup(p, n, lam, len(instances), budget, spike=spikes)
-    return _kl_pair(table, p, lam, spikes, noises, ys)
-
-
-def _kl_pair(table: EnumTable, p: Prior, lam: float, spikes, noises, ys):
-    """kl_log_likelihood_ratios' two arrays for stacked draws (spikes, noises) and their Y, on _setup's table."""
     log_z = _gibbs(table, None, [lam], (spikes, noises))[:, 0]
-    return _log_likelihood_ratios(ys, p, spikes.shape[1], lam), log_z
+    return _log_likelihood_ratios(ys, p, n, lam), log_z
 
 
 def _kl_pair_draws(p: Prior, n: int, lam: float, n_draws: int, seed: int, budget: int = DEFAULT_BUDGET):
@@ -735,7 +725,8 @@ def _kl_pair_draws(p: Prior, n: int, lam: float, n_draws: int, seed: int, budget
     """
     _, table = _setup(p, n, lam, n_draws, budget)
     spikes, noises = _draws(p, n, seed, n_draws)
-    return _kl_pair(table, p, lam, spikes, noises, _observations(spikes, noises, lam))
+    log_z = _gibbs(table, None, [lam], (spikes, noises))[:, 0]
+    return _log_likelihood_ratios(_observations(spikes, noises, lam), p, n, lam), log_z
 
 
 def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET):

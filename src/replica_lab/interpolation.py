@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelEvaluator, _check_scale
+from .channel import _check_scale
 from .errors import InvalidArgumentError
 from .finite import (
     DEFAULT_BUDGET,
@@ -141,7 +141,6 @@ def fp_upper_check(
     n_disorder: int = 400,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    ev: ChannelEvaluator | None = None,
 ) -> VerificationReport:
     """Interpolation upper bound on the Franz-Parisi potential.
 
@@ -149,10 +148,10 @@ def fp_upper_check(
     disorder, and checks it against inf_q F_hat(lam, m, q, x*) + lam eps^2/2
     plus the calibration allowance C/N + 3 stderr (C = lam K^4).  The inf
     over q in [0, K^2 + 1] is the saddle's exact inner minimization, averaged
-    over the spike's empirical law.  An unreachable window produces a skipped
-    (vacuously passing) report.  lambda and m must pass
-    channel._check_scale at extent max(K^2 + 1, |m|), besides fp_potential's
-    checks.
+    over the spike's empirical law and priced on the default quadrature
+    rule.  An unreachable window produces a skipped (vacuously passing)
+    report.  lambda and m must pass channel._check_scale at extent
+    max(K^2 + 1, |m|), besides fp_potential's checks.
     """
     K = support_bound(p)
     _check_scale(p, lam, max(K * K + 1.0, abs(m)))
@@ -171,7 +170,7 @@ def fp_upper_check(
         params["skipped"] = "empty overlap window"
         return VerificationReport.from_slack("fp_upper", params, float("inf"))
 
-    _, q_min, rhs_min = _inner_min(p, lam, np.array([float(m)]), K**2 + 1.0, ev, spike)[:, 0]
+    _, q_min, rhs_min = _inner_min(p, lam, np.array([float(m)]), K**2 + 1.0, None, spike)[:, 0]
     q_min, rhs_min = float(q_min), float(rhs_min)
     allowance = lam * eps * eps / 2.0 + lam * K**4 / n + 3.0 * lhs.stderr
     slack = rhs_min + allowance - lhs.mean

@@ -87,7 +87,9 @@ def make_prior(atoms, name: str = "") -> Prior:
 
 
 def second_moment(p: Prior) -> float:
-    """E[X^2] = sum_i w_i v_i^2."""
+    """E[X^2] = sum_i w_i v_i^2; inf when an atom's square overflows, which every scale check refuses."""
+    if p.bound * p.bound == math.inf:
+        return math.inf
     return float(np.dot(p.weights, p.values**2))
 
 

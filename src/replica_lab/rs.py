@@ -30,10 +30,11 @@ bits do not depend on how many points share its call.
 The refinement prices several golden-section steps per kernel call, since a
 call's cost is mostly fixed.  From a bracket's state the next step's point
 is known, and each later point turns on one comparison, so the next k steps
-can need at most 2**k - 1 points (_golden_tree).  One call prices them all,
-and the ordinary steps then run against those values, each new point taken
-by its float value, which _golden_step computes with the sequential search's
-own arithmetic.  Because a point's bits do not depend on its batch, every
+can need at most 2**k - 1 points (_golden_tree), some of them equal in
+float value.  One call prices each distinct one once, and the ordinary
+steps then run against those values, each new point taken by its float
+value, which _golden_step computes with the sequential search's own
+arithmetic.  Because a point's bits do not depend on its batch, every
 comparison and the result are the one-point-per-call search's bit for bit
 (tests/test_rs.py keeps that search as the reference); the unused candidates
 cost only kernel time.  The bracket's grid point is not priced again: the
@@ -199,13 +200,13 @@ def _golden_max(f, a: float, b: float, depth: int):
     f prices a 1-d array of points.  The result is the sequential search's
     bit for bit (tests/test_rs.py keeps that search as the reference): the
     first call prices the two interior points, and each later call prices
-    _golden_tree's candidates for the next depth steps (the last call only
-    up to the search's step count), which are then taken one by one with
-    the sequential comparisons, each point looked up by its float value.
-    This holds because a point's value does not depend on the other points
-    in its call.  Assumes unimodality inside the bracket; phi_rs provides
-    brackets from a grid scan so a wrong assumption costs accuracy only,
-    never a crash.
+    _golden_tree's distinct candidates for the next depth steps (the last
+    call only up to the search's step count), which are then taken one by
+    one with the sequential comparisons, each point looked up by its float
+    value.  This holds because a point's value does not depend on the other
+    points in its call.  Assumes unimodality inside the bracket; phi_rs
+    provides brackets from a grid scan so a wrong assumption costs accuracy
+    only, never a crash.
     """
     h = b - a
     if h <= REFINE_XTOL:
@@ -217,7 +218,7 @@ def _golden_max(f, a: float, b: float, depth: int):
     yc, yd = f(np.array([c, d])).tolist()
     for done in range(0, n, depth):
         steps = min(depth, n - done)
-        tree = _golden_tree(a, h, c, d, yc > yd, steps)
+        tree = list(dict.fromkeys(_golden_tree(a, h, c, d, yc > yd, steps)))
         values = dict(zip(tree, f(np.array(tree)).tolist()))
         for _ in range(steps):
             left = yc > yd

@@ -2,18 +2,18 @@
 
 Each check produces a VerificationReport whose slack is >= 0 iff the check
 passes.  Deterministic checks carry zero standard error; Monte Carlo checks
-grant themselves exactly the allowance stated in their report.
+grant themselves exactly the allowance stated in their report.  The checks
+that price the scalar channel do so on the default 61-node rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelEvaluator, asymmetry_gap
-from .errors import EnumerationBudgetError, InvalidArgumentError
+from .channel import asymmetry_gap
+from .errors import EnumerationBudgetError, InvalidArgumentError, _check_count
 from .finite import (
     DEFAULT_BUDGET,
-    _check_disorder,
     _kl_pair_draws,
     derive_seed,
     nishimori_check,
@@ -24,10 +24,10 @@ from .report import VerificationReport
 from .rs import compute_curve, phi_rs, state_evolution
 
 
-def tilt_asymmetry_check(p: Prior, ev: ChannelEvaluator | None = None) -> VerificationReport:
-    """psi_bar(r, r) >= psi_bar(r, -r) - 1e-10 for r in 0:10:0.25, the grid in one asymmetry_gap call."""
+def tilt_asymmetry_check(p: Prior) -> VerificationReport:
+    """psi_bar(r, r) >= psi_bar(r, -r) - 1e-10 for r in 0:10:0.25, in one asymmetry_gap call on the default rule."""
     r_grid, tol = np.arange(0.0, 10.0 + 1e-12, 0.25), 1e-10
-    worst = float(asymmetry_gap(ev, p, r_grid).min())
+    worst = float(asymmetry_gap(None, p, r_grid).min())
     return VerificationReport.from_slack(
         "tilt_asymmetry",
         {"prior": p.name, "r_max": float(r_grid[-1]), "min_gap": worst},
@@ -36,10 +36,10 @@ def tilt_asymmetry_check(p: Prior, ev: ChannelEvaluator | None = None) -> Verifi
     )
 
 
-def saddle_equivalence_check(p: Prior, ev: ChannelEvaluator | None = None) -> VerificationReport:
-    """|sup_m inf_q F_bar - sup_q F| <= 1e-4 at lambda = 0.5, 1, 2, 4."""
+def saddle_equivalence_check(p: Prior) -> VerificationReport:
+    """|sup_m inf_q F_bar - sup_q F| <= 1e-4 at lambda = 0.5, 1, 2, 4, on the default rule."""
     lam_grid, tol = (0.5, 1.0, 2.0, 4.0), 1e-4
-    gaps = [abs(row["saddle"] - row["phi_rs"]) for row in compute_curve(p, lam_grid, ev)]
+    gaps = [abs(row["saddle"] - row["phi_rs"]) for row in compute_curve(p, lam_grid)]
     worst = max(gaps)  # the first largest gap
     return VerificationReport.from_slack(
         "saddle_equivalence",
@@ -64,7 +64,7 @@ def kl_identity_check(
     k < n_instances, drawn stacked (finite._kl_pair_draws) rather than one by one.
     """
     tol = 1e-10
-    _check_disorder(n_instances, "n_instances")
+    _check_count("n_instances", n_instances)
     llr, log_z = _kl_pair_draws(p, n, lam, n_instances, seed, budget)
     worst = float(np.abs(llr - log_z).max())
     return VerificationReport.from_slack(
@@ -76,12 +76,12 @@ def kl_identity_check(
     )
 
 
-def se_fixed_point_check(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> VerificationReport:
-    """SE from the informative side converges to q* within 1e-5 (slack -inf if it does not converge)."""
+def se_fixed_point_check(p: Prior, lam: float) -> VerificationReport:
+    """SE from the informative side converges to q* within 1e-5 (slack -inf if it does not converge), on the default rule."""
     tol = 1e-5
     m2 = second_moment(p)
-    trace = state_evolution(p, lam, q0=0.9 * m2, tol=1e-10, max_iter=2000, ev=ev)
-    q_star = phi_rs(p, lam, ev).optimizer_q
+    trace = state_evolution(p, lam, q0=0.9 * m2, tol=1e-10, max_iter=2000)
+    q_star = phi_rs(p, lam).optimizer_q
     diff = abs(trace.fixed_point - q_star)
     return VerificationReport.from_slack(
         "se_fixed_point",
@@ -98,25 +98,24 @@ def run_suite(
     n_disorder: int = 400,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    ev: ChannelEvaluator | None = None,
 ) -> list:
     """The full battery at one (prior, n, n_disorder >= 2, seed) setting: one draw has no standard errors."""
-    _check_disorder(n_disorder)
+    _check_count("n_disorder", n_disorder)
     if n_disorder < 2:
         raise InvalidArgumentError(f"n_disorder must be >= 2 for the suite's standard errors, got {n_disorder}")
     m2 = second_moment(p)
     reports = [
-        tilt_asymmetry_check(p, ev=ev),
-        saddle_equivalence_check(p, ev=ev),
-        se_fixed_point_check(p, 2.0, ev=ev),
-        se_fixed_point_check(p, 4.0, ev=ev),
+        tilt_asymmetry_check(p),
+        saddle_equivalence_check(p),
+        se_fixed_point_check(p, 2.0),
+        se_fixed_point_check(p, 4.0),
     ]
     try:
         reports.append(kl_identity_check(p, n, 2.0, min(100, n_disorder), derive_seed(seed, 101), budget=budget))
         for lam in (0.5, 1.0, 2.0):
             reports.append(nishimori_check(p, n, lam, n_disorder, derive_seed(seed, 102), budget))
-        q_star2 = phi_rs(p, 2.0, ev).optimizer_q
-        for i, q in enumerate((0.25 * m2, 0.5 * m2, q_star2)):
+        # the last q is q*(2) as the lambda = 2 SE check priced it
+        for i, q in enumerate((0.25 * m2, 0.5 * m2, reports[2].params["q_star"])):
             reports.append(
                 guerra_slope_check(p, n, 2.0, float(q),
                                    n_disorder=n_disorder, seed=derive_seed(seed, 103 + i),
@@ -126,7 +125,7 @@ def run_suite(
             reports.append(
                 fp_upper_check(p, n, 2.0, float(m), 0.25,
                                n_disorder=n_disorder, seed=derive_seed(seed, 106 + i),
-                               budget=budget, ev=ev)
+                               budget=budget)
             )
     except EnumerationBudgetError as e:
         reports.append(

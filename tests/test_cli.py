@@ -241,6 +241,7 @@ class TestDeclaredFlags:
             (["finite-n", "--n", "4", "--disorder", "3"], ["--nodes", "41"]),
             (["fp", "--n", "6", "--disorder", "3"], ["--nodes", "41"]),
             (["verify", "--n", "8", "--disorder", "3"], ["--plot"]),
+            (["verify", "--n", "8", "--disorder", "3"], ["--nodes", "61"]),
         ],
     )
     def test_flag_the_command_does_not_read(self, capsys, args, flag):
@@ -274,7 +275,7 @@ class TestDeclaredFlags:
             (["finite-n", "--n", "4", "--disorder", "3"],
              {"command", "prior", "seed", "format", "lambda", "n", "budget", "disorder", "plot"}),
             (["verify", "--n", "4", "--disorder", "3"],
-             {"command", "prior", "seed", "format", "n", "nodes", "budget", "disorder"}),
+             {"command", "prior", "seed", "format", "n", "budget", "disorder"}),
         ],
     )
     def test_header_holds_the_declared_flags(self, capsys, args, keys):
@@ -495,6 +496,16 @@ class TestErrorPaths:
         assert f"error: --n repeats a size: {sizes!r}" in err
         assert out == ""
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["rs-curve", "saddle", "se"])
+    def test_node_count_below_the_default(self, capsys, command):
+        # a coarser rule than the default would drop digits without a word
+        code, out, err = run_cli([command, "--lambda", "1", "--nodes", "60"], capsys)
+        assert code == 2
+        assert err == "error: --nodes takes at least the default 61, got 60\n"
+        assert out == ""
+        code, out, err = run_cli([command, "--lambda", "1", "--nodes", "61"], capsys)
+        assert code == 0 and out
 
     def test_node_count_above_limit(self, capsys):
         code, out, err = run_cli(

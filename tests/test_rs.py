@@ -115,6 +115,18 @@ class TestScaleBound:
                 with pytest.raises(DomainError, match="channel exponents reach"):
                     solve(p, 1.001 * lam, ev)
 
+    @pytest.mark.parametrize("spec", ["point:1e200", "sparse:1e-320"])
+    def test_atom_whose_square_overflows(self, ev, spec):
+        # E[X^2] is inf rather than numpy's overflow warning, and the scale
+        # check refuses it
+        p = parse_prior_spec(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert second_moment(p) == float("inf")
+            for solve in (phi_rs, saddle, lambda p, lam, ev: state_evolution(p, lam, 1.0, ev=ev)):
+                with pytest.raises(DomainError, match="channel exponents reach"):
+                    solve(p, 1.0, ev)
+
     def test_point_evaluations(self, ev):
         p = parse_prior_spec("asym:0.7")
         with pytest.raises(DomainError, match="channel exponents reach"):
@@ -489,7 +501,8 @@ class TestSpeculativeGolden:
     def test_no_point_priced_twice(self, ev, monkeypatch, spec, lam):
         # the refinement takes each grid point's value from the scan, so the
         # points it prices are disjoint from the scan's (sparse:0.05 at 0.75
-        # refines two brackets)
+        # refines two brackets), and no call prices one float twice, though
+        # _golden_tree's candidates repeat some (rademacher at 2)
         p = parse_prior_spec(spec)
         priced = []
         potential = rs._potential
@@ -505,6 +518,7 @@ class TestSpeculativeGolden:
         rs._rs_refine(p, lam, ev, *scan)
         refined = np.concatenate(priced)
         assert np.unique(scanned).size == scanned.size, (spec, lam)
+        assert all(np.unique(q).size == q.size for q in priced), (spec, lam)
         assert np.intersect1d(scanned, refined).size == 0, (spec, lam)
 
     @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21", "uniform:8"])
@@ -652,13 +666,13 @@ class TestSignFold:
         for lam in (1.3, 6.0):
             self._agree(saddle(shuffled, lam, ev), saddle(p, lam, ev), lam)
 
-    def test_fp_upper_matches_unfolded(self, ev, monkeypatch):
+    def test_fp_upper_matches_unfolded(self, monkeypatch):
         # a spike's empirical law need not be symmetric: the fold rests on psi_hat's symmetry in s
         p = parse_prior_spec("uniform:8")
 
         def run():
             return [
-                fp_upper_check(p, 4, 2.0, m, 0.25, n_disorder=3, seed=seed, ev=ev).params
+                fp_upper_check(p, 4, 2.0, m, 0.25, n_disorder=3, seed=seed).params
                 for m in (-0.5, 0.0, 0.3)
                 for seed in (1, 2)
             ]

@@ -15,6 +15,8 @@ from replica_lab import (
     asymmetry_gap,
     channel,
     nishimori_check,
+    rs,
+    verify,
     parse_prior_spec,
     run_suite,
 )
@@ -32,6 +34,24 @@ class TestRunSuite:
         ]
         assert reports[-1].params["required"] == 1024
         assert all(r.passed for r in reports[:4])
+
+    def test_q_star_at_two_is_priced_twice(self, priors, monkeypatch):
+        # once for the saddle check's curve and once for the lambda = 2 SE
+        # check, whose q* the Guerra check at q*(2) reuses
+        lams = []
+        phi_rs = rs.phi_rs
+
+        def recorded(p, lam, *args):
+            lams.append(lam)
+            return phi_rs(p, lam, *args)
+
+        monkeypatch.setattr(rs, "phi_rs", recorded)
+        monkeypatch.setattr(verify, "phi_rs", recorded)
+        reports = run_suite(priors["rademacher"], 4, 2, 0)
+        assert "enumeration_budget" not in [r.check for r in reports]
+        assert lams.count(2.0) == 2
+        guerra = [r for r in reports if r.check == "guerra_slope"]
+        assert guerra[2].params["q"] == reports[2].params["q_star"]
 
     def test_one_disorder_draw_is_refused(self, priors):
         # at one draw every standard error is 0: asym:0.7 at n = 6 would fail
@@ -64,20 +84,21 @@ class TestSeFixedPoint:
 class TestTiltAsymmetry:
     @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21", "point:0.7"])
     def test_one_kernel_call_with_the_gaps_bits(self, ev, monkeypatch, spec):
-        # the r grid in one call, its least gap asymmetry_gap's bit for bit
+        # the r grid in one call on the default rule, its least gap
+        # asymmetry_gap's bit for bit
         p = parse_prior_spec(spec)
         want = min(asymmetry_gap(ev, p, float(r)) for r in np.arange(0.0, 10.0 + 1e-12, 0.25))
         calls = []
         kernel = channel.psi_hat_array
         monkeypatch.setattr(channel, "psi_hat_array", lambda *a: calls.append(1) or kernel(*a))
-        rep = tilt_asymmetry_check(p, ev)
+        rep = tilt_asymmetry_check(p)
         assert len(calls) == 1
         assert rep.params["min_gap"].hex() == want.hex()
         assert rep.params["r_max"] == 10.0 and rep.passed
 
-    def test_exponent_bound_at_r_max(self, ev):
+    def test_exponent_bound_at_r_max(self):
         with pytest.raises(DomainError, match="channel exponents reach"):
-            tilt_asymmetry_check(parse_prior_spec("point:1e160"), ev)
+            tilt_asymmetry_check(parse_prior_spec("point:1e160"))
 
 
 def test_from_slack_verdict_at_the_boundary():

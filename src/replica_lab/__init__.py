@@ -34,7 +34,6 @@ from .finite import (
     fp_profile,
     free_entropy_mc,
     kl_log_likelihood_ratio,
-    kl_log_likelihood_ratios,
     log_partition_exact,
     metropolis_sampler,
     nishimori_check,

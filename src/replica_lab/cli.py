@@ -39,7 +39,7 @@ from .errors import (
     InvalidPriorError,
     NumericalError,
 )
-from .channel import DEFAULT_NODE_COUNT, make_evaluator
+from .channel import DEFAULT_NODE_COUNT, MAX_NODE_COUNT, make_evaluator
 from .finite import (
     DEFAULT_BUDGET,
     MC_CSV_FIELDS,
@@ -260,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     prior = parse_prior_spec(args.prior)
     seed = _resolve_seed(args)
-    if "nodes" in args and args.nodes < DEFAULT_NODE_COUNT:
-        raise UsageError(f"--nodes takes at least the default {DEFAULT_NODE_COUNT}, got {args.nodes}")
+    if "nodes" in args and not DEFAULT_NODE_COUNT <= args.nodes <= MAX_NODE_COUNT:
+        raise UsageError(f"--nodes takes {DEFAULT_NODE_COUNT} to {MAX_NODE_COUNT}, got {args.nodes}")
     ev = make_evaluator(args.nodes) if "nodes" in args else None
     # The artifact header; each command adds the lambda, n and q0 it resolves.
     header = {k: v for k, v in vars(args).items() if k not in ("out", "lam")}

@@ -16,13 +16,13 @@ A single-site Metropolis sampler covers sizes beyond the enumeration budget.
 
 Every exact estimator is built from the same pieces: _configurations
 enumerates the configurations and keeps one per sign orbit (below), for the
-table and the likelihood ratio alike; _setup checks the inputs and fetches
-the table for every one of them, the likelihood-ratio pair
-(kl_log_likelihood_ratios) included; _draws fetches the disorder draws once
-as (spikes, noises), and _observations forms their Y, for one instance or
-for stacked draws; _overlaps gives R_{1,*} of the rows; the Gibbs pass
-_gibbs (_log_weights, then _fold) gives per-(draw, SNR) log Z or Gibbs
-means of odd row statistics; _mc_estimate averages per-draw values, with
+table and the likelihood ratio alike; _setup checks the inputs, one fixed
+spike of length n among them, and fetches the table for every one of them,
+the likelihood-ratio pair (kl_log_likelihood_ratio) included; _draws
+fetches the disorder draws once as (spikes, noises), and _observations
+forms their Y, for one instance or for stacked draws; _overlaps gives
+R_{1,*} of the rows; the Gibbs pass _gibbs (_log_weights, then _fold) gives
+per-(draw, SNR) log Z or Gibbs means of odd row statistics; _mc_estimate averages per-draw values, with
 the -inf sentinel of an empty window.  _log_weights is the package's one
 definition of -H; the path (_phi_t_draws) is one Gibbs pass at its SNRs
 t lam with the side term of -H_t added, but for an unrestricted t = 0,
@@ -57,11 +57,11 @@ in the block that holds their representatives.  So no array spans the
 replicas times the rows, and _BLOCK_VALUES bounds the working memory.  What
 can move with the composition of a block is only what a BLAS product forms
 over several replicas at once: the kernel's parts, the path's odd side
-term, the overlaps, the Gibbs means, and kl_log_likelihood_ratios'
-cross-sum GEMM, in their last bits.  free_entropy_mc and phi_of_t(t = 1)
-stay equal bit for bit: both are the same pass, and at t = 1, where the
-side coefficients are exact zeros, the path forms no side field, so its
-mirrors count as free_entropy_mc's do.
+term, the overlaps, the Gibbs means, and the likelihood ratio's cross-sum
+GEMM (_log_likelihood_ratios), in their last bits.  free_entropy_mc and
+phi_of_t(t = 1) stay equal bit for bit: both are the same pass, and at
+t = 1, where the side coefficients are exact zeros, the path forms no side
+field, so its mirrors count as free_entropy_mc's do.
 
 Sign fold: -H sees a configuration only through its pair products x_i x_j,
 so with a sign-symmetric prior x and -x have the same energy and prior mass.
@@ -476,11 +476,9 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
 
     n is an integer >= 2, and lambda and n pass _check_energy_scale; a
     window (m, eps) has a finite start m and a finite width eps > 0;
-    n_disorder is an integer >= 1; a spike has entries among the prior's
-    atoms and is either one fixed spike of length n or, without a window,
-    the n_disorder draws' own spikes stacked as (n_disorder, n)
-    (log_partition_exact's instance and the likelihood-ratio pair's); None
-    (a resampled spike) stays None; budget None fetches no table (None).
+    n_disorder is an integer >= 1; a spike is one fixed spike of shape (n,),
+    with entries among the prior's atoms, with or without a window; None (a
+    resampled spike) stays None; budget None fetches no table (None).
     """
     _check_n(n)
     _check_energy_scale(p, n, lam)
@@ -492,7 +490,7 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
     _check_count("n_disorder", n_disorder)
     if spike is not None:
         spike = np.asarray(spike, dtype=np.float64)
-        if spike.shape != (n,) and (window is not None or spike.shape != (n_disorder, n)):
+        if spike.shape != (n,):
             raise InvalidArgumentError(f"spike must have length {n}")
         if not np.isin(spike, p.values).all():
             raise InvalidArgumentError("spike entries must be atoms of the prior")
@@ -556,12 +554,12 @@ def _gibbs(table: EnumTable, rows, lams, draws, side=None, odd=None) -> np.ndarr
 
 def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
     """log Z by stable log-sum-exp over all configurations, with the overlap law."""
-    spikes, table = _setup(p, inst.n, inst.lam, 1, budget, spike=inst.spike[None])
-    blocks = _log_weights(table, None, [inst.lam], (spikes, inst.noise[None]))
+    spike, table = _setup(p, inst.n, inst.lam, 1, budget, spike=inst.spike)
+    blocks = _log_weights(table, None, [inst.lam], (spike[None], inst.noise[None]))
     top, total = np.full(1, -np.inf), np.zeros(1)
     e = _fold(top, total, np.concatenate([weights(0) for *_, weights in blocks], axis=1), table.mirrors)[0][0]
     log_z = float(_log_of(top, total)[0])
-    vals, inv = np.unique(_overlaps(table, spikes, 9)[0], return_inverse=True)
+    vals, inv = np.unique(_overlaps(table, spike[None], 9)[0], return_inverse=True)
     mass = np.bincount(inv, weights=np.concatenate([e, e[: table.mirrors]]) / total[0])
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]
     return EnumerationResult(log_z=log_z, overlap_law=law, config_count=table.reps + table.mirrors)
@@ -624,8 +622,28 @@ def free_entropy_mc(
 def _log_likelihood_ratios(ys: np.ndarray, p: Prior, n: int, lam: float) -> np.ndarray:
     """log dP_lambda/dP_0 (Y) per row of ys, the (draws, pairs) Y_ij over i < j.
 
-    The likelihood-ratio half of kl_log_likelihood_ratios, which describes it:
-    _configurations gives L's sign orbits' representatives and all of R.
+    It equals log Z by the likelihood-ratio identity, and agreement to 1e-10
+    checks one side against the other (kl_log_likelihood_ratio, and
+    _kl_pair_draws for stacked draws).  The two share the log-sum-exp (_fold)
+    and the enumeration with its sign-orbit rule (_configurations), which
+    tests/test_finite.py checks on its own: TestSignFold::test_orbit_table
+    against itertools.product, and test_matches_unfolded with the fold turned
+    off.  The ratio integrates the Gaussian density ratio of Y given x over the
+    prior without the energy kernel or the table, and without expanding a
+    square: per pair i < j and atoms v_b, v_c it tabulates
+    g_ij(v_b v_c) = y^2/2 - (y - sqrt(lam/N) v_b v_c)^2/2.  With the sites
+    split into L, the first n // 2, and R, the rest, a configuration's
+    exponent is logw + E_L(x_L) + E_R(x_R) + C(x_L, x_R).  E_L and E_R
+    gather-add the pairs within a half over that half's configurations; the
+    cross sum C is a GEMM of M[x_L, (j, c)] = sum_{i in L} g_ij(x_i v_c)
+    against R's one-hot digits.  For a
+    sign-symmetric prior, whose exponent and mass are even in x, L holds only
+    the representatives (_configurations), a paired one at an added log 2, and
+    R all of its configurations.  A block of draws holds at most _BLOCK_VALUES
+    values in each array (at least one draw), and the (x_L, x_R) grid of
+    exponents is formed a chunk of x_L at a time, at most 2 _BLOCK_VALUES
+    values (at least one x_L), and folded into a per-draw online log-sum-exp
+    (_fold), so no array spans the draws times the configurations.
     """
     atoms, h = len(p.atoms), n // 2
     i, j = np.triu_indices(n, 1)
@@ -679,49 +697,14 @@ def _log_likelihood_ratios(ys: np.ndarray, p: Prior, n: int, lam: float) -> np.n
     return _log_of(top, total)
 
 
-def kl_log_likelihood_ratios(instances, p: Prior, budget: int = DEFAULT_BUDGET):
-    """(log dP_lambda/dP_0 (Y), log Z) per instance, as two arrays.
-
-    The instances share n and lambda.  The two are equal by the
-    likelihood-ratio identity, and agreement to 1e-10 checks one side against
-    the other.  They share the log-sum-exp (_fold) and the enumeration with
-    its sign-orbit rule (_configurations), which tests/test_finite.py checks
-    on its own: TestSignFold::test_orbit_table against itertools.product,
-    and test_matches_unfolded with the fold turned off.  The likelihood
-    ratio integrates the Gaussian density ratio of Y given x over the prior
-    without the energy kernel or the table, and without expanding a square:
-    per pair i < j and atoms v_b, v_c it tabulates
-    g_ij(v_b v_c) = y^2/2 - (y - sqrt(lam/N) v_b v_c)^2/2.  With the sites
-    split into L, the first n // 2, and R, the rest, a configuration's
-    exponent is logw + E_L(x_L) + E_R(x_R) + C(x_L, x_R).  E_L and E_R
-    gather-add the pairs within a half over that half's configurations; the
-    cross sum C is a GEMM of M[x_L, (j, c)] = sum_{i in L} g_ij(x_i v_c)
-    against R's one-hot digits.  For a sign-symmetric prior, whose exponent
-    and mass are even in x, L holds only the representatives, a paired one at
-    an added log 2.  A block of draws holds at most _BLOCK_VALUES values in
-    each array (at least one draw), and the (x_L, x_R) grid of exponents is
-    formed a chunk of x_L at a time, at most 2 _BLOCK_VALUES values (at least
-    one x_L), and folded into a per-draw online log-sum-exp (_fold), so no
-    array spans the draws times the configurations.  log Z comes from the
-    Gibbs pass (_gibbs).
-    """
-    instances = list(instances)
-    _check_count("instance count", len(instances))
-    n, lam = instances[0].n, instances[0].lam
-    if any(inst.n != n or inst.lam != lam for inst in instances):
-        raise InvalidArgumentError("instances must share n and lambda")
-    spikes, noises, ys = (np.stack([getattr(inst, part) for inst in instances]) for part in ("spike", "noise", "y"))
-    _, table = _setup(p, n, lam, len(instances), budget, spike=spikes)
-    log_z = _gibbs(table, None, [lam], (spikes, noises))[:, 0]
-    return _log_likelihood_ratios(ys, p, n, lam), log_z
-
-
 def _kl_pair_draws(p: Prior, n: int, lam: float, n_draws: int, seed: int, budget: int = DEFAULT_BUDGET):
-    """kl_log_likelihood_ratios over sample_instance(p, n, lam, derive_seed(seed, k)) for k < n_draws.
+    """(log dP_lambda/dP_0 (Y), log Z) as two arrays, one entry per
+    sample_instance(p, n, lam, derive_seed(seed, k)) for k < n_draws.
 
     The instances are not built one by one: their (spikes, noises) are one
     _draws call, and their Y one _observations call, so every value equals
-    the instances' own bit for bit.
+    the instances' own bit for bit.  log Z comes from the Gibbs pass
+    (_gibbs), the ratio from _log_likelihood_ratios.
     """
     _, table = _setup(p, n, lam, n_draws, budget)
     spikes, noises = _draws(p, n, seed, n_draws)
@@ -730,9 +713,11 @@ def _kl_pair_draws(p: Prior, n: int, lam: float, n_draws: int, seed: int, budget
 
 
 def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET):
-    """(log dP_lambda/dP_0 (Y), log Z) for one instance: kl_log_likelihood_ratios on [inst]."""
-    llr, log_z = kl_log_likelihood_ratios([inst], p, budget)
-    return float(llr[0]), float(log_z[0])
+    """(log dP_lambda/dP_0 (Y), log Z) for one instance, equal by the
+    likelihood-ratio identity: one draw of _kl_pair_draws' two passes."""
+    spike, table = _setup(p, inst.n, inst.lam, 1, budget, spike=inst.spike)
+    log_z = _gibbs(table, None, [inst.lam], (spike[None], inst.noise[None]))[0, 0]
+    return float(_log_likelihood_ratios(inst.y[None], p, inst.n, inst.lam)[0]), float(log_z)
 
 
 def _window_estimate(table: EnumTable, rows: np.ndarray, lam: float, draws, seed: int) -> McEstimate:
@@ -839,8 +824,6 @@ def _phi_t_draws(
             raise DomainError(f"t must lie in [0, 1], got {v}")
     closed = (t == 0.0) & (restricted is None)
     spike, table = _setup(p, n, lam, n_disorder, None if closed.all() else budget, restricted, spike)
-    if spike is not None and spike.ndim != 1:  # a stack passes _setup without a window
-        raise InvalidArgumentError(f"spike must have length {n}")
     _check_scale(p, lam, max(q, abs(m)))
     r, s = lam * q, lam * m
     draws = _draws(p, n, seed, n_disorder, spike)

@@ -255,11 +255,11 @@ def _local_max_indices(vals: np.ndarray) -> list:
 # RS potential and its supremum
 # ----------------------------------------------------------------------
 
-def rs_potential(p: Prior, lam: float, q: float, ev: ChannelEvaluator | None = None) -> float:
-    """F(lambda, q) = psi(lambda q) - lambda q^2 / 4; lambda and q within _check_scale's bound."""
+def rs_potential(p: Prior, lam: float, q: float) -> float:
+    """F(lambda, q) = psi(lambda q) - lambda q^2 / 4 on the default rule; lambda and q pass _check_scale."""
     _check_nonnegative("q", q)
     _check_scale(p, lam, q)
-    return float(_potential(p, lam, q, ev))
+    return float(_potential(p, lam, q, None))
 
 
 def _potential(p: Prior, lam: float, q, ev):
@@ -369,23 +369,24 @@ def _rs_refine(p: Prior, lam: float, ev, step: float, q_scan: np.ndarray, vals: 
 # Franz-Parisi potential in the (m, q) plane and the saddle formula
 # ----------------------------------------------------------------------
 
-def f_bar(p: Prior, lam: float, m: float, q: float, ev: ChannelEvaluator | None = None) -> float:
-    """F_bar(lambda, m, q) = psi_bar(lambda q, lambda m) - lambda m^2/2 + lambda q^2/4.
+def f_bar(p: Prior, lam: float, m: float, q: float) -> float:
+    """F_bar(lambda, m, q) = psi_bar(lambda q, lambda m) - lambda m^2/2 + lambda q^2/4, on the default rule.
 
     lambda, m and q must pass _check_scale at extent max(q, |m|).
     """
     _check_finite("m", m)
     _check_nonnegative("q", q)
     _check_scale(p, lam, max(q, abs(m)))
-    return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p))[0])
+    return float(_f_bar_grad(p, lam, m, q, None, _planted_law(p))[0])
 
 
-def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator | None = None) -> float:
+def f_hat(p: Prior, lam: float, m: float, q: float, spike) -> float:
     """Fixed-spike potential (1/n) sum_i psi_hat(lambda q, lambda m x*_i) - lambda m^2/2 + lambda q^2/4.
 
-    This is F_bar with x* drawn from the spike's empirical law.  The spike is
-    a nonempty list of finite values, and lambda, m, q and the spike pass
-    _check_scale at extent max(q, |m|) with tilt max |x*_i|.
+    This is F_bar with x* drawn from the spike's empirical law, on the
+    default rule.  The spike is a nonempty list of finite values, and
+    lambda, m, q and the spike pass _check_scale at extent max(q, |m|) with
+    tilt max |x*_i|.
     """
     _check_finite("m", m)
     _check_nonnegative("q", q)
@@ -395,7 +396,7 @@ def f_hat(p: Prior, lam: float, m: float, q: float, spike, ev: ChannelEvaluator 
             f"spike must be a nonempty 1-d list of finite values, got shape {spike.shape}"
         )
     _check_scale(p, lam, max(q, abs(m)), float(np.abs(spike).max()))
-    return float(_f_bar_grad(p, lam, m, q, ev, _planted_law(p, spike))[0])
+    return float(_f_bar_grad(p, lam, m, q, None, _planted_law(p, spike))[0])
 
 
 def _planted_law(p: Prior, spike=None):
@@ -620,8 +621,8 @@ def _joint_polish(p: Prior, lam: float, q_max: float, ev, a, b, ya, yb):
     return b, yb
 
 
-def f_bar_inner_min(p: Prior, lam: float, m: float, ev: ChannelEvaluator | None = None):
-    """Exact inner minimization q -> F_bar(lambda, m, q) on [0, E[X^2] + 1].
+def f_bar_inner_min(p: Prior, lam: float, m: float):
+    """Exact inner minimization q -> F_bar(lambda, m, q) on [0, E[X^2] + 1], on the default rule.
 
     Returns (q_bar, value).  Every local minimum found on a coarse q row is
     polished as a root of d_q F_bar, its value taken from the kernel call
@@ -633,7 +634,7 @@ def f_bar_inner_min(p: Prior, lam: float, m: float, ev: ChannelEvaluator | None 
     _check_finite("m", m)
     q_max = second_moment(p) + 1.0
     _check_scale(p, lam, max(q_max, abs(m)))
-    _, q_bar, value = _inner_min(p, lam, np.array([float(m)]), q_max, ev)[:, 0]
+    _, q_bar, value = _inner_min(p, lam, np.array([float(m)]), q_max, None)[:, 0]
     return float(q_bar), float(value)
 
 
@@ -739,13 +740,8 @@ def state_evolution(
     return SETrace(iterates, converged, float(q))
 
 
-def critical_lambda(
-    p: Prior,
-    delta: float = 1e-3,
-    tol: float = 0.01,
-    ev: ChannelEvaluator | None = None,
-) -> float:
-    """Smallest lambda with q*(lambda) > delta, by doubling plus bisection up to _LAM_CAP.
+def critical_lambda(p: Prior, delta: float = 1e-3, tol: float = 0.01) -> float:
+    """Smallest lambda with q*(lambda) > delta on the default rule, by doubling and bisection up to _LAM_CAP.
 
     Each step needs only the bit q* > delta of phi_rs, and most steps read it
     from phi_rs's grid scan without the refinement.  The q* that phi_rs
@@ -769,13 +765,13 @@ def critical_lambda(
     _check_positive("tol", tol)
 
     def above(lam):
-        scan = _rs_scan(p, lam, ev)
+        scan = _rs_scan(p, lam, None)
         brackets = _brackets(scan[1], scan[3])
         if min(a for a, _ in brackets) > delta:
             return True
         if max(b for _, b in brackets) <= delta:
             return False
-        return _rs_refine(p, lam, ev, *scan).optimizer_q > delta
+        return _rs_refine(p, lam, None, *scan).optimizer_q > delta
 
     lo, hi = 0.0, 1.0
     while not above(hi):

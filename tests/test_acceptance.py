@@ -145,7 +145,7 @@ def test_criterion_07_guerra_slope(ev, priors):
 
 
 def test_criterion_08_critical_snr(ev):
-    lam_c = critical_lambda(rademacher_prior(), 1e-3, 0.01, ev)
+    lam_c = critical_lambda(rademacher_prior(), 1e-3, 0.01)
     rad_ok = abs(lam_c - 1.0) <= 0.02
 
     se_ok = True
@@ -158,7 +158,7 @@ def test_criterion_08_critical_snr(ev):
         se_detail.append(f"lam={lam}: |SE - q*| = {abs(tr.fixed_point - q_star):.1e}")
 
     ps = sparse_rademacher_prior(0.05)
-    lam_c_sparse = critical_lambda(ps, 1e-3, 0.01, ev)
+    lam_c_sparse = critical_lambda(ps, 1e-3, 0.01)
     sparse_res = phi_rs(ps, lam_c_sparse, ev)
     sparse_ok = len(sparse_res.local_optima) >= 2
 

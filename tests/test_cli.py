@@ -502,17 +502,17 @@ class TestErrorPaths:
         # a coarser rule than the default would drop digits without a word
         code, out, err = run_cli([command, "--lambda", "1", "--nodes", "60"], capsys)
         assert code == 2
-        assert err == "error: --nodes takes at least the default 61, got 60\n"
+        assert err == f"error: --nodes takes 61 to {MAX_NODE_COUNT}, got 60\n"
         assert out == ""
         code, out, err = run_cli([command, "--lambda", "1", "--nodes", "61"], capsys)
         assert code == 0 and out
 
-    def test_node_count_above_limit(self, capsys):
-        code, out, err = run_cli(
-            ["rs-curve", "--lambda", "1", "--nodes", str(MAX_NODE_COUNT + 1)], capsys
-        )
+    @pytest.mark.parametrize("command", ["rs-curve", "saddle", "se"])
+    def test_node_count_above_limit(self, capsys, command):
+        # the CLI's own range check, in the same words as below the default
+        code, out, err = run_cli([command, "--lambda", "1", "--nodes", str(MAX_NODE_COUNT + 1)], capsys)
         assert code == 2
-        assert f"error: node_count must be an integer in [2, {MAX_NODE_COUNT}]" in err
+        assert err == f"error: --nodes takes 61 to {MAX_NODE_COUNT}, got {MAX_NODE_COUNT + 1}\n"
         assert out == ""
 
     def test_budget_exceeded(self, capsys):

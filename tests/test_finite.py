@@ -30,7 +30,7 @@ from replica_lab import (
     sample_instance,
     sample_spike,
 )
-from replica_lab import finite, kl_log_likelihood_ratios, parse_prior_spec
+from replica_lab import finite, parse_prior_spec
 from replica_lab import priors as prior_module
 from replica_lab.finite import enumeration_table, instance_from_parts
 from replica_lab.verify import kl_identity_check
@@ -238,7 +238,7 @@ class TestFreeEntropyMc:
         e16 = rademacher_fn_estimates[16]
         assert abs(e16.mean - phi) <= abs(e8.mean - phi) + 2.0 * (e8.stderr + e16.stderr)
 
-    def test_lower_bound_at_every_q(self, priors, rademacher_fn_estimates, ev):
+    def test_lower_bound_at_every_q(self, priors, rademacher_fn_estimates):
         # F_N >= F(lambda, q) - lambda K^4 / n - 3 se for every q, not just q*
         from replica_lab import rs_potential
 
@@ -246,7 +246,7 @@ class TestFreeEntropyMc:
         est = rademacher_fn_estimates[12]
         floor = est.mean + 2.0 / 12.0 + 3.0 * est.stderr  # K = 1
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert floor >= rs_potential(p, 2.0, q, ev)
+            assert floor >= rs_potential(p, 2.0, q)
 
 
 @pytest.mark.parametrize("n_disorder", [0, -1])
@@ -282,20 +282,19 @@ def test_size_below_two_refused(priors, n):
             enumeration_table(p, n)
 
 
-def test_setup_checks_stacked_spikes_like_one_spike(priors):
-    # log_partition_exact and the likelihood-ratio pair pass their
-    # instances' spikes stacked, one per draw; a window still takes one fixed
-    # spike only
+def test_setup_refuses_stacked_spikes(priors):
+    # a spike is one fixed spike of shape (n,): an (n_disorder, n) stack is
+    # refused with or without a window, as is every other shape
     p, budget = priors["rademacher"], finite.DEFAULT_BUDGET
-    spikes = np.ones((3, 4))
-    assert finite._setup(p, 4, 1.0, 3, budget, spike=spikes)[0].shape == (3, 4)
-    spikes[2, 1] = 0.5
-    for spike in (spikes[2], spikes):
-        with pytest.raises(InvalidArgumentError, match="^spike entries must be atoms of the prior$"):
-            finite._setup(p, 4, 1.0, 3, budget, spike=spike)
-    for n_disorder, window in ((2, None), (4, None), (3, (0.0, 0.25))):
-        with pytest.raises(InvalidArgumentError, match="^spike must have length 4$"):
-            finite._setup(p, 4, 1.0, n_disorder, budget, window, np.ones((3, 4)))
+    assert finite._setup(p, 4, 1.0, 3, budget, spike=np.ones(4))[0].shape == (4,)
+    spike = np.ones(4)
+    spike[1] = 0.5
+    with pytest.raises(InvalidArgumentError, match="^spike entries must be atoms of the prior$"):
+        finite._setup(p, 4, 1.0, 3, budget, spike=spike)
+    for shape in ((3, 4), (1, 4), (2, 4), (4, 4), (3,), (5,)):
+        for window in (None, (0.0, 0.25)):
+            with pytest.raises(InvalidArgumentError, match="^spike must have length 4$"):
+                finite._setup(p, 4, 1.0, 3, budget, window, np.ones(shape))
     # the fixed-spike estimators refuse a stack, with or without a window
     for call in (lambda spike: fp_potential(p, 4, 1.0, 0.0, 0.25, spike, 3, 1),
                  lambda spike: fp_profile(p, 4, 1.0, 0.25, spike, 3, 1),
@@ -305,7 +304,7 @@ def test_setup_checks_stacked_spikes_like_one_spike(priors):
             call(np.ones((3, 4)))
     bad = instance_from_parts([1.0, 0.5, -1.0], np.zeros(3), 1.0)
     with pytest.raises(InvalidArgumentError, match="^spike entries must be atoms of the prior$"):
-        kl_log_likelihood_ratios([sample_instance(p, 3, 1.0, 0), bad], p)
+        kl_log_likelihood_ratio(bad, p)
     # an instance built around instance_from_parts with a (1, n) spike
     good = sample_instance(p, 4, 1.0, 0)
     flat = SpikedInstance(n=4, lam=1.0, spike=good.spike[None], noise=good.noise, y=good.y)
@@ -341,7 +340,8 @@ def test_energy_scale_bound_on_both_sides():
         lambda lam: nishimori_check(p, n, lam, 4, 1),
         lambda lam: fp_potential(p, n, lam, 0.0, 0.25, spike, 4, 1),
         lambda lam: fp_profile(p, n, lam, 0.25, spike, 4, 1),
-        lambda lam: kl_log_likelihood_ratios([sample_instance(p, n, lam, s) for s in (1, 2)], p),
+        lambda lam: kl_log_likelihood_ratio(sample_instance(p, n, lam, 1), p),
+        lambda lam: finite._kl_pair_draws(p, n, lam, 2, 1),
         lambda lam: log_partition_exact(sample_instance(p, n, lam, 1), p),
         lambda lam: phi_of_t(p, n, lam, 0.5, 0.5, 0.5, 4, 1),
         lambda lam: guerra_slope_check(p, n, lam, 0.5, n_disorder=4, seed=1),
@@ -366,7 +366,7 @@ def test_energy_scale_lambdas_the_parent_handled_still_run():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isfinite(log_partition_exact(inst, p).log_z)
-        assert np.isfinite(kl_log_likelihood_ratios([inst], p)).all()
+        assert np.isfinite(kl_log_likelihood_ratio(inst, p)).all()
         est = free_entropy_mc(p, n, 1e200, 4, 1)
     assert math.isfinite(est.mean) and 1e190 < est.stderr < math.inf
 
@@ -416,7 +416,7 @@ class TestBatchedKernel:
         weights = np.full((draws, rows.size), np.nan)
         for blk, ks, _, block in finite._log_weights(table, rows, [lam], stacked):
             weights[ks, blk] = block(0)
-        llr, log_z = kl_log_likelihood_ratios(insts, p)
+        llr, log_z = finite._kl_pair_draws(p, n, lam, draws, 61)
         assert llr.size == log_z.size == draws
         for inst, a, llr_k, log_z_k in zip(insts, weights, llr, log_z):
             ref = full.logw + reference_neg_energy(inst, full)
@@ -469,11 +469,10 @@ class TestBatchedKernel:
         asym = priors["asym:0.7"]
         enumeration_table(p, n)
         enumeration_table(asym, 11)
-        insts = [sample_instance(p, n, 2.0, derive_seed(5, k)) for k in range(draws)]
         calls = (
             lambda: free_entropy_mc(p, n, 2.0, draws, 3),
             lambda: guerra_slope_check(p, n, 2.0, 0.5, n_disorder=draws, seed=3),
-            lambda: kl_log_likelihood_ratios(insts, p),
+            lambda: finite._kl_pair_draws(p, n, 2.0, draws, 5),
             lambda: nishimori_check(asym, 11, 1.0, draws, 3),
         )
         for call in calls:
@@ -494,12 +493,11 @@ class TestBatchedKernel:
         p, n, lam, draws = priors["rademacher"], 8, 2.0, 400
         asym = priors["asym:0.7"]
         enumeration_table(p, n)
-        insts = [sample_instance(p, n, lam, derive_seed(5, k)) for k in range(draws)]
         monkeypatch.setattr(finite, "_BLOCK_VALUES", 2**12)
         calls = (
             lambda: free_entropy_mc(p, n, lam, draws, 3),
             lambda: nishimori_check(asym, n, lam, draws, 3),
-            lambda: kl_log_likelihood_ratios(insts, p),
+            lambda: finite._kl_pair_draws(p, n, lam, draws, 5),
             lambda: phi_of_t(p, n, lam, 0.5, 0.5, 0.5, draws, 3),
             lambda: guerra_slope_check(p, n, lam, 0.5, n_disorder=draws, seed=3),
         )
@@ -512,13 +510,6 @@ class TestBatchedKernel:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20
-
-    def test_instances_must_share_n_and_lambda(self, priors):
-        p = priors["rademacher"]
-        with pytest.raises(InvalidArgumentError, match="share n and lambda"):
-            kl_log_likelihood_ratios([sample_instance(p, 6, 2.0, 1), sample_instance(p, 6, 1.0, 2)], p)
-        with pytest.raises(InvalidArgumentError, match="must be >= 1"):
-            kl_log_likelihood_ratios([], p)
 
 
 class TestSignFold:
@@ -589,12 +580,11 @@ class TestSignFold:
         lam, seed = 2.0, 23
         if blocks == "small":
             small_budget(monkeypatch, p, n)
-        insts = [sample_instance(p, n, lam, derive_seed(seed, k)) for k in range(draws)]
 
         def run():
             est = free_entropy_mc(p, n, lam, draws, seed)
             rep = nishimori_check(p, n, lam, draws, seed)
-            llr, log_z = kl_log_likelihood_ratios(insts, p)
+            llr, log_z = finite._kl_pair_draws(p, n, lam, draws, seed)
             return est, rep.params, llr, log_z
 
         est, nish, llr, log_z = run()
@@ -654,12 +644,12 @@ class TestKlIdentity:
         ys = finite._observations(spikes, noises, lam)
         instances = [sample_instance(p, n, lam, derive_seed(seed, k)) for k in range(draws)]
         for k, inst in enumerate(instances):
-            assert ys[k].tobytes() == inst.y.tobytes()
+            for got, want in ((spikes[k], inst.spike), (noises[k], inst.noise), (ys[k], inst.y)):
+                assert got.tobytes() == want.tobytes()
             assert ys[k].tobytes() == instance_from_parts(spikes[k], noises[k], lam).y.tobytes()
-        got, want = finite._kl_pair_draws(p, n, lam, draws, seed), kl_log_likelihood_ratios(instances, p)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        llr, log_z = finite._kl_pair_draws(p, n, lam, draws, seed)
         report = kl_identity_check(p, n, lam, draws, seed)
-        assert report.params["max_abs_diff"] == float(np.abs(want[0] - want[1]).max())
+        assert report.params["max_abs_diff"] == float(np.abs(llr - log_z).max())
 
     def test_zero_snr(self, priors):
         inst = sample_instance(priors["rademacher"], 8, 0.0, 3)
@@ -911,21 +901,21 @@ class TestConcentration:
         ratio = variances[8] / variances[16]
         assert 1.5 <= ratio <= 3.0, ratio
 
-    def test_fixed_spike_potential_variance_decay(self, ev):
+    def test_fixed_spike_potential_variance_decay(self):
         # F_hat averages n i.i.d. site terms, so its spike-to-spike variance
         # scales like 1/n; asymmetric prior keeps the site terms nondegenerate
         p = asymmetric_binary_prior(0.7)
         variances = {}
         for n in (8, 16):
             vals = [
-                f_hat(p, 2.0, 0.5, 0.5, sample_spike(p, n, derive_seed(333, n, k)), ev)
+                f_hat(p, 2.0, 0.5, 0.5, sample_spike(p, n, derive_seed(333, n, k)))
                 for k in range(400)
             ]
             variances[n] = float(np.var(vals, ddof=1))
         ratio = variances[8] / variances[16]
         assert 1.4 <= ratio <= 2.9, ratio
 
-    def test_free_entropy_discretization_bound(self, ev, priors):
+    def test_free_entropy_discretization_bound(self, priors):
         # F_N <= E_x* max_l Phi_eps(l eps, x*) + log(C/eps)/sqrt(N) + 3 se,
         # with the calibration constant C = 4 K^2
         p = priors["rademacher"]

@@ -46,49 +46,49 @@ from conftest import (
 
 
 class TestRsPotential:
-    def test_zero_q(self, ev, priors):
+    def test_zero_q(self, priors):
         for p in priors.values():
             for lam in (0.0, 1.0, 4.0):
-                assert abs(rs_potential(p, lam, 0.0, ev)) <= 1e-14
+                assert abs(rs_potential(p, lam, 0.0)) <= 1e-14
 
-    def test_zero_lambda(self, ev, priors):
+    def test_zero_lambda(self, priors):
         for p in priors.values():
             for q in (0.0, 0.3, 1.0):
-                assert abs(rs_potential(p, 0.0, q, ev)) <= 1e-14
+                assert abs(rs_potential(p, 0.0, q)) <= 1e-14
 
-    def test_rademacher_against_mc(self, ev):
+    def test_rademacher_against_mc(self):
         # F(2, 1) = psi(2) - 1/2 with psi(2) = -1 + E log cosh(sqrt(2) z + 2)
         p = rademacher_prior()
-        val = rs_potential(p, 2.0, 1.0, ev)
+        val = rs_potential(p, 2.0, 1.0)
         m, se = mc_log_cosh(2.0, 2.0, n_samples=10**6, seed=21)
         assert abs(val - (m - 0.5)) <= 3.0 * se
 
-    def test_domain_errors(self, ev, priors):
+    def test_domain_errors(self, priors):
         p = priors["rademacher"]
         with pytest.raises(DomainError):
-            rs_potential(p, -1.0, 0.5, ev)
+            rs_potential(p, -1.0, 0.5)
         with pytest.raises(DomainError):
-            rs_potential(p, 1.0, -0.5, ev)
+            rs_potential(p, 1.0, -0.5)
         with pytest.raises(DomainError, match="m must be finite"):
-            f_bar_inner_min(p, 2.0, float("nan"), ev)
+            f_bar_inner_min(p, 2.0, float("nan"))
 
-    def test_reject_non_finite(self, ev, priors):
+    def test_reject_non_finite(self, priors):
         # q and m must be finite
         p = priors["asym:0.7"]
         nan, inf = float("nan"), float("inf")
         spike = np.array([1.0, -1.0, 1.0])
         for q in (nan, inf):
             with pytest.raises(DomainError, match="q must be finite and >= 0"):
-                rs_potential(p, 1.0, q, ev)
+                rs_potential(p, 1.0, q)
             with pytest.raises(DomainError, match="q must be finite and >= 0"):
-                f_bar(p, 1.0, 0.2, q, ev)
+                f_bar(p, 1.0, 0.2, q)
             with pytest.raises(DomainError, match="q must be finite and >= 0"):
-                f_hat(p, 1.0, 0.2, q, spike, ev)
+                f_hat(p, 1.0, 0.2, q, spike)
         for m in (nan, inf, -inf):
             with pytest.raises(DomainError, match="m must be finite"):
-                f_bar(p, 1.0, m, 0.3, ev)
+                f_bar(p, 1.0, m, 0.3)
             with pytest.raises(DomainError, match="m must be finite"):
-                f_hat(p, 1.0, m, 0.3, spike, ev)
+                f_hat(p, 1.0, m, 0.3, spike)
 
 
 class TestScaleBound:
@@ -127,32 +127,32 @@ class TestScaleBound:
                 with pytest.raises(DomainError, match="channel exponents reach"):
                     solve(p, 1.0, ev)
 
-    def test_point_evaluations(self, ev):
+    def test_point_evaluations(self):
         p = parse_prior_spec("asym:0.7")
         with pytest.raises(DomainError, match="channel exponents reach"):
-            rs_potential(p, 1e308, 10.0, ev)
+            rs_potential(p, 1e308, 10.0)
         with pytest.raises(DomainError, match="channel exponents reach"):
-            f_bar(p, 1e200, 1e200, 0.5, ev)
+            f_bar(p, 1e200, 1e200, 0.5)
         with pytest.raises(DomainError, match="channel exponents reach"):
-            f_hat(p, 1e200, 1e200, 0.5, [1.0], ev)
+            f_hat(p, 1e200, 1e200, 0.5, [1.0])
         with pytest.raises(DomainError, match="channel exponents reach"):
-            f_bar_inner_min(p, 1e200, 1e200, ev)
+            f_bar_inner_min(p, 1e200, 1e200)
         lam = self._edge_lambda(p, 10.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isfinite(rs_potential(p, 0.999 * lam, 10.0, ev))
-            assert np.isfinite(f_bar(p, 0.999 * lam, -10.0, 10.0, ev))
+            assert np.isfinite(rs_potential(p, 0.999 * lam, 10.0))
+            assert np.isfinite(f_bar(p, 0.999 * lam, -10.0, 10.0))
         with pytest.raises(DomainError, match="channel exponents reach"):
-            rs_potential(p, 1.001 * lam, 10.0, ev)
+            rs_potential(p, 1.001 * lam, 10.0)
 
-    def test_f_hat_spike_is_nonempty_and_finite(self, ev):
+    def test_f_hat_spike_is_nonempty_and_finite(self):
         p = parse_prior_spec("asym:0.7")
         for spike in ([], [float("nan")], [1.0, float("inf")], [[1.0, -1.0]]):
             with pytest.raises(InvalidArgumentError, match="spike must be a nonempty 1-d list"):
-                f_hat(p, 1.0, 0.2, 0.3, spike, ev)
+                f_hat(p, 1.0, 0.2, 0.3, spike)
         # the spike's largest entry enters the bound as the tilt
         with pytest.raises(DomainError, match="channel exponents reach"):
-            f_hat(p, 1.0, 0.2, 0.3, [1e308], ev)
+            f_hat(p, 1.0, 0.2, 0.3, [1e308])
 
 
 def _tanh_fixed_point(lam, q0=0.9, tol=1e-12):
@@ -187,7 +187,7 @@ class TestPhiRs:
         p = parse_prior_spec(spec)
         step, q_scan, vals, idx = rs._rs_scan(p, lam, ev)
         assert q_scan.tolist() == [0.0] and idx == [0], (q_scan, idx)
-        v = rs_potential(p, lam, 0.0, ev)
+        v = rs_potential(p, lam, 0.0)
         if lam == 0.0 or spec == "point:0":
             assert np.isnan(vals).tolist() == [True]
         else:
@@ -294,18 +294,18 @@ def _full_scan_phi_rs(p, lam, ev):
     npts = GRID_POINTS
     step = float(f"{m2 / (npts - 1):.12g}")
     if lam == 0.0 or m2 == 0.0:
-        v0 = rs_potential(p, lam, 0.0, ev)
+        v0 = rs_potential(p, lam, 0.0)
         return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
     q_scan = np.linspace(0.0, m2, npts)
     vals = _potential(p, lam, q_scan, ev)
     if vals.max() - vals.min() <= 1e-13 * max(1.0, abs(vals.max())):
-        v0 = rs_potential(p, lam, 0.0, ev)
+        v0 = rs_potential(p, lam, 0.0)
         return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
     optima = []
     for i in _local_max_loop(vals):
         a, b = q_scan[max(i - 1, 0)], q_scan[min(i + 1, npts - 1)]
-        q_c, v_c = _sequential_golden_max(lambda q: rs_potential(p, lam, q, ev), a, b)
-        v_grid = rs_potential(p, lam, float(q_scan[i]), ev)
+        q_c, v_c = _sequential_golden_max(lambda q: rs_potential(p, lam, q), a, b)
+        v_grid = rs_potential(p, lam, float(q_scan[i]))
         if v_grid > v_c:
             q_c, v_c = float(q_scan[i]), v_grid
         optima.append((float(q_c), float(v_c)))
@@ -369,7 +369,7 @@ class TestPhiRsMatchesFullScan:
         # stride, and the two branches at a first-order transition
         p_02 = sparse_rademacher_prior(0.02)
         p_05 = sparse_rademacher_prior(0.05)
-        for p, lam in ((p_02, 1.0), (p_05, critical_lambda(p_05, 1e-3, 0.01, ev))):
+        for p, lam in ((p_02, 1.0), (p_05, critical_lambda(p_05, 1e-3, 0.01))):
             want = _full_scan_phi_rs(p, lam, ev)
             assert len(want.local_optima) == 2, (p.name, lam)
             assert phi_rs(p, lam, ev) == want, (p.name, lam)
@@ -536,22 +536,22 @@ class TestSpeculativeGolden:
 
 
 class TestFBar:
-    def test_zero_lambda(self, ev, priors):
+    def test_zero_lambda(self, priors):
         for p in priors.values():
-            assert abs(f_bar(p, 0.0, 0.3, 0.7, ev)) <= 1e-14
+            assert abs(f_bar(p, 0.0, 0.3, 0.7)) <= 1e-14
 
-    def test_diagonal_matches_rs_potential_symmetric(self, ev, priors):
+    def test_diagonal_matches_rs_potential_symmetric(self, priors):
         for name in ("rademacher", "sparse:0.25", "uniform:21"):
             p = priors[name]
             for lam, q in ((1.0, 0.25), (2.0, 0.8)):
-                assert f_bar(p, lam, q, q, ev) == pytest.approx(
-                    rs_potential(p, lam, q, ev), abs=1e-12
+                assert f_bar(p, lam, q, q) == pytest.approx(
+                    rs_potential(p, lam, q), abs=1e-12
                 )
 
-    def test_against_mc(self, ev):
+    def test_against_mc(self):
         # F_bar(2, 0.5, 0.5) = psi_bar(1, 1) - 1/4 + 1/8
         p = rademacher_prior()
-        val = f_bar(p, 2.0, 0.5, 0.5, ev)
+        val = f_bar(p, 2.0, 0.5, 0.5)
         m, se = mc_psi_bar(p, 1.0, 1.0, n_samples=10**6, seed=31)
         assert abs(val - (m - 0.25 + 0.125)) <= 3.0 * se
 
@@ -575,15 +575,15 @@ class TestSaddle:
         res = saddle(p, 4.0, ev)
         assert res.optimizer_m >= 0.0
         # mirrored maximizer has the same value
-        _, v_neg = f_bar_inner_min(p, 4.0, -res.optimizer_m, ev)
+        _, v_neg = f_bar_inner_min(p, 4.0, -res.optimizer_m)
         assert v_neg == pytest.approx(res.value, abs=1e-9)
 
-    def test_inner_minimizer_sign_symmetry(self, ev, priors):
+    def test_inner_minimizer_sign_symmetry(self, priors):
         for name in ("rademacher", "uniform:21"):
             p = priors[name]
             for m in (0.2, 0.7):
-                q_pos, _ = f_bar_inner_min(p, 2.0, m, ev)
-                q_neg, _ = f_bar_inner_min(p, 2.0, -m, ev)
+                q_pos, _ = f_bar_inner_min(p, 2.0, m)
+                q_neg, _ = f_bar_inner_min(p, 2.0, -m)
                 assert q_pos == pytest.approx(q_neg, abs=1e-6)
 
     def test_optimizers_bounded(self, ev, priors):
@@ -624,7 +624,7 @@ class TestSaddle:
             assert res.optimizer_m == pytest.approx(rs.optimizer_q, abs=1e-6), lam
             assert abs(res.value - rs.value) <= 1e-12, lam
             # at m = 0, q = 0 is a stationary maximum of F_bar and the minimum lies just past it
-            q0, v0 = f_bar_inner_min(p, lam, 0.0, ev)
+            q0, v0 = f_bar_inner_min(p, lam, 0.0)
             assert 0.0 < q0 < 0.2 and v0 < 0.0, (lam, q0, v0)
 
     def test_equivalence_large_lambda(self, ev, priors):
@@ -722,7 +722,7 @@ class TestSaddleMatchesNestedPolish:
     def test_first_order_transition(self, ev, monkeypatch):
         # sparse:0.05 has two outer candidates of nearly equal value at lambda_c
         p = parse_prior_spec("sparse:0.05")
-        lam_c = critical_lambda(p, ev=ev)
+        lam_c = critical_lambda(p)
         self._agree(ev, monkeypatch, p, (lam_c - 1e-3, lam_c + 1e-3))
 
     @pytest.mark.parametrize("q_start", [0.0, 0.02, 0.025, 0.05, 0.5])
@@ -842,13 +842,13 @@ class TestNumpySetOps:
 
 
 class TestFHat:
-    def test_matches_f_bar_for_point_spike_distribution(self, ev):
+    def test_matches_f_bar_for_point_spike_distribution(self):
         # a spike listing each atom proportionally to its weight makes
         # f_hat the exact site average f_bar integrates over
         p = rademacher_prior()
         spike = np.array([1.0, -1.0, 1.0, -1.0])
-        assert f_hat(p, 2.0, 0.5, 0.5, spike, ev) == pytest.approx(
-            f_bar(p, 2.0, 0.5, 0.5, ev), abs=1e-12
+        assert f_hat(p, 2.0, 0.5, 0.5, spike) == pytest.approx(
+            f_bar(p, 2.0, 0.5, 0.5), abs=1e-12
         )
 
 
@@ -994,32 +994,32 @@ class TestInformationCurves:
 
 
 class TestCriticalLambda:
-    def test_rademacher_threshold(self, ev):
-        lam_c = critical_lambda(rademacher_prior(), 1e-3, 0.01, ev)
+    def test_rademacher_threshold(self):
+        lam_c = critical_lambda(rademacher_prior(), 1e-3, 0.01)
         assert abs(lam_c - 1.0) <= 0.02
 
-    def test_point_mass_immediate(self, ev):
-        lam_c = critical_lambda(point_mass_prior(1.0), 1e-3, 0.01, ev)
+    def test_point_mass_immediate(self):
+        lam_c = critical_lambda(point_mass_prior(1.0), 1e-3, 0.01)
         assert lam_c <= 0.01
 
-    def test_no_transition_raises(self, ev):
+    def test_no_transition_raises(self):
         # q* stays 0 at every lambda when the only atom is 0
         with pytest.raises(NumericalError, match=r"no transition: .* up to lambda = 64\.0"):
-            critical_lambda(point_mass_prior(0.0), 1e-3, 0.01, ev)
+            critical_lambda(point_mass_prior(0.0), 1e-3, 0.01)
 
     def test_sparse_first_order(self, ev):
         p = sparse_rademacher_prior(0.05)
-        lam_c = critical_lambda(p, 1e-3, 0.01, ev)
+        lam_c = critical_lambda(p, 1e-3, 0.01)
         assert lam_c < 1.0
         res = phi_rs(p, lam_c, ev)
         assert len(res.local_optima) >= 2
 
-    def test_validation(self, ev, priors):
+    def test_validation(self, priors):
         with pytest.raises(InvalidArgumentError):
-            critical_lambda(priors["rademacher"], 0.5, 0.01, ev)
+            critical_lambda(priors["rademacher"], 0.5, 0.01)
         for tol in (-1.0, np.nan, np.inf):
             with pytest.raises(InvalidArgumentError, match="tol must be finite and > 0"):
-                critical_lambda(priors["rademacher"], 1e-3, tol, ev)
+                critical_lambda(priors["rademacher"], 1e-3, tol)
 
 
 class TestCriticalLambdaFromTheScan:
@@ -1038,7 +1038,7 @@ class TestCriticalLambdaFromTheScan:
         p = parse_prior_spec(spec)
         for delta in (1e-3, 1e-2, 0.05):
             for tol in (0.01, 1e-3):
-                got = critical_lambda(p, delta, tol, ev)
+                got = critical_lambda(p, delta, tol)
                 want = refine_always_critical_lambda(p, delta, tol, ev)
                 assert got.hex() == want.hex(), (spec, delta, tol)
 
@@ -1053,7 +1053,7 @@ class TestCriticalLambdaFromTheScan:
         assert len(calls) == 57
         calls.clear()
         for p in priors:
-            critical_lambda(p, 1e-3, 0.01, ev)
+            critical_lambda(p, 1e-3, 0.01)
         assert len(calls) == 13
 
     @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.05", "sparse:0.02", "asym:0.7", "uniform:8"])

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError, _check_finite, _check_nonnegative
+from .errors import DomainError, InvalidArgumentError, _check_count, _check_finite, _check_nonnegative
 from .priors import Prior
 
 DEFAULT_NODE_COUNT = 61
@@ -106,10 +106,9 @@ def _gauss_hermite(n: int):
 @lru_cache(maxsize=16)
 def make_evaluator(node_count: int = DEFAULT_NODE_COUNT) -> ChannelEvaluator:
     """Quadrature rule exact for polynomials in z up to degree 2*node_count - 1."""
-    if not isinstance(node_count, (int, np.integer)) or not 2 <= node_count <= MAX_NODE_COUNT:
-        raise InvalidArgumentError(
-            f"node_count must be an integer in [2, {MAX_NODE_COUNT}], got {node_count!r}"
-        )
+    _check_count("node_count", node_count, 2)
+    if node_count > MAX_NODE_COUNT:
+        raise InvalidArgumentError(f"node_count must be <= {MAX_NODE_COUNT}, got {node_count}")
     nodes, weights = _gauss_hermite(int(node_count))
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -285,11 +284,6 @@ def psi_bar(ev: ChannelEvaluator | None, p: Prior, r: float, s: float) -> float:
     return float(psi_bar_array(ev, p, r, s))
 
 
-def psi_array(ev: ChannelEvaluator | None, p: Prior, r) -> np.ndarray:
-    """Vectorized psi(r) = psi_bar(r, r)."""
-    return psi_bar_array(ev, p, r, r)
-
-
 def psi(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
     """psi(r) = E_{x*, z} log int exp(sqrt(r) z x + r x x* - (r/2) x^2) dP(x).
 
@@ -298,7 +292,7 @@ def psi(ev: ChannelEvaluator | None, p: Prior, r: float) -> float:
     """
     r = _check_nonnegative("r", r)
     _check_exponents(p, r, r * p.bound)
-    return float(psi_array(ev, p, r))
+    return float(psi_bar_array(ev, p, r, r))
 
 
 def _psi_prime_kernel(ev: ChannelEvaluator, p: Prior):

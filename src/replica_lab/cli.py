@@ -15,7 +15,9 @@ when it lies within half a step; at most 10**6 steps), finite-n --n a
 comma list of distinct sizes.  --nodes sets the quadrature rule, from the
 default 61 nodes up to 2000 (verify prices on the default rule), --budget
 and --disorder the enumeration, --plot writes an SVG chart next to --out.
-A flag the command does not declare is refused under its own usage line.
+A flag the command does not declare is refused under its own usage line,
+and a count below its least value with "NAME must be >= LEAST, got X"
+(fp checks --n >= 2 before it draws its spike).
 
 The artifact header/envelope records the version and each flag the command
 declares except --out, with the lambda grid, n, q0 and seed resolved.  The
@@ -38,12 +40,12 @@ from .errors import (
     InvalidArgumentError,
     InvalidPriorError,
     NumericalError,
+    _check_count,
 )
 from .channel import DEFAULT_NODE_COUNT, MAX_NODE_COUNT, make_evaluator
 from .finite import (
     DEFAULT_BUDGET,
     MC_CSV_FIELDS,
-    _check_n,
     derive_seed,
     fp_potential,
     fp_profile,
@@ -328,7 +330,7 @@ def _run(args) -> int:
 
     if args.command == "fp":
         header["lambda"] = lam = _one_lambda(args.lam)
-        _check_n(args.n)  # the exact estimators' rule, before the spike is drawn
+        _check_count("n", args.n, 2)  # the exact estimators' rule, before the spike is drawn
         spike = sample_spike(prior, args.n, derive_seed(seed, 0, 2))
         if args.m is not None:
             est = fp_potential(prior, args.n, lam, args.m, args.eps, spike, args.disorder,

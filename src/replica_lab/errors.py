@@ -58,11 +58,11 @@ def _check_integer(name: str, x) -> None:
         raise InvalidArgumentError(f"{name} must be an integer, got {x!r}") from None
 
 
-def _check_count(name: str, x) -> None:
-    """InvalidArgumentError unless x is an integer >= 1."""
+def _check_count(name: str, x, least: int = 1) -> None:
+    """InvalidArgumentError unless x is an integer >= least: the package's one count rule."""
     _check_integer(name, x)
-    if x < 1:
-        raise InvalidArgumentError(f"{name} must be >= 1, got {x}")
+    if x < least:
+        raise InvalidArgumentError(f"{name} must be >= {least}, got {x}")
 
 
 def _check_finite(name: str, x) -> float:

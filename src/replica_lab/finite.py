@@ -109,12 +109,16 @@ DEFAULT_BUDGET = 2**20
 # chunks of its (x_L, x_R) grid.
 _BLOCK_VALUES = 2**16
 
-_MASK64 = (1 << 64) - 1
+def _seed_word(seed) -> int:
+    """The layer's one seed rule: an integer seed (Python or numpy, negative included) mod 2**64,
+    the word every stream starts from; InvalidArgumentError for any other seed, a float among them."""
+    _check_integer("seed", seed)
+    return int(seed) % 2**64
 
 
 def derive_seed(master: int, *indices: int) -> int:
-    """Deterministic per-replica seed from a master seed and counter indices."""
-    words = [int(master) & _MASK64] + [int(i) & _MASK64 for i in indices]
+    """Deterministic per-replica 64-bit seed from a master seed and counter indices (_seed_word each)."""
+    words = [_seed_word(s) for s in (master, *indices)]
     return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
 
 
@@ -186,7 +190,7 @@ def _draw(p: Prior, n: int, seed: int, spike=None):
     """The disorder draw of one seed, (spike, noise): the spike's n i.i.d.
     atoms (unless a spike is given), then the upper-triangular standard
     normal noise, from one stream."""
-    rng = np.random.default_rng(int(seed) & _MASK64)
+    rng = np.random.default_rng(_seed_word(seed))
     if spike is None:
         spike = _sample_atoms(p, n, rng)
     return spike, rng.standard_normal(n * (n - 1) // 2)
@@ -198,24 +202,17 @@ def _draws(p: Prior, n: int, seed: int, n_draws: int, spike=None):
     return np.stack(spikes), np.stack(noises)
 
 
-def _check_n(n: int, least: int = 2) -> None:
-    """InvalidArgumentError unless the site count n is an integer >= least."""
-    _check_integer("n", n)
-    if n < least:
-        raise InvalidArgumentError(f"need n >= {least}, got {n}")
-
-
 def sample_instance(p: Prior, n: int, lam: float, seed: int) -> SpikedInstance:
     """Draw spike entries i.i.d. from the prior, then standard normal noise."""
-    _check_n(n)
+    _check_count("n", n, 2)
     _check_nonnegative("lambda", lam)
     return instance_from_parts(*_draw(p, n, seed), lam)
 
 
 def sample_spike(p: Prior, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. prior atoms; the spike-drawing half of sample_instance."""
-    _check_n(n, 1)
-    return _sample_atoms(p, n, np.random.default_rng(int(seed) & _MASK64))
+    """n >= 1 i.i.d. prior atoms; the spike-drawing half of sample_instance."""
+    _check_count("n", n)
+    return _sample_atoms(p, n, np.random.default_rng(_seed_word(seed)))
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +290,7 @@ def _enum_table(atoms: tuple, n: int, symmetric: bool) -> EnumTable:
 
 def enumeration_table(p: Prior, n: int, budget: int = DEFAULT_BUDGET) -> EnumTable:
     """Fetch (or build) the configuration table, refusing n < 1 and over-budget requests."""
-    _check_n(n, 1)
+    _check_count("n", n)
     required = len(p.atoms) ** n
     if required > budget:
         raise EnumerationBudgetError(required=required, budget=budget)
@@ -480,7 +477,7 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
     with entries among the prior's atoms, with or without a window; None (a
     resampled spike) stays None; budget None fetches no table (None).
     """
-    _check_n(n)
+    _check_count("n", n, 2)
     _check_energy_scale(p, n, lam)
     if window is not None:
         m, eps = window
@@ -552,9 +549,9 @@ def _gibbs(table: EnumTable, rows, lams, draws, side=None, odd=None) -> np.ndarr
     return _log_of(top, total) if odd is None else sums / total[..., None]
 
 
-def log_partition_exact(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
-    """log Z by stable log-sum-exp over all configurations, with the overlap law."""
-    spike, table = _setup(p, inst.n, inst.lam, 1, budget, spike=inst.spike)
+def log_partition_exact(inst: SpikedInstance, p: Prior) -> EnumerationResult:
+    """log Z by stable log-sum-exp over all configurations, with the overlap law (DEFAULT_BUDGET)."""
+    spike, table = _setup(p, inst.n, inst.lam, 1, DEFAULT_BUDGET, spike=inst.spike)
     blocks = _log_weights(table, None, [inst.lam], (spike[None], inst.noise[None]))
     top, total = np.full(1, -np.inf), np.zeros(1)
     e = _fold(top, total, np.concatenate([weights(0) for *_, weights in blocks], axis=1), table.mirrors)[0][0]
@@ -712,10 +709,10 @@ def _kl_pair_draws(p: Prior, n: int, lam: float, n_draws: int, seed: int, budget
     return _log_likelihood_ratios(_observations(spikes, noises, lam), p, n, lam), log_z
 
 
-def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior, budget: int = DEFAULT_BUDGET):
+def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior):
     """(log dP_lambda/dP_0 (Y), log Z) for one instance, equal by the
-    likelihood-ratio identity: one draw of _kl_pair_draws' two passes."""
-    spike, table = _setup(p, inst.n, inst.lam, 1, budget, spike=inst.spike)
+    likelihood-ratio identity: one draw of _kl_pair_draws' two passes (DEFAULT_BUDGET)."""
+    spike, table = _setup(p, inst.n, inst.lam, 1, DEFAULT_BUDGET, spike=inst.spike)
     log_z = _gibbs(table, None, [inst.lam], (spike[None], inst.noise[None]))[0, 0]
     return float(_log_likelihood_ratios(inst.y[None], p, inst.n, inst.lam)[0]), float(log_z)
 
@@ -827,7 +824,7 @@ def _phi_t_draws(
     _check_scale(p, lam, max(q, abs(m)))
     r, s = lam * q, lam * m
     draws = _draws(p, n, seed, n_disorder, spike)
-    z = np.stack([np.random.default_rng(derive_seed(seed, k, 1) & _MASK64).standard_normal(n)
+    z = np.stack([np.random.default_rng(_seed_word(derive_seed(seed, k, 1))).standard_normal(n)
                   for k in range(n_disorder)])
     log_z = np.empty((n_disorder, t.size))
     if closed.any():
@@ -873,6 +870,7 @@ def nishimori_check(
     point:C) tests the identity.
     """
     _, table = _setup(p, n, lam, n_disorder, budget)
+    _check_integer("seed", seed)  # a sign-folded table draws nothing, and the seed is still reported
     if table.mirrors:
         means = np.zeros((n_disorder, n + 1))
     else:
@@ -907,14 +905,14 @@ def metropolis_sampler(
     in the acceptance ratio and accept = min(1, exp(delta(-H))).  The energy
     change per site flip is O(n) via the cached symmetric Y row and a running
     sum of squares.  Overlaps are recorded once per sweep after burn_in.
-    n_sweeps and burn_in are integers (a Python or numpy integer).
+    n_sweeps, burn_in and seed are integers (a Python or numpy integer).
     """
     _check_integer("n_sweeps", n_sweeps)
     _check_integer("burn_in", burn_in)
     if burn_in < 0 or n_sweeps <= burn_in:
         raise InvalidArgumentError(f"need n_sweeps > burn_in >= 0, got {n_sweeps}, {burn_in}")
     n = inst.n
-    rng = np.random.default_rng(int(seed) & _MASK64)
+    rng = np.random.default_rng(_seed_word(seed))
     x = _sample_atoms(p, n, rng)
     proposals = _sample_atoms(p, n_sweeps * n, rng)
     log_u = np.log(rng.random(n_sweeps * n))

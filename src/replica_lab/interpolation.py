@@ -66,7 +66,6 @@ def phi_of_t(
     seed: int,
     restricted=None,
     spike=None,
-    budget: int = DEFAULT_BUDGET,
 ) -> McEstimate:
     """Path free entropy phi(t), optionally overlap-restricted or fixed-spike.
 
@@ -74,11 +73,10 @@ def phi_of_t(
     with R_{1,*} in [m_window, m_window + eps); spike fixes the planted
     vector instead of resampling it per disorder draw.  Both are checked as
     in fp_potential: finite m_window, finite eps > 0, and a spike of n atoms
-    of the prior.  An unreachable window yields the -inf sentinel.
+    of the prior.  An unreachable window yields the -inf sentinel, and the
+    enumeration runs under DEFAULT_BUDGET.
     """
-    vals = _phi_t_draws(
-        p, n, lam, q, m, [t], n_disorder, seed, restricted=restricted, spike=spike, budget=budget
-    )[:, 0]
+    vals = _phi_t_draws(p, n, lam, q, m, [t], n_disorder, seed, restricted=restricted, spike=spike)[:, 0]
     return _mc_estimate(vals, seed)
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidPriorError
+from .errors import InvalidPriorError, _check_integer
 
 # Renormalize silently only when the weight sum is this close to 1; a larger
 # discrepancy is treated as a caller bug.
@@ -146,8 +146,9 @@ def uniform_prior(n_atoms: int = 21) -> Prior:
 
     The k-th midpoint is built as (k - (n-1)/2) h, whose half-integer factor
     is exact, so the atoms are exact mirror images (values == -values[::-1])
-    and the center atom of an odd count is exactly 0.
+    and the center atom of an odd count is exactly 0.  n_atoms is an integer >= 2.
     """
+    _check_integer("n_atoms", n_atoms)
     if n_atoms < 2:
         raise InvalidPriorError(f"need at least 2 atoms, got {n_atoms}")
     h = 2.0 * math.sqrt(3.0) / n_atoms

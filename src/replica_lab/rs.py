@@ -77,10 +77,9 @@ is the quadrature rule's own derivative (channel.psi_prime, the chain rule
 of psi_hat_grad at the tilts r x*), from one kernel built once per run
 whose per-prior constants and work block are hoisted out of the steps: a
 step costs 8-9 us for the two- and three-atom catalog priors and about
-70 us for uniform:21, against 15-18 and 107 us for the finite-difference
-stencil it replaced (61 nodes, a 2-CPU AMD EPYC, numpy 2.4.6).  A fold through
-_planted_law ran no faster on the three-atom priors (phase_diagram's 144
-runs took 31 ms either way) and its np.unique raised the peak RSS.
+70 us for uniform:21 (61 nodes, a 2-CPU AMD EPYC, numpy 2.4.6).  A fold
+through _planted_law ran no faster on the three-atom priors (phase_diagram's
+144 runs took 31 ms either way) and its np.unique raised the peak RSS.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ from .channel import (
     _check_scale,
     _psi_prime_kernel,
     _resolve,
-    psi_array,
+    psi_bar_array,
     psi_hat_array,  # noqa: F401  (tracing code reads it as rs.psi_hat_array)
     psi_hat_grad,
 )
@@ -135,7 +134,7 @@ _GUARD_QTOL = 1e-8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # The channel kernel's fixed cost per call in exponent values (tilts x atoms
-# x nodes): a psi_array call on N points of an A-atom prior at G nodes costs
+# x nodes): a psi_bar_array(r, r) call on N points of an A-atom prior at G nodes costs
 # about as much as _KERNEL_FIXED + N A^2 G values (a 2-CPU AMD EPYC, numpy 2.4).
 _KERNEL_FIXED = 2**13
 
@@ -264,7 +263,8 @@ def rs_potential(p: Prior, lam: float, q: float) -> float:
 
 def _potential(p: Prior, lam: float, q, ev):
     """F(lambda, q) at one q or an array of them, without rs_potential's checks."""
-    return psi_array(ev, p, lam * q) - lam * q * q / 4.0
+    r = lam * q
+    return psi_bar_array(ev, p, r, r) - lam * q * q / 4.0
 
 
 def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> PotentialResult:

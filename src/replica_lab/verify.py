@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import asymmetry_gap
-from .errors import EnumerationBudgetError, InvalidArgumentError, _check_count
+from .errors import EnumerationBudgetError, _check_count
 from .finite import (
     DEFAULT_BUDGET,
     _kl_pair_draws,
@@ -99,10 +99,8 @@ def run_suite(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> list:
-    """The full battery at one (prior, n, n_disorder >= 2, seed) setting: one draw has no standard errors."""
-    _check_count("n_disorder", n_disorder)
-    if n_disorder < 2:
-        raise InvalidArgumentError(f"n_disorder must be >= 2 for the suite's standard errors, got {n_disorder}")
+    """The full battery at one (prior, n, n_disorder >= 2, seed) setting."""
+    _check_count("n_disorder", n_disorder, 2)  # one draw has no standard errors
     m2 = second_moment(p)
     reports = [
         tilt_asymmetry_check(p),

@@ -14,7 +14,6 @@ import pytest
 
 from replica_lab import DomainError, InvalidArgumentError, SpikedInstance, free_entropy_mc, standard_priors
 from replica_lab.channel import make_evaluator
-from replica_lab.finite import _MASK64
 
 
 @pytest.fixture(scope="session")
@@ -243,7 +242,7 @@ def augment(inst, t: float, r: float, s: float, seed: int) -> AugmentedInstance:
     _check_t(t)
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    z = np.random.default_rng(int(seed) & _MASK64).standard_normal(inst.n)
+    z = np.random.default_rng(int(seed) % 2**64).standard_normal(inst.n)
     obs = math.sqrt((1.0 - t) * r) * inst.spike + z
     z.setflags(write=False)
     obs.setflags(write=False)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -24,7 +25,6 @@ from replica_lab.channel import (
     MAX_NODE_COUNT,
     _R_LIMIT,
     make_evaluator,
-    psi_array,
     psi_bar_array,
     psi_hat_array,
     psi_hat_grad,
@@ -61,8 +61,11 @@ class TestEvaluator:
 
     def test_node_count_validation(self):
         # rejected before any allocation: the over-limit counts never build a rule
-        for count in (1, 0, -3, 2.0, 2.5, "61", MAX_NODE_COUNT + 1, 10**12):
-            with pytest.raises(InvalidArgumentError, match="node_count must be an integer"):
+        cases = [(count, f"node_count must be >= 2, got {count}") for count in (1, 0, -3)]
+        cases += [(count, f"node_count must be an integer, got {count!r}") for count in (2.0, 2.5, "61")]
+        cases += [(count, f"node_count must be <= {MAX_NODE_COUNT}, got {count}") for count in (MAX_NODE_COUNT + 1, 10**12)]
+        for count, message in cases:
+            with pytest.raises(InvalidArgumentError, match=re.escape(message)):
                 make_evaluator(count)
 
     def test_numpy_integer_count(self):
@@ -136,7 +139,7 @@ class TestBlockedKernel:
     call shapes are those of psi_hat, psi and psi_bar, a saddle-table chunk
     spanning many blocks, a general broadcast, and the small calls: two and
     three points (r of shape (k, 1) against s of shape (k, atoms)), one pair
-    off zero and one triple from r = 0.  psi_array on the small calls and on
+    off zero and one triple from r = 0.  psi_bar_array(r, r) on the small calls and on
     a 0-d r, and psi_hat_grad's value on every case, are held to the same
     reference.
     """
@@ -179,7 +182,7 @@ class TestBlockedKernel:
             assert np.shape(value) == np.shape(want) and np.array_equal(value, want), name
         for name, x in dict(small, zero_d=np.float64(1.7)).items():
             want = broadcast_psi(e, p, x)
-            got = psi_array(e, p, x)
+            got = psi_bar_array(e, p, x, x)
             assert type(got) is type(want) and np.shape(got) == np.shape(want), name
             assert np.array_equal(got, want), (name, float(np.max(np.abs(got - want))))
 
@@ -298,8 +301,8 @@ class TestPsiBar:
     def test_point_bits_do_not_depend_on_the_batch(self, ev, priors):
         r = np.linspace(0.1, 6.0, 30)
         for p in priors.values():
-            batched = psi_array(ev, p, r)
-            assert all(batched[k] == psi_array(ev, p, r[k : k + 1])[0] for k in range(r.size)), p.name
+            batched = psi_bar_array(ev, p, r, r)
+            assert all(batched[k] == psi_bar_array(ev, p, r[k : k + 1], r[k : k + 1])[0] for k in range(r.size)), p.name
 
 
 def _gibbs_mean_sq_oracle(ev, p, r):
@@ -537,4 +540,4 @@ class TestScalarEntries:
             for r, s in ((0.0, 0.0), (0.7, -1.3), (5.0, 5.0), (20.0, 20.0), (50.0, -3.0)):
                 assert psi_hat(ev, p, r, s) == float(psi_hat_array(ev, p, r, s))
                 assert psi_bar(ev, p, r, s) == float(psi_bar_array(ev, p, r, s))
-                assert psi(ev, p, r) == float(psi_array(ev, p, r))
+                assert psi(ev, p, r) == float(psi_bar_array(ev, p, r, r))

@@ -1,6 +1,7 @@
 """Finite-size instances: enumeration, disorder averages, sampling."""
 
 import ast
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -103,7 +104,7 @@ class TestSampling:
     def test_small_n_rejected(self, priors):
         with pytest.raises(InvalidArgumentError):
             sample_instance(priors["rademacher"], 1, 1.0, 0)
-        with pytest.raises(InvalidArgumentError, match="need n >= 1, got 0"):
+        with pytest.raises(InvalidArgumentError, match="n must be >= 1, got 0"):
             sample_spike(priors["rademacher"], 0, 1)
 
     @pytest.mark.parametrize("spec", ["rademacher", "asym:0.7"])
@@ -153,6 +154,53 @@ class TestSampling:
         assert len(seeds) == 100
         assert derive_seed(7, 3) == derive_seed(7, 3)
         assert derive_seed(7, 3) != derive_seed(8, 3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: derive_seed(2.5, 1),
+            lambda p: derive_seed(2, np.float64(1.0)),
+            lambda p: sample_instance(p, 6, 2.0, 3.9),
+            lambda p: sample_spike(p, 6, 3.0),
+            lambda p: metropolis_sampler(sample_instance(p, 4, 1.0, 1), p, 10, 2, 0.5),
+            lambda p: free_entropy_mc(p, 6, 2.0, 5, 1.7),
+            lambda p: phi_of_t(p, 4, 1.0, 0.5, 0.5, 0.5, 3, 2.0),
+            lambda p: phi_of_t(p, 4, 1.0, 0.5, 0.5, 0.0, 3, 2.0),  # the closed form draws too
+            lambda p: nishimori_check(p, 4, 1.0, 3, 1.5),  # a sign-folded table draws nothing
+        ],
+    )
+    def test_float_seed_refused(self, priors, call):
+        # a float seed used to be truncated: free_entropy_mc(..., 1.7) drew seed 1's disorder
+        with pytest.raises(InvalidArgumentError, match="seed must be an integer"):
+            call(priors["rademacher"])
+
+    @pytest.mark.parametrize("seed", [-3, np.int64(-3), np.uint64(2**64 - 3), np.int32(7), 2**64 + 7])
+    def test_integer_seed_draws_its_64_bit_word(self, priors, seed):
+        # a Python or numpy integer seed, negative included, draws the stream
+        # of its value mod 2**64
+        p, word = priors["asym:0.7"], int(seed) % 2**64
+        inst = sample_instance(p, 6, 2.0, seed)
+        rng = np.random.default_rng(word)
+        assert inst.spike.tobytes() == finite._sample_atoms(p, 6, rng).tobytes()
+        assert inst.noise.tobytes() == rng.standard_normal(15).tobytes()
+        est, ref = free_entropy_mc(p, 6, 2.0, 5, seed), free_entropy_mc(p, 6, 2.0, 5, word)
+        assert (est.mean.hex(), est.stderr.hex()) == (ref.mean.hex(), ref.stderr.hex())
+        assert est.seed == int(seed)
+        assert metropolis_sampler(inst, p, 10, 2, seed).tobytes() == metropolis_sampler(inst, p, 10, 2, word).tobytes()
+        assert derive_seed(seed, np.int8(-1)) == derive_seed(word, 2**64 - 1)
+
+    def test_entries_no_caller_budgeted_take_no_budget(self, priors):
+        # they enumerate under DEFAULT_BUDGET and refuse beyond it
+        p = priors["uniform:21"]  # 21**5 configurations, above 2**20
+        inst = sample_instance(p, 5, 1.0, 0)
+        for entry, call in (
+            (log_partition_exact, lambda: log_partition_exact(inst, p)),
+            (kl_log_likelihood_ratio, lambda: kl_log_likelihood_ratio(inst, p)),
+            (phi_of_t, lambda: phi_of_t(p, 5, 1.0, 0.5, 0.5, 0.5, 2, 0)),
+        ):
+            assert "budget" not in inspect.signature(entry).parameters
+            with pytest.raises(EnumerationBudgetError):
+                call()
 
 
 class TestHamiltonian:
@@ -275,10 +323,10 @@ def test_size_below_two_refused(priors, n):
         lambda: phi_of_t(p, n, 2.0, 0.5, 0.5, 0.5, 3, 1),
     )
     for call in calls:
-        with pytest.raises(InvalidArgumentError, match=f"need n >= 2, got {n}"):
+        with pytest.raises(InvalidArgumentError, match=f"n must be >= 2, got {n}"):
             call()
     if n < 1:
-        with pytest.raises(InvalidArgumentError, match=f"need n >= 1, got {n}"):
+        with pytest.raises(InvalidArgumentError, match=f"n must be >= 1, got {n}"):
             enumeration_table(p, n)
 
 
@@ -632,7 +680,7 @@ class TestKlIdentity:
         # the pair checks its inputs through _setup, as log_partition_exact does
         p, inst = parse_prior_spec(spec), instance_from_parts([1.0], [], 1.0)
         for call in (kl_log_likelihood_ratio, log_partition_exact):
-            with pytest.raises(InvalidArgumentError, match="need n >= 2, got 1"):
+            with pytest.raises(InvalidArgumentError, match="n must be >= 2, got 1"):
                 call(inst, p)
 
     @pytest.mark.parametrize("spec, n", [("rademacher", 7), ("sparse:0.25", 6), ("asym:0.7", 5)])
@@ -710,7 +758,7 @@ class TestFpPotential:
             fp_profile(p, 10, 2.0, 0.25, np.ones(8), 5, 1)
         with pytest.raises(InvalidArgumentError, match="eps"):
             fp_profile(p, 10, 2.0, 0.0, np.ones(10), 5, 1)
-        with pytest.raises(InvalidArgumentError, match="n >= 2"):
+        with pytest.raises(InvalidArgumentError, match="n must be >= 2, got 1"):
             fp_profile(p, 1, 2.0, 0.25, np.ones(1), 5, 1)
 
     def test_empty_window_sentinel(self, priors):

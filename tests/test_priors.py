@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from replica_lab import (
+    InvalidArgumentError,
     InvalidPriorError,
     make_prior,
     mean,
@@ -120,6 +121,16 @@ def test_uniform_prior_exact_mirror_images():
         if n % 2:
             assert p.values[n // 2] == 0.0, n
         assert abs(second_moment(p) - 1.0) <= 1e-12, n
+
+
+def test_uniform_prior_refuses_a_float_count():
+    # 21.0 used to build "uniform:21.0", and 20.5 fell through to the weight-sum check
+    for count in (21.0, 20.5):
+        with pytest.raises(InvalidArgumentError, match=f"n_atoms must be an integer, got {count}"):
+            uniform_prior(count)
+    assert uniform_prior(np.int64(21)).atoms == uniform_prior(21).atoms
+    with pytest.raises(InvalidPriorError, match="at least 2 atoms"):
+        uniform_prior(1)
 
 
 def test_parse_prior_spec():

@@ -58,7 +58,7 @@ class TestRunSuite:
         # all three Nishimori checks and a Guerra check on noise alone.  The
         # public checks still take one draw.
         p = priors["asym:0.7"]
-        with pytest.raises(InvalidArgumentError, match="n_disorder must be >= 2 for the suite's standard errors, got 1"):
+        with pytest.raises(InvalidArgumentError, match="n_disorder must be >= 2, got 1"):
             run_suite(p, 6, 1, 0)
         assert nishimori_check(p, 6, 1.0, 1, 0).stderr == 0.0
 

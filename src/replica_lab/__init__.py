@@ -54,7 +54,6 @@ from .priors import (
     prior_to_json,
     second_moment,
     standard_priors,
-    support_bound,
 )
 from .report import VerificationReport
 from .rs import (

@@ -37,7 +37,7 @@ accepts 2 to MAX_NODE_COUNT nodes, which bounds the dense Jacobi matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -61,11 +61,14 @@ _R_LIMIT = 1e-11
 
 @dataclass(frozen=True, eq=False)
 class ChannelEvaluator:
-    """Gauss-Hermite nodes and weights normalized for z ~ N(0,1)."""
+    """Gauss-Hermite nodes and weights normalized for z ~ N(0,1); node_count is the number of nodes."""
 
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    node_count: int = 0
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def node_count(self) -> int:
+        return self.nodes.size
 
     def __repr__(self):
         return f"ChannelEvaluator(node_count={self.node_count})"
@@ -112,7 +115,7 @@ def make_evaluator(node_count: int = DEFAULT_NODE_COUNT) -> ChannelEvaluator:
     nodes, weights = _gauss_hermite(int(node_count))
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return ChannelEvaluator(nodes=nodes, weights=weights, node_count=int(node_count))
+    return ChannelEvaluator(nodes=nodes, weights=weights)
 
 
 def _resolve(ev: ChannelEvaluator | None) -> ChannelEvaluator:

@@ -15,9 +15,9 @@ when it lies within half a step; at most 10**6 steps), finite-n --n a
 comma list of distinct sizes.  --nodes sets the quadrature rule, from the
 default 61 nodes up to 2000 (verify prices on the default rule), --budget
 and --disorder the enumeration, --plot writes an SVG chart next to --out.
-A flag the command does not declare is refused under its own usage line,
-and a count below its least value with "NAME must be >= LEAST, got X"
-(fp checks --n >= 2 before it draws its spike).
+An undeclared flag is refused under its own usage line (-1e-1 is a value,
+not a flag), and a count below its least value with "NAME must be >= LEAST,
+got X" (fp checks --n >= 2 before it draws its spike).
 
 The artifact header/envelope records the version and each flag the command
 declares except --out, with the lambda grid, n, q0 and seed resolved.  The
@@ -31,6 +31,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -195,7 +196,11 @@ def _emit(args, config, fields, rows, results_json=None):
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser, which refuses the flags it does not declare under its own usage line."""
+    """A command's parser: it refuses undeclared flags under its own usage line, and reads -1e-1 as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extra = super().parse_known_args(args, namespace)

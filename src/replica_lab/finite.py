@@ -98,7 +98,7 @@ from . import priors
 from .channel import EXPONENT_MAX, _check_scale
 from .errors import DomainError, EnumerationBudgetError, InvalidArgumentError
 from .errors import _check_count, _check_finite, _check_integer, _check_nonnegative, _check_positive
-from .priors import Prior, support_bound
+from .priors import Prior
 from .report import VerificationReport
 
 DEFAULT_BUDGET = 2**20
@@ -203,9 +203,8 @@ def _draws(p: Prior, n: int, seed: int, n_draws: int, spike=None):
 
 
 def sample_instance(p: Prior, n: int, lam: float, seed: int) -> SpikedInstance:
-    """Draw spike entries i.i.d. from the prior, then standard normal noise."""
+    """Draw the spike i.i.d. from the prior, then standard normal noise; n >= 2 (instance_from_parts checks lambda)."""
     _check_count("n", n, 2)
-    _check_nonnegative("lambda", lam)
     return instance_from_parts(*_draw(p, n, seed), lam)
 
 
@@ -459,7 +458,7 @@ def _check_energy_scale(p: Prior, n: int, lam: float):
     two, stays below the float maximum.
     """
     _check_nonnegative("lambda", lam)
-    k = support_bound(p)
+    k = p.bound
     scale = (lam + n) * n * (k * k) * (k * k)
     if not scale <= EXPONENT_MAX:
         raise DomainError(
@@ -471,18 +470,17 @@ def _check_energy_scale(p: Prior, n: int, lam: float):
 def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=None, spike=None):
     """Validated (spike, table) for an exact estimator: the one input check of them all.
 
-    n is an integer >= 2, and lambda and n pass _check_energy_scale; a
-    window (m, eps) has a finite start m and a finite width eps > 0;
-    n_disorder is an integer >= 1; a spike is one fixed spike of shape (n,),
-    with entries among the prior's atoms, with or without a window; None (a
-    resampled spike) stays None; budget None fetches no table (None).
+    n is an integer >= 2, and lambda and n pass _check_energy_scale; a window
+    (m, eps) has a start m that passes every m's rule (_check_finite) and a
+    finite width eps > 0; n_disorder is an integer >= 1; a spike is one fixed
+    spike of shape (n,), with entries among the prior's atoms, with or without
+    a window; None (a resampled spike) stays None; budget None fetches no table.
     """
     _check_count("n", n, 2)
     _check_energy_scale(p, n, lam)
     if window is not None:
         m, eps = window
-        if not math.isfinite(m):
-            raise InvalidArgumentError(f"m must be finite, got {m}")
+        _check_finite("m", m)
         _check_positive("eps", eps)
     _check_count("n_disorder", n_disorder)
     if spike is not None:
@@ -768,7 +766,7 @@ def fp_profile(
     past 2**53, where they are no longer exact integers, is refused.
     """
     spike, table = _setup(p, n, lam, n_disorder, budget, (0.0, eps), spike)
-    if not support_bound(p) ** 2 / eps <= 2**53:
+    if not p.bound**2 / eps <= 2**53:
         raise InvalidArgumentError(f"eps must be >= K^2 / 2**53 for exact window indices, got {eps!r}")
     bins = _window_index(_overlaps(table, spike[None])[0], 0.0, eps).astype(np.int64)
     order = np.argsort(bins, kind="stable")

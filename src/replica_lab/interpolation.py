@@ -50,7 +50,7 @@ from .finite import (
     fp_potential,
     sample_spike,
 )
-from .priors import Prior, support_bound
+from .priors import Prior
 from .report import VerificationReport
 from .rs import _inner_min
 
@@ -103,7 +103,7 @@ def guerra_slope_check(
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 2 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise InvalidArgumentError("t_grid must be strictly increasing with >= 2 points")
-    c_val = lam * support_bound(p) ** 4
+    c_val = lam * p.bound**4
     phis = _phi_t_draws(p, n, lam, q, q, t_grid, n_disorder, seed, budget=budget)
     dt = np.diff(np.asarray(t_grid))
     slopes = np.diff(phis, axis=1) / dt
@@ -151,7 +151,7 @@ def fp_upper_check(
     report.  lambda and m must pass channel._check_scale at extent
     max(K^2 + 1, |m|), besides fp_potential's checks.
     """
-    K = support_bound(p)
+    K = p.bound
     _check_scale(p, lam, max(K * K + 1.0, abs(m)))
     spike = sample_spike(p, n, derive_seed(seed, 0, 2))
     lhs = fp_potential(p, n, lam, m, eps, spike, n_disorder, derive_seed(seed, 1), budget)

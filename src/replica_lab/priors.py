@@ -52,7 +52,7 @@ class Prior:
 
     @cached_property
     def bound(self) -> float:
-        """The support bound K = max_i |v_i| (support_bound reads it)."""
+        """The support bound K = max_i |v_i|."""
         return float(np.max(np.abs(self.values)))
 
     def __repr__(self):
@@ -96,11 +96,6 @@ def second_moment(p: Prior) -> float:
 def mean(p: Prior) -> float:
     """E[X] = sum_i w_i v_i."""
     return float(np.dot(p.weights, p.values))
-
-
-def support_bound(p: Prior) -> float:
-    """The constant K = max_i |v_i| bounding the support."""
-    return p.bound
 
 
 def _sign_symmetric(p: Prior) -> bool:

@@ -91,7 +91,6 @@ import numpy as np
 
 from . import priors
 from .channel import (
-    EXPONENT_MAX,  # noqa: F401  (README documents it as rs.EXPONENT_MAX)
     ChannelEvaluator,
     _check_scale,
     _psi_prime_kernel,

@@ -1,5 +1,6 @@
 """Scalar-channel free entropies: quadrature accuracy, identities, derivatives."""
 
+import dataclasses
 import math
 import os
 import re
@@ -22,6 +23,7 @@ from replica_lab import (
 )
 from replica_lab.channel import (
     EXPONENT_MAX,
+    ChannelEvaluator,
     MAX_NODE_COUNT,
     _R_LIMIT,
     make_evaluator,
@@ -72,6 +74,15 @@ class TestEvaluator:
         e, ref = make_evaluator(np.int64(61)), make_evaluator(61)
         assert e.node_count == 61 and type(e.node_count) is int
         assert np.array_equal(e.nodes, ref.nodes) and np.array_equal(e.weights, ref.weights)
+
+    def test_node_count_read_from_the_nodes(self):
+        # a rule's only fields are its arrays: one built from make_evaluator's
+        # is that rule, node count and repr included
+        ref = make_evaluator(61)
+        e = ChannelEvaluator(nodes=ref.nodes, weights=ref.weights)
+        assert [f.name for f in dataclasses.fields(ChannelEvaluator)] == ["nodes", "weights"]
+        assert e.node_count == 61 and type(e.node_count) is int
+        assert repr(e) == repr(ref) == "ChannelEvaluator(node_count=61)"
 
     def test_bit_identical_to_scipy_up_to_150(self):
         special = pytest.importorskip("scipy.special")
@@ -508,12 +519,7 @@ class TestScalarEntries:
     def test_exponent_bound_on_both_sides(self, spec):
         # r K^2 and the tilt's |s| K (|s| K^2 for psi_bar's s x*) against
         # EXPONENT_MAX: inside, every scalar entry runs without a RuntimeWarning;
-        # outside, each raises DomainError before the kernel overflows; the
-        # bound lives in channel and stays importable from rs
-        from replica_lab import channel, rs
-
-        assert rs.EXPONENT_MAX is channel.EXPONENT_MAX
-        EXPONENT_MAX = channel.EXPONENT_MAX
+        # outside, each raises DomainError before the kernel overflows
         p = parse_prior_spec(spec)
         k = max(abs(v) for v, _ in p.atoms)
         r_edge = EXPONENT_MAX / (k * k)

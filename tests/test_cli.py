@@ -228,6 +228,14 @@ class TestCommands:
         assert svg.startswith("<svg")
         assert len(ET.fromstring(svg).findall("{*}polyline")) == 4
 
+    @pytest.mark.parametrize("m", ["-1e-1", "-.5e-2"])
+    def test_negative_value_in_exponent_form(self, capsys, m):
+        # "--m -1e-1" gives --m its value, as "--m=-1e-1" does
+        args = ["fp", "--n", "4", "--disorder", "3"]
+        spaced = run_cli(args + ["--m", m], capsys)
+        joined = run_cli(args + [f"--m={m}"], capsys)
+        assert spaced == joined and spaced[0] == 0 and spaced[1]
+
 
 class TestDeclaredFlags:
     # each command takes only the flags it reads (see the cli module docstring)
@@ -444,6 +452,18 @@ class TestErrorPaths:
         assert code == 2
         assert f"error: {message}" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["se", "--lambda", "1", "--q", "-1e-3"], "q0 must lie in [0, 1.0], got -0.001"),
+            (["rs-curve", "--lambda", "-1e-3"], "lambda must be finite and >= 0, got -0.001"),
+            (["rs-curve", "--lambda", "-2.5E+3"], "lambda must be finite and >= 0, got -2500.0"),
+        ],
+    )
+    def test_negative_value_in_exponent_form_refused_by_the_package(self, capsys, args, message):
+        # read as a value, not as an undeclared flag, so the package's own rule refuses it
+        assert run_cli(args, capsys) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "args, message",

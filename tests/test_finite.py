@@ -380,7 +380,7 @@ def test_energy_scale_bound_on_both_sides():
     # standard error squares deviations near 1e304); outside, each raises
     # DomainError first
     p, n = parse_prior_spec("sparse:0.25"), 4
-    k4 = prior_module.support_bound(p) ** 4
+    k4 = p.bound**4
     edge = finite.EXPONENT_MAX / (n * k4) - n
     spike = sample_spike(p, n, 3)
     calls = (

@@ -22,7 +22,6 @@ from replica_lab import (
     sample_instance,
     sample_spike,
     second_moment,
-    support_bound,
 )
 from replica_lab import finite
 from replica_lab import priors as prior_module
@@ -172,12 +171,17 @@ class TestPhiOfT:
     @pytest.mark.parametrize("spike", [None, np.ones(6)])
     @pytest.mark.parametrize("window", [(math.nan, 0.25), (0.0, math.nan), (0.0, -0.5), (-math.inf, 1.0)])
     def test_window_checked_like_fp_potential(self, priors, spike, window):
+        # a non-finite start follows the rule of every m (DomainError), a bad
+        # width the eps rule (InvalidArgumentError)
         p = priors["rademacher"]
-        message = "m must be finite" if not math.isfinite(window[0]) else "eps must be finite and > 0"
-        with pytest.raises(InvalidArgumentError, match=message):
+        if math.isfinite(window[0]):
+            error, message = InvalidArgumentError, "eps must be finite and > 0"
+        else:
+            error, message = DomainError, f"m must be finite, got {window[0]}"
+        with pytest.raises(error, match=message):
             phi_of_t(p, 6, 2.0, 0.5, 0.5, 0.5, 3, 1, restricted=window, spike=spike)
         if spike is not None:
-            with pytest.raises(InvalidArgumentError, match=message):
+            with pytest.raises(error, match=message):
                 fp_potential(p, 6, 2.0, window[0], window[1], spike, 3, 1)
 
     @pytest.mark.parametrize("spike", [np.full(6, 0.5), np.ones(8)])
@@ -490,7 +494,7 @@ class TestFpUpper:
             p = priors[name]
             spike = sample_spike(p, n, derive_seed(seed, 0, 2))
             values, counts = np.unique(spike, return_counts=True)
-            q_max = support_bound(p) ** 2 + 1.0
+            q_max = p.bound**2 + 1.0
             q_dense = np.linspace(0.0, q_max, 401)
             for m in (-0.5 * second_moment(p), 0.0, 0.5 * second_moment(p)):
                 rep = fp_upper_check(p, n, lam, m, 0.25, n_disorder=3, seed=seed)

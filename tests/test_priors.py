@@ -15,7 +15,6 @@ from replica_lab import (
     prior_to_json,
     second_moment,
     standard_priors,
-    support_bound,
 )
 from replica_lab.priors import (
     asymmetric_binary_prior,
@@ -28,7 +27,7 @@ from replica_lab.priors import (
 
 def test_rademacher_basics():
     p = make_prior([(1.0, 0.5), (-1.0, 0.5)])
-    assert support_bound(p) == 1.0
+    assert p.bound == 1.0
     assert second_moment(p) == 1.0
 
 
@@ -40,13 +39,13 @@ def test_asymmetric_mean():
 def test_three_atom_second_moment():
     p = make_prior([(2.0, 0.25), (0.0, 0.5), (-2.0, 0.25)])
     assert second_moment(p) == pytest.approx(2.0, abs=1e-15)
-    assert support_bound(p) == 2.0
+    assert p.bound == 2.0
 
 
 def test_point_mass():
     p = point_mass_prior(0.3)
     assert second_moment(p) == pytest.approx(0.09, abs=1e-15)
-    assert support_bound(p) == pytest.approx(0.3)
+    assert p.bound == pytest.approx(0.3)
     assert second_moment(point_mass_prior(0.0)) == 0.0
 
 
@@ -111,7 +110,7 @@ def test_uniform_prior_shape():
     assert len(p.atoms) == 21
     assert abs(mean(p)) <= 1e-12
     assert second_moment(p) == pytest.approx(1.0, abs=1e-12)
-    assert support_bound(p) <= math.sqrt(3.0) * 1.01
+    assert p.bound <= math.sqrt(3.0) * 1.01
 
 
 def test_uniform_prior_exact_mirror_images():

@@ -1,5 +1,6 @@
 """RS potential, saddle formula, state evolution, information curves."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -100,7 +101,7 @@ class TestScaleBound:
 
     @staticmethod
     def _edge_lambda(p, extent):
-        k = prior_module.support_bound(p)
+        k = p.bound
         return channel.EXPONENT_MAX / (extent * (k * k + extent))
 
     @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "sparse:1e-300", "point:0.01"])
@@ -991,6 +992,34 @@ class TestInformationCurves:
         p = rademacher_prior()
         vals = [row["mmse"] for row in compute_curve(p, np.arange(0.0, 4.01, 0.5), ev)]
         assert all(b - a <= 1e-7 for a, b in zip(vals, vals[1:]))
+
+
+def _hex(obj):
+    """obj with each float as its float.hex, through dataclasses, dicts, lists and tuples."""
+    if dataclasses.is_dataclass(obj):
+        return _hex(dataclasses.astuple(obj))
+    if isinstance(obj, dict):
+        return {k: _hex(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_hex(v) for v in obj]
+    return float.hex(obj) if isinstance(obj, float) else obj
+
+
+class TestRuleFromItsArrays:
+    """A rule built from make_evaluator(61)'s nodes and weights is that rule:
+    its node count, which sets the golden refinement's depth, is read from its
+    nodes, so every solver gives the default rule's bits."""
+
+    @pytest.mark.parametrize("name", ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21"])
+    def test_same_bits(self, ev, priors, name):
+        p, rebuilt = priors[name], channel.ChannelEvaluator(nodes=ev.nodes, weights=ev.weights)
+        lams = [0.5, 1.5, 3.0]
+        for lam in lams:
+            for solve in (phi_rs, saddle):
+                assert _hex(solve(p, lam, rebuilt)) == _hex(solve(p, lam, ev)), (solve.__name__, lam)
+            q0 = second_moment(p)
+            assert _hex(state_evolution(p, lam, q0, ev=rebuilt)) == _hex(state_evolution(p, lam, q0, ev=ev))
+        assert _hex(compute_curve(p, lams, rebuilt)) == _hex(compute_curve(p, lams, ev))
 
 
 class TestCriticalLambda:

@@ -128,45 +128,40 @@ def derive_seed(master: int, *indices: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SpikedInstance:
-    """One realization (N, lambda, spike, upper-triangular noise and Y)."""
+    """One realization: the spike x*, the upper-triangular noise W and lambda,
+    with Y = sqrt(lambda/N) x* x*^T + W on the upper triangle derived from them.
 
-    n: int
-    lam: float
+    The constructor is the one way to build an instance, so equal parts give
+    bit-identical Y, and dataclasses.replace rebuilds Y from the new parts.
+    The spike is a nonempty 1-d array of n values, the noise a 1-d array of
+    its n(n-1)/2 pairs (InvalidArgumentError otherwise), and lambda is finite
+    and >= 0 (DomainError otherwise); the arrays are stored read-only float64.
+    """
+
     spike: np.ndarray = field(repr=False)
     noise: np.ndarray = field(repr=False)  # flat, row-major over i < j
-    y: np.ndarray = field(repr=False)
+    lam: float
+    y: np.ndarray = field(init=False, repr=False)
 
-    def y_full(self) -> np.ndarray:
-        """Symmetric Y with zero diagonal."""
-        m = np.zeros((self.n, self.n))
-        i, j = np.triu_indices(self.n, 1)
-        m[i, j] = self.y
-        m[j, i] = self.y
-        return m
+    def __post_init__(self):
+        spike = np.asarray(self.spike, dtype=np.float64)
+        noise = np.asarray(self.noise, dtype=np.float64)
+        n = spike.size
+        if spike.shape != (n,) or n == 0:
+            raise InvalidArgumentError(f"spike must be a nonempty 1-d array, got shape {spike.shape}")
+        pairs = n * (n - 1) // 2
+        if noise.shape != (pairs,):
+            raise InvalidArgumentError(f"noise must have n(n-1)/2 = {pairs} entries, got shape {noise.shape}")
+        lam = _check_nonnegative("lambda", self.lam)
+        y = _observations(spike, noise, lam)
+        for arr in (spike, noise, y):
+            arr.setflags(write=False)
+        for name, value in (("spike", spike), ("noise", noise), ("lam", lam), ("y", y)):
+            object.__setattr__(self, name, value)
 
-
-def instance_from_parts(spike, noise, lam: float) -> SpikedInstance:
-    """Assemble Y = sqrt(lambda/N) spike spike^T + W on the upper triangle.
-
-    Single construction path: sample_instance and everything that rebuilds an
-    instance from its parts go through here, so equal inputs give
-    bit-identical Y.  The spike is a nonempty 1-d array of n values, the
-    noise a 1-d array of its n(n-1)/2 pairs (InvalidArgumentError
-    otherwise), and lambda is finite and >= 0 (DomainError otherwise).
-    """
-    spike = np.asarray(spike, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    n = spike.size
-    if spike.shape != (n,) or n == 0:
-        raise InvalidArgumentError(f"spike must be a nonempty 1-d array, got shape {spike.shape}")
-    pairs = n * (n - 1) // 2
-    if noise.shape != (pairs,):
-        raise InvalidArgumentError(f"noise must have n(n-1)/2 = {pairs} entries, got shape {noise.shape}")
-    lam = _check_nonnegative("lambda", lam)
-    y = _observations(spike, noise, lam)
-    for arr in (spike, noise, y):
-        arr.setflags(write=False)
-    return SpikedInstance(n=n, lam=lam, spike=spike, noise=noise, y=y)
+    @property
+    def n(self) -> int:
+        return self.spike.size
 
 
 def _observations(spikes: np.ndarray, noises: np.ndarray, lam: float) -> np.ndarray:
@@ -203,9 +198,9 @@ def _draws(p: Prior, n: int, seed: int, n_draws: int, spike=None):
 
 
 def sample_instance(p: Prior, n: int, lam: float, seed: int) -> SpikedInstance:
-    """Draw the spike i.i.d. from the prior, then standard normal noise; n >= 2 (instance_from_parts checks lambda)."""
+    """Draw the spike i.i.d. from the prior, then standard normal noise; n >= 2 (the constructor checks lambda)."""
     _check_count("n", n, 2)
-    return instance_from_parts(*_draw(p, n, seed), lam)
+    return SpikedInstance(*_draw(p, n, seed), lam)
 
 
 def sample_spike(p: Prior, n: int, seed: int) -> np.ndarray:
@@ -914,7 +909,10 @@ def metropolis_sampler(
     x = _sample_atoms(p, n, rng)
     proposals = _sample_atoms(p, n_sweeps * n, rng)
     log_u = np.log(rng.random(n_sweeps * n))
-    ys = math.sqrt(inst.lam / n) * inst.y_full()
+    rows, cols = np.triu_indices(n, 1)
+    ys = np.zeros((n, n))  # the symmetric Y, zero diagonal, scaled by sqrt(lambda/n)
+    ys[rows, cols] = ys[cols, rows] = inst.y
+    ys *= math.sqrt(inst.lam / n)
     c1 = inst.lam / (2.0 * n)
     s2 = float(x @ x)
     spike = inst.spike

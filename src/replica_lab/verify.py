@@ -99,8 +99,9 @@ def run_suite(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> list:
-    """The full battery at one (prior, n, n_disorder >= 2, seed) setting."""
+    """The full battery at one (prior, n >= 2, n_disorder >= 2, seed) setting."""
     _check_count("n_disorder", n_disorder, 2)  # one draw has no standard errors
+    _check_count("n", n, 2)  # the exact estimators' rule, before any check is priced
     m2 = second_moment(p)
     reports = [
         tilt_asymmetry_check(p),

@@ -309,7 +309,7 @@ def reference_phi_t_draws(p, n, lam, q, m, t_values, n_disorder, seed, restricte
             keep = finite._window_index(np.concatenate([overlap, -overlap[:mirrors]]), *restricted) == 0
         z = np.random.default_rng(finite.derive_seed(seed, k, 1) & ((1 << 64) - 1)).standard_normal(n)
         for c, t in enumerate(t_values):
-            energy = reference_neg_energy(finite.instance_from_parts(spike_k, noise_k, t * lam), table)[rows]
+            energy = reference_neg_energy(SpikedInstance(spike_k, noise_k, t * lam), table)[rows]
             even = logw + energy - (1.0 - t) * r / 2.0 * sumsq
             odd = (math.sqrt((1.0 - t) * r) * z + (1.0 - t) * s * spike_k) @ x.T
             a = np.concatenate([even + odd, even[:mirrors] - odd[:mirrors]])[keep]

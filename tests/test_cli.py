@@ -437,6 +437,7 @@ class TestErrorPaths:
             (["finite-n", "--n", "0", "--disorder", "2"], "n must be >= 2, got 0"),
             (["finite-n", "--n", "-2", "--disorder", "2"], "n must be >= 2, got -2"),
             (["verify", "--n", "0", "--disorder", "2"], "n must be >= 2, got 0"),
+            (["verify", "--n", "1", "--disorder", "3"], "n must be >= 2, got 1"),
             (["se", "--lambda", "2", "--tol", "nan"], "tol must be finite and > 0"),
             (["se", "--lambda", "2", "--tol", "inf"], "tol must be finite and > 0"),
             (["se", "--lambda", "2", "--tol", "0"], "tol must be finite and > 0"),

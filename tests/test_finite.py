@@ -1,6 +1,7 @@
 """Finite-size instances: enumeration, disorder averages, sampling."""
 
 import ast
+import dataclasses
 import inspect
 import itertools
 import math
@@ -33,7 +34,7 @@ from replica_lab import (
 )
 from replica_lab import finite, parse_prior_spec
 from replica_lab import priors as prior_module
-from replica_lab.finite import enumeration_table, instance_from_parts
+from replica_lab.finite import enumeration_table
 from replica_lab.verify import kl_identity_check
 from replica_lab.priors import asymmetric_binary_prior, point_mass_prior
 
@@ -74,7 +75,7 @@ class TestSampling:
 
     def test_y_reconstructible_from_parts(self, priors):
         inst = sample_instance(priors["sparse:0.25"], 9, 2.0, 31)
-        again = instance_from_parts(inst.spike, inst.noise, inst.lam)
+        again = SpikedInstance(inst.spike, inst.noise, inst.lam)
         assert np.abs(again.y - inst.y).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -92,7 +93,30 @@ class TestSampling:
     )
     def test_parts_checked(self, spike, noise, lam, error, message):
         with pytest.raises(error, match=message):
-            instance_from_parts(spike, noise, lam)
+            SpikedInstance(spike, noise, lam)
+
+    def test_parts_are_the_only_fields(self, priors):
+        # n and Y are derived from the parts, never stored beside them
+        assert [f.name for f in dataclasses.fields(SpikedInstance)] == ["spike", "noise", "lam", "y"]
+        assert [f.name for f in dataclasses.fields(SpikedInstance) if f.init] == ["spike", "noise", "lam"]
+        inst = sample_instance(priors["rademacher"], 6, 2.0, 3)
+        assert inst.n == 6 and type(inst.n) is int
+        assert repr(inst) == "SpikedInstance(lam=2.0)"
+
+    def test_replace_rebuilds_from_the_parts(self, priors):
+        inst = sample_instance(priors["rademacher"], 6, 2.0, 3)
+        with pytest.raises(TypeError):
+            dataclasses.replace(inst, n=5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(inst, y=inst.y + 1.0)
+        zero = dataclasses.replace(inst, lam=0.0)
+        assert zero.lam == 0.0 and zero.y.tobytes() == inst.noise.tobytes()
+        again = dataclasses.replace(inst, lam=2.0)
+        assert again.y.tobytes() == inst.y.tobytes()
+        with pytest.raises(InvalidArgumentError, match=r"^noise must have n\(n-1\)/2 = 15 entries, got shape \(14,\)$"):
+            dataclasses.replace(inst, noise=inst.noise[:-1])
+        for arr in (inst.spike, inst.noise, inst.y, zero.y):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
 
     def test_noise_clt(self, priors):
         # pooled residual y - sqrt(lam/n) x x^T is standard normal
@@ -350,15 +374,14 @@ def test_setup_refuses_stacked_spikes(priors):
                  lambda spike: phi_of_t(p, 4, 1.0, 0.5, 0.5, 0.5, 3, 1, (0.0, 0.25), spike)):
         with pytest.raises(InvalidArgumentError, match="^spike must have length 4$"):
             call(np.ones((3, 4)))
-    bad = instance_from_parts([1.0, 0.5, -1.0], np.zeros(3), 1.0)
-    with pytest.raises(InvalidArgumentError, match="^spike entries must be atoms of the prior$"):
-        kl_log_likelihood_ratio(bad, p)
-    # an instance built around instance_from_parts with a (1, n) spike
-    good = sample_instance(p, 4, 1.0, 0)
-    flat = SpikedInstance(n=4, lam=1.0, spike=good.spike[None], noise=good.noise, y=good.y)
+    bad = SpikedInstance([1.0, 0.5, -1.0], np.zeros(3), 1.0)
     for call in (log_partition_exact, kl_log_likelihood_ratio):
-        with pytest.raises(InvalidArgumentError, match="^spike must have length 4$"):
-            call(flat, p)
+        with pytest.raises(InvalidArgumentError, match="^spike entries must be atoms of the prior$"):
+            call(bad, p)
+    # an instance cannot hold a (1, n) spike: the constructor refuses it
+    good = sample_instance(p, 4, 1.0, 0)
+    with pytest.raises(InvalidArgumentError, match=r"^spike must be a nonempty 1-d array, got shape \(1, 4\)$"):
+        SpikedInstance(good.spike[None], good.noise, 1.0)
 
 
 def test_finite_does_not_import_rs():
@@ -678,7 +701,7 @@ class TestKlIdentity:
     @pytest.mark.parametrize("spec", ["rademacher", "asym:0.7"])
     def test_one_site_refused_like_log_partition_exact(self, spec):
         # the pair checks its inputs through _setup, as log_partition_exact does
-        p, inst = parse_prior_spec(spec), instance_from_parts([1.0], [], 1.0)
+        p, inst = parse_prior_spec(spec), SpikedInstance([1.0], [], 1.0)
         for call in (kl_log_likelihood_ratio, log_partition_exact):
             with pytest.raises(InvalidArgumentError, match="n must be >= 2, got 1"):
                 call(inst, p)
@@ -686,7 +709,7 @@ class TestKlIdentity:
     @pytest.mark.parametrize("spec, n", [("rademacher", 7), ("sparse:0.25", 6), ("asym:0.7", 5)])
     def test_stacked_draws_are_the_instances(self, spec, n):
         # kl_identity_check's draws: one _draws call and one Y, not one
-        # instance at a time, with the bits of instance_from_parts
+        # instance at a time, with the bits of the SpikedInstance constructor
         p, lam, seed, draws = parse_prior_spec(spec), 2.0, 31, 9
         spikes, noises = finite._draws(p, n, seed, draws)
         ys = finite._observations(spikes, noises, lam)
@@ -694,7 +717,7 @@ class TestKlIdentity:
         for k, inst in enumerate(instances):
             for got, want in ((spikes[k], inst.spike), (noises[k], inst.noise), (ys[k], inst.y)):
                 assert got.tobytes() == want.tobytes()
-            assert ys[k].tobytes() == instance_from_parts(spikes[k], noises[k], lam).y.tobytes()
+            assert ys[k].tobytes() == SpikedInstance(spikes[k], noises[k], lam).y.tobytes()
         llr, log_z = finite._kl_pair_draws(p, n, lam, draws, seed)
         report = kl_identity_check(p, n, lam, draws, seed)
         assert report.params["max_abs_diff"] == float(np.abs(llr - log_z).max())
@@ -746,7 +769,7 @@ class TestFpPotential:
         for k in range(30):
             rng = np.random.default_rng(derive_seed(55, k) & ((1 << 64) - 1))
             noise = rng.standard_normal(66)
-            inst = instance_from_parts(spike, noise, 1.0)
+            inst = SpikedInstance(spike, noise, 1.0)
             vals.append((hamiltonian(inst, spike) + 12 * math.log(0.5)) / 12)
         assert est.mean == pytest.approx(float(np.mean(vals)), abs=1e-12)
 
@@ -811,7 +834,7 @@ class TestFpPotential:
         energies = []
         for k in range(draws):
             noise = np.random.default_rng(derive_seed(seed, k) & ((1 << 64) - 1)).standard_normal(n * (n - 1) // 2)
-            energies.append(table.logw + reference_neg_energy(instance_from_parts(spike, noise, lam), table))
+            energies.append(table.logw + reference_neg_energy(SpikedInstance(spike, noise, lam), table))
         assert set(prof) == set(np.unique(bins).astype(int))
         for l in prof:
             want = np.mean([_logsumexp(a[bins == l]) / n for a in energies])

@@ -11,6 +11,7 @@ from replica_lab import (
     DomainError,
     EnumerationBudgetError,
     InvalidArgumentError,
+    SpikedInstance,
     derive_seed,
     fp_potential,
     fp_upper_check,
@@ -27,7 +28,7 @@ from replica_lab import finite
 from replica_lab import priors as prior_module
 from replica_lab.channel import psi_hat_array
 from replica_lab.rs import _f_bar_grad, f_hat
-from replica_lab.finite import enumeration_table, instance_from_parts
+from replica_lab.finite import enumeration_table
 from replica_lab.interpolation import DEFAULT_T_GRID, _phi_t_draws
 
 from conftest import augment, h_t, hamiltonian, small_budget
@@ -211,7 +212,7 @@ class TestPhiOfT:
         for k in range(draws):
             if fixed_spike:
                 noise = np.random.default_rng(derive_seed(seed, k)).standard_normal(n * (n - 1) // 2)
-                inst = instance_from_parts(spike, noise, lam)
+                inst = SpikedInstance(spike, noise, lam)
             else:
                 inst = sample_instance(p, n, lam, derive_seed(seed, k))
             aug = augment(inst, t, lam * q, lam * m, derive_seed(seed, k, 1))

@@ -62,6 +62,18 @@ class TestRunSuite:
             run_suite(p, 6, 1, 0)
         assert nishimori_check(p, 6, 1.0, 1, 0).stderr == 0.0
 
+    def test_one_site_refused_before_any_rs_check(self, priors, monkeypatch):
+        # the enumerating checks refuse n = 1, so the suite refuses it before
+        # it prices the four RS checks
+        def priced(*args, **kwargs):
+            raise AssertionError("an RS check was priced")
+
+        for name in ("asymmetry_gap", "compute_curve", "phi_rs", "state_evolution"):
+            monkeypatch.setattr(verify, name, priced)
+        for spec in ("rademacher", "uniform:21"):
+            with pytest.raises(InvalidArgumentError, match=r"^n must be >= 2, got 1$"):
+                run_suite(parse_prior_spec(spec), 1, 3, 0)
+
     def test_verdict_is_sign_of_slack(self, priors):
         reports = run_suite(priors["asym:0.7"], 6, 20, 0)
         assert len(reports) == 14

@@ -34,7 +34,11 @@ window's configurations, run by fp_potential for one window and by
 fp_profile for each reachable one, on draws fetched once.
 
 Seed discipline: every disorder replica k uses derive_seed(master, k, ...),
-so replica k's instance does not depend on the other replicas.  The pass
+so replica k's instance does not depend on the other replicas.  The
+replicas' streams are derived in one batch (_streams, a port of numpy's
+SeedSequence to uint32 arrays, one row per replica), and each equals
+default_rng(derive_seed(master, k, ...)) bit for bit; the tests hold it to
+numpy's own SeedSequence, replica by replica.  The pass
 walks the priced rows in row blocks and the replicas in draw blocks, both
 sized from the priced rows, n and n_disorder alone (_blocks), so runs are
 reproducible bit-for-bit, and estimators over the same rows and replicas
@@ -117,9 +121,119 @@ def _seed_word(seed) -> int:
 
 
 def derive_seed(master: int, *indices: int) -> int:
-    """Deterministic per-replica 64-bit seed from a master seed and counter indices (_seed_word each)."""
+    """Deterministic per-replica 64-bit seed from a master seed and counter indices (_seed_word each);
+    the estimators derive it and its default_rng stream in one batch per replica set (_streams)."""
     words = [_seed_word(s) for s in (master, *indices)]
     return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), ported to uint32
+# arrays with one row per seed: the hash constants, mix's multipliers and
+# the pool of 4 words.  uint32 array arithmetic wraps mod 2**32 as the C code's.
+_MASK32 = 2**32 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+@lru_cache(maxsize=8)
+def _hash_words(start: int, mult: int, count: int, gaps: tuple = ()) -> np.ndarray:
+    """(2, count) uint32: the (xor, multiplier) words of count successive
+    hashmix calls from hash constant start; each position in gaps holds zeros
+    and takes no step."""
+    words, h = np.zeros((2, count), dtype=np.uint32), start
+    for k in sorted(set(range(count)) - set(gaps)):
+        words[:, k] = h, (h := h * mult & _MASK32)
+    words.setflags(write=False)
+    return words
+
+
+def _hashmix(values: np.ndarray, words: np.ndarray) -> np.ndarray:
+    x = values ^ words[0]
+    x *= words[1]
+    x ^= x >> 16
+    return x
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L)
+    r -= y * np.uint32(_MIX_R)
+    r ^= r >> 16
+    return r
+
+
+def _pool(entropy: np.ndarray) -> np.ndarray:
+    """(D, 4) SeedSequence pools (mix_entropy) of the rows of a (D, L) uint32 entropy array.
+
+    Round 0 hashes the first 4 words (zeros past L); round 1 + s, s < 4,
+    mixes slot s into the other three, and s >= 4 entropy word s into all 4.
+    """
+    size = entropy.shape[1]
+    words = _hash_words(_INIT_A, _MULT_A, 4 * (5 + max(0, size - 4)), gaps=(4, 9, 14, 19))
+    pool = np.zeros((entropy.shape[0], 4), dtype=np.uint32)
+    pool[:, : min(size, 4)] = entropy[:, :4]
+    pool = _hashmix(pool, words[:, :4])
+    for s in range(4):
+        mixed = _mix(pool, _hashmix(pool[:, s, None], words[:, 4 * s + 4 : 4 * s + 8]))
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    for s in range(4, size):
+        pool = _mix(pool, _hashmix(entropy[:, s, None], words[:, 4 * s + 4 : 4 * s + 8]))
+    return pool
+
+
+def _generate(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """(D, n_words) uint32: SeedSequence.generate_state of each pool, low word first."""
+    return _hashmix(pool[:, np.arange(n_words) % 4], _hash_words(_INIT_B, _MULT_B, n_words))
+
+
+def _derived_seeds(master, count: int, *suffix) -> np.ndarray:
+    """(count, 2) uint32: the low and high words of derive_seed(master, k, *suffix) for k < count.
+
+    Each seed word enters the entropy as numpy's uint32 words of it, low
+    word first ([0] for 0), and k as one word.
+    """
+    if count > 2**32:
+        raise InvalidArgumentError(f"at most 2**32 replicas share a master seed, got {count}")
+    head, tail = ([w >> b & _MASK32 for w in map(_seed_word, vs) for b in range(0, max(32, w.bit_length()), 32)]
+                  for vs in ((master,), suffix))
+    entropy = np.empty((count, len(head) + 1 + len(tail)), dtype=np.uint32)
+    entropy[:] = head + [0] + tail
+    entropy[:, len(head)] = np.arange(count)
+    return _generate(_pool(entropy), 2)
+
+
+@lru_cache(maxsize=1)
+def _fixed_seed_sequence():
+    """An ISeedSequence that hands PCG64 the 4 uint64 state words it is built
+    with.  Built at first use: importing numpy.random costs about 12 ms, and
+    importing replica_lab does not load it."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeedSequence(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return FixedSeedSequence
+
+
+def _streams(master, count: int, *suffix):
+    """Yield np.random.default_rng(derive_seed(master, k, *suffix)) for k < count, bit for bit.
+
+    The seeds come from one batch (_derived_seeds), and so do their
+    SeedSequence states for PCG64: a seed's one or two words fill the pool
+    with zeros either way.  Only the (count, 4) state words are held, and
+    each generator is built when it is reached.
+    """
+    words = _generate(_pool(_derived_seeds(master, count, *suffix)), 8)
+    state = words[:, 1::2].astype(np.uint64, order="C")
+    state <<= 32
+    state |= words[:, ::2]
+    fixed = _fixed_seed_sequence()
+    for row in state:
+        yield np.random.Generator(np.random.PCG64(fixed(row)))
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +249,8 @@ class SpikedInstance:
     bit-identical Y, and dataclasses.replace rebuilds Y from the new parts.
     The spike is a nonempty 1-d array of n values, the noise a 1-d array of
     its n(n-1)/2 pairs (InvalidArgumentError otherwise), and lambda is finite
-    and >= 0 (DomainError otherwise); the arrays are stored read-only float64.
+    and >= 0 (DomainError otherwise); the arrays are stored as read-only
+    float64 copies, so the caller's arrays stay as they were.
     """
 
     spike: np.ndarray = field(repr=False)
@@ -144,8 +259,8 @@ class SpikedInstance:
     y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        spike = np.asarray(self.spike, dtype=np.float64)
-        noise = np.asarray(self.noise, dtype=np.float64)
+        spike = np.array(self.spike, dtype=np.float64)  # copies: the caller's arrays stay writable
+        noise = np.array(self.noise, dtype=np.float64)
         n = spike.size
         if spike.shape != (n,) or n == 0:
             raise InvalidArgumentError(f"spike must be a nonempty 1-d array, got shape {spike.shape}")
@@ -173,40 +288,39 @@ def _observations(spikes: np.ndarray, noises: np.ndarray, lam: float) -> np.ndar
     return math.sqrt(lam / n) * spikes[..., i] * spikes[..., j] + noises
 
 
-def _sample_atoms(p: Prior, count: int, rng) -> np.ndarray:
-    """i.i.d. atoms by inverse CDF; explicit so the stream layout is frozen."""
+def _atoms(p: Prior, u: np.ndarray) -> np.ndarray:
+    """i.i.d. atoms by inverse CDF of the uniforms u; explicit so the stream layout is frozen."""
     cum = np.cumsum(p.weights)
     cum[-1] = 1.0
-    idx = np.searchsorted(cum, rng.random(count), side="right")
+    idx = np.searchsorted(cum, u, side="right")
     return p.values[np.minimum(idx, p.values.size - 1)]
 
 
-def _draw(p: Prior, n: int, seed: int, spike=None):
-    """The disorder draw of one seed, (spike, noise): the spike's n i.i.d.
-    atoms (unless a spike is given), then the upper-triangular standard
-    normal noise, from one stream."""
-    rng = np.random.default_rng(_seed_word(seed))
-    if spike is None:
-        spike = _sample_atoms(p, n, rng)
-    return spike, rng.standard_normal(n * (n - 1) // 2)
-
-
 def _draws(p: Prior, n: int, seed: int, n_draws: int, spike=None):
-    """(spikes, noises), the stacked _draw of derive_seed(seed, k) for k < n_draws."""
-    spikes, noises = zip(*(_draw(p, n, derive_seed(seed, k), spike) for k in range(n_draws)))
-    return np.stack(spikes), np.stack(noises)
+    """(spikes, noises) of the instances sample_instance(p, n, ., derive_seed(seed, k)), k < n_draws,
+    stacked: per stream the spike's n uniforms (unless a spike is given), then the
+    upper-triangular standard normal noise, each written into its row."""
+    noises = np.empty((n_draws, n * (n - 1) // 2))
+    u = np.empty((n_draws, n)) if spike is None else None
+    for k, rng in enumerate(_streams(seed, n_draws)):
+        if u is not None:
+            rng.random(out=u[k])
+        rng.standard_normal(out=noises[k])
+    return (np.tile(spike, (n_draws, 1)) if u is None else _atoms(p, u)), noises
 
 
 def sample_instance(p: Prior, n: int, lam: float, seed: int) -> SpikedInstance:
     """Draw the spike i.i.d. from the prior, then standard normal noise; n >= 2 (the constructor checks lambda)."""
     _check_count("n", n, 2)
-    return SpikedInstance(*_draw(p, n, seed), lam)
+    rng = np.random.default_rng(_seed_word(seed))
+    spike = _atoms(p, rng.random(n))
+    return SpikedInstance(spike, rng.standard_normal(n * (n - 1) // 2), lam)
 
 
 def sample_spike(p: Prior, n: int, seed: int) -> np.ndarray:
     """n >= 1 i.i.d. prior atoms; the spike-drawing half of sample_instance."""
     _check_count("n", n)
-    return _sample_atoms(p, n, np.random.default_rng(_seed_word(seed)))
+    return _atoms(p, np.random.default_rng(_seed_word(seed)).random(n))
 
 
 # ----------------------------------------------------------------------
@@ -817,8 +931,9 @@ def _phi_t_draws(
     _check_scale(p, lam, max(q, abs(m)))
     r, s = lam * q, lam * m
     draws = _draws(p, n, seed, n_disorder, spike)
-    z = np.stack([np.random.default_rng(_seed_word(derive_seed(seed, k, 1))).standard_normal(n)
-                  for k in range(n_disorder)])
+    z = np.empty((n_disorder, n))
+    for row, rng in zip(z, _streams(seed, n_disorder, 1)):
+        rng.standard_normal(out=row)
     log_z = np.empty((n_disorder, t.size))
     if closed.any():
         log_z[:, closed] = _one_site_log_z(p, r, s, z, draws[0])[:, None]
@@ -906,8 +1021,8 @@ def metropolis_sampler(
         raise InvalidArgumentError(f"need n_sweeps > burn_in >= 0, got {n_sweeps}, {burn_in}")
     n = inst.n
     rng = np.random.default_rng(_seed_word(seed))
-    x = _sample_atoms(p, n, rng)
-    proposals = _sample_atoms(p, n_sweeps * n, rng)
+    x = _atoms(p, rng.random(n))
+    proposals = _atoms(p, rng.random(n_sweeps * n))
     log_u = np.log(rng.random(n_sweeps * n))
     rows, cols = np.triu_indices(n, 1)
     ys = np.zeros((n, n))  # the symmetric Y, zero diagonal, scaled by sqrt(lambda/n)

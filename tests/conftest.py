@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from replica_lab import DomainError, InvalidArgumentError, SpikedInstance, free_entropy_mc, standard_priors
+from replica_lab import DomainError, InvalidArgumentError, SpikedInstance, derive_seed, free_entropy_mc, standard_priors
 from replica_lab.channel import make_evaluator
 
 
@@ -142,6 +142,12 @@ def mc_log_cosh(r, s, n_samples=10**7, seed=0):
         n_samples,
         seed,
     )
+
+
+def reference_streams(seed, count, *suffix):
+    """Reference for finite._streams: replica k's generator built on its own,
+    np.random.default_rng(derive_seed(seed, k, *suffix)), through numpy's SeedSequence."""
+    return [np.random.default_rng(derive_seed(seed, k, *suffix)) for k in range(count)]
 
 
 def reference_enum_table(atoms, n, symmetric):

@@ -38,7 +38,7 @@ from replica_lab.finite import enumeration_table
 from replica_lab.verify import kl_identity_check
 from replica_lab.priors import asymmetric_binary_prior, point_mass_prior
 
-from conftest import hamiltonian, reference_enum_table, reference_neg_energy, small_budget, unfold_table
+from conftest import hamiltonian, reference_enum_table, reference_neg_energy, reference_streams, small_budget, unfold_table
 
 
 def _logsumexp(a):
@@ -118,6 +118,18 @@ class TestSampling:
         for arr in (inst.spike, inst.noise, inst.y, zero.y):
             assert arr.dtype == np.float64 and not arr.flags.writeable
 
+    def test_caller_arrays_stay_writable(self):
+        # the instance stores read-only copies; the caller's arrays keep their flags and values
+        spike, noise = np.array([1.0, -1.0, 1.0]), np.array([0.3, -0.2, 0.1])
+        inst = SpikedInstance(spike, noise, 1.0)
+        spike[0], noise[0] = 5.0, 7.0
+        assert spike.flags.writeable and noise.flags.writeable
+        assert inst.spike.tolist() == [1.0, -1.0, 1.0] and inst.noise.tolist() == [0.3, -0.2, 0.1]
+        for arr in (inst.spike, inst.noise, inst.y):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
     def test_noise_clt(self, priors):
         # pooled residual y - sqrt(lam/n) x x^T is standard normal
         inst = sample_instance(priors["rademacher"], 150, 2.0, 5)
@@ -148,6 +160,18 @@ class TestSampling:
             rng = np.random.default_rng(derive_seed(seed, k) & ((1 << 64) - 1))
             assert same[k].tobytes() == fixed.tobytes()
             assert fixed_noises[k].tobytes() == rng.standard_normal(15).tobytes()
+
+    def test_replicas_do_not_depend_on_the_count(self, priors):
+        # replica k's spike and noise, and its path value at t = 0, a closed
+        # form in its spike and side noise z alone, are the same at any replica count
+        p, n, seed = priors["asym:0.7"], 5, 77
+        full = finite._draws(p, n, seed, 50)
+        t0_full = finite._phi_t_draws(p, n, 2.0, 0.5, 0.5, [0.0], 50, seed)
+        for count in (1, 2, 49):
+            for part, whole in zip(finite._draws(p, n, seed, count), full):
+                assert part.tobytes() == whole[:count].tobytes()
+            t0 = finite._phi_t_draws(p, n, 2.0, 0.5, 0.5, [0.0], count, seed)
+            assert t0.tobytes() == t0_full[:count].tobytes()
 
     @pytest.mark.parametrize(
         "call, message",
@@ -205,7 +229,7 @@ class TestSampling:
         p, word = priors["asym:0.7"], int(seed) % 2**64
         inst = sample_instance(p, 6, 2.0, seed)
         rng = np.random.default_rng(word)
-        assert inst.spike.tobytes() == finite._sample_atoms(p, 6, rng).tobytes()
+        assert inst.spike.tobytes() == finite._atoms(p, rng.random(6)).tobytes()
         assert inst.noise.tobytes() == rng.standard_normal(15).tobytes()
         est, ref = free_entropy_mc(p, 6, 2.0, 5, seed), free_entropy_mc(p, 6, 2.0, 5, word)
         assert (est.mean.hex(), est.stderr.hex()) == (ref.mean.hex(), ref.stderr.hex())
@@ -225,6 +249,64 @@ class TestSampling:
             assert "budget" not in inspect.signature(entry).parameters
             with pytest.raises(EnumerationBudgetError):
                 call()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no uint32 overflow warning may pass
+class TestStreams:
+    """finite._streams, the batched port of numpy's SeedSequence, against the per-replica reference."""
+
+    MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, 0x9E3779B97F4A7C15)
+    # the last suffix takes the entropy to 9 words, past the 4-word pool
+    SUFFIXES = ((), (1,), (2**40, 3, 0, 7, 2**64 - 1))
+
+    @pytest.mark.parametrize("suffix", SUFFIXES)
+    @pytest.mark.parametrize("count", [1, 2, 50, 401])
+    def test_streams_are_the_reference_generators(self, count, suffix):
+        for master in self.MASTERS:
+            ours = list(finite._streams(master, count, *suffix))
+            ref = reference_streams(master, count, *suffix)
+            assert len(ours) == count
+            for a, b in zip(ours, ref):
+                assert a.bit_generator.state == b.bit_generator.state
+                assert a.random(3).tobytes() == b.random(3).tobytes()
+
+    @pytest.mark.parametrize("suffix", SUFFIXES)
+    def test_seed_words_are_derive_seed(self, suffix):
+        for master in self.MASTERS:
+            words = finite._derived_seeds(master, 50, *suffix).astype(np.uint64)
+            seeds = words[:, 0] | words[:, 1] << np.uint64(32)
+            assert seeds.tolist() == [derive_seed(master, k, *suffix) for k in range(50)]
+
+    @pytest.mark.parametrize("length", [1, 2, 4, 5, 9])
+    def test_pool_and_state_are_numpys(self, length):
+        # the port's two halves against SeedSequence itself, an all-zero row included
+        rng = np.random.default_rng(length)
+        rows = rng.integers(0, 2**32, size=(6, length), dtype=np.uint64)
+        rows[0] = 0
+        for row in rows.tolist():
+            ref = np.random.SeedSequence(row)
+            pool = finite._pool(np.array([row], dtype=np.uint32))
+            assert pool[0].tolist() == ref.pool.tolist()
+            assert finite._generate(pool, 8)[0].tolist() == ref.generate_state(8).tolist()
+
+    def test_zero_high_word_pools_as_one_word(self):
+        # _streams hashes each seed as two words, numpy's SeedSequence(seed)
+        # as one when its high word is 0
+        for low in (0, 1, 2**32 - 1):
+            pool = finite._pool(np.array([[low, 0]], dtype=np.uint32))
+            assert pool[0].tolist() == np.random.SeedSequence(low).pool.tolist()
+
+    def test_counts_past_2_32_refused(self):
+        # replica k's entropy is one uint32 word
+        with pytest.raises(InvalidArgumentError, match="at most 2\\*\\*32 replicas"):
+            finite._derived_seeds(0, 2**32 + 1)
+
+    def test_pinned_bits(self, priors):
+        # recorded with numpy's SeedSequence and default_rng per replica: a
+        # change to numpy's seeding or stream policy fails here by name
+        assert derive_seed(123456789, 0) == 5976902797103608158
+        est = free_entropy_mc(priors["asym:0.7"], 6, 2.0, 5, 11)
+        assert (est.mean.hex(), est.stderr.hex()) == ("0x1.1de5f28da76c1p-4", "0x1.e597a2a3ab7fcp-5")
 
 
 class TestHamiltonian:

@@ -62,10 +62,10 @@ replicas times the rows, and _BLOCK_VALUES bounds the working memory.  What
 can move with the composition of a block is only what a BLAS product forms
 over several replicas at once: the kernel's parts, the path's odd side
 term, the overlaps, the Gibbs means, and the likelihood ratio's cross-sum
-GEMM (_log_likelihood_ratios), in their last bits.  free_entropy_mc and
-phi_of_t(t = 1) stay equal bit for bit: both are the same pass, and at
-t = 1, where the side coefficients are exact zeros, the path forms no side
-field, so its mirrors count as free_entropy_mc's do.
+GEMM (_log_likelihood_ratios), in their last bits.  phi_of_t(t = 1) stays
+equal bit for bit to free_entropy_mc, and with a window at a fixed spike to
+fp_potential: at t = 1 the side coefficients are exact zeros, the path forms
+no side field, and each pair is one pass over the same rows and draws.
 
 Sign fold: -H sees a configuration only through its pair products x_i x_j,
 so with a sign-symmetric prior x and -x have the same energy and prior mass.
@@ -83,18 +83,16 @@ Gibbs means over all configurations are exact zeros (nishimori_check).  A
 mirror's pair products, prior mass and square sums equal its
 representative's bit for bit, so its value is the one the kernel computes
 for its representative.  An asymmetric prior has no mirrors and runs the
-same code with nothing to repeat.  The path prices the representatives for
-a resampled and for a fixed spike alike, and drops the rows outside a
-window with a mask; only the Franz-Parisi windows (_window_estimate) select
-rows among all configurations, and price a mirror row reps + k as its
-representative k.
+same code with nothing to repeat.  A window, the Franz-Parisi potential's
+or the path's, is a set of _overlaps' columns (_window_rows), each priced as
+its representative by the Gibbs pass, a mirror's odd side field negated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -498,20 +496,19 @@ def _fold(top: np.ndarray, total: np.ndarray, a: np.ndarray, mirrors: int, lo=No
     opposite signs).  a and lo are overwritten with their exps relative to
     the new maximum, and scale = exp(old top - new top) rescales the old
     sums, so a Gibbs mean accumulates Sum exp * stat the same way (_gibbs).
-    A first block leaves the bits of a one-shot log-sum-exp over it, and a
-    row whose entries are all -inf keeps top -inf and total 0.
+    A block's entries are finite, at least one per row, and a first block
+    leaves the bits of a one-shot log-sum-exp over it.
     """
-    new = np.maximum(top, a.max(axis=-1, initial=-np.inf))
+    new = np.maximum(top, a.max(axis=-1))
     if lo is not None:
         np.maximum(new, lo.max(axis=-1, initial=-np.inf), out=new)
-    shift = np.where(new > -np.inf, new, 0.0)
-    scale = np.exp(top - shift)
-    a -= shift[..., None]
+    scale = np.exp(top - new)
+    a -= new[..., None]
     block = np.exp(a, out=a).sum(axis=-1)
     if lo is None:
         block += a[..., :mirrors].sum(axis=-1)
     else:
-        lo -= shift[..., None]
+        lo -= new[..., None]
         block += np.exp(lo, out=lo).sum(axis=-1)
     total *= scale
     total += block
@@ -541,19 +538,18 @@ def _window_index(overlap: np.ndarray, m: float, eps: float) -> np.ndarray:
 def _overlaps(table: EnumTable, spikes: np.ndarray, digits=None, block: slice = slice(None)) -> np.ndarray:
     """(D, configurations) R_{1,*} for each of the D spikes, in configuration order.
 
-    One GEMM over the representatives in block (all of them by default); the
-    mirrors of those among rows [:mirrors] follow with the negatives, so
-    column reps + k is row k negated, and a window's rows index these
-    columns.  With digits, the representatives' values are rounded to that
-    many digits before the mirrors are formed.  A -0.0 is read as 0.0.
+    One GEMM over the representatives, or those in block of a table without
+    mirrors; the mirrors follow with the negatives, so column reps + k is
+    row k negated, and a window's rows index these columns.  With digits,
+    the representatives' values are rounded to that many digits before the
+    mirrors are formed.  A -0.0 is read as 0.0.
     """
     overlap = spikes @ table.X[block].T
     overlap /= spikes.shape[1]
     if digits is not None:
         np.round(overlap, digits, out=overlap)
-    head = overlap[..., : max(0, table.mirrors - block.indices(table.reps)[0])]
-    if head.size:
-        overlap = np.concatenate([overlap, -head], axis=-1)
+    if table.mirrors:
+        overlap = np.concatenate([overlap, -overlap[..., : table.mirrors]], axis=-1)
     overlap += 0.0
     return overlap
 
@@ -601,50 +597,40 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
     return spike, None if budget is None else enumeration_table(p, n, budget)
 
 
-def _gibbs(table: EnumTable, rows, lams, draws, side=None, odd=None) -> np.ndarray:
-    """The Gibbs pass: (D, L) log Z at the L SNRs lams over the table rows
-    indexed by rows, or with rows None over the representatives and their
-    mirrors, for the disorder draws = (spikes, noises) of _log_weights.
+def _gibbs(table: EnumTable, rows, lams, draws, side=(None, None), odd=None) -> np.ndarray:
+    """The Gibbs pass: (D, L) log Z at the L SNRs lams over the configurations
+    rows (_overlaps' columns, each priced as its representative rows % reps),
+    or with rows None over the representatives and their mirrors, for the
+    disorder draws = (spikes, noises) of _log_weights.
 
     It walks _log_weights' blocks and, within each, the SNRs, folding each
-    into a per-(draw, SNR) online log-sum-exp (_fold).  side = (sq, field,
-    window) adds a one-body term at rows None: the even -sq[c] sum_i x_i^2,
-    the odd field(c, ks, spikes) . x, which a mirror takes with the opposite
-    sign, and, unless window is None, -inf outside the (m, eps) window of
-    R_{1,*}.  A column whose field is None (an exact zero) forms no field
-    product and no mirror copy: its mirrors count as their representatives,
-    as without a side term, or as a copy of them that the window masks, and
-    the bits are those of the zero field.  With odd, it returns instead the
-    (D, L, k) Gibbs means of statistics odd in x: odd(spikes, blk) gives a
-    block's values as arrays (rows, k_g) or (D, rows, k_g), k_g summing to
-    k, whose products with the fold's exps accumulate with the same
-    rescaling.  It adds no mirror's
-    statistic, so odd needs a table without mirrors or rows given; on a
-    sign-folded table the means are exact zeros, which nishimori_check
-    returns without a pass.
+    into a per-(draw, SNR) online log-sum-exp (_fold).  side = (sq, field)
+    adds the even -sq[c] sum_i x_i^2 and the odd field(c, ks, spikes) . x,
+    which a mirror takes with the opposite sign; a field None (an exact
+    zero) forms no field product and no mirror copy, with the zero field's
+    bits.  With odd, it returns instead the (D, L, k) Gibbs means of
+    statistics odd in x: odd(spikes, blk) gives a block's values as arrays
+    (rows, k_g) or (D, rows, k_g), k_g summing to k, accumulated with the
+    fold's rescaling.  It adds no mirror's statistic, so odd needs a table
+    without mirrors; a sign-folded table's means are exact zeros (nishimori_check).
     """
     lams = np.asarray(lams, dtype=np.float64)
     shape = (draws[0].shape[0], lams.size)
     top, total, sums = np.full(shape, -np.inf), np.zeros(shape), None
-    sq, field, window = (None, None, None) if side is None else side
-    paired = table.mirrors if rows is None else 0  # rows [:paired] have a mirror
-    for blk, ks, spikes, weights in _log_weights(table, rows, lams, draws, sq):
+    sq, field = side
+    priced, paired = (None, table.mirrors) if rows is None else (rows % table.reps, 0)  # [:paired] have mirrors
+    for blk, ks, spikes, weights in _log_weights(table, priced, lams, draws, sq):
         mirrors = max(0, min(blk.stop, paired) - blk.start)
-        if window is not None:
-            outside = _window_index(_overlaps(table, spikes, block=blk), *window) != 0
         for c in range(lams.size):
             a, lo = weights(c), None
             f = None if field is None else field(c, ks, spikes)
             if f is not None:
-                h = f @ table.X[blk].T
+                h = f @ table.X[blk if rows is None else priced[blk]].T
+                if rows is not None:
+                    np.negative(h, out=h, where=rows[blk] >= table.reps)
                 lo = a[:, :mirrors] - h[:, :mirrors]
                 a += h
                 del h
-            if window is not None:
-                if lo is None:
-                    lo = a[:, :mirrors].copy()
-                np.copyto(a, -np.inf, where=outside[:, : a.shape[1]])
-                np.copyto(lo, -np.inf, where=outside[:, a.shape[1] :])
             e, scale = _fold(top[ks, c], total[ks, c], a, mirrors, lo)
             if odd is not None:  # formed after the fold, so no block array waits beside the weights
                 block = np.concatenate([np.matmul(e[:, None], v)[:, 0] for v in odd(spikes, blk)], axis=-1)
@@ -656,15 +642,21 @@ def _gibbs(table: EnumTable, rows, lams, draws, side=None, odd=None) -> np.ndarr
     return _log_of(top, total) if odd is None else sums / total[..., None]
 
 
-def log_partition_exact(inst: SpikedInstance, p: Prior) -> EnumerationResult:
-    """log Z by stable log-sum-exp over all configurations, with the overlap law (DEFAULT_BUDGET)."""
+def _instance_pass(inst: SpikedInstance, p: Prior):
+    """(table, spike, exps, their total, log Z) of one instance in one fold (DEFAULT_BUDGET): the
+    one log Z of log_partition_exact and kl_log_likelihood_ratio, the mirrors counted in the total."""
     spike, table = _setup(p, inst.n, inst.lam, 1, DEFAULT_BUDGET, spike=inst.spike)
     blocks = _log_weights(table, None, [inst.lam], (spike[None], inst.noise[None]))
     top, total = np.full(1, -np.inf), np.zeros(1)
     e = _fold(top, total, np.concatenate([weights(0) for *_, weights in blocks], axis=1), table.mirrors)[0][0]
-    log_z = float(_log_of(top, total)[0])
+    return table, spike, e, total[0], float(_log_of(top, total)[0])
+
+
+def log_partition_exact(inst: SpikedInstance, p: Prior) -> EnumerationResult:
+    """log Z by stable log-sum-exp over all configurations, with the overlap law (DEFAULT_BUDGET)."""
+    table, spike, e, total, log_z = _instance_pass(inst, p)
     vals, inv = np.unique(_overlaps(table, spike[None], 9)[0], return_inverse=True)
-    mass = np.bincount(inv, weights=np.concatenate([e, e[: table.mirrors]]) / total[0])
+    mass = np.bincount(inv, weights=np.concatenate([e, e[: table.mirrors]]) / total)
     law = [(float(v), float(w)) for v, w in zip(vals, mass)]
     return EnumerationResult(log_z=log_z, overlap_law=law, config_count=table.reps + table.mirrors)
 
@@ -817,17 +809,20 @@ def _kl_pair_draws(p: Prior, n: int, lam: float, n_draws: int, seed: int, budget
 
 
 def kl_log_likelihood_ratio(inst: SpikedInstance, p: Prior):
-    """(log dP_lambda/dP_0 (Y), log Z) for one instance, equal by the
-    likelihood-ratio identity: one draw of _kl_pair_draws' two passes (DEFAULT_BUDGET)."""
-    spike, table = _setup(p, inst.n, inst.lam, 1, DEFAULT_BUDGET, spike=inst.spike)
-    log_z = _gibbs(table, None, [inst.lam], (spike[None], inst.noise[None]))[0, 0]
-    return float(_log_likelihood_ratios(inst.y[None], p, inst.n, inst.lam)[0]), float(log_z)
+    """(log dP_lambda/dP_0 (Y), log Z) for one instance, equal by the likelihood-ratio
+    identity: the ratio as _kl_pair_draws prices it, log Z log_partition_exact's (_instance_pass)."""
+    log_z = _instance_pass(inst, p)[-1]
+    return float(_log_likelihood_ratios(inst.y[None], p, inst.n, inst.lam)[0]), log_z
+
+
+def _window_rows(table: EnumTable, spike: np.ndarray, m: float, eps: float) -> np.ndarray:
+    """The configurations (_overlaps' columns, ascending) with R_{1,*} in [m, m + eps) at one spike."""
+    return np.flatnonzero(_window_index(_overlaps(table, spike[None])[0], m, eps) == 0)
 
 
 def _window_estimate(table: EnumTable, rows: np.ndarray, lam: float, draws, seed: int) -> McEstimate:
-    """Phi over the configurations rows (_overlaps' columns, ascending), mirrors as representatives."""
-    log_z = _gibbs(table, rows % table.reps, [lam], draws)[:, 0]
-    return _mc_estimate(log_z / table.X.shape[1], seed)
+    """Phi over the configurations rows (_overlaps' columns, ascending)."""
+    return _mc_estimate(_gibbs(table, rows, [lam], draws)[:, 0] / table.X.shape[1], seed)
 
 
 def fp_potential(
@@ -848,7 +843,7 @@ def fp_potential(
     unreachable window returns the -inf sentinel with empty_window set.
     """
     spike, table = _setup(p, n, lam, n_disorder, budget, (m, eps), spike)
-    rows = np.flatnonzero(_window_index(_overlaps(table, spike[None])[0], m, eps) == 0)
+    rows = _window_rows(table, spike, m, eps)
     return _window_estimate(table, rows, lam, _draws(p, n, seed, n_disorder, spike), seed)
 
 
@@ -910,15 +905,14 @@ def _phi_t_draws(
     columns alone fetches no table and is not held to the budget.  The
     other t are one Gibbs pass at the SNRs t lam with the side term: the even
     -(1-t) r/2 sum_i x_i^2 and the odd field sqrt((1-t) r) z + (1-t) s x*.
-    A window (restricted, an (m_window, eps) pair) couples the sites, so
-    every t, t = 0 included, goes through the pass, which drops the rows
-    outside it; a draw with none left gets -inf.  Where the field is an
-    exact zero (t = 1, or r = s = 0), the pass forms no field product and
-    no mirror copy (_gibbs), so t = 1 is free_entropy_mc's pass bit for bit,
-    and the t > 0 columns keep their bits whatever other t share the call
-    (_blocks does not depend on the SNR count).  Every t lies in [0, 1],
-    and r = lam q and s = lam m pass channel._check_scale at extent
-    max(q, |m|).
+    A window (restricted, an (m_window, eps) pair) couples the sites: every
+    t is then one pass per distinct spike over fp_potential's rows
+    (_window_rows), and a draw whose window is empty gets -inf.  At t = 1
+    the field is an exact zero and the pass is free_entropy_mc's, or with a
+    window and a fixed spike fp_potential's, bit for bit; a t's column keeps
+    its bits whatever other t share the call (_blocks does not depend on the
+    SNR count).  Every t lies in [0, 1], and r = lam q and s = lam m pass
+    channel._check_scale at extent max(q, |m|).
     """
     _check_nonnegative("q", q)
     _check_finite("m", m)
@@ -941,10 +935,16 @@ def _phi_t_draws(
         tp = t[~closed]
         side_z, side_s = np.sqrt((1.0 - tp) * r), (1.0 - tp) * s
 
-        def field(c, ks, spikes):
-            return None if side_z[c] == side_s[c] == 0.0 else side_z[c] * z[ks] + side_s[c] * spikes
+        def field(c, ks, spikes, z_g):  # z_g: the side noise of the pass's draws
+            return None if side_z[c] == side_s[c] == 0.0 else side_z[c] * z_g[ks] + side_s[c] * spikes
 
-        log_z[:, ~closed] = _gibbs(table, None, tp * lam, draws, ((1.0 - tp) * r / 2.0, field, restricted))
+        groups = [(None, np.ones(n_disorder, dtype=bool))]  # (rows, draws) of each pass
+        if restricted is not None:
+            spikes, group = np.unique(draws[0], axis=0, return_inverse=True)
+            groups = ((_window_rows(table, x, *restricted), group.ravel() == g) for g, x in enumerate(spikes))
+        for rows, ks in groups:
+            side = ((1.0 - tp) * r / 2.0, partial(field, z_g=z[ks]))
+            log_z[np.ix_(ks, ~closed)] = _gibbs(table, rows, tp * lam, (draws[0][ks], draws[1][ks]), side)
     return log_z / n
 
 
@@ -973,9 +973,9 @@ def nishimori_check(
 
     For a sign-symmetric prior the check is vacuous: the posterior is even in
     x (the data enter only through x x^T), so both sides vanish by the
-    x -> -x symmetry: a sign-folded table returns them as exact zeros
-    before any disorder is drawn or priced, and params["skipped"] says so.  Only a prior without the symmetry (asym:P,
-    point:C) tests the identity.
+    x -> -x symmetry: a sign-folded table returns them as exact zeros before
+    any disorder is drawn or priced, and params["skipped"] says so.  Only a
+    prior without the symmetry (asym:P, point:C) tests the identity.
     """
     _, table = _setup(p, n, lam, n_disorder, budget)
     _check_integer("seed", seed)  # a sign-folded table draws nothing, and the seed is still reported

@@ -3,7 +3,8 @@
 Each check produces a VerificationReport whose slack is >= 0 iff the check
 passes.  Deterministic checks carry zero standard error; Monte Carlo checks
 grant themselves exactly the allowance stated in their report.  The checks
-that price the scalar channel do so on the default 61-node rule.
+that price the scalar channel do so on the default 61-node rule.  The
+deterministic tolerances of the saddle, SE and KL checks carry the prior's scale (_scale).
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .report import VerificationReport
 from .rs import compute_curve, phi_rs, state_evolution
 
 
+def _scale(p: Prior) -> float:
+    """s = max(1, E[X^2]), 1 for the catalog priors: free entropies and log Z scale as s^2, q* as s."""
+    return max(1.0, second_moment(p))
+
+
 def tilt_asymmetry_check(p: Prior) -> VerificationReport:
     """psi_bar(r, r) >= psi_bar(r, -r) - 1e-10 for r in 0:10:0.25, in one asymmetry_gap call on the default rule."""
     r_grid, tol = np.arange(0.0, 10.0 + 1e-12, 0.25), 1e-10
@@ -37,8 +43,8 @@ def tilt_asymmetry_check(p: Prior) -> VerificationReport:
 
 
 def saddle_equivalence_check(p: Prior) -> VerificationReport:
-    """|sup_m inf_q F_bar - sup_q F| <= 1e-4 at lambda = 0.5, 1, 2, 4, on the default rule."""
-    lam_grid, tol = (0.5, 1.0, 2.0, 4.0), 1e-4
+    """|sup_m inf_q F_bar - sup_q F| <= 1e-4 s^2 at lambda = 0.5, 1, 2, 4, on the default rule."""
+    lam_grid, tol = (0.5, 1.0, 2.0, 4.0), 1e-4 * _scale(p) * _scale(p)
     gaps = [abs(row["saddle"] - row["phi_rs"]) for row in compute_curve(p, lam_grid)]
     worst = max(gaps)  # the first largest gap
     return VerificationReport.from_slack(
@@ -58,12 +64,12 @@ def kl_identity_check(
     seed: int,
     budget: int = DEFAULT_BUDGET,
 ) -> VerificationReport:
-    """Per-instance agreement of the log likelihood ratio with log Z, within 1e-10.
+    """Per-instance agreement of the log likelihood ratio with log Z, within 1e-10 s^2.
 
     The instances are sample_instance(p, n, lam, derive_seed(seed, k)) for
     k < n_instances, drawn stacked (finite._kl_pair_draws) rather than one by one.
     """
-    tol = 1e-10
+    tol = 1e-10 * _scale(p) * _scale(p)
     _check_count("n_instances", n_instances)
     llr, log_z = _kl_pair_draws(p, n, lam, n_instances, seed, budget)
     worst = float(np.abs(llr - log_z).max())
@@ -77,8 +83,8 @@ def kl_identity_check(
 
 
 def se_fixed_point_check(p: Prior, lam: float) -> VerificationReport:
-    """SE from the informative side converges to q* within 1e-5 (slack -inf if it does not converge), on the default rule."""
-    tol = 1e-5
+    """SE from the informative side converges to q* within 1e-5 s (slack -inf if it does not converge), on the default rule."""
+    tol = 1e-5 * _scale(p)
     m2 = second_moment(p)
     trace = state_evolution(p, lam, q0=0.9 * m2, tol=1e-10, max_iter=2000)
     q_star = phi_rs(p, lam).optimizer_q

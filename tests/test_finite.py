@@ -804,6 +804,17 @@ class TestKlIdentity:
         report = kl_identity_check(p, n, lam, draws, seed)
         assert report.params["max_abs_diff"] == float(np.abs(llr - log_z).max())
 
+    def test_one_log_z_per_instance(self):
+        # the pair's log Z is log_partition_exact's, bit for bit: one pass of
+        # the instance, not a second one blocked differently
+        for spec, n in (("rademacher", 12), ("rademacher", 16), ("sparse:0.25", 10), ("asym:0.7", 12),
+                        ("uniform:21", 4), ("point:0.7", 6)):
+            p = parse_prior_spec(spec)
+            for seed in range(10):
+                inst = sample_instance(p, n, 2.0, seed)
+                got, want = kl_log_likelihood_ratio(inst, p)[1], log_partition_exact(inst, p).log_z
+                assert got.hex() == want.hex(), (spec, n, seed)
+
     def test_zero_snr(self, priors):
         inst = sample_instance(priors["rademacher"], 8, 0.0, 3)
         llr, log_z = kl_log_likelihood_ratio(inst, priors["rademacher"])

@@ -152,22 +152,27 @@ class TestPhiOfT:
         )
         assert est.empty_window
 
-    @pytest.mark.parametrize("spec, n", [("rademacher", 8), ("sparse:0.25", 6), ("asym:0.7", 8)])
+    @pytest.mark.parametrize("spec, n", [("rademacher", 8), ("rademacher", 10), ("sparse:0.25", 6), ("sparse:0.25", 8),
+                                         ("asym:0.7", 8), ("asym:0.7", 10), ("uniform:21", 3)])
     def test_t_one_window_is_the_franz_parisi_potential(self, spec, n):
-        # at t = 1 the fixed-spike path over a window and fp_potential read the
-        # same draws: the path masks the representatives and their mirrors,
-        # fp_potential prices the window rows directly
-        p = parse_prior_spec(spec)
-        lam, draws, seed = 2.0, 12, 19
-        spike = sample_spike(p, n, 5)
-        for m_w, eps in ((-0.25, 0.5), (0.25, 0.5), (0.0, 0.25), (-9.0, 0.5)):
-            path = phi_of_t(p, n, lam, 0.5, 0.3, 1.0, draws, seed, restricted=(m_w, eps), spike=spike)
-            fp = fp_potential(p, n, lam, m_w, eps, spike, draws, seed)
-            assert path.empty_window == fp.empty_window == (m_w == -9.0)
-            if fp.empty_window:
-                assert path.mean == fp.mean == -math.inf
-            else:
-                assert path.mean == pytest.approx(fp.mean, rel=1e-13, abs=0.0)
+        # at t = 1 the side field is an exact zero, and the fixed-spike path
+        # prices its window's rows as fp_potential selects them, on the same
+        # draws: the same Gibbs pass, so mean and stderr keep their bits
+        p, lam, seed = parse_prior_spec(spec), 2.0, 19
+        windows = [(l * 0.25, 0.25) for l in range(-5, 5)] + [(-0.25, 0.5), (0.25, 0.5), (-9.0, 0.5)]
+        for spike_seed, draws, q in ((5, 12, 0.5), (7, 10, 0.7)):
+            spike = sample_spike(p, n, spike_seed)
+            reached = 0
+            for m_w, eps in windows:
+                path = phi_of_t(p, n, lam, q, 0.3, 1.0, draws, seed, restricted=(m_w, eps), spike=spike)
+                fp = fp_potential(p, n, lam, m_w, eps, spike, draws, seed)
+                assert path.empty_window == fp.empty_window
+                if fp.empty_window:
+                    assert path.mean == fp.mean == -math.inf and path.stderr == fp.stderr == 0.0
+                else:
+                    reached += 1
+                    assert (path.mean.hex(), path.stderr.hex()) == (fp.mean.hex(), fp.stderr.hex()), (m_w, eps)
+            assert fp.empty_window and reached >= 3  # (-9, 0.5) lies below every overlap
 
     @pytest.mark.parametrize("spike", [None, np.ones(6)])
     @pytest.mark.parametrize("window", [(math.nan, 0.25), (0.0, math.nan), (0.0, -0.5), (-math.inf, 1.0)])
@@ -246,7 +251,7 @@ class TestPathStart:
         for m in (q, -0.3):
             r, s = lam * q, lam * m
             got = _phi_t_draws(p, n, lam, q, m, [0.0], draws, seed, spike=spike)[:, 0]
-            side = (np.array([r / 2.0]), lambda c, ks, spikes: math.sqrt(r) * z[ks] + s * spikes, None)
+            side = (np.array([r / 2.0]), lambda c, ks, spikes: math.sqrt(r) * z[ks] + s * spikes)
             enumerated = finite._gibbs(table, None, [0.0], pass_draws, side)[:, 0] / n
             assert np.all(np.abs(got - enumerated) <= 2e-15), np.abs(got - enumerated).max()
             if m == q and not fixed:
@@ -270,24 +275,6 @@ class TestPathStart:
         monkeypatch.setattr(finite, "enumeration_table", refused)
         alone = _phi_t_draws(p, 8, 2.0, 0.5, 0.5, [0.0], 20, 1)[:, 0]
         assert [v.hex() for v in alone.tolist()] == [v.hex() for v in mixed.tolist()]
-
-    @pytest.mark.parametrize("spec, n", [("rademacher", 8), ("sparse:0.25", 6), ("asym:0.7", 8), ("uniform:21", 3)])
-    def test_t_one_window_is_the_franz_parisi_potential(self, spec, n):
-        # at t = 1 the side field is an exact zero: the pass forms no field
-        # product and no mirror copy, and the window still masks the
-        # representatives and their mirrors, so the path is the fixed-spike
-        # window's free entropy
-        p, lam, eps, draws, seed = parse_prior_spec(spec), 2.0, 0.25, 10, 19
-        spike = sample_spike(p, n, 7)
-        reached = 0
-        for l in range(-5, 5):
-            want = fp_potential(p, n, lam, l * eps, eps, spike, draws, seed)
-            got = phi_of_t(p, n, lam, 0.7, 0.3, 1.0, draws, seed, restricted=(l * eps, eps), spike=spike)
-            assert got.empty_window == want.empty_window
-            if not want.empty_window:
-                reached += 1
-                assert abs(got.mean - want.mean) <= 1e-13 * abs(want.mean), (l, got, want)
-        assert reached >= 3
 
 
 class TestSignFold:

@@ -19,6 +19,7 @@ from replica_lab import (
     verify,
     parse_prior_spec,
     run_suite,
+    second_moment,
 )
 from replica_lab.verify import se_fixed_point_check, tilt_asymmetry_check
 
@@ -79,6 +80,30 @@ class TestRunSuite:
         assert len(reports) == 14
         for r in reports:
             assert r.passed == (r.slack >= 0), (r.check, r.slack, r.passed)
+
+
+class TestPriorScale:
+    """The deterministic tolerances on the prior's scale s = max(1, E[X^2])."""
+
+    @pytest.mark.parametrize("spec", ["point:1e20", "point:1e70"])
+    def test_large_prior_passes_on_rounding(self, spec):
+        # the compared values reach s^2 (free entropies, log Z) or s (q*):
+        # absolute tolerances failed these checks on rounding alone
+        p = parse_prior_spec(spec)
+        s = p.values[0] ** 2
+        saddle, se = verify.saddle_equivalence_check(p), se_fixed_point_check(p, 2.0)
+        kl = verify.kl_identity_check(p, 4, 2.0, 3, 1)
+        assert (saddle.allowance, se.allowance, kl.allowance) == (1e-4 * s * s, 1e-5 * s, 1e-10 * s * s)
+        assert saddle.passed and se.passed and kl.passed
+
+    @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21"])
+    def test_catalog_tolerances_unchanged(self, spec):
+        # every catalog prior has E[X^2] = 1, so s = 1 and no bit moves
+        p = parse_prior_spec(spec)
+        assert second_moment(p).hex() == "0x1.0000000000000p+0"
+        reports = (verify.saddle_equivalence_check(p), se_fixed_point_check(p, 2.0),
+                   verify.kl_identity_check(p, 4, 2.0, 3, 1))
+        assert [r.allowance for r in reports] == [1e-4, 1e-5, 1e-10]
 
 
 class TestSeFixedPoint:

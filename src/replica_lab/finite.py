@@ -16,8 +16,8 @@ A single-site Metropolis sampler covers sizes beyond the enumeration budget.
 
 Every exact estimator is built from the same pieces: _configurations
 enumerates the configurations and keeps one per sign orbit (below), for the
-table and the likelihood ratio alike; _setup checks the inputs, one fixed
-spike of length n among them, and fetches the table for every one of them,
+table and the likelihood ratio alike; _setup checks the inputs (a window
+needs a fixed spike of length n) and fetches the table for every one of them,
 the likelihood-ratio pair (kl_log_likelihood_ratio) included; _draws
 fetches the disorder draws once as (spikes, noises), and _observations
 forms their Y, for one instance or for stacked draws; _overlaps gives
@@ -92,7 +92,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -246,9 +246,9 @@ class SpikedInstance:
     The constructor is the one way to build an instance, so equal parts give
     bit-identical Y, and dataclasses.replace rebuilds Y from the new parts.
     The spike is a nonempty 1-d array of n values, the noise a 1-d array of
-    its n(n-1)/2 pairs (InvalidArgumentError otherwise), and lambda is finite
-    and >= 0 (DomainError otherwise); the arrays are stored as read-only
-    float64 copies, so the caller's arrays stay as they were.
+    its n(n-1)/2 pairs (InvalidArgumentError otherwise), and their entries
+    and lambda are finite, lambda >= 0 (DomainError otherwise); the arrays
+    are read-only float64 copies, so the caller's arrays stay as they were.
     """
 
     spike: np.ndarray = field(repr=False)
@@ -265,6 +265,9 @@ class SpikedInstance:
         pairs = n * (n - 1) // 2
         if noise.shape != (pairs,):
             raise InvalidArgumentError(f"noise must have n(n-1)/2 = {pairs} entries, got shape {noise.shape}")
+        for name, arr in (("spike", spike), ("noise", noise)):
+            if not np.isfinite(arr).all():
+                raise DomainError(f"{name} entries must be finite")
         lam = _check_nonnegative("lambda", self.lam)
         y = _observations(spike, noise, lam)
         for arr in (spike, noise, y):
@@ -578,8 +581,8 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
     n is an integer >= 2, and lambda and n pass _check_energy_scale; a window
     (m, eps) has a start m that passes every m's rule (_check_finite) and a
     finite width eps > 0; n_disorder is an integer >= 1; a spike is one fixed
-    spike of shape (n,), with entries among the prior's atoms, with or without
-    a window; None (a resampled spike) stays None; budget None fetches no table.
+    spike of shape (n,), with entries among the prior's atoms, which a window
+    needs; None (a resampled spike) stays None; budget None fetches no table.
     """
     _check_count("n", n, 2)
     _check_energy_scale(p, n, lam)
@@ -588,6 +591,8 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
         _check_finite("m", m)
         _check_positive("eps", eps)
     _check_count("n_disorder", n_disorder)
+    if spike is None and window is not None:
+        raise InvalidArgumentError("an overlap window needs a fixed spike")
     if spike is not None:
         spike = np.asarray(spike, dtype=np.float64)
         if spike.shape != (n,):
@@ -905,14 +910,13 @@ def _phi_t_draws(
     columns alone fetches no table and is not held to the budget.  The
     other t are one Gibbs pass at the SNRs t lam with the side term: the even
     -(1-t) r/2 sum_i x_i^2 and the odd field sqrt((1-t) r) z + (1-t) s x*.
-    A window (restricted, an (m_window, eps) pair) couples the sites: every
-    t is then one pass per distinct spike over fp_potential's rows
-    (_window_rows), and a draw whose window is empty gets -inf.  At t = 1
-    the field is an exact zero and the pass is free_entropy_mc's, or with a
-    window and a fixed spike fp_potential's, bit for bit; a t's column keeps
-    its bits whatever other t share the call (_blocks does not depend on the
-    SNR count).  Every t lies in [0, 1], and r = lam q and s = lam m pass
-    channel._check_scale at extent max(q, |m|).
+    A window (restricted, an (m_window, eps) pair, at a fixed spike only)
+    couples the sites: the pass then prices fp_potential's rows at every t
+    (_window_rows), -inf for an empty window.  At t = 1 the field is an
+    exact zero and the pass is free_entropy_mc's, or fp_potential's, bit for
+    bit; a t's column keeps its bits whatever other t share the call (_blocks
+    does not depend on the SNR count).  Every t lies in [0, 1], and r = lam q
+    and s = lam m pass channel._check_scale at extent max(q, |m|).
     """
     _check_nonnegative("q", q)
     _check_finite("m", m)
@@ -935,16 +939,11 @@ def _phi_t_draws(
         tp = t[~closed]
         side_z, side_s = np.sqrt((1.0 - tp) * r), (1.0 - tp) * s
 
-        def field(c, ks, spikes, z_g):  # z_g: the side noise of the pass's draws
-            return None if side_z[c] == side_s[c] == 0.0 else side_z[c] * z_g[ks] + side_s[c] * spikes
+        def field(c, ks, spikes):
+            return None if side_z[c] == side_s[c] == 0.0 else side_z[c] * z[ks] + side_s[c] * spikes
 
-        groups = [(None, np.ones(n_disorder, dtype=bool))]  # (rows, draws) of each pass
-        if restricted is not None:
-            spikes, group = np.unique(draws[0], axis=0, return_inverse=True)
-            groups = ((_window_rows(table, x, *restricted), group.ravel() == g) for g, x in enumerate(spikes))
-        for rows, ks in groups:
-            side = ((1.0 - tp) * r / 2.0, partial(field, z_g=z[ks]))
-            log_z[np.ix_(ks, ~closed)] = _gibbs(table, rows, tp * lam, (draws[0][ks], draws[1][ks]), side)
+        rows = None if restricted is None else _window_rows(table, spike, *restricted)
+        log_z[:, ~closed] = _gibbs(table, rows, tp * lam, draws, ((1.0 - tp) * r / 2.0, field))
     return log_z / n
 
 

@@ -21,10 +21,10 @@ enumerated Franz-Parisi potential with inf_q F_hat at the same spike
 
 phi(t) is an exact-enumeration estimator like the others of the finite
 layer, and lives there: finite._phi_t_draws is one Gibbs pass over the
-table at the SNRs t lam with the side term added, for a resampled or a
-fixed spike alike, so phi(1) is the plain free-entropy estimator bit for
-bit on shared seeds, and with a window, which restricts the pass to its
-configurations as fp_potential's, at a fixed spike fp_potential.  At t = 0
+table at the SNRs t lam with the side term added, so phi(1) is the plain
+free-entropy estimator bit for bit on shared seeds.  A window restricts the
+pass to fp_potential's configurations at a fixed spike, the only spike a
+Franz-Parisi window has, and phi(1) is then fp_potential.  At t = 0
 without a window the sites decouple, and phi(0) is the one-site closed form
 (1/N) sum_i log sum_v w_v exp(sqrt(r) z_i v + s x*_i v - r v^2/2), the
 scalar channel that phi_RS is built from, on the same draws; with a
@@ -73,10 +73,10 @@ def phi_of_t(
     restricted is an optional (m_window, eps) pair selecting configurations
     with R_{1,*} in [m_window, m_window + eps); spike fixes the planted
     vector instead of resampling it per disorder draw.  Both are checked as
-    in fp_potential: finite m_window, finite eps > 0, and a spike of n atoms
-    of the prior.  An unreachable window yields the -inf sentinel, and the
-    enumeration runs under DEFAULT_BUDGET.  At t = 1 with a window and a
-    spike it is fp_potential's pass over the same rows, bit for bit.
+    in fp_potential: finite m_window, finite eps > 0, a spike of n atoms of
+    the prior, and a window only with a spike.  An unreachable window yields
+    the -inf sentinel, and the enumeration runs under DEFAULT_BUDGET.  At
+    t = 1 a window gives fp_potential's pass over the same rows, bit for bit.
     """
     vals = _phi_t_draws(p, n, lam, q, m, [t], n_disorder, seed, restricted=restricted, spike=spike)[:, 0]
     return _mc_estimate(vals, seed)

@@ -289,8 +289,8 @@ def reference_phi_t_draws(p, n, lam, q, m, t_values, n_disorder, seed, restricte
     Takes each draw's energy at SNR t lam from reference_neg_energy, then per
     draw and per t forms the even part, the odd side term as one (n,) @
     (n, rows) product, joins the mirrors (even - odd) to the representatives
-    (even + odd) with one concatenation, keeps a resampled spike's window rows
-    and takes one log-sum-exp over what is left (-inf over no row).
+    (even + odd) with one concatenation, and takes one log-sum-exp over them
+    (-inf over no row).  A window needs a fixed spike, and keeps its rows.
     """
     from replica_lab import finite
 
@@ -309,16 +309,12 @@ def reference_phi_t_draws(p, n, lam, q, m, t_values, n_disorder, seed, restricte
     x, logw, sumsq = table.X[rows], table.logw[rows], table.sumsq[rows]
     out = np.empty((n_disorder, len(t_values)))
     for k, (spike_k, noise_k) in enumerate(zip(spikes, noises)):
-        keep = slice(None)
-        if spike is None and restricted is not None:
-            overlap = x @ spike_k / n
-            keep = finite._window_index(np.concatenate([overlap, -overlap[:mirrors]]), *restricted) == 0
         z = np.random.default_rng(finite.derive_seed(seed, k, 1) & ((1 << 64) - 1)).standard_normal(n)
         for c, t in enumerate(t_values):
             energy = reference_neg_energy(SpikedInstance(spike_k, noise_k, t * lam), table)[rows]
             even = logw + energy - (1.0 - t) * r / 2.0 * sumsq
             odd = (math.sqrt((1.0 - t) * r) * z + (1.0 - t) * s * spike_k) @ x.T
-            a = np.concatenate([even + odd, even[:mirrors] - odd[:mirrors]])[keep]
+            a = np.concatenate([even + odd, even[:mirrors] - odd[:mirrors]])
             top = a.max(initial=-np.inf)
             out[k, c] = top if top == -np.inf else (top + np.log(np.exp(a - top).sum())) / n
     return out

@@ -89,6 +89,11 @@ class TestSampling:
             ([1.0, -1.0], [0.3], -1.0, DomainError, "lambda must be finite and >= 0"),
             ([1.0, -1.0], [0.3], math.nan, DomainError, "lambda must be finite and >= 0"),
             ([1.0, -1.0], [0.3], math.inf, DomainError, "lambda must be finite and >= 0"),
+            # a non-finite part would reach log Z and the KL ratio as NaN
+            ([1.0, 1.0], [math.nan], 1.0, DomainError, "noise entries must be finite"),
+            ([1.0, 1.0, 1.0], [0.1, math.inf, 0.3], 1.0, DomainError, "noise entries must be finite"),
+            ([math.nan, 1.0], [0.3], 1.0, DomainError, "spike entries must be finite"),
+            ([1.0, -math.inf], [0.3], 1.0, DomainError, "spike entries must be finite"),
         ],
     )
     def test_parts_checked(self, spike, noise, lam, error, message):
@@ -876,6 +881,11 @@ class TestFpPotential:
             fp_profile(p, 10, 2.0, 0.0, np.ones(10), 5, 1)
         with pytest.raises(InvalidArgumentError, match="n must be >= 2, got 1"):
             fp_profile(p, 1, 2.0, 0.25, np.ones(1), 5, 1)
+        # a Franz-Parisi window is a fixed-spike object
+        with pytest.raises(InvalidArgumentError, match="an overlap window needs a fixed spike"):
+            fp_potential(p, 10, 2.0, 0.0, 0.25, None, 5, 1)
+        with pytest.raises(InvalidArgumentError, match="an overlap window needs a fixed spike"):
+            fp_profile(p, 10, 2.0, 0.25, None, 5, 1)
 
     def test_empty_window_sentinel(self, priors):
         est = fp_potential(priors["rademacher"], 8, 1.0, -2.0, 0.1, np.ones(8), 5, 1)

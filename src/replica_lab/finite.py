@@ -67,6 +67,18 @@ equal bit for bit to free_entropy_mc, and with a window at a fixed spike to
 fp_potential: at t = 1 the side coefficients are exact zeros, the path forms
 no side field, and each pair is one pass over the same rows and draws.
 
+Storage: the table (EnumTable) holds each representative as its atom
+indices, uint8 for up to 256 atoms, beside its three invariants: n + 24
+bytes, where float64 values took 8n + 24.  The pass gathers a row block's
+values from the indices once, transposed for its pair features, and shares
+them across the block's draw blocks and SNRs; every BLAS product reads its
+operand in the layout it read when the table held values, so every value
+keeps its bits.  _overlaps gathers a chunk at a time.  _configurations and
+_enum_table build the table in chunks of _CHUNK_VALUES site values, so no
+atom_count^n x n temporary and no reps x n float array exists; the
+invariants are per-row reductions, so a chunk's rows keep the bits of one
+pass over the table.
+
 Sign fold: -H sees a configuration only through its pair products x_i x_j,
 so with a sign-symmetric prior x and -x have the same energy and prior mass.
 _configurations, the rule's one place, then keeps only the representatives,
@@ -107,9 +119,19 @@ DEFAULT_BUDGET = 2**20
 
 # Values held per block of the Gibbs pass: 2**16 doubles (512 KB).  It sizes
 # the row and draw blocks of the energy kernel (_blocks), so that every array
-# the pass forms stays within it, and the likelihood ratio's draw blocks and
-# chunks of its (x_L, x_R) grid.
+# the pass forms stays within it, the chunks of the overlaps (_overlaps), and
+# the likelihood ratio's draw blocks and chunks of its (x_L, x_R) grid.
 _BLOCK_VALUES = 2**16
+
+# Site values held per chunk of the table build: 2**18, a 2 MB chunk of
+# doubles (_configurations, _enum_table).  It is four blocks, not one: glibc's
+# malloc raises its mmap threshold to the largest block it frees and its trim
+# threshold to twice that, and after a build in chunks of one block a warm
+# Gibbs pass returned its block arrays to the system and faulted them back in
+# block after block (75,000 page faults and 1.5x the time of
+# free_entropy_mc(rademacher, 20, 2.0, 20, 7), 2-CPU Intel Xeon).
+_CHUNK_VALUES = 2**18
+
 
 def _seed_word(seed) -> int:
     """The layer's one seed rule: an integer seed (Python or numpy, negative included) mod 2**64,
@@ -334,10 +356,16 @@ class EnumTable:
 
     For a sign-symmetric prior each of rows [:mirrors] also stands for its
     mirror, its negation, which is not stored; any other prior has none.
-    The configurations number reps + mirrors.
+    The configurations number reps + mirrors.  A representative is stored
+    as its n atom indices (uint8 for up to 256 atoms), so with its three
+    invariants it takes n + 24 bytes, where its float64 values took 8n + 24.
+    The table is built a chunk at a time (_configurations, _enum_table), and
+    a consumer gathers the values of the rows it prices a block at a time;
+    X materializes all of them at each read, and no package path reads it.
     """
 
-    X: np.ndarray        # (reps, n) configuration values
+    digits: np.ndarray   # (reps, n) atom indices
+    values: np.ndarray   # (atoms,) atom values, a -0.0 as +0.0
     logw: np.ndarray     # (reps,) log prior mass
     pairsq: np.ndarray   # (reps,) sum_{i<j} x_i^2 x_j^2
     sumsq: np.ndarray    # (reps,) sum_i x_i^2
@@ -345,7 +373,12 @@ class EnumTable:
 
     @property
     def reps(self) -> int:
-        return self.X.shape[0]
+        return self.digits.shape[0]
+
+    @property
+    def X(self) -> np.ndarray:
+        """(reps, n) values of the representatives."""
+        return self.values.take(self.digits)
 
 
 @dataclass(frozen=True)
@@ -357,44 +390,89 @@ class EnumerationResult:
     config_count: int
 
 
+def _chunks(count: int, n: int, values: int):
+    """Slices of range(count) in chunks of values // n rows (at least one)."""
+    step = max(1, values // n)
+    return (slice(r, min(r + step, count)) for r in range(0, count, step))
+
+
 def _configurations(values, n: int, symmetric: bool):
     """(digits, mirrors): n sites' configurations as atom indices, site k the k-th base-a digit.
 
     With symmetric, the sign orbits' representatives: the rows whose first
     nonzero atom is positive (rows [:mirrors], each with a mirror), then the
     all-zero row if 0 is an atom.  Otherwise every row, and mirrors is 0.
+
+    The index range is walked in chunks of a^low rows, low the most sites
+    whose rows fit in _CHUNK_VALUES values (at least one).  Within a chunk
+    the low sites run through one template of their a^low rows and the
+    others are fixed, so a row's first nonzero atom is its template row's
+    or, if that row is all zeros, the fixed sites'.  Each chunk writes the
+    template rows it keeps into their place in the result, so no other
+    array spans the configurations.
     """
     a = len(values)
-    digits = np.empty((a**n, n), dtype=np.min_scalar_type(a - 1))
-    for k in range(n):  # digit k counts up once every a^k rows
-        digits[:, k] = np.tile(np.repeat(np.arange(a, dtype=digits.dtype), a**k), a ** (n - 1 - k))
-    if not symmetric:
-        return digits, 0
-    sign = np.sign(values).astype(np.int8)[digits]
-    lead = np.take_along_axis(sign, (sign != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
-    del sign
-    paired = np.flatnonzero(lead > 0)
-    return digits[np.concatenate([paired, np.flatnonzero(lead == 0)])], paired.size
+    sign = np.sign(values).astype(np.int8)
+    low = n
+    while low > 1 and a**low * n > _CHUNK_VALUES:
+        low -= 1
+    index = np.arange(a**low)
+    template = np.empty((index.size, low), dtype=np.min_scalar_type(a - 1))
+    for k in range(low):  # digit k counts up once every a^k rows
+        template[:, k] = index // a**k % a
+    s = sign[template]
+    lead = np.take_along_axis(s, (s != 0).argmax(axis=1)[:, None], axis=1)[:, 0]  # 0 for an all-zero row
+    zero_rows = int((sign == 0).sum()) ** n
+    paired = (a**n - zero_rows) // 2 if symmetric else 0  # the nonzero rows pair off
+    digits = np.empty((paired + zero_rows if symmetric else a**n, n), dtype=template.dtype)
+    at = [0, paired]  # where the next paired and the next all-zero row go
+    none, positive, nonnegative, zero = template[:0], template[lead > 0], template[lead >= 0], template[lead == 0]
+    for h in range(a ** (n - low)):
+        high = [h // a**k % a for k in range(n - low)]  # the fixed sites' digits
+        if not symmetric:
+            kept = (template, none)
+        else:  # a template row with lead 0 takes the fixed sites' lead
+            high_lead = next((sign[d] for d in high if sign[d]), 0)
+            kept = (nonnegative if high_lead > 0 else positive, zero if high_lead == 0 else none)
+        for slot, rows in enumerate(kept):
+            out = digits[at[slot] : at[slot] + len(rows)]
+            out[:, :low] = rows
+            out[:, low:] = high
+            at[slot] += len(rows)
+    return digits, paired
 
 
 @lru_cache(maxsize=4)
 def _enum_table(atoms: tuple, n: int, symmetric: bool) -> EnumTable:
-    """_configurations' rows (the representatives if symmetric) with their values and even invariants."""
+    """_configurations' rows (the representatives if symmetric) with their even invariants."""
     values = np.array([v for v, _ in atoms]) + 0.0  # a -0.0 atom enters as +0.0
     logw = np.log(np.array([w for _, w in atoms]))
     digits, mirrors = _configurations(values, n, symmetric)
     # The invariants are even in x, so a mirror's are its representative's.
     # Each gathers a per-atom value through the digits, which is x^2, x^4 or
-    # log w of that row's entries bit for bit.  x^4 is the square of x^2, not
+    # log w of that row's entries bit for bit, into one (rows, n) chunk
+    # array, a site at a time, and reduces it per row, so a chunk's rows keep
+    # the bits of one pass over the table.  x^4 is the square of x^2, not
     # numpy's x**4: that is a pow, about ten times slower on negative bases.
     sq = np.square(values)
-    sumsq = sq[digits].sum(axis=1)
-    pairsq = 0.5 * (sumsq**2 - np.square(sq)[digits].sum(axis=1))
-    logw_cfg = logw[digits].sum(axis=1)
-    x = values[digits]
-    for arr in (x, logw_cfg, pairsq, sumsq):
+    reps = digits.shape[0]
+    logw_cfg, pairsq, sumsq = (np.empty(reps) for _ in range(3))
+    chunk = np.empty((min(reps, max(1, _CHUNK_VALUES // n)), n))  # the longest chunk
+
+    def row_sums(per_atom, d):
+        rows = chunk[: d.shape[0]]
+        for k in range(n):
+            rows[:, k] = per_atom[d[:, k]]
+        return rows.sum(axis=1)
+
+    for blk in _chunks(reps, n, _CHUNK_VALUES):
+        d = digits[blk]
+        sumsq[blk] = row_sums(sq, d)
+        pairsq[blk] = 0.5 * (sumsq[blk] ** 2 - row_sums(np.square(sq), d))
+        logw_cfg[blk] = row_sums(logw, d)
+    for arr in (digits, values, logw_cfg, pairsq, sumsq):
         arr.setflags(write=False)
-    return EnumTable(X=x, logw=logw_cfg, pairsq=pairsq, sumsq=sumsq, mirrors=mirrors)
+    return EnumTable(digits=digits, values=values, logw=logw_cfg, pairsq=pairsq, sumsq=sumsq, mirrors=mirrors)
 
 
 def enumeration_table(p: Prior, n: int, budget: int = DEFAULT_BUDGET) -> EnumTable:
@@ -431,7 +509,7 @@ def _blocks(rows: int, n: int, n_draws: int):
 
 
 def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None):
-    """The energy kernel: yield (blk, ks, spikes, weights) per row block and draw block.
+    """The energy kernel: yield (blk, ks, spikes, xt, weights) per row block and draw block.
 
     rows None prices the whole table, and the consumer counts the mirrors
     of rows [:table.mirrors] itself (_gibbs); an index array names
@@ -439,9 +517,11 @@ def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None):
     representative).  draws = (spikes, noises) holds the disorder draws as
     (D, n) and (D, P) arrays, read by every row block; the draw count is
     theirs.  blk slices the row block's positions among the priced rows, ks
-    the block's draw indices, and spikes holds their (D, n) spikes.
-    weights(c) returns the (D, rows) log prior mass - H of the block's rows
-    for its draws at SNR lams[c],
+    the block's draw indices, and spikes holds their (D, n) spikes.  xt holds
+    the row block's values transposed, (n, rows) and C-contiguous, gathered
+    once from the digits and shared by its draw blocks and SNRs.  weights(c)
+    returns the (D, rows) log prior mass - H of the block's rows for its
+    draws at SNR lams[c],
 
         -H(x) = sqrt(lam/N) Q_W + (lam/N) S - (lam/2N) pairsq,
         Q_W = sum_{i<j} W_ij x_i x_j,   S = sum_{i<j} x*_i x*_j x_i x_j,
@@ -457,7 +537,7 @@ def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None):
     consumers that share the priced rows and draw count share every kernel
     call, and no array spans the draws times the rows.
     """
-    n = table.X.shape[1]
+    n = table.digits.shape[1]
     i, j = np.triu_indices(n, 1)
     spikes, noises = draws
     n_draws = spikes.shape[0]
@@ -469,7 +549,7 @@ def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None):
     for r0 in range(0, count, r_step):
         blk = slice(r0, min(r0 + r_step, count))
         sel = blk if rows is None else rows[blk]
-        xt = np.ascontiguousarray(table.X[sel].T)
+        xt = table.values.take(table.digits[sel].T)
         features = xt[i]
         features *= xt[j]
         base = table.logw[sel] - lams / (2.0 * n) * table.pairsq[sel]
@@ -486,7 +566,7 @@ def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None):
                 a += base[c]
                 return a
 
-            yield blk, ks, spikes[ks], weights
+            yield blk, ks, spikes[ks], xt, weights
 
 
 def _fold(top: np.ndarray, total: np.ndarray, a: np.ndarray, mirrors: int, lo=None):
@@ -538,22 +618,31 @@ def _window_index(overlap: np.ndarray, m: float, eps: float) -> np.ndarray:
         return np.floor(index, out=index)
 
 
-def _overlaps(table: EnumTable, spikes: np.ndarray, digits=None, block: slice = slice(None)) -> np.ndarray:
+def _overlap(spikes: np.ndarray, x: np.ndarray, decimals=None) -> np.ndarray:
+    """(D, rows) R_{1,*} of the rows x (rows, n) for each of the D spikes: one
+    product, rounded to decimals if given, a -0.0 read as 0.0."""
+    overlap = spikes @ x.T
+    overlap /= spikes.shape[1]
+    if decimals is not None:
+        np.round(overlap, decimals, out=overlap)
+    overlap += 0.0
+    return overlap
+
+
+def _overlaps(table: EnumTable, spikes: np.ndarray, decimals=None) -> np.ndarray:
     """(D, configurations) R_{1,*} for each of the D spikes, in configuration order.
 
-    One GEMM over the representatives, or those in block of a table without
-    mirrors; the mirrors follow with the negatives, so column reps + k is
-    row k negated, and a window's rows index these columns.  With digits,
-    the representatives' values are rounded to that many digits before the
-    mirrors are formed.  A -0.0 is read as 0.0.
+    One _overlap per chunk of _BLOCK_VALUES values of the representatives,
+    written into its columns; the mirrors follow with the negatives, so
+    column reps + k is column k negated, and a window's rows index these
+    columns.  An entry is one spike's product with one row, which the tests
+    hold to one product over every configuration at several chunkings.
     """
-    overlap = spikes @ table.X[block].T
-    overlap /= spikes.shape[1]
-    if digits is not None:
-        np.round(overlap, digits, out=overlap)
-    if table.mirrors:
-        overlap = np.concatenate([overlap, -overlap[..., : table.mirrors]], axis=-1)
-    overlap += 0.0
+    reps = table.reps
+    overlap = np.empty((spikes.shape[0], reps + table.mirrors))
+    for blk in _chunks(reps, table.digits.shape[1], _BLOCK_VALUES):
+        overlap[:, blk] = _overlap(spikes, table.values.take(table.digits[blk]), decimals)
+    np.subtract(0.0, overlap[:, : table.mirrors], out=overlap[:, reps:])  # 0.0 - 0.0 is +0.0
     return overlap
 
 
@@ -614,23 +703,27 @@ def _gibbs(table: EnumTable, rows, lams, draws, side=(None, None), odd=None) -> 
     which a mirror takes with the opposite sign; a field None (an exact
     zero) forms no field product and no mirror copy, with the zero field's
     bits.  With odd, it returns instead the (D, L, k) Gibbs means of
-    statistics odd in x: odd(spikes, blk) gives a block's values as arrays
-    (rows, k_g) or (D, rows, k_g), k_g summing to k, accumulated with the
-    fold's rescaling.  It adds no mirror's statistic, so odd needs a table
-    without mirrors; a sign-folded table's means are exact zeros (nishimori_check).
+    statistics odd in x: odd(spikes, x) gives them from a block's (rows, n)
+    values x as arrays (rows, k_g) or (D, rows, k_g), k_g summing to k,
+    accumulated with the fold's rescaling.  It adds no mirror's statistic,
+    so odd needs a table without mirrors; a sign-folded table's means are
+    exact zeros (nishimori_check).
     """
     lams = np.asarray(lams, dtype=np.float64)
     shape = (draws[0].shape[0], lams.size)
     top, total, sums = np.full(shape, -np.inf), np.zeros(shape), None
     sq, field = side
     priced, paired = (None, table.mirrors) if rows is None else (rows % table.reps, 0)  # [:paired] have mirrors
-    for blk, ks, spikes, weights in _log_weights(table, priced, lams, draws, sq):
+    for blk, ks, spikes, xt, weights in _log_weights(table, priced, lams, draws, sq):
         mirrors = max(0, min(blk.stop, paired) - blk.start)
+        if ks.start == 0 and (field is not None or odd is not None):  # a row block's first draw block
+            # (rows, n) C-contiguous: a product over the (n, rows) xt itself rounds differently
+            x = np.ascontiguousarray(xt.T)
         for c in range(lams.size):
             a, lo = weights(c), None
             f = None if field is None else field(c, ks, spikes)
             if f is not None:
-                h = f @ table.X[blk if rows is None else priced[blk]].T
+                h = f @ x.T
                 if rows is not None:
                     np.negative(h, out=h, where=rows[blk] >= table.reps)
                 lo = a[:, :mirrors] - h[:, :mirrors]
@@ -638,7 +731,7 @@ def _gibbs(table: EnumTable, rows, lams, draws, side=(None, None), odd=None) -> 
                 del h
             e, scale = _fold(top[ks, c], total[ks, c], a, mirrors, lo)
             if odd is not None:  # formed after the fold, so no block array waits beside the weights
-                block = np.concatenate([np.matmul(e[:, None], v)[:, 0] for v in odd(spikes, blk)], axis=-1)
+                block = np.concatenate([np.matmul(e[:, None], v)[:, 0] for v in odd(spikes, x)], axis=-1)
                 if sums is None:
                     sums = np.zeros(shape + block.shape[-1:])
                 sums[ks, c] *= scale[:, None]
@@ -827,7 +920,7 @@ def _window_rows(table: EnumTable, spike: np.ndarray, m: float, eps: float) -> n
 
 def _window_estimate(table: EnumTable, rows: np.ndarray, lam: float, draws, seed: int) -> McEstimate:
     """Phi over the configurations rows (_overlaps' columns, ascending)."""
-    return _mc_estimate(_gibbs(table, rows, [lam], draws)[:, 0] / table.X.shape[1], seed)
+    return _mc_estimate(_gibbs(table, rows, [lam], draws)[:, 0] / table.digits.shape[1], seed)
 
 
 def fp_potential(
@@ -982,7 +1075,7 @@ def nishimori_check(
         means = np.zeros((n_disorder, n + 1))
     else:
         means = _gibbs(table, None, [lam], _draws(p, n, seed, n_disorder),
-                       odd=lambda spikes, blk: (table.X[blk], _overlaps(table, spikes, 9, blk)[..., None]))[:, 0]
+                       odd=lambda spikes, x: (x, _overlap(spikes, x, 9)[..., None]))[:, 0]
     r12, r1s = (means[:, :n] ** 2).mean(axis=1), means[:, n]
     mean_diff, se = _mean_stderr(r12 - r1s)
     delta, se = abs(float(mean_diff)), float(se)

@@ -337,19 +337,15 @@ def _run(args) -> int:
         header["lambda"] = lam = _one_lambda(args.lam)
         _check_count("n", args.n, 2)  # the exact estimators' rule, before the spike is drawn
         spike = sample_spike(prior, args.n, derive_seed(seed, 0, 2))
-        if args.m is not None:
-            est = fp_potential(prior, args.n, lam, args.m, args.eps, spike, args.disorder,
-                               derive_seed(seed, 1), args.budget)
-            profile = [(args.m / args.eps, est)]
+        if args.m is not None:  # the window's start as given: m / eps can overflow
+            profile = [(args.m, fp_potential(prior, args.n, lam, args.m, args.eps, spike, args.disorder,
+                                             derive_seed(seed, 1), args.budget))]
         else:
-            profile = fp_profile(prior, args.n, lam, args.eps, spike, args.disorder,
-                                 derive_seed(seed, 1), args.budget)
-        rows = [
-            mc_csv_record(args.n, lam, f"fp[m={_fmt(l * args.eps)};eps={_fmt(args.eps)}]", est)
-            for l, est in profile
-        ]
+            profile = [(l * args.eps, est) for l, est in fp_profile(
+                prior, args.n, lam, args.eps, spike, args.disorder, derive_seed(seed, 1), args.budget)]
+        rows = [mc_csv_record(args.n, lam, f"fp[m={_fmt(m)};eps={_fmt(args.eps)}]", est) for m, est in profile]
         _emit(args, header, MC_CSV_FIELDS, rows)
-        _maybe_plot(args, [l * args.eps for l, _ in profile],
+        _maybe_plot(args, [m for m, _ in profile],
                     [[est.mean for _, est in profile]], ["Phi_eps"],
                     f"Franz-Parisi profile ({prior.name})", "m", "Phi_eps")
         return 0

@@ -46,7 +46,10 @@ make the same kernel calls.  The bits of a replica's energies, though, can
 move with n_disorder: sparse:0.25 at N = 8 (seed 5) gives replicas 0-2 with
 2, 2 and 2 of their 3,281 energies that differ between 3 and 40 replicas,
 by at most 7.1e-15, and their log Z by at most 4.4e-16 (3 against 40 or
-400 replicas).
+400 replicas).  They do not move with the machine's threads: the pass holds
+numpy's bundled OpenBLAS to one thread, and its walkers (below) split only
+the draw blocks, so every value has the same bits on one CPU or two and at
+any OPENBLAS_NUM_THREADS.
 
 Per-block combine: the pass builds a row block's pair features once and
 takes the kernel's (Q_W, S) for each draw block of it with one GEMM.  It
@@ -66,6 +69,21 @@ GEMM (_log_likelihood_ratios), in their last bits.  phi_of_t(t = 1) stays
 equal bit for bit to free_entropy_mc, and with a window at a fixed spike to
 fp_potential: at t = 1 the side coefficients are exact zeros, the path forms
 no side field, and each pair is one pass over the same rows and draws.
+
+Walkers: with two usable CPUs and at least two draw blocks, the pass
+walks the first and second half of its draw blocks at once, one on the
+calling thread and one on a second thread, each over every row block; a
+(replica, SNR) fold never reads another draw block, so the halves share
+nothing but the read-only table and draws, and each walker writes only its
+own replicas' running sums.  The whole pass holds numpy's bundled OpenBLAS
+to one thread, whose count it sets and restores through ctypes: two
+walkers beside two BLAS threads made sparse:0.25's Guerra check (n = 10,
+50 draws) 33-53% slower on a 2-CPU Xeon.  So every product runs on one
+thread as in the sequential one-thread pass, and its bits do not depend on
+the walker count, the CPU count or OPENBLAS_NUM_THREADS.  Each walker
+reuses block buffers that the calling thread allocates before the walks
+start (_scratch), each within _BLOCK_VALUES values: a walker over
+sparse:0.25 at n = 9 with 60 draws traces 1.5-1.9 MB.
 
 Storage: the table (EnumTable) holds each representative as its atom
 indices, uint8 for up to 256 atoms, beside its three invariants: n + 24
@@ -102,7 +120,11 @@ its representative by the Gibbs pass, a mirror's odd side field negated.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -508,20 +530,44 @@ def _blocks(rows: int, n: int, n_draws: int):
     return max(1, min(rows, _BLOCK_VALUES // m, _BLOCK_VALUES // 2 // d_step)), d_step
 
 
-def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None):
+def _scratch(n: int, r_step: int, d_step: int, snrs: int, *extra) -> dict:
+    """The block buffers of one walk over the Gibbs pass, flat float64 arrays
+    sized for its largest block and viewed block by block through _shaped.
+
+    The kernel's (_log_weights) are xt (n, rows), features (P, rows), parts
+    (2 draws, rows), base (snrs, rows), and a and tmp (draws, rows); extra
+    names the consumer's, x (rows, n) and h (draws, rows) (_gibbs).  parts
+    also holds a row block's second pair factors (P, rows), and tmp its
+    atom indices (n, rows), before its weights are formed, and tmp _gibbs'
+    mirror terms and odd statistic after.  The caller allocates them, so a
+    walk on another thread allocates no block.
+    """
+    cells, pairs = d_step * r_step, n * (n - 1) // 2
+    sizes = {"xt": n * r_step, "x": n * r_step, "features": pairs * r_step, "parts": max(2 * d_step, pairs) * r_step,
+             "base": snrs * r_step, "a": cells, "tmp": max(d_step, n) * r_step, "h": cells}
+    return {name: np.empty(sizes[name]) for name in ("xt", "features", "parts", "base", "a", "tmp", *extra)}
+
+
+def _shaped(buffer: np.ndarray, *shape) -> np.ndarray:
+    """A C-contiguous array of the given shape over buffer's first values."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None, part=slice(None), scratch=None):
     """The energy kernel: yield (blk, ks, spikes, xt, weights) per row block and draw block.
 
     rows None prices the whole table, and the consumer counts the mirrors
     of rows [:table.mirrors] itself (_gibbs); an index array names
     representatives, and one may appear twice (a mirror is priced as its
     representative).  draws = (spikes, noises) holds the disorder draws as
-    (D, n) and (D, P) arrays, read by every row block; the draw count is
-    theirs.  blk slices the row block's positions among the priced rows, ks
-    the block's draw indices, and spikes holds their (D, n) spikes.  xt holds
-    the row block's values transposed, (n, rows) and C-contiguous, gathered
-    once from the digits and shared by its draw blocks and SNRs.  weights(c)
-    returns the (D, rows) log prior mass - H of the block's rows for its
-    draws at SNR lams[c],
+    (D, n) and (D, P) arrays; the draw count is theirs.  part selects the
+    draw blocks walked, by their index in _blocks' partition of the D
+    draws, and every row block is walked for each.  blk slices the row
+    block's positions among the priced rows, ks the block's draw indices,
+    and spikes holds their (D, n) spikes.  xt holds the row block's values
+    transposed, (n, rows) and C-contiguous, gathered once from the digits
+    and shared by its draw blocks and SNRs.  weights(c) returns the (D, rows)
+    log prior mass - H of the block's rows for its draws at SNR lams[c],
 
         -H(x) = sqrt(lam/N) Q_W + (lam/N) S - (lam/2N) pairsq,
         Q_W = sum_{i<j} W_ij x_i x_j,   S = sum_{i<j} x*_i x*_j x_i x_j,
@@ -530,12 +576,15 @@ def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None):
     base is logw - (lam/2N) pairsq, minus side_sq[c] sumsq when side_sq is
     given.  Q_W and S do not depend on lambda, and both are linear in the
     pair features x_i x_j, which are built once per row block; one GEMM of a
-    draw block's stacked coefficients [noises; spike pair products] against
-    them gives both, draw-major.  Every entry then takes the same
-    elementwise steps at any block shape, so its bits depend only on its
-    draw's kernel value and its coefficients.  _blocks sizes every block, so
-    consumers that share the priced rows and draw count share every kernel
-    call, and no array spans the draws times the rows.
+    draw block's stacked coefficients [noises; spike pair products], formed
+    once per walk, against them gives both, draw-major.  Every entry then
+    takes the same elementwise steps at any block shape, so its bits depend
+    only on its draw's kernel value and its coefficients.  _blocks sizes
+    every block, so consumers that share the priced rows and draw count
+    share every kernel call, and no array spans the draws times the rows.
+
+    Every block array is a view of scratch (_scratch, allocated here when
+    None), which the next block, or the next weights call, overwrites.
     """
     n = table.digits.shape[1]
     i, j = np.triu_indices(n, 1)
@@ -543,26 +592,33 @@ def _log_weights(table: EnumTable, rows, lams, draws, side_sq=None):
     n_draws = spikes.shape[0]
     count = table.reps if rows is None else rows.size
     r_step, d_step = _blocks(count, n, n_draws)
-    pairs = spikes[:, i] * spikes[:, j]
     lams = np.asarray(lams, dtype=np.float64)[:, None]
     c_w, c_s = np.sqrt(lams / n), lams / n
+    buf = _scratch(n, r_step, d_step, lams.shape[0]) if scratch is None else scratch
+    coefs = [(ks, np.concatenate([noises[ks], spikes[ks, i] * spikes[ks, j]]))
+             for ks in [slice(k, min(k + d_step, n_draws)) for k in range(0, n_draws, d_step)][part]]
     for r0 in range(0, count, r_step):
         blk = slice(r0, min(r0 + r_step, count))
         sel = blk if rows is None else rows[blk]
-        xt = table.values.take(table.digits[sel].T)
-        features = xt[i]
-        features *= xt[j]
-        base = table.logw[sel] - lams / (2.0 * n) * table.pairsq[sel]
-        if side_sq is not None:
-            base -= side_sq[:, None] * table.sumsq[sel]
-        for k in range(0, n_draws, d_step):
-            ks = slice(k, min(k + d_step, n_draws))
-            parts = np.concatenate([noises[ks], pairs[ks]]) @ features
-            q_w, s = parts[: ks.stop - k], parts[ks.stop - k :]
+        width = blk.stop - r0
+        index = _shaped(buf["tmp"].view(np.intp), n, width)
+        np.copyto(index, table.digits[sel].T)
+        xt = table.values.take(index, out=_shaped(buf["xt"], n, width), mode="clip")
+        features = np.take(xt, i, axis=0, out=_shaped(buf["features"], i.size, width), mode="clip")
+        features *= np.take(xt, j, axis=0, out=_shaped(buf["parts"], i.size, width), mode="clip")
+        base = _shaped(buf["base"], lams.shape[0], width)
+        for c, row in enumerate(base):  # an SNR at a time: a broadcast over two axes buffers its operands
+            np.subtract(table.logw[sel], np.multiply(lams[c] / (2.0 * n), table.pairsq[sel], out=row), out=row)
+            if side_sq is not None:
+                row -= side_sq[c] * table.sumsq[sel]
+        for ks, coef in coefs:
+            d = ks.stop - ks.start
+            parts = np.matmul(coef, features, out=_shaped(buf["parts"], 2 * d, width))
 
-            def weights(c, q_w=q_w, s=s, base=base):
-                a = c_w[c] * q_w
-                a += c_s[c] * s
+            def weights(c, q_w=parts[:d], s=parts[d:], base=base, a=_shaped(buf["a"], d, width),
+                        tmp=_shaped(buf["tmp"], d, width)):
+                np.multiply(c_w[c], q_w, out=a)
+                a += np.multiply(c_s[c], s, out=tmp)
                 a += base[c]
                 return a
 
@@ -618,10 +674,10 @@ def _window_index(overlap: np.ndarray, m: float, eps: float) -> np.ndarray:
         return np.floor(index, out=index)
 
 
-def _overlap(spikes: np.ndarray, x: np.ndarray, decimals=None) -> np.ndarray:
+def _overlap(spikes: np.ndarray, x: np.ndarray, decimals=None, out=None) -> np.ndarray:
     """(D, rows) R_{1,*} of the rows x (rows, n) for each of the D spikes: one
-    product, rounded to decimals if given, a -0.0 read as 0.0."""
-    overlap = spikes @ x.T
+    product (into out if given), rounded to decimals if given, a -0.0 read as 0.0."""
+    overlap = np.matmul(spikes, x.T, out=out)
     overlap /= spikes.shape[1]
     if decimals is not None:
         np.round(overlap, decimals, out=overlap)
@@ -691,6 +747,71 @@ def _setup(p: Prior, n: int, lam: float, n_disorder: int, budget: int, window=No
     return spike, None if budget is None else enumeration_table(p, n, budget)
 
 
+@lru_cache(maxsize=1)
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, through
+    ctypes, or None where numpy links another BLAS.  Looked up at the first
+    pass: importing replica_lab makes no lookup."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)  # dlsym searches its dependencies too
+        get, set_count = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_count.argtypes, set_count.restype = [ctypes.c_int], None
+    return get, set_count
+
+
+# The BLAS thread count is one per process, so passes on several threads
+# take turns in _one_blas_thread, and each restores the count it found.
+_BLAS_SCOPE = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS to one thread inside, restoring its
+    previous count on exit, exceptions included; yields whether it could."""
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, set_count = blas
+    with _BLAS_SCOPE:
+        count = get()
+        set_count(1)
+        try:
+            yield True
+        finally:
+            set_count(count)
+
+
+def _walkers(walk, args: list) -> list:
+    """[walk(*a) for a in args], the first on the calling thread and each of
+    the others on a thread of its own.  Once every walk has ended, the first
+    exception that one raised is raised on the calling thread."""
+    results, errors = [None] * len(args), []
+
+    def run(k):
+        try:
+            results[k] = walk(*args[k])
+        except BaseException as e:  # raised again below, on the calling thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(args))]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _gibbs(table: EnumTable, rows, lams, draws, side=(None, None), odd=None) -> np.ndarray:
     """The Gibbs pass: (D, L) log Z at the L SNRs lams over the configurations
     rows (_overlaps' columns, each priced as its representative rows % reps),
@@ -703,50 +824,79 @@ def _gibbs(table: EnumTable, rows, lams, draws, side=(None, None), odd=None) -> 
     which a mirror takes with the opposite sign; a field None (an exact
     zero) forms no field product and no mirror copy, with the zero field's
     bits.  With odd, it returns instead the (D, L, k) Gibbs means of
-    statistics odd in x: odd(spikes, x) gives them from a block's (rows, n)
-    values x as arrays (rows, k_g) or (D, rows, k_g), k_g summing to k,
+    statistics odd in x: odd(spikes, x, out) gives them from a block's
+    (rows, n) values x as arrays (rows, k_g) or (D, rows, k_g), k_g summing
+    to k, one of them perhaps formed in out, a (D, rows) block buffer, and
     accumulated with the fold's rescaling.  It adds no mirror's statistic,
     so odd needs a table without mirrors; a sign-folded table's means are
     exact zeros (nishimori_check).
+
+    The pass holds numpy's bundled OpenBLAS to one thread (_one_blas_thread).
+    With at least two draw blocks and two usable CPUs (os.sched_getaffinity)
+    it walks the first and the second half of the draw blocks (the first the
+    larger by one when their count is odd) at once, on the calling thread
+    and one other (_walkers), each walker with its own block buffers
+    (_scratch); the module docstring's Walkers says why every value keeps
+    the one-thread sequential pass's bits.  Without that OpenBLAS, the pass
+    is the sequential walk at its BLAS's own threading.
     """
     lams = np.asarray(lams, dtype=np.float64)
-    shape = (draws[0].shape[0], lams.size)
-    top, total, sums = np.full(shape, -np.inf), np.zeros(shape), None
+    n_draws, n = draws[0].shape
+    shape = (n_draws, lams.size)
+    top, total = np.full(shape, -np.inf), np.zeros(shape)
     sq, field = side
     priced, paired = (None, table.mirrors) if rows is None else (rows % table.reps, 0)  # [:paired] have mirrors
-    for blk, ks, spikes, xt, weights in _log_weights(table, priced, lams, draws, sq):
-        mirrors = max(0, min(blk.stop, paired) - blk.start)
-        if ks.start == 0 and (field is not None or odd is not None):  # a row block's first draw block
-            # (rows, n) C-contiguous: a product over the (n, rows) xt itself rounds differently
-            x = np.ascontiguousarray(xt.T)
-        for c in range(lams.size):
-            a, lo = weights(c), None
-            f = None if field is None else field(c, ks, spikes)
-            if f is not None:
-                h = f @ x.T
-                if rows is not None:
-                    np.negative(h, out=h, where=rows[blk] >= table.reps)
-                lo = a[:, :mirrors] - h[:, :mirrors]
-                a += h
-                del h
-            e, scale = _fold(top[ks, c], total[ks, c], a, mirrors, lo)
-            if odd is not None:  # formed after the fold, so no block array waits beside the weights
-                block = np.concatenate([np.matmul(e[:, None], v)[:, 0] for v in odd(spikes, x)], axis=-1)
-                if sums is None:
-                    sums = np.zeros(shape + block.shape[-1:])
-                sums[ks, c] *= scale[:, None]
-                sums[ks, c] += block
-            del a, e, f, lo  # before the next weights are formed
-    return _log_of(top, total) if odd is None else sums / total[..., None]
+    r_step, d_step = _blocks(table.reps if priced is None else priced.size, n, n_draws)
+
+    def walk(part, buf):
+        first, sums, x_rows = part.start * d_step, None, None
+        for blk, ks, spikes, xt, weights in _log_weights(table, priced, lams, draws, sq, part, buf):
+            d, width, mirrors = ks.stop - ks.start, blk.stop - blk.start, max(0, min(blk.stop, paired) - blk.start)
+            if "x" in buf and x_rows is not blk:  # a row block's first draw block in this walk
+                # (rows, n) C-contiguous: a product over the (n, rows) xt itself rounds differently
+                x = _shaped(buf["x"], width, n)
+                np.copyto(x, xt.T)
+                x_rows = blk
+            if field is not None:
+                h, mirror = _shaped(buf["h"], d, width), _shaped(buf["tmp"], d, mirrors)
+            for c in range(lams.size):
+                a, lo = weights(c), None
+                f = None if field is None else field(c, ks, spikes)
+                if f is not None:
+                    np.matmul(f, x.T, out=h)
+                    if rows is not None:
+                        np.negative(h, out=h, where=rows[blk] >= table.reps)
+                    lo = np.subtract(a[:, :mirrors], h[:, :mirrors], out=mirror)
+                    a += h
+                e, scale = _fold(top[ks, c], total[ks, c], a, mirrors, lo)
+                if odd is not None:
+                    stats = odd(spikes, x, _shaped(buf["tmp"], *e.shape))
+                    block = np.concatenate([np.matmul(e[:, None], v)[:, 0] for v in stats], axis=-1)
+                    if sums is None:
+                        sums = np.zeros((min(part.stop * d_step, n_draws) - first,) + shape[1:] + block.shape[-1:])
+                    own = slice(ks.start - first, ks.stop - first)
+                    sums[own, c] *= scale[:, None]
+                    sums[own, c] += block
+        return sums
+
+    blocks = -(-n_draws // d_step)
+    extra = ("x",) * (field is not None or odd is not None) + ("h",) * (field is not None)
+    with _one_blas_thread() as one_thread:
+        two = one_thread and blocks > 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+        parts = [slice(0, (blocks + 1) // 2), slice((blocks + 1) // 2, blocks)] if two else [slice(0, blocks)]
+        sums = _walkers(walk, [(part, _scratch(n, r_step, d_step, lams.size, *extra)) for part in parts])
+    return _log_of(top, total) if odd is None else np.concatenate(sums) / total[..., None]
 
 
 def _instance_pass(inst: SpikedInstance, p: Prior):
     """(table, spike, exps, their total, log Z) of one instance in one fold (DEFAULT_BUDGET): the
     one log Z of log_partition_exact and kl_log_likelihood_ratio, the mirrors counted in the total."""
     spike, table = _setup(p, inst.n, inst.lam, 1, DEFAULT_BUDGET, spike=inst.spike)
-    blocks = _log_weights(table, None, [inst.lam], (spike[None], inst.noise[None]))
+    a = np.empty((1, table.reps))
+    for blk, *_, weights in _log_weights(table, None, [inst.lam], (spike[None], inst.noise[None])):
+        a[:, blk] = weights(0)
     top, total = np.full(1, -np.inf), np.zeros(1)
-    e = _fold(top, total, np.concatenate([weights(0) for *_, weights in blocks], axis=1), table.mirrors)[0][0]
+    e = _fold(top, total, a, table.mirrors)[0][0]
     return table, spike, e, total[0], float(_log_of(top, total)[0])
 
 
@@ -813,6 +963,7 @@ def free_entropy_mc(
     return _mc_estimate(log_z / n, seed)
 
 
+@_one_blas_thread()
 def _log_likelihood_ratios(ys: np.ndarray, p: Prior, n: int, lam: float) -> np.ndarray:
     """log dP_lambda/dP_0 (Y) per row of ys, the (draws, pairs) Y_ij over i < j.
 
@@ -837,7 +988,10 @@ def _log_likelihood_ratios(ys: np.ndarray, p: Prior, n: int, lam: float) -> np.n
     values in each array (at least one draw), and the (x_L, x_R) grid of
     exponents is formed a chunk of x_L at a time, at most 2 _BLOCK_VALUES
     values (at least one x_L), and folded into a per-draw online log-sum-exp
-    (_fold), so no array spans the draws times the configurations.
+    (_fold), so no array spans the draws times the configurations.  Like the
+    Gibbs pass it holds numpy's bundled OpenBLAS to one thread: after a
+    product on two threads, OpenBLAS's second thread spins for about 0.12 s
+    of CPU, and a following pass's second walker would contend with it.
     """
     atoms, h = len(p.atoms), n // 2
     i, j = np.triu_indices(n, 1)
@@ -1075,7 +1229,7 @@ def nishimori_check(
         means = np.zeros((n_disorder, n + 1))
     else:
         means = _gibbs(table, None, [lam], _draws(p, n, seed, n_disorder),
-                       odd=lambda spikes, x: (x, _overlap(spikes, x, 9)[..., None]))[:, 0]
+                       odd=lambda spikes, x, out: (x, _overlap(spikes, x, 9, out)[..., None]))[:, 0]
     r12, r1s = (means[:, :n] ** 2).mean(axis=1), means[:, n]
     mean_diff, se = _mean_stderr(r12 - r1s)
     delta, se = abs(float(mean_diff)), float(se)

@@ -138,6 +138,13 @@ class TestCommands:
         lines = [l for l in out.splitlines() if not l.startswith(("#", "n,"))]
         assert len(lines) == 1 and "fp[m=0;eps=0.5]" in lines[0]
 
+    def test_fp_single_window_labelled_with_its_start(self, capsys):
+        # the label is --m itself: m / eps overflows at 1e308 and read m=inf
+        code, out, _ = run_cli(["fp", "--n", "4", "--disorder", "3", "--m", "1e308"], capsys)
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith(("#", "n,"))]
+        assert len(rows) == 1 and rows[0][2:5] == ["fp[m=1e+308;eps=0.25]", "-inf", "0"]
+
     def test_fp_empty_window_writes_minus_inf(self, capsys):
         # no configuration reaches R >= 5: the -inf sentinel, as text in JSON
         args = ["fp", "--n", "4", "--disorder", "3", "--m", "5"]

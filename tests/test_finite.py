@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -57,6 +58,77 @@ def _reference_llr(inst, table):
     pp = table.X[:, i] * table.X[:, j]
     exponents = (0.5 * inst.y**2 - 0.5 * (inst.y - coef * pp) ** 2).sum(axis=1)
     return _logsumexp(table.logw + exponents)
+
+
+def _one_cpu(code: str) -> str:
+    """Standard output of code, run by a fresh interpreter held to one of this
+    process's CPUs (os.sched_setaffinity acts on that process only), with
+    the package and this directory importable."""
+    here = Path(__file__).resolve().parent
+    script = f"import os\nos.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n{code}"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def _pass_peaks() -> list:
+    """The traced peak bytes of four Gibbs-pass consumers, each called once
+    warm: sparse:0.25 at n = 9 (9,842 representatives) and asym:0.7 at n = 11
+    (2,048), whose 60 draws make two draw blocks."""
+    p, n, draws = parse_prior_spec("sparse:0.25"), 9, 60
+    asym = parse_prior_spec("asym:0.7")
+    enumeration_table(p, n)
+    enumeration_table(asym, 11)
+    calls = (
+        lambda: free_entropy_mc(p, n, 2.0, draws, 3),
+        lambda: guerra_slope_check(p, n, 2.0, 0.5, n_disorder=draws, seed=3),
+        lambda: finite._kl_pair_draws(p, n, 2.0, draws, 5),
+        lambda: nishimori_check(asym, 11, 1.0, draws, 3),
+    )
+    peaks = []
+    for call in calls:
+        call()  # a first call may import modules (np.unique loads numpy.ma)
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+# (prior, n, draws): sparse:0.25 at n = 9 has 9,842 representatives and
+# 36-draw blocks, so 61 draws make two uneven draw blocks (31 + 30) and 100
+# make three (34 + 34 + 32), walked as two and one; asym:0.7 at n = 11 makes
+# two with 60; rademacher at n = 8 with 9 draws makes one, and no second
+# walker.  While the pass ran at OpenBLAS's own thread count, two threads
+# moved the last bits of sparse:0.25's log Z at 61 draws and asym:0.7's path.
+WALKER_INPUTS = [("rademacher", 8, 9), ("sparse:0.25", 9, 61), ("sparse:0.25", 9, 100), ("asym:0.7", 11, 60)]
+
+
+def _consumer_values() -> dict:
+    """float.hex of every Gibbs-pass consumer's values on WALKER_INPUTS: the
+    pass's per-draw log Z at two SNRs, the free entropy, the KL pair, the
+    Franz-Parisi profile and one window, the Guerra path with its odd side
+    field, the path over a window that holds mirrors (a negated field), and
+    asym:0.7's Nishimori odd means at two and three draw blocks."""
+    values = {}
+    for spec, n, draws in WALKER_INPUTS:
+        p, key = parse_prior_spec(spec), f"{spec}|{n}|{draws}"
+        spike = sample_spike(p, n, 4)
+        pass_draws = finite._draws(p, n, 3, draws)
+        values[key + "|log_z"] = np.ravel(finite._gibbs(enumeration_table(p, n), None, [0.5, 2.0], pass_draws))
+        values[key + "|free_entropy"] = [free_entropy_mc(p, n, 2.0, draws, 3).mean]
+        values[key + "|kl"] = np.ravel(finite._kl_pair_draws(p, n, 2.0, draws, 5))
+        values[key + "|fp_profile"] = [est.mean for _, est in fp_profile(p, n, 2.0, 0.25, spike, draws, 3)]
+        values[key + "|fp_potential"] = [fp_potential(p, n, 2.0, -0.25, 0.25, spike, draws, 3).mean]
+        values[key + "|path"] = np.ravel(finite._phi_t_draws(p, n, 2.0, 0.5, 0.3, [0.0, 0.4, 1.0], draws, 3))
+        values[key + "|window"] = np.ravel(finite._phi_t_draws(
+            p, n, 2.0, 0.5, 0.3, [0.4, 1.0], draws, 3, restricted=(-0.5, 0.75), spike=spike))
+    for n, draws in ((11, 60), (9, 130)):  # 2,048 rows in two blocks, 512 in three
+        rep = nishimori_check(parse_prior_spec("asym:0.7"), n, 0.5, draws, 3)
+        values[f"asym:0.7|{n}|{draws}|nishimori"] = [rep.slack, rep.stderr, rep.params["mean_r12"],
+                                                      rep.params["mean_r1s"]]
+    return {key: [float(v).hex() for v in vals] for key, vals in values.items()}
 
 
 class TestSampling:
@@ -622,29 +694,19 @@ class TestBatchedKernel:
             r_step, d_step = finite._blocks(table.reps, n, 40)
             assert r_step < table.reps and d_step < 40
 
-    def test_default_budget_bounds_the_pass(self, priors):
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_default_budget_bounds_the_pass(self, monkeypatch):
         # with the table built, no array of the pass spans the draws times
         # the priced rows: sparse:0.25 at n = 9 holds 60 x 9,842 values in
-        # the kernel's parts alone (9.4 MB for Q_W and S) before streaming
-        p, n, draws = priors["sparse:0.25"], 9, 60
-        asym = priors["asym:0.7"]
-        enumeration_table(p, n)
-        enumeration_table(asym, 11)
-        calls = (
-            lambda: free_entropy_mc(p, n, 2.0, draws, 3),
-            lambda: guerra_slope_check(p, n, 2.0, 0.5, n_disorder=draws, seed=3),
-            lambda: finite._kl_pair_draws(p, n, 2.0, draws, 5),
-            lambda: nishimori_check(asym, 11, 1.0, draws, 3),
-        )
-        for call in calls:
-            call()  # a first call may import modules (np.unique loads numpy.ma)
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2 * 2**20
+        # the kernel's parts alone (9.4 MB for Q_W and S) before streaming.
+        # One walker's block buffers stay within 2 MB, on one CPU; two
+        # walkers each hold a draw block's kernel parts and weights, so the
+        # two-walker pass stays within two walkers' 2 MB
+        one_cpu = ast.literal_eval(_one_cpu("from test_finite import _pass_peaks\nprint(_pass_peaks())"))
+        assert all(peak < 2 * 2**20 for peak in one_cpu), one_cpu
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        two_walkers = _pass_peaks()
+        assert all(peak < 2 * 2 * 2**20 for peak in two_walkers), two_walkers
 
     def test_block_constant_bounds_temporaries(self, monkeypatch, priors):
         # 400 draws x 256 rows: at 2**12 values per block each array of the
@@ -830,11 +892,10 @@ class TestTableStorage:
             tracemalloc.stop()
         assert peak < stored + 3 * 2**20
 
-    @pytest.mark.xfail(strict=True, reason="the check's last bits depend on the OpenBLAS thread count")
     def test_nishimori_bits_do_not_depend_on_blas_threads(self):
-        # run_suite's asym:0.7 Nishimori check at lambda = 0.5: one and two
-        # OpenBLAS threads give the same means but slack, stderr and
-        # allowance apart in their last bit
+        # run_suite's asym:0.7 Nishimori check at lambda = 0.5, whose slack,
+        # stderr and allowance moved by an ulp between one and two OpenBLAS
+        # threads while the pass ran at the library's thread count
         script = (
             "from replica_lab import derive_seed, nishimori_check, parse_prior_spec\n"
             "r = nishimori_check(parse_prior_spec('asym:0.7'), 12, 0.5, 50, derive_seed(123456789, 102))\n"
@@ -847,6 +908,96 @@ class TestTableStorage:
             out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
             outputs.append(out.stdout.split())
         assert outputs[0] == outputs[1]
+
+
+class TestWalkers:
+    """Two draw-block walkers under one BLAS thread give the one-CPU pass's bits."""
+
+    @pytest.fixture
+    def blas(self):
+        if finite._openblas() is None:
+            pytest.skip("numpy links no bundled OpenBLAS, so the pass never splits")
+        return finite._openblas()
+
+    def walker_counts(self, monkeypatch):
+        counts, walkers = [], finite._walkers
+
+        def spy(walk, args):
+            counts.append(len(args))
+            return walkers(walk, args)
+
+        monkeypatch.setattr(finite, "_walkers", spy)
+        return counts
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_consumers_match_the_one_cpu_pass(self, monkeypatch, blas):
+        # the one-CPU side walks the draw blocks in order on one thread; this
+        # side walks them on two, whatever the CPUs of the host
+        one = ast.literal_eval(_one_cpu("from test_finite import _consumer_values\nprint(_consumer_values())"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        counts = self.walker_counts(monkeypatch)
+        two = _consumer_values()
+        assert set(counts) == {1, 2}
+        assert one.keys() == two.keys()
+        for key in one:
+            assert one[key] == two[key], key
+
+    def test_split_under_fast_thread_switching(self, monkeypatch, blas, priors):
+        # the walkers write disjoint draws of the pass's running sums: with
+        # the interpreter switching threads every microsecond, a lost update
+        # would move some draw's log Z away from the one-walker pass's
+        p, n = priors["sparse:0.25"], 9
+        table = enumeration_table(p, n)
+        counts = self.walker_counts(monkeypatch)
+        interval = sys.getswitchinterval()
+        for draws in (61, 100, 200):
+            pass_draws = finite._draws(p, n, 5, draws)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            one = finite._gibbs(table, None, [0.5, 2.0], pass_draws)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            try:
+                sys.setswitchinterval(1e-6)
+                two = finite._gibbs(table, None, [0.5, 2.0], pass_draws)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(one, two), draws
+        assert counts == [1, 2] * 3
+
+    @pytest.mark.parametrize("failing", ["calling", "second"])
+    def test_walker_error_reaches_the_caller(self, monkeypatch, blas, priors, failing):
+        # an exception in either walker is raised by the pass once both have
+        # ended, and OpenBLAS's thread count is restored
+        get, set_count = blas
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        counts = self.walker_counts(monkeypatch)
+        p, n = priors["sparse:0.25"], 9
+        table, draws = enumeration_table(p, n), finite._draws(p, n, 3, 61)
+        threads = []
+
+        def field(c, ks, spikes):
+            threads.append(get())
+            if (threading.current_thread() is threading.main_thread()) == (failing == "calling"):
+                raise KeyError(f"{failing} walker")
+            return spikes
+
+        before = get()
+        try:
+            set_count(2)
+            with pytest.raises(KeyError, match=f"{failing} walker"):
+                finite._gibbs(table, None, [2.0], draws, (None, field))
+            assert get() == 2
+        finally:
+            set_count(before)
+        assert counts == [2] and set(threads) == {1}
+
+    def test_without_bundled_openblas_the_pass_is_sequential(self, monkeypatch, priors):
+        # another BLAS: one walker, at the BLAS's own threading
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(finite, "_openblas", lambda: None)
+        counts = self.walker_counts(monkeypatch)
+        p, n = priors["sparse:0.25"], 9
+        est = free_entropy_mc(p, n, 2.0, 61, 3)
+        assert counts == [1] and math.isfinite(est.mean)
 
 
 class TestKlIdentity:

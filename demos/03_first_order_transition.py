@@ -20,8 +20,8 @@ from replica_lab.svg import line_chart_svg
 prior = sparse_rademacher_prior(0.05)
 print(f"prior = {prior.name}: atoms at 0 and +-{1/0.05**0.5:.3f}")
 
-lam_c = critical_lambda(prior, delta=1e-3, tol=0.005)
-print(f"critical SNR = {lam_c:.3f}  (below the spectral threshold 1.0)")
+lam_c = critical_lambda(prior, delta=1e-3)
+print(f"critical SNR = {lam_c:.6f}  (below the spectral threshold 1.0)")
 
 print(f"\n{'lambda':>8} {'branches (q, value)'}")
 for lam in (lam_c - 0.05, lam_c - 0.005, lam_c + 0.005, lam_c + 0.05):

@@ -473,9 +473,12 @@ def _enum_table(atoms: tuple, n: int, symmetric: bool) -> EnumTable:
     # The invariants are even in x, so a mirror's are its representative's.
     # Each gathers a per-atom value through the digits, which is x^2, x^4 or
     # log w of that row's entries bit for bit, into one (rows, n) chunk
-    # array, a site at a time, and reduces it per row, so a chunk's rows keep
-    # the bits of one pass over the table.  x^4 is the square of x^2, not
-    # numpy's x**4: that is a pow, about ten times slower on negative bases.
+    # array, and reduces it per row, so a chunk's rows keep the bits of one
+    # pass over the table.  The gather is one np.take per block of as many
+    # digits as the chunk has rows (at most _BLOCK_VALUES, at least one row),
+    # so np.take's intp copy of a block's indices is no larger than one site
+    # column of the chunk.  x^4 is the square of x^2, not numpy's x**4: that
+    # is a pow, about ten times slower on negative bases.
     sq = np.square(values)
     reps = digits.shape[0]
     logw_cfg, pairsq, sumsq = (np.empty(reps) for _ in range(3))
@@ -483,8 +486,8 @@ def _enum_table(atoms: tuple, n: int, symmetric: bool) -> EnumTable:
 
     def row_sums(per_atom, d):
         rows = chunk[: d.shape[0]]
-        for k in range(n):
-            rows[:, k] = per_atom[d[:, k]]
+        for blk in _chunks(d.shape[0], n, min(d.shape[0], _BLOCK_VALUES)):
+            np.take(per_atom, d[blk], out=rows[blk], mode="clip")  # "raise" would buffer out
         return rows.sum(axis=1)
 
     for blk in _chunks(reps, n, _CHUNK_VALUES):

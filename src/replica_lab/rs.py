@@ -20,9 +20,10 @@ strided pass finds the coarse local maxima, and only the fine windows around
 them and at both ends are evaluated (tests/test_rs.py holds the result to the
 full scan's bits).  The fine grid and the golden refinement stay because they
 define the result, and the benchmark's guerra_slope|2 item pins
-phi_rs(p, 2).optimizer_q to the last bit.  The scan (_rs_scan) and the
-refinement (_rs_refine) are separate steps, so that critical_lambda reads
-q* > delta from the scan alone wherever that decides it, bit for bit.  F
+phi_rs(p, 2).optimizer_q to the last bit.  critical_lambda does not
+search over phi_rs: it solves for the SNR where q = delta is a fixed point of
+state evolution and, at a jump, for the SNR where two branches' values tie,
+and one phi_rs call says which of the two roots q* crosses delta at.  F
 itself has one evaluator, _potential, at one q or an array of them:
 rs_potential, the scan and the refinement all price F there, and a point's
 bits do not depend on how many points share its call.
@@ -342,8 +343,7 @@ def _rs_refine(p: Prior, lam: float, ev, step: float, q_scan: np.ndarray, vals: 
 
     _golden_depth sets how many steps each golden call after the first
     prices.  Each refined q lies in its bracket (golden probes only its
-    interior, and the fallback is the grid point itself), which
-    critical_lambda relies on.
+    interior, and the fallback is the grid point itself).
     """
     depth = _golden_depth(p, ev)
 
@@ -740,53 +740,145 @@ def state_evolution(
 
 
 def critical_lambda(p: Prior, delta: float = 1e-3, tol: float = 0.01) -> float:
-    """Smallest lambda with q*(lambda) > delta on the default rule, by doubling and bisection up to _LAM_CAP.
+    """The smallest lambda with q*(lambda) > delta on the default rule, as a root.
 
-    Each step needs only the bit q* > delta of phi_rs, and most steps read it
-    from phi_rs's grid scan without the refinement.  The q* that phi_rs
-    returns is the refined q of one grid local maximum i (q = 0 on the scan's
-    one-point grid), and that q lies in i's bracket [q_{i-1}, q_{i+1}]:
-    golden section probes only the bracket's left end plus a nonnegative
-    offset, which rounding cannot carry below that end, and stays (1 - 1/phi)
-    of its width, at least 2e-9, below the right end, far more than the
-    rounding its steps accrue on a q <= delta <= 0.1; the v_grid fallback is
-    q_i itself.  Pricing several golden steps per call changes none of
-    this, since the same points are priced and the one returned is the
-    sequential search's.  So when every bracket starts above delta,
-    q* > delta, and when every bracket ends at or below delta, q* <= delta,
-    whichever candidate wins.  Only a scan with brackets on both sides of
-    delta is refined, and then the refinement of that scan decides.  Each
-    step therefore returns phi_rs(p, lambda).optimizer_q > delta bit for
-    bit, and so does the result.
+    q* is phi_rs's optimizer, and every stationary point of F is a fixed
+    point q = 2 psi'(lambda q), with psi' the rule's own derivative (state
+    evolution's kernel).  psi' is increasing, so q = delta is a fixed point at
+    exactly one lambda_delta, the root of 2 psi'(lambda delta) = delta: found
+    by doubling from lambda = 1 up to _LAM_CAP (beyond it, a NumericalError)
+    and polished by regula falsi.  No branch of fixed points crosses delta at
+    any other lambda, so q* passes delta either continuously, on the branch
+    through delta at lambda_delta, or by a jump between a branch below delta
+    and one above it, at the lambda_IT where their values tie (to within
+    TIE_TOL, where phi_rs takes the larger q).  One
+    phi_rs(p, lambda_delta) call decides which: if its optimizer lies within
+    one grid step of delta, the result is lambda_delta; otherwise _jump
+    finds lambda_IT, below lambda_delta when the upper branch wins there and
+    above it when the lower one does.  Where (E X)^2 = 2 psi'(0) >= delta,
+    every fixed point lies above delta at every lambda > 0, and the result is
+    0.0, the infimum.
+
+    tol must be finite and > 0, but it no longer sets the result's
+    resolution: the roots are polished to about 1e-13, so phi_rs's
+    optimizer switches sides of delta between lambda_c (1 - 1e-6) and
+    lambda_c (1 + 1e-6).
     """
     if not 0.0 < delta <= 0.1:
         raise InvalidArgumentError(f"delta must lie in (0, 0.1], got {delta}")
     _check_positive("tol", tol)
+    m2 = second_moment(p)
+    psi_prime_at = _psi_prime_kernel(_resolve(None), p)
 
-    def above(lam):
-        scan = _rs_scan(p, lam, None)
-        brackets = _brackets(scan[1], scan[3])
-        if min(a for a, _ in brackets) > delta:
-            return True
-        if max(b for _, b in brackets) <= delta:
-            return False
-        return _rs_refine(p, lam, None, *scan).optimizer_q > delta
+    def gap(lam, q):
+        """2 psi'(lambda q) - q: the state-evolution step from q, zero at a fixed point."""
+        return 2.0 * psi_prime_at(lam * q) - q
 
-    lo, hi = 0.0, 1.0
-    while not above(hi):
-        lo = hi
-        hi *= 2.0
+    lo, g_lo = 0.0, gap(0.0, delta)
+    if g_lo >= 0.0:
+        return 0.0
+    hi = 1.0
+    while True:
+        _check_scale(p, hi, m2 + 1.0)
+        g_hi = gap(hi, delta)
+        if g_hi >= 0.0:
+            break
+        lo, g_lo, hi = hi, g_hi, 2.0 * hi
         if hi > _LAM_CAP:
             raise NumericalError(
-                f"no transition: q* stayed <= {delta} up to lambda = {_LAM_CAP}"
+                f"no transition: q = {delta} is no fixed point up to lambda = {_LAM_CAP}"
             )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            hi = mid
+    # a secant point can round below lambda = 0 when the root lies next to it
+    lam_d = _scalar_root(lambda lam: gap(max(lam, 0.0), delta), lo, hi, g_lo, g_hi)
+    res = phi_rs(p, lam_d)
+    step = res.grid_resolution
+    if abs(res.optimizer_q - delta) <= step:
+        return lam_d
+    up = res.optimizer_q < delta
+    # the best local maximum across delta from q*, the branch through delta
+    # counted there; delta itself if there is none
+    across = [(v, q) for q, v in res.local_optima if (q >= delta - step if up else q <= delta + step)]
+    q_across = max(across)[1] if across else delta
+    q_high, q_low = (q_across, res.optimizer_q) if up else (res.optimizer_q, q_across)
+    return _jump(p, lambda lam, q: _fixed_point_from(gap, lam, q, m2), lam_d, q_high, q_low,
+                 delta, _LAM_CAP if up else 0.0)
+
+
+def _scalar_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """The root of a scalar f in [a, b] by _bracketed_roots: f(a), f(b) of opposite signs, or f(b) = 0."""
+    roots, _ = _bracketed_roots(lambda _, x: np.array([[f(float(x[0]))]]), [a], [b], [fa], [[fb]], 0.0)
+    return float(roots[0])
+
+
+def _fixed_point_from(gap, lam: float, q: float, m2: float) -> float:
+    """The fixed point that state evolution at lambda reaches from q, in [0, E[X^2]].
+
+    gap(lambda, q) is the step 2 psi'(lambda q) - q.  The step never
+    carries q past the nearest fixed point in its direction, since psi' is
+    increasing; steps of twice the last length then bracket a root, which
+    _scalar_root polishes.  At q = 0 and q = E[X^2] the step points inward
+    up to rounding, so an end where it does not is itself the fixed point.
+    """
+    g = gap(lam, q)
+    if g == 0.0:
+        return q
+    a, g_a, step = q, g, g
+    while True:
+        b = min(max(a + step, 0.0), m2)
+        g_b = gap(lam, b)
+        if g_b == 0.0 or (g_b > 0.0) != (g > 0.0):
+            return _scalar_root(lambda x: gap(lam, x), a, b, g_a, g_b)
+        if b in (0.0, m2):
+            return b
+        a, g_a, step = b, g_b, 2.0 * step
+
+
+def _jump(p: Prior, branch, lam: float, q_high: float, q_low: float, delta: float, far: float) -> float:
+    """lambda_IT between lam and far: where the branch through q_high (> delta)
+    overtakes the one through q_low (< delta) in value, by phi_rs's tie rule.
+
+    Both start at lam, the near end, and the root lies toward far.  At each
+    trial lambda, branch(lambda, q) re-finds each branch as the fixed point
+    that state evolution reaches from its q at the near end, and _potential
+    prices F there.  By the envelope identity, d F(lambda, q(lambda)) /
+    d lambda = q psi'(lambda q) - q^2 / 4 = q^2 / 4 along a branch, so the
+    value gap D = F(q_high) - F(q_low) + TIE_TOL has the exact slope
+    (q_high^2 - q_low^2) / 4; D >= 0 is where phi_rs, which resolves values
+    within TIE_TOL toward the larger q, takes the upper branch.  Newton
+    steps go from the near end, whose side of D = 0 is lam's.  A trial on
+    the far side, or one where the branch on the near end's winning side is
+    gone (it fell through delta), becomes the far end, and the next trial
+    is then the secant point through both ends, or their midpoint when the
+    far end has no value or a step leaves the bracket.  The search stops
+    once a step is no longer than _ROOT_XTOL.
+    """
+    down = far < lam  # the upper branch wins at the near end
+    m2 = second_moment(p)
+    f_high, f_low = _potential(p, lam, np.array([q_high, q_low]), None)
+    d, d_far, newton = f_high - f_low + TIE_TOL, None, True
+    for _ in range(_ROOT_MAX_ITER):
+        if newton:
+            x = lam - 4.0 * d / (q_high * q_high - q_low * q_low)
+        elif d_far is not None:
+            x = lam - d * (lam - far) / (d - d_far)
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            x = far
+        if not min(lam, far) < x < max(lam, far):
+            x = 0.5 * (lam + far)
+        if abs(x - lam) <= _ROOT_XTOL:
+            return float(x)
+        _check_scale(p, x, m2 + 1.0)
+        qh, ql = branch(x, q_high), branch(x, q_low)
+        if (qh <= delta) if down else (ql >= delta):
+            far, d_far, newton = x, None, False
+            continue
+        f_high, f_low = _potential(p, x, np.array([qh, ql]), None)
+        d_x = f_high - f_low + TIE_TOL
+        if (d_x >= 0.0) == down:
+            lam, q_high, q_low, d, newton = x, qh, ql, d_x, True
+        else:
+            far, d_far, newton = x, d_x, False
+    raise NumericalError(f"lambda_IT not found between {lam} and {far}")
 
 
 # ----------------------------------------------------------------------

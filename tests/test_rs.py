@@ -1052,38 +1052,54 @@ class TestCriticalLambda:
 
 
 class TestCriticalLambdaFromTheScan:
-    """critical_lambda refines a scan only when its brackets straddle delta, and
-    returns the always-refine bisection's bits."""
+    """critical_lambda's roots against phi_rs's scan: within tol / 2 of the
+    always-refine bisection, its own bracket, and at the lambda where
+    phi_rs's optimizer switches sides of delta."""
 
-    # the catalog, and sparse priors from the first-order region (rho <= 0.09) on
-    SPECS = ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21"] + [
+    # q* passes every delta below continuously for these, and jumps across
+    # some for the sparse priors from the first-order region (rho <= 0.09)
+    CONTINUOUS = ["rademacher", "sparse:0.25", "uniform:21"] + [
         f"sparse:{rho}"
-        for rho in (0.02, 0.03, 0.05, 0.07, 0.09, 0.1, 0.12, 0.15, 0.2, 0.3,
-                    0.35, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.97, 0.98)
+        for rho in (0.1, 0.12, 0.15, 0.2, 0.3, 0.35, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.97, 0.98)
     ]
+    SPECS = CONTINUOUS + ["asym:0.7"] + [f"sparse:{rho}" for rho in (0.02, 0.03, 0.05, 0.07, 0.09)]
+
+    @staticmethod
+    def _switches(ev, p, lam_c, delta):
+        below = phi_rs(p, lam_c * (1.0 - 1e-6), ev).optimizer_q
+        above = phi_rs(p, lam_c * (1.0 + 1e-6), ev).optimizer_q
+        return below <= delta < above
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_always_refine(self, ev, spec):
         p = parse_prior_spec(spec)
         for delta in (1e-3, 1e-2, 0.05):
+            lam_c = critical_lambda(p, delta, 0.01)
             for tol in (0.01, 1e-3):
-                got = critical_lambda(p, delta, tol)
+                assert critical_lambda(p, delta, tol) == lam_c, (spec, delta, tol)
                 want = refine_always_critical_lambda(p, delta, tol, ev)
-                assert got.hex() == want.hex(), (spec, delta, tol)
+                assert abs(lam_c - want) <= tol / 2, (spec, delta, tol, lam_c, want)
+            if lam_c > 0.0:
+                assert self._switches(ev, p, lam_c, delta), (spec, delta, lam_c)
+            if spec in self.CONTINUOUS:
+                assert abs(2.0 * psi_prime(ev, p, lam_c * delta) - delta) <= 1e-12, (spec, delta)
 
-    def test_refinements_counted(self, ev, monkeypatch):
-        # the benchmark's phase-diagram priors at its default delta and tol
-        calls = []
-        golden = rs._golden_max
-        monkeypatch.setattr(rs, "_golden_max", lambda *a: calls.append(1) or golden(*a))
-        priors = [sparse_rademacher_prior(rho) for rho in (0.05, 0.1, 0.2, 0.35, 0.6, 0.9)]
-        for p in priors:
-            refine_always_critical_lambda(p, 1e-3, 0.01, ev)
-        assert len(calls) == 57
-        calls.clear()
-        for p in priors:
-            critical_lambda(p, 1e-3, 0.01)
-        assert len(calls) == 13
+    @pytest.mark.parametrize("spec", ["asym:0.7", "point:0.7"])
+    def test_mean_above_delta_gives_zero(self, spec):
+        # (E X)^2 > delta puts every fixed point above delta at every lambda > 0
+        for delta in (1e-3, 1e-2, 0.05):
+            assert critical_lambda(parse_prior_spec(spec), delta, 0.01) == 0.0
+
+    def test_jump_above_the_crossing(self, ev):
+        # a centered, skewed two-point prior: at delta = 0.1, phi_rs's optimizer
+        # at the crossing 2 psi'(lambda delta) = delta still lies near 0, and
+        # the upper branch takes over above it
+        w, delta = 0.146, 0.1
+        p = make_prior([(-math.sqrt((1.0 - w) / w), w), (math.sqrt(w / (1.0 - w)), 1.0 - w)])
+        lam_c = critical_lambda(p, delta, 0.01)
+        assert 2.0 * psi_prime(ev, p, lam_c * delta) > delta
+        assert self._switches(ev, p, lam_c, delta), lam_c
+        assert abs(lam_c - refine_always_critical_lambda(p, delta, 1e-3, ev)) <= 5e-4
 
     @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.05", "sparse:0.02", "asym:0.7", "uniform:8"])
     def test_refined_optima_stay_in_their_brackets(self, ev, spec):

@@ -22,6 +22,27 @@ diagonal at large r, two-point priors break even a 1e-9 bound, as the
 strict xfail test_doubling_on_full_box records.  That tested envelope is the
 guard on the rule's accuracy; no evaluation checks itself at run time.
 
+psi_bar of a sign-symmetric prior (each atom (v, w) has its mirror (-v, w),
+Prior.mirror) on a mirrored rule (nodes[::-1] == -nodes bit for bit, which
+make_evaluator's symmetrization gives) prices about half its tilts, with
+every bit kept.  The exponent sqrt(r) z x + t x - (r/2) x^2 + log w(x) at
+(-t, x, z) equals the one at (t, -x, -z) bit for bit, since every sign flip
+is exact and a mirror atom has the same log-weight.  So the tilt -s x*
+needs no exponents of its own: psi_hat_array(..., planted=True), which
+psi_bar_array calls, prices the tilts s x* with x* >= 0, and for each
+x* > 0 sums the same exps over the mirror atoms in the storage order that
+the kernel sums -s x*'s own atoms in, then takes the log and adds the
+per-node maximum at the reversed nodes.  Those rows go to the one (points,
+atoms, nodes) table that the per-tilt route fills, and the node contraction
+and the weighted sum over x* read it unchanged, so every psi_bar value is
+the per-tilt route's bit for bit.  The route is taken when the exponent
+values it saves, points x (atoms // 2) x atoms x nodes, exceed
+_MIRROR_FIXED, the route's own fixed cost per call, set from where the two
+routes' timings cross (see its comment).  At 61 nodes that is every call
+for uniform:21, calls of 3 points or more for uniform:8, 23 or more for
+three atoms and 34 or more for two.  psi_hat, psi_hat_grad and psi' price
+every tilt.
+
 The rule is built in numpy by Golub-Welsch: the nodes are the eigenvalues of
 the symmetric tridiagonal Jacobi matrix of He_n (off-diagonal sqrt(k)).  Up to
 150 nodes it follows scipy.special.roots_hermitenorm step for step (one Newton
@@ -38,11 +59,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, _check_count, _check_finite, _check_nonnegative
+from . import priors
 from .priors import Prior
 
 DEFAULT_NODE_COUNT = 61
@@ -69,6 +91,11 @@ class ChannelEvaluator:
     @property
     def node_count(self) -> int:
         return self.nodes.size
+
+    @cached_property
+    def mirrored(self) -> bool:
+        """Whether the nodes are exact mirror images, nodes[::-1] == -nodes (make_evaluator's are)."""
+        return bool(np.array_equal(self.nodes[::-1], -self.nodes))
 
     def __repr__(self):
         return f"ChannelEvaluator(node_count={self.node_count})"
@@ -126,8 +153,27 @@ def _resolve(ev: ChannelEvaluator | None) -> ChannelEvaluator:
 # about 512 points of a two-atom prior at 61 nodes.
 _BLOCK_VALUES = 2**16
 
+# The kernel's fixed cost per call in exponent values (tilts x atoms x nodes):
+# a call on T tilts of an A-atom prior at G nodes costs about as much as
+# _KERNEL_FIXED + T A G values (a 2-CPU AMD EPYC, numpy 2.4).
+_KERNEL_FIXED = 2**13
 
-def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
+# The mirrored route's own fixed cost per call in the exponent values it
+# saves, points x (atoms // 2) x atoms x nodes: the index arrays, the
+# broadcast inputs, the scatter into the table and, above two atoms, the
+# mirrored sum's extra ufunc calls.  Timed in-process against the per-tilt
+# route at 61 nodes (2-CPU Intel Xeon, numpy 2.4.6; medians of 15
+# interleaved rounds), the routes cross at about 1.2e3 saved values for
+# rademacher (10 points), 2e3-3.9e3 for uniform:8 (1-2 points) and
+# 5.5e3-6.8e3 for sparse:0.25 (30-37 points); uniform:21 saves 1.3e4 at one
+# point and is faster from there.  2**12 lies between the two-atom and the
+# three-atom crossings: it leaves rademacher's calls of 10-33 points on the
+# per-tilt route (up to 15% slower there) and puts three-atom calls of
+# 23-33 points on the mirrored one (about 4% slower there).
+_MIRROR_FIXED = 2**12
+
+
+def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False, mirror=None):
     """(r, log-sums, moments): the blocked kernel behind psi_hat.
 
     For the broadcast points of r and s (r comes back broadcast), the
@@ -145,6 +191,14 @@ def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
     few points) runs the same arithmetic as a large one, paying its fixed
     cost once: r and s are broadcast only when their shapes differ, the atom
     constants are built before the block loop.
+
+    mirror = (table, rows, flips, order) is psi_hat_array's mirrored route
+    (see the module docstring), for a sign-symmetric prior on a mirrored
+    rule: point k's log-sums go to row rows[k] of table, and for each of the
+    leading flips.size points, from the same exps, those of its mirrored tilt
+    -s to row flips[k]; order indexes the atoms' mirrors (Prior.mirror's
+    order, a reversing slice or an index array).  The log-sums come back as
+    table.
     """
     r = np.asarray(r, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
@@ -161,7 +215,10 @@ def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
     lw = p.log_weights[:, None, None]
     n_atoms, n_nodes, n_points = v.shape[0], z.size, r_col.shape[0]
     rows = max(1, _BLOCK_VALUES // (n_atoms * n_nodes))
-    inner = np.empty((n_points, n_nodes))
+    if mirror is None:
+        inner = np.empty((n_points, n_nodes))
+    else:
+        inner, own, flip, order = mirror
     tables = np.empty((2, n_points, n_nodes)) if moments else None
     powers = np.array([p.values, p.values**2]) if moments else None  # rows [v; v^2]
     buf = np.empty(n_atoms * min(rows, n_points) * n_nodes)
@@ -183,16 +240,61 @@ def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False):
             # the dot that np.tensordot(powers, e, 1) makes, without its overhead
             moment = np.dot(powers, e.reshape(n_atoms, -1)).reshape(2, rr.shape[0], n_nodes)
             np.divide(moment, total, out=tables[:, i : i + rows])
-        block = np.log(total, out=inner[i : i + rows])
-        block += m
+        if mirror is None:
+            block = np.log(total, out=inner[i : i + rows])
+            block += m
+            continue
+        np.log(total, out=total)
+        total += m
+        inner[own[i : i + rows]] = total
+        # the mirrored tilt's exps at node g are the mirror atoms' at the
+        # reversed node, summed in its own atom order (into total, whose rows
+        # are written); only the tilts x* > 0, the leading flip.size rows,
+        # have a mirror
+        n_flip = min(rr.shape[0], flip.size - i)
+        if n_flip <= 0:
+            continue
+        flipped = total[:n_flip]
+        if n_atoms > 2:  # for two atoms the one sum, the same either way
+            np.add.reduce(e[order, :n_flip], axis=0, out=flipped)
+            np.log(flipped, out=flipped)
+            flipped += m[:n_flip]
+        inner[flip[i : i + n_flip]] = flipped[:, ::-1]
     return r, inner, tables
 
 
-def psi_hat_array(ev: ChannelEvaluator | None, p: Prior, r, s) -> np.ndarray:
-    """Vectorized psi_hat over broadcastable nonnegative r and real s (see _node_tables)."""
+def psi_hat_array(ev: ChannelEvaluator | None, p: Prior, r, s, *, planted: bool = False) -> np.ndarray:
+    """Vectorized psi_hat over broadcastable nonnegative r and real s (see _node_tables).
+
+    With planted, the tilts are s x* at every atom x* of p: the values
+    psi_hat(r, s x*) come back on a trailing atom axis.  A sign-symmetric
+    prior on a mirrored rule then takes the mirrored route (see the module
+    docstring): the tilts s x* with x* >= 0 are priced, and each x* > 0
+    gives the row of -s x* too.  Either route fills the same (points x
+    atoms, nodes) table and contracts it the same way.
+    """
     ev = _resolve(ev)
-    r, inner, _ = _node_tables(ev, p, r, s)
-    return inner.reshape(r.shape + (ev.nodes.size,)) @ ev.weights
+    r = np.asarray(r, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    mirror = None
+    if planted:
+        shape = (r.shape if r.shape == s.shape else np.broadcast(r, s).shape) + (p.values.size,)
+        saved = math.prod(shape) * (shape[-1] // 2) * ev.node_count  # the exponents of the tilts x* < 0
+        if saved > _MIRROR_FIXED and priors._sign_symmetric(p) and ev.mirrored:
+            order, tilts, flips = p.mirror
+            first = np.arange(0, math.prod(shape), shape[-1])  # each point's first table row
+            table = np.empty((first.size * shape[-1], ev.node_count))
+            mirror = table, (tilts[:, None] + first).ravel(), (flips[:, None] + first).ravel(), order
+            # tilt-major points: row k of the kernel is tilt k // points
+            r = r.reshape((1,) * (len(shape) - r.ndim) + r.shape)
+            s = p.values[tilts].reshape((-1,) + (1,) * (len(shape) - 1)) * s
+        else:
+            # (points, atoms) tables of equal shape, which the kernel need not broadcast
+            r = r[..., None].repeat(shape[-1], axis=-1) if r.shape == s.shape else r[..., None]
+            s = s[..., None] * p.values
+    r, inner, _ = _node_tables(ev, p, r, s, mirror=mirror)
+    mirror = first = None  # the row indices are freed before the contraction
+    return inner.reshape((shape if planted else r.shape) + (ev.node_count,)) @ ev.weights
 
 
 def psi_hat_grad(ev: ChannelEvaluator | None, p: Prior, r, s):
@@ -266,12 +368,8 @@ def psi_hat(ev: ChannelEvaluator | None, p: Prior, r: float, s: float) -> float:
 
 
 def psi_bar_array(ev: ChannelEvaluator | None, p: Prior, r, s) -> np.ndarray:
-    """Vectorized psi_bar(r, s) = sum_{x*} w(x*) psi_hat(r, s * x*)."""
-    r = np.asarray(r, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    # (points, atoms) tables of equal shape, which the kernel need not broadcast
-    r_t = r[..., None].repeat(p.values.size, axis=-1) if r.shape == s.shape else r[..., None]
-    vals = psi_hat_array(ev, p, r_t, s[..., None] * p.values)
+    """Vectorized psi_bar(r, s) = sum_{x*} w(x*) psi_hat(r, s * x*), from psi_hat_array's planted tilts."""
+    vals = psi_hat_array(ev, p, r, s, planted=True)
     # an elementwise sum over the atoms: a gemv's bits would depend on the batch
     vals *= p.weights
     return vals.sum(axis=-1)

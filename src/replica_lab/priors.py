@@ -51,6 +51,33 @@ class Prior:
         return lw
 
     @cached_property
+    def mirror(self) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray] | None:
+        """(order, tilts, flips) for a sign-symmetric prior, None for any other.
+
+        order indexes each atom's mirror image (-v, w): a reversing slice when
+        that is the map (as for every catalog prior), which spares
+        channel._node_tables' mirrored sum an index copy of each block (with
+        the copy, a psi_bar_array call of uniform:21 at 7 points took 1.76
+        times as long, 2-CPU Intel Xeon), else an index array.  tilts
+        are the atoms v >= 0, those v > 0 in storage order and then v = 0
+        (its own mirror), and flips the mirrors of the tilts v > 0.
+        channel.psi_hat_array's mirrored route prices the tilts and builds
+        the rows of the flips from them.
+        """
+        index = {v: i for i, (v, _) in enumerate(self.atoms)}
+        order = [index.get(-v) for v, _ in self.atoms]
+        if any(j is None or self.atoms[j][1] != w for j, (_, w) in zip(order, self.atoms)):
+            return None
+        order = np.array(order)
+        positive = np.flatnonzero(self.values > 0.0)
+        tilts = np.concatenate([positive, np.flatnonzero(self.values == 0.0)])
+        flips = order[positive]
+        for a in (order, tilts, flips):
+            a.setflags(write=False)
+        reverse = np.array_equal(order, np.arange(order.size)[::-1])
+        return (slice(None, None, -1) if reverse else order), tilts, flips
+
+    @cached_property
     def bound(self) -> float:
         """The support bound K = max_i |v_i|."""
         return float(np.max(np.abs(self.values)))
@@ -99,8 +126,12 @@ def mean(p: Prior) -> float:
 
 
 def _sign_symmetric(p: Prior) -> bool:
-    """Whether the multiset of p's (v, w) atoms equals the multiset of (-v, w)."""
-    return sorted(p.atoms) == sorted((-v, w) for v, w in p.atoms)
+    """Whether the multiset of p's (v, w) atoms equals that of (-v, w), that is, whether p.mirror exists.
+
+    Every sign-symmetry decision reads this name: the solvers' folds, the
+    finite layer's paired configurations and channel's mirrored route.
+    """
+    return p.mirror is not None
 
 
 def rademacher_prior() -> Prior:

@@ -39,12 +39,13 @@ arithmetic.  Because a point's bits do not depend on its batch, every
 comparison and the result are the one-point-per-call search's bit for bit
 (tests/test_rs.py keeps that search as the reference); the unused candidates
 cost only kernel time.  The bracket's grid point is not priced again: the
-scan hands its value to the refinement.  k comes from a cost model
-(_golden_depth): a call costs about _KERNEL_FIXED + points * A^2 G exponent
-values for A atoms at G nodes, so k steps cost (R + 2**k - 1) / k per step
-with R = _KERNEL_FIXED / (A^2 G).  At 61 nodes that gives 4 for two atoms,
-3 for three, 2 for uniform:8 and 1 for uniform:21, the fastest k of 1-5 for
-each when the refinement alone was timed.
+scan hands its value to the refinement.  k comes from the channel's cost
+model (_golden_depth): a call costs about channel._KERNEL_FIXED + points *
+A^2 G exponent values for A atoms at G nodes, so k steps cost
+(R + 2**k - 1) / k per step with R = _KERNEL_FIXED / (A^2 G).  At 61 nodes
+that gives 4 for two atoms, 3 for three, 2 for uniform:8 and 1 for
+uniform:21, the fastest k of 1-5 for each when the refinement alone was
+timed.
 
 The saddle works on derivatives instead.  psi_hat_grad gives F_bar with its
 exact partial derivatives in m and q (those of the quadrature rule itself).
@@ -70,12 +71,14 @@ which priors._sign_symmetric decides for this layer and the finite one
 alike), psi_hat(r, s) is even in s, so F_bar is even in m and its planted
 average needs only |x*|.  _planted_law then folds the law of x* (the
 prior's or a spike's) to |x*|, and saddle solves only m >= 0 and mirrors
-each candidate.  phi_rs and psi do not fold, although the same symmetry
-would halve their tilts: the benchmark's guerra_slope|2 item pins
-phi_rs(p, 2).optimizer_q to the last bit, and a fold moves its last bits.
-State evolution does not fold either, because it would not pay.  Its psi'
-is the quadrature rule's own derivative (channel.psi_prime, the chain rule
-of psi_hat_grad at the tilts r x*), from one kernel built once per run
+each candidate.  phi_rs and psi use the same symmetry without a fold:
+channel.psi_bar_array builds the rows of the tilts -r x* from the exps of
+r x* (the mirrored route), which keeps every bit, since the benchmark's
+guerra_slope|2 item pins phi_rs(p, 2).optimizer_q to the last bit and a
+fold of the planted law moves its last bits.  State evolution's psi'
+kernel still prices every planted atom, because a fold would not pay.  Its
+psi' is the quadrature rule's own derivative (channel.psi_prime, the chain
+rule of psi_hat_grad at the tilts r x*), from one kernel built once per run
 whose per-prior constants and work block are hoisted out of the steps: a
 step costs 8-9 us for the two- and three-atom catalog priors and about
 70 us for uniform:21 (61 nodes, a 2-CPU AMD EPYC, numpy 2.4.6).  A fold
@@ -92,6 +95,7 @@ import numpy as np
 
 from . import priors
 from .channel import (
+    _KERNEL_FIXED,
     ChannelEvaluator,
     _check_scale,
     _psi_prime_kernel,
@@ -133,10 +137,6 @@ _GUARD_QTOL = 1e-8
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-# The channel kernel's fixed cost per call in exponent values (tilts x atoms
-# x nodes): a psi_bar_array(r, r) call on N points of an A-atom prior at G nodes costs
-# about as much as _KERNEL_FIXED + N A^2 G values (a 2-CPU AMD EPYC, numpy 2.4).
-_KERNEL_FIXED = 2**13
 
 
 @dataclass(frozen=True)
@@ -228,8 +228,13 @@ def _golden_max(f, a: float, b: float, depth: int):
 
 def _golden_depth(p: Prior, ev) -> int:
     """How many golden steps _golden_max prices per kernel call: the k >= 1
-    with the least cost per step, (R + 2**k - 1) / k with R = _KERNEL_FIXED
-    / (A^2 G) for A atoms at G nodes (the smaller k on a tie)."""
+    with the least cost per step, (R + 2**k - 1) / k (the smaller k on a
+    tie), from the channel's cost model.  A point costs A tilts of A atoms
+    at G nodes, so R = _KERNEL_FIXED / (A^2 G).  R counts every tilt: of the
+    catalog priors' golden calls at 61 nodes only uniform:8's (3 points) and
+    uniform:21's (1 point) take the mirrored route, which prices about half
+    of them; R doubled for that half (2.1 -> 4.2 and 0.3 -> 0.6) gives the
+    same depths, 2 and 1."""
     ratio = _KERNEL_FIXED / (p.values.size**2 * _resolve(ev).node_count)
     depth = 1
     while (ratio + 2 ** (depth + 1) - 1) / (depth + 1) < (ratio + 2**depth - 1) / depth:
@@ -442,12 +447,14 @@ def _bracketed_roots(f, a, b, fa, yb, ftol: float):
     stack at the ends b, fa the function at the ends a, of opposite sign.
     Each step's secant point c becomes the new b, and a becomes whichever
     old end keeps the root between a and c, with the Anderson-Bjorck scaling
-    of the value kept at a stale end; a secant point that lands on an end is
-    replaced by the midpoint.  A bracket stops once it is no wider than
-    _ROOT_XTOL or its newest |f| <= ftol (below it, f's sign is rounding
-    noise).  Returns the roots and f's stack at them, both from the
-    evaluations already made.  _inner_min polishes its roots of d_q F_bar
-    with it, and _joint_polish a bracket whose joint root the guard refuses.
+    of the value kept at a stale end; a secant point that is not strictly
+    inside the bracket (on an end, past one by rounding, or not finite) is
+    replaced by the midpoint, so f is priced only inside it.  A bracket
+    stops once it is no wider than _ROOT_XTOL or its newest |f| <= ftol
+    (below it, f's sign is rounding noise).  Returns the roots and f's stack
+    at them, both from the evaluations already made.  _inner_min polishes
+    its roots of d_q F_bar with it, and _joint_polish a bracket whose joint
+    root the guard refuses.
     """
     a, b, fa, yb = (np.array(x, dtype=np.float64) for x in (a, b, fa, yb))
     for _ in range(_ROOT_MAX_ITER):
@@ -456,7 +463,7 @@ def _bracketed_roots(f, a, b, fa, yb, ftol: float):
             break
         al, bl, fal, fbl = a[live], b[live], fa[live], yb[0, live]
         c = bl - fbl * (bl - al) / (fbl - fal)
-        c = np.where((c == al) | (c == bl) | ~np.isfinite(c), 0.5 * (al + bl), c)
+        c = np.where((np.minimum(al, bl) < c) & (c < np.maximum(al, bl)), c, 0.5 * (al + bl))
         yc = f(live, c)
         fc = yc[0]
         # the root stays between a and c; signs, since fc * fbl can overflow
@@ -788,8 +795,7 @@ def critical_lambda(p: Prior, delta: float = 1e-3, tol: float = 0.01) -> float:
             raise NumericalError(
                 f"no transition: q = {delta} is no fixed point up to lambda = {_LAM_CAP}"
             )
-    # a secant point can round below lambda = 0 when the root lies next to it
-    lam_d = _scalar_root(lambda lam: gap(max(lam, 0.0), delta), lo, hi, g_lo, g_hi)
+    lam_d = _scalar_root(lambda lam: gap(lam, delta), lo, hi, g_lo, g_hi)
     res = phi_rs(p, lam_d)
     step = res.grid_resolution
     if abs(res.optimizer_q - delta) <= step:

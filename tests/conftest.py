@@ -56,6 +56,20 @@ def broadcast_psi(ev, p, r):
     return (broadcast_psi_hat(ev, p, r[..., None], r[..., None] * p.values) * p.weights).sum(axis=-1)
 
 
+def per_tilt_psi_bar(ev, p, r, s):
+    """Reference for channel.psi_bar_array: psi_hat_array at every tilt s x*,
+    then the elementwise weighted sum over x*, the route that prices each
+    tilt, kept as the mirrored route's reference."""
+    from replica_lab.channel import psi_hat_array
+
+    r = np.asarray(r, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    r_t = r[..., None].repeat(p.values.size, axis=-1) if r.shape == s.shape else r[..., None]
+    vals = psi_hat_array(ev, p, r_t, s[..., None] * p.values)
+    vals *= p.weights
+    return vals.sum(axis=-1)
+
+
 def nested_polish(p, lam, q_max, ev, a, b, ya, yb):
     """Reference outer polish for rs.saddle, in place of rs._joint_polish: the
     nested polish that the joint (m, q) Newton replaced, kept as its reference.

@@ -21,6 +21,8 @@ from replica_lab import (
     psi_hat,
     psi_prime,
 )
+from replica_lab import channel
+from replica_lab import priors as prior_module
 from replica_lab.channel import (
     EXPONENT_MAX,
     ChannelEvaluator,
@@ -33,13 +35,14 @@ from replica_lab.channel import (
 )
 from replica_lab.priors import (
     asymmetric_binary_prior,
+    make_prior,
     parse_prior_spec,
     point_mass_prior,
     rademacher_prior,
     second_moment,
 )
 
-from conftest import broadcast_psi, broadcast_psi_hat, mc_log_cosh, mc_psi_bar
+from conftest import broadcast_psi, broadcast_psi_hat, mc_log_cosh, mc_psi_bar, per_tilt_psi_bar
 
 
 class TestEvaluator:
@@ -314,6 +317,168 @@ class TestPsiBar:
         for p in priors.values():
             batched = psi_bar_array(ev, p, r, r)
             assert all(batched[k] == psi_bar_array(ev, p, r[k : k + 1], r[k : k + 1])[0] for k in range(r.size)), p.name
+
+
+# a sign-symmetric prior whose atoms are stored out of order, so that its
+# mirror map is no reversal
+UNSORTED = [(0.5, 0.2), (-1.5, 0.15), (0.0, 0.1), (1.5, 0.15), (-0.5, 0.2), (2.0, 0.1), (-2.0, 0.1)]
+
+
+class TestMirroredRoute:
+    """psi_bar_array's mirrored route for a sign-symmetric prior on a mirrored
+    rule gives the per-tilt route's (conftest.per_tilt_psi_bar) float.hex in
+    every entry, and calls that it does not pay for take the per-tilt route."""
+
+    SPECS = ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21", "sparse:0.05", "uniform:8", "unsorted"]
+
+    @staticmethod
+    def _prior(spec):
+        return make_prior(UNSORTED, name="unsorted") if spec == "unsorted" else parse_prior_spec(spec)
+
+    @staticmethod
+    def _threshold(p, ev):
+        """The least point count whose call takes the mirrored route."""
+        return channel._MIRROR_FIXED // ((p.values.size // 2) * p.values.size * ev.node_count) + 1
+
+    @staticmethod
+    def _routes(monkeypatch):
+        """A list that each psi_bar_array call appends its route to."""
+        routes = []
+        kernel = channel._node_tables
+
+        def spy(*args, mirror=None, **kwargs):
+            routes.append("per_tilt" if mirror is None else "mirrored")
+            return kernel(*args, mirror=mirror, **kwargs)
+
+        monkeypatch.setattr(channel, "_node_tables", spy)
+        return routes
+
+    @staticmethod
+    def _hex(x):
+        return [v.hex() for v in np.ravel(x).tolist()]
+
+    def _check(self, e, p, r, s, routes=None):
+        want = per_tilt_psi_bar(e, p, r, s)
+        if routes is not None:
+            routes.clear()  # the reference's own call
+        got = psi_bar_array(e, p, r, s)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want), (np.shape(r), np.shape(s))
+        assert self._hex(got) == self._hex(want), (p.name, np.shape(r), np.shape(s))
+
+    def test_prior_mirror(self):
+        def plan(p):
+            order, tilts, flips = p.mirror
+            order = np.arange(p.values.size)[order] if isinstance(order, slice) else order
+            return order.tolist(), tilts.tolist(), flips.tolist()
+
+        reverse = slice(None, None, -1)
+        assert parse_prior_spec("sparse:0.25").mirror[0] == reverse
+        assert plan(parse_prior_spec("sparse:0.25")) == ([2, 1, 0], [0, 1], [2])
+        assert plan(parse_prior_spec("uniform:8")) == (list(range(8))[::-1], [4, 5, 6, 7], [3, 2, 1, 0])
+        assert plan(rademacher_prior()) == ([1, 0], [0], [1])
+        assert not isinstance(make_prior(UNSORTED).mirror[0], slice)
+        assert plan(make_prior(UNSORTED)) == ([4, 3, 2, 1, 0, 6, 5], [0, 3, 5, 2], [4, 1, 6])
+        assert plan(parse_prior_spec("point:0")) == ([0], [0], [])
+        for spec in ("asym:0.7", "point:0.7"):
+            assert parse_prior_spec(spec).mirror is None, spec
+        assert make_prior([(1.0, 0.4), (-1.0, 0.6)]).mirror is None
+
+    def test_rules_are_mirrored(self):
+        assert all(make_evaluator(n).mirrored for n in (2, 3, 60, 61, 121, 151, 400))
+        e = make_evaluator(61)
+        nodes = e.nodes.copy()
+        nodes[0] = np.nextafter(nodes[0], 0.0)
+        assert not ChannelEvaluator(nodes=nodes, weights=e.weights).mirrored
+
+    @pytest.mark.parametrize("nodes", [2, 61, 121])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_bits_on_both_sides_of_the_cost_rule(self, monkeypatch, nodes, spec):
+        e = make_evaluator(nodes)
+        p = self._prior(spec)
+        rng = np.random.default_rng(nodes)
+        symmetric = p.mirror is not None
+        n = self._threshold(p, e) if symmetric else 64
+        routes = self._routes(monkeypatch)
+        for count in sorted({1, max(n - 1, 1), n, 3 * n}):
+            x = rng.uniform(0.0, 40.0, count)
+            x[0] = 0.0  # r = 0
+            for s in (x, -x, np.zeros(count), -np.zeros(count), rng.normal(0.0, 8.0, count)):
+                self._check(e, p, x, s, routes)
+                mirrored = symmetric and count >= n
+                assert routes == ["mirrored" if mirrored else "per_tilt"], (spec, count)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_bits_over_broadcast_shapes(self, ev, spec):
+        p = self._prior(spec)
+        rng = np.random.default_rng(1)
+        cases = [
+            (np.float64(1.7), np.float64(1.7)),
+            (np.float64(0.0), np.float64(-0.0)),
+            (2.5, rng.normal(0.0, 5.0, 300)),
+            (rng.uniform(0.0, 20.0, (40, 1)), rng.normal(0.0, 5.0, (1, 30))),
+            (rng.uniform(0.0, 20.0, (5, 7)), rng.normal(0.0, 5.0, 7)),
+            (rng.uniform(0.0, 20.0, (3, 300)), np.float64(-0.0)),
+        ]
+        r = rng.uniform(0.0, 30.0, 2000)
+        cases.append((np.stack([r, r]), np.stack([r, -r])))  # asymmetry_gap's call, many blocks
+        for r, s in cases:
+            self._check(ev, p, r, s)
+
+    def test_unmirrored_rule_takes_the_per_tilt_route(self, monkeypatch, ev):
+        nodes = ev.nodes.copy()
+        nodes[0] = np.nextafter(nodes[0], 0.0)
+        e = ChannelEvaluator(nodes=nodes, weights=ev.weights)
+        x = np.linspace(0.0, 10.0, 500)
+        routes = self._routes(monkeypatch)
+        for spec in ("rademacher", "uniform:21"):
+            self._check(e, parse_prior_spec(spec), x, x, routes)
+            assert routes == ["per_tilt"], spec
+
+    def test_sign_symmetry_switch_reaches_the_route(self, monkeypatch, ev):
+        # priors._sign_symmetric is the one name that every symmetry decision
+        # reads: turned off, a call that would take the mirrored route does not
+        x = np.linspace(0.0, 10.0, 500)
+        p = parse_prior_spec("uniform:21")
+        routes = self._routes(monkeypatch)
+        monkeypatch.setattr(prior_module, "_sign_symmetric", lambda p: False)
+        self._check(ev, p, x, x, routes)
+        assert routes == ["per_tilt"]
+
+    def test_both_routes_call_psi_hat_array_once(self, monkeypatch, ev):
+        # the benchmark's tracer counts kernel calls at channel.psi_hat_array,
+        # so each psi_bar_array call passes through it once on either route
+        x = np.linspace(0.0, 10.0, 500)
+        routes = self._routes(monkeypatch)
+        calls = []
+        kernel = channel.psi_hat_array
+        monkeypatch.setattr(channel, "psi_hat_array", lambda *a, **k: calls.append(k) or kernel(*a, **k))
+        for spec, route in (("uniform:21", "mirrored"), ("asym:0.7", "per_tilt")):
+            calls.clear()
+            routes.clear()
+            psi_bar_array(ev, parse_prior_spec(spec), x, x)
+            assert calls == [{"planted": True}] and routes == [route], spec
+
+    def test_asymmetric_prior_takes_the_per_tilt_route(self, monkeypatch, ev):
+        x = np.linspace(0.0, 10.0, 500)
+        routes = self._routes(monkeypatch)
+        for p in (asymmetric_binary_prior(0.7), make_prior([(2.0, 0.25), (0.0, 0.5), (-2.0, 0.25 + 1e-12)])):
+            self._check(ev, p, x, x, routes)
+            assert routes == ["per_tilt"], p
+
+    def test_peak_memory_of_a_large_call(self, ev):
+        # the mirrored route writes into the one table the per-tilt route
+        # fills, so its peak stays at or below the per-tilt route's
+        import tracemalloc
+
+        p = rademacher_prior()
+        q = np.linspace(0.0, 1.0, 100_001)
+        peaks = []
+        for fn in (per_tilt_psi_bar, psi_bar_array):
+            tracemalloc.start()
+            fn(ev, p, 2.0 * q, 2.0 * q)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0], peaks
 
 
 def _gibbs_mean_sq_oracle(ev, p, r):

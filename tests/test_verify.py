@@ -127,7 +127,7 @@ class TestTiltAsymmetry:
         want = min(asymmetry_gap(ev, p, float(r)) for r in np.arange(0.0, 10.0 + 1e-12, 0.25))
         calls = []
         kernel = channel.psi_hat_array
-        monkeypatch.setattr(channel, "psi_hat_array", lambda *a: calls.append(1) or kernel(*a))
+        monkeypatch.setattr(channel, "psi_hat_array", lambda *a, **k: calls.append(1) or kernel(*a, **k))
         rep = tilt_asymmetry_check(p)
         assert len(calls) == 1
         assert rep.params["min_gap"].hex() == want.hex()

@@ -182,8 +182,6 @@ def _write(path, text: str):
 def _maybe_plot(args, xs, series, labels, title, xlabel, ylabel):
     if not args.plot:
         return
-    if args.out is None:
-        raise UsageError("--plot needs --out to derive the SVG path")
     path = os.path.splitext(args.out)[0] + ".svg"
     _write(path, line_chart_svg(xs, series, labels, title, xlabel, ylabel))
 
@@ -265,6 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
+    if "plot" in args and args.plot and args.out is None:
+        raise UsageError("--plot needs --out to derive the SVG path")
     prior = parse_prior_spec(args.prior)
     seed = _resolve_seed(args)
     if "nodes" in args and not DEFAULT_NODE_COUNT <= args.nodes <= MAX_NODE_COUNT:

@@ -11,22 +11,22 @@ evolution), the limiting mutual information lambda/4 E[X^2]^2 - phi_rs, the
 per-entry matrix MMSE E[X^2]^2 - q*^2, and the location of the smallest SNR
 with a nontrivial optimizer.
 
-phi_rs locates its optimizer on a grid of GRID_POINTS exact values over
-[0, E[X^2]] (the safeguard against multimodality, which genuinely occurs for
-sparse priors) followed by golden-section refinement inside each grid local
-maximum's bracket.  The local maxima of F are the stable fixed points of state
-evolution, at most a few and far apart, so the grid is not priced in full: a
-strided pass finds the coarse local maxima, and only the fine windows around
-them and at both ends are evaluated (tests/test_rs.py holds the result to the
-full scan's bits).  The fine grid and the golden refinement stay because they
-define the result, and the benchmark's guerra_slope|2 item pins
-phi_rs(p, 2).optimizer_q to the last bit.  critical_lambda does not
-search over phi_rs: it solves for the SNR where q = delta is a fixed point of
-state evolution and, at a jump, for the SNR where two branches' values tie,
-and one phi_rs call says which of the two roots q* crosses delta at.  F
-itself has one evaluator, _potential, at one q or an array of them:
-rs_potential, the scan and the refinement all price F there, and a point's
-bits do not depend on how many points share its call.
+phi_rs is one function.  It locates its optimizer on a grid of GRID_POINTS
+exact values over [0, E[X^2]] (the safeguard against multimodality, which
+genuinely occurs for sparse priors), then refines each grid local maximum by
+golden-section search inside its bracket and applies the tie rule.  The
+local maxima of F are the stable fixed points of state evolution, at most a
+few and far apart, so the grid is not priced in full: a strided pass finds
+the coarse local maxima, and only the fine windows around them and at both
+ends are priced (tests/test_rs.py holds the result to the full scan's bits).
+The fine grid and the golden refinement stay because they define the result,
+and the benchmark's guerra_slope|2 item pins phi_rs(p, 2).optimizer_q to the
+last bit.  critical_lambda does not search over phi_rs: it solves for the SNR
+where q = delta is a fixed point of state evolution and, at a jump, for the
+SNR where two branches' values tie, and one phi_rs call says which of the two
+roots q* crosses delta at.  F itself has one evaluator, _potential, at one q
+or an array of them: rs_potential, phi_rs and _jump all price F there, and a
+point's bits do not depend on how many points share its call.
 
 The refinement prices several golden-section steps per kernel call, since a
 call's cost is mostly fixed.  From a bracket's state the next step's point
@@ -38,8 +38,8 @@ value, which _golden_step computes with the sequential search's own
 arithmetic.  Because a point's bits do not depend on its batch, every
 comparison and the result are the one-point-per-call search's bit for bit
 (tests/test_rs.py keeps that search as the reference); the unused candidates
-cost only kernel time.  The bracket's grid point is not priced again: the
-scan hands its value to the refinement.  k comes from the channel's cost
+cost only kernel time.  The bracket's grid point is not priced again: its
+value from the scan stands in for it.  k comes from the channel's cost
 model (_golden_depth): a call costs about channel._KERNEL_FIXED + points *
 A^2 G exponent values for A atoms at G nodes, so k steps cost
 (R + 2**k - 1) / k per step with R = _KERNEL_FIXED / (A^2 G).  At 61 nodes
@@ -278,86 +278,60 @@ def phi_rs(p: Prior, lam: float, ev: ChannelEvaluator | None = None) -> Potentia
     The optimizer is defined on the grid of GRID_POINTS points, step
     E[X^2] / (GRID_POINTS - 1), so a prior's scale sets the step and not the
     cost; grid_resolution reports the step to 12 significant digits, so that
-    an E[X^2] of 1 up to rounding reports 1e-3.  Golden refinement of every
-    grid local maximum's bracket [q_{i-1}, q_{i+1}], all local optima recorded.
-    Value ties within 1e-10 resolve toward larger q (the informative branch
-    at a first-order transition).
+    an E[X^2] of 1 up to rounding reports 1e-3.  lambda must pass
+    _check_scale at extent E[X^2] + 1.  At lambda = 0 or E[X^2] = 0 every q
+    is optimal and the value is exactly psi(0) = 0, as saddle's, with
+    optimizer 0.0 and nothing priced.
 
-    The grid is priced in two passes (_rs_scan), and only the grid's local
-    maxima are refined (_rs_refine).  lambda must pass _check_scale at extent
-    E[X^2] + 1.
-    """
-    return _rs_refine(p, lam, ev, *_rs_scan(p, lam, ev))
+    Otherwise a coarse pass prices every _STRIDE-th grid point, both ends
+    included.  Fine windows then fill the grid from coarse neighbour to
+    coarse neighbour around each coarse local maximum, and over the first
+    and last coarse intervals: at small lambda a sparse prior can hold a
+    local maximum next to q = 0 behind a dip narrower than the stride
+    (sparse:0.02 at lambda = 1 has one worth 4e-17 behind a dip of 8e-10).
+    A grid point counts as a local maximum only when both its neighbours
+    were priced or it is a grid end.  Away from the ends this finds the full
+    scan's local maxima when the rises and dips between them are wider than
+    a stride, as for the few, far-apart stable fixed points
+    q = 2 psi'(lambda q).  A potential flat to 1e-13 leaves q = 0 alone, its
+    bracket [0, 0].
 
-
-def _rs_scan(p: Prior, lam: float, ev):
-    """phi_rs's grid scan: (step, q_scan, vals, idx), the grid step, the grid,
-    F on it (NaN where not priced) and the indices of its local maxima.
-
-    At lambda = 0, E[X^2] = 0 or a flat potential every q is optimal, and
-    the grid is the one point [0.0] with idx = [0]: its bracket is [0, 0],
-    which _rs_refine prices at q = 0 alone, so phi_rs reports optimizer 0.0.
-
-    A coarse pass evaluates every _STRIDE-th point, both ends included.  Fine
-    windows then fill the grid from coarse neighbour to coarse neighbour
-    around each coarse local maximum, and over the first and last coarse
-    intervals: at small lambda a sparse prior can hold a local maximum next to
-    q = 0 behind a dip narrower than the stride (sparse:0.02 at lambda = 1 has
-    one worth 4e-17 behind a dip of 8e-10).  A grid point counts as a local
-    maximum only when both its neighbours were evaluated or it is a grid end.
-    Away from the ends this finds the full scan's local maxima when the rises
-    and dips between them are wider than a stride, as for the few, far-apart
-    stable fixed points q = 2 psi'(lambda q).
+    Each grid local maximum i is refined by golden search in its bracket
+    [q_{i-1}, q_{i+1}], clipped to the grid, _golden_depth steps per kernel
+    call after the first; the grid point's scanned value is kept where it
+    beats the bracket's interior, so each refined q lies in its bracket.
+    All local optima are recorded, and value ties within TIE_TOL resolve
+    toward larger q (the informative branch at a first-order transition).
     """
     m2 = second_moment(p)
     _check_scale(p, lam, m2 + 1.0)
     npts = GRID_POINTS
     step = float(f"{m2 / (npts - 1):.12g}")
-    q_scan = np.linspace(0.0, m2, npts)
-    vals = np.full(npts, np.nan)  # NaN: not evaluated
     if lam == 0.0 or m2 == 0.0:
-        return step, q_scan[:1], vals[:1], [0]
-    coarse = np.r_[0 : npts - 1 : _STRIDE, npts - 1]
-    vals[coarse] = _potential(p, lam, q_scan[coarse], ev)
-    # The fine windows run from coarse neighbour to coarse neighbour around
-    # every coarse local maximum and around both ends.
-    last = coarse.size - 1
-    fine = np.zeros(npts, dtype=bool)
-    for j in [0, last] + _local_max_indices(vals[coarse]):
-        fine[coarse[max(j - 1, 0)] : coarse[min(j + 1, last)] + 1] = True
-    fine[coarse] = False
-    vals[fine] = _potential(p, lam, q_scan[fine], ev)
-
-    v_max, v_min = np.nanmax(vals), np.nanmin(vals)
-    if v_max - v_min <= 1e-13 * max(1.0, abs(v_max)):
-        return step, q_scan[:1], vals[:1], [0]  # flat potential
-    return step, q_scan, vals, _local_max_indices(vals)
-
-
-def _brackets(q_scan: np.ndarray, idx: list) -> list:
-    """The refinement bracket [q_{i-1}, q_{i+1}] of each grid local maximum i, clipped to the grid."""
-    last = q_scan.size - 1
-    return [(q_scan[max(i - 1, 0)], q_scan[min(i + 1, last)]) for i in idx]
-
-
-def _rs_refine(p: Prior, lam: float, ev, step: float, q_scan: np.ndarray, vals: np.ndarray,
-               idx: list) -> PotentialResult:
-    """phi_rs's refinement of a scan: golden search in every bracket, the grid
-    point's scanned value kept where it beats the bracket's interior (a NaN,
-    the one-point grid's unpriced q = 0, never does), then the tie rule.
-
-    _golden_depth sets how many steps each golden call after the first
-    prices.  Each refined q lies in its bracket (golden probes only its
-    interior, and the fallback is the grid point itself).
-    """
-    depth = _golden_depth(p, ev)
+        return PotentialResult(0.0, 0.0, None, [(0.0, 0.0)], step)
 
     def f(q):
         return _potential(p, lam, q, ev)
 
+    q_scan = np.linspace(0.0, m2, npts)
+    vals = np.full(npts, np.nan)  # NaN: not priced
+    coarse = np.r_[0 : npts - 1 : _STRIDE, npts - 1]
+    vals[coarse] = f(q_scan[coarse])
+    top = coarse.size - 1
+    fine = np.zeros(npts, dtype=bool)
+    for j in [0, top] + _local_max_indices(vals[coarse]):
+        fine[coarse[max(j - 1, 0)] : coarse[min(j + 1, top)] + 1] = True
+    fine[coarse] = False
+    vals[fine] = f(q_scan[fine])
+    v_max, v_min = np.nanmax(vals), np.nanmin(vals)
+    if v_max - v_min <= 1e-13 * max(1.0, abs(v_max)):
+        q_scan, vals = q_scan[:1], vals[:1]  # a flat potential: q = 0 alone, its bracket [0, 0]
+
+    depth = _golden_depth(p, ev)
+    last = q_scan.size - 1
     optima = []
-    for i, (a, b) in zip(idx, _brackets(q_scan, idx)):
-        q_c, v_c = _golden_max(f, a, b, depth)
+    for i in _local_max_indices(vals):
+        q_c, v_c = _golden_max(f, q_scan[max(i - 1, 0)], q_scan[min(i + 1, last)], depth)
         # The bracket interior can undershoot the grid point itself.
         if vals[i] > v_c:
             q_c, v_c = q_scan[i], vals[i]

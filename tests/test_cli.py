@@ -416,9 +416,22 @@ class TestErrorPaths:
         )
         assert code == 2
 
-    def test_plot_without_out(self, capsys):
-        code, _, err = run_cli(["rs-curve", "--lambda", "0", "--plot"], capsys)
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rs-curve", "--lambda", "1,2"],
+            ["saddle", "--lambda", "1"],
+            ["se", "--lambda", "1"],
+            ["finite-n", "--n", "4", "--disorder", "3"],
+            ["fp", "--n", "4", "--disorder", "3"],
+        ],
+    )
+    def test_plot_without_out(self, capsys, args):
+        # refused before any work: nothing reaches stdout
+        code, out, err = run_cli(args + ["--plot"], capsys)
         assert code == 2
+        assert err == "error: --plot needs --out to derive the SVG path\n"
+        assert out == ""
 
     @pytest.mark.parametrize("command", ["finite-n", "fp", "verify"])
     @pytest.mark.parametrize("disorder", ["0", "-1"])

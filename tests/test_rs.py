@@ -170,34 +170,39 @@ def _tanh_fixed_point(lam, q0=0.9, tol=1e-12):
 
 class TestPhiRs:
     def test_lambda_zero(self, ev, priors):
-        for p in priors.values():
+        # exactly psi(0) = 0 at lambda = 0, as saddle's, so that mi is 0 too
+        for p in [*priors.values(), parse_prior_spec("point:0")]:
             res = phi_rs(p, 0.0, ev)
-            assert res.value == pytest.approx(0.0, abs=1e-14)
-            assert res.optimizer_q == 0.0
+            assert res.value == 0.0 and res.optimizer_q == 0.0
+            [row] = compute_curve(p, [0.0], ev)
+            assert row["phi_rs"] == row["saddle"] == row["mi"] == 0.0, (p.name, row)
 
     @pytest.mark.parametrize(
         "spec, lam, resolution",
         [("rademacher", 0.0, 0.001), ("rademacher", 1e-14, 0.001), ("sparse:0.25", 1e-14, 0.001),
          ("point:0", 2.0, 0.0)],
     )
-    def test_one_point_scan(self, ev, spec, lam, resolution):
-        # lambda = 0, a potential flat to 1e-13 (lambda = 1e-14) and E[X^2] = 0
-        # each scan the one-point grid [0.0]; sparse:0.25's F(1e-14, 0) is
-        # 2**-53, so the value is the potential at 0, not a literal 0.0.  The
-        # flat scan priced q = 0, the other two priced nothing (NaN)
+    def test_one_point_scan(self, ev, monkeypatch, spec, lam, resolution):
+        # lambda = 0 and E[X^2] = 0 give exactly 0 and price nothing.  A
+        # potential flat to 1e-13 (lambda = 1e-14) keeps q = 0 alone after
+        # its scan, whose first point is q = 0, and refines the bracket
+        # [0, 0], which prices q = 0 alone; sparse:0.25's F(1e-14, 0) is
+        # 2**-53, so the value is the potential at 0, not a literal 0.0
         p = parse_prior_spec(spec)
-        step, q_scan, vals, idx = rs._rs_scan(p, lam, ev)
-        assert q_scan.tolist() == [0.0] and idx == [0], (q_scan, idx)
         v = rs_potential(p, lam, 0.0)
-        if lam == 0.0 or spec == "point:0":
-            assert np.isnan(vals).tolist() == [True]
-        else:
-            assert [x.hex() for x in vals.tolist()] == [v.hex()]
+        priced = _record_potential(monkeypatch)
         res = phi_rs(p, lam, ev)
+        if lam == 0.0 or spec == "point:0":
+            assert priced == []
+            v = 0.0
+        else:
+            (coarse_q, coarse_f), _, (zero_q, zero_f) = priced
+            assert coarse_q[0] == 0.0 and coarse_f[0].hex() == v.hex()
+            assert zero_q.tolist() == [0.0] and [x.hex() for x in zero_f.tolist()] == [v.hex()]
         assert res.optimizer_q == 0.0 and res.optimizer_m is None
         assert res.value.hex() == v.hex()
         assert res.local_optima == [(0.0, v)]
-        assert res.grid_resolution == step == resolution
+        assert res.grid_resolution == resolution
 
     def test_below_threshold_flat(self, ev):
         # dense-grid oracle at resolution 1e-5: at lambda = 0.5 the potential
@@ -281,30 +286,44 @@ def _sequential_golden_max(f, a, b):
     return (c, yc) if yc > yd else (d, yd)
 
 
+def _record_potential(monkeypatch):
+    """Record every rs._potential call from here on as (q, F), both 1-d arrays, in call order."""
+    priced = []
+    potential = rs._potential
+
+    def recorded(p, lam, q, ev):
+        value = potential(p, lam, q, ev)
+        priced.append((np.atleast_1d(q), np.atleast_1d(value)))
+        return value
+
+    monkeypatch.setattr(rs, "_potential", recorded)
+    return priced
+
+
+def _full_scan_brackets(p, lam, ev):
+    """The full grid scan's grid local maxima i with their brackets [q_{i-1}, q_{i+1}]:
+    every grid point priced, and a potential flat to 1e-13 left with q = 0
+    alone, its bracket [0, 0].  lambda and E[X^2] must be > 0."""
+    q_scan = np.linspace(0.0, second_moment(p), rs.GRID_POINTS)
+    vals = rs._potential(p, lam, q_scan, ev)
+    if vals.max() - vals.min() <= 1e-13 * max(1.0, abs(vals.max())):
+        return [(0, 0.0, 0.0)]
+    last = q_scan.size - 1
+    return [(i, q_scan[max(i - 1, 0)], q_scan[min(i + 1, last)]) for i in _local_max_loop(vals)]
+
+
 def _full_scan_phi_rs(p, lam, ev):
     """phi_rs as it was before the strided pass: every grid point priced,
     every bracket refined one point per call."""
-    from replica_lab.rs import (
-        GRID_POINTS,
-        TIE_TOL,
-        PotentialResult,
-        _potential,
-    )
+    from replica_lab.rs import GRID_POINTS, TIE_TOL, PotentialResult
 
     m2 = second_moment(p)
-    npts = GRID_POINTS
-    step = float(f"{m2 / (npts - 1):.12g}")
+    step = float(f"{m2 / (GRID_POINTS - 1):.12g}")
     if lam == 0.0 or m2 == 0.0:
-        v0 = rs_potential(p, lam, 0.0)
-        return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
-    q_scan = np.linspace(0.0, m2, npts)
-    vals = _potential(p, lam, q_scan, ev)
-    if vals.max() - vals.min() <= 1e-13 * max(1.0, abs(vals.max())):
-        v0 = rs_potential(p, lam, 0.0)
-        return PotentialResult(v0, 0.0, None, [(0.0, v0)], step)
+        return PotentialResult(0.0, 0.0, None, [(0.0, 0.0)], step)
+    q_scan = np.linspace(0.0, m2, GRID_POINTS)
     optima = []
-    for i in _local_max_loop(vals):
-        a, b = q_scan[max(i - 1, 0)], q_scan[min(i + 1, npts - 1)]
+    for i, a, b in _full_scan_brackets(p, lam, ev):
         q_c, v_c = _sequential_golden_max(lambda q: rs_potential(p, lam, q), a, b)
         v_grid = rs_potential(p, lam, float(q_scan[i]))
         if v_grid > v_c:
@@ -318,17 +337,10 @@ def _full_scan_phi_rs(p, lam, ev):
 def test_phi_rs_grid_size_does_not_grow_with_the_prior_scale(ev, monkeypatch):
     # E[X^2] = 1e6: a grid of fixed step 1e-3 would price 1e9 points
     p = parse_prior_spec("point:1e3")
-    priced = []
-    potential = rs._potential
-
-    def counted(p, lam, q, ev):
-        priced.append(np.size(q))
-        return potential(p, lam, q, ev)
-
-    monkeypatch.setattr(rs, "_potential", counted)
-    rs._rs_scan(p, 1.0, ev)
-    assert 0 < sum(priced) <= rs.GRID_POINTS
+    priced = _record_potential(monkeypatch)
     res = phi_rs(p, 1.0, ev)
+    scanned = np.concatenate([q for q, _ in priced[:2]])  # the scan's two calls, coarse and fine
+    assert 0 < scanned.size <= rs.GRID_POINTS
     assert res.grid_resolution == 1e3
     assert res.optimizer_q == pytest.approx(second_moment(p), rel=1e-7)  # the flat top's rounding
 
@@ -384,6 +396,18 @@ class TestPhiRsMatchesFullScan:
         )
         for lam in (0.47139061, 0.47610404):
             assert phi_rs(p, lam, ev) == _full_scan_phi_rs(p, lam, ev), lam
+
+    @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.05", "sparse:0.02", "asym:0.7", "uniform:8"])
+    def test_refined_optima_stay_in_their_brackets(self, ev, spec):
+        # each local optimum lies in its grid local maximum's bracket, the
+        # full scan's (test_lambda_grid holds phi_rs to it)
+        p = parse_prior_spec(spec)
+        for lam in (0.3, 0.75, 0.99, 1.0, 1.3, 2.0, 7.0):
+            brackets = _full_scan_brackets(p, lam, ev)
+            optima = phi_rs(p, lam, ev).local_optima
+            assert len(optima) == len(brackets)
+            for (q, _), (_, a, b) in zip(optima, brackets):
+                assert a <= q <= b, (spec, lam, q, a, b)
 
     def test_two_local_optima(self, ev):
         # a local maximum next to q = 0 behind a dip narrower than the coarse
@@ -496,25 +520,24 @@ class TestSpeculativeGolden:
     @pytest.mark.parametrize(
         "spec, lam, depth",
         [("rademacher", 2.0, 4), ("sparse:0.25", 2.0, 3), ("sparse:0.05", 0.75, 3), ("uniform:8", 2.0, 2),
-         ("uniform:21", 1.5, 1), ("rademacher", 0.0, 4)],
+         ("uniform:21", 1.5, 1), ("rademacher", 1e-14, 4)],
     )
     def test_kernel_calls_per_bracket(self, ev, monkeypatch, spec, lam, depth):
-        # a bracket whose sequential search takes n steps costs 1 + ceil(n /
-        # depth) kernel calls, the first on its two interior points (the grid
-        # point comes priced from the scan); sparse:0.05 at 0.75 has two
-        # brackets, and lambda = 0 the one-point scan's zero-width one
+        # after the scan's two calls, a bracket whose sequential search takes
+        # n steps costs 1 + ceil(n / depth) kernel calls, the first on its two
+        # interior points (the grid point comes priced from the scan);
+        # sparse:0.05 at 0.75 has two brackets, and the flat potential at
+        # lambda = 1e-14 the zero-width one [0, 0]
         p = parse_prior_spec(spec)
-        scan = rs._rs_scan(p, lam, ev)
+        brackets = _full_scan_brackets(p, lam, ev)
         want = 0
-        for a, b in rs._brackets(scan[1], scan[3]):
+        for _, a, b in brackets:
             priced = []
             _sequential_golden_max(lambda q: priced.append(q) or 0.0, a, b)
             want += 1 + math.ceil(max(len(priced) - 2, 0) / depth)
-        calls = []
-        potential = rs._potential
-        monkeypatch.setattr(rs, "_potential", lambda *args: calls.append(1) or potential(*args))
-        rs._rs_refine(p, lam, ev, *scan)
-        assert len(calls) == want, (spec, lam)
+        calls = _record_potential(monkeypatch)
+        assert len(phi_rs(p, lam, ev).local_optima) == len(brackets), (spec, lam)
+        assert len(calls) == 2 + want, (spec, lam)
 
     @pytest.mark.parametrize(
         "spec, lam", [("rademacher", 2.0), ("sparse:0.05", 0.75), ("asym:0.7", 1.3), ("uniform:8", 2.0)]
@@ -525,21 +548,15 @@ class TestSpeculativeGolden:
         # refines two brackets), and no call prices one float twice, though
         # _golden_tree's candidates repeat some (rademacher at 2)
         p = parse_prior_spec(spec)
-        priced = []
-        potential = rs._potential
-
-        def recorded(p, lam, q, ev):
-            priced.append(np.atleast_1d(q))
-            return potential(p, lam, q, ev)
-
-        monkeypatch.setattr(rs, "_potential", recorded)
-        scan = rs._rs_scan(p, lam, ev)
-        scanned = np.concatenate(priced)
-        priced.clear()
-        rs._rs_refine(p, lam, ev, *scan)
-        refined = np.concatenate(priced)
+        n_brackets = len(_full_scan_brackets(p, lam, ev))
+        calls = _record_potential(monkeypatch)
+        assert len(phi_rs(p, lam, ev).local_optima) == n_brackets, (spec, lam)
+        priced = [q for q, _ in calls]
+        scanned = np.concatenate(priced[:2])  # the scan's two calls, coarse and fine
+        refined = np.concatenate(priced[2:])
+        assert np.isin(scanned, np.linspace(0.0, second_moment(p), rs.GRID_POINTS)).all(), (spec, lam)
         assert np.unique(scanned).size == scanned.size, (spec, lam)
-        assert all(np.unique(q).size == q.size for q in priced), (spec, lam)
+        assert all(np.unique(q).size == q.size for q in priced[2:]), (spec, lam)
         assert np.intersect1d(scanned, refined).size == 0, (spec, lam)
 
     @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "asym:0.7", "uniform:21", "uniform:8"])
@@ -1139,14 +1156,3 @@ class TestCriticalLambdaFromTheScan:
         assert 2.0 * psi_prime(ev, p, lam_c * delta) > delta
         assert self._switches(ev, p, lam_c, delta), lam_c
         assert abs(lam_c - refine_always_critical_lambda(p, delta, 1e-3, ev)) <= 5e-4
-
-    @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.05", "sparse:0.02", "asym:0.7", "uniform:8"])
-    def test_refined_optima_stay_in_their_brackets(self, ev, spec):
-        p = parse_prior_spec(spec)
-        for lam in (0.3, 0.75, 0.99, 1.0, 1.3, 2.0, 7.0):
-            scan = rs._rs_scan(p, lam, ev)
-            brackets = rs._brackets(scan[1], scan[3])
-            optima = rs._rs_refine(p, lam, ev, *scan).local_optima
-            assert len(optima) == len(brackets)
-            for (q, _), (a, b) in zip(optima, brackets):
-                assert a <= q <= b, (spec, lam, q, a, b)

@@ -36,6 +36,7 @@ import sys
 
 from . import __version__
 from .errors import (
+    DEFAULT_BUDGET,
     DomainError,
     EnumerationBudgetError,
     InvalidArgumentError,
@@ -44,20 +45,11 @@ from .errors import (
     _check_count,
 )
 from .channel import DEFAULT_NODE_COUNT, MAX_NODE_COUNT, make_evaluator
-from .finite import (
-    DEFAULT_BUDGET,
-    MC_CSV_FIELDS,
-    derive_seed,
-    fp_potential,
-    fp_profile,
-    free_entropy_mc,
-    mc_csv_record,
-    sample_spike,
-)
 from .priors import parse_prior_spec, prior_to_json, second_moment
 from .rs import CURVE_FIELDS, compute_curve, phi_rs, saddle, state_evolution
-from .svg import line_chart_svg
-from .verify import run_suite
+
+# The finite-N stack (finite-n, fp, verify) and svg (--plot) load where a command uses them,
+# so that rs-curve, saddle and se start on the RS core alone.
 
 DEFAULT_MASTER_SEED = 123456789
 VERSION_STRING = f"replica-lab-v{__version__}"
@@ -182,6 +174,8 @@ def _write(path, text: str):
 def _maybe_plot(args, xs, series, labels, title, xlabel, ylabel):
     if not args.plot:
         return
+    from .svg import line_chart_svg
+
     path = os.path.splitext(args.out)[0] + ".svg"
     _write(path, line_chart_svg(xs, series, labels, title, xlabel, ylabel))
 
@@ -320,6 +314,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "finite-n":
+        from .finite import MC_CSV_FIELDS, derive_seed, free_entropy_mc, mc_csv_record
+
         header["lambda"] = lam = _one_lambda(args.lam)
         header["n"] = sizes = parse_int_list(args.n)
         if len(set(sizes)) < len(sizes):
@@ -334,6 +330,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "fp":
+        from .finite import MC_CSV_FIELDS, derive_seed, fp_potential, fp_profile, mc_csv_record, sample_spike
+
         header["lambda"] = lam = _one_lambda(args.lam)
         _check_count("n", args.n, 2)  # the exact estimators' rule, before the spike is drawn
         spike = sample_spike(prior, args.n, derive_seed(seed, 0, 2))
@@ -351,6 +349,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
+        from .verify import run_suite
+
         reports = run_suite(prior, args.n, args.disorder, seed, args.budget)
         _emit(args, header, ("check", "slack", "stderr", "allowance", "pass"),
               [r.to_dict() for r in reports])

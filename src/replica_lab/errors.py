@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and its scalar range checks."""
+"""Exception types shared across the package, its scalar range checks, and the enumeration budget."""
 
 import math
 import operator
+
+# The default budget of exact enumeration, in configurations: here, not in `finite`, so that the
+# CLI reads it for every command's --budget without loading the finite-N stack.
+DEFAULT_BUDGET = 2**20
 
 
 class InvalidPriorError(ValueError):

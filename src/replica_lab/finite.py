@@ -132,12 +132,10 @@ import numpy as np
 
 from . import priors
 from .channel import EXPONENT_MAX, _check_scale
-from .errors import DomainError, EnumerationBudgetError, InvalidArgumentError
+from .errors import DEFAULT_BUDGET, DomainError, EnumerationBudgetError, InvalidArgumentError
 from .errors import _check_count, _check_finite, _check_integer, _check_nonnegative, _check_positive
 from .priors import Prior
 from .report import VerificationReport
-
-DEFAULT_BUDGET = 2**20
 
 # Values held per block of the Gibbs pass: 2**16 doubles (512 KB).  It sizes
 # the row and draw blocks of the energy kernel (_blocks), so that every array

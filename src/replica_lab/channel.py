@@ -43,6 +43,31 @@ for uniform:21, calls of 3 points or more for uniform:8, 23 or more for
 three atoms and 34 or more for two.  psi_hat, psi_hat_grad and psi' price
 every tilt.
 
+psi_hat_grad, the saddle's kernel, prices exponentials per r and per tilt
+instead of per (r, tilt) when its tilts share their r, as the saddle's
+s = lambda m x* share r = lambda q along the m grid and the |x*| axis.
+Each term factors as
+
+    exp(sqrt(r) z_g x + s x - r x^2 / 2 + log w(x)) = e^(b_g + c) B_r[x, g] E[x],
+
+B_r = exp(sqrt(r) z_g x - b_g) shifted per node by its maximum over the
+atoms and priced once per r, E = exp(s x - r x^2 / 2 + log w(x) - c)
+shifted per tilt by its maximum and priced once per tilt.  One matrix
+product [E; E x; E x^2] @ B_r per r, whose rows are every tilt of that r,
+gives the sums over the atoms behind the value, <x> and <x^2> at every
+node.  That route (_factored_grad) is taken when the exponent values it
+saves outweigh its own costs (_factored_shape) and when the largest
+product E B cannot leave the normal floats: _shortfall bounds how far
+below 1 it can fall from the two factors' spreads over the atoms, and a
+call whose bound exceeds _SHORTFALL_MAX (600) runs the direct kernel,
+_node_tables with its moments, unchanged.  The factored value is not
+psi_hat_array's bit for bit: tests/test_channel.py holds the value and d_s
+within 64 eps (1 + |x|) of the direct kernel's, and d_r within 64 eps
+(1 + |x|) (1 + r^-1/2); the gaps measured there reach 9.5 eps.  A call on
+the direct kernel keeps every bit.  psi_hat_array, psi_bar_array and the
+psi' kernel do not take the route, so phi_rs and state evolution keep
+their bits.
+
 The rule is built in numpy by Golub-Welsch: the nodes are the eigenvalues of
 the symmetric tridiagonal Jacobi matrix of He_n (off-diagonal sqrt(k)).  Up to
 150 nodes it follows scipy.special.roots_hermitenorm step for step (one Newton
@@ -172,6 +197,20 @@ _KERNEL_FIXED = 2**13
 # 23-33 points on the mirrored one (about 4% slower there).
 _MIRROR_FIXED = 2**12
 
+# psi_hat_grad's factored route (_factored_shape): its fixed cost per call
+# in the exponent values it saves, less its product's cost of about 1.5
+# values per point and node.  A least-squares fit over 90 call shapes (2-21
+# atoms, 1-10 distinct r, 1-100 tilts per r; 61 nodes, 2-CPU Intel Xeon,
+# numpy 2.4.6, best of 9 rounds) priced the direct kernel at 7.4e3 + P A G
+# values and the route at 1.1e4 + 1.6 P G + 0.06 P A G + 0.9 R A G, for P
+# points of R distinct r.  With 2**13 every call the route took ran faster
+# there, and calls of up to 10 points on two or three atoms stay direct.
+_SHARED_FIXED = 2**13
+# The largest shortfall (_shortfall) the route takes: the dominant product
+# E B then stays at least exp(-600) = 2.6e-261, a normal float.
+_SHORTFALL_MAX = 600.0
+_POWERS = np.array([[0.0], [1.0], [2.0]])  # the exponents of [1; x; x^2]
+
 
 def _node_tables(ev: ChannelEvaluator, p: Prior, r, s, moments: bool = False, mirror=None):
     """(r, log-sums, moments): the blocked kernel behind psi_hat.
@@ -297,8 +336,100 @@ def psi_hat_array(ev: ChannelEvaluator | None, p: Prior, r, s, *, planted: bool 
     return inner.reshape((shape if planted else r.shape) + (ev.node_count,)) @ ev.weights
 
 
+def _shortfall(ev: ChannelEvaluator, p: Prior, r, s) -> float:
+    """A bound, in log units, on how far below 1 the factored route's largest product can fall.
+
+    At each node the atom that maximizes B has E >= exp(-E's spread over the
+    atoms), and the atom that maximizes E has B >= exp(-B's spread), so the
+    largest product E B is at least exp(-the lesser spread).  With K the
+    support bound, B's spread is at most sqrt(r) max|z| 2K and E's at most
+    |s| 2K + r K^2 / 2 - min log w, at the call's largest r and |s|.  A NaN
+    r or s gives a NaN bound, which compares false against any limit.
+    """
+    k = p.bound
+    r_max = float(np.max(r))
+    spread_b = 2.0 * k * math.sqrt(max(r_max, 0.0)) * float(np.abs(ev.nodes).max())
+    spread_e = 2.0 * k * float(np.max(np.abs(s))) + 0.5 * r_max * k * k - float(p.log_weights.min())
+    return float(np.minimum(spread_b, spread_e))
+
+
+def _factored_grad(ev: ChannelEvaluator, p: Prior, r: np.ndarray, s: np.ndarray, shape):
+    """(value, sum_g w_g <x>_g, sum_g w_g <x^2>_g, sum_g w_g z_g <x>_g) at each point of shape.
+
+    psi_hat_grad's factored route (see the module docstring).  r's own axes
+    lead and the axes it is broadcast along trail, so that the points form
+    an (r, tilt) table whose row i shares r_i.  Each block of rows prices B
+    per r and E per tilt, and one batched product gives its atom sums; the
+    log-sum is b + c + log(sum E B).  The node contraction follows inside
+    the block, so only per-point results outlive it, and a block holds
+    about _BLOCK_VALUES values, as the direct kernel's blocks do.
+    """
+    n_dim = len(shape)
+    r_full = r.reshape((1,) * (n_dim - r.ndim) + r.shape)
+    shared = [i for i in range(n_dim) if r_full.shape[i] == 1 < shape[i]]
+    perm = [i for i in range(n_dim) if i not in shared] + shared
+    n_r = r.size
+    n_t = math.prod(shape) // n_r
+    r_t = r_full.transpose(perm).reshape(n_r, 1, 1)
+    s_t = np.empty(tuple(shape[i] for i in perm))
+    s_t[...] = s.reshape((1,) * (n_dim - s.ndim) + s.shape).transpose(perm)
+    s_t = s_t.reshape(n_r, n_t, 1)
+
+    v, z, w = p.values, ev.nodes, ev.weights
+    vz = np.multiply.outer(v, z)
+    neg_half_sq = -0.5 * v * v
+    powers = (v ** _POWERS)[:, None]  # rows [1; x; x^2]
+    wz = w * z
+    # a block's values: B per r, and per tilt the stack [E; E x; E x^2] and its sums
+    t_rows = min(n_t, max(1, _BLOCK_VALUES // (3 * (v.size + z.size))))
+    r_rows = max(1, _BLOCK_VALUES // (v.size * z.size + 3 * t_rows * (v.size + z.size)))
+    out = np.empty((4, n_r, n_t))
+    for i in range(0, n_r, r_rows):
+        rr = r_t[i : i + r_rows]
+        k = rr.shape[0]
+        b = np.sqrt(rr) * vz  # (k, atoms, nodes)
+        b_max = np.maximum.reduce(b, axis=1, keepdims=True)
+        b -= b_max
+        np.exp(b, out=b)
+        offset = rr * neg_half_sq + p.log_weights  # (k, 1, atoms)
+        for j in range(0, n_t, t_rows):
+            e = s_t[i : i + k, j : j + t_rows] * v  # (k, tilts, atoms)
+            t = e.shape[1]
+            e += offset
+            e_max = np.maximum.reduce(e, axis=2, keepdims=True)
+            e -= e_max
+            np.exp(e, out=e)
+            # rows [E; E x; E x^2] of each r: the sums over the atoms at every (tilt, node)
+            sums = np.matmul((e[:, None] * powers).reshape(k, 3 * t, v.size), b).reshape(k, 3, t, z.size)
+            total = sums[:, 0]
+            sums[:, 1:] /= total[:, None]
+            np.log(total, out=total)
+            total += b_max
+            total += e_max
+            out[:3, i : i + k, j : j + t] = (sums @ w).transpose(1, 0, 2)
+            out[3, i : i + k, j : j + t] = sums[:, 1] @ wz
+    out = out.reshape((4,) + tuple(shape[i] for i in perm))
+    return tuple(out.transpose([0] + [perm.index(i) + 1 for i in range(n_dim)]))
+
+
+def _factored_shape(ev: ChannelEvaluator, p: Prior, r: np.ndarray, s: np.ndarray):
+    """The broadcast shape of r and s if psi_hat_grad takes the factored route on them, else None.
+
+    The route is taken when the exponent values it saves, (points - r's
+    size) x atoms x nodes, less the product's own cost of about 1.5 values
+    per point and node, exceed _SHARED_FIXED, and _shortfall is at most
+    _SHORTFALL_MAX.
+    """
+    shape = r.shape if r.shape == s.shape else np.broadcast(r, s).shape
+    points = math.prod(shape)
+    saved = ((points - r.size) * p.values.size - 1.5 * points) * ev.node_count
+    if saved > _SHARED_FIXED and _shortfall(ev, p, r, s) <= _SHORTFALL_MAX:
+        return shape
+    return None
+
+
 def psi_hat_grad(ev: ChannelEvaluator | None, p: Prior, r, s):
-    """(psi_hat, d/dr, d/ds) over broadcastable r >= 0 and s, the value bit for bit psi_hat_array's.
+    """(psi_hat, d/dr, d/ds) over broadcastable r >= 0 and s.
 
     The derivatives are the quadrature rule's own, by the chain rule through
     each node's log-sum, with <.>_g the posterior moments at node z_g:
@@ -311,15 +442,33 @@ def psi_hat_grad(ev: ChannelEvaluator | None, p: Prior, r, s):
     is returned, which is off by O(r) (tests/test_channel.py bounds it by 3 r).
     The Stein forms hold for the Gaussian integral, not for the rule, whose
     derivative they miss.
+
+    A call whose tilts share their r (r broadcast along some axes of s)
+    takes the factored route (see the module docstring) when
+    _factored_shape says it pays and its shortfall guard allows it.  Its
+    value and d_s are within 64 eps (1 + |x|) of the direct kernel's and
+    its d_r within 64 eps (1 + |x|) (1 + r^-1/2), as tests/test_channel.py
+    holds them.  Every other call runs the direct kernel, _node_tables with
+    its moments, whose value is psi_hat_array's bit for bit.
     """
     ev = _resolve(ev)
-    r_b, inner, (mean, sq) = _node_tables(ev, p, r, s, moments=True)
-    full = r_b.shape + (ev.nodes.size,)
-    d_s = mean.reshape(full) @ ev.weights
+    r = np.asarray(r, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    shape = _factored_shape(ev, p, r, s)
+    if shape is not None:
+        value, d_s, sq, z_mean = _factored_grad(ev, p, r, s, shape)
+        r_b = np.broadcast_to(r, shape)
+    else:
+        r_b, inner, (mean, sq) = _node_tables(ev, p, r, s, moments=True)
+        full = r_b.shape + (ev.nodes.size,)
+        value = inner.reshape(full) @ ev.weights
+        d_s = mean.reshape(full) @ ev.weights
+        z_mean = (mean * ev.nodes).reshape(full) @ ev.weights
+        sq = sq.reshape(full) @ ev.weights
     # the first sum is divided only where it is kept, so r = 0 divides by nothing
-    d_r = (mean * ev.nodes).reshape(full) @ ev.weights / (2.0 * np.sqrt(np.maximum(r_b, _R_LIMIT)))
-    d_r = np.where(r_b > _R_LIMIT, d_r - 0.5 * (sq.reshape(full) @ ev.weights), -0.5 * d_s**2)
-    return inner.reshape(full) @ ev.weights, d_r, d_s
+    d_r = z_mean / (2.0 * np.sqrt(np.maximum(r_b, _R_LIMIT)))
+    d_r = np.where(r_b > _R_LIMIT, d_r - 0.5 * sq, -0.5 * d_s**2)
+    return value, d_r, d_s
 
 
 def _check_exponents(p: Prior, r: float, tilt: float) -> None:

@@ -49,7 +49,13 @@ timed.
 
 The saddle works on derivatives instead.  psi_hat_grad gives F_bar with its
 exact partial derivatives in m and q (those of the quadrature rule itself).
-The inner inf over q takes every sign change of d_q F_bar on a coarse q row,
+Its tilts lambda m x* share r = lambda q along the m grid and the planted
+law's x* axis, so the kernel takes its factored route (see channel): the
+exponentials are priced per r and per tilt, and one matrix product per r
+sums the atoms.  Its values are within 64 eps (1 + |x|) of the direct
+kernel's, not psi_hat_array's bits, so the saddle, f_bar, f_hat and
+f_bar_inner_min move at the 1e-15 level against that kernel; phi_rs does
+not use it.  The inner inf over q takes every sign change of d_q F_bar on a coarse q row,
 polishes it as a root, and keeps the least value, each from the kernel call
 that found it.  By the envelope theorem the outer profile inf_q F_bar has
 slope d_m F_bar at the inner minimizer, so the outer sup takes the sign

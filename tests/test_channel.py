@@ -21,7 +21,7 @@ from replica_lab import (
     psi_hat,
     psi_prime,
 )
-from replica_lab import channel
+from replica_lab import channel, rs
 from replica_lab import priors as prior_module
 from replica_lab.channel import (
     EXPONENT_MAX,
@@ -146,6 +146,24 @@ class TestPsiHat:
             psi_hat(ev, priors["rademacher"], -0.1, 0.0)
 
 
+# psi_hat_grad's factored route holds its value and d_s within GRAD_EPS
+# (1 + |x|) of the direct kernel's, and d_r within GRAD_EPS (1 + |x|)
+# (1 + r^-1/2).  The bound was set from the gaps measured before it, in eps:
+# the value 14.6 against TestBlockedKernel's broadcast reference, and the
+# value 9.4, d_s 9.5 and d_r 3.6 over TestFactoredRoute's shapes (2, 61 and
+# 121 nodes)
+GRAD_EPS = 64 * np.finfo(float).eps
+
+
+def assert_grad_value(e, p, r, s, value, want, label):
+    """psi_hat_grad's value against the direct kernel's (want): bit for bit
+    where the call takes the direct kernel, else within GRAD_EPS (1 + |want|)."""
+    if channel._factored_shape(e, p, np.asarray(r, dtype=np.float64), np.asarray(s, dtype=np.float64)) is None:
+        assert np.array_equal(value, want), label
+    gap = np.max(np.abs(value - want) / (1.0 + np.abs(want)), initial=0.0)
+    assert gap <= GRAD_EPS, (label, gap / np.finfo(float).eps)
+
+
 class TestBlockedKernel:
     """psi_hat_array is bit-identical to the broadcast reference.
 
@@ -154,8 +172,10 @@ class TestBlockedKernel:
     spanning many blocks, a general broadcast, and the small calls: two and
     three points (r of shape (k, 1) against s of shape (k, atoms)), one pair
     off zero and one triple from r = 0.  psi_bar_array(r, r) on the small calls and on
-    a 0-d r, and psi_hat_grad's value on every case, are held to the same
-    reference.
+    a 0-d r are held to the same reference, and so is psi_hat_grad's value
+    on every case, by assert_grad_value: bit for bit where it takes the
+    direct kernel, within GRAD_EPS (1 + |v|) where it takes the factored
+    route.
     """
 
     @pytest.mark.parametrize("nodes", [2, 61, 121])
@@ -193,7 +213,8 @@ class TestBlockedKernel:
             assert type(got) is type(want) and np.shape(got) == np.shape(want), name
             assert np.array_equal(got, want), (name, float(np.max(np.abs(got - want))))
             value = psi_hat_grad(e, p, r, s)[0]
-            assert np.shape(value) == np.shape(want) and np.array_equal(value, want), name
+            assert np.shape(value) == np.shape(want), name
+            assert_grad_value(e, p, r, s, value, want, name)
         for name, x in dict(small, zero_d=np.float64(1.7)).items():
             want = broadcast_psi(e, p, x)
             got = psi_bar_array(e, p, x, x)
@@ -213,11 +234,11 @@ class TestBlockedKernel:
         for r, s in points:
             want = broadcast_psi_hat(e, p, r, s)
             assert np.array_equal(psi_hat_array(e, p, r, s), want), (r, s)
-            assert np.array_equal(psi_hat_grad(e, p, r, s)[0], want), (r, s)
+            assert_grad_value(e, p, r, s, psi_hat_grad(e, p, r, s)[0], want, (r, s))
 
 
 class TestPsiHatGrad:
-    """psi_hat_grad: psi_hat_array's value and the 61-node rule's own derivatives."""
+    """psi_hat_grad: psi_hat_array's value (by assert_grad_value) and the 61-node rule's own derivatives."""
 
     R_VALUES = (0.0, 1e-3, 0.5, 3.0, 12.0)
     S_VALUES = (-2.0, 0.0, 1.3, 7.0)
@@ -227,9 +248,10 @@ class TestPsiHatGrad:
         s = np.array(self.S_VALUES)
         for p in priors.values():
             value, d_r, d_s = psi_hat_grad(ev, p, r, s)
-            assert np.array_equal(value, psi_hat_array(ev, p, r, s)), p.name
+            assert_grad_value(ev, p, r, s, value, psi_hat_array(ev, p, r, s), p.name)
             assert d_r.shape == d_s.shape == value.shape == (r.size, s.size)
-            assert psi_hat_grad(ev, p, 1.3, -0.4)[0] == psi_hat_array(ev, p, 1.3, -0.4)
+            value, want = psi_hat_grad(ev, p, 1.3, -0.4)[0], psi_hat_array(ev, p, 1.3, -0.4)
+            assert_grad_value(ev, p, 1.3, -0.4, value, want, p.name)
 
     def test_matches_finite_differences(self, ev, priors):
         # central differences, one-sided (second order) at r = 0
@@ -259,6 +281,106 @@ class TestPsiHatGrad:
                 for r in (1e-24, 1e-20, 1e-16, 1e-13, 1e-11, 1e-10):
                     d_r = float(psi_hat_grad(ev, p, r, s)[1])
                     assert abs(d_r - d_r0) <= 1e-10 + 3.0 * r, (p.name, s, r, d_r - d_r0)
+
+
+class TestFactoredRoute:
+    """psi_hat_grad's factored route against the direct kernel (_node_tables
+    with its moments), and the rule that picks between them."""
+
+    SPECS = ["point:0.7", "rademacher", "sparse:0.25", "asym:0.7",
+             "uniform:8", "uniform:9", "uniform:21", "uniform:200"]
+
+    @staticmethod
+    def _direct(monkeypatch, e, p, r, s):
+        with monkeypatch.context() as mp:
+            mp.setattr(channel, "_SHARED_FIXED", math.inf)
+            return psi_hat_grad(e, p, r, s)
+
+    @staticmethod
+    def _cases(p):
+        """The saddle's call shapes at lambda = 3 (its coarse grid, a polish
+        step, a joint-Newton step), a table of many blocks and two shapes
+        whose r is not shared (a general broadcast and psi's).  uniform:200's
+        law of |x*| is thinned to every tenth value, which keeps its direct
+        reference under a second and still spans several tilt blocks."""
+        law = rs._planted_law(p)[0][:: max(1, p.values.size // 20)]
+        q = np.r_[0.0, 1e-11, 2e-11, 1e-8, np.linspace(0.1, 2.0, 7)]
+        m = np.linspace(-1.0, 1.0, q.size)
+        rng = np.random.default_rng(3)
+        return {
+            "grid": (3.0 * q[:, None], (3.0 * m)[:, None, None] * law),
+            "polish": (3.0 * q[:, None], (3.0 * m)[:, None] * law),
+            "joint": (
+                (3.0 * (q[:, None] + [0.0, 0.0, 1e-7]))[..., None],
+                (3.0 * (m[:, None] + [0.0, 1e-7, 0.0]))[..., None] * law,
+            ),
+            "table": (
+                np.linspace(0.0, 50.0, 5)[:, None],
+                np.linspace(-50.0, 50.0, max(3, 4000 // p.values.size))[None, :],
+            ),
+            "broadcast_5x7": (rng.uniform(0.0, 20.0, (5, 7)), rng.normal(0.0, 5.0, 7)),
+            "psi": (q[:, None], q[:, None] * p.values),
+        }
+
+    @pytest.mark.parametrize("nodes", [2, 61, 121])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_matches_direct_kernel(self, monkeypatch, nodes, spec):
+        # the route forced on every call, the shared and the unshared shapes
+        e = make_evaluator(nodes)
+        p = parse_prior_spec(spec)
+        for name, (r, s) in self._cases(p).items():
+            want = self._direct(monkeypatch, e, p, r, s)
+            with monkeypatch.context() as mp:
+                mp.setattr(channel, "_SHARED_FIXED", -math.inf)
+                assert channel._factored_shape(e, p, r, s) is not None, name
+                got = psi_hat_grad(e, p, r, s)
+            r_b = np.broadcast_to(r, want[0].shape)
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert g.shape == w.shape, (name, k)
+                scale = 1.0 + np.abs(w)
+                if k == 1:  # d_r, whose first sum is divided by 2 sqrt(r)
+                    scale *= 1.0 + 1.0 / np.sqrt(np.maximum(r_b, channel._R_LIMIT))
+                gap = np.max(np.abs(g - w) / scale)
+                assert gap <= GRAD_EPS, (name, k, gap / np.finfo(float).eps)
+
+    def test_saddle_calls_of_many_atoms_take_it(self, ev):
+        p = parse_prior_spec("uniform:21")
+        for name in ("grid", "polish", "joint"):
+            r, s = self._cases(p)[name]
+            assert channel._factored_shape(ev, p, r, s) is not None, name
+
+    @pytest.mark.parametrize("spec", ["rademacher", "sparse:0.25", "asym:0.7"])
+    def test_small_calls_take_the_direct_kernel(self, ev, spec):
+        # up to 10 points on two and three atoms, however their r is shared
+        p = parse_prior_spec(spec)
+        for points in range(1, 11):
+            for rows in (1, points):
+                r = np.linspace(0.5, 2.0, rows)[:, None]
+                s = np.linspace(-1.0, 1.0, points).reshape(rows, -1)
+                assert channel._factored_shape(ev, p, r, s) is None, (points, rows)
+
+    def test_above_the_spread_limit_takes_the_direct_kernel(self, ev, monkeypatch):
+        # sparse:0.05 at lambda = 40: sums over its atoms would fall below the
+        # float range (0 / 0 in the moments without the guard), so the call
+        # runs the direct kernel and returns its bits, with no warning
+        p = parse_prior_spec("sparse:0.05")
+        law = rs._planted_law(p)[0]
+        r, s = 80.0 * np.ones((1, 1)), 40.0 * np.linspace(-1.0, 1.0, 30)[:, None] * law
+        assert channel._shortfall(ev, p, r, s) > channel._SHORTFALL_MAX
+        assert channel._factored_shape(ev, p, r, s) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = psi_hat_grad(ev, p, r, s)
+            res = rs.saddle(p, 40.0, ev)
+        for g, w in zip(got, self._direct(monkeypatch, ev, p, r, s)):
+            assert [x.hex() for x in g.ravel().tolist()] == [x.hex() for x in w.ravel().tolist()]
+        assert math.isfinite(res.value)
+
+    def test_nan_input_takes_the_direct_kernel(self, ev):
+        p = parse_prior_spec("uniform:21")
+        r, s = np.array([[1.0], [math.nan]]), np.ones((2, 11))
+        assert math.isnan(channel._shortfall(ev, p, r, s))
+        assert channel._factored_shape(ev, p, r, s) is None
 
 
 class TestPsi:

@@ -806,8 +806,9 @@ class TestSaddleMatchesNestedPolish:
     def test_joint_path_runs(self, ev, priors, monkeypatch, name):
         # after the grid stage's one inner minimization, a saddle whose
         # Newton steps stay in their brackets makes one more per outer
-        # candidate at most (the pricing), and fewer kernel calls than the
-        # nested polish: a silent fallback to the nested path shows here
+        # candidate at most (the pricing), and fewer kernel calls
+        # (psi_hat_grad, which takes the factored route or _node_tables)
+        # than the nested polish: a silent fallback to the nested path shows here
         p = priors[name]
         calls = {}
 
@@ -820,17 +821,17 @@ class TestSaddleMatchesNestedPolish:
 
             monkeypatch.setattr(mod, fn_name, wrapped)
 
-        counting(channel, "_node_tables")
+        counting(rs, "psi_hat_grad")
         counting(rs, "_inner_min")
         for lam in (2.0, 4.0):
             kernel = {}
             for polish in ("joint", "nested"):
-                calls.update(_node_tables=0, _inner_min=0)
+                calls.update(psi_hat_grad=0, _inner_min=0)
                 with monkeypatch.context() as mp:
                     if polish == "nested":
                         mp.setattr(rs, "_joint_polish", nested_polish)
                     res = saddle(p, lam, ev)
-                kernel[polish] = calls["_node_tables"]
+                kernel[polish] = calls["psi_hat_grad"]
                 if polish == "joint":
                     polished = [m for m, _ in res.local_optima if m > 0.0 or not prior_module._sign_symmetric(p)]
                     assert 2 <= calls["_inner_min"] <= 1 + len(polished), (lam, calls, res)
@@ -845,7 +846,7 @@ class TestSaddleMatchesNestedPolish:
         # minimizations (test_lambda_grid checks the values at this lambda).
         p = parse_prior_spec(name)
         res, calls = self._counted_saddle(monkeypatch, p, 1.02, ev)
-        assert calls["_node_tables"] <= 73 and calls["_inner_min"] <= 2, calls
+        assert calls["psi_hat_grad"] <= 73 and calls["_inner_min"] <= 2, calls
         assert abs(res.value - phi_rs(p, 1.02, ev).value) <= 1e-4
 
     @pytest.mark.parametrize("name, lam", [("rademacher", 1.1), ("sparse:0.25", 1.11)])
@@ -856,14 +857,14 @@ class TestSaddleMatchesNestedPolish:
         # the probe in 91-94 and 6-7 (test_lambda_grid checks the values)
         p = parse_prior_spec(name)
         res, calls = self._counted_saddle(monkeypatch, p, lam, ev)
-        assert calls["_node_tables"] <= 60 and calls["_inner_min"] <= 4, calls
+        assert calls["psi_hat_grad"] <= 60 and calls["_inner_min"] <= 4, calls
         assert abs(res.value - phi_rs(p, lam, ev).value) <= 1e-4
 
     @staticmethod
     def _counted_saddle(monkeypatch, p, lam, ev):
-        """saddle(p, lam) with its channel._node_tables and rs._inner_min calls counted."""
-        calls = {"_node_tables": 0, "_inner_min": 0}
-        for mod, fn_name in ((channel, "_node_tables"), (rs, "_inner_min")):
+        """saddle(p, lam) with its kernel calls (rs.psi_hat_grad) and rs._inner_min calls counted."""
+        calls = {"psi_hat_grad": 0, "_inner_min": 0}
+        for mod, fn_name in ((rs, "psi_hat_grad"), (rs, "_inner_min")):
             fn = getattr(mod, fn_name)
 
             def wrapped(*args, _fn=fn, _name=fn_name, **kwargs):
